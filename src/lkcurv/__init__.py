@@ -17,6 +17,7 @@ from .catalog import (
     euler_char,
     full_space,
     link_chi,
+    link_chi_batch,
     link_infinity_chi,
     resolve_set,
     section,
@@ -50,6 +51,7 @@ from .grassmann import (
     MonteCarloEstimate,
     Subspace,
     grassmann_mean,
+    grassmann_mean_batch,
     haar_sample,
     shift_subspace,
     substream,

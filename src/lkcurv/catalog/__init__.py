@@ -7,6 +7,7 @@ from .links import (
     euler_char,
     full_space,
     link_chi,
+    link_chi_batch,
     link_infinity_chi,
     section,
     subspace_intersection,
@@ -48,6 +49,7 @@ __all__ = [
     "gauss_legendre_nodes",
     "kind_of",
     "link_chi",
+    "link_chi_batch",
     "link_infinity_chi",
     "load_set_file",
     "resolve_set",

@@ -169,9 +169,16 @@ def _bisect_edge(g, outside: float, inside: float, iters: int = 80) -> float:
 # batch axis: U has shape (B, dim).
 
 
-def _build_plane(domain, params, n=3):
-    frame = np.asarray(params.get("frame", np.eye(2, n)), dtype=float)
+def _build_plane(domain, params):
+    frame = np.asarray(params.get("frame", np.eye(2, 3)), dtype=float)
+    if frame.ndim != 2 or frame.shape[0] != 2:
+        raise SetValidationError("charts.params.frame", "needs two rows")
+    n = frame.shape[1]
     origin = np.asarray(params.get("origin", np.zeros(n)), dtype=float)
+    if origin.shape != (n,):
+        raise SetValidationError(
+            "charts.params.origin", f"has shape {origin.shape}, the frame rows have length {n}"
+        )
     u, v = frame
 
     def map_fn(U):
@@ -469,4 +476,14 @@ CHART_BUILDERS: Dict[str, Callable] = {
 def build_chart(name: str, domain=None, params=None) -> Chart:
     if name not in CHART_BUILDERS:
         raise SetValidationError("charts.map", f"unknown chart map {name!r}")
-    return CHART_BUILDERS[name](domain, params or {})
+    params = params or {}
+    numbers = {"charts.domain": domain} if domain is not None else {}
+    numbers.update((f"charts.params.{key}", value) for key, value in params.items())
+    for where, value in numbers.items():
+        try:
+            finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+        except (TypeError, ValueError) as exc:
+            raise SetValidationError(where, "not a number or an array of numbers") from exc
+        if not finite:
+            raise SetValidationError(where, "non-finite number")
+    return CHART_BUILDERS[name](domain, params)

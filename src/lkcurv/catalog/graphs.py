@@ -87,6 +87,8 @@ def validate_graph(graph: SphericalGraph) -> None:
     n = graph.ambient_dim
     if n < 2:
         raise SetValidationError("vertices", "ambient dimension must be >= 2")
+    if not np.all(np.isfinite(verts)):
+        raise SetValidationError("vertices", "non-finite number")
     norms = np.linalg.norm(verts, axis=1)
     if np.max(np.abs(norms - 1.0)) > VERTEX_NORM_TOL:
         bad = int(np.argmax(np.abs(norms - 1.0)))

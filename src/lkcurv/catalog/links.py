@@ -3,19 +3,27 @@
 ``link_infinity_chi(X, H)`` returns the Euler characteristic of
 (X intersect H) intersect S_R for stably large R, optionally with the whole
 construction translated to a base point (affine flats through ``center`` and
-spheres around it).
+spheres around it).  ``link_chi_batch`` gives the same stable values for a
+stack of planes at once.
 
-Radius policy for the sampled routes: start at 8 times the coefficient scale
-of the set and double until two consecutive radii agree; give up after six
-doublings.  For quadratic implicit sections the agreed count must also match
-the end count read off the signature of the leading form, which is what keeps
-premature agreement on large compact ovals from masquerading as a stable link.
+Routes.  A one-dimensional implicit section {g = 0} of a smooth set has two
+ends for each simple real root on P^1 of its leading form, the restriction
+P_d(s @ frame) of the top-degree part of the implicit polynomial: such a root
+is a smooth point of the projective closure that crosses the line at
+infinity.  The center moves only lower-order terms, so shifted flats use the
+same count, and no radius is involved.  Linear and conic links are exact
+combinatorial counts.
+
+Radius policy for the sampled routes (full-space links of curves and of
+points of translated cones): start at 8 times the coefficient scale of the
+set and double until two consecutive radii agree; give up after six
+doublings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -25,7 +33,7 @@ from ..errors import (
     UnstableLink,
     UnsupportedSection,
 )
-from ..grassmann import Subspace, _gram_schmidt
+from ..grassmann import Subspace, _gram_schmidt, per_plane
 from .polynomial import Poly
 from .sets import (
     ConicGraph,
@@ -42,10 +50,16 @@ CROSSING_GRAY_TOL = 1e-5
 ENDPOINT_MARGIN = 1e-9
 SHARED_DIRECTION_TOL = 1e-10
 SHARED_GRAY_TOL = 1e-8
-CIRCLE_SAMPLES = 8192          # angular step 2*pi/8192 < 1e-3 rad
-BISECTION_TOL = 1e-10
-GRADIENT_DEGENERATE_TOL = 1e-6
+CIRCLE_SAMPLES = 8192
 MAX_DOUBLINGS = 6
+# a leading-form determinant this small relative to the squared coefficient
+# sum is parabolic
+PARABOLIC_DET_TOL = 1e-12
+# roots of the Cayley-transformed leading form: on the unit circle within the
+# first tolerance are real, beyond the second complex, in between degenerate;
+# real roots closer than the second tolerance are a multiple root
+FORM_ROOT_TOL = 1e-9
+FORM_ROOT_GRAY_TOL = 1e-5
 BASE_RADIUS_FACTOR = 8.0
 
 
@@ -225,75 +239,90 @@ def _conic_link_shifted(x: ConicGraph, subspace: Subspace, center: np.ndarray,
 
 # ------------------------------------------------------------------ smooth case
 
-def _expected_end_count(g: Poly) -> Optional[int]:
-    """End count of the affine plane curve {g = 0}, when the degree decides it."""
-    deg = g.degree()
-    if deg <= 0:
-        raise DegenerateSample("section polynomial is constant")
-    if deg == 1:
-        return 2
-    if deg == 2:
-        a = g.leading_form().quadratic_form_matrix()
-        det = float(np.linalg.det(a))
-        scale = float(np.sum(np.abs(a))) ** 2
-        if abs(det) <= 1e-12 * max(scale, 1e-300):
-            raise DegenerateSample("parabolic leading form in the section")
-        return 4 if det < 0.0 else 0
-    return None
+def _restricted_leading_form(p: Poly, frames: np.ndarray) -> np.ndarray:
+    """Coefficients of the leading form of ``p`` restricted to planes.
+
+    For frames of shape (m, 2, n) with rows u and v, row i of the result
+    holds c_j, j = 0..d, with P_d(s1*u + s2*v) = sum_j c_j s1^(d-j) s2^j.
+    """
+    d = p.degree()
+    m = frames.shape[0]
+    u, v = frames[:, 0, :], frames[:, 1, :]
+    out = np.zeros((m, d + 1))
+    for exps, coeff in p.leading_form().terms.items():
+        form = np.full((m, 1), coeff)
+        for j, e in enumerate(exps):
+            for _ in range(e):
+                grown = np.zeros((m, form.shape[1] + 1))
+                grown[:, :-1] = form * u[:, j, None]
+                grown[:, 1:] += form * v[:, j, None]
+                form = grown
+        out += form
+    return out
 
 
-_CIRCLE_STEP = 2.0 * np.pi / CIRCLE_SAMPLES
-_CIRCLE_PHIS = np.arange(CIRCLE_SAMPLES) * _CIRCLE_STEP
-_CIRCLE_UNIT = np.stack([np.cos(_CIRCLE_PHIS), np.sin(_CIRCLE_PHIS)], axis=1)
-_BISECTION_ITERS = int(np.ceil(np.log2(_CIRCLE_STEP / BISECTION_TOL)))
+def _cayley_matrix(d: int) -> np.ndarray:
+    """Row j: ascending coefficients of (w+1)^(d-j) (w-1)^j (-i)^j.
+
+    With s1 = cos(phi), s2 = sin(phi) and w = exp(2i phi), the binary form
+    sum_j c_j s1^(d-j) s2^j times (2 exp(i phi))^d is the polynomial c @ M in
+    w, so the real roots of the form on P^1 are its roots on the unit circle.
+    """
+    rows = []
+    for j in range(d + 1):
+        poly = np.polynomial.polynomial.polymul(
+            np.polynomial.polynomial.polypow([1.0, 1.0], d - j),
+            np.polynomial.polynomial.polypow([-1.0, 1.0], j),
+        )
+        rows.append((-1j) ** j * poly)
+    return np.array(rows)
 
 
-def _circle_zero_count(g: Poly, radius: float) -> int:
-    vals = g.eval(radius * _CIRCLE_UNIT)
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        raise DegenerateSample("section polynomial vanishes on the whole circle")
-    if np.any(vals == 0.0):
-        raise DegenerateSample("grid point exactly on the section")
-    nxt = np.roll(vals, -1)
-    crossing_idx = np.nonzero(vals * nxt < 0.0)[0]
-    if crossing_idx.size == 0:
-        return 0
-    lo = _CIRCLE_PHIS[crossing_idx]
-    hi = lo + _CIRCLE_STEP
-    flo = vals[crossing_idx]
-    for _ in range(_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        fmid = g.eval(radius * np.stack([np.cos(mid), np.sin(mid)], axis=1))
-        same_side = (fmid > 0.0) == (flo > 0.0)
-        lo = np.where(same_side, mid, lo)
-        flo = np.where(same_side, fmid, flo)
-        hi = np.where(same_side, hi, mid)
-    zeros = 0.5 * (lo + hi)
-    pts = radius * np.stack([np.cos(zeros), np.sin(zeros)], axis=1)
-    grad_norms = np.linalg.norm(g.grad_eval(pts), axis=1)
-    if np.any(grad_norms < GRADIENT_DEGENERATE_TOL):
-        raise DegenerateSample("tangential link point (small section gradient)")
-    return int(crossing_idx.size)
+def _real_root_counts(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Real roots on P^1 of binary forms of degree d >= 3, with a gray band."""
+    m, d = coeffs.shape[0], coeffs.shape[1] - 1
+    scale = np.max(np.abs(coeffs), axis=1)
+    degenerate = scale == 0.0
+    poly = (coeffs / np.where(degenerate, 1.0, scale)[:, None]) @ _cayley_matrix(d)
+    lead = poly[:, d]
+    # |lead| is the size of the form at s = (1, -i); a tiny one puts a root
+    # of w near infinity, where the companion matrix is ill-posed
+    degenerate |= np.abs(lead) <= FORM_ROOT_TOL * np.max(np.abs(poly), axis=1)
+    companion = np.zeros((m, d, d), dtype=complex)
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, :, -1] = -poly[:, :d] / np.where(degenerate, 1.0, lead)[:, None]
+    roots = np.linalg.eigvals(companion)
+    off_circle = np.abs(np.abs(roots) - 1.0)
+    real = off_circle <= FORM_ROOT_TOL
+    degenerate |= np.any(~real & (off_circle < FORM_ROOT_GRAY_TOL), axis=1)
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+    close = real[:, :, None] & real[:, None, :] & (gaps < FORM_ROOT_GRAY_TOL)
+    close[:, np.arange(d), np.arange(d)] = False
+    degenerate |= np.any(close, axis=(1, 2))
+    return np.count_nonzero(real, axis=1), degenerate
 
 
-def _circle_zero_ladder(g: Poly, r0: float) -> LinkSection:
-    expected = _expected_end_count(g)
-    radius = r0
-    prev = _circle_zero_count(g, radius)
-    for _ in range(MAX_DOUBLINGS):
-        nxt = _circle_zero_count(g, 2.0 * radius)
-        if nxt == prev and (expected is None or nxt == expected):
-            return LinkSection(nxt, 2.0 * radius, True)
-        prev, radius = nxt, 2.0 * radius
-    if expected == 0:
-        # a definite quadratic leading form bounds the section, so the link at
-        # infinity is empty even when the oval outgrows the radius ladder
-        return LinkSection(0, radius, True)
-    if expected is not None:
-        # ends certified by the leading form but not yet visible at this reach
-        return LinkSection(expected, radius, False)
-    return LinkSection(prev, radius, False)
+def _implicit_end_counts(p: Poly, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ends of the plane curves {p = 0} ∩ (center + plane) for frames (m, 2, n).
+
+    Returns the end counts and a mask of the planes where the count is not
+    decided: a parabolic quadratic leading form, a restricted leading form
+    that vanishes, or a real root of it that is multiple or in the gray band.
+    """
+    m = frames.shape[0]
+    d = p.degree()
+    if d <= 0:
+        return np.zeros(m), np.ones(m, dtype=bool)
+    coeffs = _restricted_leading_form(p, frames)
+    if d == 1:
+        return np.full(m, 2.0), np.all(coeffs == 0.0, axis=1)
+    if d == 2:
+        det = coeffs[:, 0] * coeffs[:, 2] - 0.25 * coeffs[:, 1] ** 2
+        scale = np.sum(np.abs(coeffs), axis=1) ** 2
+        degenerate = np.abs(det) <= PARABOLIC_DET_TOL * np.maximum(scale, 1e-300)
+        return np.where(det < 0.0, 4.0, 0.0), degenerate
+    roots, degenerate = _real_root_counts(coeffs)
+    return 2.0 * roots, degenerate
 
 
 def _curve_sphere_count(x: SmoothSet, center: np.ndarray, radius: float) -> int:
@@ -330,15 +359,22 @@ def _smooth_link(x: SmoothSet, subspace: Subspace, center: np.ndarray, r0: float
                 prev, radius = nxt, 2.0 * radius
             return LinkSection(prev, radius, False)
         raise UnsupportedSection("full-space links need even dimension or a curve")
-    if x.compact:
-        return LinkSection(0, r0, True)
-    section_dim = d + subspace.k - n
-    if section_dim <= 0:
-        # a zero-dimensional semi-algebraic section is finite, hence bounded
-        return LinkSection(0, r0, True)
-    if section_dim == 1 and x.implicit is not None and subspace.k == 2:
-        g = x.implicit.compose_affine(center, subspace.frame)
-        return _circle_zero_ladder(g, r0)
+    values, degenerate = _smooth_section_ends(x, subspace.frame[None])
+    if degenerate[0]:
+        raise DegenerateSample("degenerate leading form at infinity")
+    return LinkSection(int(values[0]), r0, True)
+
+
+def _smooth_section_ends(x: SmoothSet, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Link chis of smooth sections by proper planes, batched over frames."""
+    m, k, n = frames.shape
+    section_dim = x.dim + k - n
+    if x.compact or section_dim <= 0:
+        # compact sections, and zero-dimensional semi-algebraic ones (finite
+        # sets), are bounded: their links at infinity are empty
+        return np.zeros(m), np.zeros(m, dtype=bool)
+    if section_dim == 1 and x.implicit is not None and k == 2:
+        return _implicit_end_counts(x.implicit, frames)
     raise UnsupportedSection(
         f"sections of dimension {section_dim} of smooth sets are not supported"
     )
@@ -397,6 +433,24 @@ def link_chi(x: SetDescriptor, subspace: Subspace, center=None) -> int:
             f"link count did not stabilize (last count {result.chi} at R={result.radius_used})"
         )
     return result.chi
+
+
+def link_chi_batch(x: SetDescriptor, frames, center=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable link chis of X ∩ (center + H) for a stack of planes H.
+
+    ``frames`` has shape (m, k, n) with orthonormal rows.  Returns the values
+    and a mask of the planes on which :func:`link_chi` would raise
+    :class:`DegenerateSample` or :class:`UnstableLink`.  Smooth sections are
+    counted for the whole stack at once; other sets go plane by plane.
+    """
+    frames = np.asarray(frames, dtype=float)
+    _, k, n = frames.shape
+    if n != x.ambient_dim:
+        raise ValueError("frames live in a different ambient space")
+    center = _center_vector(n, center)
+    if isinstance(x, SmoothSet) and k < n:
+        return _smooth_section_ends(x, frames)
+    return per_plane(lambda subspace: link_chi(x, subspace, center))(frames)
 
 
 def section(x: SetDescriptor, subspace: Subspace) -> SetDescriptor:

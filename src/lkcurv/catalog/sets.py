@@ -108,6 +108,8 @@ def validate_set(x: SetDescriptor) -> None:
         frame = x.frame
         if frame.shape[1] != x.ambient_dim:
             raise SetValidationError("frame", "vector length differs from ambient_dim")
+        if not np.all(np.isfinite(frame)):
+            raise SetValidationError("frame", "non-finite number")
         gram = frame @ frame.T
         if np.max(np.abs(gram - np.eye(frame.shape[0]))) > 1e-10:
             raise SetValidationError("frame", "rows are not orthonormal")
@@ -130,6 +132,8 @@ def _validate_smooth(x: SmoothSet) -> None:
         raise SetValidationError("charts", "smooth set needs at least one chart")
     if x.implicit is not None and x.implicit.nvars != x.ambient_dim:
         raise SetValidationError("polynomial", "variable count differs from ambient_dim")
+    if x.implicit is not None and not all(np.isfinite(c) for c in x.implicit.terms.values()):
+        raise SetValidationError("polynomial", "non-finite coefficient")
     if x.implicit is not None and x.dim != x.ambient_dim - 1:
         raise SetValidationError("polynomial", "implicit form requires codimension one")
     rng = np.random.Generator(np.random.Philox(key=np.array([17, 23], dtype=np.uint64)))

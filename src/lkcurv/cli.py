@@ -68,7 +68,8 @@ def build_parser() -> _Parser:
                           help="comma-separated geometric schedule, e.g. 8,16,32,64")
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=int, default=1,
+                          help="accepted for compatibility; has no effect")
     p_verify.add_argument("--base-point", type=str, default=None,
                           help="comma-separated coordinates, e.g. 1,2")
 

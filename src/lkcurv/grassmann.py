@@ -1,21 +1,21 @@
 """Haar-uniform random subspaces and Monte Carlo means over them.
 
 ``haar_sample`` draws a uniformly distributed k-plane through the origin of
-R^n by Gram-Schmidt orthonormalization of independent Gaussian vectors;
-``grassmann_mean`` averages a function of such planes with a standard error.
+R^n by Gram-Schmidt orthonormalization of independent Gaussian vectors.
+``grassmann_mean_batch`` averages a batched oracle over such planes with a
+standard error; ``grassmann_mean`` is the same loop for a function of one
+plane.
 
 Determinism contract: sample ``i`` of a run is generated from a counter-based
 Philox stream keyed by ``(seed, i)``, so the estimate is bit-identical for a
-given ``(n, k, n_samples, seed)`` no matter how the samples are scheduled
-across workers.
+given ``(n, k, n_samples, seed)`` no matter how the samples are batched.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,8 @@ ORTHONORMAL_TOL = 1e-10
 RANK_DEFICIENCY_TOL = 1e-8
 DEGENERATE_BUDGET = 0.01
 MAX_RETRIES_PER_SLOT = 64
+# sample slots whose generators are alive at once (about 0.6 KB each)
+SLOT_CHUNK = 256
 
 # stream domains, kept distinct so different modules never share a substream
 STREAM_GRASSMANN = 1
@@ -116,18 +118,30 @@ def shift_subspace(subspace: Subspace, x0) -> AffineFlat:
     return AffineFlat(subspace=subspace, base=np.asarray(x0, dtype=float))
 
 
+def _orthonormalize(blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt on a stack of (k, n) blocks.
+
+    Returns the frames and a mask of the blocks whose residual norms all stay
+    above tolerance.  The dot products go through ``matmul`` of a row by a
+    column, which uses the same dot kernel as ``np.dot``, so a block gets the
+    same bits alone or in a stack (``einsum`` would not).
+    """
+    q = np.array(blocks, dtype=float)
+    ok = np.ones(q.shape[0], dtype=bool)
+    for i in range(q.shape[1]):
+        for j in range(i):
+            dots = np.matmul(q[:, i, None, :], q[:, j, :, None])[:, 0]
+            q[:, i] -= dots * q[:, j]
+        norms = np.sqrt(np.matmul(q[:, i, None, :], q[:, i, :, None])[:, 0])
+        ok &= norms[:, 0] >= RANK_DEFICIENCY_TOL
+        q[:, i] /= np.where(norms > 0.0, norms, 1.0)
+    return q, ok
+
+
 def _gram_schmidt(rows: np.ndarray) -> Optional[np.ndarray]:
     """Modified Gram-Schmidt; None when a residual norm falls below tolerance."""
-    q = np.array(rows, dtype=float)
-    k = q.shape[0]
-    for i in range(k):
-        for j in range(i):
-            q[i] -= np.dot(q[i], q[j]) * q[j]
-        norm = np.linalg.norm(q[i])
-        if norm < RANK_DEFICIENCY_TOL:
-            return None
-        q[i] /= norm
-    return q
+    frames, ok = _orthonormalize(np.asarray(rows, dtype=float)[None])
+    return frames[0] if ok[0] else None
 
 
 def haar_sample(n: int, k: int, rng: np.random.Generator) -> Subspace:
@@ -144,6 +158,18 @@ def haar_sample(n: int, k: int, rng: np.random.Generator) -> Subspace:
             return Subspace(n=n, k=k, frame=frame)
 
 
+def _haar_frames(n: int, k: int, rngs) -> np.ndarray:
+    """One Haar frame per generator, shape (len(rngs), k, n).
+
+    Each generator gives one (k, n) block; a rank-deficient block is redrawn
+    from its own generator, exactly as ``haar_sample`` would.
+    """
+    frames, ok = _orthonormalize(np.stack([rng.standard_normal((k, n)) for rng in rngs]))
+    for j in np.flatnonzero(~ok):
+        frames[j] = haar_sample(n, k, rngs[j]).frame
+    return frames
+
+
 @dataclass(eq=False)
 class MonteCarloEstimate:
     """Sample mean with its standard error and full sampling provenance."""
@@ -156,49 +182,72 @@ class MonteCarloEstimate:
     values: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def grassmann_mean(
+BatchOracle = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def per_plane(f: Callable[[Subspace], float]) -> BatchOracle:
+    """Batched oracle that calls ``f`` on one plane at a time.
+
+    A plane where ``f`` raises :class:`DegenerateSample` or
+    :class:`UnstableLink` is marked degenerate.
+    """
+
+    def oracle(frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        m, k, n = frames.shape
+        values = np.zeros(m)
+        degenerate = np.zeros(m, dtype=bool)
+        for i in range(m):
+            try:
+                values[i] = float(f(Subspace(n=n, k=k, frame=frames[i])))
+            except (DegenerateSample, UnstableLink):
+                degenerate[i] = True
+        return values, degenerate
+
+    return oracle
+
+
+def grassmann_mean_batch(
     n: int,
     k: int,
-    f: Callable[[Subspace], float],
+    oracle: BatchOracle,
     n_samples: int,
     seed: int,
-    workers: int = 1,
     stream: int = 0,
     collect: bool = False,
 ) -> MonteCarloEstimate:
-    """Monte Carlo estimate of the Haar mean of ``f`` over k-planes in R^n.
+    """Monte Carlo estimate of the Haar mean of a batched oracle over k-planes in R^n.
 
-    ``f`` may raise :class:`DegenerateSample` (or :class:`UnstableLink`) on a
-    measure-zero set of planes; those draws are rejected and redrawn from the
-    same per-slot stream.  If more than ``DEGENERATE_BUDGET`` of all draws are
+    ``oracle(frames)`` takes frames of shape (m, k, n) with orthonormal rows
+    and returns ``(values, degenerate)``, two arrays of length m.  Degenerate
+    planes (a measure-zero set) are rejected and redrawn from the same
+    per-slot stream.  If more than ``DEGENERATE_BUDGET`` of all draws are
     rejected the run aborts with :class:`GenericityError`, since that level of
     degeneracy indicates the input violates the genericity assumptions.
+    Slots are processed ``SLOT_CHUNK`` at a time.
     """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     values = np.empty(n_samples, dtype=float)
     rejected = np.zeros(n_samples, dtype=np.int64)
-
-    def run_slot(i: int) -> None:
-        rng = substream(seed, STREAM_GRASSMANN, i, stream)
+    for start in range(0, n_samples, SLOT_CHUNK):
+        slots = np.arange(start, min(start + SLOT_CHUNK, n_samples))
+        rngs = [substream(seed, STREAM_GRASSMANN, int(i), stream) for i in slots]
+        pending = np.arange(slots.size)
         for _ in range(MAX_RETRIES_PER_SLOT):
-            subspace = haar_sample(n, k, rng)
-            try:
-                values[i] = float(f(subspace))
-                return
-            except (DegenerateSample, UnstableLink):
-                rejected[i] += 1
-        raise GenericityError(
-            f"sample slot {i} exhausted {MAX_RETRIES_PER_SLOT} redraws; "
-            "the set appears to violate genericity assumptions"
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_slot, range(n_samples)))
-    else:
-        for i in range(n_samples):
-            run_slot(i)
+            vals, bad = oracle(_haar_frames(n, k, [rngs[j] for j in pending]))
+            bad = np.asarray(bad, dtype=bool)
+            values[slots[pending[~bad]]] = np.asarray(vals, dtype=float)[~bad]
+            rejected[slots[pending[bad]]] += 1
+            pending = pending[bad]
+            if not pending.size:
+                break
+        else:
+            raise GenericityError(
+                f"sample slot {slots[pending[0]]} exhausted {MAX_RETRIES_PER_SLOT} redraws; "
+                "the set appears to violate genericity assumptions"
+            )
 
     n_rejected = int(rejected.sum())
     total_draws = n_samples + n_rejected
@@ -221,3 +270,26 @@ def grassmann_mean(
         n_rejected=n_rejected,
         values=values if collect else None,
     )
+
+
+def grassmann_mean(
+    n: int,
+    k: int,
+    f: Callable[[Subspace], float],
+    n_samples: int,
+    seed: int,
+    workers: int = 1,
+    stream: int = 0,
+    collect: bool = False,
+) -> MonteCarloEstimate:
+    """Monte Carlo estimate of the Haar mean of ``f`` over k-planes in R^n.
+
+    ``f`` may raise :class:`DegenerateSample` (or :class:`UnstableLink`) on a
+    measure-zero set of planes; those draws are rejected and redrawn as in
+    :func:`grassmann_mean_batch`, which this calls with ``per_plane(f)``.
+    ``workers`` is accepted for compatibility and has no effect: the samples
+    run in one thread, since a thread pool only slowed this GIL-bound loop
+    down.
+    """
+    return grassmann_mean_batch(n, k, per_plane(f), n_samples, seed, stream=stream,
+                                collect=collect)

@@ -26,12 +26,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .catalog.links import euler_char, full_space, link_chi
+from .catalog.links import euler_char, full_space, link_chi, link_chi_batch
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
 from .curvature import CubatureSpec, lk_measure_detailed
 from .errors import UnsupportedSection
 from .geomconst import ball_volume
-from .grassmann import MonteCarloEstimate, grassmann_mean
+from .grassmann import MonteCarloEstimate, grassmann_mean_batch
 from .limits import DEFAULT_RADII, estimate_limit, fit_limit_sequence, validate_radii
 from .report import TheoremReport, make_row, skipped_row
 
@@ -57,7 +57,7 @@ class RunSettings:
     n_samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     radii: Tuple[float, ...] = DEFAULT_RADII
-    workers: int = 1
+    workers: int = 1  # accepted for the CLI contract; sampling runs in one thread
     cubature: CubatureSpec = field(default_factory=CubatureSpec)
 
     def __post_init__(self):
@@ -90,16 +90,20 @@ def _link_mean(
     if plane_dim == n:
         value = link_chi(x, full_space(n), center)
         return float(value), 0.0, "exact(full_space_link)"
-    est = grassmann_mean(
-        n,
+    est = _link_estimate(x, plane_dim, settings, stream, center)
+    return est.mean, est.stderr, f"grassmann_mc(planes={plane_dim},n={est.n_samples})"
+
+
+def _link_estimate(x: SetDescriptor, plane_dim: int, settings: RunSettings, stream: int,
+                   center) -> MonteCarloEstimate:
+    return grassmann_mean_batch(
+        x.ambient_dim,
         plane_dim,
-        lambda subspace: link_chi(x, subspace, center),
+        lambda frames: link_chi_batch(x, frames, center),
         n_samples=settings.n_samples,
         seed=settings.seed,
-        workers=settings.workers,
         stream=stream,
     )
-    return est.mean, est.stderr, f"grassmann_mc(planes={plane_dim},n={est.n_samples})"
 
 
 def _growth_rhs(
@@ -259,15 +263,7 @@ def lambda0(
     n = x.ambient_dim
     chi = euler_char(x)
     chi_link = float(link_chi(x, full_space(n), center))
-    est = grassmann_mean(
-        n,
-        n - 1,
-        lambda subspace: link_chi(x, subspace, center),
-        n_samples=settings.n_samples,
-        seed=settings.seed,
-        workers=settings.workers,
-        stream=1,
-    )
+    est = _link_estimate(x, n - 1, settings, 1, center)
     value = chi - 0.5 * chi_link - 0.5 * est.mean
     stderr = 0.5 * est.stderr
     direct = None

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -14,6 +15,7 @@ from lkcurv import (
 )
 from lkcurv.catalog import (
     LinearSubspace,
+    Poly,
     SmoothSet,
     SphericalGraph,
     euler_char,
@@ -202,17 +204,104 @@ def test_oversized_oval_resolved_by_compactness(sets):
 
 
 def test_unreachable_ends_flagged_unstable():
-    from lkcurv.catalog.links import _circle_zero_ladder
-    from lkcurv.catalog.polynomial import Poly
-
+    from circle_ladder import circle_zero_ladder
     # a line far outside the ladder: two certified ends, never observed
     far_line = Poly(2, {(1, 0): 1.0, (0, 0): -1.0e5})
-    result = _circle_zero_ladder(far_line, 8.0)
+    result = circle_zero_ladder(far_line, 8.0)
     assert not result.stable and result.chi == 2
     # degree > 2 has no end certificate; plain agreement still counts a cubic
     cubic_curve = Poly(2, {(3, 0): 1.0, (0, 1): -1.0})  # t = s^3, two ends
-    result = _circle_zero_ladder(cubic_curve, 8.0)
+    result = circle_zero_ladder(cubic_curve, 8.0)
     assert result.stable and result.chi == 2
+
+
+def test_far_line_is_stable_on_the_exact_route():
+    # the leading form of x - 1e5 on the plane z = 0 is s1: one simple root,
+    # two ends, however far the line lies from the origin
+    far_plane = SmoothSet(ambient_dim=3, dim=2, charts=(),
+                          implicit=Poly(3, {(1, 0, 0): 1.0, (0, 0, 0): -1.0e5}),
+                          declared_chi=1)
+    horizontal = Subspace(3, 2, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    result = link_infinity_chi(far_plane, horizontal)
+    assert result.stable and result.chi == 2
+
+
+def _cubic_surface():
+    # x^3 - 3 x y^2 + z^3 = 1: restricted cubic leading forms have one or
+    # three real roots, so generic plane sections have 2 or 6 ends
+    return SmoothSet(ambient_dim=3, dim=2, charts=(),
+                     implicit=Poly(3, {(3, 0, 0): 1.0, (1, 2, 0): -3.0, (0, 0, 3): 1.0,
+                                       (0, 0, 0): -1.0}),
+                     declared_chi=1)
+
+
+def _haar_frames(seed, count):
+    return np.stack([haar_sample(3, 2, substream(seed, STREAM_GRASSMANN, i)).frame
+                     for i in range(count)])
+
+
+def test_batched_link_counts_match_circle_ladder(sets):
+    from circle_ladder import ladder_link
+
+    frames = _haar_frames(59, 200)
+    for name, center in itertools.product(
+        ("hyperboloid_r3", "paraboloid_r3", "cylinder_r3", "plane_r2_in_r3"),
+        (np.zeros(3), np.array([0.0, 0.0, 3.0])),
+    ):
+        x = sets[name]
+        values, degenerate = lk.link_chi_batch(x, frames, center)
+        assert np.count_nonzero(degenerate) <= 2
+        compared = 0
+        for frame, value, bad in zip(frames, values, degenerate):
+            try:
+                ladder = ladder_link(x, frame, center)
+            except DegenerateSample:
+                continue
+            if ladder.stable and not bad:
+                assert value == ladder.chi
+                compared += 1
+        assert compared >= 180
+
+
+def test_cubic_link_counts_match_far_circle_count():
+    # the ladder has no end certificate above degree 2 and can agree on two
+    # radii before all ends show, so the reference here is one far circle
+    from circle_ladder import circle_zero_count
+
+    cubic = _cubic_surface()
+    frames = _haar_frames(59, 100)
+    values, degenerate = lk.link_chi_batch(cubic, frames)
+    assert np.count_nonzero(degenerate) <= 1
+    compared = 0
+    for frame, value, bad in zip(frames, values, degenerate):
+        try:
+            far = circle_zero_count(cubic.implicit.compose_affine(np.zeros(3), frame), 1.0e6)
+        except DegenerateSample:
+            continue
+        if not bad:
+            assert value == far
+            compared += 1
+    assert compared >= 90
+    assert set(values[~degenerate]) == {2.0, 6.0}
+
+
+def test_scalar_and_batched_link_routes_agree(sets):
+    hyp = sets["hyperboloid_r3"]
+    frames = _haar_frames(61, 50)
+    values, degenerate = lk.link_chi_batch(hyp, frames)
+    assert not degenerate.any()
+    for frame, value in zip(frames, values):
+        section_link = link_infinity_chi(hyp, Subspace(3, 2, frame))
+        assert section_link.stable and section_link.chi == value
+
+
+def test_multiple_root_at_infinity_is_degenerate():
+    # t = s^3 has a triple root of its leading form s^3 at infinity
+    cusp = SmoothSet(ambient_dim=3, dim=2, charts=(),
+                     implicit=Poly(3, {(3, 0, 0): 1.0, (0, 1, 0): -1.0}), declared_chi=1)
+    horizontal = Subspace(3, 2, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(DegenerateSample):
+        link_infinity_chi(cusp, horizontal)
 
 
 def test_compact_set_links_vanish(sets):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +206,51 @@ def test_env_seed_override(monkeypatch, tmp_path):
     a.pop("elapsed_seconds")
     b.pop("elapsed_seconds")
     assert a == b
+
+
+PLANE_R2_IN_R4 = Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"
+
+
+def test_plane_chart_default_origin_follows_frame(tmp_path):
+    doc = json.loads(PLANE_R2_IN_R4.read_text())
+    del doc["charts"][0]["params"]["origin"]
+    path = tmp_path / "plane_no_origin.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli(["curvature", "--set", str(path), "--k", "2", "--radius", "4"])
+    assert code == 0
+    value = float(text.split("measure=")[1].split()[0])
+    assert value == pytest.approx(16.0 * math.pi, rel=1e-9)
+
+
+def test_plane_chart_origin_width_mismatch(tmp_path, capsys):
+    doc = json.loads(PLANE_R2_IN_R4.read_text())
+    doc["charts"][0]["params"]["origin"] = [0, 0, 0]
+    path = tmp_path / "plane_short_origin.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli(["verify", "--set", str(path), "--theorem", "thm3.9"])
+    assert code == 64
+    assert "charts.params.origin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("polynomial", {"name": "nan_plane", "ambient_dim": 3, "kind": "smooth",
+                    "charts": [{"map": "plane"}],
+                    "polynomial": {"(0,0,1)": float("nan")}, "declared_chi": 1}),
+    ("vertices", {"name": "nan_cross", "ambient_dim": 2, "kind": "conic_graph",
+                  "vertices": [[float("nan"), 0.0], [0.0, 1.0]]}),
+    ("frame", {"name": "nan_line", "ambient_dim": 2, "kind": "linear",
+               "frame": [[float("nan"), 1.0]]}),
+    ("charts.params.radius", {"name": "inf_sphere", "ambient_dim": 3, "kind": "smooth",
+                              "charts": [{"map": "sphere", "params": {"radius": float("inf")}}],
+                              "declared_chi": 2, "compact": True}),
+    ("charts.params.radius", {"name": "word_sphere", "ambient_dim": 3, "kind": "smooth",
+                              "charts": [{"map": "sphere", "params": {"radius": "big"}}],
+                              "declared_chi": 2, "compact": True}),
+])
+def test_non_finite_set_data_is_a_usage_error(tmp_path, capsys, field, doc):
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity, which json.load reads back
+    code, _ = run_cli(["verify", "--set", str(path), "--theorem", "thm3.9",
+                       "--samples", "100"])
+    assert code == 64
+    assert f"malformed at {field}:" in capsys.readouterr().err

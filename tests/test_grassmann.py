@@ -97,6 +97,35 @@ def test_determinism_and_worker_independence(sets):
     assert (a.mean, a.stderr) == (b.mean, b.stderr) == (c.mean, c.stderr)
 
 
+def test_scalar_and_batched_means_agree(sets):
+    from lkcurv.catalog.links import link_chi_batch
+    from lkcurv.grassmann import grassmann_mean_batch
+
+    hyp = sets["hyperboloid_r3"]
+    scalar = grassmann_mean(3, 2, lambda h: lk.link_chi(hyp, h), 600, seed=42, collect=True)
+    batched = grassmann_mean_batch(3, 2, lambda frames: link_chi_batch(hyp, frames), 600,
+                                   seed=42, collect=True)
+    assert np.array_equal(scalar.values, batched.values)
+    assert (scalar.mean, scalar.stderr, scalar.n_rejected) == (
+        batched.mean, batched.stderr, batched.n_rejected)
+
+
+def test_batched_frames_match_haar_sample():
+    from lkcurv.grassmann import grassmann_mean_batch
+
+    seen = []
+
+    def record(frames):
+        seen.append(frames.copy())
+        return np.zeros(len(frames)), np.zeros(len(frames), dtype=bool)
+
+    grassmann_mean_batch(4, 2, record, 300, seed=5, stream=2)
+    frames = np.concatenate(seen)
+    for i in range(300):
+        sub = haar_sample(4, 2, substream(5, STREAM_GRASSMANN, i, 2))
+        assert np.array_equal(frames[i], sub.frame)
+
+
 def test_rotation_invariance(sets):
     cone = sets["plane_cone_r3"]
     rng = np.random.Generator(np.random.Philox(key=np.array([4, 4], dtype=np.uint64)))
