@@ -6,13 +6,19 @@ construction translated to a base point (affine flats through ``center`` and
 spheres around it).  ``link_chi_batch`` gives the same stable values for a
 stack of planes at once.
 
-Routes.  A one-dimensional implicit section {g = 0} of a smooth set has two
+Routes.  Each set kind has one count for proper planes, made for a whole
+stack of planes; ``link_infinity_chi`` and ``section`` run it on a stack of
+one.  A one-dimensional implicit section {g = 0} of a smooth set has two
 ends for each simple real root on P^1 of its leading form, the restriction
 P_d(s @ frame) of the top-degree part of the implicit polynomial: such a root
 is a smooth point of the projective closure that crosses the line at
 infinity.  The center moves only lower-order terms, so shifted flats use the
 same count, and no radius is involved.  Linear and conic links are exact
-combinatorial counts.
+combinatorial counts: a linear section is a flat whose dimension is the
+number of principal angles between the two subspaces that vanish (one SVD
+for the stack), and a conic section is the cone over the vertices, arcs and
+arc crossings of its spherical graph in the plane (every test runs over all
+planes and arcs at once).
 
 Radius policy for the sampled routes (full-space links of curves and of
 points of translated cones): start at 8 times the coefficient scale of the
@@ -33,7 +39,7 @@ from ..errors import (
     UnstableLink,
     UnsupportedSection,
 )
-from ..grassmann import Subspace, _gram_schmidt, per_plane
+from ..grassmann import Subspace, _gram_schmidt
 from .polynomial import Poly
 from .sets import (
     ConicGraph,
@@ -41,6 +47,7 @@ from .sets import (
     SetDescriptor,
     SmoothSet,
     coefficient_scale,
+    integer_field,
 )
 
 VERTEX_IN_TOL = 1e-9
@@ -82,7 +89,7 @@ def euler_char(x: SetDescriptor) -> int:
     if isinstance(x, SmoothSet):
         if x.declared_chi is None:
             raise ChiUnknownError("chi_unknown: smooth set has no declared Euler characteristic")
-        return int(x.declared_chi)
+        return integer_field(x.declared_chi, "declared_chi")
     raise TypeError(f"not a set descriptor: {x!r}")
 
 
@@ -95,7 +102,34 @@ def _center_vector(n: int, center) -> np.ndarray:
     return center
 
 
-# -------------------------------------------------------- subspace intersection
+# ------------------------------------------------------------ planes in stacks
+
+def _normal_bases(frames: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the orthogonal complements of a stack of planes.
+
+    ``frames`` has shape (m, k, n); the result has shape (m, n-k, n).
+    """
+    k = frames.shape[1]
+    q, _ = np.linalg.qr(frames.transpose(0, 2, 1), mode="complete")
+    return q[:, :, k:].transpose(0, 2, 1)
+
+
+# ---------------------------------------------------------------- linear case
+
+def _shared_directions(frame: np.ndarray, frames: np.ndarray):
+    """Principal directions of span(frame) against each plane of a stack.
+
+    Returns ``u`` of shape (m, ka, ka), whose first ``shared[i]`` columns are
+    the coordinates in ``frame`` of the directions plane i shares with it,
+    the counts ``shared``, and a mask of the planes with a principal angle in
+    the gray band where shared and non-shared directions cannot be told apart.
+    """
+    u, svals, _ = np.linalg.svd(frame @ frames.transpose(0, 2, 1))
+    svals = np.clip(svals, 0.0, 1.0)
+    shared = svals > 1.0 - SHARED_DIRECTION_TOL
+    gray = (~shared) & (svals > 1.0 - SHARED_GRAY_TOL)
+    return u, np.count_nonzero(shared, axis=1), np.any(gray, axis=1)
+
 
 def subspace_intersection(frame_a: np.ndarray, frame_b: np.ndarray) -> Tuple[int, np.ndarray]:
     """Dimension and orthonormal basis of span(a) intersect span(b).
@@ -103,138 +137,126 @@ def subspace_intersection(frame_a: np.ndarray, frame_b: np.ndarray) -> Tuple[int
     Raises :class:`DegenerateSample` when a principal angle sits in the gray
     band where shared and non-shared directions cannot be told apart.
     """
-    ka, kb = frame_a.shape[0], frame_b.shape[0]
-    n = frame_a.shape[1] if ka else frame_b.shape[1]
-    if ka == 0 or kb == 0:
-        return 0, np.zeros((0, n))
-    m = frame_a @ frame_b.T
-    u, svals, _ = np.linalg.svd(m)
-    svals = np.clip(svals, 0.0, 1.0)
-    shared = svals > 1.0 - SHARED_DIRECTION_TOL
-    gray = (~shared) & (svals > 1.0 - SHARED_GRAY_TOL)
-    if np.any(gray):
+    u, shared, degenerate = _shared_directions(frame_a, frame_b[None])
+    if degenerate[0]:
         raise DegenerateSample("near-tangential pair of subspaces")
-    if not np.any(shared):
+    m0 = int(shared[0])
+    if not m0:
         return 0, np.zeros((0, frame_a.shape[1]))
-    basis = (u[:, shared].T @ frame_a)
-    basis = _gram_schmidt(basis)
+    basis = _gram_schmidt(u[0, :, :m0].T @ frame_a)
     if basis is None:
         raise DegenerateSample("ill-conditioned intersection basis")
-    return basis.shape[0], basis
+    return m0, basis
 
 
-def _flat_meets_subspace(v_frame: np.ndarray, h_frame: np.ndarray, center: np.ndarray) -> bool:
-    """Whether the affine flat center + span(h) meets span(v)."""
-    stacked = np.vstack([v_frame, h_frame]) if v_frame.size or h_frame.size else np.zeros((0, len(center)))
-    if stacked.shape[0] == 0:
-        return bool(np.linalg.norm(center) <= 1e-12)
-    q, _ = np.linalg.qr(stacked.T)
-    residual = center - q @ (q.T @ center)
-    return float(np.linalg.norm(residual)) <= 1e-9 * (1.0 + np.linalg.norm(center))
+def _flats_meet_subspace(v_frame: np.ndarray, frames: np.ndarray,
+                         center: np.ndarray) -> np.ndarray:
+    """Whether each affine flat center + span(frames[i]) meets span(v_frame)."""
+    m = frames.shape[0]
+    stacked = np.concatenate([np.broadcast_to(v_frame, (m,) + v_frame.shape), frames], axis=1)
+    q, _ = np.linalg.qr(stacked.transpose(0, 2, 1))
+    residual = center - np.matmul(q, np.matmul(center, q)[:, :, None])[:, :, 0]
+    return np.linalg.norm(residual, axis=1) <= 1e-9 * (1.0 + np.linalg.norm(center))
 
 
-def _sphere_chi(m: int) -> int:
-    # chi of S^(m-1); the empty sphere (m = 0) contributes 0
-    if m <= 0:
-        return 0
-    return 1 + (-1) ** (m - 1)
+def _sphere_chi(m):
+    """chi of S^(m-1), the link of an m-flat: 2 for odd m, 0 for even m (the
+    empty sphere of m = 0 included)."""
+    return 2 * (m % 2)
 
 
-# ------------------------------------------------------------- conic graph case
-
-def _graph_section_data(graph, subspace: Subspace):
-    """Vertices, full arcs, and transversal crossing points of graph ∩ E_H."""
-    n = graph.ambient_dim
-    if subspace.k == n:
-        verts_in = list(range(graph.n_vertices))
-        edges_in = list(range(graph.n_edges))
-        return verts_in, edges_in, []
-    normals = subspace.normal_basis()
-    proj = graph.vertices @ normals.T  # (V, m)
-    dist = np.linalg.norm(proj, axis=1)
-    verts_in = [i for i in range(graph.n_vertices) if dist[i] < VERTEX_IN_TOL]
-    gray = [i for i in range(graph.n_vertices) if VERTEX_IN_TOL <= dist[i] < VERTEX_GRAY_TOL]
-    if gray:
-        raise DegenerateSample(f"vertex {gray[0]} sits in the tolerance band of the subspace")
-    in_set = set(verts_in)
-    edges_in = [e for e, (i, j) in enumerate(graph.edges) if i in in_set and j in in_set]
-    crossings = []
-    for e, (i, j) in enumerate(graph.edges):
-        if i in in_set and j in in_set:
-            continue
-        theta = graph.arc_angle(e)
-        vi, vj = graph.vertices[i], graph.vertices[j]
-        a = normals @ vi
-        b = normals @ vj
-        big_a = a
-        big_b = (b - a * np.cos(theta)) / np.sin(theta)
-        amp = np.hypot(big_a, big_b)
-        src = int(np.argmax(amp))
-        if amp[src] < 1e-12:
-            # the whole arc would lie in the subspace, but then both endpoints
-            # would have been inside already
-            raise DegenerateSample(f"arc {e} numerically contained in the subspace")
-        u0 = float(np.arctan2(-big_a[src], big_b[src])) % np.pi
-        if not (0.0 < u0 < theta):
-            continue
-        point = (np.sin(theta - u0) * vi + np.sin(u0) * vj) / np.sin(theta)
-        residual = float(np.linalg.norm(normals @ point))
-        if residual >= CROSSING_GRAY_TOL:
-            continue
-        if residual >= CROSSING_RESIDUAL_TOL:
-            raise DegenerateSample(f"arc {e} grazes the subspace")
-        if u0 < ENDPOINT_MARGIN * theta or u0 > theta * (1.0 - ENDPOINT_MARGIN):
-            endpoint = i if u0 < 0.5 * theta else j
-            if endpoint in in_set:
-                continue  # already counted as a vertex of the section
-            raise DegenerateSample(f"arc {e} meets the subspace at an endpoint")
-        crossings.append(point)
-    return verts_in, edges_in, crossings
+def _linear_section_links(x: LinearSubspace, frames: np.ndarray,
+                          center: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    _, shared, degenerate = _shared_directions(x.frame, frames)
+    values = _sphere_chi(shared).astype(float)
+    if np.any(center != 0.0):
+        values = np.where(_flats_meet_subspace(x.frame, frames, center), values, 0.0)
+    return values, degenerate
 
 
-def _conic_section_chi(graph, subspace: Subspace) -> int:
-    verts_in, edges_in, crossings = _graph_section_data(graph, subspace)
-    return len(verts_in) - len(edges_in) + len(crossings)
+# ------------------------------------------------------------------ conic case
+
+def _graph_sections(graph, frames: np.ndarray):
+    """graph ∩ E_H for a stack of proper planes H, frames of shape (m, k, n).
+
+    Returns masks of the vertices (m, V) and the arcs (m, E) that lie in each
+    plane, a mask of the arcs that cross it transversally (m, E), the crossing
+    points (m, E, n), and a mask of the planes in a degenerate position: a
+    vertex in the gray band, or an arc that lies in the plane numerically,
+    grazes it, or meets it at an endpoint outside it.  Every test runs over
+    all planes and arcs at once.
+    """
+    verts = graph.vertices
+    normals = _normal_bases(frames)
+    proj = np.matmul(verts, normals.transpose(0, 2, 1))  # (m, V, n-k)
+    dist = np.linalg.norm(proj, axis=2)
+    verts_in = dist < VERTEX_IN_TOL
+    degenerate = np.any(~verts_in & (dist < VERTEX_GRAY_TOL), axis=1)
+    ends = np.array(graph.edges, dtype=int).reshape(-1, 2)
+    i, j = ends[:, 0], ends[:, 1]
+    edges_in = verts_in[:, i] & verts_in[:, j]
+    theta = np.array([graph.arc_angle(e) for e in range(graph.n_edges)])
+    # the normal components of the arc at angle u from v_i are
+    # a cos(u) + b sin(u); the crossing solves it for the largest component
+    a = proj[:, i, :]
+    b = (proj[:, j, :] - a * np.cos(theta)[:, None]) / np.sin(theta)[:, None]
+    amp = np.hypot(a, b)
+    pick = (np.arange(len(frames))[:, None], np.arange(len(ends)), np.argmax(amp, axis=2))
+    # an arc whose amplitude vanishes would lie in the plane, but then both
+    # endpoints would have been inside already
+    flat = amp[pick] < 1e-12
+    u0 = np.arctan2(-a[pick], b[pick]) % np.pi
+    points = (np.sin(theta - u0)[:, :, None] * verts[i] + np.sin(u0)[:, :, None] * verts[j]) \
+        / np.sin(theta)[:, None]
+    residual = np.linalg.norm(np.matmul(points, normals.transpose(0, 2, 1)), axis=2)
+    near = ~edges_in & ~flat & (0.0 < u0) & (u0 < theta) & (residual < CROSSING_GRAY_TOL)
+    hit = near & (residual < CROSSING_RESIDUAL_TOL)
+    at_end = (u0 < ENDPOINT_MARGIN * theta) | (u0 > theta * (1.0 - ENDPOINT_MARGIN))
+    # a crossing at an endpoint inside the plane is that vertex, already
+    # counted; at an endpoint outside it the count is not decided
+    end_in = np.where(u0 < 0.5 * theta, verts_in[:, i], verts_in[:, j])
+    grazing = near & ~hit
+    degenerate |= np.any((~edges_in & flat) | grazing | (hit & at_end & ~end_in), axis=1)
+    return verts_in, edges_in, hit & ~at_end, points, degenerate
 
 
-def _conic_link_shifted(x: ConicGraph, subspace: Subspace, center: np.ndarray,
-                        r0: float) -> LinkSection:
+def _conic_section_links(x: ConicGraph, frames: np.ndarray,
+                         center: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     graph = x.graph
+    if not np.any(center != 0.0):
+        # conic sets have radius-independent links: chi(X ∩ H ∩ S_R) is the
+        # combinatorial chi of graph ∩ E_H at any radius
+        verts_in, edges_in, crossing, _, degenerate = _graph_sections(graph, frames)
+        counts = (np.count_nonzero(verts_in, axis=1) - np.count_nonzero(edges_in, axis=1)
+                  + np.count_nonzero(crossing, axis=1))
+        return counts.astype(float), degenerate
+    _require_rays(graph)
+    normals = _normal_bases(frames)
+    ray_in = np.linalg.norm(np.matmul(graph.vertices, normals.transpose(0, 2, 1)), axis=2) < 1e-12
+    center_in = np.linalg.norm(normals @ center, axis=1) < 1e-12
+    # rays meet an affine flat in at most finitely many points unless one lies
+    # in it, so the section is bounded and its link at infinity is empty
+    return np.zeros(frames.shape[0]), np.any(ray_in, axis=1) & center_in
+
+
+def _require_rays(graph) -> None:
     if graph.n_edges:
         raise UnsupportedSection(
             "links of translated cones with two-dimensional sectors are not supported"
         )
-    dirs = graph.vertices
-    n = x.ambient_dim
-    if subspace.k == n:
-        def count(radius: float) -> int:
-            dots = dirs @ center
-            disc = dots * dots - float(center @ center) + radius * radius
-            total = 0
-            for ui, dsc in zip(dots, disc):
-                if dsc <= 0.0:
-                    continue
-                root = np.sqrt(dsc)
-                total += int(ui + root > 1e-12) + int(ui - root > 1e-12)
-            return total
 
-        radius = r0
-        prev = count(radius)
-        for _ in range(MAX_DOUBLINGS):
-            nxt = count(2.0 * radius)
-            if nxt == prev:
-                return LinkSection(prev, 2.0 * radius, True)
-            prev, radius = nxt, 2.0 * radius
-        return LinkSection(prev, radius, False)
-    normals = subspace.normal_basis()
-    pu = dirs @ normals.T
-    pc = normals @ center
-    for row in pu:
-        if np.linalg.norm(row) < 1e-12 and np.linalg.norm(pc) < 1e-12:
-            raise DegenerateSample("ray contained in the affine flat")
-    # rays meet an affine flat in at most finitely many points, so the
-    # section is bounded and its link at infinity is empty
-    return LinkSection(0, r0, True)
+
+def _ray_sphere_count(dirs: np.ndarray, center: np.ndarray, radius: float) -> int:
+    """Points where the rays along ``dirs`` cross the sphere around ``center``."""
+    dots = dirs @ center
+    disc = dots * dots - float(center @ center) + radius * radius
+    total = 0
+    for ui, dsc in zip(dots, disc):
+        if dsc <= 0.0:
+            continue
+        root = np.sqrt(dsc)
+        total += int(ui + root > 1e-12) + int(ui - root > 1e-12)
+    return total
 
 
 # ------------------------------------------------------------------ smooth case
@@ -340,31 +362,6 @@ def _curve_sphere_count(x: SmoothSet, center: np.ndarray, radius: float) -> int:
     return int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
 
 
-def _smooth_link(x: SmoothSet, subspace: Subspace, center: np.ndarray, r0: float) -> LinkSection:
-    n, d = x.ambient_dim, x.dim
-    if subspace.k == n:
-        if x.compact:
-            return LinkSection(0, r0, True)
-        if d % 2 == 0:
-            # the link of a smooth set of even dimension is generically a
-            # compact odd-dimensional manifold, so its chi vanishes
-            return LinkSection(0, r0, True)
-        if d == 1:
-            radius = r0
-            prev = _curve_sphere_count(x, center, radius)
-            for _ in range(MAX_DOUBLINGS):
-                nxt = _curve_sphere_count(x, center, 2.0 * radius)
-                if nxt == prev:
-                    return LinkSection(prev, 2.0 * radius, True)
-                prev, radius = nxt, 2.0 * radius
-            return LinkSection(prev, radius, False)
-        raise UnsupportedSection("full-space links need even dimension or a curve")
-    values, degenerate = _smooth_section_ends(x, subspace.frame[None])
-    if degenerate[0]:
-        raise DegenerateSample("degenerate leading form at infinity")
-    return LinkSection(int(values[0]), r0, True)
-
-
 def _smooth_section_ends(x: SmoothSet, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Link chis of smooth sections by proper planes, batched over frames."""
     m, k, n = frames.shape
@@ -378,6 +375,52 @@ def _smooth_section_ends(x: SmoothSet, frames: np.ndarray) -> Tuple[np.ndarray, 
     raise UnsupportedSection(
         f"sections of dimension {section_dim} of smooth sets are not supported"
     )
+
+
+def _radius_ladder(count, r0: float) -> LinkSection:
+    """Double the radius from r0 until two consecutive counts agree."""
+    radius = r0
+    prev = count(radius)
+    for _ in range(MAX_DOUBLINGS):
+        nxt = count(2.0 * radius)
+        if nxt == prev:
+            return LinkSection(prev, 2.0 * radius, True)
+        prev, radius = nxt, 2.0 * radius
+    return LinkSection(prev, radius, False)
+
+
+def _full_space_link(x: SetDescriptor, center: np.ndarray, r0: float) -> LinkSection:
+    """Link at infinity of X itself, on spheres around the center."""
+    if isinstance(x, LinearSubspace):
+        return LinkSection(_sphere_chi(x.dim), r0, True)
+    if isinstance(x, ConicGraph):
+        if not np.any(center != 0.0):
+            return LinkSection(x.graph.euler_characteristic(), r0, True)
+        _require_rays(x.graph)
+        return _radius_ladder(lambda radius: _ray_sphere_count(x.graph.vertices, center, radius), r0)
+    if isinstance(x, SmoothSet):
+        if x.compact:
+            return LinkSection(0, r0, True)
+        if x.dim % 2 == 0:
+            # the link of a smooth set of even dimension is generically a
+            # compact odd-dimensional manifold, so its chi vanishes
+            return LinkSection(0, r0, True)
+        if x.dim == 1:
+            return _radius_ladder(lambda radius: _curve_sphere_count(x, center, radius), r0)
+        raise UnsupportedSection("full-space links need even dimension or a curve")
+    raise TypeError(f"not a set descriptor: {x!r}")
+
+
+def _section_links(x: SetDescriptor, frames: np.ndarray,
+                   center: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Link chis and degenerate mask of X ∩ (center + H) for proper planes H."""
+    if isinstance(x, LinearSubspace):
+        return _linear_section_links(x, frames, center)
+    if isinstance(x, ConicGraph):
+        return _conic_section_links(x, frames, center)
+    if isinstance(x, SmoothSet):
+        return _smooth_section_ends(x, frames)
+    raise TypeError(f"not a set descriptor: {x!r}")
 
 
 # ----------------------------------------------------------------------- public
@@ -403,26 +446,12 @@ def link_infinity_chi(x: SetDescriptor, subspace, center=None) -> LinkSection:
         raise ValueError("subspace lives in a different ambient space")
     center = _center_vector(n, center)
     r0 = BASE_RADIUS_FACTOR * coefficient_scale(x)
-    shifted = bool(np.any(center != 0.0))
-
-    if isinstance(x, LinearSubspace):
-        m0, _ = subspace_intersection(x.frame, subspace.frame)
-        if shifted:
-            if not _flat_meets_subspace(x.frame, subspace.frame, center):
-                return LinkSection(0, r0, True)
-        return LinkSection(_sphere_chi(m0), r0, True)
-
-    if isinstance(x, ConicGraph):
-        if shifted:
-            return _conic_link_shifted(x, subspace, center, r0)
-        # conic sets have radius-independent links: chi(X ∩ H ∩ S_R) is the
-        # combinatorial chi of graph ∩ E_H at any radius
-        return LinkSection(_conic_section_chi(x.graph, subspace), r0, True)
-
-    if isinstance(x, SmoothSet):
-        return _smooth_link(x, subspace, center, r0)
-
-    raise TypeError(f"not a set descriptor: {x!r}")
+    if subspace.k == n:
+        return _full_space_link(x, center, r0)
+    values, degenerate = _section_links(x, subspace.frame[None], center)
+    if degenerate[0]:
+        raise DegenerateSample("the plane meets the set in a degenerate position")
+    return LinkSection(int(values[0]), r0, True)
 
 
 def link_chi(x: SetDescriptor, subspace: Subspace, center=None) -> int:
@@ -440,17 +469,23 @@ def link_chi_batch(x: SetDescriptor, frames, center=None) -> Tuple[np.ndarray, n
 
     ``frames`` has shape (m, k, n) with orthonormal rows.  Returns the values
     and a mask of the planes on which :func:`link_chi` would raise
-    :class:`DegenerateSample` or :class:`UnstableLink`.  Smooth sections are
-    counted for the whole stack at once; other sets go plane by plane.
+    :class:`DegenerateSample` or :class:`UnstableLink`.  Every set kind is
+    counted for the whole stack at once; :func:`link_infinity_chi` is the same
+    count for a stack of one plane.
     """
     frames = np.asarray(frames, dtype=float)
-    _, k, n = frames.shape
+    m, k, n = frames.shape
     if n != x.ambient_dim:
         raise ValueError("frames live in a different ambient space")
     center = _center_vector(n, center)
-    if isinstance(x, SmoothSet) and k < n:
-        return _smooth_section_ends(x, frames)
-    return per_plane(lambda subspace: link_chi(x, subspace, center))(frames)
+    if k == n:
+        # every frame spans the whole space, so one link serves the stack
+        try:
+            chi = link_chi(x, full_space(n), center)
+        except (DegenerateSample, UnstableLink):
+            return np.zeros(m), np.ones(m, dtype=bool)
+        return np.full(m, float(chi)), np.zeros(m, dtype=bool)
+    return _section_links(x, frames, center)
 
 
 def section(x: SetDescriptor, subspace: Subspace) -> SetDescriptor:
@@ -471,14 +506,18 @@ def section(x: SetDescriptor, subspace: Subspace) -> SetDescriptor:
         return LinearSubspace(k, coords)
 
     if isinstance(x, ConicGraph):
-        verts_in, edges_in, crossings = _graph_section_data(x.graph, subspace)
-        points = [x.graph.vertices[i] for i in verts_in] + list(crossings)
-        coords = np.array([subspace.frame @ p for p in points]) if points else np.zeros((0, k))
+        verts_in, edges_in, crossing, points, degenerate = (
+            part[0] for part in _graph_sections(x.graph, subspace.frame[None])
+        )
+        if degenerate:
+            raise DegenerateSample("the plane meets the graph in a degenerate position")
+        coords = np.vstack([x.graph.vertices[verts_in], points[crossing]]) @ subspace.frame.T
         if coords.shape[0]:
             coords /= np.linalg.norm(coords, axis=1)[:, None]
-        index_of = {v: pos for pos, v in enumerate(verts_in)}
+        index_of = np.cumsum(verts_in) - 1
         new_edges = tuple(
-            (index_of[x.graph.edges[e][0]], index_of[x.graph.edges[e][1]]) for e in edges_in
+            (int(index_of[i]), int(index_of[j]))
+            for (i, j), inside in zip(x.graph.edges, edges_in) if inside
         )
         if coords.shape[0] == 2 and not new_edges and np.linalg.norm(coords[0] + coords[1]) < 1e-9:
             # the cone over an antipodal pair is a line through the origin

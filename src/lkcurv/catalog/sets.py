@@ -14,6 +14,7 @@ Set-definition files use a small JSON schema mirroring these variants; see
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -257,9 +258,26 @@ def describe(x: SetDescriptor) -> Dict[str, object]:
 
 # ------------------------------------------------------------------------- io
 
+def integer_field(value, field: str) -> int:
+    """An integer entry of a set description; anything else names the field."""
+    integral = isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise SetValidationError(field, f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _edge_list(edges) -> Tuple[Tuple[int, int], ...]:
+    pairs = []
+    for e, pair in enumerate(edges):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise SetValidationError("edges", f"edge {e} is not a pair of vertex indices")
+        pairs.append((integer_field(pair[0], "edges"), integer_field(pair[1], "edges")))
+    return tuple(pairs)
+
+
 def set_from_dict(doc: Dict) -> SetDescriptor:
     try:
-        n = int(doc["ambient_dim"])
+        n = integer_field(doc["ambient_dim"], "ambient_dim")
         kind = doc["kind"]
     except KeyError as exc:
         raise SetValidationError(str(exc.args[0]), "missing required field") from exc
@@ -273,7 +291,7 @@ def set_from_dict(doc: Dict) -> SetDescriptor:
                 raise SetValidationError(key, "missing for kind=conic_graph")
         graph = SphericalGraph(
             vertices=np.asarray(doc["vertices"], dtype=float),
-            edges=tuple((int(i), int(j)) for i, j in doc.get("edges", [])),
+            edges=_edge_list(doc.get("edges", [])),
         )
         x = ConicGraph(n, graph)
     elif kind == "smooth":
@@ -288,10 +306,12 @@ def set_from_dict(doc: Dict) -> SetDescriptor:
         implicit = None
         if doc.get("polynomial"):
             implicit = Poly.from_json_terms(n, doc["polynomial"])
-        dim = int(doc.get("dim", charts[0].dim))
+        dim = integer_field(doc.get("dim", charts[0].dim), "dim")
+        chi = doc.get("declared_chi")
         x = SmoothSet(
             ambient_dim=n, dim=dim, charts=tuple(charts), implicit=implicit,
-            declared_chi=doc.get("declared_chi"), compact=bool(doc.get("compact", False)),
+            declared_chi=None if chi is None else integer_field(chi, "declared_chi"),
+            compact=bool(doc.get("compact", False)),
         )
     else:
         raise SetValidationError("kind", f"unknown kind {kind!r}")

@@ -138,7 +138,7 @@ def _cmd_verify(args, out) -> int:
             workers=args.workers,
             base_point=base_point,
         )
-    except (ValueError, UnsupportedSection, ChiUnknownError) as exc:
+    except (ValueError, UnsupportedSection, ChiUnknownError, SetValidationError) as exc:
         raise UsageError(str(exc)) from exc
     except LkError as exc:
         # numerical failure (genericity budget, coverage gap, chart defects)

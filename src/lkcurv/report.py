@@ -4,12 +4,14 @@ A report holds one row per checked equation: the two sides, their combined
 uncertainty, and a verdict.  A row passes when |lhs - rhs| is within three
 combined uncertainties or an absolute floor of 1e-6 (the identities are exact;
 all slack is numerical).  Reports serialize to a stable JSON schema and back
-without loss.
+without loss.  The JSON is strict (RFC 8259): a number it cannot hold, such
+as the NaN sides of a skipped row, is written as ``null`` and read back as NaN.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -72,6 +74,14 @@ class TheoremReport:
         return self.status == "pass"
 
 
+def _number(value: float) -> Optional[float]:
+    return value if math.isfinite(value) else None
+
+
+def _float(value: Optional[float]) -> float:
+    return float("nan") if value is None else value
+
+
 def report_to_dict(report: TheoremReport) -> dict:
     return {
         "theorem": report.theorem_id,
@@ -82,9 +92,9 @@ def report_to_dict(report: TheoremReport) -> dict:
         "rows": [
             {
                 "k": row.k,
-                "lhs": row.lhs,
-                "rhs": row.rhs,
-                "uncertainty": row.uncertainty,
+                "lhs": _number(row.lhs),
+                "rhs": _number(row.rhs),
+                "uncertainty": _number(row.uncertainty),
                 "pass": row.passed,
                 "route_lhs": row.route_lhs,
                 "route_rhs": row.route_rhs,
@@ -103,9 +113,9 @@ def report_from_dict(doc: dict) -> TheoremReport:
     rows = [
         TheoremRow(
             k=entry["k"],
-            lhs=entry["lhs"],
-            rhs=entry["rhs"],
-            uncertainty=entry["uncertainty"],
+            lhs=_float(entry["lhs"]),
+            rhs=_float(entry["rhs"]),
+            uncertainty=_float(entry["uncertainty"]),
             passed=entry["pass"],
             route_lhs=entry["route_lhs"],
             route_rhs=entry["route_rhs"],
@@ -126,7 +136,7 @@ def report_from_dict(doc: dict) -> TheoremReport:
 
 
 def report_to_json(report: TheoremReport, indent: int = 2) -> str:
-    return json.dumps(report_to_dict(report), indent=indent, allow_nan=True)
+    return json.dumps(report_to_dict(report), indent=indent, allow_nan=False)
 
 
 CSV_HEADER = [

@@ -4,9 +4,12 @@ For a graph on the unit sphere with geodesic arcs, the order-1 relative
 curvature is the total arc length and the order-0 one concentrates on the
 vertices: each vertex contributes the mean over tangent directions v of its
 Morse index 1 - #{incident edges whose initial tangent has positive inner
-product with v}.  Summing these means reproduces V - E, which is the
-spherical Gauss-Bonnet identity for one-complexes and the property the
-index convention is pinned by.
+product with v}.  Under v -> -v each incident tangent is positive for exactly
+half of the directions, so the mean index of a vertex is 1 - deg/2 and the
+order-0 curvature is V - E exactly, which is the spherical Gauss-Bonnet
+identity for one-complexes.  ``vertex_index_mean`` samples the same mean over
+directions; ``spherical_gauss_bonnet_check`` holds the sampled sum against
+V - E, so that check does not use the closed form it tests.
 
 ``conic_lk_measure`` converts the relative curvatures of the sphere trace
 into the curvature measures of the cone inside a ball: order k of the cone
@@ -114,36 +117,36 @@ def vertex_index_mean(
 def spherical_lk(
     graph: SphericalGraph, k: int, n_samples: int = 4000, seed: int = 0, stream: int = 0
 ) -> SphericalLK:
-    """Relative curvature of order k of a spherical graph.
+    """Relative curvature of order k of a spherical graph, in closed form.
 
-    Order 1 is the exact total arc length; order 0 sums the vertex index
-    means; all orders >= 2 vanish on one-complexes.
+    Order 0 is V - E (the vertex index means 1 - deg/2 summed), order 1 the
+    total arc length, and all orders >= 2 vanish on one-complexes.  The
+    sampling arguments are accepted for compatibility; no order samples.
     """
     if k < 0 or k > graph.ambient_dim - 1:
         raise ValueError(f"order must lie in [0, {graph.ambient_dim - 1}]")
+    if k == 0:
+        return SphericalLK(0, float(graph.euler_characteristic()), 0.0)
     if k == 1:
         return SphericalLK(1, graph.total_arc_length(), 0.0)
-    if k >= 2:
-        return SphericalLK(k, 0.0, 0.0)
-    total = 0.0
-    var = 0.0
-    for vertex in range(graph.n_vertices):
-        mean, stderr = vertex_index_mean(graph, vertex, n_samples, seed, stream)
-        total += mean
-        var += stderr * stderr
-    return SphericalLK(0, total, sqrt(var))
+    return SphericalLK(k, 0.0, 0.0)
 
 
 def spherical_gauss_bonnet_check(
     graph: SphericalGraph, n_samples: int = 10000, seed: int = 0, set_name: str = "graph"
 ) -> TheoremReport:
-    """chi(graph) = V - E against the order-0 relative curvature."""
-    lk0 = spherical_lk(graph, 0, n_samples=n_samples, seed=seed)
+    """chi(graph) = V - E against the sampled sum of the vertex index means."""
+    total = 0.0
+    var = 0.0
+    for vertex in range(graph.n_vertices):
+        mean, stderr = vertex_index_mean(graph, vertex, n_samples, seed)
+        total += mean
+        var += stderr * stderr
     row = make_row(
         k=0,
         lhs=float(graph.euler_characteristic()),
-        rhs=lk0.value,
-        uncertainty=lk0.stderr,
+        rhs=total,
+        uncertainty=sqrt(var),
         route_lhs="combinatorial(V-E)",
         route_rhs="vertex_index_monte_carlo",
     )

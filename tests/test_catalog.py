@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lkcurv as lk
 from lkcurv import (
@@ -235,8 +237,8 @@ def _cubic_surface():
                      declared_chi=1)
 
 
-def _haar_frames(seed, count):
-    return np.stack([haar_sample(3, 2, substream(seed, STREAM_GRASSMANN, i)).frame
+def _haar_frames(seed, count, n=3, k=2):
+    return np.stack([haar_sample(n, k, substream(seed, STREAM_GRASSMANN, i)).frame
                      for i in range(count)])
 
 
@@ -293,6 +295,127 @@ def test_scalar_and_batched_link_routes_agree(sets):
     for frame, value in zip(frames, values):
         section_link = link_infinity_chi(hyp, Subspace(3, 2, frame))
         assert section_link.stable and section_link.chi == value
+
+
+EXACT_LINK_SETS = ("line_r2", "line_r3", "cross_r2", "plane_cone_r3", "star3_cone_r3")
+
+
+def _reference_links(x, frames, center):
+    from per_plane_links import reference_link
+
+    values = np.zeros(len(frames))
+    degenerate = np.zeros(len(frames), dtype=bool)
+    for i, frame in enumerate(frames):
+        try:
+            values[i] = reference_link(x, frame, center)
+        except DegenerateSample:
+            degenerate[i] = True
+    return values, degenerate
+
+
+def _assert_matches_reference(x, frames, center):
+    values, degenerate = lk.link_chi_batch(x, frames, center)
+    ref_values, ref_degenerate = _reference_links(x, frames, center)
+    assert np.array_equal(degenerate, ref_degenerate)
+    assert np.array_equal(values[~degenerate], ref_values[~degenerate])
+    return degenerate
+
+
+def test_batched_exact_links_match_per_plane_reference(sets):
+    for name in EXACT_LINK_SETS:
+        x = sets[name]
+        n = x.ambient_dim
+        for k, shifted in itertools.product(range(1, n), (False, True)):
+            frames = _haar_frames(71, 500, n, k)
+            center = np.array([1.0, 2.0, 0.5][:n]) if shifted else np.zeros(n)
+            if shifted and getattr(x, "graph", None) is not None and x.graph.n_edges:
+                with pytest.raises(UnsupportedSection):
+                    lk.link_chi_batch(x, frames, center)
+                continue
+            degenerate = _assert_matches_reference(x, frames, center)
+            assert np.count_nonzero(degenerate) <= 5, (name, k, shifted)
+
+
+def test_conic_sections_match_per_plane_reference(sets):
+    from per_plane_links import graph_section_data
+
+    for name, k in (("star3_cone_r3", 2), ("plane_cone_r3", 2), ("star3_cone_r3", 1)):
+        x = sets[name]
+        for frame in _haar_frames(73, 40, 3, k):
+            sub = Subspace(3, k, frame)
+            verts_in, edges_in, crossings = graph_section_data(x.graph, sub)
+            piece = section(x, sub)
+            if isinstance(piece, LinearSubspace):
+                assert len(verts_in) + len(crossings) == 2 and not edges_in
+                continue
+            assert piece.graph.n_vertices == len(verts_in) + len(crossings)
+            assert piece.graph.n_edges == len(edges_in)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _plane_with_normal(normal):
+    q, _ = np.linalg.qr(_unit(normal)[:, None], mode="complete")
+    return q[:, 1:].T
+
+
+def test_hand_built_degenerate_planes_match_per_plane_reference(sets):
+    star = sets["star3_cone_r3"]
+    graph = star.graph
+    leaf = graph.vertices[1]
+    # a plane through the apex and a leaf, tilted by 1e-8 towards the leaf:
+    # both sit in the gray band between inside and outside
+    off_leaf = _unit(np.cross(leaf, [0.0, 0.0, 1.0]))
+    gray_vertex = _plane_with_normal(off_leaf + 1e-8 * leaf)
+    # a line 1e-6 off the midpoint of an arc: the arc grazes it
+    mid = graph.arc_points(0, np.array([0.5]))[0]
+    arc_normal = _unit(np.cross(graph.vertices[0], leaf))
+    grazing_line = _unit(mid + 1e-6 * arc_normal)[None, :]
+    # a plane 2e-9 from a leaf meets the leaf's arc within the endpoint margin
+    # with the leaf outside it (the vertex band flags that first); a plane
+    # through the leaf counts the leaf once, as a vertex
+    at_endpoint = _plane_with_normal(_unit(np.cross(leaf, [1.0, 2.0, 3.0])) + 2e-9 * leaf)
+    through_leaf = _plane_with_normal(np.cross(leaf, [1.0, 2.0, 3.0]))
+    cases = [
+        (star, gray_vertex[None], True),
+        (star, grazing_line[None], True),
+        (star, at_endpoint[None], True),
+        (star, through_leaf[None], False),
+    ]
+    # a plane at 5e-5 rad from the line: its principal angle is in the gray band
+    line = sets["line_r3"]
+    tilted = np.array([[np.cos(5e-5), np.sin(5e-5), 0.0], [0.0, 0.0, 1.0]])
+    cases.append((line, tilted[None], True))
+    cases.append((line, np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]), False))
+    for x, frames, expected in cases:
+        center = np.zeros(x.ambient_dim)
+        degenerate = _assert_matches_reference(x, frames, center)
+        assert degenerate[0] == expected
+        if expected:
+            with pytest.raises(DegenerateSample):
+                link_infinity_chi(x, Subspace(3, frames.shape[1], frames[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(EXACT_LINK_SETS), k=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), shifted=st.booleans())
+def test_exact_links_ignore_the_choice_of_frame(sets, name, k, seed, shifted):
+    x = sets[name]
+    n = x.ambient_dim
+    k = min(k, n - 1)
+    if shifted and getattr(x, "graph", None) is not None and x.graph.n_edges:
+        shifted = False
+    center = np.array([1.0, 2.0, 0.5][:n]) if shifted else np.zeros(n)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5], dtype=np.uint64)))
+    frames = _haar_frames(seed % 1000, 20, n, k)
+    mix, _ = np.linalg.qr(rng.standard_normal((20, k, k)))
+    values, degenerate = lk.link_chi_batch(x, frames, center)
+    mixed_values, mixed_degenerate = lk.link_chi_batch(x, mix @ frames, center)
+    assert np.array_equal(degenerate, mixed_degenerate)
+    assert np.array_equal(values[~degenerate], mixed_values[~degenerate])
 
 
 def test_multiple_root_at_infinity_is_degenerate():
@@ -356,6 +479,9 @@ def test_linear_section(sets):
     assert isinstance(result, LinearSubspace)
     assert result.ambient_dim == 2 and result.dim == 1
     assert np.allclose(np.abs(result.frame), [[1.0, 0.0]])
+    # a line inside the plane: more set directions than plane directions
+    line = section(v, Subspace(3, 1, np.array([[0.6, 0.8, 0.0]])))
+    assert line.ambient_dim == 1 and line.dim == 1
 
 
 def test_cross_axis_section_is_a_line(sets):

@@ -254,3 +254,22 @@ def test_non_finite_set_data_is_a_usage_error(tmp_path, capsys, field, doc):
                        "--samples", "100"])
     assert code == 64
     assert f"malformed at {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("ambient_dim", {"name": "nan_dim_cross", "ambient_dim": float("nan"), "kind": "conic_graph",
+                     "vertices": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("dim", {"name": "word_dim_plane", "ambient_dim": 3, "kind": "smooth", "dim": "two",
+             "charts": [{"map": "plane"}], "declared_chi": 1}),
+    ("edges", {"name": "word_edge_cone", "ambient_dim": 3, "kind": "conic_graph",
+               "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "edges": [[0, "x"]]}),
+    ("declared_chi", {"name": "nan_chi_plane", "ambient_dim": 3, "kind": "smooth",
+                      "charts": [{"map": "plane"}], "declared_chi": float("nan")}),
+])
+def test_non_integer_set_fields_are_usage_errors(tmp_path, capsys, field, doc):
+    path = tmp_path / "non_integer.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli(["verify", "--set", str(path), "--theorem", "thm3.9",
+                       "--samples", "100"])
+    assert code == 64
+    assert f"malformed at {field}:" in capsys.readouterr().err

@@ -104,10 +104,18 @@ def test_circle_graph_exact(graphs):
     assert spherical_lk(circle, 1).value == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
+def sampled_order0(graph, n_samples, seed):
+    """Sum of the sampled vertex index means, with its standard error."""
+    means = [vertex_index_mean(graph, v, n_samples, seed) for v in range(graph.n_vertices)]
+    return sum(m for m, _ in means), math.sqrt(sum(s * s for _, s in means))
+
+
 def test_star3_values(graphs):
     star = graphs["star3_s2"]
     lk0 = spherical_lk(star, 0, n_samples=10000, seed=3)
-    assert abs(lk0.value - 1.0) <= 3.0 * lk0.stderr
+    assert lk0.value == 1.0 and lk0.stderr == 0.0
+    value, stderr = sampled_order0(star, 10000, seed=3)
+    assert abs(value - 1.0) <= 3.0 * stderr
     assert spherical_lk(star, 1).value == pytest.approx(math.pi, rel=1e-12)
 
 
@@ -116,10 +124,13 @@ def test_higher_orders_vanish(graphs):
 
 
 def test_morse_count_identity_all_graphs(graphs):
+    # the closed form V - E against the sampled vertex index means
     for name, graph in graphs.items():
-        lk0 = spherical_lk(graph, 0, n_samples=10000, seed=7)
         chi = graph.euler_characteristic()
-        assert abs(lk0.value - chi) <= max(3.0 * lk0.stderr, 1e-12), name
+        lk0 = spherical_lk(graph, 0)
+        assert lk0.value == chi and lk0.stderr == 0.0, name
+        value, stderr = sampled_order0(graph, 10000, seed=7)
+        assert abs(value - chi) <= max(3.0 * stderr, 1e-12), name
 
 
 def test_gauss_bonnet_check_reports(graphs):

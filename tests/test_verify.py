@@ -1,9 +1,10 @@
+import json
 import math
 
 import pytest
 
 import lkcurv as lk
-from lkcurv.report import report_from_dict, report_to_dict
+from lkcurv.report import report_from_dict, report_to_dict, report_to_json
 from lkcurv.verify import (
     lambda0,
     run_theorem,
@@ -349,6 +350,22 @@ def test_report_round_trip(sets):
     doc = report_to_dict(report)
     back = report_from_dict(doc)
     assert report_to_dict(back) == doc
+
+
+def test_skipped_row_report_is_strict_json(sets):
+    report = run_theorem("odd_d_corollary", sets["sphere_s2"], set_name="sphere_s2",
+                         n_samples=100, seed=1)
+    assert report.rows[0].skipped
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = report_to_json(report)
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["rows"][0]["lhs"] is None
+    back = report_from_dict(doc)
+    assert math.isnan(back.rows[0].lhs) and math.isnan(back.rows[0].uncertainty)
+    assert report_to_json(back) == text
 
 
 def test_settings_validation(sets):
