@@ -149,13 +149,23 @@ def subspace_intersection(frame_a: np.ndarray, frame_b: np.ndarray) -> Tuple[int
     return m0, basis
 
 
-def _flats_meet_subspace(v_frame: np.ndarray, frames: np.ndarray,
-                         center: np.ndarray) -> np.ndarray:
-    """Whether each affine flat center + span(frames[i]) meets span(v_frame)."""
-    m = frames.shape[0]
-    stacked = np.concatenate([np.broadcast_to(v_frame, (m,) + v_frame.shape), frames], axis=1)
-    q, _ = np.linalg.qr(stacked.transpose(0, 2, 1))
-    residual = center - np.matmul(q, np.matmul(center, q)[:, :, None])[:, :, 0]
+def _flats_meet_subspace(v_frame: np.ndarray, frames: np.ndarray, center: np.ndarray,
+                         u: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Whether each affine flat center + span(frames[i]) meets span(v_frame).
+
+    It does when the part of the center off plane i lies in the part of
+    span(v_frame) off it.  With ``u`` and ``shared`` from
+    :func:`_shared_directions`, the shared principal directions drop out there
+    and the others leave mutually orthogonal vectors of length sin(angle),
+    which the gray band keeps away from zero.
+    """
+    ht = frames.transpose(0, 2, 1)
+    off = center - np.matmul(ht, np.matmul(frames, center)[:, :, None])[:, :, 0]
+    dirs = np.matmul(u.transpose(0, 2, 1), v_frame)  # (m, ka, n)
+    dirs = dirs - np.matmul(np.matmul(dirs, ht), frames)
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=2), 1e-300)[:, :, None]
+    dirs[np.arange(dirs.shape[1]) < shared[:, None]] = 0.0
+    residual = off - np.matmul(np.matmul(dirs, off[:, :, None])[:, :, 0][:, None, :], dirs)[:, 0, :]
     return np.linalg.norm(residual, axis=1) <= 1e-9 * (1.0 + np.linalg.norm(center))
 
 
@@ -167,10 +177,10 @@ def _sphere_chi(m):
 
 def _linear_section_links(x: LinearSubspace, frames: np.ndarray,
                           center: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    _, shared, degenerate = _shared_directions(x.frame, frames)
+    u, shared, degenerate = _shared_directions(x.frame, frames)
     values = _sphere_chi(shared).astype(float)
     if np.any(center != 0.0):
-        values = np.where(_flats_meet_subspace(x.frame, frames, center), values, 0.0)
+        values = np.where(_flats_meet_subspace(x.frame, frames, center, u, shared), values, 0.0)
     return values, degenerate
 
 

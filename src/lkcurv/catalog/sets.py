@@ -260,13 +260,16 @@ def describe(x: SetDescriptor) -> Dict[str, object]:
 
 def integer_field(value, field: str) -> int:
     """An integer entry of a set description; anything else names the field."""
-    integral = isinstance(value, numbers.Real) and float(value).is_integer()
-    if isinstance(value, bool) or not integral:
-        raise SetValidationError(field, f"expected an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise SetValidationError(field, f"expected an integer, got {value!r}")
 
 
 def _edge_list(edges) -> Tuple[Tuple[int, int], ...]:
+    if not isinstance(edges, (list, tuple)):
+        raise SetValidationError("edges", "expected a list of vertex index pairs")
     pairs = []
     for e, pair in enumerate(edges):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:

@@ -77,7 +77,6 @@ def build_parser() -> _Parser:
     p_curv.add_argument("--set", required=True, dest="set_ref")
     p_curv.add_argument("--k", required=True, type=int)
     p_curv.add_argument("--radius", required=True, type=float)
-    p_curv.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p_curv.add_argument("--seed", type=int, default=None)
 
     p_grass = sub.add_parser("grassmann", help="random subspace utilities")
@@ -191,9 +190,7 @@ def _cmd_curvature(args, out) -> int:
         elif isinstance(descriptor, catalog.ConicGraph):
             if k == 0:
                 raise UsageError("order 0 needs the verify du_lambda0 route for cones")
-            value, err = conic_lk_measure_detailed(
-                descriptor, k, radius, n_samples=args.samples, seed=seed
-            )
+            value, err = conic_lk_measure_detailed(descriptor, k, radius)
         else:  # linear subspace
             value = ball_volume(k) * radius**k if k == descriptor.dim else 0.0
             err = 0.0

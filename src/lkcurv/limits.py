@@ -45,11 +45,9 @@ def _normalized_detailed(
     x: SetDescriptor,
     k: int,
     radius: float,
-    n_samples: int,
     seed: int,
     spec: Optional[CubatureSpec],
     center,
-    stream: int = 0,
 ) -> Tuple[float, float]:
     n = x.ambient_dim
     if not 1 <= k <= n:
@@ -65,9 +63,7 @@ def _normalized_detailed(
         # the slice is a k-ball of radius sqrt(R^2 - dist^2) inside the subspace
         return (1.0 - dist2 / (radius * radius)) ** (k / 2.0), 0.0
     if isinstance(x, ConicGraph):
-        value, err = conic_lk_measure_detailed(
-            x, k, radius, n_samples=n_samples, seed=seed, center=center, stream=stream
-        )
+        value, err = conic_lk_measure_detailed(x, k, radius, center=center)
         return value / scale, err / scale
     if isinstance(x, SmoothSet):
         value, err = lk_measure_detailed(x, k, radius, spec=spec, center=center, seed=seed)
@@ -79,12 +75,11 @@ def normalized_lk(
     x: SetDescriptor,
     k: int,
     radius: float,
-    n_samples: int = 4000,
     seed: int = 0,
     spec: Optional[CubatureSpec] = None,
     center=None,
 ) -> float:
-    value, _ = _normalized_detailed(x, k, radius, n_samples, seed, spec, center)
+    value, _ = _normalized_detailed(x, k, radius, seed, spec, center)
     return value
 
 
@@ -119,6 +114,8 @@ def fit_limit_sequence(radii, values, errors) -> Tuple[float, float, bool]:
 
 def validate_radii(radii) -> List[float]:
     radii = [float(r) for r in radii]
+    if not all(np.isfinite(radii)):
+        raise ValueError("radius schedule must be finite")
     if len(radii) < 3:
         raise ValueError("radius schedule needs at least three radii")
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -133,7 +130,6 @@ def estimate_limit(
     x: SetDescriptor,
     k: int,
     radii=DEFAULT_RADII,
-    n_samples: int = 4000,
     seed: int = 0,
     spec: Optional[CubatureSpec] = None,
     center=None,
@@ -146,18 +142,18 @@ def estimate_limit(
         # for a bounded set the measure is eventually constant in R, so the
         # normalized values decay like 1/R^k and the limit vanishes exactly
         values = [
-            _normalized_detailed(x, k, r, n_samples, seed, spec, center)[0] for r in radii
+            _normalized_detailed(x, k, r, seed, spec, center)[0] for r in radii
         ]
         return LimitEstimate(k, 0.0, 0.0, radii, values, True)
 
     if isinstance(x, (LinearSubspace, ConicGraph)) and not shifted:
         # homogeneity: the normalized measure of a cone is radius-independent
-        value, err = _normalized_detailed(x, k, radii[0], n_samples, seed, spec, center)
+        value, err = _normalized_detailed(x, k, radii[0], seed, spec, center)
         values = [value] * len(radii)
         return LimitEstimate(k, value, err, radii, values, True)
 
     pairs = [
-        _normalized_detailed(x, k, r, n_samples, seed, spec, center) for r in radii
+        _normalized_detailed(x, k, r, seed, spec, center) for r in radii
     ]
     values = [p[0] for p in pairs]
     errors = [p[1] for p in pairs]

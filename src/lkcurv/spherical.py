@@ -114,14 +114,11 @@ def vertex_index_mean(
     return mean, stderr
 
 
-def spherical_lk(
-    graph: SphericalGraph, k: int, n_samples: int = 4000, seed: int = 0, stream: int = 0
-) -> SphericalLK:
+def spherical_lk(graph: SphericalGraph, k: int) -> SphericalLK:
     """Relative curvature of order k of a spherical graph, in closed form.
 
     Order 0 is V - E (the vertex index means 1 - deg/2 summed), order 1 the
-    total arc length, and all orders >= 2 vanish on one-complexes.  The
-    sampling arguments are accepted for compatibility; no order samples.
+    total arc length, and all orders >= 2 vanish on one-complexes.
     """
     if k < 0 or k > graph.ambient_dim - 1:
         raise ValueError(f"order must lie in [0, {graph.ambient_dim - 1}]")
@@ -160,13 +157,7 @@ def spherical_gauss_bonnet_check(
 
 
 def conic_lk_measure_detailed(
-    x: ConicGraph,
-    k: int,
-    radius: float,
-    n_samples: int = 4000,
-    seed: int = 0,
-    center=None,
-    stream: int = 0,
+    x: ConicGraph, k: int, radius: float, center=None
 ) -> Tuple[float, float]:
     """Curvature measure of order k of the cone inside a ball, with stderr.
 
@@ -200,16 +191,11 @@ def conic_lk_measure_detailed(
         return 0.0, 0.0
     if k - 1 >= 2:
         return 0.0, 0.0
-    trace = spherical_lk(x.graph, k - 1, n_samples=n_samples, seed=seed, stream=stream)
+    trace = spherical_lk(x.graph, k - 1)
     scale = radius**k / k
     return scale * trace.value, scale * trace.stderr
 
 
-def conic_lk_measure(
-    x: ConicGraph, k: int, radius: float, n_samples: int = 4000, seed: int = 0,
-    center=None,
-) -> float:
-    value, _ = conic_lk_measure_detailed(
-        x, k, radius, n_samples=n_samples, seed=seed, center=center
-    )
+def conic_lk_measure(x: ConicGraph, k: int, radius: float, center=None) -> float:
+    value, _ = conic_lk_measure_detailed(x, k, radius, center=center)
     return value

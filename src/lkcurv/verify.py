@@ -159,7 +159,7 @@ def verify_prop_3_1(
     n = x.ambient_dim
     rows = []
     for k in range(1, n + 1):
-        lhs, lhs_err, lhs_route = _conic_unit_ball_lhs(x, k, settings)
+        lhs, lhs_err, lhs_route = _conic_unit_ball_lhs(x, k)
         try:
             rhs, rhs_err, rhs_route = _growth_rhs(x, k, settings, None)
         except UnsupportedSection as exc:
@@ -173,15 +173,13 @@ def verify_prop_3_1(
     return report
 
 
-def _conic_unit_ball_lhs(x, k, settings) -> Tuple[float, float, str]:
+def _conic_unit_ball_lhs(x, k) -> Tuple[float, float, str]:
     from .spherical import conic_lk_measure_detailed
 
     bk = ball_volume(k)
     if isinstance(x, LinearSubspace):
         return (1.0 if k == x.dim else 0.0), 0.0, "linear_exact"
-    value, err = conic_lk_measure_detailed(
-        x, k, 1.0, n_samples=settings.n_samples, seed=settings.seed
-    )
+    value, err = conic_lk_measure_detailed(x, k, 1.0)
     return value / bk, err / bk, "conic_trace_curvature"
 
 
@@ -206,7 +204,7 @@ def verify_limit_theorems(
     for k in range(1, n + 1):
         try:
             est = estimate_limit(
-                x, k, settings.radii, n_samples=n_samples, seed=seed,
+                x, k, settings.radii, seed=seed,
                 spec=settings.cubature, center=center,
             )
             lhs, lhs_err = est.value, est.uncertainty
@@ -356,7 +354,7 @@ def verify_thm_3_9(
         pieces = [f"L0={lam0:.6g}"]
         for k in range(1, n + 1):
             est = estimate_limit(
-                x, k, settings.radii, n_samples=n_samples, seed=seed,
+                x, k, settings.radii, seed=seed,
                 spec=settings.cubature, center=center,
             )
             terms.append(est.value)
@@ -415,7 +413,7 @@ def verify_smooth_theorems(
 
     def limit_for(k: int):
         return estimate_limit(
-            x, k, settings.radii, n_samples=n_samples, seed=seed,
+            x, k, settings.radii, seed=seed,
             spec=settings.cubature, center=None,
         )
 

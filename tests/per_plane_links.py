@@ -2,7 +2,7 @@
 
 The same counts as the library's stacked route, made one plane at a time:
 a graph section found arc by arc with early exits, a principal-angle SVD
-per plane, and one QR per shifted flat.  The tests hold ``link_chi_batch``
+per plane, and one least-squares solve per shifted flat.  The tests hold ``link_chi_batch``
 against it, value for value and mask for mask.
 """
 
@@ -81,9 +81,16 @@ def shared_dimension(frame_a: np.ndarray, frame_b: np.ndarray) -> int:
 
 
 def flat_meets_subspace(v_frame: np.ndarray, h_frame: np.ndarray, center: np.ndarray) -> bool:
-    """Whether the affine flat center + span(h) meets span(v)."""
-    q, _ = np.linalg.qr(np.vstack([v_frame, h_frame]).T)
-    residual = center - q @ (q.T @ center)
+    """Whether the affine flat center + span(h) meets span(v).
+
+    A least-squares solve that drops the directions the two share: its
+    residual is the distance from the center to span(v) + span(h).  A shared
+    direction leaves a singular value below sqrt(SHARED_DIRECTION_TOL) = 1e-5,
+    any other one above sqrt(SHARED_GRAY_TOL) = 1e-4; the cut lies between.
+    """
+    stacked = np.vstack([v_frame, h_frame]).T
+    coeffs = np.linalg.lstsq(stacked, center, rcond=3e-5)[0]
+    residual = center - stacked @ coeffs
     return float(np.linalg.norm(residual)) <= 1e-9 * (1.0 + np.linalg.norm(center))
 
 

@@ -399,7 +399,7 @@ def test_hand_built_degenerate_planes_match_per_plane_reference(sets):
                 link_infinity_chi(x, Subspace(3, frames.shape[1], frames[0]))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(name=st.sampled_from(EXACT_LINK_SETS), k=st.integers(1, 2),
        seed=st.integers(0, 2**32 - 1), shifted=st.booleans())
 def test_exact_links_ignore_the_choice_of_frame(sets, name, k, seed, shifted):
@@ -482,6 +482,13 @@ def test_linear_section(sets):
     # a line inside the plane: more set directions than plane directions
     line = section(v, Subspace(3, 1, np.array([[0.6, 0.8, 0.0]])))
     assert line.ambient_dim == 1 and line.dim == 1
+    # a plane through the line's direction, shifted off it: the section is empty
+    x_axis = sets["line_r3"]
+    floor = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    lifted = np.array([0.0, 0.0, 1.0])
+    assert link_infinity_chi(x_axis, Subspace(3, 2, floor[0]), center=lifted).chi == 0
+    assert link_infinity_chi(x_axis, Subspace(3, 2, floor[0]), center=np.array([0.0, 1.0, 0.0])).chi == 2
+    _assert_matches_reference(x_axis, floor, lifted)
 
 
 def test_cross_axis_section_is_a_line(sets):

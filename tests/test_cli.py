@@ -126,6 +126,9 @@ def test_usage_errors():
     code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", "thm3.9",
                        "--radii", "8,24,48"])
     assert code == 64
+    code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", "thm3.9",
+                       "--radii", "nan,nan,nan"])
+    assert code == 64
     code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", "base_point"])
     assert code == 64
     code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", "nope"])
@@ -265,6 +268,13 @@ def test_non_finite_set_data_is_a_usage_error(tmp_path, capsys, field, doc):
                "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "edges": [[0, "x"]]}),
     ("declared_chi", {"name": "nan_chi_plane", "ambient_dim": 3, "kind": "smooth",
                       "charts": [{"map": "plane"}], "declared_chi": float("nan")}),
+    # integers too large for a double, and edges that are not a list
+    ("vertices", {"name": "huge_dim_cross", "ambient_dim": 10**400, "kind": "conic_graph",
+                  "vertices": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("edges", {"name": "huge_edge_cone", "ambient_dim": 3, "kind": "conic_graph",
+               "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "edges": [[0, 10**400]]}),
+    ("edges", {"name": "scalar_edges_cone", "ambient_dim": 3, "kind": "conic_graph",
+               "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "edges": 5}),
 ])
 def test_non_integer_set_fields_are_usage_errors(tmp_path, capsys, field, doc):
     path = tmp_path / "non_integer.json"

@@ -16,6 +16,8 @@ def test_schedule_validation():
         validate_radii((8.0, 16.0, 48.0))
     with pytest.raises(ValueError):
         validate_radii((16.0, 8.0, 4.0))
+    with pytest.raises(ValueError):
+        validate_radii((float("nan"),) * 3)
 
 
 def test_plane_normalized_value_is_exact(sets):
@@ -35,17 +37,17 @@ def test_linear_subspace_exact(sets):
 
 def test_conic_plateau_bit_identical(sets):
     cross = sets["cross_r2"]
-    values = [normalized_lk(cross, 1, r, n_samples=500, seed=5) for r in RADII]
+    values = [normalized_lk(cross, 1, r) for r in RADII]
     assert all(v == values[0] for v in values)
     assert values[0] == pytest.approx(2.0, rel=1e-14)
-    est = estimate_limit(cross, 1, RADII, n_samples=500, seed=5)
+    est = estimate_limit(cross, 1, RADII)
     assert est.value == pytest.approx(2.0, rel=1e-14) and est.converged
     assert est.normalized_values == [est.value] * 4
 
 
 def test_star3_cone_plateau(sets):
     cone = sets["star3_cone_r3"]
-    values = [normalized_lk(cone, 1, r, n_samples=500, seed=5) for r in RADII]
+    values = [normalized_lk(cone, 1, r) for r in RADII]
     assert max(values) - min(values) <= 1e-12 * max(1.0, abs(values[0]))
 
 

@@ -92,14 +92,14 @@ def test_non_generic_direction_rejected(graphs):
 
 
 def test_antipodal_pair_exact(graphs):
-    result = spherical_lk(graphs["antipodal_s2"], 0, n_samples=200, seed=1)
+    result = spherical_lk(graphs["antipodal_s2"], 0)
     assert result.value == 2.0 and result.stderr == 0.0
     assert spherical_lk(graphs["antipodal_s2"], 1).value == 0.0
 
 
 def test_circle_graph_exact(graphs):
     circle = graphs["circle_s2"]
-    lk0 = spherical_lk(circle, 0, n_samples=500, seed=2)
+    lk0 = spherical_lk(circle, 0)
     assert lk0.value == 0.0 and lk0.stderr == 0.0
     assert spherical_lk(circle, 1).value == pytest.approx(2.0 * math.pi, rel=1e-12)
 
@@ -112,7 +112,7 @@ def sampled_order0(graph, n_samples, seed):
 
 def test_star3_values(graphs):
     star = graphs["star3_s2"]
-    lk0 = spherical_lk(star, 0, n_samples=10000, seed=3)
+    lk0 = spherical_lk(star, 0)
     assert lk0.value == 1.0 and lk0.stderr == 0.0
     value, stderr = sampled_order0(star, 10000, seed=3)
     assert abs(value - 1.0) <= 3.0 * stderr
@@ -147,8 +147,8 @@ def test_edge_subdivision_invariance(graphs):
     vertices = np.vstack([star.vertices, mid])
     edges = ((0, 4), (4, 1), (0, 2), (0, 3))
     refined = SphericalGraph(vertices=vertices, edges=edges)
-    a0 = spherical_lk(star, 0, n_samples=10000, seed=11)
-    b0 = spherical_lk(refined, 0, n_samples=10000, seed=12)
+    a0 = spherical_lk(star, 0)
+    b0 = spherical_lk(refined, 0)
     assert abs(a0.value - b0.value) <= 3.0 * math.hypot(a0.stderr, b0.stderr) + 1e-12
     a1 = spherical_lk(star, 1)
     b1 = spherical_lk(refined, 1)
@@ -163,9 +163,9 @@ def test_disjoint_union_additivity(graphs):
         edges=star.edges + tuple((i + 4, j + 4) for i, j in star.edges),
     )
     for k in (0, 1):
-        a = spherical_lk(star, k, n_samples=4000, seed=13)
-        b = spherical_lk(mirrored, k, n_samples=4000, seed=14)
-        u = spherical_lk(union, k, n_samples=4000, seed=15)
+        a = spherical_lk(star, k)
+        b = spherical_lk(mirrored, k)
+        u = spherical_lk(union, k)
         tol = 3.0 * math.sqrt(a.stderr**2 + b.stderr**2 + u.stderr**2) + 1e-12
         assert abs(u.value - (a.value + b.value)) <= tol
 
@@ -176,12 +176,12 @@ def test_disjoint_union_additivity(graphs):
 def test_line_measure(sets):
     # a cone over two antipodal points is a line; order 1 is its length
     line = ConicGraph(3, lk.builtin_graphs()["antipodal_s2"])
-    assert conic_lk_measure(line, 1, 1.0, n_samples=200, seed=1) == pytest.approx(2.0)
+    assert conic_lk_measure(line, 1, 1.0) == pytest.approx(2.0)
 
 
 def test_cross_measure(sets):
-    assert conic_lk_measure(sets["cross_r2"], 1, 1.0, n_samples=200, seed=1) == pytest.approx(4.0)
-    assert conic_lk_measure(sets["cross_r2"], 1, 3.0, n_samples=200, seed=1) == pytest.approx(12.0)
+    assert conic_lk_measure(sets["cross_r2"], 1, 1.0) == pytest.approx(4.0)
+    assert conic_lk_measure(sets["cross_r2"], 1, 3.0) == pytest.approx(12.0)
 
 
 def test_plane_cone_measures(sets):
@@ -193,8 +193,8 @@ def test_plane_cone_measures(sets):
 def test_homogeneity_scaling(sets):
     cone = sets["star3_cone_r3"]
     for k in (1, 2):
-        base = conic_lk_measure(cone, k, 1.0, n_samples=500, seed=4)
-        scaled = conic_lk_measure(cone, k, 4.0, n_samples=500, seed=4)
+        base = conic_lk_measure(cone, k, 1.0)
+        scaled = conic_lk_measure(cone, k, 4.0)
         assert scaled == pytest.approx(4.0**k * base, rel=1e-12)
 
 
