@@ -65,16 +65,6 @@ from .spherical import (
     spherical_lk,
     vertex_morse_index,
 )
-from .verify import (
-    Lambda0Result,
-    lambda0,
-    run_theorem,
-    verify_base_point,
-    verify_du_lambda0,
-    verify_limit_theorems,
-    verify_prop_3_1,
-    verify_smooth_theorems,
-    verify_thm_3_9,
-)
+from .verify import Lambda0Result, lambda0, run_theorem
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .curvature import lk_measure_detailed
 from .errors import ChiUnknownError, LkError, SetValidationError, UnsupportedSection
 from .geomconst import ball_volume
 from .grassmann import STREAM_GRASSMANN, haar_sample, substream
-from .limits import DEFAULT_RADII
+from .limits import DEFAULT_RADII, validate_radii
 from .report import report_to_csv_rows, report_to_json
 from .spherical import conic_lk_measure_detailed
 from .verify import DEFAULT_SAMPLES, THEOREM_IDS, run_theorem
@@ -120,11 +120,17 @@ def _cmd_catalog_list(out) -> int:
 def _cmd_verify(args, out) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     radii = tuple(_parse_floats(args.radii, "--radii")) if args.radii else DEFAULT_RADII
+    try:
+        validate_radii(radii)
+    except ValueError as exc:
+        raise UsageError(f"--radii: {exc}") from exc
     if args.samples < 100:
         raise UsageError("--samples must be at least 100")
     base_point = (
         _parse_floats(args.base_point, "--base-point") if args.base_point else None
     )
+    if base_point is not None and args.theorem != "base_point":
+        raise UsageError("--base-point applies only to --theorem base_point")
     name, descriptor = _resolve(args.set_ref)
     try:
         report = run_theorem(
@@ -134,7 +140,6 @@ def _cmd_verify(args, out) -> int:
             n_samples=args.samples,
             seed=seed,
             radii=radii,
-            workers=args.workers,
             base_point=base_point,
         )
     except (ValueError, UnsupportedSection, ChiUnknownError, SetValidationError) as exc:

@@ -2,11 +2,13 @@
 
 Second fundamental forms are read in an orthonormalized tangent basis so that
 their elementary symmetric functions are genuine symmetric functions of the
-principal curvatures.  ``weyl_density`` integrates sigma_i of the form over
-the unit normal sphere (exactly in codimension one, by antithetic Monte Carlo
-otherwise), ``lk_density`` normalizes it into the curvature density of order
-k, and ``lk_measure`` integrates that density over the part of the set inside
-a ball by per-chart Gauss-Legendre cubature with partition-of-unity weights.
+principal curvatures.  ``_lambda_batch`` integrates sigma_i of the form over
+the unit normal sphere at a stack of chart nodes (exactly in codimension one,
+by antithetic Monte Carlo otherwise) and normalizes it into the curvature
+density of order k.  ``weyl_density`` (the raw integral) and ``lk_density``
+(the density) evaluate it at one chart point, and ``lk_measure`` integrates
+the density over the part of the set inside a ball by per-chart
+Gauss-Legendre cubature with partition-of-unity weights.
 
 Sign convention: the form is <second derivative, v>; every quantity reported
 here is even in v (two-sided sums or antithetic pairs), so flipping the
@@ -155,23 +157,21 @@ def second_fundamental_form(x: SmoothSet, chart_index: int, u, v) -> SecondFunda
 
 
 def _normal_directions(codim: int, n_dirs: int, rng: np.random.Generator,
-                       batch: Optional[int] = None) -> np.ndarray:
-    """Antithetic unit directions on S^(codim-1).
+                       batch: int) -> np.ndarray:
+    """One direction of each of n_dirs/2 antithetic pairs on S^(codim-1).
 
-    Shape (n_dirs, codim), or (batch, n_dirs, codim) with independent draws
-    per batch entry so that per-node Monte Carlo errors average out across a
-    cubature grid.
+    Shape (batch, n_dirs/2, codim), with independent draws per batch entry so
+    that per-node Monte Carlo errors average out across a cubature grid.  The
+    partner -v of each direction is implied: the densities are even in v.
     """
     half = max(n_dirs // 2, 1)
-    shape = (half, codim) if batch is None else (batch, half, codim)
-    w = rng.standard_normal(shape)
+    w = rng.standard_normal((batch, half, codim))
     norms = np.linalg.norm(w, axis=-1, keepdims=True)
     while np.any(norms < 1e-12):
         bad = (norms < 1e-12)[..., 0]
         w[bad] = rng.standard_normal((int(bad.sum()), codim))
         norms = np.linalg.norm(w, axis=-1, keepdims=True)
-    w = w / norms
-    return np.concatenate([w, -w], axis=-2)
+    return w / norms
 
 
 def _lambda_batch(
@@ -218,13 +218,32 @@ def _lambda_batch(
             hess=frames.hess[start:stop],
         )
         dirs = _normal_directions(codim, spec.normal_dirs, rng, batch=stop - start)
-        ambient_dirs = np.einsum("bnc,bmc->bmn", sub.normal, dirs[:, :half])
+        ambient_dirs = np.einsum("bnc,bmc->bmn", sub.normal, dirs)
         mats = _form_matrices(sub, ambient_dirs)
         sig = elementary_symmetric(mats, order)
         # even order: sigma(v) == sigma(-v), each pair contributes its value once
         values[start:stop] = area * np.mean(sig, axis=1)
-        errors[start:stop] = area * np.std(sig, axis=1, ddof=1) / sqrt(half)
+        if half > 1:  # a single antithetic pair has no spread to estimate
+            errors[start:stop] = area * np.std(sig, axis=1, ddof=1) / sqrt(half)
+        else:
+            errors[start:stop] = 0.0
     return values / norm_const, errors / norm_const
+
+
+def _point_density(
+    x: SmoothSet,
+    chart_index: int,
+    u,
+    k: int,
+    n_dirs: int,
+    rng: Optional[np.random.Generator],
+) -> Tuple[float, float]:
+    """Curvature density of order k <= dim and its stderr at one chart point."""
+    if rng is None:
+        rng = substream(0, STREAM_NORMAL_SPHERE, chart_index, x.dim - k)
+    frames = _chart_frames(x.charts[chart_index], np.atleast_2d(u))
+    lam, err = _lambda_batch(x, frames, k, CubatureSpec(normal_dirs=n_dirs), rng)
+    return float(lam[0]), float(err[0])
 
 
 def weyl_density(
@@ -240,30 +259,10 @@ def weyl_density(
     n, d = x.ambient_dim, x.dim
     if not 0 <= order <= d:
         raise ValueError(f"order must lie in [0, {d}]")
-    chart = x.charts[chart_index]
-    frames = _chart_frames(chart, np.atleast_2d(u))
-    codim = n - d
-    if order == 0:
-        return CurvatureDensity(order, sphere_volume(codim - 1), 0.0)
-    if codim == 1:
-        nu = frames.normal[:, :, 0]
-        m_plus = _form_matrices(frames, nu)
-        value = float(
-            elementary_symmetric(m_plus, order)[0] + elementary_symmetric(-m_plus, order)[0]
-        )
-        return CurvatureDensity(order, value, 0.0)
-    if order % 2 == 1:
-        return CurvatureDensity(order, 0.0, 0.0)
-    if rng is None:
-        rng = substream(0, STREAM_NORMAL_SPHERE, chart_index, order)
-    dirs = _normal_directions(codim, n_dirs, rng)
-    half = dirs.shape[0] // 2
-    ambient_dirs = np.einsum("bnc,mc->bmn", frames.normal, dirs[:half])
-    sig = elementary_symmetric(_form_matrices(frames, ambient_dirs), order)[0]
-    area = sphere_volume(codim - 1)
-    value = float(area * np.mean(sig))
-    stderr = float(area * np.std(sig, ddof=1) / sqrt(half)) if half > 1 else 0.0
-    return CurvatureDensity(order, value, stderr)
+    k = d - order
+    value, stderr = _point_density(x, chart_index, u, k, n_dirs, rng)
+    scale = sphere_volume(n - k - 1)
+    return CurvatureDensity(order, value * scale, stderr * scale)
 
 
 def lk_density(
@@ -279,8 +278,7 @@ def lk_density(
         raise ValueError("k must be non-negative")
     if k > x.dim:
         return 0.0
-    dens = weyl_density(x, chart_index, u, x.dim - k, n_dirs=n_dirs, rng=rng)
-    return dens.value / sphere_volume(x.ambient_dim - k - 1)
+    return _point_density(x, chart_index, u, k, n_dirs, rng)[0]
 
 
 def _lk_measure_at_resolution(

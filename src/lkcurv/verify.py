@@ -1,6 +1,7 @@
 """Identity harness: assembles both sides of each curvature identity.
 
-Supported checks (ids follow the CLI contract):
+``CHECKS`` maps each theorem id (the CLI contract) to a ``check(x, ctx)``
+that returns the report rows:
 
 * ``prop3.1``          -- conic sets: normalized curvature measures of the unit
                           ball against signed half-means of section link chis.
@@ -12,6 +13,13 @@ Supported checks (ids follow the CLI contract):
 * ``thm4.1``..``thm4.3``, ``odd_d_corollary`` -- smooth-set reformulations.
 * ``base_point``       -- the thm3.9 assembly recentered at a base point.
 
+``run_theorem`` validates the settings into one frozen ``RunContext``, times
+the check and builds the report.  Every check reads its sample count, seed,
+radius schedule, cubature resolution and center from the context.  The center
+is the origin in every run except inside the ``base_point`` check, which runs
+the thm3.9 check once with the context and once with a copy recentered at the
+context's base point; no other theorem accepts a base point.
+
 Route bookkeeping: every row labels how each side was computed, so the
 non-circularity contract (curvature/cubature routes on the left, Grassmannian
 means only on the right) is auditable from the report alone.
@@ -20,9 +28,10 @@ means only on the right) is auditable from the report alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from math import hypot, sqrt
-from typing import Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,38 +41,12 @@ from .curvature import CubatureSpec, lk_measure_detailed
 from .errors import UnsupportedSection
 from .geomconst import ball_volume
 from .grassmann import MonteCarloEstimate, grassmann_mean_batch
-from .limits import DEFAULT_RADII, estimate_limit, fit_limit_sequence, validate_radii
-from .report import TheoremReport, make_row, skipped_row
+from .limits import (DEFAULT_RADII, LimitEstimate, estimate_limit, fit_limit_sequence,
+                     validate_radii)
+from .report import TheoremReport, TheoremRow, make_row, skipped_row
 
 DEFAULT_SAMPLES = 4000
 DEFAULT_SEED = 42
-
-THEOREM_IDS = (
-    "prop3.1",
-    "thm3.7",
-    "cor3.8",
-    "du_lambda0",
-    "thm3.9",
-    "thm4.1",
-    "thm4.2",
-    "thm4.3",
-    "odd_d_corollary",
-    "base_point",
-)
-
-
-@dataclass
-class RunSettings:
-    n_samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    radii: Tuple[float, ...] = DEFAULT_RADII
-    workers: int = 1  # accepted for the CLI contract; sampling runs in one thread
-    cubature: CubatureSpec = field(default_factory=CubatureSpec)
-
-    def __post_init__(self):
-        if self.n_samples < 100:
-            raise ValueError("n_samples must be at least 100")
-        self.radii = tuple(validate_radii(self.radii))
 
 
 def _as_center(center):
@@ -75,12 +58,40 @@ def _as_center(center):
     return center
 
 
+@dataclass(frozen=True)
+class RunContext:
+    """Validated settings shared by every check of one run.
+
+    ``center`` is where radius balls and section planes are centered (None
+    for the origin); ``base_point`` is the point the ``base_point`` check
+    recenters at.
+    """
+
+    n_samples: int = DEFAULT_SAMPLES
+    seed: int = DEFAULT_SEED
+    radii: Tuple[float, ...] = DEFAULT_RADII
+    center: Optional[np.ndarray] = None
+    base_point: Optional[np.ndarray] = None
+    cubature: CubatureSpec = field(default_factory=CubatureSpec)
+
+    def __post_init__(self):
+        if self.n_samples < 100:
+            raise ValueError("n_samples must be at least 100")
+        object.__setattr__(self, "radii", tuple(validate_radii(self.radii)))
+        object.__setattr__(self, "center", _as_center(self.center))
+
+    def limit(self, x: SetDescriptor, k: int) -> LimitEstimate:
+        """Growth limit of the normalized order-k curvature measure of x."""
+        return estimate_limit(
+            x, k, self.radii, seed=self.seed, spec=self.cubature, center=self.center
+        )
+
+
+Rows = List[TheoremRow]
+
+
 def _link_mean(
-    x: SetDescriptor,
-    plane_dim: int,
-    settings: RunSettings,
-    stream: int,
-    center,
+    x: SetDescriptor, plane_dim: int, ctx: RunContext, stream: int
 ) -> Tuple[float, float, str]:
     """Haar mean of chi(link at infinity of X ∩ plane) over planes of a dimension."""
     n = x.ambient_dim
@@ -88,32 +99,30 @@ def _link_mean(
         # a zero-dimensional section is at most a point; its link is empty
         return 0.0, 0.0, "exact(zero_dim_plane)"
     if plane_dim == n:
-        value = link_chi(x, full_space(n), center)
+        value = link_chi(x, full_space(n), ctx.center)
         return float(value), 0.0, "exact(full_space_link)"
-    est = _link_estimate(x, plane_dim, settings, stream, center)
+    est = _link_estimate(x, plane_dim, ctx, stream)
     return est.mean, est.stderr, f"grassmann_mc(planes={plane_dim},n={est.n_samples})"
 
 
-def _link_estimate(x: SetDescriptor, plane_dim: int, settings: RunSettings, stream: int,
-                   center) -> MonteCarloEstimate:
+def _link_estimate(
+    x: SetDescriptor, plane_dim: int, ctx: RunContext, stream: int
+) -> MonteCarloEstimate:
     return grassmann_mean_batch(
         x.ambient_dim,
         plane_dim,
-        lambda frames: link_chi_batch(x, frames, center),
-        n_samples=settings.n_samples,
-        seed=settings.seed,
+        lambda frames: link_chi_batch(x, frames, ctx.center),
+        n_samples=ctx.n_samples,
+        seed=ctx.seed,
         stream=stream,
     )
 
 
 def _growth_rhs(
-    x: SetDescriptor,
-    k: int,
-    settings: RunSettings,
-    center,
-    section_chi: bool = False,
+    x: SetDescriptor, k: int, ctx: RunContext, section_chi: bool = False
 ) -> Tuple[float, float, str]:
-    """Grassmannian side of the order-k growth identity.
+    """Grassmannian side of the order-k growth identity,
+    0.5*E[chi|dim n-k+1] - 0.5*E[chi|dim n-k-1], dropping planes of dimension < 1.
 
     With ``section_chi`` the means are of chi(X ∩ H) (evaluated as half a link
     chi on proper planes and as the declared chi on the whole space), which is
@@ -124,53 +133,59 @@ def _growth_rhs(
     def term(plane_dim: int, stream: int) -> Tuple[float, float, str]:
         if section_chi and plane_dim == n:
             return float(euler_char(x)), 0.0, "exact(declared_chi)"
-        mean, err, route = _link_mean(x, plane_dim, settings, stream, center)
+        mean, err, route = _link_mean(x, plane_dim, ctx, stream)
         return 0.5 * mean, 0.5 * err, route
 
-    if k == n:
-        value, err, route = term(1, (k << 4) | 1)
-        return value, err, f"0.5*E[chi|dim1]:{route}"
-    if k == n - 1:
-        value, err, route = term(2, (k << 4) | 1)
-        return value, err, f"0.5*E[chi|dim2]:{route}"
-    lo, lo_err, lo_route = term(n - k - 1, (k << 4) | 1)
-    hi, hi_err, hi_route = term(n - k + 1, (k << 4) | 2)
+    dims = [dim for dim in (n - k - 1, n - k + 1) if dim >= 1]
+    terms = [term(dim, (k << 4) | (i + 1)) for i, dim in enumerate(dims)]
+    values, errors, routes = zip(*terms)
+    labels = " - ".join(f"0.5*E[chi|dim{dim}]" for dim in reversed(dims))
     return (
-        hi - lo,
-        hypot(lo_err, hi_err),
-        f"0.5*E[chi|dim{n - k + 1}] - 0.5*E[chi|dim{n - k - 1}]:{hi_route};{lo_route}",
+        values[-1] - sum(values[:-1]),
+        hypot(*errors),
+        f"{labels}:{';'.join(reversed(routes))}",
     )
+
+
+def _assembly_row(
+    x: SetDescriptor, ctx: RunContext, chi: int, parts, ks, route_prefix: str
+) -> TheoremRow:
+    """chi(X) against the sum of ``parts``, (value, uncertainty, label) triples,
+    and the growth limits of the orders ``ks``."""
+    for k in ks:
+        est = ctx.limit(x, k)
+        parts.append((est.value, est.uncertainty, f"k{k}"))
+    values, errs, _ = zip(*parts)
+    pieces = "+".join(f"{label}={value:.6g}" for value, _, label in parts)
+    return make_row(
+        0, float(chi), float(np.sum(values)), sqrt(float(np.sum(np.square(errs)))),
+        "euler_char", route_prefix + pieces,
+    )
+
+
+def _require_smooth(x: SetDescriptor) -> None:
+    if not isinstance(x, (SmoothSet, LinearSubspace)):
+        raise UnsupportedSection("smooth theorems apply to smooth submanifolds")
 
 
 # ------------------------------------------------------------------- prop 3.1
 
-def verify_prop_3_1(
-    x: SetDescriptor,
-    n_samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    workers: int = 1,
-    set_name: str = "set",
-) -> TheoremReport:
+def _check_prop_3_1(x: SetDescriptor, ctx: RunContext) -> Rows:
     """Conic sets: Lambda_k(X, X ∩ B_1)/b_k against Grassmannian half-means."""
     if not isinstance(x, (ConicGraph, LinearSubspace)):
         raise UnsupportedSection("prop3.1 applies to conic sets only")
-    settings = RunSettings(n_samples=n_samples, seed=seed, workers=workers)
-    start = time.perf_counter()
-    n = x.ambient_dim
     rows = []
-    for k in range(1, n + 1):
+    for k in range(1, x.ambient_dim + 1):
         lhs, lhs_err, lhs_route = _conic_unit_ball_lhs(x, k)
         try:
-            rhs, rhs_err, rhs_route = _growth_rhs(x, k, settings, None)
+            rhs, rhs_err, rhs_route = _growth_rhs(x, k, ctx)
         except UnsupportedSection as exc:
             rows.append(skipped_row(k, lhs_route, "grassmann", str(exc)))
             continue
         rows.append(
             make_row(k, lhs, rhs, hypot(lhs_err, rhs_err), lhs_route, rhs_route)
         )
-    report = TheoremReport("prop3.1", set_name, rows, seed, n_samples)
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+    return rows
 
 
 def _conic_unit_ball_lhs(x, k) -> Tuple[float, float, str]:
@@ -185,42 +200,24 @@ def _conic_unit_ball_lhs(x, k) -> Tuple[float, float, str]:
 
 # ------------------------------------------------------- thm 3.7 and cor 3.8
 
-def verify_limit_theorems(
-    x: SetDescriptor,
-    n_samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    radii=DEFAULT_RADII,
-    workers: int = 1,
-    set_name: str = "set",
-    theorem_id: str = "thm3.7",
-    center=None,
-) -> TheoremReport:
+def _check_limits(x: SetDescriptor, ctx: RunContext) -> Rows:
     """Growth limits of normalized curvature measures against link-chi means."""
-    settings = RunSettings(n_samples=n_samples, seed=seed, radii=radii, workers=workers)
-    center = _as_center(center)
-    start = time.perf_counter()
-    n = x.ambient_dim
     rows = []
-    for k in range(1, n + 1):
+    for k in range(1, x.ambient_dim + 1):
         try:
-            est = estimate_limit(
-                x, k, settings.radii, seed=seed,
-                spec=settings.cubature, center=center,
-            )
-            lhs, lhs_err = est.value, est.uncertainty
-            lhs_route = _limit_route(x, est.converged)
+            est = ctx.limit(x, k)
         except UnsupportedSection as exc:
             rows.append(skipped_row(k, "limit", "grassmann", str(exc)))
             continue
+        lhs_route = _limit_route(x, est.converged)
         try:
-            rhs, rhs_err, rhs_route = _growth_rhs(x, k, settings, center)
+            rhs, rhs_err, rhs_route = _growth_rhs(x, k, ctx)
         except UnsupportedSection as exc:
             rows.append(skipped_row(k, lhs_route, "grassmann", str(exc)))
             continue
-        rows.append(make_row(k, lhs, rhs, hypot(lhs_err, rhs_err), lhs_route, rhs_route))
-    report = TheoremReport(theorem_id, set_name, rows, seed, n_samples, list(settings.radii))
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+        rows.append(make_row(k, est.value, rhs, hypot(est.uncertainty, rhs_err),
+                             lhs_route, rhs_route))
+    return rows
 
 
 def _limit_route(x, converged: bool) -> str:
@@ -251,134 +248,41 @@ def lambda0(
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     radii=DEFAULT_RADII,
-    workers: int = 1,
     center=None,
 ) -> Lambda0Result:
     """Order-0 curvature of the whole set by the link-defect formula,
     plus the direct density route when the set is smooth or flat."""
-    settings = RunSettings(n_samples=n_samples, seed=seed, radii=radii, workers=workers)
-    center = _as_center(center)
+    return _lambda0(x, RunContext(n_samples, seed, radii, center=center))
+
+
+def _lambda0(x: SetDescriptor, ctx: RunContext) -> Lambda0Result:
     n = x.ambient_dim
     chi = euler_char(x)
-    chi_link = float(link_chi(x, full_space(n), center))
-    est = _link_estimate(x, n - 1, settings, 1, center)
+    chi_link = float(link_chi(x, full_space(n), ctx.center))
+    est = _link_estimate(x, n - 1, ctx, 1)
     value = chi - 0.5 * chi_link - 0.5 * est.mean
     stderr = 0.5 * est.stderr
     direct = None
     if isinstance(x, SmoothSet):
-        direct = _lambda0_direct(x, settings, center)
+        direct = _lambda0_direct(x, ctx)
     elif isinstance(x, LinearSubspace):
         direct = (0.0, 0.0)  # flat: every curvature density of order < dim vanishes
     return Lambda0Result(chi, chi_link, est, value, stderr, direct)
 
 
-def _lambda0_direct(x: SmoothSet, settings: RunSettings, center) -> Tuple[float, float]:
+def _lambda0_direct(x: SmoothSet, ctx: RunContext) -> Tuple[float, float]:
     values, errors = [], []
-    for radius in settings.radii:
+    for radius in ctx.radii:
         v, e = lk_measure_detailed(
-            x, 0, radius, spec=settings.cubature, center=center, seed=settings.seed
+            x, 0, radius, spec=ctx.cubature, center=ctx.center, seed=ctx.seed
         )
         values.append(v)
         errors.append(e)
-    value, uncertainty, _ = fit_limit_sequence(list(settings.radii), values, errors)
+    value, uncertainty, _ = fit_limit_sequence(list(ctx.radii), values, errors)
     return value, uncertainty
 
 
-def verify_du_lambda0(
-    x: SetDescriptor,
-    n_samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    radii=DEFAULT_RADII,
-    workers: int = 1,
-    set_name: str = "set",
-) -> TheoremReport:
-    """Defect-formula value of the order-0 curvature against the direct route."""
-    start = time.perf_counter()
-    result = lambda0(x, n_samples=n_samples, seed=seed, radii=radii, workers=workers)
-    formula_route = (
-        f"chi({result.chi}) - 0.5*chi_link({result.chi_link:g}) - 0.5*hyperplane_mean"
-    )
-    if result.direct is None:
-        rows = [
-            make_row(0, result.value, result.value, result.stderr,
-                     formula_route, "single_route(no direct density for this set)")
-        ]
-    else:
-        direct, direct_err = result.direct
-        rows = [
-            make_row(0, direct, result.value, hypot(direct_err, result.stderr),
-                     "curvature_density_cubature", formula_route)
-        ]
-    report = TheoremReport("du_lambda0", set_name, rows, seed, n_samples, list(radii))
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
-
-
-# ---------------------------------------------------------------------- thm 3.9
-
-def verify_thm_3_9(
-    x: SetDescriptor,
-    n_samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    radii=DEFAULT_RADII,
-    workers: int = 1,
-    set_name: str = "set",
-    center=None,
-    theorem_id: str = "thm3.9",
-) -> TheoremReport:
-    """chi(X) = order-0 curvature + sum over k of growth limits.
-
-    For smooth and flat sets the order-0 term uses the direct curvature route
-    and the limits use cubature, so the Grassmannian machinery never appears
-    on either side (the non-circularity contract).
-    """
-    settings = RunSettings(n_samples=n_samples, seed=seed, radii=radii, workers=workers)
-    center = _as_center(center)
-    start = time.perf_counter()
-    n = x.ambient_dim
-    chi = euler_char(x)
-    try:
-        if isinstance(x, SmoothSet):
-            lam0, lam0_err = _lambda0_direct(x, settings, center)
-            lam0_route = "lambda0=curvature_cubature"
-        elif isinstance(x, LinearSubspace):
-            lam0, lam0_err = _flat_lambda0(x, settings, center)
-            lam0_route = "lambda0=flat_defect_exact"
-        else:
-            result = lambda0(x, n_samples=n_samples, seed=seed, radii=radii,
-                             workers=workers, center=center)
-            lam0, lam0_err = result.value, result.stderr
-            lam0_route = "lambda0=link_defect_formula"
-        terms = [lam0]
-        errs = [lam0_err]
-        pieces = [f"L0={lam0:.6g}"]
-        for k in range(1, n + 1):
-            est = estimate_limit(
-                x, k, settings.radii, seed=seed,
-                spec=settings.cubature, center=center,
-            )
-            terms.append(est.value)
-            errs.append(est.uncertainty)
-            pieces.append(f"k{k}={est.value:.6g}")
-    except UnsupportedSection as exc:
-        report = TheoremReport(
-            theorem_id, set_name, [skipped_row(0, "chi", "assembly", str(exc))],
-            seed, n_samples, list(settings.radii),
-        )
-        report.elapsed_seconds = time.perf_counter() - start
-        return report
-    rhs = float(np.sum(terms))
-    unc = sqrt(float(np.sum(np.square(errs))))
-    rows = [
-        make_row(0, float(chi), rhs, unc, "euler_char",
-                 f"{lam0_route};{'+'.join(pieces)}")
-    ]
-    report = TheoremReport(theorem_id, set_name, rows, seed, n_samples, list(settings.radii))
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
-
-
-def _flat_lambda0(x: LinearSubspace, settings: RunSettings, center) -> Tuple[float, float]:
+def _flat_lambda0(x: LinearSubspace, center) -> Tuple[float, float]:
     """Order-0 curvature of a linear subspace via the link-defect identity.
 
     All section links are exact for flats, so this is a closed form:
@@ -392,121 +296,116 @@ def _flat_lambda0(x: LinearSubspace, settings: RunSettings, center) -> Tuple[flo
     return 1.0 - 0.5 * chi_link - 0.5 * section_link, 0.0
 
 
+def _order0_term(x: SetDescriptor, ctx: RunContext) -> Tuple[float, float, str]:
+    """Order-0 curvature for an assembly: the direct density route for smooth
+    sets, the closed form for flats, the link-defect formula otherwise."""
+    if isinstance(x, SmoothSet):
+        return (*_lambda0_direct(x, ctx), "lambda0=curvature_cubature")
+    if isinstance(x, LinearSubspace):
+        return (*_flat_lambda0(x, ctx.center), "lambda0=flat_defect_exact")
+    result = _lambda0(x, ctx)
+    return result.value, result.stderr, "lambda0=link_defect_formula"
+
+
+def _check_du_lambda0(x: SetDescriptor, ctx: RunContext) -> Rows:
+    """Defect-formula value of the order-0 curvature against the direct route."""
+    result = _lambda0(x, ctx)
+    formula_route = (
+        f"chi({result.chi}) - 0.5*chi_link({result.chi_link:g}) - 0.5*hyperplane_mean"
+    )
+    if result.direct is None:
+        return [
+            make_row(0, result.value, result.value, result.stderr,
+                     formula_route, "single_route(no direct density for this set)")
+        ]
+    direct, direct_err = result.direct
+    return [
+        make_row(0, direct, result.value, hypot(direct_err, result.stderr),
+                 "curvature_density_cubature", formula_route)
+    ]
+
+
+# ---------------------------------------------------------------------- thm 3.9
+
+def _check_thm_3_9(x: SetDescriptor, ctx: RunContext) -> Rows:
+    """chi(X) = order-0 curvature + sum over k of growth limits.
+
+    For smooth and flat sets the order-0 term uses the direct curvature route
+    and the limits use cubature, so the Grassmannian machinery never appears
+    on either side (the non-circularity contract).
+    """
+    chi = euler_char(x)
+    try:
+        lam0, lam0_err, lam0_route = _order0_term(x, ctx)
+        return [_assembly_row(x, ctx, chi, [(lam0, lam0_err, "L0")],
+                              range(1, x.ambient_dim + 1), f"{lam0_route};")]
+    except UnsupportedSection as exc:
+        return [skipped_row(0, "chi", "assembly", str(exc))]
+
+
 # ----------------------------------------------------------- smooth theorems
 
-def verify_smooth_theorems(
-    x: SetDescriptor,
-    n_samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    radii=DEFAULT_RADII,
-    workers: int = 1,
-    set_name: str = "set",
-    theorem_id: str = "thm4.3",
-) -> TheoremReport:
-    """Smooth-set reformulations of the growth and assembly identities."""
-    if not isinstance(x, (SmoothSet, LinearSubspace)):
-        raise UnsupportedSection("smooth theorems apply to smooth submanifolds")
-    settings = RunSettings(n_samples=n_samples, seed=seed, radii=radii, workers=workers)
-    start = time.perf_counter()
-    n, d = x.ambient_dim, x.dim
+def _smooth_growth_rows(x: SetDescriptor, ctx: RunContext, section_chi: bool) -> Rows:
+    """Smooth growth limits against half-means of link chis (thm4.1) or means
+    of section chis (thm4.2)."""
+    _require_smooth(x)
     rows = []
-
-    def limit_for(k: int):
-        return estimate_limit(
-            x, k, settings.radii, seed=seed,
-            spec=settings.cubature, center=None,
-        )
-
-    if theorem_id in ("thm4.1", "thm4.2"):
-        section_chi = theorem_id == "thm4.2"
-        for k in range(d, 0, -1):  # k = d is the volume row, k = d - i the others
-            try:
-                est = limit_for(k)
-                rhs, rhs_err, rhs_route = _growth_rhs(
-                    x, k, settings, None, section_chi=section_chi
-                )
-            except UnsupportedSection as exc:
-                rows.append(skipped_row(k, "limit", "grassmann", str(exc)))
-                continue
-            rows.append(
-                make_row(k, est.value, rhs, hypot(est.uncertainty, rhs_err),
-                         _limit_route(x, est.converged), rhs_route)
-            )
-    elif theorem_id == "thm4.3":
+    for k in range(x.dim, 0, -1):  # k = d is the volume row, k = d - i the others
         try:
-            terms, errs, pieces = [], [], []
-            if d % 2 == 0:
-                if isinstance(x, LinearSubspace):
-                    lam0, lam0_err = _flat_lambda0(x, settings, None)
-                else:
-                    lam0, lam0_err = _lambda0_direct(x, settings, None)
-                terms.append(lam0)
-                errs.append(lam0_err)
-                pieces.append(f"total_top_order_curvature={lam0:.6g}")
-                k_values = range(2, d + 1, 2)
-            else:
-                k_values = range(1, d + 1, 2)
-            for k in k_values:
-                est = limit_for(k)
-                terms.append(est.value)
-                errs.append(est.uncertainty)
-                pieces.append(f"k{k}={est.value:.6g}")
-            rows.append(
-                make_row(0, float(euler_char(x)), float(np.sum(terms)),
-                         sqrt(float(np.sum(np.square(errs)))),
-                         "euler_char", "curvature_assembly;" + "+".join(pieces))
-            )
+            est = ctx.limit(x, k)
+            rhs, rhs_err, rhs_route = _growth_rhs(x, k, ctx, section_chi=section_chi)
         except UnsupportedSection as exc:
-            rows.append(skipped_row(0, "euler_char", "curvature_assembly", str(exc)))
-    elif theorem_id == "odd_d_corollary":
+            rows.append(skipped_row(k, "limit", "grassmann", str(exc)))
+            continue
+        rows.append(
+            make_row(k, est.value, rhs, hypot(est.uncertainty, rhs_err),
+                     _limit_route(x, est.converged), rhs_route)
+        )
+    return rows
+
+
+def _check_thm_4_3(x: SetDescriptor, ctx: RunContext) -> Rows:
+    """chi(X) from curvature alone: the top-order total curvature (even dim)
+    plus the growth limits of the orders with the parity of dim."""
+    _require_smooth(x)
+    chi, d = euler_char(x), x.dim
+    try:
+        parts = []
         if d % 2 == 0:
-            rows.append(
-                skipped_row(0, "euler_char", "assembly", "set dimension is even")
-            )
-        else:
-            try:
-                est = limit_for(1)
-                mean, err, route = _link_mean(x, n - 2, settings, 0x31, None)
-                rhs = est.value + 0.5 * mean
-                rows.append(
-                    make_row(0, float(euler_char(x)), rhs,
-                             hypot(est.uncertainty, 0.5 * err),
-                             "euler_char",
-                             f"k1_limit={est.value:.6g}+0.5*E[chi|dim{n - 2}]:{route}")
-                )
-            except UnsupportedSection as exc:
-                rows.append(skipped_row(0, "euler_char", "assembly", str(exc)))
-    else:
-        raise ValueError(f"unknown smooth theorem id {theorem_id!r}")
-    report = TheoremReport(theorem_id, set_name, rows, seed, n_samples, list(settings.radii))
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+            lam0, lam0_err, _ = _order0_term(x, ctx)
+            parts.append((lam0, lam0_err, "total_top_order_curvature"))
+        return [_assembly_row(x, ctx, chi, parts, range(2 - d % 2, d + 1, 2),
+                              "curvature_assembly;")]
+    except UnsupportedSection as exc:
+        return [skipped_row(0, "euler_char", "curvature_assembly", str(exc))]
+
+
+def _check_odd_d_corollary(x: SetDescriptor, ctx: RunContext) -> Rows:
+    """Odd-dimensional smooth sets: chi(X) = k1 limit + 0.5*E[chi|dim n-2]."""
+    _require_smooth(x)
+    if x.dim % 2 == 0:
+        return [skipped_row(0, "euler_char", "assembly", "set dimension is even")]
+    n = x.ambient_dim
+    try:
+        est = ctx.limit(x, 1)
+        mean, err, route = _link_mean(x, n - 2, ctx, 0x31)
+        return [
+            make_row(0, float(euler_char(x)), est.value + 0.5 * mean,
+                     hypot(est.uncertainty, 0.5 * err), "euler_char",
+                     f"k1_limit={est.value:.6g}+0.5*E[chi|dim{n - 2}]:{route}")
+        ]
+    except UnsupportedSection as exc:
+        return [skipped_row(0, "euler_char", "assembly", str(exc))]
 
 
 # ------------------------------------------------------------------ base point
 
-def verify_base_point(
-    x: SetDescriptor,
-    x0,
-    n_samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    radii=DEFAULT_RADII,
-    workers: int = 1,
-    set_name: str = "set",
-) -> TheoremReport:
-    """The thm3.9 assembly recentered at x0 must match the origin-based run."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (x.ambient_dim,):
-        raise ValueError("base point has the wrong dimension")
-    if not np.all(np.isfinite(x0)) or float(np.linalg.norm(x0)) > 10.0:
-        raise ValueError("base point must be finite with norm at most 10")
-    start = time.perf_counter()
-    base = verify_thm_3_9(x, n_samples, seed, radii, workers, set_name=set_name)
-    shifted = verify_thm_3_9(
-        x, n_samples, seed, radii, workers, set_name=set_name, center=x0
-    )
+def _check_base_point(x: SetDescriptor, ctx: RunContext) -> Rows:
+    """The thm3.9 assembly recentered at the base point must match the origin-based run."""
+    x0 = ctx.base_point
+    brow = _check_thm_3_9(x, ctx)[0]
+    srow = _check_thm_3_9(x, replace(ctx, center=x0))[0]
     rows = []
-    brow, srow = base.rows[0], shifted.rows[0]
     if srow.skipped:
         rows.append(skipped_row(0, "shifted_assembly", "chi", srow.reason))
     else:
@@ -524,12 +423,26 @@ def verify_base_point(
             make_row(1, brow.rhs, srow.rhs, hypot(brow.uncertainty, srow.uncertainty),
                      "origin_assembly", "shifted_assembly")
         )
-    report = TheoremReport("base_point", set_name, rows, seed, n_samples, list(radii))
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+    return rows
 
 
 # ------------------------------------------------------------------ dispatcher
+
+CHECKS: Dict[str, Callable[[SetDescriptor, RunContext], Rows]] = {
+    "prop3.1": _check_prop_3_1,
+    "thm3.7": _check_limits,
+    "cor3.8": _check_limits,
+    "du_lambda0": _check_du_lambda0,
+    "thm3.9": _check_thm_3_9,
+    "thm4.1": partial(_smooth_growth_rows, section_chi=False),
+    "thm4.2": partial(_smooth_growth_rows, section_chi=True),
+    "thm4.3": _check_thm_4_3,
+    "odd_d_corollary": _check_odd_d_corollary,
+    "base_point": _check_base_point,
+}
+
+THEOREM_IDS = tuple(CHECKS)
+
 
 def run_theorem(
     theorem_id: str,
@@ -538,25 +451,27 @@ def run_theorem(
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     radii=DEFAULT_RADII,
-    workers: int = 1,
     base_point=None,
 ) -> TheoremReport:
-    if theorem_id == "prop3.1":
-        return verify_prop_3_1(x, n_samples, seed, workers, set_name)
-    if theorem_id in ("thm3.7", "cor3.8"):
-        return verify_limit_theorems(
-            x, n_samples, seed, radii, workers, set_name, theorem_id=theorem_id
-        )
-    if theorem_id == "du_lambda0":
-        return verify_du_lambda0(x, n_samples, seed, radii, workers, set_name)
-    if theorem_id == "thm3.9":
-        return verify_thm_3_9(x, n_samples, seed, radii, workers, set_name)
-    if theorem_id in ("thm4.1", "thm4.2", "thm4.3", "odd_d_corollary"):
-        return verify_smooth_theorems(
-            x, n_samples, seed, radii, workers, set_name, theorem_id=theorem_id
-        )
+    """Run the check of ``theorem_id`` on x and report it."""
+    check = CHECKS.get(theorem_id)
+    if check is None:
+        raise ValueError(f"unknown theorem id {theorem_id!r}")
     if theorem_id == "base_point":
         if base_point is None:
             raise ValueError("base_point theorem needs a base point")
-        return verify_base_point(x, base_point, n_samples, seed, radii, workers, set_name)
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
+        base_point = np.asarray(base_point, dtype=float)
+        if base_point.shape != (x.ambient_dim,):
+            raise ValueError("base point has the wrong dimension")
+        if not np.all(np.isfinite(base_point)) or float(np.linalg.norm(base_point)) > 10.0:
+            raise ValueError("base point must be finite with norm at most 10")
+    elif base_point is not None:
+        raise ValueError(f"a base point applies only to base_point, not {theorem_id}")
+    ctx = RunContext(n_samples, seed, radii, base_point=base_point)
+    start = time.perf_counter()
+    rows = check(x, ctx)
+    # the unit-ball identity uses no radius schedule
+    report_radii = [] if theorem_id == "prop3.1" else list(ctx.radii)
+    report = TheoremReport(theorem_id, set_name, rows, seed, n_samples, report_radii)
+    report.elapsed_seconds = time.perf_counter() - start
+    return report

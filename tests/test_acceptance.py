@@ -5,22 +5,17 @@ criteria execute.  Defaults throughout: 4000 Grassmannian samples, seed 42,
 radius schedule 8, 16, 32, 64.
 """
 
+import io
+import json
 import math
 
 import numpy as np
 
 import lkcurv as lk
+from lkcurv import cli
 from lkcurv.curvature import lk_density, weyl_density
-from lkcurv.report import report_to_dict
 from lkcurv.spherical import spherical_lk, vertex_index_mean
-from lkcurv.verify import (
-    run_theorem,
-    verify_base_point,
-    verify_limit_theorems,
-    verify_prop_3_1,
-    verify_smooth_theorems,
-    verify_thm_3_9,
-)
+from lkcurv.verify import run_theorem
 
 SAMPLES = 4000
 SEED = 42
@@ -65,15 +60,15 @@ def test_criterion_2_spherical_morse_count(graphs):
 
 def test_criterion_3_conic_identities(sets):
     checks = []
-    cross = verify_prop_3_1(sets["cross_r2"], n_samples=SAMPLES, seed=SEED)
+    cross = run_theorem("prop3.1", sets["cross_r2"], n_samples=SAMPLES, seed=SEED)
     row = {r.k: r for r in cross.rows}[1]
     checks.append(row.uncertainty == 0.0 and abs(row.lhs - 2.0) < 1e-9
                   and abs(row.rhs - 2.0) < 1e-9)
-    line = verify_prop_3_1(sets["line_r3"], n_samples=SAMPLES, seed=SEED)
+    line = run_theorem("prop3.1", sets["line_r3"], n_samples=SAMPLES, seed=SEED)
     row = {r.k: r for r in line.rows}[1]
     checks.append(row.uncertainty == 0.0 and abs(row.lhs - 1.0) < 1e-9
                   and abs(row.rhs - 1.0) < 1e-9)
-    cone = verify_prop_3_1(sets["plane_cone_r3"], n_samples=SAMPLES, seed=SEED)
+    cone = run_theorem("prop3.1", sets["plane_cone_r3"], n_samples=SAMPLES, seed=SEED)
     row = {r.k: r for r in cone.rows}[2]
     checks.append(row.uncertainty == 0.0 and abs(row.lhs - 1.0) < 1e-9
                   and abs(row.rhs - 1.0) < 1e-9)
@@ -84,7 +79,7 @@ def test_criterion_3_conic_identities(sets):
 
 def test_criterion_4_flagship_growth_identity(sets):
     hyp = sets["hyperboloid_r3"]
-    report = verify_limit_theorems(hyp, n_samples=SAMPLES, seed=SEED, radii=RADII)
+    report = run_theorem("thm3.7", hyp, n_samples=SAMPLES, seed=SEED, radii=RADII)
     row = {r.k: r for r in report.rows}[2]
     lhs_ok = abs(row.lhs - SQRT2) <= 0.02
     rhs_ok = abs(row.rhs - SQRT2) <= 0.02
@@ -101,13 +96,16 @@ def test_criterion_4_flagship_growth_identity(sets):
 
 
 def test_criterion_5_euler_assemblies(sets):
-    cross = verify_thm_3_9(sets["cross_r2"], n_samples=SAMPLES, seed=SEED, radii=RADII)
+    cross = run_theorem("thm3.9", sets["cross_r2"], n_samples=SAMPLES, seed=SEED,
+                        radii=RADII)
     cross_ok = (cross.overall_pass and cross.rows[0].uncertainty == 0.0
                 and abs(cross.rows[0].rhs - 1.0) < 1e-9
                 and "L0=-1" in cross.rows[0].route_rhs)
-    sphere = verify_thm_3_9(sets["sphere_s2"], n_samples=SAMPLES, seed=SEED, radii=RADII)
+    sphere = run_theorem("thm3.9", sets["sphere_s2"], n_samples=SAMPLES, seed=SEED,
+                         radii=RADII)
     sphere_ok = sphere.overall_pass and abs(sphere.rows[0].rhs - 2.0) < 1e-6
-    hyp = verify_thm_3_9(sets["hyperboloid_r3"], n_samples=SAMPLES, seed=SEED, radii=RADII)
+    hyp = run_theorem("thm3.9", sets["hyperboloid_r3"], n_samples=SAMPLES, seed=SEED,
+                      radii=RADII)
     hyp_ok = hyp.overall_pass and abs(hyp.rows[0].rhs) <= 0.03
     # the order-0 term is independently the curvature cubature and must match
     # the Gauss-map oracle for the total curvature within 0.5%
@@ -125,11 +123,11 @@ def test_criterion_5_euler_assemblies(sets):
 
 
 def test_criterion_6_compact_smooth_assemblies(sets):
-    torus = verify_smooth_theorems(sets["torus_r3"], n_samples=SAMPLES, seed=SEED,
-                                   radii=RADII, theorem_id="thm4.3")
+    torus = run_theorem("thm4.3", sets["torus_r3"], n_samples=SAMPLES, seed=SEED,
+                        radii=RADII)
     torus_ok = torus.overall_pass and abs(torus.rows[0].rhs) <= 1e-3
-    sphere = verify_smooth_theorems(sets["sphere_s2"], n_samples=SAMPLES, seed=SEED,
-                                    radii=RADII, theorem_id="thm4.3")
+    sphere = run_theorem("thm4.3", sets["sphere_s2"], n_samples=SAMPLES, seed=SEED,
+                         radii=RADII)
     sphere_ok = sphere.overall_pass and abs(sphere.rows[0].rhs - 2.0) <= 1e-6
     report_line(6, f"compact assemblies: torus residual {abs(torus.rows[0].rhs):.2e} "
                    f"(<=1e-3), sphere residual {abs(sphere.rows[0].rhs - 2.0):.2e} "
@@ -137,13 +135,12 @@ def test_criterion_6_compact_smooth_assemblies(sets):
 
 
 def test_criterion_7_odd_dimension_assembly(sets):
-    line = verify_smooth_theorems(sets["line_r3"], n_samples=SAMPLES, seed=SEED,
-                                  radii=RADII, theorem_id="odd_d_corollary")
+    line = run_theorem("odd_d_corollary", sets["line_r3"], n_samples=SAMPLES, seed=SEED,
+                       radii=RADII)
     line_ok = (line.overall_pass and line.rows[0].uncertainty == 0.0
                and abs(line.rows[0].rhs - 1.0) < 1e-9)
-    cubic = verify_smooth_theorems(sets["twisted_cubic_r3"], n_samples=SAMPLES,
-                                   seed=SEED, radii=RADII,
-                                   theorem_id="odd_d_corollary")
+    cubic = run_theorem("odd_d_corollary", sets["twisted_cubic_r3"], n_samples=SAMPLES,
+                        seed=SEED, radii=RADII)
     cubic_ok = cubic.overall_pass and abs(cubic.rows[0].rhs - 1.0) <= 0.02
     report_line(7, f"odd-dimension assemblies: line exact 1=1+0, cubic residual "
                    f"{abs(cubic.rows[0].rhs - 1.0):.4f} (<=0.02)",
@@ -196,18 +193,21 @@ def test_criterion_9_top_density_is_one(sets, rng):
 
 def test_criterion_10_determinism_and_base_points(sets):
     reports = []
-    for workers in (1, 3):
-        rep = run_theorem("thm3.7", sets["hyperboloid_r3"],
-                          set_name="hyperboloid_r3", n_samples=SAMPLES,
-                          seed=SEED, radii=RADII, workers=workers)
-        doc = report_to_dict(rep)
+    for workers in ("1", "3"):
+        out = io.StringIO()
+        cli.main(["verify", "--set", "hyperboloid_r3", "--theorem", "thm3.7",
+                  "--samples", str(SAMPLES), "--seed", str(SEED),
+                  "--radii", ",".join(str(r) for r in RADII), "--workers", workers],
+                 out=out)
+        # the JSON report comes first; the summary lines after it start with '#'
+        doc = json.loads(out.getvalue().split("\n#", 1)[0])
         doc.pop("elapsed_seconds")
         reports.append(doc)
     deterministic = reports[0] == reports[1]
-    cross_bp = verify_base_point(sets["cross_r2"], [1.0, 2.0],
-                                 n_samples=SAMPLES, seed=SEED, radii=RADII)
-    hyp_bp = verify_base_point(sets["hyperboloid_r3"], [0.0, 0.0, 3.0],
-                               n_samples=SAMPLES, seed=SEED, radii=RADII)
+    cross_bp = run_theorem("base_point", sets["cross_r2"], n_samples=SAMPLES, seed=SEED,
+                           radii=RADII, base_point=[1.0, 2.0])
+    hyp_bp = run_theorem("base_point", sets["hyperboloid_r3"], n_samples=SAMPLES,
+                         seed=SEED, radii=RADII, base_point=[0.0, 0.0, 3.0])
     report_line(10, "bit-identical reports across worker counts; base-point "
                     "assemblies pass at (1,2) and (0,0,3)",
                 deterministic and cross_bp.overall_pass and hyp_bp.overall_pass)

@@ -117,7 +117,7 @@ def test_verify_failure_exit_code(tmp_path, sets):
     assert code == 1
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     code, _ = run_cli(["verify", "--set", "no_such_set", "--theorem", "thm3.9"])
     assert code == 64
     code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", "thm3.9",
@@ -133,6 +133,19 @@ def test_usage_errors():
     assert code == 64
     code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", "nope"])
     assert code == 64
+    # every theorem validates the schedule, including prop3.1, which uses none
+    for radii in ("nan,nan,nan", "1,5"):
+        capsys.readouterr()
+        code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", "prop3.1",
+                           "--radii", radii])
+        assert code == 64
+        assert "--radii" in capsys.readouterr().err
+    # a base point is never ignored silently
+    for theorem, point in (("thm3.9", "1,2"), ("prop3.1", "1,2")):
+        code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", theorem,
+                           "--base-point", point])
+        assert code == 64
+        assert "--base-point" in capsys.readouterr().err
 
 
 def test_chi_less_set_is_a_usage_error(tmp_path, sets):

@@ -5,16 +5,7 @@ import pytest
 
 import lkcurv as lk
 from lkcurv.report import report_from_dict, report_to_dict, report_to_json
-from lkcurv.verify import (
-    lambda0,
-    run_theorem,
-    verify_base_point,
-    verify_du_lambda0,
-    verify_limit_theorems,
-    verify_prop_3_1,
-    verify_smooth_theorems,
-    verify_thm_3_9,
-)
+from lkcurv.verify import lambda0, run_theorem
 
 RADII = (8.0, 16.0, 32.0, 64.0)
 
@@ -27,7 +18,7 @@ def rows_by_k(report):
 
 
 def test_prop31_cross_exact(sets):
-    report = verify_prop_3_1(sets["cross_r2"], n_samples=500, seed=42)
+    report = run_theorem("prop3.1", sets["cross_r2"], n_samples=500, seed=42)
     rows = rows_by_k(report)
     assert report.overall_pass
     assert rows[1].lhs == pytest.approx(2.0, rel=1e-12)
@@ -37,7 +28,7 @@ def test_prop31_cross_exact(sets):
 
 
 def test_prop31_line_r3(sets):
-    report = verify_prop_3_1(sets["line_r3"], n_samples=500, seed=42)
+    report = run_theorem("prop3.1", sets["line_r3"], n_samples=500, seed=42)
     rows = rows_by_k(report)
     assert report.overall_pass
     assert rows[1].lhs == 1.0
@@ -46,7 +37,7 @@ def test_prop31_line_r3(sets):
 
 
 def test_prop31_plane_cone(sets):
-    report = verify_prop_3_1(sets["plane_cone_r3"], n_samples=500, seed=42)
+    report = run_theorem("prop3.1", sets["plane_cone_r3"], n_samples=500, seed=42)
     rows = rows_by_k(report)
     assert report.overall_pass
     assert rows[2].lhs == pytest.approx(1.0, rel=1e-12)
@@ -55,7 +46,7 @@ def test_prop31_plane_cone(sets):
 
 
 def test_prop31_star3_monte_carlo(sets):
-    report = verify_prop_3_1(sets["star3_cone_r3"], n_samples=2000, seed=42)
+    report = run_theorem("prop3.1", sets["star3_cone_r3"], n_samples=2000, seed=42)
     rows = rows_by_k(report)
     assert report.overall_pass
     assert rows[1].lhs == pytest.approx(0.5, abs=3.0 * rows[1].uncertainty + 1e-9)
@@ -64,15 +55,15 @@ def test_prop31_star3_monte_carlo(sets):
 
 def test_prop31_rejects_smooth(sets):
     with pytest.raises(lk.UnsupportedSection):
-        verify_prop_3_1(sets["sphere_s2"], n_samples=500, seed=1)
+        run_theorem("prop3.1", sets["sphere_s2"], n_samples=500, seed=1)
 
 
 # ------------------------------------------------------------ thm3.7 / cor3.8
 
 
 def test_thm37_hyperboloid_flagship(sets):
-    report = verify_limit_theorems(sets["hyperboloid_r3"], n_samples=2000, seed=42,
-                                   radii=RADII)
+    report = run_theorem("thm3.7", sets["hyperboloid_r3"], n_samples=2000, seed=42,
+                         radii=RADII)
     rows = rows_by_k(report)
     assert report.overall_pass
     target = math.sqrt(2.0)
@@ -82,7 +73,7 @@ def test_thm37_hyperboloid_flagship(sets):
 
 
 def test_thm37_sphere_all_rows_vanish(sets):
-    report = verify_limit_theorems(sets["sphere_s2"], n_samples=500, seed=42)
+    report = run_theorem("thm3.7", sets["sphere_s2"], n_samples=500, seed=42)
     assert report.overall_pass
     for row in report.rows:
         assert row.lhs == 0.0
@@ -90,7 +81,7 @@ def test_thm37_sphere_all_rows_vanish(sets):
 
 
 def test_thm37_paraboloid(sets):
-    report = verify_limit_theorems(sets["paraboloid_r3"], n_samples=1000, seed=42)
+    report = run_theorem("thm3.7", sets["paraboloid_r3"], n_samples=1000, seed=42)
     assert report.overall_pass
 
 
@@ -98,16 +89,15 @@ def test_thm37_conic_sets_match_prop31(sets):
     # for cones the growth limits coincide with the unit-ball values, so the
     # thm3.7 rows must agree with the prop3.1 rows number for number
     for name in ("cross_r2", "plane_cone_r3", "star3_cone_r3"):
-        growth = verify_limit_theorems(sets[name], n_samples=800, seed=13)
-        ball = verify_prop_3_1(sets[name], n_samples=800, seed=13)
+        growth = run_theorem("thm3.7", sets[name], n_samples=800, seed=13)
+        ball = run_theorem("prop3.1", sets[name], n_samples=800, seed=13)
         assert growth.overall_pass, name
         for g_row, b_row in zip(growth.rows, ball.rows):
             assert g_row.lhs == pytest.approx(b_row.lhs, abs=1e-12)
 
 
 def test_cor38_alias(sets):
-    report = verify_limit_theorems(sets["line_r3"], n_samples=500, seed=7,
-                                   theorem_id="cor3.8")
+    report = run_theorem("cor3.8", sets["line_r3"], n_samples=500, seed=7)
     assert report.theorem_id == "cor3.8" and report.overall_pass
 
 
@@ -127,7 +117,7 @@ def test_thm39_file_defined_theta_cone(tmp_path, graphs):
     path = tmp_path / "theta_cone.json"
     path.write_text(json.dumps(doc))
     name, descriptor = lk.resolve_set(str(path))
-    report = verify_thm_3_9(descriptor, n_samples=1000, seed=42, set_name=name)
+    report = run_theorem("thm3.9", descriptor, n_samples=1000, seed=42, set_name=name)
     row = report.rows[0]
     assert report.overall_pass
     assert row.lhs == 1.0
@@ -165,7 +155,7 @@ def test_lambda0_hyperboloid_routes_agree(sets):
     direct, direct_err = result.direct
     assert abs(direct - target) <= 0.01
     assert abs(result.value - direct) <= 3.0 * math.hypot(result.stderr, direct_err)
-    report = verify_du_lambda0(sets["hyperboloid_r3"], n_samples=2000, seed=42)
+    report = run_theorem("du_lambda0", sets["hyperboloid_r3"], n_samples=2000, seed=42)
     assert report.overall_pass
 
 
@@ -173,7 +163,7 @@ def test_lambda0_hyperboloid_routes_agree(sets):
 
 
 def test_thm39_cross_exact_decomposition(sets):
-    report = verify_thm_3_9(sets["cross_r2"], n_samples=500, seed=42)
+    report = run_theorem("thm3.9", sets["cross_r2"], n_samples=500, seed=42)
     row = report.rows[0]
     assert report.overall_pass
     assert row.lhs == 1.0
@@ -183,37 +173,37 @@ def test_thm39_cross_exact_decomposition(sets):
 
 
 def test_thm39_sphere(sets):
-    report = verify_thm_3_9(sets["sphere_s2"], n_samples=500, seed=42)
+    report = run_theorem("thm3.9", sets["sphere_s2"], n_samples=500, seed=42)
     row = report.rows[0]
     assert report.overall_pass
     assert row.rhs == pytest.approx(2.0, abs=1e-6)
 
 
 def test_thm39_hyperboloid_cancellation(sets):
-    report = verify_thm_3_9(sets["hyperboloid_r3"], n_samples=500, seed=42)
+    report = run_theorem("thm3.9", sets["hyperboloid_r3"], n_samples=500, seed=42)
     row = report.rows[0]
     assert report.overall_pass
     assert abs(row.rhs) <= 0.03
 
 
 def test_thm39_non_circularity_routes(sets):
-    report = verify_thm_3_9(sets["hyperboloid_r3"], n_samples=500, seed=42)
+    report = run_theorem("thm3.9", sets["hyperboloid_r3"], n_samples=500, seed=42)
     row = report.rows[0]
     assert "curvature_cubature" in row.route_rhs
     assert "grassmann" not in row.route_rhs
-    conic = verify_thm_3_9(sets["cross_r2"], n_samples=500, seed=42)
+    conic = run_theorem("thm3.9", sets["cross_r2"], n_samples=500, seed=42)
     assert "link_defect" in conic.rows[0].route_rhs
 
 
 def test_thm39_line(sets):
-    report = verify_thm_3_9(sets["line_r3"], n_samples=500, seed=42)
+    report = run_theorem("thm3.9", sets["line_r3"], n_samples=500, seed=42)
     assert report.overall_pass
     assert report.rows[0].rhs == pytest.approx(1.0, rel=1e-12)
 
 
 def test_thm39_seed_stability(sets):
-    a = verify_thm_3_9(sets["star3_cone_r3"], n_samples=500, seed=9)
-    b = verify_thm_3_9(sets["star3_cone_r3"], n_samples=500, seed=9)
+    a = run_theorem("thm3.9", sets["star3_cone_r3"], n_samples=500, seed=9)
+    b = run_theorem("thm3.9", sets["star3_cone_r3"], n_samples=500, seed=9)
     assert report_strip(a) == report_strip(b)
 
 
@@ -227,8 +217,7 @@ def report_strip(report):
 
 
 def test_thm43_sphere_exact(sets):
-    report = verify_smooth_theorems(sets["sphere_s2"], n_samples=500, seed=42,
-                                    theorem_id="thm4.3")
+    report = run_theorem("thm4.3", sets["sphere_s2"], n_samples=500, seed=42)
     row = report.rows[0]
     assert report.overall_pass
     assert row.lhs == 2.0
@@ -236,16 +225,14 @@ def test_thm43_sphere_exact(sets):
 
 
 def test_thm43_torus(sets):
-    report = verify_smooth_theorems(sets["torus_r3"], n_samples=500, seed=42,
-                                    theorem_id="thm4.3")
+    report = run_theorem("thm4.3", sets["torus_r3"], n_samples=500, seed=42)
     row = report.rows[0]
     assert report.overall_pass
     assert abs(row.rhs) <= 1e-3
 
 
 def test_thm43_hyperboloid_cancellation(sets):
-    report = verify_smooth_theorems(sets["hyperboloid_r3"], n_samples=500, seed=42,
-                                    theorem_id="thm4.3")
+    report = run_theorem("thm4.3", sets["hyperboloid_r3"], n_samples=500, seed=42)
     row = report.rows[0]
     assert report.overall_pass
     assert "total_top_order_curvature" in row.route_rhs
@@ -253,8 +240,7 @@ def test_thm43_hyperboloid_cancellation(sets):
 
 
 def test_odd_d_corollary_line_exact(sets):
-    report = verify_smooth_theorems(sets["line_r3"], n_samples=500, seed=42,
-                                    theorem_id="odd_d_corollary")
+    report = run_theorem("odd_d_corollary", sets["line_r3"], n_samples=500, seed=42)
     row = report.rows[0]
     assert report.overall_pass
     assert row.lhs == 1.0 and row.rhs == pytest.approx(1.0, rel=1e-12)
@@ -262,24 +248,22 @@ def test_odd_d_corollary_line_exact(sets):
 
 
 def test_odd_d_corollary_cubic(sets):
-    report = verify_smooth_theorems(sets["twisted_cubic_r3"], n_samples=500, seed=42,
-                                    theorem_id="odd_d_corollary")
+    report = run_theorem("odd_d_corollary", sets["twisted_cubic_r3"], n_samples=500,
+                         seed=42)
     row = report.rows[0]
     assert report.overall_pass
     assert abs(row.rhs - 1.0) <= 0.02
 
 
 def test_odd_d_corollary_skips_even_dimension(sets):
-    report = verify_smooth_theorems(sets["sphere_s2"], n_samples=500, seed=42,
-                                    theorem_id="odd_d_corollary")
+    report = run_theorem("odd_d_corollary", sets["sphere_s2"], n_samples=500, seed=42)
     assert report.status == "incomplete"
     assert not report.overall_pass
 
 
 def test_thm41_thm42_hyperboloid(sets):
     for tid in ("thm4.1", "thm4.2"):
-        report = verify_smooth_theorems(sets["hyperboloid_r3"], n_samples=2000,
-                                        seed=42, theorem_id=tid)
+        report = run_theorem(tid, sets["hyperboloid_r3"], n_samples=2000, seed=42)
         rows = rows_by_k(report)
         assert report.overall_pass, tid
         assert abs(rows[2].lhs - math.sqrt(2.0)) <= 0.02
@@ -287,8 +271,7 @@ def test_thm41_thm42_hyperboloid(sets):
 
 
 def test_thm42_uses_declared_chi_for_full_space(sets):
-    report = verify_smooth_theorems(sets["twisted_cubic_r3"], n_samples=500, seed=42,
-                                    theorem_id="thm4.2")
+    report = run_theorem("thm4.2", sets["twisted_cubic_r3"], n_samples=500, seed=42)
     rows = rows_by_k(report)
     assert report.overall_pass
     assert "declared_chi" in rows[1].route_rhs
@@ -298,36 +281,40 @@ def test_thm42_uses_declared_chi_for_full_space(sets):
 
 
 def test_base_point_zero_shift_identical(sets):
-    base = verify_thm_3_9(sets["cross_r2"], n_samples=500, seed=3)
-    shifted = verify_base_point(sets["cross_r2"], [0.0, 0.0], n_samples=500, seed=3)
+    base = run_theorem("thm3.9", sets["cross_r2"], n_samples=500, seed=3)
+    shifted = run_theorem("base_point", sets["cross_r2"], n_samples=500, seed=3,
+                          base_point=[0.0, 0.0])
     assert shifted.rows[0].rhs == base.rows[0].rhs
     comparison = shifted.rows[1]
     assert comparison.lhs == comparison.rhs
 
 
 def test_base_point_cross(sets):
-    report = verify_base_point(sets["cross_r2"], [1.0, 2.0], n_samples=500, seed=42)
+    report = run_theorem("base_point", sets["cross_r2"], n_samples=500, seed=42,
+                         base_point=[1.0, 2.0])
     assert report.overall_pass
     assert report.rows[0].lhs == 1.0
     assert abs(report.rows[0].rhs - 1.0) <= 3.0 * report.rows[0].uncertainty + 1e-9
 
 
 def test_base_point_hyperboloid(sets):
-    report = verify_base_point(sets["hyperboloid_r3"], [0.0, 0.0, 3.0],
-                               n_samples=500, seed=42)
+    report = run_theorem("base_point", sets["hyperboloid_r3"], n_samples=500, seed=42,
+                         base_point=[0.0, 0.0, 3.0])
     assert report.overall_pass
 
 
 def test_base_point_validation(sets):
     with pytest.raises(ValueError):
-        verify_base_point(sets["cross_r2"], [20.0, 0.0], n_samples=500, seed=1)
+        run_theorem("base_point", sets["cross_r2"], n_samples=500, seed=1,
+                    base_point=[20.0, 0.0])
     with pytest.raises(ValueError):
-        verify_base_point(sets["cross_r2"], [1.0, 2.0, 3.0], n_samples=500, seed=1)
+        run_theorem("base_point", sets["cross_r2"], n_samples=500, seed=1,
+                    base_point=[1.0, 2.0, 3.0])
 
 
 def test_base_point_skips_coned_edges(sets):
-    report = verify_base_point(sets["plane_cone_r3"], [1.0, 0.0, 0.0],
-                               n_samples=500, seed=1)
+    report = run_theorem("base_point", sets["plane_cone_r3"], n_samples=500, seed=1,
+                         base_point=[1.0, 0.0, 0.0])
     assert report.status == "incomplete"
     assert not report.overall_pass
 
@@ -343,10 +330,13 @@ def test_run_theorem_dispatch(sets):
         run_theorem("thm9.9", sets["cross_r2"])
     with pytest.raises(ValueError):
         run_theorem("base_point", sets["cross_r2"])
+    with pytest.raises(ValueError):
+        run_theorem("thm3.9", sets["cross_r2"], base_point=[1.0, 2.0])
 
 
 def test_report_round_trip(sets):
-    report = verify_thm_3_9(sets["cross_r2"], n_samples=500, seed=5, set_name="cross_r2")
+    report = run_theorem("thm3.9", sets["cross_r2"], set_name="cross_r2", n_samples=500,
+                         seed=5)
     doc = report_to_dict(report)
     back = report_from_dict(doc)
     assert report_to_dict(back) == doc
@@ -370,6 +360,10 @@ def test_skipped_row_report_is_strict_json(sets):
 
 def test_settings_validation(sets):
     with pytest.raises(ValueError):
-        verify_thm_3_9(sets["cross_r2"], n_samples=50, seed=1)
+        run_theorem("thm3.9", sets["cross_r2"], n_samples=50, seed=1)
     with pytest.raises(ValueError):
-        verify_thm_3_9(sets["cross_r2"], n_samples=500, seed=1, radii=(8.0, 24.0, 48.0))
+        run_theorem("thm3.9", sets["cross_r2"], n_samples=500, seed=1,
+                    radii=(8.0, 24.0, 48.0))
+    with pytest.raises(ValueError):
+        run_theorem("prop3.1", sets["cross_r2"], n_samples=500, seed=1,
+                    radii=(float("nan"),) * 3)
