@@ -77,7 +77,8 @@ def build_parser() -> _Parser:
     p_curv.add_argument("--set", required=True, dest="set_ref")
     p_curv.add_argument("--k", required=True, type=int)
     p_curv.add_argument("--radius", required=True, type=float)
-    p_curv.add_argument("--seed", type=int, default=None)
+    p_curv.add_argument("--seed", type=int, default=None,
+                        help="accepted for compatibility; has no effect")
 
     p_grass = sub.add_parser("grassmann", help="random subspace utilities")
     grass_sub = p_grass.add_subparsers(dest="subcommand", required=True)
@@ -182,7 +183,6 @@ def _print_summary(report, out) -> None:
 
 
 def _cmd_curvature(args, out) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     name, descriptor = _resolve(args.set_ref)
     k, radius = args.k, args.radius
     if radius <= 0:
@@ -191,7 +191,7 @@ def _cmd_curvature(args, out) -> int:
         raise UsageError(f"--k must lie in [0, {descriptor.ambient_dim}]")
     try:
         if isinstance(descriptor, catalog.SmoothSet):
-            value, err = lk_measure_detailed(descriptor, k, radius, seed=seed)
+            value, err = lk_measure_detailed(descriptor, k, radius)
         elif isinstance(descriptor, catalog.ConicGraph):
             if k == 0:
                 raise UsageError("order 0 needs the verify du_lambda0 route for cones")

@@ -3,43 +3,41 @@
 Second fundamental forms are read in an orthonormalized tangent basis so that
 their elementary symmetric functions are genuine symmetric functions of the
 principal curvatures.  ``_lambda_batch`` integrates sigma_i of the form over
-the unit normal sphere at a stack of chart nodes (exactly in codimension one,
-by antithetic Monte Carlo otherwise) and normalizes it into the curvature
-density of order k.  ``weyl_density`` (the raw integral) and ``lk_density``
-(the density) evaluate it at one chart point, and ``lk_measure`` integrates
-the density over the part of the set inside a ball by per-chart
-Gauss-Legendre cubature with partition-of-unity weights.
+the unit normal sphere at a stack of chart nodes and normalizes it into the
+curvature density of order k.  The integral is exact, with no sampling: for a
+unit normal v = sum_a w_a e_a the form is sum_a w_a A_a, odd orders integrate
+to zero, and sigma_2 is a quadratic form in w, so its integral over S^(c-1)
+is |S^(c-1)|/c * sum_a sigma_2(A_a) (the Gauss equation; in codimension one
+this is the two-sided sum sigma(A) + sigma(-A)).  Even orders of 4 and above
+in codimension 2 or more are not supported.  ``weyl_density`` (the raw
+integral) and ``lk_density`` (the density) evaluate it at one chart point,
+and ``lk_measure`` integrates the density over the part of the set inside a
+ball by per-chart Gauss-Legendre cubature with partition-of-unity weights.
 
 Sign convention: the form is <second derivative, v>; every quantity reported
-here is even in v (two-sided sums or antithetic pairs), so flipping the
-normal orientation changes nothing.
+here is even in v, so flipping the normal orientation changes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .catalog.charts import Chart, gauss_legendre_nodes
 from .catalog.sets import SmoothSet
-from .errors import CoverageGapError, DegenerateChartError
+from .errors import CoverageGapError, DegenerateChartError, UnsupportedSection
 from .geomconst import sphere_volume
-from .grassmann import STREAM_NORMAL_SPHERE, substream
 
 GRAM_DET_TOL = 1e-12
 NORMAL_ORTHO_TOL = 1e-8
-DEFAULT_NORMAL_DIRS = 512  # 256 antithetic pairs
-NODE_CHUNK = 4096
 
 
 @dataclass
 class CubatureSpec:
     nodes_2d: int = 128       # per axis of a two-dimensional chart
-    nodes_1d: int = 4096
-    normal_dirs: int = DEFAULT_NORMAL_DIRS
+    nodes_1d: int = 512       # 64 per dyadic panel; halved, 32 per panel
 
     def counts(self, dim: int) -> Tuple[int, ...]:
         if dim == 1:
@@ -50,7 +48,6 @@ class CubatureSpec:
         return CubatureSpec(
             nodes_2d=max(self.nodes_2d // 2, 8),
             nodes_1d=max(self.nodes_1d // 2, 32),
-            normal_dirs=self.normal_dirs,
         )
 
 
@@ -105,12 +102,8 @@ def _chart_frames(chart: Chart, u: np.ndarray) -> _FrameData:
 def _form_matrices(frames: _FrameData, directions: np.ndarray) -> np.ndarray:
     """Second fundamental forms for per-node normal directions.
 
-    ``directions`` has shape (B, n) or (B, m, n); the result matches with a
-    trailing (d, d).
+    ``directions`` has shape (B, m, n); the result has shape (B, m, d, d).
     """
-    if directions.ndim == 2:
-        coord = np.einsum("bnij,bn->bij", frames.hess, directions)
-        return np.einsum("bki,bkl,blj->bij", frames.r_inv, coord, frames.r_inv)
     coord = np.einsum("bnij,bmn->bmij", frames.hess, directions)
     return np.einsum("bki,bmkl,blj->bmij", frames.r_inv, coord, frames.r_inv)
 
@@ -152,133 +145,56 @@ def second_fundamental_form(x: SmoothSet, chart_index: int, u, v) -> SecondFunda
     tangential = frames.tangent[0].T @ v
     if np.max(np.abs(tangential)) > NORMAL_ORTHO_TOL:
         raise ValueError("direction is not orthogonal to the tangent space")
-    matrix = _form_matrices(frames, v[None, :])[0]
+    matrix = _form_matrices(frames, v[None, None, :])[0, 0]
     return SecondFundamentalForm(point=frames.positions[0], direction=v, matrix=matrix)
 
 
-def _normal_directions(codim: int, n_dirs: int, rng: np.random.Generator,
-                       batch: int) -> np.ndarray:
-    """One direction of each of n_dirs/2 antithetic pairs on S^(codim-1).
-
-    Shape (batch, n_dirs/2, codim), with independent draws per batch entry so
-    that per-node Monte Carlo errors average out across a cubature grid.  The
-    partner -v of each direction is implied: the densities are even in v.
-    """
-    half = max(n_dirs // 2, 1)
-    w = rng.standard_normal((batch, half, codim))
-    norms = np.linalg.norm(w, axis=-1, keepdims=True)
-    while np.any(norms < 1e-12):
-        bad = (norms < 1e-12)[..., 0]
-        w[bad] = rng.standard_normal((int(bad.sum()), codim))
-        norms = np.linalg.norm(w, axis=-1, keepdims=True)
-    return w / norms
-
-
-def _lambda_batch(
-    x: SmoothSet,
-    frames: _FrameData,
-    k: int,
-    spec: CubatureSpec,
-    rng: Optional[np.random.Generator],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Curvature density of order k and its per-node stderr at the frame nodes."""
+def _lambda_batch(x: SmoothSet, frames: _FrameData, k: int) -> np.ndarray:
+    """Curvature density of order k at the frame nodes."""
     n, d = x.ambient_dim, x.dim
     batch = frames.positions.shape[0]
-    if k > d:
-        return np.zeros(batch), np.zeros(batch)
     order = d - k
+    if order < 0 or order % 2 == 1:
+        return np.zeros(batch)
     if order == 0:
         # sigma_0 integrates to the normal-sphere area, which the
         # normalization cancels exactly
-        return np.ones(batch), np.zeros(batch)
+        return np.ones(batch)
     codim = n - d
-    norm_const = sphere_volume(n - k - 1)
-    if codim == 1:
-        nu = frames.normal[:, :, 0]
-        m_plus = _form_matrices(frames, nu)
-        k_vals = elementary_symmetric(m_plus, order) + elementary_symmetric(-m_plus, order)
-        return k_vals / norm_const, np.zeros(batch)
-    if order % 2 == 1:
-        # antithetic pairs cancel odd symmetric functions exactly
-        return np.zeros(batch), np.zeros(batch)
-    if rng is None:
-        raise ValueError("codimension >= 2 curvature densities need a random stream")
-    half = max(spec.normal_dirs // 2, 1)
-    area = sphere_volume(codim - 1)
-    values = np.empty(batch)
-    errors = np.empty(batch)
-    for start in range(0, batch, NODE_CHUNK):
-        stop = min(start + NODE_CHUNK, batch)
-        sub = _FrameData(
-            positions=frames.positions[start:stop],
-            tangent=frames.tangent[start:stop],
-            r_inv=frames.r_inv[start:stop],
-            normal=frames.normal[start:stop],
-            sqrt_gram=frames.sqrt_gram[start:stop],
-            hess=frames.hess[start:stop],
+    if codim >= 2 and order >= 4:
+        raise UnsupportedSection(
+            f"order-{order} curvature in codimension {codim} has no closed form here"
         )
-        dirs = _normal_directions(codim, spec.normal_dirs, rng, batch=stop - start)
-        ambient_dirs = np.einsum("bnc,bmc->bmn", sub.normal, dirs)
-        mats = _form_matrices(sub, ambient_dirs)
-        sig = elementary_symmetric(mats, order)
-        # even order: sigma(v) == sigma(-v), each pair contributes its value once
-        values[start:stop] = area * np.mean(sig, axis=1)
-        if half > 1:  # a single antithetic pair has no spread to estimate
-            errors[start:stop] = area * np.std(sig, axis=1, ddof=1) / sqrt(half)
-        else:
-            errors[start:stop] = 0.0
-    return values / norm_const, errors / norm_const
+    # one form per normal basis vector, shape (B, codim, d, d)
+    forms = _form_matrices(frames, frames.normal.transpose(0, 2, 1))
+    sigma = np.sum(elementary_symmetric(forms, order), axis=1)
+    return sphere_volume(codim - 1) / codim * sigma / sphere_volume(n - k - 1)
 
 
-def _point_density(
-    x: SmoothSet,
-    chart_index: int,
-    u,
-    k: int,
-    n_dirs: int,
-    rng: Optional[np.random.Generator],
-) -> Tuple[float, float]:
-    """Curvature density of order k <= dim and its stderr at one chart point."""
-    if rng is None:
-        rng = substream(0, STREAM_NORMAL_SPHERE, chart_index, x.dim - k)
+def _point_density(x: SmoothSet, chart_index: int, u, k: int) -> float:
+    """Curvature density of order k <= dim at one chart point."""
     frames = _chart_frames(x.charts[chart_index], np.atleast_2d(u))
-    lam, err = _lambda_batch(x, frames, k, CubatureSpec(normal_dirs=n_dirs), rng)
-    return float(lam[0]), float(err[0])
+    return float(_lambda_batch(x, frames, k)[0])
 
 
-def weyl_density(
-    x: SmoothSet,
-    chart_index: int,
-    u,
-    order: int,
-    n_dirs: int = DEFAULT_NORMAL_DIRS,
-    rng: Optional[np.random.Generator] = None,
-) -> CurvatureDensity:
+def weyl_density(x: SmoothSet, chart_index: int, u, order: int) -> CurvatureDensity:
     """Integral of sigma_order of the second fundamental form over the unit
     normal sphere at a chart point."""
     n, d = x.ambient_dim, x.dim
     if not 0 <= order <= d:
         raise ValueError(f"order must lie in [0, {d}]")
     k = d - order
-    value, stderr = _point_density(x, chart_index, u, k, n_dirs, rng)
-    scale = sphere_volume(n - k - 1)
-    return CurvatureDensity(order, value * scale, stderr * scale)
+    value = _point_density(x, chart_index, u, k)
+    return CurvatureDensity(order, value * sphere_volume(n - k - 1))
 
 
-def lk_density(
-    x: SmoothSet,
-    chart_index: int,
-    u,
-    k: int,
-    n_dirs: int = DEFAULT_NORMAL_DIRS,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
+def lk_density(x: SmoothSet, chart_index: int, u, k: int) -> float:
     """Curvature density of order k at a chart point; identically zero for k > dim."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > x.dim:
         return 0.0
-    return _point_density(x, chart_index, u, k, n_dirs, rng)[0]
+    return _point_density(x, chart_index, u, k)
 
 
 def _lk_measure_at_resolution(
@@ -287,10 +203,8 @@ def _lk_measure_at_resolution(
     radius: float,
     spec: CubatureSpec,
     center: np.ndarray,
-    seed: int,
-) -> Tuple[float, float]:
+) -> float:
     total = 0.0
-    mc_sq = 0.0
     multi = len(x.charts) > 1
     for ci, chart in enumerate(x.charts):
         box = chart.domain_for_ball(radius, center)
@@ -311,12 +225,10 @@ def _lk_measure_at_resolution(
                 raise CoverageGapError(
                     f"partition-of-unity mass deviates from 1 by {gap:.2e} on chart {ci}"
                 )
-        rng = substream(seed, STREAM_NORMAL_SPHERE, ci, k)
-        lam, lam_err = _lambda_batch(x, frames, k, spec, rng)
+        lam = _lambda_batch(x, frames, k)
         factor = weights * frames.sqrt_gram * pou * inside
         total += float(np.sum(factor * lam))
-        mc_sq += float(np.sum((factor * lam_err) ** 2))
-    return total, sqrt(mc_sq)
+    return total
 
 
 def lk_measure_detailed(
@@ -325,12 +237,10 @@ def lk_measure_detailed(
     radius: float,
     spec: Optional[CubatureSpec] = None,
     center=None,
-    seed: int = 0,
 ) -> Tuple[float, float]:
     """Curvature measure of order k of X inside the ball, with an error bound.
 
-    The bound combines the change under halving the cubature resolution with
-    three standard errors of the normal-sphere Monte Carlo.
+    The bound is the change under halving the cubature resolution.
     """
     if not isinstance(x, SmoothSet):
         raise TypeError("lk_measure expects a smooth set")
@@ -342,14 +252,14 @@ def lk_measure_detailed(
     if k > d:
         return 0.0, 0.0
     if (d - k) % 2 == 1:
-        # odd-order symmetric functions integrate to zero exactly, both by the
-        # two-sided sum in codimension one and by antithetic pairing otherwise
+        # odd-order symmetric functions are odd in the normal direction, so
+        # they integrate to zero over the normal sphere
         return 0.0, 0.0
     spec = spec or CubatureSpec()
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    value, mc_err = _lk_measure_at_resolution(x, k, radius, spec, center, seed)
-    coarse, _ = _lk_measure_at_resolution(x, k, radius, spec.halved(), center, seed)
-    return value, abs(value - coarse) + 3.0 * mc_err
+    value = _lk_measure_at_resolution(x, k, radius, spec, center)
+    coarse = _lk_measure_at_resolution(x, k, radius, spec.halved(), center)
+    return value, abs(value - coarse)
 
 
 def lk_measure(
@@ -358,7 +268,6 @@ def lk_measure(
     radius: float,
     spec: Optional[CubatureSpec] = None,
     center=None,
-    seed: int = 0,
 ) -> float:
-    value, _ = lk_measure_detailed(x, k, radius, spec=spec, center=center, seed=seed)
+    value, _ = lk_measure_detailed(x, k, radius, spec=spec, center=center)
     return value

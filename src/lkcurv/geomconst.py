@@ -24,6 +24,8 @@ def ball_volume(k: int) -> float:
 def sphere_volume(k: int) -> float:
     """Volume of the k-dimensional unit sphere, 2 pi^((k+1)/2) / Gamma((k+1)/2)."""
     k = _check_index(k, "sphere_volume")
+    if k == 0:
+        return 2.0  # the log-gamma route rounds to 1.9999999999999993
     return 2.0 * exp(0.5 * (k + 1) * _LOG_PI - lgamma(0.5 * (k + 1)))
 
 

@@ -32,8 +32,7 @@ SLOT_CHUNK = 256
 # stream domains, kept distinct so different modules never share a substream
 STREAM_GRASSMANN = 1
 STREAM_VERTEX = 2
-STREAM_NORMAL_SPHERE = 3
-STREAM_GENERIC = 4
+STREAM_GENERIC = 4  # 3 is retired: renumbering would change every sample
 
 
 def substream(seed: int, domain: int, index: int = 0, sub: int = 0) -> np.random.Generator:

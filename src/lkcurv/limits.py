@@ -45,7 +45,6 @@ def _normalized_detailed(
     x: SetDescriptor,
     k: int,
     radius: float,
-    seed: int,
     spec: Optional[CubatureSpec],
     center,
 ) -> Tuple[float, float]:
@@ -66,7 +65,7 @@ def _normalized_detailed(
         value, err = conic_lk_measure_detailed(x, k, radius, center=center)
         return value / scale, err / scale
     if isinstance(x, SmoothSet):
-        value, err = lk_measure_detailed(x, k, radius, spec=spec, center=center, seed=seed)
+        value, err = lk_measure_detailed(x, k, radius, spec=spec, center=center)
         return value / scale, err / scale
     raise TypeError(f"not a set descriptor: {x!r}")
 
@@ -75,11 +74,10 @@ def normalized_lk(
     x: SetDescriptor,
     k: int,
     radius: float,
-    seed: int = 0,
     spec: Optional[CubatureSpec] = None,
     center=None,
 ) -> float:
-    value, _ = _normalized_detailed(x, k, radius, seed, spec, center)
+    value, _ = _normalized_detailed(x, k, radius, spec, center)
     return value
 
 
@@ -130,7 +128,6 @@ def estimate_limit(
     x: SetDescriptor,
     k: int,
     radii=DEFAULT_RADII,
-    seed: int = 0,
     spec: Optional[CubatureSpec] = None,
     center=None,
 ) -> LimitEstimate:
@@ -141,20 +138,16 @@ def estimate_limit(
     if isinstance(x, SmoothSet) and x.compact:
         # for a bounded set the measure is eventually constant in R, so the
         # normalized values decay like 1/R^k and the limit vanishes exactly
-        values = [
-            _normalized_detailed(x, k, r, seed, spec, center)[0] for r in radii
-        ]
+        values = [_normalized_detailed(x, k, r, spec, center)[0] for r in radii]
         return LimitEstimate(k, 0.0, 0.0, radii, values, True)
 
     if isinstance(x, (LinearSubspace, ConicGraph)) and not shifted:
         # homogeneity: the normalized measure of a cone is radius-independent
-        value, err = _normalized_detailed(x, k, radii[0], seed, spec, center)
+        value, err = _normalized_detailed(x, k, radii[0], spec, center)
         values = [value] * len(radii)
         return LimitEstimate(k, value, err, radii, values, True)
 
-    pairs = [
-        _normalized_detailed(x, k, r, seed, spec, center) for r in radii
-    ]
+    pairs = [_normalized_detailed(x, k, r, spec, center) for r in radii]
     values = [p[0] for p in pairs]
     errors = [p[1] for p in pairs]
     value, uncertainty, converged = fit_limit_sequence(radii, values, errors)

@@ -82,9 +82,7 @@ class RunContext:
 
     def limit(self, x: SetDescriptor, k: int) -> LimitEstimate:
         """Growth limit of the normalized order-k curvature measure of x."""
-        return estimate_limit(
-            x, k, self.radii, seed=self.seed, spec=self.cubature, center=self.center
-        )
+        return estimate_limit(x, k, self.radii, spec=self.cubature, center=self.center)
 
 
 Rows = List[TheoremRow]
@@ -273,9 +271,7 @@ def _lambda0(x: SetDescriptor, ctx: RunContext) -> Lambda0Result:
 def _lambda0_direct(x: SmoothSet, ctx: RunContext) -> Tuple[float, float]:
     values, errors = [], []
     for radius in ctx.radii:
-        v, e = lk_measure_detailed(
-            x, 0, radius, spec=ctx.cubature, center=ctx.center, seed=ctx.seed
-        )
+        v, e = lk_measure_detailed(x, 0, radius, spec=ctx.cubature, center=ctx.center)
         values.append(v)
         errors.append(e)
     value, uncertainty, _ = fit_limit_sequence(list(ctx.radii), values, errors)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import lkcurv as lk
-from lkcurv import CoverageGapError, DegenerateChartError
-from lkcurv.catalog import SmoothSet, build_chart
+from lkcurv import CoverageGapError, DegenerateChartError, UnsupportedSection
+from lkcurv.catalog import Chart, SmoothSet, build_chart, gauss_legendre_nodes
 from lkcurv.curvature import (
     CubatureSpec,
     _chart_frames,
@@ -146,7 +146,7 @@ def test_odd_orders_vanish_exactly(sets, rng):
         assert dens.value == 0.0 and dens.stderr == 0.0
 
 
-def test_codimension_two_monte_carlo_density(rng):
+def test_codimension_two_density_is_exact():
     # the unit 2-sphere flatly embedded in R^4: the order-2 density integrates
     # cos^2 over the normal circle, which is half the circle length
     def lift(fn):
@@ -166,13 +166,80 @@ def test_codimension_two_monte_carlo_density(rng):
     chart.base_domain = np.array([[0.0, np.pi], [0.0, 2.0 * np.pi]])
     x = SmoothSet(ambient_dim=4, dim=2, charts=(chart,), implicit=None,
                   declared_chi=2, compact=True)
-    dens = weyl_density(x, 0, np.array([1.2, 0.3]), 2, n_dirs=4096,
-                        rng=lk.substream(5, 3, 0))
-    assert dens.stderr > 0.0
-    assert abs(dens.value - math.pi) <= 3.0 * dens.stderr + 1e-6
+    dens = weyl_density(x, 0, np.array([1.2, 0.3]), 2)
+    assert dens.stderr == 0.0
+    assert dens.value == pytest.approx(math.pi, rel=1e-12)
     # order-0 curvature of the whole set is chi, independent of the embedding
-    total, err = lk_measure_detailed(x, 0, 2.0, seed=11)
-    assert total == pytest.approx(2.0, abs=max(3e-2, err))
+    total, _ = lk_measure_detailed(x, 0, 2.0)
+    assert total == pytest.approx(2.0, abs=1e-9)
+
+
+def square_graph_r4():
+    """Graph of z -> z^2 in R^4, (u, v, u^2 - v^2, 2uv): both normal forms
+    are nonzero, so the normal-circle integral mixes them."""
+    def map_fn(u):
+        a, b = u[:, 0], u[:, 1]
+        return np.stack([a, b, a * a - b * b, 2.0 * a * b], axis=1)
+
+    def jac_fn(u):
+        a, b = u[:, 0], u[:, 1]
+        jac = np.zeros((u.shape[0], 4, 2))
+        jac[:, 0, 0] = 1.0
+        jac[:, 1, 1] = 1.0
+        jac[:, 2, 0], jac[:, 2, 1] = 2.0 * a, -2.0 * b
+        jac[:, 3, 0], jac[:, 3, 1] = 2.0 * b, 2.0 * a
+        return jac
+
+    def hess_fn(u):
+        hess = np.zeros((u.shape[0], 4, 2, 2))
+        hess[:, 2, 0, 0], hess[:, 2, 1, 1] = 2.0, -2.0
+        hess[:, 3, 0, 1] = hess[:, 3, 1, 0] = 2.0
+        return hess
+
+    chart = Chart("square_graph", 2, 4, map_fn, jac_fn, hess_fn,
+                  np.array([[-3.0, 3.0], [-3.0, 3.0]]))
+    return SmoothSet(ambient_dim=4, dim=2, charts=(chart,), implicit=None,
+                     declared_chi=1, compact=False)
+
+
+def test_codimension_two_density_matches_normal_circle_quadrature(rng):
+    # oracle: sigma_2 of the form is a degree-2 trigonometric polynomial in the
+    # normal angle, so the 64-point trapezoid rule on the circle is exact
+    x = square_graph_r4()
+    angles = 2.0 * math.pi * np.arange(64) / 64
+    for u in rng.uniform(-2.0, 2.0, size=(20, 2)):
+        jac = x.charts[0].jac_fn(u[None, :])[0]
+        normals = np.linalg.svd(jac)[0][:, 2:]
+        circle = 0.0
+        for theta in angles:
+            v = math.cos(theta) * normals[:, 0] + math.sin(theta) * normals[:, 1]
+            form = second_fundamental_form(x, 0, u, v).matrix
+            circle += np.linalg.det(form)  # sigma_2 of a 2x2 form
+        circle *= 2.0 * math.pi / 64
+        assert abs(circle) > 1e-3
+        dens = weyl_density(x, 0, u, 2)
+        assert dens.value == pytest.approx(circle, rel=1e-12, abs=1e-12)
+
+
+def test_order_four_in_codimension_two_is_unsupported():
+    # a flat 4-plane in R^6: the order-4 normal-sphere integral has no
+    # closed form in the density layer
+    def map_fn(u):
+        return np.concatenate([u, np.zeros((u.shape[0], 2))], axis=1)
+
+    def jac_fn(u):
+        return np.broadcast_to(np.eye(6, 4), (u.shape[0], 6, 4)).copy()
+
+    def hess_fn(u):
+        return np.zeros((u.shape[0], 6, 4, 4))
+
+    chart = Chart("flat4", 4, 6, map_fn, jac_fn, hess_fn, np.array([[-1.0, 1.0]] * 4))
+    x = SmoothSet(ambient_dim=6, dim=4, charts=(chart,), implicit=None,
+                  declared_chi=1, compact=False)
+    u = np.array([0.1, 0.2, 0.3, 0.4])
+    assert weyl_density(x, 0, u, 2).value == 0.0
+    with pytest.raises(UnsupportedSection):
+        weyl_density(x, 0, u, 4)
 
 
 # ------------------------------------------------------------------ densities
@@ -291,6 +358,16 @@ def test_cubature_doubling_convergence(sets):
         b = lk_measure(x, k, 8.0, spec=doubled)
         scale = max(abs(a), 1e-6)
         assert abs(a - b) / scale < 2e-3, name
+
+
+def test_halved_curve_rule_has_fewer_nodes(sets):
+    # a curve's error bound compares two rules; they must differ in size
+    chart = sets["twisted_cubic_r3"].charts[0]
+    box = chart.domain_for_ball(8.0, np.zeros(3))
+    spec = CubatureSpec()
+    fine, _ = gauss_legendre_nodes(box, spec.counts(1), chart.panel_axes)
+    coarse, _ = gauss_legendre_nodes(box, spec.halved().counts(1), chart.panel_axes)
+    assert len(coarse) < len(fine)
 
 
 # --------------------------------------------------------- partition of unity

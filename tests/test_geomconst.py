@@ -26,7 +26,7 @@ def test_ball_volume_matches_recursion_oracle():
 
 
 def test_sphere_volume_small_cases():
-    assert sphere_volume(0) == pytest.approx(2.0, rel=1e-14)
+    assert sphere_volume(0) == 2.0
     assert sphere_volume(1) == pytest.approx(2.0 * math.pi, rel=1e-13)
 
 
