@@ -20,10 +20,12 @@ for the stack), and a conic section is the cone over the vertices, arcs and
 arc crossings of its spherical graph in the plane (every test runs over all
 planes and arcs at once).
 
-Radius policy for the sampled routes (full-space links of curves and of
-points of translated cones): start at 8 times the coefficient scale of the
-set and double until two consecutive radii agree; give up after six
-doublings.
+Full-space links are closed forms too: a flat of dimension m has the link
+S^(m-1), a cone has chi(graph) = V - E around the origin and each ray of an
+edge-free cone leaves every large sphere exactly once around any center, a
+smooth set of even dimension or a compact one has chi 0, and a nonconstant
+polynomial curve has two ends on its natural unbounded domain and none on a
+bounded one.  No link depends on a radius.
 """
 
 from __future__ import annotations
@@ -33,12 +35,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..errors import (
-    ChiUnknownError,
-    DegenerateSample,
-    UnstableLink,
-    UnsupportedSection,
-)
+from ..errors import ChiUnknownError, DegenerateSample, UnsupportedSection
 from ..grassmann import Subspace, _gram_schmidt
 from .polynomial import Poly
 from .sets import (
@@ -57,8 +54,6 @@ CROSSING_GRAY_TOL = 1e-5
 ENDPOINT_MARGIN = 1e-9
 SHARED_DIRECTION_TOL = 1e-10
 SHARED_GRAY_TOL = 1e-8
-CIRCLE_SAMPLES = 8192
-MAX_DOUBLINGS = 6
 # a leading-form determinant this small relative to the squared coefficient
 # sum is parabolic
 PARABOLIC_DET_TOL = 1e-12
@@ -72,6 +67,11 @@ BASE_RADIUS_FACTOR = 8.0
 
 @dataclass(frozen=True)
 class LinkSection:
+    """A link chi.  Every link is a closed form, so ``radius_used`` is only the
+    seed radius (``BASE_RADIUS_FACTOR`` times the coefficient scale) and
+    ``stable`` is always true; both fields stay for the public API and for the
+    benchmark's tracing."""
+
     chi: int
     radius_used: float
     stable: bool
@@ -256,19 +256,6 @@ def _require_rays(graph) -> None:
         )
 
 
-def _ray_sphere_count(dirs: np.ndarray, center: np.ndarray, radius: float) -> int:
-    """Points where the rays along ``dirs`` cross the sphere around ``center``."""
-    dots = dirs @ center
-    disc = dots * dots - float(center @ center) + radius * radius
-    total = 0
-    for ui, dsc in zip(dots, disc):
-        if dsc <= 0.0:
-            continue
-        root = np.sqrt(dsc)
-        total += int(ui + root > 1e-12) + int(ui - root > 1e-12)
-    return total
-
-
 # ------------------------------------------------------------------ smooth case
 
 def _restricted_leading_form(p: Poly, frames: np.ndarray) -> np.ndarray:
@@ -357,21 +344,6 @@ def _implicit_end_counts(p: Poly, frames: np.ndarray) -> Tuple[np.ndarray, np.nd
     return 2.0 * roots, degenerate
 
 
-def _curve_sphere_count(x: SmoothSet, center: np.ndarray, radius: float) -> int:
-    if len(x.charts) != 1:
-        raise UnsupportedSection("full-space links of multi-chart curves are not supported")
-    chart = x.charts[0]
-    box = chart.domain_for_ball(1.5 * radius, center)
-    if box is None:
-        return 0
-    ts = np.linspace(box[0, 0], box[0, 1], CIRCLE_SAMPLES)[:, None]
-    pts = chart.map_fn(ts)
-    vals = np.sum((pts - center[None, :]) ** 2, axis=1) - radius * radius
-    if np.any(vals == 0.0):
-        raise DegenerateSample("grid point exactly on the sphere")
-    return int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
-
-
 def _smooth_section_ends(x: SmoothSet, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Link chis of smooth sections by proper planes, batched over frames."""
     m, k, n = frames.shape
@@ -387,36 +359,27 @@ def _smooth_section_ends(x: SmoothSet, frames: np.ndarray) -> Tuple[np.ndarray, 
     )
 
 
-def _radius_ladder(count, r0: float) -> LinkSection:
-    """Double the radius from r0 until two consecutive counts agree."""
-    radius = r0
-    prev = count(radius)
-    for _ in range(MAX_DOUBLINGS):
-        nxt = count(2.0 * radius)
-        if nxt == prev:
-            return LinkSection(prev, 2.0 * radius, True)
-        prev, radius = nxt, 2.0 * radius
-    return LinkSection(prev, radius, False)
-
-
-def _full_space_link(x: SetDescriptor, center: np.ndarray, r0: float) -> LinkSection:
-    """Link at infinity of X itself, on spheres around the center."""
+def _full_space_link(x: SetDescriptor, center: np.ndarray) -> int:
+    """Link chi at infinity of X itself, on spheres around the center."""
     if isinstance(x, LinearSubspace):
-        return LinkSection(_sphere_chi(x.dim), r0, True)
+        return _sphere_chi(x.dim)
     if isinstance(x, ConicGraph):
-        if not np.any(center != 0.0):
-            return LinkSection(x.graph.euler_characteristic(), r0, True)
-        _require_rays(x.graph)
-        return _radius_ladder(lambda radius: _ray_sphere_count(x.graph.vertices, center, radius), r0)
+        if np.any(center != 0.0):
+            # off the origin only edge-free cones are supported; each of
+            # their rays leaves every large sphere around the center once
+            _require_rays(x.graph)
+        return x.graph.euler_characteristic()
     if isinstance(x, SmoothSet):
-        if x.compact:
-            return LinkSection(0, r0, True)
-        if x.dim % 2 == 0:
-            # the link of a smooth set of even dimension is generically a
-            # compact odd-dimensional manifold, so its chi vanishes
-            return LinkSection(0, r0, True)
+        if x.compact or x.dim % 2 == 0:
+            # a compact set has an empty link; that of a smooth set of even
+            # dimension is a compact odd-dimensional manifold, with chi 0
+            return 0
         if x.dim == 1:
-            return _radius_ladder(lambda radius: _curve_sphere_count(x, center, radius), r0)
+            if len(x.charts) != 1:
+                raise UnsupportedSection("full-space links of multi-chart curves are not supported")
+            # a nonconstant polynomial curve is proper, with two ends; on a
+            # bounded parameter domain it stays inside every large sphere
+            return 2 if x.charts[0].base_domain is None else 0
         raise UnsupportedSection("full-space links need even dimension or a curve")
     raise TypeError(f"not a set descriptor: {x!r}")
 
@@ -455,23 +418,19 @@ def link_infinity_chi(x: SetDescriptor, subspace, center=None) -> LinkSection:
     if subspace.n != n:
         raise ValueError("subspace lives in a different ambient space")
     center = _center_vector(n, center)
-    r0 = BASE_RADIUS_FACTOR * coefficient_scale(x)
     if subspace.k == n:
-        return _full_space_link(x, center, r0)
-    values, degenerate = _section_links(x, subspace.frame[None], center)
-    if degenerate[0]:
-        raise DegenerateSample("the plane meets the set in a degenerate position")
-    return LinkSection(int(values[0]), r0, True)
+        chi = _full_space_link(x, center)
+    else:
+        values, degenerate = _section_links(x, subspace.frame[None], center)
+        if degenerate[0]:
+            raise DegenerateSample("the plane meets the set in a degenerate position")
+        chi = int(values[0])
+    return LinkSection(chi, BASE_RADIUS_FACTOR * coefficient_scale(x), True)
 
 
 def link_chi(x: SetDescriptor, subspace: Subspace, center=None) -> int:
-    """Stable link Euler characteristic; raises when stabilization fails."""
-    result = link_infinity_chi(x, subspace, center)
-    if not result.stable:
-        raise UnstableLink(
-            f"link count did not stabilize (last count {result.chi} at R={result.radius_used})"
-        )
-    return result.chi
+    """Link Euler characteristic at infinity of X ∩ (center + H)."""
+    return link_infinity_chi(x, subspace, center).chi
 
 
 def link_chi_batch(x: SetDescriptor, frames, center=None) -> Tuple[np.ndarray, np.ndarray]:
@@ -479,7 +438,7 @@ def link_chi_batch(x: SetDescriptor, frames, center=None) -> Tuple[np.ndarray, n
 
     ``frames`` has shape (m, k, n) with orthonormal rows.  Returns the values
     and a mask of the planes on which :func:`link_chi` would raise
-    :class:`DegenerateSample` or :class:`UnstableLink`.  Every set kind is
+    :class:`DegenerateSample`.  Every set kind is
     counted for the whole stack at once; :func:`link_infinity_chi` is the same
     count for a stack of one plane.
     """
@@ -490,11 +449,7 @@ def link_chi_batch(x: SetDescriptor, frames, center=None) -> Tuple[np.ndarray, n
     center = _center_vector(n, center)
     if k == n:
         # every frame spans the whole space, so one link serves the stack
-        try:
-            chi = link_chi(x, full_space(n), center)
-        except (DegenerateSample, UnstableLink):
-            return np.zeros(m), np.ones(m, dtype=bool)
-        return np.full(m, float(chi)), np.zeros(m, dtype=bool)
+        return np.full(m, float(_full_space_link(x, center))), np.zeros(m, dtype=bool)
     return _section_links(x, frames, center)
 
 

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -185,10 +186,16 @@ def _print_summary(report, out) -> None:
 def _cmd_curvature(args, out) -> int:
     name, descriptor = _resolve(args.set_ref)
     k, radius = args.k, args.radius
-    if radius <= 0:
-        raise UsageError("--radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise UsageError(f"--radius must be positive and finite, got {radius!r}")
     if not 0 <= k <= descriptor.ambient_dim:
         raise UsageError(f"--k must lie in [0, {descriptor.ambient_dim}]")
+    try:
+        scale = ball_volume(k) * radius**k
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise UsageError(f"--radius {radius:g} is too large: b_k R^k overflows at k={k}")
     try:
         if isinstance(descriptor, catalog.SmoothSet):
             value, err = lk_measure_detailed(descriptor, k, radius)
@@ -197,11 +204,11 @@ def _cmd_curvature(args, out) -> int:
                 raise UsageError("order 0 needs the verify du_lambda0 route for cones")
             value, err = conic_lk_measure_detailed(descriptor, k, radius)
         else:  # linear subspace
-            value = ball_volume(k) * radius**k if k == descriptor.dim else 0.0
+            value = scale if k == descriptor.dim else 0.0
             err = 0.0
     except LkError as exc:
         raise UsageError(str(exc)) from exc
-    normalized = value / (ball_volume(k) * radius**k) if k >= 1 else value
+    normalized = value / scale if k >= 1 else value
     print(
         f"{name} k={k} R={radius:g} measure={value!r} normalized={normalized!r} "
         f"error_bound={err:.3g}",

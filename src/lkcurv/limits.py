@@ -5,9 +5,12 @@ radius-R ball divided by b_k R^k.  ``estimate_limit`` extrapolates the
 normalized values over a geometric radius schedule with an a + c/R model
 fitted to the last three radii.
 
+Order 0 (smooth sets only, where b_0 R^0 = 1) runs the same sweep: the
+limit is the total order-0 curvature of the set.
+
 Exact bypasses: linear subspaces give the indicator [k == dim] in closed
 form, cones are radius-independent by homogeneity, and the limit of a
-compact set vanishes identically for every k >= 1.
+compact set is exactly 0 for every k >= 1, with no cubature run.
 
 The reported uncertainty is the largest of the in-window fit residual, the
 shift of the fitted value between the last two three-radius windows, and the
@@ -37,8 +40,14 @@ class LimitEstimate:
     value: float
     uncertainty: float
     radii: List[float]
-    normalized_values: List[float]
     converged: bool
+
+
+def _check_order(x: SetDescriptor, k: int) -> None:
+    """Orders run from 1 to n, and from 0 for smooth sets."""
+    lowest = 0 if isinstance(x, SmoothSet) else 1
+    if not lowest <= k <= x.ambient_dim:
+        raise ValueError(f"k must lie in [{lowest}, {x.ambient_dim}]")
 
 
 def _normalized_detailed(
@@ -48,9 +57,8 @@ def _normalized_detailed(
     spec: Optional[CubatureSpec],
     center,
 ) -> Tuple[float, float]:
+    _check_order(x, k)
     n = x.ambient_dim
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}]")
     scale = ball_volume(k) * radius**k
     if isinstance(x, LinearSubspace):
         if k != x.dim:
@@ -133,22 +141,21 @@ def estimate_limit(
 ) -> LimitEstimate:
     """Limit of the normalized order-k curvature measure along the schedule."""
     radii = validate_radii(radii)
+    _check_order(x, k)
     shifted = center is not None and bool(np.any(np.asarray(center)))
 
-    if isinstance(x, SmoothSet) and x.compact:
+    if isinstance(x, SmoothSet) and x.compact and k >= 1:
         # for a bounded set the measure is eventually constant in R, so the
         # normalized values decay like 1/R^k and the limit vanishes exactly
-        values = [_normalized_detailed(x, k, r, spec, center)[0] for r in radii]
-        return LimitEstimate(k, 0.0, 0.0, radii, values, True)
+        return LimitEstimate(k, 0.0, 0.0, radii, True)
 
     if isinstance(x, (LinearSubspace, ConicGraph)) and not shifted:
         # homogeneity: the normalized measure of a cone is radius-independent
         value, err = _normalized_detailed(x, k, radii[0], spec, center)
-        values = [value] * len(radii)
-        return LimitEstimate(k, value, err, radii, values, True)
+        return LimitEstimate(k, value, err, radii, True)
 
     pairs = [_normalized_detailed(x, k, r, spec, center) for r in radii]
     values = [p[0] for p in pairs]
     errors = [p[1] for p in pairs]
     value, uncertainty, converged = fit_limit_sequence(radii, values, errors)
-    return LimitEstimate(k, value, uncertainty, radii, values, converged)
+    return LimitEstimate(k, value, uncertainty, radii, converged)

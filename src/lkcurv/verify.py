@@ -37,12 +37,11 @@ import numpy as np
 
 from .catalog.links import euler_char, full_space, link_chi, link_chi_batch
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
-from .curvature import CubatureSpec, lk_measure_detailed
+from .curvature import CubatureSpec
 from .errors import UnsupportedSection
 from .geomconst import ball_volume
 from .grassmann import MonteCarloEstimate, grassmann_mean_batch
-from .limits import (DEFAULT_RADII, LimitEstimate, estimate_limit, fit_limit_sequence,
-                     validate_radii)
+from .limits import DEFAULT_RADII, LimitEstimate, estimate_limit, validate_radii
 from .report import TheoremReport, TheoremRow, make_row, skipped_row
 
 DEFAULT_SAMPLES = 4000
@@ -261,44 +260,20 @@ def _lambda0(x: SetDescriptor, ctx: RunContext) -> Lambda0Result:
     value = chi - 0.5 * chi_link - 0.5 * est.mean
     stderr = 0.5 * est.stderr
     direct = None
-    if isinstance(x, SmoothSet):
-        direct = _lambda0_direct(x, ctx)
-    elif isinstance(x, LinearSubspace):
-        direct = (0.0, 0.0)  # flat: every curvature density of order < dim vanishes
+    if isinstance(x, (SmoothSet, LinearSubspace)):
+        direct = _order0_term(x, ctx)[:2]
     return Lambda0Result(chi, chi_link, est, value, stderr, direct)
 
 
-def _lambda0_direct(x: SmoothSet, ctx: RunContext) -> Tuple[float, float]:
-    values, errors = [], []
-    for radius in ctx.radii:
-        v, e = lk_measure_detailed(x, 0, radius, spec=ctx.cubature, center=ctx.center)
-        values.append(v)
-        errors.append(e)
-    value, uncertainty, _ = fit_limit_sequence(list(ctx.radii), values, errors)
-    return value, uncertainty
-
-
-def _flat_lambda0(x: LinearSubspace, center) -> Tuple[float, float]:
-    """Order-0 curvature of a linear subspace via the link-defect identity.
-
-    All section links are exact for flats, so this is a closed form:
-    chi - chi_link/2 - mean/2 where the hyperplane sections are flats of
-    dimension dim-1 (their link chi is chi(S^{dim-2}) whenever nonempty).
-    """
-    n = x.ambient_dim
-    chi_link = float(link_chi(x, full_space(n), center))
-    d = x.dim
-    section_link = 0.0 if d - 1 <= 0 else float(1 + (-1) ** (d - 2))
-    return 1.0 - 0.5 * chi_link - 0.5 * section_link, 0.0
-
-
 def _order0_term(x: SetDescriptor, ctx: RunContext) -> Tuple[float, float, str]:
-    """Order-0 curvature for an assembly: the direct density route for smooth
-    sets, the closed form for flats, the link-defect formula otherwise."""
+    """Order-0 curvature for an assembly: the growth limit of order 0 for
+    smooth sets, 0 for flats, the link-defect formula otherwise."""
     if isinstance(x, SmoothSet):
-        return (*_lambda0_direct(x, ctx), "lambda0=curvature_cubature")
+        est = ctx.limit(x, 0)
+        return est.value, est.uncertainty, "lambda0=curvature_cubature"
     if isinstance(x, LinearSubspace):
-        return (*_flat_lambda0(x, ctx.center), "lambda0=flat_defect_exact")
+        # every curvature density of order below the dimension of a flat vanishes
+        return 0.0, 0.0, "lambda0=flat_defect_exact"
     result = _lambda0(x, ctx)
     return result.value, result.stderr, "lambda0=link_defect_formula"
 

@@ -17,15 +17,12 @@ from typing import Optional
 import numpy as np
 
 from lkcurv import DegenerateSample
-from lkcurv.catalog.links import (
-    BASE_RADIUS_FACTOR,
-    CIRCLE_SAMPLES,
-    MAX_DOUBLINGS,
-    LinkSection,
-)
+from lkcurv.catalog.links import BASE_RADIUS_FACTOR, LinkSection
 from lkcurv.catalog.polynomial import Poly
 from lkcurv.catalog.sets import coefficient_scale
 
+CIRCLE_SAMPLES = 8192
+MAX_DOUBLINGS = 6
 BISECTION_TOL = 1e-10
 GRADIENT_DEGENERATE_TOL = 1e-6
 

@@ -3,7 +3,9 @@
 The same counts as the library's stacked route, made one plane at a time:
 a graph section found arc by arc with early exits, a principal-angle SVD
 per plane, and one least-squares solve per shifted flat.  The tests hold ``link_chi_batch``
-against it, value for value and mask for mask.
+against it, value for value and mask for mask.  ``ray_sphere_count`` counts
+where the rays of a cone cross one sphere off the origin, the reference for
+the library's closed-form full-space link of a translated edge-free cone.
 """
 
 from __future__ import annotations
@@ -117,3 +119,19 @@ def reference_link(x, frame: np.ndarray, center: np.ndarray) -> int:
                 raise DegenerateSample("ray contained in the affine flat")
         return 0
     raise TypeError(f"no per-plane reference for {x!r}")
+
+
+def ray_sphere_count(dirs: np.ndarray, center: np.ndarray, radius: float) -> int:
+    """Points where the rays t * dirs[i], t > 0, cross the sphere |p - center| = radius.
+
+    Each ray meets it at the positive roots of t^2 - 2 t <u, c> + |c|^2 - R^2.
+    """
+    dots = dirs @ center
+    disc = dots * dots - float(center @ center) + radius * radius
+    total = 0
+    for ui, dsc in zip(dots, disc):
+        if dsc <= 0.0:
+            continue
+        root = np.sqrt(dsc)
+        total += int(ui + root > 1e-12) + int(ui - root > 1e-12)
+    return total

@@ -453,6 +453,44 @@ def test_curve_full_space_link(sets):
     assert link_infinity_chi(cubic, sub).chi == 0
 
 
+CURVE_CENTERS = (np.zeros(3), np.array([0.5, 0.5, 0.5]), np.array([5.0, -3.0, 2.0]))
+
+
+def test_translated_ray_cone_full_space_link(sets):
+    # every ray leaves a large sphere once, wherever its center is
+    from per_plane_links import ray_sphere_count
+
+    cross = sets["cross_r2"]
+    for center in ((0.0, 0.0), (1.0, 2.0), (-3.0, 0.5)):
+        center = np.array(center)
+        expected = ray_sphere_count(cross.graph.vertices, center, 1.0e3)
+        assert expected == 4
+        assert lk.link_chi(cross, full_space(2), center) == expected
+
+
+def test_curve_full_space_link_off_center(sets):
+    # the reference counts sign changes of |p(t) - c|^2 - R^2 on a dense grid
+    # that runs past both ends of the curve's part inside the ball
+    cubic = sets["twisted_cubic_r3"]
+    ts = np.linspace(-20.0, 20.0, 200001)[:, None]
+    pts = cubic.charts[0].map_fn(ts)
+    for center in CURVE_CENTERS:
+        vals = np.sum((pts - center) ** 2, axis=1) - 1.0e3**2
+        expected = int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
+        assert expected == 2
+        assert lk.link_chi(cubic, full_space(3), center) == expected
+
+
+def test_curve_on_bounded_domain_has_empty_link(tmp_path, sets):
+    doc = set_to_dict("cubic_arc", sets["twisted_cubic_r3"])
+    doc["charts"][0]["domain"] = [[-2.0, 2.0]]
+    path = tmp_path / "cubic_arc.json"
+    path.write_text(json.dumps(doc))
+    _, arc = lk.resolve_set(str(path))
+    for center in CURVE_CENTERS:
+        assert lk.link_chi(arc, full_space(3), center) == 0
+
+
 def test_unsupported_section_raises(sets):
     # a proper-plane section of a smooth set without an implicit form, and a
     # multi-chart curve asked for a full-space link, are both out of scope

@@ -146,6 +146,14 @@ def test_usage_errors(capsys):
                            "--base-point", point])
         assert code == 64
         assert "--base-point" in capsys.readouterr().err
+    # a radius that is not finite, or whose b_k R^k overflows, names --radius
+    for name, k, radius in (("paraboloid_r3", "2", "nan"), ("paraboloid_r3", "2", "inf"),
+                            ("cross_r2", "1", "nan"), ("cross_r2", "1", "inf"),
+                            ("paraboloid_r3", "2", "1e308"), ("line_r2", "1", "1e308")):
+        capsys.readouterr()
+        code, _ = run_cli(["curvature", "--set", name, "--k", k, "--radius", radius])
+        assert code == 64, (name, radius)
+        assert "--radius" in capsys.readouterr().err
 
 
 def test_chi_less_set_is_a_usage_error(tmp_path, sets):

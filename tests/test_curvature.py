@@ -351,11 +351,14 @@ def test_orientation_flip_leaves_measures_unchanged(sets):
 def test_cubature_doubling_convergence(sets):
     spec = CubatureSpec()
     doubled = CubatureSpec(nodes_2d=256, nodes_1d=8192)
-    for name, k in [("hyperboloid_r3", 2), ("hyperboloid_r3", 0),
-                    ("paraboloid_r3", 2), ("twisted_cubic_r3", 1)]:
+    # a curve's panels hold at most 64 nodes, which the default rule already
+    # uses, so the curve is compared with the halved rule (32 per panel)
+    halved = spec.halved()
+    for name, k, other in [("hyperboloid_r3", 2, doubled), ("hyperboloid_r3", 0, doubled),
+                           ("paraboloid_r3", 2, doubled), ("twisted_cubic_r3", 1, halved)]:
         x = sets[name]
         a = lk_measure(x, k, 8.0, spec=spec)
-        b = lk_measure(x, k, 8.0, spec=doubled)
+        b = lk_measure(x, k, 8.0, spec=other)
         scale = max(abs(a), 1e-6)
         assert abs(a - b) / scale < 2e-3, name
 

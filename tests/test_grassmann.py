@@ -10,6 +10,7 @@ from lkcurv import (
     GenericityError,
     Subspace,
     grassmann_mean,
+    grassmann_mean_batch,
     haar_sample,
     shift_subspace,
     substream,
@@ -130,15 +131,10 @@ def test_rotation_invariance(sets):
     cone = sets["plane_cone_r3"]
     rng = np.random.Generator(np.random.Philox(key=np.array([4, 4], dtype=np.uint64)))
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-
-    def f(h):
-        return lk.link_chi(cone, h)
-
-    def f_rotated(h):
-        return lk.link_chi(cone, Subspace(3, h.k, h.frame @ q.T))
-
-    a = grassmann_mean(3, 2, f, 10000, seed=8)
-    b = grassmann_mean(3, 2, f_rotated, 10000, seed=9)
+    a = grassmann_mean_batch(3, 2, lambda frames: lk.link_chi_batch(cone, frames),
+                             10000, seed=8)
+    b = grassmann_mean_batch(3, 2, lambda frames: lk.link_chi_batch(cone, frames @ q.T),
+                             10000, seed=9)
     combined = math.hypot(a.stderr, b.stderr)
     assert abs(a.mean - b.mean) <= 3.0 * combined + 1e-12
 

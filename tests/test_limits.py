@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lkcurv import limits
 from lkcurv.limits import estimate_limit, fit_limit_sequence, normalized_lk, validate_radii
 
 RADII = (8.0, 16.0, 32.0, 64.0)
@@ -42,7 +43,7 @@ def test_conic_plateau_bit_identical(sets):
     assert values[0] == pytest.approx(2.0, rel=1e-14)
     est = estimate_limit(cross, 1, RADII)
     assert est.value == pytest.approx(2.0, rel=1e-14) and est.converged
-    assert est.normalized_values == [est.value] * 4
+    assert values == [est.value] * 4
 
 
 def test_star3_cone_plateau(sets):
@@ -52,11 +53,12 @@ def test_star3_cone_plateau(sets):
 
 
 def test_hyperboloid_limit(sets):
-    est = estimate_limit(sets["hyperboloid_r3"], 2, RADII)
+    hyp = sets["hyperboloid_r3"]
+    est = estimate_limit(hyp, 2, RADII)
     assert abs(est.value - math.sqrt(2.0)) <= 0.02
     assert est.converged
     # monotone approach from above toward sqrt(2)
-    diffs = np.diff(est.normalized_values)
+    diffs = np.diff([normalized_lk(hyp, 2, r) for r in RADII])
     assert np.all(diffs < 0)
 
 
@@ -65,14 +67,42 @@ def test_paraboloid_limit_is_small(sets):
     assert abs(est.value) <= 3.0 * est.uncertainty
 
 
-def test_compact_limits_vanish_exactly(sets):
+def _count_cubature(monkeypatch):
+    calls = []
+    measure = limits.lk_measure_detailed
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "lk_measure_detailed", counted)
+    return calls
+
+
+def test_compact_limits_vanish_exactly(sets, monkeypatch):
+    calls = _count_cubature(monkeypatch)
     for name in ("sphere_s2", "torus_r3"):
         for k in (1, 2, 3):
             est = estimate_limit(sets[name], k, RADII)
             assert est.value == 0.0 and est.uncertainty == 0.0 and est.converged
-    est = estimate_limit(sets["sphere_s2"], 2, RADII)
-    # the recorded normalized values still decay like 1/R^2
-    assert est.normalized_values[0] == pytest.approx(4.0 / 64.0, rel=1e-9)
+    assert calls == []
+    # the normalized values themselves still decay like 1/R^2
+    assert normalized_lk(sets["sphere_s2"], 2, 8.0) == pytest.approx(4.0 / 64.0, rel=1e-9)
+
+
+def test_compact_order0_limit_runs_cubature(sets, monkeypatch):
+    # order 0 has no compact shortcut: the total curvature of S^2 is chi = 2
+    calls = _count_cubature(monkeypatch)
+    est = estimate_limit(sets["sphere_s2"], 0, RADII)
+    assert calls == [0] * len(RADII)
+    assert est.value == pytest.approx(2.0, abs=1e-9)
+
+
+def test_order0_only_for_smooth_sets(sets):
+    with pytest.raises(ValueError):
+        estimate_limit(sets["cross_r2"], 0, RADII)
+    with pytest.raises(ValueError):
+        estimate_limit(sets["sphere_s2"], 4, RADII)
 
 
 def test_cylinder_limit(sets):
