@@ -30,6 +30,7 @@ from .curvature import (
     lk_density,
     lk_measure,
     lk_measure_detailed,
+    lk_measures_detailed,
     second_fundamental_form,
     weyl_density,
 )
@@ -56,7 +57,7 @@ from .grassmann import (
     shift_subspace,
     substream,
 )
-from .limits import LimitEstimate, estimate_limit, normalized_lk
+from .limits import LimitEstimate, estimate_limit, estimate_limits, normalized_lk
 from .report import TheoremReport, TheoremRow, report_from_dict, report_to_dict
 from .spherical import (
     SphericalLK,

@@ -417,11 +417,14 @@ def _build_torus(domain, params, n=3):
 
 
 def _build_poly_curve(domain, params, n=3):
-    coeffs = np.asarray(params["coefficients"], dtype=float)  # (n, deg+1)
+    where = "charts.params.coefficients"
+    coeffs = np.asarray(params.get("coefficients", []), dtype=float)  # (n, deg+1)
+    if coeffs.ndim != 2 or coeffs.size == 0:
+        raise SetValidationError(where, "needs one row of coefficients per coordinate")
     ambient = coeffs.shape[0]
     dcoeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
-    if dcoeffs.shape[1] == 0:
-        dcoeffs = np.zeros((ambient, 1))
+    if not np.any(dcoeffs):
+        raise SetValidationError(where, "every coordinate is constant, so the map is a point")
     d2coeffs = dcoeffs[:, 1:] * np.arange(1, dcoeffs.shape[1])
     if d2coeffs.shape[1] == 0:
         d2coeffs = np.zeros((ambient, 1))
@@ -447,7 +450,12 @@ def _build_poly_curve(domain, params, n=3):
             x = _horner(coeffs, t)
             return np.sum((x - center[None, :]) ** 2, axis=1) - radius * radius
 
-        interval = _feasible_interval(gap, width0=radius)
+        try:
+            interval = _feasible_interval(gap, width0=radius)
+        except ValueError as exc:
+            raise SetValidationError(
+                where, f"the curve is still inside the radius-{radius:g} ball at |t| = 1e7"
+            ) from exc
         if interval is None:
             return None
         return interval[None, :]

@@ -208,6 +208,9 @@ def _cmd_curvature(args, out) -> int:
             err = 0.0
     except LkError as exc:
         raise UsageError(str(exc)) from exc
+    except ValueError as exc:
+        # the chart fitters or the cubature cannot represent a ball this large
+        raise UsageError(f"--radius: {exc}") from exc
     normalized = value / scale if k >= 1 else value
     print(
         f"{name} k={k} R={radius:g} measure={value!r} normalized={normalized!r} "

@@ -3,7 +3,9 @@
 ``normalized_lk(X, k, R)`` is the order-k curvature measure of X inside the
 radius-R ball divided by b_k R^k.  ``estimate_limit`` extrapolates the
 normalized values over a geometric radius schedule with an a + c/R model
-fitted to the last three radii.
+fitted to the last three radii.  ``estimate_limits`` does so for several
+orders at once; on a smooth set every radius then runs one cubature for all
+of them, which gives each order the same values as a sweep of its own.
 
 Order 0 (smooth sets only, where b_0 R^0 = 1) runs the same sweep: the
 limit is the total order-0 curvature of the set.
@@ -27,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
-from .curvature import CubatureSpec, lk_measure_detailed
+from .curvature import CubatureSpec, lk_measures_detailed
 from .geomconst import ball_volume
 from .spherical import conic_lk_measure_detailed
 
@@ -50,16 +52,26 @@ def _check_order(x: SetDescriptor, k: int) -> None:
         raise ValueError(f"k must lie in [{lowest}, {x.ambient_dim}]")
 
 
-def _normalized_detailed(
+def _normalized_many(
     x: SetDescriptor,
-    k: int,
+    ks,
     radius: float,
     spec: Optional[CubatureSpec],
     center,
-) -> Tuple[float, float]:
-    _check_order(x, k)
+) -> List[Tuple[float, float]]:
+    """Normalized measures of the orders ks, with their errors."""
+    for k in ks:
+        _check_order(x, k)
+    scales = [ball_volume(k) * radius**k for k in ks]
+    if isinstance(x, SmoothSet):
+        pairs = lk_measures_detailed(x, ks, radius, spec=spec, center=center)
+        return [(value / scale, err / scale) for (value, err), scale in zip(pairs, scales)]
+    return [_normalized_flat(x, k, radius, scale, center) for k, scale in zip(ks, scales)]
+
+
+def _normalized_flat(x: SetDescriptor, k: int, radius: float, scale: float, center):
+    """Normalized order-k measure of a linear subspace or a cone."""
     n = x.ambient_dim
-    scale = ball_volume(k) * radius**k
     if isinstance(x, LinearSubspace):
         if k != x.dim:
             return 0.0, 0.0
@@ -72,9 +84,6 @@ def _normalized_detailed(
     if isinstance(x, ConicGraph):
         value, err = conic_lk_measure_detailed(x, k, radius, center=center)
         return value / scale, err / scale
-    if isinstance(x, SmoothSet):
-        value, err = lk_measure_detailed(x, k, radius, spec=spec, center=center)
-        return value / scale, err / scale
     raise TypeError(f"not a set descriptor: {x!r}")
 
 
@@ -85,8 +94,7 @@ def normalized_lk(
     spec: Optional[CubatureSpec] = None,
     center=None,
 ) -> float:
-    value, _ = _normalized_detailed(x, k, radius, spec, center)
-    return value
+    return _normalized_many(x, (k,), radius, spec, center)[0][0]
 
 
 def _fit_inverse_radius(radii, values) -> Tuple[float, float]:
@@ -140,22 +148,40 @@ def estimate_limit(
     center=None,
 ) -> LimitEstimate:
     """Limit of the normalized order-k curvature measure along the schedule."""
+    return estimate_limits(x, (k,), radii, spec=spec, center=center)[0]
+
+
+def estimate_limits(
+    x: SetDescriptor,
+    ks,
+    radii=DEFAULT_RADII,
+    spec: Optional[CubatureSpec] = None,
+    center=None,
+) -> List[LimitEstimate]:
+    """Limits of the normalized curvature measures of the orders ks."""
     radii = validate_radii(radii)
-    _check_order(x, k)
+    ks = list(ks)
+    for k in ks:
+        _check_order(x, k)
     shifted = center is not None and bool(np.any(np.asarray(center)))
 
-    if isinstance(x, SmoothSet) and x.compact and k >= 1:
-        # for a bounded set the measure is eventually constant in R, so the
-        # normalized values decay like 1/R^k and the limit vanishes exactly
-        return LimitEstimate(k, 0.0, 0.0, radii, True)
+    estimates = {}
+    for k in ks:
+        if isinstance(x, SmoothSet) and x.compact and k >= 1:
+            # for a bounded set the measure is eventually constant in R, so the
+            # normalized values decay like 1/R^k and the limit vanishes exactly
+            estimates[k] = LimitEstimate(k, 0.0, 0.0, radii, True)
+        elif isinstance(x, (LinearSubspace, ConicGraph)) and not shifted:
+            # homogeneity: the normalized measure of a cone is radius-independent
+            value, err = _normalized_many(x, (k,), radii[0], spec, center)[0]
+            estimates[k] = LimitEstimate(k, value, err, radii, True)
 
-    if isinstance(x, (LinearSubspace, ConicGraph)) and not shifted:
-        # homogeneity: the normalized measure of a cone is radius-independent
-        value, err = _normalized_detailed(x, k, radii[0], spec, center)
-        return LimitEstimate(k, value, err, radii, True)
-
-    pairs = [_normalized_detailed(x, k, r, spec, center) for r in radii]
-    values = [p[0] for p in pairs]
-    errors = [p[1] for p in pairs]
-    value, uncertainty, converged = fit_limit_sequence(radii, values, errors)
-    return LimitEstimate(k, value, uncertainty, radii, converged)
+    swept = [k for k in ks if k not in estimates]
+    if swept:
+        sweep = [_normalized_many(x, swept, r, spec, center) for r in radii]
+        for i, k in enumerate(swept):
+            values = [pairs[i][0] for pairs in sweep]
+            errors = [pairs[i][1] for pairs in sweep]
+            value, uncertainty, converged = fit_limit_sequence(radii, values, errors)
+            estimates[k] = LimitEstimate(k, value, uncertainty, radii, converged)
+    return [estimates[k] for k in ks]

@@ -41,7 +41,9 @@ from .curvature import CubatureSpec
 from .errors import UnsupportedSection
 from .geomconst import ball_volume
 from .grassmann import MonteCarloEstimate, grassmann_mean_batch
-from .limits import DEFAULT_RADII, LimitEstimate, estimate_limit, validate_radii
+from .limits import (
+    DEFAULT_RADII, LimitEstimate, estimate_limit, estimate_limits, validate_radii,
+)
 from .report import TheoremReport, TheoremRow, make_row, skipped_row
 
 DEFAULT_SAMPLES = 4000
@@ -78,6 +80,11 @@ class RunContext:
             raise ValueError("n_samples must be at least 100")
         object.__setattr__(self, "radii", tuple(validate_radii(self.radii)))
         object.__setattr__(self, "center", _as_center(self.center))
+
+    def limits(self, x: SetDescriptor, ks) -> List[LimitEstimate]:
+        """Growth limits of the normalized curvature measures of x of the
+        orders ks, on one cubature per radius."""
+        return estimate_limits(x, ks, self.radii, spec=self.cubature, center=self.center)
 
     def limit(self, x: SetDescriptor, k: int) -> LimitEstimate:
         """Growth limit of the normalized order-k curvature measure of x."""
@@ -144,14 +151,10 @@ def _growth_rhs(
     )
 
 
-def _assembly_row(
-    x: SetDescriptor, ctx: RunContext, chi: int, parts, ks, route_prefix: str
-) -> TheoremRow:
-    """chi(X) against the sum of ``parts``, (value, uncertainty, label) triples,
-    and the growth limits of the orders ``ks``."""
-    for k in ks:
-        est = ctx.limit(x, k)
-        parts.append((est.value, est.uncertainty, f"k{k}"))
+def _assembly_row(chi: int, parts, ests: List[LimitEstimate], route_prefix: str) -> TheoremRow:
+    """chi(X) against the sum of ``parts``, (value, uncertainty, label)
+    triples, and of the growth limits ``ests``."""
+    parts = parts + [(est.value, est.uncertainty, f"k{est.k}") for est in ests]
     values, errs, _ = zip(*parts)
     pieces = "+".join(f"{label}={value:.6g}" for value, _, label in parts)
     return make_row(
@@ -261,21 +264,30 @@ def _lambda0(x: SetDescriptor, ctx: RunContext) -> Lambda0Result:
     stderr = 0.5 * est.stderr
     direct = None
     if isinstance(x, (SmoothSet, LinearSubspace)):
-        direct = _order0_term(x, ctx)[:2]
+        direct = _curvature_terms(x, ctx)[0][:2]
     return Lambda0Result(chi, chi_link, est, value, stderr, direct)
 
 
-def _order0_term(x: SetDescriptor, ctx: RunContext) -> Tuple[float, float, str]:
-    """Order-0 curvature for an assembly: the growth limit of order 0 for
-    smooth sets, 0 for flats, the link-defect formula otherwise."""
+def _curvature_terms(
+    x: SetDescriptor, ctx: RunContext, ks=()
+) -> Tuple[Tuple[float, float, str], List[LimitEstimate]]:
+    """Order-0 curvature for an assembly, (value, uncertainty, route), and the
+    growth limits of the orders ks.
+
+    The order-0 term is the growth limit of order 0 for smooth sets, which
+    then shares its cubature with the other orders, 0 for flats, and the
+    link-defect formula otherwise.
+    """
     if isinstance(x, SmoothSet):
-        est = ctx.limit(x, 0)
-        return est.value, est.uncertainty, "lambda0=curvature_cubature"
+        est, *ests = ctx.limits(x, (0, *ks))
+        return (est.value, est.uncertainty, "lambda0=curvature_cubature"), ests
     if isinstance(x, LinearSubspace):
         # every curvature density of order below the dimension of a flat vanishes
-        return 0.0, 0.0, "lambda0=flat_defect_exact"
-    result = _lambda0(x, ctx)
-    return result.value, result.stderr, "lambda0=link_defect_formula"
+        term = (0.0, 0.0, "lambda0=flat_defect_exact")
+    else:
+        result = _lambda0(x, ctx)
+        term = (result.value, result.stderr, "lambda0=link_defect_formula")
+    return term, ctx.limits(x, ks)
 
 
 def _check_du_lambda0(x: SetDescriptor, ctx: RunContext) -> Rows:
@@ -307,9 +319,9 @@ def _check_thm_3_9(x: SetDescriptor, ctx: RunContext) -> Rows:
     """
     chi = euler_char(x)
     try:
-        lam0, lam0_err, lam0_route = _order0_term(x, ctx)
-        return [_assembly_row(x, ctx, chi, [(lam0, lam0_err, "L0")],
-                              range(1, x.ambient_dim + 1), f"{lam0_route};")]
+        (lam0, lam0_err, lam0_route), ests = _curvature_terms(
+            x, ctx, range(1, x.ambient_dim + 1))
+        return [_assembly_row(chi, [(lam0, lam0_err, "L0")], ests, f"{lam0_route};")]
     except UnsupportedSection as exc:
         return [skipped_row(0, "chi", "assembly", str(exc))]
 
@@ -340,13 +352,14 @@ def _check_thm_4_3(x: SetDescriptor, ctx: RunContext) -> Rows:
     plus the growth limits of the orders with the parity of dim."""
     _require_smooth(x)
     chi, d = euler_char(x), x.dim
+    ks = range(2 - d % 2, d + 1, 2)
     try:
-        parts = []
         if d % 2 == 0:
-            lam0, lam0_err, _ = _order0_term(x, ctx)
-            parts.append((lam0, lam0_err, "total_top_order_curvature"))
-        return [_assembly_row(x, ctx, chi, parts, range(2 - d % 2, d + 1, 2),
-                              "curvature_assembly;")]
+            (lam0, lam0_err, _), ests = _curvature_terms(x, ctx, ks)
+            parts = [(lam0, lam0_err, "total_top_order_curvature")]
+        else:
+            parts, ests = [], ctx.limits(x, ks)
+        return [_assembly_row(chi, parts, ests, "curvature_assembly;")]
     except UnsupportedSection as exc:
         return [skipped_row(0, "euler_char", "curvature_assembly", str(exc))]
 

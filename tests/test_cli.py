@@ -147,13 +147,28 @@ def test_usage_errors(capsys):
         assert code == 64
         assert "--base-point" in capsys.readouterr().err
     # a radius that is not finite, or whose b_k R^k overflows, names --radius
+    # and so does one whose fitted box or measure is not finite
     for name, k, radius in (("paraboloid_r3", "2", "nan"), ("paraboloid_r3", "2", "inf"),
                             ("cross_r2", "1", "nan"), ("cross_r2", "1", "inf"),
-                            ("paraboloid_r3", "2", "1e308"), ("line_r2", "1", "1e308")):
+                            ("paraboloid_r3", "2", "1e308"), ("line_r2", "1", "1e308"),
+                            ("paraboloid_r3", "0", "1e150"), ("hyperboloid_r3", "0", "1e200"),
+                            ("paraboloid_r3", "0", "1e308")):
         capsys.readouterr()
         code, _ = run_cli(["curvature", "--set", name, "--k", k, "--radius", radius])
         assert code == 64, (name, radius)
         assert "--radius" in capsys.readouterr().err
+
+
+def test_curvature_at_huge_radii():
+    # the order-0 curvature of the paraboloid is 1, that of the hyperboloid -sqrt(2)
+    for name, radius, exact in (("paraboloid_r3", "1e100", 1.0),
+                                ("hyperboloid_r3", "1e30", -math.sqrt(2.0)),
+                                ("hyperboloid_r3", "1e60", -math.sqrt(2.0))):
+        code, text = run_cli(["curvature", "--set", name, "--k", "0", "--radius", radius])
+        assert code == 0
+        value = float(text.split("measure=")[1].split()[0])
+        bound = float(text.split("error_bound=")[1].split()[0])
+        assert abs(value - exact) <= max(bound, 1e-12), (name, radius)
 
 
 def test_chi_less_set_is_a_usage_error(tmp_path, sets):
@@ -270,6 +285,16 @@ def test_plane_chart_origin_width_mismatch(tmp_path, capsys):
     ("charts.params.radius", {"name": "word_sphere", "ambient_dim": 3, "kind": "smooth",
                               "charts": [{"map": "sphere", "params": {"radius": "big"}}],
                               "declared_chi": 2, "compact": True}),
+    # a curve whose every coordinate is constant is a point, and one that moves
+    # too slowly leaves no parameter box the fitter can bracket
+    ("charts.params.coefficients", {"name": "point_curve", "ambient_dim": 3, "kind": "smooth",
+                                    "dim": 1, "declared_chi": 1,
+                                    "charts": [{"map": "poly_curve", "params": {
+                                        "coefficients": [[1, 0], [2, 0], [0, 0]]}}]}),
+    ("charts.params.coefficients", {"name": "slow_line", "ambient_dim": 3, "kind": "smooth",
+                                    "dim": 1, "declared_chi": 1,
+                                    "charts": [{"map": "poly_curve", "params": {
+                                        "coefficients": [[0, 1e-9], [0, 0], [0, 0]]}}]}),
 ])
 def test_non_finite_set_data_is_a_usage_error(tmp_path, capsys, field, doc):
     path = tmp_path / "non_finite.json"

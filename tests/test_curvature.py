@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +11,18 @@ from lkcurv.catalog import Chart, SmoothSet, build_chart, gauss_legendre_nodes
 from lkcurv.curvature import (
     CubatureSpec,
     _chart_frames,
+    _lambda_batch,
     elementary_symmetric,
     lk_density,
     lk_measure,
     lk_measure_detailed,
+    lk_measures_detailed,
     second_fundamental_form,
     weyl_density,
 )
+from qr_frames import outward_normal, qr_density, qr_frames
 
-
-def outward_normal(x, chart_index, u):
-    frames = _chart_frames(x.charts[chart_index], np.atleast_2d(u))
-    return frames.normal[0, :, 0]
+PLANE_R2_IN_R4 = Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"
 
 
 # --------------------------------------------------------- symmetric functions
@@ -87,7 +88,7 @@ def test_cylinder_form_eigenvalues(sets):
 def test_form_symmetry_and_linearity(sets, rng):
     cubic = sets["twisted_cubic_r3"]
     u = np.array([0.8])
-    frames = _chart_frames(cubic.charts[0], u[None, :])
+    frames = qr_frames(cubic.charts[0], u[None, :])
     n1 = frames.normal[0, :, 0]
     n2 = frames.normal[0, :, 1]
     f1 = second_fundamental_form(cubic, 0, u, n1).matrix
@@ -240,6 +241,94 @@ def test_order_four_in_codimension_two_is_unsupported():
     assert weyl_density(x, 0, u, 2).value == 0.0
     with pytest.raises(UnsupportedSection):
         weyl_density(x, 0, u, 4)
+
+
+# ------------------------------------------- coordinate form against QR frames
+
+
+def quadric_graph(dim, ambient, seed):
+    """Graph of u -> (u^T S_a u / 2)_a for random symmetric S_a."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 3], dtype=np.uint64)))
+    shapes = gen.standard_normal((ambient - dim, dim, dim))
+    shapes = 0.5 * (shapes + np.swapaxes(shapes, 1, 2))
+
+    def map_fn(u):
+        return np.concatenate([u, 0.5 * np.einsum("bi,aij,bj->ba", u, shapes, u)], axis=1)
+
+    def jac_fn(u):
+        top = np.broadcast_to(np.eye(dim), (u.shape[0], dim, dim))
+        return np.concatenate([top, np.einsum("aij,bj->bai", shapes, u)], axis=1)
+
+    def hess_fn(u):
+        hess = np.zeros((u.shape[0], ambient, dim, dim))
+        hess[:, dim:] = shapes
+        return hess
+
+    chart = Chart(f"quadric{dim}", dim, ambient, map_fn, jac_fn, hess_fn,
+                  np.array([[-1.0, 1.0]] * dim))
+    return SmoothSet(ambient_dim=ambient, dim=dim, charts=(chart,), implicit=None,
+                     declared_chi=1, compact=False)
+
+
+def oracle_cases(sets):
+    cases = {name: x for name, x in sorted(sets.items()) if isinstance(x, SmoothSet)}
+    cases["plane_r2_in_r4"] = lk.resolve_set(str(PLANE_R2_IN_R4))[1]
+    cases["square_graph_r4"] = square_graph_r4()
+    return cases
+
+
+def assert_matches_oracle(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_coordinate_density_matches_qr_oracle(sets):
+    # every node of the R = 64 rule of each chart, every order
+    for name, x in oracle_cases(sets).items():
+        for chart in x.charts:
+            box = chart.domain_for_ball(64.0, np.zeros(x.ambient_dim))
+            if box is None:
+                continue
+            nodes, _ = gauss_legendre_nodes(box, CubatureSpec().counts(chart.dim),
+                                            chart.panel_axes)
+            frames = _chart_frames(chart, nodes)
+            oracle = qr_frames(chart, nodes)
+            assert_matches_oracle(frames.sqrt_gram, oracle.sqrt_gram)
+            for k in range(x.dim + 1):
+                assert_matches_oracle(_lambda_batch(x, frames, k), qr_density(x, oracle, k))
+
+
+def test_quadric_graphs_match_qr_oracle(rng):
+    # the builtin surfaces all have diagonal metrics; these graphs do not.
+    # Surfaces in codimension 1 and 2 take the written-out path; dimension 3
+    # in codimension 2 and dimension 4 in codimension 1 (orders 2 and 4) the
+    # general contractions
+    for dim, ambient in ((2, 3), (2, 4), (3, 5), (4, 5)):
+        x = quadric_graph(dim, ambient, seed=dim)
+        u = rng.uniform(-1.0, 1.0, size=(64, dim))
+        frames = _chart_frames(x.charts[0], u)
+        oracle = qr_frames(x.charts[0], u)
+        assert_matches_oracle(frames.sqrt_gram, oracle.sqrt_gram)
+        for k in range(dim + 1):
+            assert_matches_oracle(_lambda_batch(x, frames, k), qr_density(x, oracle, k))
+        assert np.max(np.abs(qr_density(x, oracle, dim - 2))) > 1e-3
+
+
+def test_flat_plane_density_is_exactly_zero(sets):
+    x = sets["plane_r2_in_r3"]
+    chart = x.charts[0]
+    nodes, _ = gauss_legendre_nodes(chart.domain_for_ball(64.0, np.zeros(3)),
+                                    CubatureSpec().counts(2), chart.panel_axes)
+    assert np.all(_lambda_batch(x, _chart_frames(chart, nodes), 0) == 0.0)
+    assert lk_measure_detailed(x, 0, 64.0) == (0.0, 0.0)
+
+
+def test_measures_of_several_orders_match_single_orders_bitwise(sets):
+    for name in ("hyperboloid_r3", "torus_r3", "paraboloid_r3", "twisted_cubic_r3"):
+        x = sets[name]
+        for center in (None, np.array([0.5, 0.5, 0.5])):
+            both = lk_measures_detailed(x, (0, 2), 16.0, center=center)
+            single = [lk_measure_detailed(x, k, 16.0, center=center) for k in (0, 2)]
+            assert both == single, name
 
 
 # ------------------------------------------------------------------ densities

@@ -69,13 +69,13 @@ def test_paraboloid_limit_is_small(sets):
 
 def _count_cubature(monkeypatch):
     calls = []
-    measure = limits.lk_measure_detailed
+    measures = limits.lk_measures_detailed
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return measure(*args, **kwargs)
+        calls.append(tuple(args[1]))
+        return measures(*args, **kwargs)
 
-    monkeypatch.setattr(limits, "lk_measure_detailed", counted)
+    monkeypatch.setattr(limits, "lk_measures_detailed", counted)
     return calls
 
 
@@ -94,7 +94,7 @@ def test_compact_order0_limit_runs_cubature(sets, monkeypatch):
     # order 0 has no compact shortcut: the total curvature of S^2 is chi = 2
     calls = _count_cubature(monkeypatch)
     est = estimate_limit(sets["sphere_s2"], 0, RADII)
-    assert calls == [0] * len(RADII)
+    assert calls == [(0,)] * len(RADII)
     assert est.value == pytest.approx(2.0, abs=1e-9)
 
 

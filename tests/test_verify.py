@@ -186,6 +186,23 @@ def test_thm39_hyperboloid_cancellation(sets):
     assert abs(row.rhs) <= 0.03
 
 
+def test_thm39_builds_frames_once_per_radius_and_rule(sets, monkeypatch):
+    # orders 0 and 2 share each chart's frames: 4 radii x 2 rules (fine and halved)
+    from lkcurv import curvature
+
+    builds = []
+    frames = curvature._chart_frames
+
+    def counted(chart, u):
+        builds.append(len(u))
+        return frames(chart, u)
+
+    monkeypatch.setattr(curvature, "_chart_frames", counted)
+    report = run_theorem("thm3.9", sets["hyperboloid_r3"], n_samples=500, seed=42)
+    assert report.overall_pass
+    assert len(builds) == 8
+
+
 def test_thm39_non_circularity_routes(sets):
     report = run_theorem("thm3.9", sets["hyperboloid_r3"], n_samples=500, seed=42)
     row = report.rows[0]
