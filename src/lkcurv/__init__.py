@@ -43,7 +43,6 @@ from .errors import (
     LkError,
     NonGenericDirectionError,
     SetValidationError,
-    UnstableLink,
     UnsupportedSection,
 )
 from .geomconst import ball_volume, sphere_volume

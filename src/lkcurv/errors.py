@@ -10,10 +10,6 @@ class DegenerateSample(LkError):
     near-parabolic section).  Monte Carlo callers reject and redraw."""
 
 
-class UnstableLink(LkError):
-    """The link point count did not stabilize within the radius-doubling budget."""
-
-
 class UnsupportedSection(LkError):
     """The requested section/link is outside the supported representations."""
 

@@ -9,6 +9,14 @@ plane.
 Determinism contract: sample ``i`` of a run is generated from a counter-based
 Philox stream keyed by ``(seed, i)``, so the estimate is bit-identical for a
 given ``(n, k, n_samples, seed)`` no matter how the samples are batched.
+The stream of slot ``i`` is the one ``substream(seed, STREAM_GRASSMANN, i,
+stream)`` starts, but no generator is built per slot: each ``SLOT_CHUNK`` of
+slots shares one Philox, and keying it to a slot assigns that slot's key, a
+zero counter and an empty buffer.  Block ``b`` of a slot is the ``(b+1)``-th
+``standard_normal((k, n))`` call after keying; the slot's frames are its
+full-rank blocks in order, a rank-deficient block being skipped exactly as
+``haar_sample`` skips it, and a plane the oracle rejects is replaced by the
+slot's next frame.
 """
 
 from __future__ import annotations
@@ -19,14 +27,14 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateSample, GenericityError, UnstableLink
+from .errors import DegenerateSample, GenericityError
 
 ORTHONORMAL_TOL = 1e-10
 # smallest allowed residual norm before normalization in Gram-Schmidt
 RANK_DEFICIENCY_TOL = 1e-8
 DEGENERATE_BUDGET = 0.01
 MAX_RETRIES_PER_SLOT = 64
-# sample slots whose generators are alive at once (about 0.6 KB each)
+# sample slots that share one generator and one oracle call per round of redraws
 SLOT_CHUNK = 256
 
 # stream domains, kept distinct so different modules never share a substream
@@ -35,20 +43,24 @@ STREAM_VERTEX = 2
 STREAM_GENERIC = 4  # 3 is retired: renumbering would change every sample
 
 
-def substream(seed: int, domain: int, index: int = 0, sub: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, domain, index, sub).
-
-    Distinct keys give statistically independent streams, so per-sample and
-    per-vertex draws can be evaluated in any order or in parallel.
-    """
+def _stream_key(seed: int, domain: int, index: int = 0, sub: int = 0) -> Tuple[int, int]:
+    """The two 64-bit words of the Philox key of stream (seed, domain, index, sub)."""
     if not 0 <= index < (1 << 32):
         raise ValueError("substream index out of range")
     if not 0 <= sub < (1 << 24):
         raise ValueError("substream sub-index out of range")
     if not 0 <= domain < (1 << 8):
         raise ValueError("substream domain out of range")
-    word = (domain << 56) | (index << 24) | sub
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(word)], dtype=np.uint64)
+    return seed & 0xFFFFFFFFFFFFFFFF, (domain << 56) | (index << 24) | sub
+
+
+def substream(seed: int, domain: int, index: int = 0, sub: int = 0) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, domain, index, sub).
+
+    Distinct keys give statistically independent streams, so per-sample and
+    per-vertex draws can be evaluated in any order or in parallel.
+    """
+    key = np.array(_stream_key(seed, domain, index, sub), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -157,16 +169,59 @@ def haar_sample(n: int, k: int, rng: np.random.Generator) -> Subspace:
             return Subspace(n=n, k=k, frame=frame)
 
 
-def _haar_frames(n: int, k: int, rngs) -> np.ndarray:
-    """One Haar frame per generator, shape (len(rngs), k, n).
+class _SlotStreams:
+    """Haar k-planes in R^n for some sample slots, drawn through one Philox.
 
-    Each generator gives one (k, n) block; a rank-deficient block is redrawn
-    from its own generator, exactly as ``haar_sample`` would.
+    Keying the generator to slot ``i`` assigns it the state a fresh
+    ``substream(seed, STREAM_GRASSMANN, i, sub)`` has, so it draws that
+    stream's bits.  ``drawn[r]`` counts the blocks slot ``slots[r]`` has drawn;
+    its next block is reached by replaying them after keying.
     """
-    frames, ok = _orthonormalize(np.stack([rng.standard_normal((k, n)) for rng in rngs]))
-    for j in np.flatnonzero(~ok):
-        frames[j] = haar_sample(n, k, rngs[j]).frame
-    return frames
+
+    def __init__(self, n: int, k: int, seed: int, sub: int, slots):
+        self.shape = (k, n)
+        self.seed = seed
+        self.sub = sub
+        self.slots = [int(i) for i in slots]
+        self.drawn = [0] * len(self.slots)
+        self._rng = np.random.Generator(np.random.Philox(key=0))
+        self._state = self._rng.bit_generator.state  # zero counter, empty buffer
+
+    def _next_blocks(self, rows) -> np.ndarray:
+        blocks = np.empty((len(rows),) + self.shape)
+        for j, r in enumerate(rows):
+            self._state["state"]["key"] = _stream_key(self.seed, STREAM_GRASSMANN,
+                                                      self.slots[r], self.sub)
+            self._rng.bit_generator.state = self._state
+            for _ in range(self.drawn[r] + 1):
+                self._rng.standard_normal(out=blocks[j])
+            self.drawn[r] += 1
+        return blocks
+
+    def frames(self, rows: np.ndarray) -> np.ndarray:
+        """The next Haar frame of slot ``slots[r]`` for each r in ``rows``, shape (len(rows), k, n).
+
+        A rank-deficient block is skipped and the slot's next block taken, as
+        :func:`haar_sample` does.
+        """
+        frames, ok = _orthonormalize(self._next_blocks(rows.tolist()))
+        while not ok.all():
+            bad = np.flatnonzero(~ok)
+            frames[bad], ok[bad] = _orthonormalize(self._next_blocks(rows[bad].tolist()))
+        return frames
+
+
+def slot_frames(n: int, k: int, seed: int, slots, stream: int = 0) -> np.ndarray:
+    """The first Haar frame of each sample slot, shape (len(slots), k, n).
+
+    Frame j equals ``haar_sample(n, k, substream(seed, STREAM_GRASSMANN,
+    slots[j], stream)).frame``: the plane :func:`grassmann_mean_batch` offers
+    slot ``slots[j]`` first.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    streams = _SlotStreams(n, k, seed, stream, slots)
+    return streams.frames(np.arange(len(streams.slots)))
 
 
 @dataclass(eq=False)
@@ -187,8 +242,7 @@ BatchOracle = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 def per_plane(f: Callable[[Subspace], float]) -> BatchOracle:
     """Batched oracle that calls ``f`` on one plane at a time.
 
-    A plane where ``f`` raises :class:`DegenerateSample` or
-    :class:`UnstableLink` is marked degenerate.
+    A plane where ``f`` raises :class:`DegenerateSample` is marked degenerate.
     """
 
     def oracle(frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -198,7 +252,7 @@ def per_plane(f: Callable[[Subspace], float]) -> BatchOracle:
         for i in range(m):
             try:
                 values[i] = float(f(Subspace(n=n, k=k, frame=frames[i])))
-            except (DegenerateSample, UnstableLink):
+            except DegenerateSample:
                 degenerate[i] = True
         return values, degenerate
 
@@ -232,10 +286,10 @@ def grassmann_mean_batch(
     rejected = np.zeros(n_samples, dtype=np.int64)
     for start in range(0, n_samples, SLOT_CHUNK):
         slots = np.arange(start, min(start + SLOT_CHUNK, n_samples))
-        rngs = [substream(seed, STREAM_GRASSMANN, int(i), stream) for i in slots]
+        streams = _SlotStreams(n, k, seed, stream, slots)
         pending = np.arange(slots.size)
         for _ in range(MAX_RETRIES_PER_SLOT):
-            vals, bad = oracle(_haar_frames(n, k, [rngs[j] for j in pending]))
+            vals, bad = oracle(streams.frames(pending))
             bad = np.asarray(bad, dtype=bool)
             values[slots[pending[~bad]]] = np.asarray(vals, dtype=float)[~bad]
             rejected[slots[pending[bad]]] += 1
@@ -283,9 +337,9 @@ def grassmann_mean(
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of the Haar mean of ``f`` over k-planes in R^n.
 
-    ``f`` may raise :class:`DegenerateSample` (or :class:`UnstableLink`) on a
-    measure-zero set of planes; those draws are rejected and redrawn as in
-    :func:`grassmann_mean_batch`, which this calls with ``per_plane(f)``.
+    ``f`` may raise :class:`DegenerateSample` on a measure-zero set of planes;
+    those draws are rejected and redrawn as in :func:`grassmann_mean_batch`,
+    which this calls with ``per_plane(f)``.
     ``workers`` is accepted for compatibility and has no effect: the samples
     run in one thread, since a thread pool only slowed this GIL-bound loop
     down.

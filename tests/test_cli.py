@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lkcurv import cli
+from lkcurv import cli, haar_sample, substream
+from lkcurv.grassmann import STREAM_GRASSMANN
 from lkcurv.report import report_from_dict
 
 
@@ -210,12 +211,16 @@ def test_curvature_command():
 
 def test_grassmann_sample_command():
     code, text = run_cli(["grassmann", "sample", "--n", "3", "--k", "2",
-                          "--samples", "2", "--seed", "5"])
+                          "--samples", "50", "--seed", "5"])
     assert code == 0
-    lines = [json.loads(line) for line in text.strip().splitlines()]
-    assert len(lines) == 2
-    frame = np.array(lines[0]["frame"])
+    lines = text.strip().splitlines()
+    assert len(lines) == 50
+    frame = np.array(json.loads(lines[0])["frame"])
     assert np.allclose(frame @ frame.T, np.eye(2), atol=1e-10)
+    # each line is the plane of a generator built for its sample alone
+    for i, line in enumerate(lines):
+        sub = haar_sample(3, 2, substream(5, STREAM_GRASSMANN, i))
+        assert line == json.dumps({"sample": i, "n": 3, "k": 2, "frame": sub.frame.tolist()})
 
 
 def test_base_point_flag(tmp_path):

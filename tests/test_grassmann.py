@@ -15,7 +15,9 @@ from lkcurv import (
     shift_subspace,
     substream,
 )
-from lkcurv.grassmann import STREAM_GRASSMANN
+from lkcurv import grassmann
+from lkcurv.grassmann import STREAM_GRASSMANN, slot_frames
+from per_slot_streams import grassmann_mean_per_slot
 
 
 def test_frames_are_orthonormal():
@@ -191,3 +193,57 @@ def test_substream_keys_are_disjoint():
     assert not np.allclose(a, c)
     again = substream(1, STREAM_GRASSMANN, 0, 0).standard_normal(4)
     assert np.array_equal(a, again)
+
+
+def _rarely_rejecting(frames):
+    """A batched oracle that rejects about 0.5% of frames by a rule on their bits.
+
+    That is half the degenerate budget, so no 700-sample run below exhausts it.
+    """
+    code = (np.abs(frames[:, 0, 0]) * 1e9).astype(np.int64)
+    return frames[:, 0, 0] ** 2 - frames[:, -1, -1], code % 200 == 0
+
+
+def _assert_same_estimate(a, b):
+    assert np.array_equal(a.values, b.values)
+    assert (a.n_rejected, a.mean, a.stderr) == (b.n_rejected, b.mean, b.stderr)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 2])
+def test_rekeyed_draws_match_one_generator_per_slot(n, k, seed, stream):
+    est = grassmann_mean_batch(n, k, _rarely_rejecting, 700, seed, stream=stream, collect=True)
+    assert est.n_rejected > 0
+    _assert_same_estimate(est, grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, seed, stream))
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2)])
+def test_rank_deficient_redraws_match_one_generator_per_slot(monkeypatch, n, k):
+    monkeypatch.setattr(grassmann, "RANK_DEFICIENCY_TOL", 0.4)
+    first_blocks = np.stack([substream(42, STREAM_GRASSMANN, i, 2).standard_normal((k, n))
+                             for i in range(700)])
+    assert not grassmann._orthonormalize(first_blocks)[1].all()  # some slots redraw
+    est = grassmann_mean_batch(n, k, _rarely_rejecting, 700, 42, stream=2, collect=True)
+    _assert_same_estimate(est, grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, 42, 2))
+
+
+def test_values_do_not_depend_on_the_slot_chunk(monkeypatch):
+    runs = []
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(grassmann, "SLOT_CHUNK", chunk)
+        runs.append(grassmann_mean_batch(3, 2, _rarely_rejecting, 700, 5, stream=2, collect=True))
+    for est in runs[1:]:
+        _assert_same_estimate(est, runs[0])
+
+
+def test_slot_frames_match_haar_sample_and_check_the_key():
+    frames = slot_frames(4, 2, 7, [0, 3, 1 << 20], stream=1)
+    for frame, i in zip(frames, [0, 3, 1 << 20]):
+        assert np.array_equal(frame, haar_sample(4, 2, substream(7, STREAM_GRASSMANN, i, 1)).frame)
+    with pytest.raises(ValueError):
+        slot_frames(3, 2, 0, [1 << 32])
+    with pytest.raises(ValueError):
+        slot_frames(3, 2, 0, [-1])
+    with pytest.raises(ValueError):
+        grassmann_mean_batch(3, 2, _rarely_rejecting, 10, 0, stream=1 << 24)
