@@ -20,7 +20,7 @@ from . import catalog
 from .curvature import lk_measure_detailed
 from .errors import ChiUnknownError, LkError, SetValidationError, UnsupportedSection
 from .geomconst import ball_volume
-from .grassmann import SLOT_CHUNK, slot_frames
+from .grassmann import slot_frames
 from .limits import DEFAULT_RADII, validate_radii
 from .report import report_to_csv_rows, report_to_json
 from .spherical import conic_lk_measure_detailed
@@ -226,11 +226,9 @@ def _cmd_grassmann_sample(args, out) -> int:
         raise UsageError("need 1 <= k <= n")
     if args.samples < 1:
         raise UsageError("--samples must be positive")
-    for start in range(0, args.samples, SLOT_CHUNK):
-        slots = range(start, min(start + SLOT_CHUNK, args.samples))
-        for i, frame in zip(slots, slot_frames(args.n, args.k, seed, slots)):
-            doc = {"sample": i, "n": args.n, "k": args.k, "frame": frame.tolist()}
-            print(json.dumps(doc), file=out)
+    for i, frame in enumerate(slot_frames(args.n, args.k, seed, args.samples)):
+        doc = {"sample": i, "n": args.n, "k": args.k, "frame": frame.tolist()}
+        print(json.dumps(doc), file=out)
     return EXIT_PASS
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -211,17 +211,18 @@ class _SlotStreams:
         return frames
 
 
-def slot_frames(n: int, k: int, seed: int, slots, stream: int = 0) -> np.ndarray:
-    """The first Haar frame of each sample slot, shape (len(slots), k, n).
+def slot_frames(n: int, k: int, seed: int, n_samples: int) -> Iterator[np.ndarray]:
+    """The first Haar frame of sample slots 0, 1, ..., n_samples - 1, in order.
 
-    Frame j equals ``haar_sample(n, k, substream(seed, STREAM_GRASSMANN,
-    slots[j], stream)).frame``: the plane :func:`grassmann_mean_batch` offers
-    slot ``slots[j]`` first.
+    Frame i, of shape (k, n), equals ``haar_sample(n, k, substream(seed,
+    STREAM_GRASSMANN, i)).frame``: the plane :func:`grassmann_mean_batch`
+    offers slot i first.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    streams = _SlotStreams(n, k, seed, stream, slots)
-    return streams.frames(np.arange(len(streams.slots)))
+    for start in range(0, n_samples, SLOT_CHUNK):
+        streams = _SlotStreams(n, k, seed, 0, range(start, min(start + SLOT_CHUNK, n_samples)))
+        yield from streams.frames(np.arange(len(streams.slots)))
 
 
 @dataclass(eq=False)

@@ -237,13 +237,15 @@ def test_values_do_not_depend_on_the_slot_chunk(monkeypatch):
         _assert_same_estimate(est, runs[0])
 
 
-def test_slot_frames_match_haar_sample_and_check_the_key():
-    frames = slot_frames(4, 2, 7, [0, 3, 1 << 20], stream=1)
-    for frame, i in zip(frames, [0, 3, 1 << 20]):
-        assert np.array_equal(frame, haar_sample(4, 2, substream(7, STREAM_GRASSMANN, i, 1)).frame)
+def test_slot_frames_match_haar_sample_and_check_the_key(monkeypatch):
+    monkeypatch.setattr(grassmann, "SLOT_CHUNK", 7)
+    frames = list(slot_frames(4, 2, 7, 20))
+    assert len(frames) == 20
+    for i, frame in enumerate(frames):
+        assert np.array_equal(frame, haar_sample(4, 2, substream(7, STREAM_GRASSMANN, i)).frame)
     with pytest.raises(ValueError):
-        slot_frames(3, 2, 0, [1 << 32])
+        grassmann._stream_key(0, STREAM_GRASSMANN, 1 << 32)
     with pytest.raises(ValueError):
-        slot_frames(3, 2, 0, [-1])
+        grassmann._stream_key(0, STREAM_GRASSMANN, -1)
     with pytest.raises(ValueError):
         grassmann_mean_batch(3, 2, _rarely_rejecting, 10, 0, stream=1 << 24)
