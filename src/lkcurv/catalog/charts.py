@@ -6,10 +6,21 @@ domain fitter that returns a parameter box covering the part of the surface
 inside a given ball.  Built-in maps know their own geometry, so for the shapes
 shipped here the fitted box matches the ball almost exactly and the indicator
 used by the cubature rejects essentially nothing.
+
+Every builtin surface is a surface of revolution,
+
+    (t, phi) -> origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3,
+
+so a map gives only its profile curve: w, z and their first two derivatives
+at t.  ``_revolution_chart`` turns a profile into the map, its Jacobian and
+its second derivatives by the chain rule, with the same per-node arithmetic
+for every map.  The space curve ``poly_curve`` differentiates its polynomial
+coefficients instead.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Optional
@@ -18,6 +29,9 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from ..errors import SetValidationError
+
+# floor on the tangent Gram determinant det(J^T J) at a chart node
+GRAM_DET_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -150,8 +164,13 @@ def _feasible_interval(g, width0: float, max_width: float = 1e7) -> Optional[np.
     return np.array([min(lo, hi), max(lo, hi)])
 
 
-def _bisect_edge(g, outside: float, inside: float, iters: int = 80) -> float:
-    for _ in range(iters):
+# A finite bracket is at most 2^1025 wide and the closest doubles are 2^-1074
+# apart, so this many halvings reach adjacent doubles, which meet the tolerance.
+_DOUBLE_HALVINGS = 1025 + 1074
+
+
+def _bisect_edge(g, outside: float, inside: float) -> float:
+    for _ in range(_DOUBLE_HALVINGS):
         mid = 0.5 * (outside + inside)
         if g(np.array([mid]))[0] <= 0:
             inside = mid
@@ -164,261 +183,186 @@ def _bisect_edge(g, outside: float, inside: float, iters: int = 80) -> float:
 
 # ------------------------------------------------------------------- factories
 #
-# Every builder takes (domain, params) where domain may be None (use the
-# natural/fitted domain) and returns a Chart.  The maps are vectorized over a
-# batch axis: U has shape (B, dim).
+# Every builder takes the map's parameters as keywords with their defaults
+# (those keywords are the parameters a set file may give) and returns a Chart
+# with its natural or fitted domain; ``build_chart`` sets a given domain box.
+# The maps are vectorized over a batch axis: U has shape (B, dim).
 
 
-def _build_plane(domain, params):
-    frame = np.asarray(params.get("frame", np.eye(2, 3)), dtype=float)
+def _scalar(value, key: str) -> float:
+    value = np.asarray(value, dtype=float)
+    if value.ndim:
+        raise SetValidationError(f"charts.params.{key}", f"needs one number, got shape {value.shape}")
+    return float(value)
+
+
+def _vector(value, key: str, n: int) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if value.shape != (n,):
+        raise SetValidationError(f"charts.params.{key}", f"has shape {value.shape}, needs ({n},)")
+    return value
+
+
+def _revolution_chart(label, profile, phi_axis, domain_fn, panel_axes=(),
+                      frame=np.eye(3), origin=np.zeros(3)) -> Chart:
+    """Chart of (t, phi) -> origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3.
+
+    ``profile(t)`` returns (w, w', w'', z, z', z''), the rows of ``frame`` are
+    e1, e2 and e3, and ``phi_axis`` is the parameter index of phi.
+    """
+    t_axis = 1 - phi_axis
+
+    def span(a, b, c):  # a e1 + b e2 + c e3 at each node
+        local = np.empty((len(a), 3))
+        local[:, 0], local[:, 1], local[:, 2] = a, b, c
+        return local @ frame
+
+    def split(U):
+        ph = U[:, phi_axis]
+        return profile(U[:, t_axis]), np.cos(ph), np.sin(ph)
+
+    def map_fn(U):
+        (w, _, _, z, _, _), c, s = split(U)
+        return origin + span(w * c, w * s, z)
+
+    def jac_fn(U):
+        (w, dw, _, _, dz, _), c, s = split(U)
+        jac = np.empty((U.shape[0], frame.shape[1], 2))
+        jac[:, :, t_axis] = span(dw * c, dw * s, dz)
+        jac[:, :, phi_axis] = span(-w * s, w * c, 0.0)
+        return jac
+
+    def hess_fn(U):
+        (w, dw, ddw, _, _, ddz), c, s = split(U)
+        hess = np.empty((U.shape[0], frame.shape[1], 2, 2))
+        hess[:, :, t_axis, t_axis] = span(ddw * c, ddw * s, ddz)
+        hess[:, :, t_axis, phi_axis] = hess[:, :, phi_axis, t_axis] = span(-dw * s, dw * c, 0.0)
+        hess[:, :, phi_axis, phi_axis] = span(-w * c, -w * s, 0.0)
+        return hess
+
+    return Chart(label, 2, frame.shape[1], map_fn, jac_fn, hess_fn, None, domain_fn,
+                 panel_axes=panel_axes)
+
+
+def _build_plane(frame=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), origin=None):
+    # polar parameters (r, phi) in the plane spanned by the two frame rows
+    frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2 or frame.shape[0] != 2:
         raise SetValidationError("charts.params.frame", "needs two rows")
     n = frame.shape[1]
-    origin = np.asarray(params.get("origin", np.zeros(n)), dtype=float)
-    if origin.shape != (n,):
-        raise SetValidationError(
-            "charts.params.origin", f"has shape {origin.shape}, the frame rows have length {n}"
-        )
-    u, v = frame
+    origin = np.zeros(n) if origin is None else _vector(origin, "origin", n)
 
-    def map_fn(U):
-        r, phi = U[:, 0], U[:, 1]
-        return origin + np.outer(r * np.cos(phi), u) + np.outer(r * np.sin(phi), v)
+    def profile(r):
+        return r, 1.0, 0.0, 0.0, 0.0, 0.0
 
-    def jac_fn(U):
-        r, phi = U[:, 0], U[:, 1]
-        d_r = np.outer(np.cos(phi), u) + np.outer(np.sin(phi), v)
-        d_phi = np.outer(-r * np.sin(phi), u) + np.outer(r * np.cos(phi), v)
-        return np.stack([d_r, d_phi], axis=2)
-
-    def hess_fn(U):
-        r, phi = U[:, 0], U[:, 1]
-        B = U.shape[0]
-        h = np.zeros((B, len(u), 2, 2))
-        d_rphi = np.outer(-np.sin(phi), u) + np.outer(np.cos(phi), v)
-        d_phiphi = np.outer(-r * np.cos(phi), u) + np.outer(-r * np.sin(phi), v)
-        h[:, :, 0, 1] = d_rphi
-        h[:, :, 1, 0] = d_rphi
-        h[:, :, 1, 1] = d_phiphi
-        return h
-
-    def domain_fn(radius, center):
-        r_max = float(np.linalg.norm(center - origin)) + radius
+    def domain_fn(ball_r, ball_c):
+        r_max = float(np.linalg.norm(ball_c - origin)) + ball_r
         return np.array([[0.0, r_max], [0.0, 2.0 * np.pi]])
 
-    return Chart("plane", 2, len(u), map_fn, jac_fn, hess_fn,
-                 _as_box(domain), domain_fn, params=dict(params), panel_axes=(0,))
+    return _revolution_chart("plane", profile, 1, domain_fn, (0,),
+                             np.vstack([frame, np.zeros(n)]), origin)
 
 
-def _build_sphere(domain, params, n=3):
-    r0 = float(params.get("radius", 1.0))
-    c0 = np.asarray(params.get("center", np.zeros(3)), dtype=float)
+def _build_sphere(radius=1.0, center=(0.0, 0.0, 0.0)):
+    # polar angle theta from e3, then phi
+    r0 = _scalar(radius, "radius")
+    c0 = _vector(center, "center", 3)
 
-    def map_fn(U):
-        th, ph = U[:, 0], U[:, 1]
-        return c0 + r0 * np.stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
-        )
+    def profile(th):
+        s, c = np.sin(th), np.cos(th)
+        return r0 * s, r0 * c, -r0 * s, r0 * c, -r0 * s, -r0 * c
 
-    def jac_fn(U):
-        th, ph = U[:, 0], U[:, 1]
-        d_th = r0 * np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)], axis=1)
-        d_ph = r0 * np.stack([-np.sin(th) * np.sin(ph), np.sin(th) * np.cos(ph), np.zeros_like(th)], axis=1)
-        return np.stack([d_th, d_ph], axis=2)
-
-    def hess_fn(U):
-        th, ph = U[:, 0], U[:, 1]
-        B = U.shape[0]
-        h = np.zeros((B, 3, 2, 2))
-        h[:, :, 0, 0] = r0 * np.stack([-np.sin(th) * np.cos(ph), -np.sin(th) * np.sin(ph), -np.cos(th)], axis=1)
-        d_thph = r0 * np.stack([-np.cos(th) * np.sin(ph), np.cos(th) * np.cos(ph), np.zeros_like(th)], axis=1)
-        h[:, :, 0, 1] = d_thph
-        h[:, :, 1, 0] = d_thph
-        h[:, :, 1, 1] = r0 * np.stack([-np.sin(th) * np.cos(ph), -np.sin(th) * np.sin(ph), np.zeros_like(th)], axis=1)
-        return h
-
-    def domain_fn(radius, center):
-        gap = abs(float(np.linalg.norm(center - c0)) - r0)
-        if gap > radius:
+    def domain_fn(ball_r, ball_c):
+        if abs(float(np.linalg.norm(ball_c - c0)) - r0) > ball_r:
             return None
         return np.array([[0.0, np.pi], [0.0, 2.0 * np.pi]])
 
-    return Chart("sphere", 2, 3, map_fn, jac_fn, hess_fn,
-                 _as_box(domain), domain_fn, params=dict(params))
+    return _revolution_chart("sphere", profile, 1, domain_fn, origin=c0)
 
 
-def _build_cylinder(domain, params, n=3):
-    r0 = float(params.get("radius", 1.0))
+def _build_cylinder(radius=1.0):
+    # parameters (phi, z) around the e3 axis
+    r0 = _scalar(radius, "radius")
 
-    def map_fn(U):
-        ph, z = U[:, 0], U[:, 1]
-        return np.stack([r0 * np.cos(ph), r0 * np.sin(ph), z], axis=1)
+    def profile(z):
+        return r0, 0.0, 0.0, z, 1.0, 0.0
 
-    def jac_fn(U):
-        ph = U[:, 0]
-        zeros = np.zeros_like(ph)
-        d_ph = np.stack([-r0 * np.sin(ph), r0 * np.cos(ph), zeros], axis=1)
-        d_z = np.stack([zeros, zeros, np.ones_like(ph)], axis=1)
-        return np.stack([d_ph, d_z], axis=2)
-
-    def hess_fn(U):
-        ph = U[:, 0]
-        B = U.shape[0]
-        h = np.zeros((B, 3, 2, 2))
-        h[:, :, 0, 0] = np.stack([-r0 * np.cos(ph), -r0 * np.sin(ph), np.zeros_like(ph)], axis=1)
-        return h
-
-    def domain_fn(radius, center):
-        rho = float(np.hypot(center[0], center[1]))
-        gap2 = radius * radius - (r0 - rho) ** 2
+    def domain_fn(ball_r, ball_c):
+        rho = float(np.hypot(ball_c[0], ball_c[1]))
+        gap2 = ball_r * ball_r - (r0 - rho) ** 2
         if gap2 < 0:
             return None
         half = float(np.sqrt(gap2))
-        return np.array([[0.0, 2.0 * np.pi], [center[2] - half, center[2] + half]])
+        return np.array([[0.0, 2.0 * np.pi], [ball_c[2] - half, ball_c[2] + half]])
 
-    return Chart("cylinder", 2, 3, map_fn, jac_fn, hess_fn,
-                 _as_box(domain), domain_fn, params=dict(params), panel_axes=(1,))
+    return _revolution_chart("cylinder", profile, 0, domain_fn, (1,))
 
 
-def _build_paraboloid(domain, params, n=3):
+def _build_paraboloid(coefficient=1.0):
     # z = a (x^2 + y^2), polar parameters (r, phi)
-    a = float(params.get("coefficient", 1.0))
+    a = _scalar(coefficient, "coefficient")
 
-    def map_fn(U):
-        r, ph = U[:, 0], U[:, 1]
-        return np.stack([r * np.cos(ph), r * np.sin(ph), a * r * r], axis=1)
+    def profile(r):
+        return r, 1.0, 0.0, a * r * r, 2.0 * a * r, 2.0 * a
 
-    def jac_fn(U):
-        r, ph = U[:, 0], U[:, 1]
-        d_r = np.stack([np.cos(ph), np.sin(ph), 2.0 * a * r], axis=1)
-        d_ph = np.stack([-r * np.sin(ph), r * np.cos(ph), np.zeros_like(r)], axis=1)
-        return np.stack([d_r, d_ph], axis=2)
-
-    def hess_fn(U):
-        r, ph = U[:, 0], U[:, 1]
-        B = U.shape[0]
-        h = np.zeros((B, 3, 2, 2))
-        h[:, :, 0, 0] = np.stack([np.zeros_like(r), np.zeros_like(r), 2.0 * a * np.ones_like(r)], axis=1)
-        d_rph = np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(r)], axis=1)
-        h[:, :, 0, 1] = d_rph
-        h[:, :, 1, 0] = d_rph
-        h[:, :, 1, 1] = np.stack([-r * np.cos(ph), -r * np.sin(ph), np.zeros_like(r)], axis=1)
-        return h
-
-    def domain_fn(radius, center):
-        rho_c = float(np.hypot(center[0], center[1]))
+    def domain_fn(ball_r, ball_c):
+        rho_c = float(np.hypot(ball_c[0], ball_c[1]))
 
         def gap(r):
             r = np.abs(np.asarray(r, dtype=float))
-            return (r - rho_c) ** 2 + (a * r * r - center[2]) ** 2 - radius * radius
+            return (r - rho_c) ** 2 + (a * r * r - ball_c[2]) ** 2 - ball_r * ball_r
 
-        interval = _feasible_interval(gap, width0=np.sqrt(radius / max(abs(a), 1e-12)) + radius)
+        interval = _feasible_interval(gap, width0=np.sqrt(ball_r / max(abs(a), 1e-12)) + ball_r)
         if interval is None:
             return None
         r_max = float(max(abs(interval[0]), abs(interval[1])))
         return np.array([[0.0, r_max], [0.0, 2.0 * np.pi]])
 
-    return Chart("paraboloid", 2, 3, map_fn, jac_fn, hess_fn,
-                 _as_box(domain), domain_fn, params=dict(params), panel_axes=(0,))
+    return _revolution_chart("paraboloid", profile, 1, domain_fn, (0,))
 
 
-def _build_hyperboloid(domain, params, n=3):
+def _build_hyperboloid():
     # x^2 + y^2 - z^2 = 1, parameters (phi, z), radius w(z) = sqrt(1 + z^2)
 
-    def _w(z):
-        return np.sqrt(1.0 + z * z)
+    def profile(z):
+        w = np.sqrt(1.0 + z * z)
+        return w, z / w, 1.0 / (w * w * w), z, 1.0, 0.0
 
-    def map_fn(U):
-        ph, z = U[:, 0], U[:, 1]
-        w = _w(z)
-        return np.stack([w * np.cos(ph), w * np.sin(ph), z], axis=1)
-
-    def jac_fn(U):
-        ph, z = U[:, 0], U[:, 1]
-        w = _w(z)
-        wp = z / w
-        zeros = np.zeros_like(z)
-        d_ph = np.stack([-w * np.sin(ph), w * np.cos(ph), zeros], axis=1)
-        d_z = np.stack([wp * np.cos(ph), wp * np.sin(ph), np.ones_like(z)], axis=1)
-        return np.stack([d_ph, d_z], axis=2)
-
-    def hess_fn(U):
-        ph, z = U[:, 0], U[:, 1]
-        w = _w(z)
-        wp = z / w
-        wpp = 1.0 / (w * w * w)
-        B = U.shape[0]
-        h = np.zeros((B, 3, 2, 2))
-        h[:, :, 0, 0] = np.stack([-w * np.cos(ph), -w * np.sin(ph), np.zeros_like(z)], axis=1)
-        d_phz = np.stack([-wp * np.sin(ph), wp * np.cos(ph), np.zeros_like(z)], axis=1)
-        h[:, :, 0, 1] = d_phz
-        h[:, :, 1, 0] = d_phz
-        h[:, :, 1, 1] = np.stack([wpp * np.cos(ph), wpp * np.sin(ph), np.zeros_like(z)], axis=1)
-        return h
-
-    def domain_fn(radius, center):
-        rho_c = float(np.hypot(center[0], center[1]))
+    def domain_fn(ball_r, ball_c):
+        rho_c = float(np.hypot(ball_c[0], ball_c[1]))
 
         def gap(z):
             z = np.asarray(z, dtype=float)
-            return (_w(z) - rho_c) ** 2 + (z - center[2]) ** 2 - radius * radius
+            return (np.sqrt(1.0 + z * z) - rho_c) ** 2 + (z - ball_c[2]) ** 2 - ball_r * ball_r
 
-        interval = _feasible_interval(gap, width0=radius + abs(center[2]) + 2.0)
+        interval = _feasible_interval(gap, width0=ball_r + abs(ball_c[2]) + 2.0)
         if interval is None:
             return None
         return np.array([[0.0, 2.0 * np.pi], [interval[0], interval[1]]])
 
-    return Chart("hyperboloid_one_sheet", 2, 3, map_fn, jac_fn, hess_fn,
-                 _as_box(domain), domain_fn, params=dict(params), panel_axes=(1,))
+    return _revolution_chart("hyperboloid_one_sheet", profile, 0, domain_fn, (1,))
 
 
-def _build_torus(domain, params, n=3):
-    R0 = float(params.get("major_radius", 2.0))
-    r0 = float(params.get("minor_radius", 0.5))
+def _build_torus(major_radius=2.0, minor_radius=0.5):
+    # parameters (phi, psi): phi around the e3 axis, psi around the tube
+    R0 = _scalar(major_radius, "major_radius")
+    r0 = _scalar(minor_radius, "minor_radius")
 
-    def map_fn(U):
-        ph, ps = U[:, 0], U[:, 1]
-        w = R0 + r0 * np.cos(ps)
-        return np.stack([w * np.cos(ph), w * np.sin(ph), r0 * np.sin(ps)], axis=1)
+    def profile(ps):
+        s, c = np.sin(ps), np.cos(ps)
+        return R0 + r0 * c, -r0 * s, -r0 * c, r0 * s, r0 * c, -r0 * s
 
-    def jac_fn(U):
-        ph, ps = U[:, 0], U[:, 1]
-        w = R0 + r0 * np.cos(ps)
-        zeros = np.zeros_like(ph)
-        d_ph = np.stack([-w * np.sin(ph), w * np.cos(ph), zeros], axis=1)
-        d_ps = np.stack(
-            [-r0 * np.sin(ps) * np.cos(ph), -r0 * np.sin(ps) * np.sin(ph), r0 * np.cos(ps)], axis=1
-        )
-        return np.stack([d_ph, d_ps], axis=2)
-
-    def hess_fn(U):
-        ph, ps = U[:, 0], U[:, 1]
-        w = R0 + r0 * np.cos(ps)
-        B = U.shape[0]
-        h = np.zeros((B, 3, 2, 2))
-        h[:, :, 0, 0] = np.stack([-w * np.cos(ph), -w * np.sin(ph), np.zeros_like(ph)], axis=1)
-        d_phps = np.stack(
-            [r0 * np.sin(ps) * np.sin(ph), -r0 * np.sin(ps) * np.cos(ph), np.zeros_like(ph)], axis=1
-        )
-        h[:, :, 0, 1] = d_phps
-        h[:, :, 1, 0] = d_phps
-        h[:, :, 1, 1] = np.stack(
-            [-r0 * np.cos(ps) * np.cos(ph), -r0 * np.cos(ps) * np.sin(ph), -r0 * np.sin(ps)], axis=1
-        )
-        return h
-
-    def domain_fn(radius, center):
-        if float(np.linalg.norm(center)) - (R0 + r0) > radius:
+    def domain_fn(ball_r, ball_c):
+        if float(np.linalg.norm(ball_c)) - (R0 + r0) > ball_r:
             return None
         return np.array([[0.0, 2.0 * np.pi], [0.0, 2.0 * np.pi]])
 
-    return Chart("torus", 2, 3, map_fn, jac_fn, hess_fn,
-                 _as_box(domain), domain_fn, params=dict(params))
+    return _revolution_chart("torus", profile, 0, domain_fn)
 
 
-def _build_poly_curve(domain, params, n=3):
+def _build_poly_curve(coefficients=()):
     where = "charts.params.coefficients"
-    coeffs = np.asarray(params.get("coefficients", []), dtype=float)  # (n, deg+1)
+    coeffs = np.asarray(coefficients, dtype=float)  # (n, deg+1)
     if coeffs.ndim != 2 or coeffs.size == 0:
         raise SetValidationError(where, "needs one row of coefficients per coordinate")
     ambient = coeffs.shape[0]
@@ -444,30 +388,24 @@ def _build_poly_curve(domain, params, n=3):
     def hess_fn(U):
         return _horner(d2coeffs, U[:, 0])[:, :, None, None]
 
-    def domain_fn(radius, center):
+    def domain_fn(ball_r, ball_c):
         def gap(t):
             t = np.asarray(t, dtype=float)
             x = _horner(coeffs, t)
-            return np.sum((x - center[None, :]) ** 2, axis=1) - radius * radius
+            return np.sum((x - ball_c[None, :]) ** 2, axis=1) - ball_r * ball_r
 
         try:
-            interval = _feasible_interval(gap, width0=radius)
+            interval = _feasible_interval(gap, width0=ball_r)
         except ValueError as exc:
             raise SetValidationError(
-                where, f"the curve is still inside the radius-{radius:g} ball at |t| = 1e7"
+                where, f"the curve is still inside the radius-{ball_r:g} ball at |t| = 1e7"
             ) from exc
         if interval is None:
             return None
         return interval[None, :]
 
-    return Chart("poly_curve", 1, ambient, map_fn, jac_fn, hess_fn,
-                 _as_box(domain), domain_fn, params=dict(params), panel_axes=(0,))
-
-
-def _as_box(domain):
-    if domain is None:
-        return None
-    return np.asarray(domain, dtype=float)
+    return Chart("poly_curve", 1, ambient, map_fn, jac_fn, hess_fn, None, domain_fn,
+                 panel_axes=(0,))
 
 
 CHART_BUILDERS: Dict[str, Callable] = {
@@ -484,9 +422,17 @@ CHART_BUILDERS: Dict[str, Callable] = {
 def build_chart(name: str, domain=None, params=None) -> Chart:
     if name not in CHART_BUILDERS:
         raise SetValidationError("charts.map", f"unknown chart map {name!r}")
-    params = params or {}
+    builder = CHART_BUILDERS[name]
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise SetValidationError("charts.params", "needs an object of named parameters")
+    known = list(inspect.signature(builder).parameters)
     numbers = {"charts.domain": domain} if domain is not None else {}
-    numbers.update((f"charts.params.{key}", value) for key, value in params.items())
+    for key, value in params.items():
+        if key not in known:
+            raise SetValidationError(f"charts.params.{key}", f"unknown parameter; map {name!r} "
+                                     f"takes {', '.join(known) or 'none'}")
+        numbers[f"charts.params.{key}"] = value
     for where, value in numbers.items():
         try:
             finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
@@ -494,4 +440,11 @@ def build_chart(name: str, domain=None, params=None) -> Chart:
             raise SetValidationError(where, "not a number or an array of numbers") from exc
         if not finite:
             raise SetValidationError(where, "non-finite number")
-    return CHART_BUILDERS[name](domain, params)
+    chart = builder(**params)
+    chart.params = dict(params)
+    if domain is not None:
+        box = np.asarray(domain, dtype=float)
+        if box.shape != (chart.dim, 2) or np.any(box[:, 0] >= box[:, 1]):
+            raise SetValidationError("charts.domain", f"needs {chart.dim} rows [lo, hi] with lo < hi")
+        chart.base_domain = box
+    return chart

@@ -21,11 +21,10 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import SetValidationError
-from .charts import Chart, build_chart
+from .charts import GRAM_DET_TOL, Chart, build_chart
 from .graphs import SphericalGraph, builtin_graphs, validate_graph
 from .polynomial import Poly
 
-TANGENT_GRAM_TOL = 1e-12
 IMPLICIT_RESIDUAL_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-6
 _SPOT_CHECK_POINTS = 64
@@ -152,7 +151,7 @@ def _validate_smooth(x: SmoothSet) -> None:
         jac = chart.jac_fn(u)
         gram = np.einsum("bia,bic->bac", jac, jac)
         dets = np.linalg.det(gram)
-        if np.min(dets) <= TANGENT_GRAM_TOL:
+        if np.min(dets) <= GRAM_DET_TOL:
             raise SetValidationError("charts.map", f"chart {ci} tangent frame degenerates")
         if x.implicit is not None:
             vals = np.abs(x.implicit.eval(pts))

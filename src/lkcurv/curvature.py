@@ -37,12 +37,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .catalog.charts import Chart, gauss_legendre_nodes
+from .catalog.charts import GRAM_DET_TOL, Chart, gauss_legendre_nodes
 from .catalog.sets import SmoothSet
 from .errors import CoverageGapError, DegenerateChartError, UnsupportedSection
 from .geomconst import sphere_volume
 
-GRAM_DET_TOL = 1e-12
 NORMAL_ORTHO_TOL = 1e-8
 
 

@@ -20,6 +20,7 @@ from lkcurv.catalog import (
     Poly,
     SmoothSet,
     SphericalGraph,
+    build_chart,
     euler_char,
     full_space,
     link_infinity_chi,
@@ -577,27 +578,47 @@ def test_smooth_section_residuals(sets):
 
 def test_chart_derivatives_match_finite_differences(sets, rng):
     h = 1e-5
-    for name in ("sphere_s2", "torus_r3", "hyperboloid_r3", "paraboloid_r3",
-                 "cylinder_r3", "plane_r2_in_r3", "twisted_cubic_r3"):
-        x = sets[name]
-        for chart in x.charts:
-            box = chart.domain_for_ball(8.0, np.zeros(3))
-            span = box[:, 1] - box[:, 0]
-            lo = box[:, 0] + 0.1 * span
-            hi = box[:, 1] - 0.1 * span
-            u = rng.uniform(lo, hi, size=(100, chart.dim))
-            jac = chart.jac_fn(u)
-            hess = chart.hess_fn(u)
-            for a in range(chart.dim):
-                step = np.zeros(chart.dim)
-                step[a] = h
-                fd_jac = (chart.map_fn(u + step) - chart.map_fn(u - step)) / (2 * h)
-                scale = np.maximum(np.abs(jac[:, :, a]), 1.0)
-                assert np.max(np.abs(fd_jac - jac[:, :, a]) / scale) < 1e-5, name
-                fd_hess = (chart.jac_fn(u + step) - chart.jac_fn(u - step)) / (2 * h)
-                for b in range(chart.dim):
-                    scale = np.maximum(np.abs(hess[:, :, b, a]), 1.0)
-                    assert np.max(np.abs(fd_hess[:, :, b] - hess[:, :, b, a]) / scale) < 1e-5, name
+    charts = [(name, chart) for name in ("sphere_s2", "torus_r3", "hyperboloid_r3",
+                                         "paraboloid_r3", "cylinder_r3", "plane_r2_in_r3",
+                                         "twisted_cubic_r3")
+              for chart in sets[name].charts]
+    # parameters away from the builtin defaults, which no golden report covers
+    for name, params in (
+        ("sphere", {"radius": 2.5, "center": [1.0, -2.0, 0.5]}),
+        ("torus", {"major_radius": 3.0, "minor_radius": 1.0}),
+        ("paraboloid", {"coefficient": 0.5}),
+        ("cylinder", {"radius": 2.0}),
+        ("plane", {"frame": [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5]],
+                   "origin": [0.3, -1.0, 2.0, 0.5]}),
+    ):
+        charts.append((f"{name} {params}", build_chart(name, params=params)))
+    for name, chart in charts:
+        box = chart.domain_for_ball(8.0, np.zeros(chart.ambient_dim))
+        span = box[:, 1] - box[:, 0]
+        lo = box[:, 0] + 0.1 * span
+        hi = box[:, 1] - 0.1 * span
+        u = rng.uniform(lo, hi, size=(100, chart.dim))
+        jac = chart.jac_fn(u)
+        hess = chart.hess_fn(u)
+        for a in range(chart.dim):
+            step = np.zeros(chart.dim)
+            step[a] = h
+            fd_jac = (chart.map_fn(u + step) - chart.map_fn(u - step)) / (2 * h)
+            scale = np.maximum(np.abs(jac[:, :, a]), 1.0)
+            assert np.max(np.abs(fd_jac - jac[:, :, a]) / scale) < 1e-5, name
+            fd_hess = (chart.jac_fn(u + step) - chart.jac_fn(u - step)) / (2 * h)
+            for b in range(chart.dim):
+                scale = np.maximum(np.abs(hess[:, :, b, a]), 1.0)
+                assert np.max(np.abs(fd_hess[:, :, b] - hess[:, :, b, a]) / scale) < 1e-5, name
+
+
+def test_paraboloid_box_edge_at_huge_radius():
+    # r^2 + r^4 = R^2 at the edge; the sampled gap overflows everywhere but
+    # at r = 0, so the edge bisection starts from a bracket about 2.4e96 wide
+    radius = 1e100
+    box = build_chart("paraboloid").domain_for_ball(radius, np.zeros(3))
+    edge = math.sqrt((math.sqrt(1.0 + 4.0 * radius * radius) - 1.0) / 2.0)
+    assert box[0, 1] == pytest.approx(edge, rel=1e-6)
 
 
 def test_chart_points_satisfy_implicit_form(sets, rng):

@@ -152,7 +152,7 @@ def test_usage_errors(capsys):
     for name, k, radius in (("paraboloid_r3", "2", "nan"), ("paraboloid_r3", "2", "inf"),
                             ("cross_r2", "1", "nan"), ("cross_r2", "1", "inf"),
                             ("paraboloid_r3", "2", "1e308"), ("line_r2", "1", "1e308"),
-                            ("paraboloid_r3", "0", "1e150"), ("hyperboloid_r3", "0", "1e200"),
+                            ("paraboloid_r3", "0", "1e154"), ("hyperboloid_r3", "0", "1e200"),
                             ("paraboloid_r3", "0", "1e308")):
         capsys.readouterr()
         code, _ = run_cli(["curvature", "--set", name, "--k", k, "--radius", radius])
@@ -162,7 +162,7 @@ def test_usage_errors(capsys):
 
 def test_curvature_at_huge_radii():
     # the order-0 curvature of the paraboloid is 1, that of the hyperboloid -sqrt(2)
-    for name, radius, exact in (("paraboloid_r3", "1e100", 1.0),
+    for name, radius, exact in (("paraboloid_r3", "1e100", 1.0), ("paraboloid_r3", "1e150", 1.0),
                                 ("hyperboloid_r3", "1e30", -math.sqrt(2.0)),
                                 ("hyperboloid_r3", "1e60", -math.sqrt(2.0))):
         code, text = run_cli(["curvature", "--set", name, "--k", "0", "--radius", radius])
@@ -300,6 +300,24 @@ def test_plane_chart_origin_width_mismatch(tmp_path, capsys):
                                     "dim": 1, "declared_chi": 1,
                                     "charts": [{"map": "poly_curve", "params": {
                                         "coefficients": [[0, 1e-9], [0, 0], [0, 0]]}}]}),
+    # a misspelled parameter, parameters of the wrong shape, a domain box with
+    # one row for a two-parameter map, and params that are not an object
+    ("charts.params.radus", {"name": "typo_sphere", "ambient_dim": 3, "kind": "smooth",
+                             "charts": [{"map": "sphere", "params": {"radus": 2}}],
+                             "declared_chi": 2, "compact": True}),
+    ("charts.params.center", {"name": "flat_center_sphere", "ambient_dim": 3, "kind": "smooth",
+                              "charts": [{"map": "sphere", "params": {"center": [1, 2]}}],
+                              "declared_chi": 2, "compact": True}),
+    ("charts.params.coefficient", {"name": "list_paraboloid", "ambient_dim": 3,
+                                   "kind": "smooth", "declared_chi": 1,
+                                   "charts": [{"map": "paraboloid",
+                                               "params": {"coefficient": [1, 2]}}]}),
+    ("charts.domain", {"name": "one_row_cylinder", "ambient_dim": 3, "kind": "smooth",
+                       "charts": [{"map": "cylinder", "domain": [[0, 6.28]]}],
+                       "declared_chi": 0}),
+    ("charts.params", {"name": "list_params_sphere", "ambient_dim": 3, "kind": "smooth",
+                       "charts": [{"map": "sphere", "params": [2]}],
+                       "declared_chi": 2, "compact": True}),
 ])
 def test_non_finite_set_data_is_a_usage_error(tmp_path, capsys, field, doc):
     path = tmp_path / "non_finite.json"
