@@ -52,6 +52,10 @@ class Chart:
 
     def domain_for_ball(self, radius: float, center: np.ndarray) -> Optional[np.ndarray]:
         """Parameter box covering the chart's trace inside the ball, or None."""
+        radius = float(radius)
+        if not np.isfinite(radius * radius):
+            # the fitters compare squared distances, which would all be inf or nan
+            raise ValueError(f"radius {radius:g} is too large: R^2 is not finite")
         center = np.asarray(center, dtype=float)
         if self.domain_fn is not None:
             box = self.domain_fn(radius, center)
@@ -420,7 +424,7 @@ CHART_BUILDERS: Dict[str, Callable] = {
 
 
 def build_chart(name: str, domain=None, params=None) -> Chart:
-    if name not in CHART_BUILDERS:
+    if not isinstance(name, str) or name not in CHART_BUILDERS:
         raise SetValidationError("charts.map", f"unknown chart map {name!r}")
     builder = CHART_BUILDERS[name]
     params = {} if params is None else params

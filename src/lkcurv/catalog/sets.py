@@ -143,7 +143,11 @@ def _validate_smooth(x: SmoothSet) -> None:
             raise SetValidationError("charts.domain", f"chart {ci} parameter dim != set dim")
         if chart.ambient_dim != x.ambient_dim:
             raise SetValidationError("charts.map", f"chart {ci} ambient dim mismatch")
-        box = chart.domain_for_ball(8.0 * coefficient_scale(x), np.zeros(x.ambient_dim))
+        try:
+            box = chart.domain_for_ball(8.0 * coefficient_scale(x), np.zeros(x.ambient_dim))
+        except ValueError as exc:
+            raise SetValidationError(
+                "charts.params", f"chart {ci} is too large to spot-check: {exc}") from exc
         if box is None:
             continue
         u = rng.uniform(box[:, 0], box[:, 1], size=(_SPOT_CHECK_POINTS, chart.dim))
@@ -277,7 +281,47 @@ def _edge_list(edges) -> Tuple[Tuple[int, int], ...]:
     return tuple(pairs)
 
 
+# |chi| above this has no exact double, so a report could not carry it
+_MAX_CHI = 2**53
+_CHART_ENTRIES = ("map", "domain", "params")
+
+
+def _number_rows(value, field: str) -> np.ndarray:
+    """A list of rows of numbers (or one row) as a 2-D float array."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise SetValidationError(field, "rows have different lengths") from exc
+    if arr.dtype.kind not in "iuf" or arr.ndim > 2:
+        raise SetValidationError(field, "expected a list of rows of numbers")
+    return np.atleast_2d(arr.astype(float))
+
+
+def _chart_specs(charts) -> list:
+    if not isinstance(charts, list) or not all(isinstance(spec, dict) for spec in charts):
+        raise SetValidationError("charts", "expected a list of chart objects")
+    for spec in charts:
+        for key in spec:
+            if key not in _CHART_ENTRIES:
+                raise SetValidationError(f"charts.{key}", "unknown chart entry; a chart "
+                                         f"takes {', '.join(_CHART_ENTRIES)}")
+    return charts
+
+
+def _polynomial(n: int, terms) -> Poly:
+    if not isinstance(terms, dict) or not all(
+        isinstance(c, numbers.Real) and not isinstance(c, bool) for c in terms.values()
+    ):
+        raise SetValidationError("polynomial", "expected an object of exponent keys and numbers")
+    try:
+        return Poly.from_json_terms(n, terms)
+    except (ValueError, OverflowError) as exc:  # unparsable, negative or wrong-arity exponents
+        raise SetValidationError("polynomial", str(exc)) from exc
+
+
 def set_from_dict(doc: Dict) -> SetDescriptor:
+    if not isinstance(doc, dict):
+        raise SetValidationError("(top level)", f"expected a JSON object, got {type(doc).__name__}")
     try:
         n = integer_field(doc["ambient_dim"], "ambient_dim")
         kind = doc["kind"]
@@ -286,34 +330,39 @@ def set_from_dict(doc: Dict) -> SetDescriptor:
     if kind == "linear":
         if "frame" not in doc:
             raise SetValidationError("frame", "missing for kind=linear")
-        x: SetDescriptor = LinearSubspace(n, np.asarray(doc["frame"], dtype=float))
+        x: SetDescriptor = LinearSubspace(n, _number_rows(doc["frame"], "frame"))
     elif kind == "conic_graph":
         for key in ("vertices",):
             if key not in doc:
                 raise SetValidationError(key, "missing for kind=conic_graph")
         graph = SphericalGraph(
-            vertices=np.asarray(doc["vertices"], dtype=float),
+            vertices=_number_rows(doc["vertices"], "vertices"),
             edges=_edge_list(doc.get("edges", [])),
         )
         x = ConicGraph(n, graph)
     elif kind == "smooth":
         charts = []
-        for ci, spec in enumerate(doc.get("charts", [])):
+        for ci, spec in enumerate(_chart_specs(doc.get("charts", []))):
             name = spec.get("map")
             if name is None:
                 raise SetValidationError("charts.map", f"chart {ci} missing map name")
             charts.append(build_chart(name, spec.get("domain"), spec.get("params", {})))
         if not charts:
             raise SetValidationError("charts", "missing for kind=smooth")
-        implicit = None
-        if doc.get("polynomial"):
-            implicit = Poly.from_json_terms(n, doc["polynomial"])
+        terms = doc.get("polynomial")
+        implicit = None if terms in (None, {}) else _polynomial(n, terms)
         dim = integer_field(doc.get("dim", charts[0].dim), "dim")
         chi = doc.get("declared_chi")
+        if chi is not None:
+            chi = integer_field(chi, "declared_chi")
+            if abs(chi) > _MAX_CHI:
+                raise SetValidationError("declared_chi", "|chi| exceeds 2**53")
+        compact = doc.get("compact", False)
+        if not isinstance(compact, bool):
+            raise SetValidationError("compact", f"expected true or false, got {compact!r}")
         x = SmoothSet(
             ambient_dim=n, dim=dim, charts=tuple(charts), implicit=implicit,
-            declared_chi=None if chi is None else integer_field(chi, "declared_chi"),
-            compact=bool(doc.get("compact", False)),
+            declared_chi=chi, compact=compact,
         )
     else:
         raise SetValidationError("kind", f"unknown kind {kind!r}")
@@ -355,8 +404,8 @@ def _jsonable_params(params: Dict) -> Dict:
 def load_set_file(path: str) -> Tuple[str, SetDescriptor]:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    name = doc.get("name", path)
-    return name, set_from_dict(doc)
+    x = set_from_dict(doc)
+    return doc.get("name", path), x
 
 
 def resolve_set(ref: str) -> Tuple[str, SetDescriptor]:

@@ -17,13 +17,11 @@ import sys
 from typing import List, Optional
 
 from . import catalog
-from .curvature import lk_measure_detailed
 from .errors import ChiUnknownError, LkError, SetValidationError, UnsupportedSection
 from .geomconst import ball_volume
 from .grassmann import slot_frames
-from .limits import DEFAULT_RADII, validate_radii
+from .limits import DEFAULT_RADII, curvature_measures, validate_radii
 from .report import report_to_csv_rows, report_to_json
-from .spherical import conic_lk_measure_detailed
 from .verify import DEFAULT_SAMPLES, THEOREM_IDS, run_theorem
 
 EXIT_PASS = 0
@@ -196,16 +194,10 @@ def _cmd_curvature(args, out) -> int:
         scale = math.inf
     if not math.isfinite(scale):
         raise UsageError(f"--radius {radius:g} is too large: b_k R^k overflows at k={k}")
+    if k == 0 and isinstance(descriptor, catalog.ConicGraph):
+        raise UsageError("order 0 needs the verify du_lambda0 route for cones")
     try:
-        if isinstance(descriptor, catalog.SmoothSet):
-            value, err = lk_measure_detailed(descriptor, k, radius)
-        elif isinstance(descriptor, catalog.ConicGraph):
-            if k == 0:
-                raise UsageError("order 0 needs the verify du_lambda0 route for cones")
-            value, err = conic_lk_measure_detailed(descriptor, k, radius)
-        else:  # linear subspace
-            value = scale if k == descriptor.dim else 0.0
-            err = 0.0
+        (value, err), = curvature_measures(descriptor, (k,), radius)
     except LkError as exc:
         raise UsageError(str(exc)) from exc
     except ValueError as exc:

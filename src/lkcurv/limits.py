@@ -1,18 +1,19 @@
-"""Normalized curvature growth and its large-radius limit.
+"""Curvature measures of every set kind and their large-radius growth limits.
 
-``normalized_lk(X, k, R)`` is the order-k curvature measure of X inside the
-radius-R ball divided by b_k R^k.  ``estimate_limit`` extrapolates the
-normalized values over a geometric radius schedule with an a + c/R model
-fitted to the last three radii.  ``estimate_limits`` does so for several
-orders at once; on a smooth set every radius then runs one cubature for all
-of them, which gives each order the same values as a sweep of its own.
+The one module that knows how each set kind's left side is computed and what
+its route is called.  ``curvature_measures(X, ks, R)`` gives the order-k
+measures of X in the radius-R ball with error bounds: cubature for smooth
+sets, the sphere trace for cones, b_k (R^2 - dist^2)^(k/2) at k = dim (else 0)
+for linear subspaces; ``normalized_lk`` divides by b_k R^k.
 
-Order 0 (smooth sets only, where b_0 R^0 = 1) runs the same sweep: the
-limit is the total order-0 curvature of the set.
-
-Exact bypasses: linear subspaces give the indicator [k == dim] in closed
-form, cones are radius-independent by homogeneity, and the limit of a
-compact set is exactly 0 for every k >= 1, with no cubature run.
+``estimate_limits`` extrapolates the normalized values of several orders over
+a geometric radius schedule with an a + c/R model fitted to the last three
+radii; on a smooth set one cubature per radius serves every order with the
+bits of its own sweep.  Order 0 (smooth sets only) is the total order-0
+curvature.  Exact bypasses: flats give [k == dim], cones are radius-independent
+by homogeneity, and a compact set's limit is 0 for k >= 1.  Each
+``LimitEstimate.route`` is ``linear_exact``, ``conic_homogeneity``,
+``compact_exact_zero`` or ``cubature_limit``, plus ``,not_converged``.
 
 The reported uncertainty is the largest of the in-window fit residual, the
 shift of the fitted value between the last two three-radius windows, and the
@@ -43,6 +44,7 @@ class LimitEstimate:
     uncertainty: float
     radii: List[float]
     converged: bool
+    route: str
 
 
 def _check_order(x: SetDescriptor, k: int) -> None:
@@ -52,39 +54,41 @@ def _check_order(x: SetDescriptor, k: int) -> None:
         raise ValueError(f"k must lie in [{lowest}, {x.ambient_dim}]")
 
 
-def _normalized_many(
+def curvature_measures(
     x: SetDescriptor,
     ks,
     radius: float,
-    spec: Optional[CubatureSpec],
-    center,
+    spec: Optional[CubatureSpec] = None,
+    center=None,
+) -> List[Tuple[float, float]]:
+    """Curvature measures of the orders ks of X inside the ball, each with an
+    error bound."""
+    if isinstance(x, SmoothSet):
+        return lk_measures_detailed(x, ks, radius, spec=spec, center=center)
+    if isinstance(x, ConicGraph):
+        return [conic_lk_measure_detailed(x, k, radius, center=center) for k in ks]
+    if not isinstance(x, LinearSubspace):
+        raise TypeError(f"not a set descriptor: {x!r}")
+    c = np.zeros(x.ambient_dim) if center is None else np.asarray(center, dtype=float)
+    dist2 = float(np.sum((c - x.frame.T @ (x.frame @ c)) ** 2))
+    if dist2 >= radius * radius:
+        return [(0.0, 0.0) for _ in ks]
+    # the slice is a dim-ball of radius sqrt(R^2 - dist^2) inside the subspace;
+    # b_k R^k (1 - dist^2/R^2)^(k/2) divides back to exactly 1 when centered
+    return [
+        (ball_volume(k) * radius**k * (1.0 - dist2 / (radius * radius)) ** (k / 2.0), 0.0)
+        if k == x.dim else (0.0, 0.0)
+        for k in ks
+    ]
+
+
+def _normalized_many(
+    x: SetDescriptor, ks, radius: float, spec, center
 ) -> List[Tuple[float, float]]:
     """Normalized measures of the orders ks, with their errors."""
-    for k in ks:
-        _check_order(x, k)
+    pairs = curvature_measures(x, ks, radius, spec, center)
     scales = [ball_volume(k) * radius**k for k in ks]
-    if isinstance(x, SmoothSet):
-        pairs = lk_measures_detailed(x, ks, radius, spec=spec, center=center)
-        return [(value / scale, err / scale) for (value, err), scale in zip(pairs, scales)]
-    return [_normalized_flat(x, k, radius, scale, center) for k, scale in zip(ks, scales)]
-
-
-def _normalized_flat(x: SetDescriptor, k: int, radius: float, scale: float, center):
-    """Normalized order-k measure of a linear subspace or a cone."""
-    n = x.ambient_dim
-    if isinstance(x, LinearSubspace):
-        if k != x.dim:
-            return 0.0, 0.0
-        c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        dist2 = float(np.sum((c - x.frame.T @ (x.frame @ c)) ** 2))
-        if dist2 >= radius * radius:
-            return 0.0, 0.0
-        # the slice is a k-ball of radius sqrt(R^2 - dist^2) inside the subspace
-        return (1.0 - dist2 / (radius * radius)) ** (k / 2.0), 0.0
-    if isinstance(x, ConicGraph):
-        value, err = conic_lk_measure_detailed(x, k, radius, center=center)
-        return value / scale, err / scale
-    raise TypeError(f"not a set descriptor: {x!r}")
+    return [(value / scale, err / scale) for (value, err), scale in zip(pairs, scales)]
 
 
 def normalized_lk(
@@ -94,6 +98,7 @@ def normalized_lk(
     spec: Optional[CubatureSpec] = None,
     center=None,
 ) -> float:
+    _check_order(x, k)
     return _normalized_many(x, (k,), radius, spec, center)[0][0]
 
 
@@ -164,17 +169,20 @@ def estimate_limits(
     for k in ks:
         _check_order(x, k)
     shifted = center is not None and bool(np.any(np.asarray(center)))
+    # a shifted flat or cone sweeps its closed-form measures under its own name
+    route = ("linear_exact" if isinstance(x, LinearSubspace)
+             else "conic_homogeneity" if isinstance(x, ConicGraph) else "cubature_limit")
 
     estimates = {}
     for k in ks:
         if isinstance(x, SmoothSet) and x.compact and k >= 1:
             # for a bounded set the measure is eventually constant in R, so the
             # normalized values decay like 1/R^k and the limit vanishes exactly
-            estimates[k] = LimitEstimate(k, 0.0, 0.0, radii, True)
+            estimates[k] = LimitEstimate(k, 0.0, 0.0, radii, True, "compact_exact_zero")
         elif isinstance(x, (LinearSubspace, ConicGraph)) and not shifted:
             # homogeneity: the normalized measure of a cone is radius-independent
             value, err = _normalized_many(x, (k,), radii[0], spec, center)[0]
-            estimates[k] = LimitEstimate(k, value, err, radii, True)
+            estimates[k] = LimitEstimate(k, value, err, radii, True, route)
 
     swept = [k for k in ks if k not in estimates]
     if swept:
@@ -183,5 +191,6 @@ def estimate_limits(
             values = [pairs[i][0] for pairs in sweep]
             errors = [pairs[i][1] for pairs in sweep]
             value, uncertainty, converged = fit_limit_sequence(radii, values, errors)
-            estimates[k] = LimitEstimate(k, value, uncertainty, radii, converged)
+            tag = "" if converged else ",not_converged"
+            estimates[k] = LimitEstimate(k, value, uncertainty, radii, converged, route + tag)
     return [estimates[k] for k in ks]

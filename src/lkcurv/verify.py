@@ -20,7 +20,10 @@ is the origin in every run except inside the ``base_point`` check, which runs
 the thm3.9 check once with the context and once with a copy recentered at the
 context's base point; no other theorem accepts a base point.
 
-Route bookkeeping: every row labels how each side was computed, so the
+The growth identities (``prop3.1``, ``thm3.7``, ``cor3.8``, ``thm4.1``,
+``thm4.2``) share one row loop, ``_growth_rows``; ``limits`` decides each left
+side and its route label per set kind (``curvature_measures``,
+``LimitEstimate.route``).  Every row labels how each side was computed, so the
 non-circularity contract (curvature/cubature routes on the left, Grassmannian
 means only on the right) is auditable from the report alone.
 """
@@ -42,7 +45,8 @@ from .errors import UnsupportedSection
 from .geomconst import ball_volume
 from .grassmann import MonteCarloEstimate, grassmann_mean_batch
 from .limits import (
-    DEFAULT_RADII, LimitEstimate, estimate_limit, estimate_limits, validate_radii,
+    DEFAULT_RADII, LimitEstimate, curvature_measures, estimate_limit, estimate_limits,
+    validate_radii,
 )
 from .report import TheoremReport, TheoremRow, make_row, skipped_row
 
@@ -168,67 +172,49 @@ def _require_smooth(x: SetDescriptor) -> None:
         raise UnsupportedSection("smooth theorems apply to smooth submanifolds")
 
 
-# ------------------------------------------------------------------- prop 3.1
+# ------------------------------------------------------ growth identity rows
 
-def _check_prop_3_1(x: SetDescriptor, ctx: RunContext) -> Rows:
-    """Conic sets: Lambda_k(X, X ∩ B_1)/b_k against Grassmannian half-means."""
-    if not isinstance(x, (ConicGraph, LinearSubspace)):
-        raise UnsupportedSection("prop3.1 applies to conic sets only")
+def _growth_rows(x: SetDescriptor, ctx: RunContext, ks, lhs, section_chi: bool = False) -> Rows:
+    """One row per order k in ks: ``lhs(x, k, ctx)``, a (value, uncertainty,
+    route) triple, against the Grassmannian side of the growth identity."""
     rows = []
-    for k in range(1, x.ambient_dim + 1):
-        lhs, lhs_err, lhs_route = _conic_unit_ball_lhs(x, k)
+    for k in ks:
         try:
-            rhs, rhs_err, rhs_route = _growth_rhs(x, k, ctx)
-        except UnsupportedSection as exc:
-            rows.append(skipped_row(k, lhs_route, "grassmann", str(exc)))
-            continue
-        rows.append(
-            make_row(k, lhs, rhs, hypot(lhs_err, rhs_err), lhs_route, rhs_route)
-        )
-    return rows
-
-
-def _conic_unit_ball_lhs(x, k) -> Tuple[float, float, str]:
-    from .spherical import conic_lk_measure_detailed
-
-    bk = ball_volume(k)
-    if isinstance(x, LinearSubspace):
-        return (1.0 if k == x.dim else 0.0), 0.0, "linear_exact"
-    value, err = conic_lk_measure_detailed(x, k, 1.0)
-    return value / bk, err / bk, "conic_trace_curvature"
-
-
-# ------------------------------------------------------- thm 3.7 and cor 3.8
-
-def _check_limits(x: SetDescriptor, ctx: RunContext) -> Rows:
-    """Growth limits of normalized curvature measures against link-chi means."""
-    rows = []
-    for k in range(1, x.ambient_dim + 1):
-        try:
-            est = ctx.limit(x, k)
+            value, err, route = lhs(x, k, ctx)
         except UnsupportedSection as exc:
             rows.append(skipped_row(k, "limit", "grassmann", str(exc)))
             continue
-        lhs_route = _limit_route(x, est.converged)
         try:
-            rhs, rhs_err, rhs_route = _growth_rhs(x, k, ctx)
+            rhs, rhs_err, rhs_route = _growth_rhs(x, k, ctx, section_chi=section_chi)
         except UnsupportedSection as exc:
-            rows.append(skipped_row(k, lhs_route, "grassmann", str(exc)))
+            rows.append(skipped_row(k, route, "grassmann", str(exc)))
             continue
-        rows.append(make_row(k, est.value, rhs, hypot(est.uncertainty, rhs_err),
-                             lhs_route, rhs_route))
+        rows.append(make_row(k, value, rhs, hypot(err, rhs_err), route, rhs_route))
     return rows
 
 
-def _limit_route(x, converged: bool) -> str:
-    tag = "" if converged else ",not_converged"
-    if isinstance(x, LinearSubspace):
-        return "linear_exact" + tag
-    if isinstance(x, ConicGraph):
-        return "conic_homogeneity" + tag
-    if x.compact:
-        return "compact_exact_zero" + tag
-    return "cubature_limit" + tag
+def _limit_lhs(x: SetDescriptor, k: int, ctx: RunContext) -> Tuple[float, float, str]:
+    est = ctx.limit(x, k)
+    return est.value, est.uncertainty, est.route
+
+
+def _check_prop_3_1(x: SetDescriptor, ctx: RunContext) -> Rows:
+    """Conic sets: Lambda_k(X ∩ B_1)/b_k against Grassmannian half-means."""
+    if not isinstance(x, (ConicGraph, LinearSubspace)):
+        raise UnsupportedSection("prop3.1 applies to conic sets only")
+    route = "linear_exact" if isinstance(x, LinearSubspace) else "conic_trace_curvature"
+
+    def lhs(x, k, ctx):
+        (value, err), = curvature_measures(x, (k,), 1.0)
+        bk = ball_volume(k)
+        return value / bk, err / bk, route
+
+    return _growth_rows(x, ctx, range(1, x.ambient_dim + 1), lhs)
+
+
+def _check_limits(x: SetDescriptor, ctx: RunContext) -> Rows:
+    """thm3.7 and cor3.8: growth limits against half-means of link chis."""
+    return _growth_rows(x, ctx, range(1, x.ambient_dim + 1), _limit_lhs)
 
 
 # ------------------------------------------------------------- order-0 routes
@@ -328,23 +314,11 @@ def _check_thm_3_9(x: SetDescriptor, ctx: RunContext) -> Rows:
 
 # ----------------------------------------------------------- smooth theorems
 
-def _smooth_growth_rows(x: SetDescriptor, ctx: RunContext, section_chi: bool) -> Rows:
+def _check_smooth_growth(x: SetDescriptor, ctx: RunContext, section_chi: bool) -> Rows:
     """Smooth growth limits against half-means of link chis (thm4.1) or means
-    of section chis (thm4.2)."""
+    of section chis (thm4.2); k = d is the volume row, k = d - i the others."""
     _require_smooth(x)
-    rows = []
-    for k in range(x.dim, 0, -1):  # k = d is the volume row, k = d - i the others
-        try:
-            est = ctx.limit(x, k)
-            rhs, rhs_err, rhs_route = _growth_rhs(x, k, ctx, section_chi=section_chi)
-        except UnsupportedSection as exc:
-            rows.append(skipped_row(k, "limit", "grassmann", str(exc)))
-            continue
-        rows.append(
-            make_row(k, est.value, rhs, hypot(est.uncertainty, rhs_err),
-                     _limit_route(x, est.converged), rhs_route)
-        )
-    return rows
+    return _growth_rows(x, ctx, range(x.dim, 0, -1), _limit_lhs, section_chi)
 
 
 def _check_thm_4_3(x: SetDescriptor, ctx: RunContext) -> Rows:
@@ -418,8 +392,8 @@ CHECKS: Dict[str, Callable[[SetDescriptor, RunContext], Rows]] = {
     "cor3.8": _check_limits,
     "du_lambda0": _check_du_lambda0,
     "thm3.9": _check_thm_3_9,
-    "thm4.1": partial(_smooth_growth_rows, section_chi=False),
-    "thm4.2": partial(_smooth_growth_rows, section_chi=True),
+    "thm4.1": partial(_check_smooth_growth, section_chi=False),
+    "thm4.2": partial(_check_smooth_growth, section_chi=True),
     "thm4.3": _check_thm_4_3,
     "odd_d_corollary": _check_odd_d_corollary,
     "base_point": _check_base_point,

@@ -616,9 +616,17 @@ def test_paraboloid_box_edge_at_huge_radius():
     # r^2 + r^4 = R^2 at the edge; the sampled gap overflows everywhere but
     # at r = 0, so the edge bisection starts from a bracket about 2.4e96 wide
     radius = 1e100
-    box = build_chart("paraboloid").domain_for_ball(radius, np.zeros(3))
+    with np.errstate(over="ignore"):
+        box = build_chart("paraboloid").domain_for_ball(radius, np.zeros(3))
     edge = math.sqrt((math.sqrt(1.0 + 4.0 * radius * radius) - 1.0) / 2.0)
     assert box[0, 1] == pytest.approx(edge, rel=1e-6)
+
+
+def test_box_fitters_reject_radii_whose_square_overflows():
+    # at R = 1e200 the fitted boxes would end near |z| = 9.5e153 and r = 1.2e77
+    for name in ("paraboloid", "hyperboloid_one_sheet"):
+        with pytest.raises(ValueError, match="R\\^2 is not finite"):
+            build_chart(name).domain_for_ball(1e200, np.zeros(3))
 
 
 def test_chart_points_satisfy_implicit_form(sets, rng):

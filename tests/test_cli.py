@@ -155,7 +155,8 @@ def test_usage_errors(capsys):
                             ("paraboloid_r3", "0", "1e154"), ("hyperboloid_r3", "0", "1e200"),
                             ("paraboloid_r3", "0", "1e308")):
         capsys.readouterr()
-        code, _ = run_cli(["curvature", "--set", name, "--k", k, "--radius", radius])
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _ = run_cli(["curvature", "--set", name, "--k", k, "--radius", radius])
         assert code == 64, (name, radius)
         assert "--radius" in capsys.readouterr().err
 
@@ -165,7 +166,8 @@ def test_curvature_at_huge_radii():
     for name, radius, exact in (("paraboloid_r3", "1e100", 1.0), ("paraboloid_r3", "1e150", 1.0),
                                 ("hyperboloid_r3", "1e30", -math.sqrt(2.0)),
                                 ("hyperboloid_r3", "1e60", -math.sqrt(2.0))):
-        code, text = run_cli(["curvature", "--set", name, "--k", "0", "--radius", radius])
+        with np.errstate(over="ignore"):
+            code, text = run_cli(["curvature", "--set", name, "--k", "0", "--radius", radius])
         assert code == 0
         value = float(text.split("measure=")[1].split()[0])
         bound = float(text.split("error_bound=")[1].split()[0])
@@ -318,6 +320,10 @@ def test_plane_chart_origin_width_mismatch(tmp_path, capsys):
     ("charts.params", {"name": "list_params_sphere", "ambient_dim": 3, "kind": "smooth",
                        "charts": [{"map": "sphere", "params": [2]}],
                        "declared_chi": 2, "compact": True}),
+    # a sphere so large that the squared spot-check radius overflows
+    ("charts.params", {"name": "huge_sphere", "ambient_dim": 3, "kind": "smooth",
+                       "charts": [{"map": "sphere", "params": {"radius": 1e160}}],
+                       "declared_chi": 2, "compact": True}),
 ])
 def test_non_finite_set_data_is_a_usage_error(tmp_path, capsys, field, doc):
     path = tmp_path / "non_finite.json"
@@ -344,6 +350,41 @@ def test_non_finite_set_data_is_a_usage_error(tmp_path, capsys, field, doc):
                "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "edges": [[0, 10**400]]}),
     ("edges", {"name": "scalar_edges_cone", "ambient_dim": 3, "kind": "conic_graph",
                "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "edges": 5}),
+    ("declared_chi", {"name": "huge_chi_plane", "ambient_dim": 3, "kind": "smooth",
+                      "charts": [{"map": "plane"}], "declared_chi": 10**400}),
+    # values of the wrong JSON type or shape
+    ("(top level)", [{"name": "listed_plane", "ambient_dim": 3, "kind": "smooth",
+                      "charts": [{"map": "plane"}], "declared_chi": 1}]),
+    ("charts", {"name": "object_charts", "ambient_dim": 3, "kind": "smooth",
+                "charts": {"map": "sphere"}, "declared_chi": 2, "compact": True}),
+    ("charts", {"name": "string_charts", "ambient_dim": 3, "kind": "smooth",
+                "charts": ["sphere"], "declared_chi": 2, "compact": True}),
+    ("charts.domian", {"name": "typo_domain_cylinder", "ambient_dim": 3, "kind": "smooth",
+                       "charts": [{"map": "cylinder", "domian": [[0, 1], [-1, 1]]}],
+                       "declared_chi": 0}),
+    ("compact", {"name": "word_compact_sphere", "ambient_dim": 3, "kind": "smooth",
+                 "charts": [{"map": "sphere"}], "declared_chi": 2, "compact": "no"}),
+    ("polynomial", {"name": "list_poly_plane", "ambient_dim": 3, "kind": "smooth",
+                    "charts": [{"map": "plane"}], "polynomial": [1], "declared_chi": 1}),
+    ("polynomial", {"name": "word_coeff_plane", "ambient_dim": 3, "kind": "smooth",
+                    "charts": [{"map": "plane"}], "polynomial": {"(0,0,1)": "one"},
+                    "declared_chi": 1}),
+    ("polynomial", {"name": "short_exps_plane", "ambient_dim": 3, "kind": "smooth",
+                    "charts": [{"map": "plane"}], "polynomial": {"(1,2)": 1.0},
+                    "declared_chi": 1}),
+    ("polynomial", {"name": "negative_exp_plane", "ambient_dim": 3, "kind": "smooth",
+                    "charts": [{"map": "plane"}], "polynomial": {"(0,0,-1)": 1.0},
+                    "declared_chi": 1}),
+    ("polynomial", {"name": "fraction_exp_plane", "ambient_dim": 3, "kind": "smooth",
+                    "charts": [{"map": "plane"}], "polynomial": {"(0,0,1.5)": 1.0},
+                    "declared_chi": 1}),
+    ("vertices", {"name": "ragged_cross", "ambient_dim": 2, "kind": "conic_graph",
+                  "vertices": [[1.0, 0.0], [0.0]]}),
+    ("vertices", {"name": "word_cross", "ambient_dim": 2, "kind": "conic_graph",
+                  "vertices": [[1.0, "x"], [0.0, 1.0]]}),
+    ("frame", {"name": "ragged_line", "ambient_dim": 2, "kind": "linear",
+               "frame": [[1.0, 0.0], [0.0]]}),
+    ("frame", {"name": "word_line", "ambient_dim": 2, "kind": "linear", "frame": [["a", 0.0]]}),
 ])
 def test_non_integer_set_fields_are_usage_errors(tmp_path, capsys, field, doc):
     path = tmp_path / "non_integer.json"

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from lkcurv import limits
-from lkcurv.limits import estimate_limit, fit_limit_sequence, normalized_lk, validate_radii
+from lkcurv.curvature import lk_measures_detailed
+from lkcurv.geomconst import ball_volume
+from lkcurv.limits import (
+    curvature_measures, estimate_limit, estimate_limits, fit_limit_sequence, normalized_lk,
+    validate_radii,
+)
+from lkcurv.spherical import conic_lk_measure_detailed
 
 RADII = (8.0, 16.0, 32.0, 64.0)
 
@@ -103,6 +109,35 @@ def test_order0_only_for_smooth_sets(sets):
         estimate_limit(sets["cross_r2"], 0, RADII)
     with pytest.raises(ValueError):
         estimate_limit(sets["sphere_s2"], 4, RADII)
+
+
+def test_limit_routes_name_each_set_kind(sets):
+    for name, k, route in (("line_r3", 1, "linear_exact"),
+                           ("cross_r2", 1, "conic_homogeneity"),
+                           ("sphere_s2", 2, "compact_exact_zero"),
+                           ("hyperboloid_r3", 2, "cubature_limit"),
+                           ("paraboloid_r3", 2, "cubature_limit,not_converged")):
+        est, = estimate_limits(sets[name], (k,), RADII)
+        assert est.route == route, name
+
+
+def test_curvature_measures_follow_each_kind_route(sets):
+    hyp = sets["hyperboloid_r3"]
+    assert curvature_measures(hyp, (0, 1, 2), 8.0) == lk_measures_detailed(hyp, (0, 1, 2), 8.0)
+    cross = sets["cross_r2"]
+    for center in (None, np.array([1.0, 2.0])):
+        assert curvature_measures(cross, (1, 2), 8.0, center=center) == [
+            conic_lk_measure_detailed(cross, k, 8.0, center=center) for k in (1, 2)]
+    # a line meets the ball in a segment of length 2 sqrt(R^2 - dist^2); the
+    # normalized value keeps the bits of (1 - dist^2/R^2)^(1/2)
+    line, b1 = sets["line_r3"], ball_volume(1)
+    assert curvature_measures(line, (1, 2, 3), 8.0) == [(b1 * 8.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
+    shift = np.array([0.0, 0.5, 0.0])
+    for radius in RADII:
+        closed = (1.0 - 0.25 / (radius * radius)) ** 0.5
+        assert curvature_measures(line, (1,), radius, center=shift) == [(b1 * radius * closed, 0.0)]
+        assert normalized_lk(line, 1, radius, center=shift) == closed
+    assert curvature_measures(line, (1,), 0.5, center=shift) == [(0.0, 0.0)]
 
 
 def test_cylinder_limit(sets):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +293,18 @@ def test_thm42_uses_declared_chi_for_full_space(sets):
     rows = rows_by_k(report)
     assert report.overall_pass
     assert "declared_chi" in rows[1].route_rhs
+
+
+def test_skipped_growth_rows_keep_the_limit_route():
+    from lkcurv.catalog import load_set_file
+
+    name, x = load_set_file(str(Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"))
+    routes = {}
+    for tid in ("thm3.7", "thm4.1", "thm4.2"):
+        row = rows_by_k(run_theorem(tid, x, name, n_samples=200, seed=42))[2]
+        assert row.skipped, tid
+        routes[tid] = row.route_lhs
+    assert routes == {tid: "cubature_limit" for tid in routes}
 
 
 # ------------------------------------------------------------------ base point
