@@ -1,11 +1,12 @@
 """Chart atlases for smooth sets.
 
-A chart supplies the parametrization together with exact first and second
-derivatives, a partition-of-unity weight defined on ambient points, and a
-domain fitter that returns a parameter box covering the part of the surface
-inside a given ball.  Built-in maps know their own geometry, so for the shapes
-shipped here the fitted box matches the ball almost exactly and the indicator
-used by the cubature rejects essentially nothing.
+A chart supplies one jet, the parametrization together with its exact first
+and second derivatives at a batch of parameter points, a partition-of-unity
+weight defined on ambient points, and a domain fitter that returns a
+parameter box covering the part of the surface inside a given ball.  Built-in
+maps know their own geometry, so for the shapes shipped here the fitted box
+matches the ball almost exactly and the indicator used by the cubature rejects
+essentially nothing.
 
 Every builtin surface is a surface of revolution,
 
@@ -13,9 +14,15 @@ Every builtin surface is a surface of revolution,
 
 so a map gives only its profile curve: w, z and their first two derivatives
 at t.  ``_revolution_chart`` turns a profile into the map, its Jacobian and
-its second derivatives by the chain rule, with the same per-node arithmetic
-for every map.  The space curve ``poly_curve`` differentiates its polynomial
+its second derivatives by the chain rule, evaluating the profile, cos phi and
+sin phi once per node for all three, with the same per-node arithmetic for
+every map.  The space curve ``poly_curve`` differentiates its polynomial
 coefficients instead.
+
+Cubature uses tensor products of Gauss-Legendre rules.  Each rule is computed
+here by Newton's method on the three-term Legendre recurrence from Tricomi's
+initial guess, which gives nodes and weights to full double precision (Hale
+and Townsend, SIAM J. Sci. Comput. 35, 2013), and is cached per node count.
 """
 
 from __future__ import annotations
@@ -23,10 +30,9 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from ..errors import SetValidationError
 
@@ -39,9 +45,8 @@ class Chart:
     label: str
     dim: int
     ambient_dim: int
-    map_fn: Callable[[np.ndarray], np.ndarray]
-    jac_fn: Callable[[np.ndarray], np.ndarray]
-    hess_fn: Callable[[np.ndarray], np.ndarray]
+    # U (B, dim) -> points (B, n), Jacobians (B, n, dim), second derivatives (B, n, dim, dim)
+    jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
     base_domain: Optional[np.ndarray]  # (dim, 2) or None for an unbounded natural domain
     domain_fn: Optional[Callable[[float, np.ndarray], Optional[np.ndarray]]] = None
     weight_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -49,6 +54,15 @@ class Chart:
     # axes whose fitted ranges grow with the ball radius; cubature panels them
     # dyadically toward the chart's unit-scale feature region
     panel_axes: tuple = ()
+
+    def map_fn(self, U: np.ndarray) -> np.ndarray:
+        return self.jet(U)[0]
+
+    def jac_fn(self, U: np.ndarray) -> np.ndarray:
+        return self.jet(U)[1]
+
+    def hess_fn(self, U: np.ndarray) -> np.ndarray:
+        return self.jet(U)[2]
 
     def domain_for_ball(self, radius: float, center: np.ndarray) -> Optional[np.ndarray]:
         """Parameter box covering the chart's trace inside the ball, or None."""
@@ -79,9 +93,38 @@ class Chart:
         return np.asarray(self.weight_fn(x), dtype=float)
 
 
+def _legendre(count: int, x: np.ndarray):
+    """P_count and its derivative at each x, by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, count):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, count * (x * p - p_prev) / (x * x - 1.0)
+
+
+# Newton from Tricomi's guess converges in a few steps; a step this small is a
+# rounding of a converged node
+_NEWTON_STEPS = 10
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
+
+
 @lru_cache(maxsize=32)
 def _gl_rule(count: int):
-    nodes, weights = roots_legendre(count)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]."""
+    k = np.arange(count, 0, -1)
+    x = (1.0 - 1.0 / (8.0 * count**2) + 1.0 / (8.0 * count**3)) * np.cos(
+        np.pi * (4 * k - 1) / (4 * count + 2))
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(count, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
+            break
+    _, dp = _legendre(count, x)
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    # the rule is symmetric about 0; averaging the mirror images makes it exactly so
+    nodes, weights = 0.5 * (x - x[::-1]), 0.5 * (weights + weights[::-1])
+    # the cache hands these arrays to every caller
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
@@ -221,31 +264,20 @@ def _revolution_chart(label, profile, phi_axis, domain_fn, panel_axes=(),
         local[:, 0], local[:, 1], local[:, 2] = a, b, c
         return local @ frame
 
-    def split(U):
+    def jet(U):
+        w, dw, ddw, z, dz, ddz = profile(U[:, t_axis])
         ph = U[:, phi_axis]
-        return profile(U[:, t_axis]), np.cos(ph), np.sin(ph)
-
-    def map_fn(U):
-        (w, _, _, z, _, _), c, s = split(U)
-        return origin + span(w * c, w * s, z)
-
-    def jac_fn(U):
-        (w, dw, _, _, dz, _), c, s = split(U)
+        c, s = np.cos(ph), np.sin(ph)
         jac = np.empty((U.shape[0], frame.shape[1], 2))
         jac[:, :, t_axis] = span(dw * c, dw * s, dz)
         jac[:, :, phi_axis] = span(-w * s, w * c, 0.0)
-        return jac
-
-    def hess_fn(U):
-        (w, dw, ddw, _, _, ddz), c, s = split(U)
         hess = np.empty((U.shape[0], frame.shape[1], 2, 2))
         hess[:, :, t_axis, t_axis] = span(ddw * c, ddw * s, ddz)
         hess[:, :, t_axis, phi_axis] = hess[:, :, phi_axis, t_axis] = span(-dw * s, dw * c, 0.0)
         hess[:, :, phi_axis, phi_axis] = span(-w * c, -w * s, 0.0)
-        return hess
+        return origin + span(w * c, w * s, z), jac, hess
 
-    return Chart(label, 2, frame.shape[1], map_fn, jac_fn, hess_fn, None, domain_fn,
-                 panel_axes=panel_axes)
+    return Chart(label, 2, frame.shape[1], jet, None, domain_fn, panel_axes=panel_axes)
 
 
 def _build_plane(frame=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), origin=None):
@@ -383,14 +415,10 @@ def _build_poly_curve(coefficients=()):
             out[:, j] = np.polynomial.polynomial.polyval(t, c[j])
         return out
 
-    def map_fn(U):
-        return _horner(coeffs, U[:, 0])
-
-    def jac_fn(U):
-        return _horner(dcoeffs, U[:, 0])[:, :, None]
-
-    def hess_fn(U):
-        return _horner(d2coeffs, U[:, 0])[:, :, None, None]
+    def jet(U):
+        t = U[:, 0]
+        return (_horner(coeffs, t), _horner(dcoeffs, t)[:, :, None],
+                _horner(d2coeffs, t)[:, :, None, None])
 
     def domain_fn(ball_r, ball_c):
         def gap(t):
@@ -408,8 +436,7 @@ def _build_poly_curve(coefficients=()):
             return None
         return interval[None, :]
 
-    return Chart("poly_curve", 1, ambient, map_fn, jac_fn, hess_fn, None, domain_fn,
-                 panel_axes=(0,))
+    return Chart("poly_curve", 1, ambient, jet, None, domain_fn, panel_axes=(0,))
 
 
 CHART_BUILDERS: Dict[str, Callable] = {

@@ -189,6 +189,8 @@ class Poly:
         for key, coeff in terms.items():
             body = key.strip().strip("()")
             exps = tuple(int(part) for part in body.split(",") if part.strip() != "")
+            if exps in parsed:
+                raise ValueError(f"exponent {exps} is given twice")
             parsed[exps] = float(coeff)
         return cls(nvars, parsed)
 

@@ -151,8 +151,7 @@ def _validate_smooth(x: SmoothSet) -> None:
         if box is None:
             continue
         u = rng.uniform(box[:, 0], box[:, 1], size=(_SPOT_CHECK_POINTS, chart.dim))
-        pts = chart.map_fn(u)
-        jac = chart.jac_fn(u)
+        pts, jac, _ = chart.jet(u)
         gram = np.einsum("bia,bic->bac", jac, jac)
         dets = np.linalg.det(gram)
         if np.min(dets) <= GRAM_DET_TOL:
@@ -405,7 +404,10 @@ def load_set_file(path: str) -> Tuple[str, SetDescriptor]:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     x = set_from_dict(doc)
-    return doc.get("name", path), x
+    name = doc.get("name", path)
+    if not isinstance(name, str):
+        raise SetValidationError("name", f"expected a string, got {name!r}")
+    return name, x
 
 
 def resolve_set(ref: str) -> Tuple[str, SetDescriptor]:

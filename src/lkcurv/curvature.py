@@ -107,16 +107,16 @@ def _det_gram(jac: np.ndarray) -> np.ndarray:
 
 def _chart_frames(chart: Chart, u: np.ndarray) -> _FrameData:
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    jac = chart.jac_fn(u)
+    positions, jac, hess = chart.jet(u)
     det_gram = _det_gram(jac)
     if np.min(det_gram) < GRAM_DET_TOL:
         raise DegenerateChartError(
             f"chart {chart.label!r}: tangent Gram determinant below {GRAM_DET_TOL}"
         )
     return _FrameData(
-        positions=chart.map_fn(u),
+        positions=positions,
         jac=jac,
-        hess=chart.hess_fn(u),
+        hess=hess,
         det_gram=det_gram,
         sqrt_gram=np.sqrt(det_gram),
     )

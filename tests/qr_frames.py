@@ -32,19 +32,19 @@ class QRFrames:
 
 def qr_frames(chart, u) -> QRFrames:
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    jac = chart.jac_fn(u)
+    positions, jac, hess = chart.jet(u)
     d = chart.dim
     q, r = np.linalg.qr(jac, mode="complete")
     sqrt_gram = np.prod(np.abs(np.einsum("bii->bi", r[:, :d, :d])), axis=1)
     if np.min(sqrt_gram * sqrt_gram) < GRAM_DET_TOL:
         raise DegenerateChartError(f"chart {chart.label!r}: tangent Gram determinant too small")
     return QRFrames(
-        positions=chart.map_fn(u),
+        positions=positions,
         tangent=q[:, :, :d],
         r_inv=np.linalg.inv(r[:, :d, :d]),
         normal=q[:, :, d:],
         sqrt_gram=sqrt_gram,
-        hess=chart.hess_fn(u),
+        hess=hess,
     )
 
 

@@ -324,6 +324,12 @@ def test_plane_chart_origin_width_mismatch(tmp_path, capsys):
     ("charts.params", {"name": "huge_sphere", "ambient_dim": 3, "kind": "smooth",
                        "charts": [{"map": "sphere", "params": {"radius": 1e160}}],
                        "declared_chi": 2, "compact": True}),
+    # a name that is not a string, and an exponent given twice in two spellings
+    ("name", {"name": [1, 2], "ambient_dim": 3, "kind": "smooth",
+              "charts": [{"map": "plane"}], "declared_chi": 1}),
+    ("polynomial", {"name": "repeated_exp_plane", "ambient_dim": 3, "kind": "smooth",
+                    "charts": [{"map": "plane"}], "declared_chi": 1,
+                    "polynomial": {"(0,0,1)": 1.0, "(0, 0, 1)": 2.0}}),
 ])
 def test_non_finite_set_data_is_a_usage_error(tmp_path, capsys, field, doc):
     path = tmp_path / "non_finite.json"

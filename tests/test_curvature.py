@@ -25,6 +25,11 @@ from qr_frames import outward_normal, qr_density, qr_frames
 PLANE_R2_IN_R4 = Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"
 
 
+def jet_of(map_fn, jac_fn, hess_fn):
+    """A chart jet from a hand-written map and its two derivatives."""
+    return lambda u: (map_fn(u), jac_fn(u), hess_fn(u))
+
+
 # --------------------------------------------------------- symmetric functions
 
 
@@ -150,18 +155,13 @@ def test_odd_orders_vanish_exactly(sets, rng):
 def test_codimension_two_density_is_exact():
     # the unit 2-sphere flatly embedded in R^4: the order-2 density integrates
     # cos^2 over the normal circle, which is half the circle length
-    def lift(fn):
-        def wrapped(u):
-            out = fn(u)
-            pad = np.zeros((out.shape[0], 1) + out.shape[2:])
-            return np.concatenate([out, pad], axis=1)
-        return wrapped
+    def lift(out):
+        pad = np.zeros((out.shape[0], 1) + out.shape[2:])
+        return np.concatenate([out, pad], axis=1)
 
     base = build_chart("sphere", params={"radius": 1.0})
     chart = build_chart("sphere", params={"radius": 1.0})
-    chart.map_fn = lift(base.map_fn)
-    chart.jac_fn = lift(base.jac_fn)
-    chart.hess_fn = lift(base.hess_fn)
+    chart.jet = lambda u: tuple(lift(out) for out in base.jet(u))
     chart.ambient_dim = 4
     chart.domain_fn = None
     chart.base_domain = np.array([[0.0, np.pi], [0.0, 2.0 * np.pi]])
@@ -197,7 +197,7 @@ def square_graph_r4():
         hess[:, 3, 0, 1] = hess[:, 3, 1, 0] = 2.0
         return hess
 
-    chart = Chart("square_graph", 2, 4, map_fn, jac_fn, hess_fn,
+    chart = Chart("square_graph", 2, 4, jet_of(map_fn, jac_fn, hess_fn),
                   np.array([[-3.0, 3.0], [-3.0, 3.0]]))
     return SmoothSet(ambient_dim=4, dim=2, charts=(chart,), implicit=None,
                      declared_chi=1, compact=False)
@@ -234,7 +234,7 @@ def test_order_four_in_codimension_two_is_unsupported():
     def hess_fn(u):
         return np.zeros((u.shape[0], 6, 4, 4))
 
-    chart = Chart("flat4", 4, 6, map_fn, jac_fn, hess_fn, np.array([[-1.0, 1.0]] * 4))
+    chart = Chart("flat4", 4, 6, jet_of(map_fn, jac_fn, hess_fn), np.array([[-1.0, 1.0]] * 4))
     x = SmoothSet(ambient_dim=6, dim=4, charts=(chart,), implicit=None,
                   declared_chi=1, compact=False)
     u = np.array([0.1, 0.2, 0.3, 0.4])
@@ -264,7 +264,7 @@ def quadric_graph(dim, ambient, seed):
         hess[:, dim:] = shapes
         return hess
 
-    chart = Chart(f"quadric{dim}", dim, ambient, map_fn, jac_fn, hess_fn,
+    chart = Chart(f"quadric{dim}", dim, ambient, jet_of(map_fn, jac_fn, hess_fn),
                   np.array([[-1.0, 1.0]] * dim))
     return SmoothSet(ambient_dim=ambient, dim=dim, charts=(chart,), implicit=None,
                      declared_chi=1, compact=False)
@@ -411,24 +411,17 @@ def test_orientation_flip_leaves_measures_unchanged(sets):
     chart = hyp.charts[0]
     flipped = build_chart("hyperboloid_one_sheet")
 
-    def flip(fn, tensor_rank):
-        def wrapped(u):
-            v = np.array(u, dtype=float)
-            v[:, 0] = -v[:, 0]
-            out = fn(v)
-            if tensor_rank >= 1:  # first derivative in phi changes sign
-                out = np.array(out)
-                if tensor_rank == 1:
-                    out[:, :, 0] = -out[:, :, 0]
-                else:  # mixed second derivatives flip once, phi-phi twice
-                    out[:, :, 0, 1] = -out[:, :, 0, 1]
-                    out[:, :, 1, 0] = -out[:, :, 1, 0]
-            return out
-        return wrapped
+    def flipped_jet(u):
+        v = np.array(u, dtype=float)
+        v[:, 0] = -v[:, 0]
+        pts, jac, hess = (np.array(out) for out in chart.jet(v))
+        jac[:, :, 0] = -jac[:, :, 0]  # first derivative in phi changes sign
+        # mixed second derivatives flip once, phi-phi twice
+        hess[:, :, 0, 1] = -hess[:, :, 0, 1]
+        hess[:, :, 1, 0] = -hess[:, :, 1, 0]
+        return pts, jac, hess
 
-    flipped.map_fn = flip(chart.map_fn, 0)
-    flipped.jac_fn = flip(chart.jac_fn, 1)
-    flipped.hess_fn = flip(chart.hess_fn, 2)
+    flipped.jet = flipped_jet
     mirrored = SmoothSet(ambient_dim=3, dim=2, charts=(flipped,), implicit=None,
                          declared_chi=0, compact=False)
     for k in (0, 2):
