@@ -157,6 +157,7 @@ def _axis_rule(lo: float, hi: float, count: int, paneled: bool):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+# the benchmark's tracing counts the nodes of this rule by name
 def gauss_legendre_nodes(box: np.ndarray, counts, panel_axes=()) -> tuple[np.ndarray, np.ndarray]:
     """Tensor product of per-axis Gauss-Legendre rules on an axis-aligned box.
 

@@ -1,24 +1,24 @@
-"""Topological oracles: Euler characteristics, sections, and links at infinity.
+"""Topological oracles: Euler characteristics and links at infinity.
 
-``link_infinity_chi(X, H)`` returns the Euler characteristic of
-(X intersect H) intersect S_R for stably large R, optionally with the whole
-construction translated to a base point (affine flats through ``center`` and
-spheres around it).  ``link_chi_batch`` gives the same stable values for a
-stack of planes at once.
+``link_chi_batch(X, frames, center)`` returns, for a stack of planes H, the
+Euler characteristic of (X intersect (center + H)) intersect S_R for stably
+large R, spheres taken around the center; ``full_space_link(X, center)`` is
+the same for H the whole space.  ``link_chi`` and ``link_infinity_chi`` run
+the stacked count on one plane; no verify path calls them, and they stay
+because the benchmark's probe and tracing look them up by name.
 
 Routes.  Each set kind has one count for proper planes, made for a whole
-stack of planes; ``link_infinity_chi`` and ``section`` run it on a stack of
-one.  A one-dimensional implicit section {g = 0} of a smooth set has two
-ends for each simple real root on P^1 of its leading form, the restriction
-P_d(s @ frame) of the top-degree part of the implicit polynomial: such a root
-is a smooth point of the projective closure that crosses the line at
-infinity.  The center moves only lower-order terms, so shifted flats use the
-same count, and no radius is involved.  Linear and conic links are exact
-combinatorial counts: a linear section is a flat whose dimension is the
-number of principal angles between the two subspaces that vanish (one SVD
-for the stack), and a conic section is the cone over the vertices, arcs and
-arc crossings of its spherical graph in the plane (every test runs over all
-planes and arcs at once).
+stack of planes.  A one-dimensional implicit section {g = 0} of a smooth set
+has two ends for each simple real root on P^1 of its leading form, the
+restriction P_d(s @ frame) of the top-degree part of the implicit
+polynomial: such a root is a smooth point of the projective closure that
+crosses the line at infinity.  The center moves only lower-order terms, so
+shifted flats use the same count, and no radius is involved.  Linear and
+conic links are exact combinatorial counts: a linear section is a flat whose
+dimension is the number of principal angles between the two subspaces that
+vanish (one SVD for the stack), and a conic section is the cone over the
+vertices, arcs and arc crossings of its spherical graph in the plane (every
+test runs over all planes and arcs at once).
 
 Full-space links are closed forms too: a flat of dimension m has the link
 S^(m-1), a cone has chi(graph) = V - E around the origin and each ray of an
@@ -36,7 +36,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import ChiUnknownError, DegenerateSample, UnsupportedSection
-from ..grassmann import Subspace, _gram_schmidt
+from ..grassmann import Subspace
 from .polynomial import Poly
 from .sets import (
     ConicGraph,
@@ -62,6 +62,8 @@ PARABOLIC_DET_TOL = 1e-12
 # real roots closer than the second tolerance are a multiple root
 FORM_ROOT_TOL = 1e-9
 FORM_ROOT_GRAY_TOL = 1e-5
+# no link uses a radius; the benchmark's tracing reads this factor and
+# ``coefficient_scale`` to count radius doublings of ``LinkSection.radius_used``
 BASE_RADIUS_FACTOR = 8.0
 
 
@@ -69,16 +71,12 @@ BASE_RADIUS_FACTOR = 8.0
 class LinkSection:
     """A link chi.  Every link is a closed form, so ``radius_used`` is only the
     seed radius (``BASE_RADIUS_FACTOR`` times the coefficient scale) and
-    ``stable`` is always true; both fields stay for the public API and for the
-    benchmark's tracing."""
+    ``stable`` is always true; both fields stay because the benchmark's tracing
+    reads them."""
 
     chi: int
     radius_used: float
     stable: bool
-
-
-def full_space(n: int) -> Subspace:
-    return Subspace(n=n, k=n, frame=np.eye(n))
 
 
 def euler_char(x: SetDescriptor) -> int:
@@ -131,24 +129,6 @@ def _shared_directions(frame: np.ndarray, frames: np.ndarray):
     return u, np.count_nonzero(shared, axis=1), np.any(gray, axis=1)
 
 
-def subspace_intersection(frame_a: np.ndarray, frame_b: np.ndarray) -> Tuple[int, np.ndarray]:
-    """Dimension and orthonormal basis of span(a) intersect span(b).
-
-    Raises :class:`DegenerateSample` when a principal angle sits in the gray
-    band where shared and non-shared directions cannot be told apart.
-    """
-    u, shared, degenerate = _shared_directions(frame_a, frame_b[None])
-    if degenerate[0]:
-        raise DegenerateSample("near-tangential pair of subspaces")
-    m0 = int(shared[0])
-    if not m0:
-        return 0, np.zeros((0, frame_a.shape[1]))
-    basis = _gram_schmidt(u[0, :, :m0].T @ frame_a)
-    if basis is None:
-        raise DegenerateSample("ill-conditioned intersection basis")
-    return m0, basis
-
-
 def _flats_meet_subspace(v_frame: np.ndarray, frames: np.ndarray, center: np.ndarray,
                          u: np.ndarray, shared: np.ndarray) -> np.ndarray:
     """Whether each affine flat center + span(frames[i]) meets span(v_frame).
@@ -190,8 +170,8 @@ def _graph_sections(graph, frames: np.ndarray):
     """graph ∩ E_H for a stack of proper planes H, frames of shape (m, k, n).
 
     Returns masks of the vertices (m, V) and the arcs (m, E) that lie in each
-    plane, a mask of the arcs that cross it transversally (m, E), the crossing
-    points (m, E, n), and a mask of the planes in a degenerate position: a
+    plane, a mask of the arcs that cross it transversally (m, E), and a mask
+    of the planes in a degenerate position: a
     vertex in the gray band, or an arc that lies in the plane numerically,
     grazes it, or meets it at an endpoint outside it.  Every test runs over
     all planes and arcs at once.
@@ -227,7 +207,7 @@ def _graph_sections(graph, frames: np.ndarray):
     end_in = np.where(u0 < 0.5 * theta, verts_in[:, i], verts_in[:, j])
     grazing = near & ~hit
     degenerate |= np.any((~edges_in & flat) | grazing | (hit & at_end & ~end_in), axis=1)
-    return verts_in, edges_in, hit & ~at_end, points, degenerate
+    return verts_in, edges_in, hit & ~at_end, degenerate
 
 
 def _conic_section_links(x: ConicGraph, frames: np.ndarray,
@@ -236,7 +216,7 @@ def _conic_section_links(x: ConicGraph, frames: np.ndarray,
     if not np.any(center != 0.0):
         # conic sets have radius-independent links: chi(X ∩ H ∩ S_R) is the
         # combinatorial chi of graph ∩ E_H at any radius
-        verts_in, edges_in, crossing, _, degenerate = _graph_sections(graph, frames)
+        verts_in, edges_in, crossing, degenerate = _graph_sections(graph, frames)
         counts = (np.count_nonzero(verts_in, axis=1) - np.count_nonzero(edges_in, axis=1)
                   + np.count_nonzero(crossing, axis=1))
         return counts.astype(float), degenerate
@@ -359,8 +339,10 @@ def _smooth_section_ends(x: SmoothSet, frames: np.ndarray) -> Tuple[np.ndarray, 
     )
 
 
-def _full_space_link(x: SetDescriptor, center: np.ndarray) -> int:
-    """Link chi at infinity of X itself, on spheres around the center."""
+def full_space_link(x: SetDescriptor, center=None) -> int:
+    """Link chi at infinity of X itself, on spheres around the center (the
+    origin when not given)."""
+    center = _center_vector(x.ambient_dim, center)
     if isinstance(x, LinearSubspace):
         return _sphere_chi(x.dim)
     if isinstance(x, ConicGraph):
@@ -398,34 +380,25 @@ def _section_links(x: SetDescriptor, frames: np.ndarray,
 
 # ----------------------------------------------------------------------- public
 
-def link_infinity_chi(x: SetDescriptor, subspace, center=None) -> LinkSection:
+# The benchmark's tracing wraps these two by name: it counts the calls of
+# ``link_infinity_chi`` and reads ``.stable`` and ``.radius_used`` of its result,
+# and its probe averages ``link_chi`` with ``grassmann_mean``.
+
+def link_infinity_chi(x: SetDescriptor, subspace: Subspace, center=None) -> LinkSection:
     """Euler characteristic of the link at infinity of X ∩ (center + H).
 
-    ``subspace`` may be an :class:`AffineFlat` (as produced by
-    ``shift_subspace``), in which case its base point is the center.  The link
-    is taken on spheres around the center (the origin when not given).
-    Raises :class:`DegenerateSample` on measure-zero configurations and
+    The link is taken on spheres around the center (the origin when not
+    given); this is :func:`link_chi_batch` on a stack of one plane.  Raises
+    :class:`DegenerateSample` on measure-zero configurations and
     :class:`UnsupportedSection` outside the supported representations.
     """
-    from ..grassmann import AffineFlat
-
-    if isinstance(subspace, AffineFlat):
-        if center is not None:
-            raise ValueError("pass either an affine flat or a center, not both")
-        center = subspace.base
-        subspace = subspace.subspace
     n = x.ambient_dim
     if subspace.n != n:
         raise ValueError("subspace lives in a different ambient space")
-    center = _center_vector(n, center)
-    if subspace.k == n:
-        chi = _full_space_link(x, center)
-    else:
-        values, degenerate = _section_links(x, subspace.frame[None], center)
-        if degenerate[0]:
-            raise DegenerateSample("the plane meets the set in a degenerate position")
-        chi = int(values[0])
-    return LinkSection(chi, BASE_RADIUS_FACTOR * coefficient_scale(x), True)
+    values, degenerate = link_chi_batch(x, subspace.frame[None], center)
+    if degenerate[0]:
+        raise DegenerateSample("the plane meets the set in a degenerate position")
+    return LinkSection(int(values[0]), BASE_RADIUS_FACTOR * coefficient_scale(x), True)
 
 
 def link_chi(x: SetDescriptor, subspace: Subspace, center=None) -> int:
@@ -437,10 +410,8 @@ def link_chi_batch(x: SetDescriptor, frames, center=None) -> Tuple[np.ndarray, n
     """Stable link chis of X ∩ (center + H) for a stack of planes H.
 
     ``frames`` has shape (m, k, n) with orthonormal rows.  Returns the values
-    and a mask of the planes on which :func:`link_chi` would raise
-    :class:`DegenerateSample`.  Every set kind is
-    counted for the whole stack at once; :func:`link_infinity_chi` is the same
-    count for a stack of one plane.
+    and a mask of the planes in a degenerate position, where the count is not
+    decided.  Every set kind is counted for the whole stack at once.
     """
     frames = np.asarray(frames, dtype=float)
     m, k, n = frames.shape
@@ -449,56 +420,5 @@ def link_chi_batch(x: SetDescriptor, frames, center=None) -> Tuple[np.ndarray, n
     center = _center_vector(n, center)
     if k == n:
         # every frame spans the whole space, so one link serves the stack
-        return np.full(m, float(_full_space_link(x, center))), np.zeros(m, dtype=bool)
+        return np.full(m, float(full_space_link(x, center))), np.zeros(m, dtype=bool)
     return _section_links(x, frames, center)
-
-
-def section(x: SetDescriptor, subspace: Subspace) -> SetDescriptor:
-    """The section X ∩ H expressed in the frame coordinates of H."""
-    n = x.ambient_dim
-    if subspace.n != n:
-        raise ValueError("subspace lives in a different ambient space")
-    k = subspace.k
-    if k == n and isinstance(x, (LinearSubspace, ConicGraph, SmoothSet)):
-        return x
-
-    if isinstance(x, LinearSubspace):
-        m0, basis = subspace_intersection(x.frame, subspace.frame)
-        coords = basis @ subspace.frame.T
-        coords = _gram_schmidt(coords) if m0 else np.zeros((0, k))
-        if coords is None:
-            raise DegenerateSample("ill-conditioned section frame")
-        return LinearSubspace(k, coords)
-
-    if isinstance(x, ConicGraph):
-        verts_in, edges_in, crossing, points, degenerate = (
-            part[0] for part in _graph_sections(x.graph, subspace.frame[None])
-        )
-        if degenerate:
-            raise DegenerateSample("the plane meets the graph in a degenerate position")
-        coords = np.vstack([x.graph.vertices[verts_in], points[crossing]]) @ subspace.frame.T
-        if coords.shape[0]:
-            coords /= np.linalg.norm(coords, axis=1)[:, None]
-        index_of = np.cumsum(verts_in) - 1
-        new_edges = tuple(
-            (int(index_of[i]), int(index_of[j]))
-            for (i, j), inside in zip(x.graph.edges, edges_in) if inside
-        )
-        if coords.shape[0] == 2 and not new_edges and np.linalg.norm(coords[0] + coords[1]) < 1e-9:
-            # the cone over an antipodal pair is a line through the origin
-            return LinearSubspace(k, coords[:1])
-        from .graphs import SphericalGraph
-
-        return ConicGraph(k, SphericalGraph(vertices=coords, edges=new_edges))
-
-    if isinstance(x, SmoothSet):
-        section_dim = x.dim + k - n
-        if section_dim == 1 and x.implicit is not None and k == 2:
-            g = x.implicit.compose_affine(np.zeros(n), subspace.frame)
-            return SmoothSet(ambient_dim=k, dim=1, charts=(), implicit=g,
-                             declared_chi=None, compact=x.compact)
-        raise UnsupportedSection(
-            "only one-dimensional implicit sections of smooth sets are supported"
-        )
-
-    raise TypeError(f"not a set descriptor: {x!r}")

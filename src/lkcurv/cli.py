@@ -16,7 +16,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import catalog
+from .catalog.sets import ConicGraph, builtin_sets, describe, resolve_set
 from .errors import ChiUnknownError, LkError, SetValidationError, UnsupportedSection
 from .geomconst import ball_volume
 from .grassmann import slot_frames
@@ -39,14 +39,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("LK_DEFAULT_SEED")
-    if env is None:
-        return 42
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise UsageError(f"LK_DEFAULT_SEED must be an integer, got {env!r}") from exc
+def _seed(flag: Optional[int]) -> int:
+    """``--seed`` if given, else ``LK_DEFAULT_SEED``, else 42; a seed is one
+    64-bit word of the stream key, so it must lie in [0, 2^64)."""
+    source, seed = "--seed", flag
+    if flag is None:
+        source, env = "LK_DEFAULT_SEED", os.environ.get("LK_DEFAULT_SEED", "42")
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise UsageError(f"LK_DEFAULT_SEED must be an integer, got {env!r}") from exc
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"{source} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def build_parser() -> _Parser:
@@ -90,15 +95,17 @@ def build_parser() -> _Parser:
 
 
 def _parse_floats(text: str, flag: str) -> List[float]:
+    if any(part.strip() == "" for part in text.split(",")):
+        raise UsageError(f"{flag} has an empty field in {text!r}")
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
 
 
 def _resolve(set_ref: str):
     try:
-        return catalog.resolve_set(set_ref)
+        return resolve_set(set_ref)
     except FileNotFoundError as exc:
         raise UsageError(f"no builtin set or readable file named {set_ref!r}") from exc
     except json.JSONDecodeError as exc:
@@ -108,9 +115,9 @@ def _resolve(set_ref: str):
 
 
 def _cmd_catalog_list(out) -> int:
-    sets = catalog.builtin_sets()
+    sets = builtin_sets()
     for name in sorted(sets):
-        info = catalog.describe(sets[name])
+        info = describe(sets[name])
         tag = "compact" if info["compact"] else info["kind"].replace("conic_graph", "conic")
         chi = info["chi"] if info["chi"] is not None else "?"
         print(f"{name}  n={info['ambient_dim']} d={info['dim']} chi={chi} {tag}", file=out)
@@ -118,8 +125,8 @@ def _cmd_catalog_list(out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    radii = tuple(_parse_floats(args.radii, "--radii")) if args.radii else DEFAULT_RADII
+    seed = _seed(args.seed)
+    radii = DEFAULT_RADII if args.radii is None else tuple(_parse_floats(args.radii, "--radii"))
     try:
         validate_radii(radii)
     except ValueError as exc:
@@ -127,7 +134,7 @@ def _cmd_verify(args, out) -> int:
     if args.samples < 100:
         raise UsageError("--samples must be at least 100")
     base_point = (
-        _parse_floats(args.base_point, "--base-point") if args.base_point else None
+        None if args.base_point is None else _parse_floats(args.base_point, "--base-point")
     )
     if base_point is not None and args.theorem != "base_point":
         raise UsageError("--base-point applies only to --theorem base_point")
@@ -194,7 +201,7 @@ def _cmd_curvature(args, out) -> int:
         scale = math.inf
     if not math.isfinite(scale):
         raise UsageError(f"--radius {radius:g} is too large: b_k R^k overflows at k={k}")
-    if k == 0 and isinstance(descriptor, catalog.ConicGraph):
+    if k == 0 and isinstance(descriptor, ConicGraph):
         raise UsageError("order 0 needs the verify du_lambda0 route for cones")
     try:
         (value, err), = curvature_measures(descriptor, (k,), radius)
@@ -213,7 +220,7 @@ def _cmd_curvature(args, out) -> int:
 
 
 def _cmd_grassmann_sample(args, out) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
     if not 1 <= args.k <= args.n:
         raise UsageError("need 1 <= k <= n")
     if args.samples < 1:

@@ -1,10 +1,11 @@
 """Haar-uniform random subspaces and Monte Carlo means over them.
 
-``haar_sample`` draws a uniformly distributed k-plane through the origin of
-R^n by Gram-Schmidt orthonormalization of independent Gaussian vectors.
-``grassmann_mean_batch`` averages a batched oracle over such planes with a
-standard error; ``grassmann_mean`` is the same loop for a function of one
-plane.
+``grassmann_mean_batch`` averages a batched oracle over Haar-uniform k-planes
+through the origin of R^n, drawn by Gram-Schmidt orthonormalization of
+independent Gaussian vectors, with a standard error.  ``haar_sample`` draws
+one such plane from a generator, and ``grassmann_mean`` is the batched loop
+for a function of one plane; no verify path calls either, and they stay
+because the benchmark's probe and tracing look them up by name.
 
 Determinism contract: sample ``i`` of a run is generated from a counter-based
 Philox stream keyed by ``(seed, i)``, so the estimate is bit-identical for a
@@ -17,6 +18,12 @@ zero counter and an empty buffer.  Block ``b`` of a slot is the ``(b+1)``-th
 full-rank blocks in order, a rank-deficient block being skipped exactly as
 ``haar_sample`` skips it, and a plane the oracle rejects is replaced by the
 slot's next frame.
+
+A seed is a 64-bit word of the key: seeds outside [0, 2^64) are rejected, not
+wrapped, so no two seeds share their streams.  Stream domain 1 is the
+Grassmannian draws.  Domain 2 belongs to the sampled vertex-index check of the
+test suite, and domain 3 stays retired, so that no new stream repeats the
+samples it once drew.
 """
 
 from __future__ import annotations
@@ -37,21 +44,21 @@ MAX_RETRIES_PER_SLOT = 64
 # sample slots that share one generator and one oracle call per round of redraws
 SLOT_CHUNK = 256
 
-# stream domains, kept distinct so different modules never share a substream
+# stream domain of the Grassmannian draws (see the module docstring)
 STREAM_GRASSMANN = 1
-STREAM_VERTEX = 2
-STREAM_GENERIC = 4  # 3 is retired: renumbering would change every sample
 
 
 def _stream_key(seed: int, domain: int, index: int = 0, sub: int = 0) -> Tuple[int, int]:
     """The two 64-bit words of the Philox key of stream (seed, domain, index, sub)."""
+    if not 0 <= seed < (1 << 64):
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
     if not 0 <= index < (1 << 32):
         raise ValueError("substream index out of range")
     if not 0 <= sub < (1 << 24):
         raise ValueError("substream sub-index out of range")
     if not 0 <= domain < (1 << 8):
         raise ValueError("substream domain out of range")
-    return seed & 0xFFFFFFFFFFFFFFFF, (domain << 56) | (index << 24) | sub
+    return seed, (domain << 56) | (index << 24) | sub
 
 
 def substream(seed: int, domain: int, index: int = 0, sub: int = 0) -> np.random.Generator:
@@ -91,42 +98,12 @@ class Subspace:
         x = np.asarray(x, dtype=float)
         return (x @ self.frame.T) @ self.frame
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of ambient points in the frame basis."""
-        return np.asarray(x, dtype=float) @ self.frame.T
-
     def normal_basis(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement, shape (n-k, n)."""
         if self.k == self.n:
             return np.zeros((0, self.n))
         q, _ = np.linalg.qr(self.frame.T, mode="complete")
         return q[:, self.k:].T
-
-
-@dataclass(frozen=True, eq=False)
-class AffineFlat:
-    """An affine flat base + H for a linear subspace H."""
-
-    subspace: Subspace
-    base: np.ndarray
-
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        object.__setattr__(self, "base", base)
-        if base.shape != (self.subspace.n,):
-            raise ValueError("base point dimension mismatch")
-        if not np.all(np.isfinite(base)):
-            raise ValueError("base point must be finite")
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        rel = np.asarray(x, dtype=float) - self.base
-        residual = rel - self.subspace.project(rel)
-        return float(np.linalg.norm(residual)) <= tol * (1.0 + np.linalg.norm(rel))
-
-
-def shift_subspace(subspace: Subspace, x0) -> AffineFlat:
-    """The affine flat x0 + H through x0 with direction subspace H."""
-    return AffineFlat(subspace=subspace, base=np.asarray(x0, dtype=float))
 
 
 def _orthonormalize(blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -155,6 +132,7 @@ def _gram_schmidt(rows: np.ndarray) -> Optional[np.ndarray]:
     return frames[0] if ok[0] else None
 
 
+# the benchmark's tracing looks this up by name
 def haar_sample(n: int, k: int, rng: np.random.Generator) -> Subspace:
     """Draw a rotation-invariant random k-plane in R^n.
 
@@ -326,6 +304,8 @@ def grassmann_mean_batch(
     )
 
 
+# the benchmark's probe calls this with ``workers=`` and ``collect=``, and its
+# tracing wraps it by name
 def grassmann_mean(
     n: int,
     k: int,

@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .catalog.links import euler_char, full_space, link_chi, link_chi_batch
+from .catalog.links import euler_char, full_space_link, link_chi_batch
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
 from .curvature import CubatureSpec
 from .errors import UnsupportedSection
@@ -82,6 +82,8 @@ class RunContext:
     def __post_init__(self):
         if self.n_samples < 100:
             raise ValueError("n_samples must be at least 100")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         object.__setattr__(self, "radii", tuple(validate_radii(self.radii)))
         object.__setattr__(self, "center", _as_center(self.center))
 
@@ -107,8 +109,7 @@ def _link_mean(
         # a zero-dimensional section is at most a point; its link is empty
         return 0.0, 0.0, "exact(zero_dim_plane)"
     if plane_dim == n:
-        value = link_chi(x, full_space(n), ctx.center)
-        return float(value), 0.0, "exact(full_space_link)"
+        return float(full_space_link(x, ctx.center)), 0.0, "exact(full_space_link)"
     est = _link_estimate(x, plane_dim, ctx, stream)
     return est.mean, est.stderr, f"grassmann_mc(planes={plane_dim},n={est.n_samples})"
 
@@ -229,22 +230,12 @@ class Lambda0Result:
     direct: Optional[Tuple[float, float]]
 
 
-def lambda0(
-    x: SetDescriptor,
-    n_samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    radii=DEFAULT_RADII,
-    center=None,
-) -> Lambda0Result:
+def lambda0(x: SetDescriptor, ctx: RunContext) -> Lambda0Result:
     """Order-0 curvature of the whole set by the link-defect formula,
     plus the direct density route when the set is smooth or flat."""
-    return _lambda0(x, RunContext(n_samples, seed, radii, center=center))
-
-
-def _lambda0(x: SetDescriptor, ctx: RunContext) -> Lambda0Result:
     n = x.ambient_dim
     chi = euler_char(x)
-    chi_link = float(link_chi(x, full_space(n), ctx.center))
+    chi_link = float(full_space_link(x, ctx.center))
     est = _link_estimate(x, n - 1, ctx, 1)
     value = chi - 0.5 * chi_link - 0.5 * est.mean
     stderr = 0.5 * est.stderr
@@ -271,14 +262,14 @@ def _curvature_terms(
         # every curvature density of order below the dimension of a flat vanishes
         term = (0.0, 0.0, "lambda0=flat_defect_exact")
     else:
-        result = _lambda0(x, ctx)
+        result = lambda0(x, ctx)
         term = (result.value, result.stderr, "lambda0=link_defect_formula")
     return term, ctx.limits(x, ks)
 
 
 def _check_du_lambda0(x: SetDescriptor, ctx: RunContext) -> Rows:
     """Defect-formula value of the order-0 curvature against the direct route."""
-    result = _lambda0(x, ctx)
+    result = lambda0(x, ctx)
     formula_route = (
         f"chi({result.chi}) - 0.5*chi_link({result.chi_link:g}) - 0.5*hyperplane_mean"
     )
@@ -402,6 +393,7 @@ CHECKS: Dict[str, Callable[[SetDescriptor, RunContext], Rows]] = {
 THEOREM_IDS = tuple(CHECKS)
 
 
+# the CLI's entry to every check; the benchmark's tracing wraps it by name
 def run_theorem(
     theorem_id: str,
     x: SetDescriptor,

@@ -14,13 +14,15 @@ from math import sqrt
 
 import numpy as np
 
-from lkcurv import GenericityError, MonteCarloEstimate, haar_sample, substream
+from lkcurv import GenericityError, MonteCarloEstimate
 from lkcurv import grassmann
 from lkcurv.grassmann import (
     DEGENERATE_BUDGET,
     MAX_RETRIES_PER_SLOT,
     STREAM_GRASSMANN,
     _orthonormalize,
+    haar_sample,
+    substream,
 )
 
 

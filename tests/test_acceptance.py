@@ -14,8 +14,10 @@ import numpy as np
 import lkcurv as lk
 from lkcurv import cli
 from lkcurv.curvature import lk_density, weyl_density
-from lkcurv.spherical import spherical_lk, vertex_index_mean
-from lkcurv.verify import run_theorem
+from lkcurv.geomconst import ball_volume, sphere_volume
+from lkcurv.spherical import spherical_lk
+from lkcurv.verify import RunContext, lambda0, run_theorem
+from vertex_index import vertex_index_mean
 
 SAMPLES = 4000
 SEED = 42
@@ -32,8 +34,8 @@ def report_line(number, description, passed):
 def test_criterion_1_constants():
     worst = 0.0
     for k in range(1, 13):
-        s = lk.sphere_volume(k - 1)
-        worst = max(worst, abs(s - k * lk.ball_volume(k)) / s)
+        s = sphere_volume(k - 1)
+        worst = max(worst, abs(s - k * ball_volume(k)) / s)
     report_line(1, f"s_(k-1) = k b_k for k=1..12, worst rel err {worst:.2e}",
                 worst <= 1e-12)
 
@@ -109,9 +111,9 @@ def test_criterion_5_euler_assemblies(sets):
     hyp_ok = hyp.overall_pass and abs(hyp.rows[0].rhs) <= 0.03
     # the order-0 term is independently the curvature cubature and must match
     # the Gauss-map oracle for the total curvature within 0.5%
-    lam0 = lk.lambda0(sets["hyperboloid_r3"], n_samples=400, seed=SEED, radii=RADII)
+    lam0 = lambda0(sets["hyperboloid_r3"], RunContext(400, SEED, RADII))
     direct = lam0.direct[0]
-    gauss_total = direct * lk.sphere_volume(2) / 2.0
+    gauss_total = direct * sphere_volume(2) / 2.0
     oracle = -2.0 * SQRT2 * math.pi
     gauss_ok = abs(gauss_total - oracle) <= 0.005 * abs(oracle)
     noncircular = ("curvature_cubature" in hyp.rows[0].route_rhs

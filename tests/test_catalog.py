@@ -15,22 +15,16 @@ from lkcurv import (
     Subspace,
     UnsupportedSection,
 )
-from lkcurv.catalog import (
-    LinearSubspace,
-    Poly,
-    SmoothSet,
-    SphericalGraph,
-    build_chart,
-    euler_char,
-    full_space,
-    link_infinity_chi,
-    section,
-    set_from_dict,
-    set_to_dict,
-    validate_graph,
-    validate_set,
-)
+from lkcurv.catalog import LinearSubspace, Poly, SmoothSet, SphericalGraph
+from lkcurv.catalog.charts import build_chart
+from lkcurv.catalog.graphs import validate_graph
+from lkcurv.catalog.links import _graph_sections, euler_char, link_infinity_chi
+from lkcurv.catalog.sets import set_from_dict, set_to_dict, validate_set
 from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, substream
+
+
+def full_space(n):
+    return Subspace(n, n, np.eye(n))
 
 
 def plane_through_normal(nu):
@@ -342,15 +336,14 @@ def test_conic_sections_match_per_plane_reference(sets):
 
     for name, k in (("star3_cone_r3", 2), ("plane_cone_r3", 2), ("star3_cone_r3", 1)):
         x = sets[name]
-        for frame in _haar_frames(73, 40, 3, k):
-            sub = Subspace(3, k, frame)
-            verts_in, edges_in, crossings = graph_section_data(x.graph, sub)
-            piece = section(x, sub)
-            if isinstance(piece, LinearSubspace):
-                assert len(verts_in) + len(crossings) == 2 and not edges_in
-                continue
-            assert piece.graph.n_vertices == len(verts_in) + len(crossings)
-            assert piece.graph.n_edges == len(edges_in)
+        frames = _haar_frames(73, 40, 3, k)
+        verts, edges, crossing, degenerate = _graph_sections(x.graph, frames)
+        for i, frame in enumerate(frames):
+            verts_in, edges_in, crossings = graph_section_data(x.graph, Subspace(3, k, frame))
+            assert not degenerate[i]
+            assert np.flatnonzero(verts[i]).tolist() == verts_in
+            assert np.flatnonzero(edges[i]).tolist() == edges_in
+            assert np.count_nonzero(crossing[i]) == len(crossings)
 
 
 def _unit(v):
@@ -435,16 +428,6 @@ def test_compact_set_links_vanish(sets):
     assert link_infinity_chi(torus, sub).chi == 0
 
 
-def test_affine_flat_link_route(sets):
-    hyp = sets["hyperboloid_r3"]
-    sub = haar_sample(3, 2, substream(19, STREAM_GRASSMANN, 2))
-    center = np.array([0.0, 0.0, 3.0])
-    flat = lk.shift_subspace(sub, center)
-    assert link_infinity_chi(hyp, flat) == link_infinity_chi(hyp, sub, center=center)
-    with pytest.raises(ValueError):
-        link_infinity_chi(hyp, flat, center=center)
-
-
 def test_curve_full_space_link(sets):
     cubic = sets["twisted_cubic_r3"]
     result = link_infinity_chi(cubic, full_space(3))
@@ -512,15 +495,13 @@ def test_unsupported_section_raises(sets):
 
 
 def test_linear_section(sets):
+    # two planes meeting in a line, and a line inside the plane (more set
+    # directions than plane directions): each section is a line, whose link
+    # at infinity is S^0
     v = LinearSubspace(3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    sub = Subspace(3, 2, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-    result = section(v, sub)
-    assert isinstance(result, LinearSubspace)
-    assert result.ambient_dim == 2 and result.dim == 1
-    assert np.allclose(np.abs(result.frame), [[1.0, 0.0]])
-    # a line inside the plane: more set directions than plane directions
-    line = section(v, Subspace(3, 1, np.array([[0.6, 0.8, 0.0]])))
-    assert line.ambient_dim == 1 and line.dim == 1
+    for frame in ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [[0.6, 0.8, 0.0]]):
+        values, degenerate = lk.link_chi_batch(v, np.array([frame]))
+        assert values.tolist() == [2.0] and not degenerate[0]
     # a plane through the line's direction, shifted off it: the section is empty
     x_axis = sets["line_r3"]
     floor = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
@@ -531,23 +512,21 @@ def test_linear_section(sets):
 
 
 def test_cross_axis_section_is_a_line(sets):
-    sub = Subspace(2, 1, np.array([[1.0, 0.0]]))
-    result = section(sets["cross_r2"], sub)
-    assert isinstance(result, LinearSubspace)
-    assert result.ambient_dim == 1 and result.dim == 1
-
-
-def test_full_space_section_is_identity(sets):
-    assert section(sets["cross_r2"], full_space(2)) is sets["cross_r2"]
+    # the x-axis holds two opposite vertices of the cross: the section is the
+    # line through them, with the link S^0 of the line itself
+    values, degenerate = lk.link_chi_batch(sets["cross_r2"], np.array([[[1.0, 0.0]]]))
+    assert values.tolist() == [2.0] and not degenerate[0]
+    assert values[0] == lk.link_chi_batch(sets["line_r2"], np.array([[[1.0, 0.0]]]))[0][0]
 
 
 def test_smooth_section_residuals(sets):
     par = sets["paraboloid_r3"]
     sub = haar_sample(3, 2, substream(29, STREAM_GRASSMANN, 4))
-    piece = section(par, sub)
-    assert isinstance(piece, SmoothSet) and piece.dim == 1 and not piece.charts
+    g = par.implicit.compose_affine(np.zeros(3), sub.frame)
+    piece = SmoothSet(ambient_dim=2, dim=1, charts=(), implicit=g, declared_chi=None,
+                      compact=par.compact)
+    assert g.nvars == 2
     # points found on the section satisfy the ambient implicit form
-    g = piece.implicit
     found = []
     for radius in (0.25, 0.5, 1.0):
         phis = np.linspace(0.0, 2.0 * np.pi, 40001)

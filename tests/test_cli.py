@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lkcurv import cli, haar_sample, substream
-from lkcurv.grassmann import STREAM_GRASSMANN
+from lkcurv import cli
+from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, substream
 from lkcurv.report import report_from_dict
 
 
@@ -105,7 +105,7 @@ def test_verify_incomplete_exit_code():
 
 def test_verify_failure_exit_code(tmp_path, sets):
     # a set file with a wrong declared Euler characteristic must fail loudly
-    from lkcurv.catalog import set_to_dict
+    from lkcurv.catalog.sets import set_to_dict
 
     doc = set_to_dict("bad_sphere", sets["sphere_s2"])
     doc["declared_chi"] = 3
@@ -147,6 +147,15 @@ def test_usage_errors(capsys):
                            "--base-point", point])
         assert code == 64
         assert "--base-point" in capsys.readouterr().err
+    # an empty field of a list is never dropped silently
+    for flag, theorem, value in (("--base-point", "base_point", "1,,2"),
+                                 ("--radii", "thm3.9", "8,,16,32,64"),
+                                 ("--radii", "thm3.9", "8,16,32,64,"),
+                                 ("--radii", "thm3.9", ""), ("--base-point", "thm3.9", "")):
+        capsys.readouterr()
+        code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", theorem, flag, value])
+        assert code == 64, (flag, value)
+        assert flag in capsys.readouterr().err
     # a radius that is not finite, or whose b_k R^k overflows, names --radius
     # and so does one whose fitted box or measure is not finite
     for name, k, radius in (("paraboloid_r3", "2", "nan"), ("paraboloid_r3", "2", "inf"),
@@ -175,7 +184,7 @@ def test_curvature_at_huge_radii():
 
 
 def test_chi_less_set_is_a_usage_error(tmp_path, sets):
-    from lkcurv.catalog import set_to_dict
+    from lkcurv.catalog.sets import set_to_dict
 
     doc = set_to_dict("anon_hyperboloid", sets["hyperboloid_r3"])
     doc["declared_chi"] = None
@@ -252,6 +261,40 @@ def test_env_seed_override(monkeypatch, tmp_path):
     a.pop("elapsed_seconds")
     b.pop("elapsed_seconds")
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_are_usage_errors(monkeypatch, capsys, seed):
+    # a seed is one 64-bit key word: wrapping would give 2^64 the report of 0
+    # and -1 that of 2^64 - 1, each recording its own seed
+    verify = ["verify", "--set", "cross_r2", "--theorem", "thm3.9", "--samples", "100"]
+    sample = ["grassmann", "sample", "--n", "3", "--k", "2"]
+    for argv in (verify, sample):
+        code, _ = run_cli(argv + ["--seed", str(seed)])
+        assert code == 64
+        assert "--seed" in capsys.readouterr().err
+        monkeypatch.setenv("LK_DEFAULT_SEED", str(seed))
+        code, _ = run_cli(argv)
+        monkeypatch.delenv("LK_DEFAULT_SEED")
+        assert code == 64
+        assert "LK_DEFAULT_SEED" in capsys.readouterr().err
+
+
+def test_largest_seed_is_accepted(monkeypatch):
+    seed = str(2**64 - 1)
+    code, text = run_cli(["verify", "--set", "cross_r2", "--theorem", "thm3.9",
+                          "--samples", "100", "--seed", seed])
+    assert code == 0
+    assert json.loads(text[:text.index("\n# ")])["seed"] == 2**64 - 1
+    code, _ = run_cli(["grassmann", "sample", "--n", "3", "--k", "2", "--seed", seed])
+    assert code == 0
+    monkeypatch.setenv("LK_DEFAULT_SEED", seed)
+    code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", "thm3.9", "--samples", "100"])
+    assert code == 0
+    # the curvature command draws nothing: its --seed is accepted and ignored
+    code, _ = run_cli(["curvature", "--set", "cross_r2", "--k", "1", "--radius", "3",
+                       "--seed", str(2**64)])
+    assert code == 0
 
 
 PLANE_R2_IN_R4 = Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"

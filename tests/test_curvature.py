@@ -7,19 +7,20 @@ import pytest
 
 import lkcurv as lk
 from lkcurv import CoverageGapError, DegenerateChartError, UnsupportedSection
-from lkcurv.catalog import Chart, SmoothSet, build_chart, gauss_legendre_nodes
+from lkcurv.catalog import SmoothSet
+from lkcurv.catalog.charts import Chart, build_chart, gauss_legendre_nodes
 from lkcurv.curvature import (
     CubatureSpec,
     _chart_frames,
     _lambda_batch,
     elementary_symmetric,
     lk_density,
-    lk_measure,
     lk_measure_detailed,
     lk_measures_detailed,
     second_fundamental_form,
     weyl_density,
 )
+from lkcurv.geomconst import sphere_volume
 from qr_frames import outward_normal, qr_density, qr_frames
 
 PLANE_R2_IN_R4 = Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"
@@ -131,7 +132,7 @@ def test_degenerate_chart_detected():
 def test_curve_order_zero_is_normal_sphere_area(sets):
     cubic = sets["twisted_cubic_r3"]
     dens = weyl_density(cubic, 0, np.array([0.5]), 0)
-    assert dens.value == pytest.approx(lk.sphere_volume(1), rel=1e-12)
+    assert dens.value == pytest.approx(sphere_volume(1), rel=1e-12)
     assert dens.stderr == 0.0
 
 
@@ -367,14 +368,14 @@ def test_density_above_dimension_is_zero(sets):
 
 def test_sphere_measures(sets):
     sphere = sets["sphere_s2"]
-    assert lk_measure(sphere, 2, 2.0) == pytest.approx(4.0 * math.pi, rel=1e-9)
-    assert lk_measure(sphere, 0, 2.0) == pytest.approx(2.0, abs=1e-6)
+    assert lk_measure_detailed(sphere, 2, 2.0)[0] == pytest.approx(4.0 * math.pi, rel=1e-9)
+    assert lk_measure_detailed(sphere, 0, 2.0)[0] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_plane_disk_measure(sets):
     plane = sets["plane_r2_in_r3"]
     for radius in (2.0, 4.0):
-        assert lk_measure(plane, 2, radius) == pytest.approx(
+        assert lk_measure_detailed(plane, 2, radius)[0] == pytest.approx(
             math.pi * radius**2, rel=1e-10
         )
 
@@ -387,21 +388,21 @@ def test_hyperboloid_area_closed_form(sets):
         return 2.0 * math.pi * (z * radius + math.asinh(math.sqrt(2.0) * z) / math.sqrt(2.0))
 
     for radius in (8.0, 32.0):
-        assert lk_measure(hyp, 2, radius) == pytest.approx(exact_area(radius), rel=1e-9)
+        assert lk_measure_detailed(hyp, 2, radius)[0] == pytest.approx(exact_area(radius), rel=1e-9)
 
 
 def test_hyperboloid_total_curvature_oracle(sets):
     # Gauss-map oracle: the total curvature of the full surface is -2 sqrt(2) pi
     hyp = sets["hyperboloid_r3"]
     target = -2.0 * math.sqrt(2.0) * math.pi
-    total = lk_measure(hyp, 0, 64.0) * lk.sphere_volume(2) / 2.0
+    total = lk_measure_detailed(hyp, 0, 64.0)[0] * sphere_volume(2) / 2.0
     assert total == pytest.approx(target, rel=5e-3)
 
 
 def test_torus_total_curvature_vanishes(sets):
     torus = sets["torus_r3"]
-    assert abs(lk_measure(torus, 0, 8.0)) < 1e-3
-    area = lk_measure(torus, 2, 8.0)
+    assert abs(lk_measure_detailed(torus, 0, 8.0)[0]) < 1e-3
+    area = lk_measure_detailed(torus, 2, 8.0)[0]
     assert area == pytest.approx(4.0 * math.pi**2 * 2.0 * 0.5, rel=1e-9)
 
 
@@ -425,8 +426,8 @@ def test_orientation_flip_leaves_measures_unchanged(sets):
     mirrored = SmoothSet(ambient_dim=3, dim=2, charts=(flipped,), implicit=None,
                          declared_chi=0, compact=False)
     for k in (0, 2):
-        a = lk_measure(hyp, k, 8.0)
-        b = lk_measure(mirrored, k, 8.0)
+        a = lk_measure_detailed(hyp, k, 8.0)[0]
+        b = lk_measure_detailed(mirrored, k, 8.0)[0]
         assert a == pytest.approx(b, abs=1e-9 + 1e-9 * abs(a))
 
 
@@ -439,8 +440,8 @@ def test_cubature_doubling_convergence(sets):
     for name, k, other in [("hyperboloid_r3", 2, doubled), ("hyperboloid_r3", 0, doubled),
                            ("paraboloid_r3", 2, doubled), ("twisted_cubic_r3", 1, halved)]:
         x = sets[name]
-        a = lk_measure(x, k, 8.0, spec=spec)
-        b = lk_measure(x, k, 8.0, spec=other)
+        a = lk_measure_detailed(x, k, 8.0, spec=spec)[0]
+        b = lk_measure_detailed(x, k, 8.0, spec=other)[0]
         scale = max(abs(a), 1e-6)
         assert abs(a - b) / scale < 2e-3, name
 
@@ -491,12 +492,12 @@ def make_two_chart_torus(break_weights=False):
 def test_two_chart_partition_matches_single_chart(sets):
     two = make_two_chart_torus()
     single = sets["torus_r3"]
-    a = lk_measure(two, 2, 8.0)
-    b = lk_measure(single, 2, 8.0)
+    a = lk_measure_detailed(two, 2, 8.0)[0]
+    b = lk_measure_detailed(single, 2, 8.0)[0]
     assert a == pytest.approx(b, rel=1e-6)
 
 
 def test_coverage_gap_detected():
     broken = make_two_chart_torus(break_weights=True)
     with pytest.raises(CoverageGapError):
-        lk_measure(broken, 2, 8.0)
+        lk_measure_detailed(broken, 2, 8.0)[0]

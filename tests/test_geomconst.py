@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lkcurv import ball_volume, sphere_volume
+from lkcurv.geomconst import ball_volume, sphere_volume
 
 
 def recursion_ball_volume(k):

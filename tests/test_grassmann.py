@@ -10,12 +10,9 @@ from lkcurv import (
     Subspace,
     grassmann_mean,
     grassmann_mean_batch,
-    haar_sample,
-    shift_subspace,
-    substream,
 )
 from lkcurv import grassmann
-from lkcurv.grassmann import STREAM_GRASSMANN, slot_frames
+from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, slot_frames, substream
 from per_slot_streams import grassmann_mean_per_slot
 
 
@@ -179,22 +176,6 @@ def test_degenerate_budget_enforced():
     assert est.mean == 1.0
 
 
-def test_shift_subspace_membership():
-    sub = Subspace(2, 1, np.array([[1.0, 0.0]]))
-    flat = shift_subspace(sub, [0.0, 1.0])
-    assert flat.contains([3.7, 1.0])
-    assert not flat.contains([0.0, 0.0])
-    zero_shift = shift_subspace(sub, [0.0, 0.0])
-    assert zero_shift.contains([2.0, 0.0])
-    rng = substream(3, STREAM_GRASSMANN, 5)
-    sub3 = haar_sample(3, 2, rng)
-    x0 = np.array([0.5, -1.0, 2.0])
-    flat3 = shift_subspace(sub3, x0)
-    for coeff in ([1.0, 0.0], [0.3, -2.2]):
-        v = coeff[0] * sub3.frame[0] + coeff[1] * sub3.frame[1]
-        assert flat3.contains(x0 + v)
-
-
 def test_substream_keys_are_disjoint():
     a = substream(1, STREAM_GRASSMANN, 0, 0).standard_normal(4)
     b = substream(1, STREAM_GRASSMANN, 1, 0).standard_normal(4)
@@ -257,5 +238,15 @@ def test_slot_frames_match_haar_sample_and_check_the_key(monkeypatch):
         grassmann._stream_key(0, STREAM_GRASSMANN, 1 << 32)
     with pytest.raises(ValueError):
         grassmann._stream_key(0, STREAM_GRASSMANN, -1)
+
+
+def test_seeds_outside_64_bits_are_rejected_not_wrapped():
+    # a seed is one 64-bit key word; 2^64 must not alias 0, nor -1 alias 2^64 - 1
+    assert grassmann._stream_key(2**64 - 1, STREAM_GRASSMANN)[0] == 2**64 - 1
+    for seed in (-1, 2**64, 2**64 + 42):
+        with pytest.raises(ValueError, match="seed"):
+            grassmann._stream_key(seed, STREAM_GRASSMANN)
+        with pytest.raises(ValueError, match="seed"):
+            grassmann_mean_batch(3, 2, _rarely_rejecting, 10, seed)
     with pytest.raises(ValueError):
         grassmann_mean_batch(3, 2, _rarely_rejecting, 10, 0, stream=1 << 24)

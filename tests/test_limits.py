@@ -7,12 +7,17 @@ from lkcurv import limits
 from lkcurv.curvature import lk_measures_detailed
 from lkcurv.geomconst import ball_volume
 from lkcurv.limits import (
-    curvature_measures, estimate_limit, estimate_limits, fit_limit_sequence, normalized_lk,
-    validate_radii,
+    curvature_measures, estimate_limit, estimate_limits, fit_limit_sequence, validate_radii,
 )
 from lkcurv.spherical import conic_lk_measure_detailed
 
 RADII = (8.0, 16.0, 32.0, 64.0)
+
+
+def normalized_lk(x, k, radius, center=None):
+    """The order-k curvature measure of X in the ball over b_k R^k."""
+    (value, _), = curvature_measures(x, (k,), radius, center=center)
+    return value / (ball_volume(k) * radius**k)
 
 
 def test_schedule_validation():

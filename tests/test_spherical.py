@@ -6,14 +6,8 @@ import pytest
 import lkcurv as lk
 from lkcurv import NonGenericDirectionError, UnsupportedSection
 from lkcurv.catalog import ConicGraph, SphericalGraph
-from lkcurv.spherical import (
-    conic_lk_measure,
-    conic_lk_measure_detailed,
-    spherical_gauss_bonnet_check,
-    spherical_lk,
-    vertex_index_mean,
-    vertex_morse_index,
-)
+from lkcurv.spherical import conic_lk_measure_detailed, spherical_lk
+from vertex_index import spherical_gauss_bonnet_check, vertex_index_mean, vertex_morse_index
 
 
 def tangent_at(graph, vertex, seed=0):
@@ -176,25 +170,25 @@ def test_disjoint_union_additivity(graphs):
 def test_line_measure(sets):
     # a cone over two antipodal points is a line; order 1 is its length
     line = ConicGraph(3, lk.builtin_graphs()["antipodal_s2"])
-    assert conic_lk_measure(line, 1, 1.0) == pytest.approx(2.0)
+    assert conic_lk_measure_detailed(line, 1, 1.0)[0] == pytest.approx(2.0)
 
 
 def test_cross_measure(sets):
-    assert conic_lk_measure(sets["cross_r2"], 1, 1.0) == pytest.approx(4.0)
-    assert conic_lk_measure(sets["cross_r2"], 1, 3.0) == pytest.approx(12.0)
+    assert conic_lk_measure_detailed(sets["cross_r2"], 1, 1.0)[0] == pytest.approx(4.0)
+    assert conic_lk_measure_detailed(sets["cross_r2"], 1, 3.0)[0] == pytest.approx(12.0)
 
 
 def test_plane_cone_measures(sets):
     cone = sets["plane_cone_r3"]
-    assert conic_lk_measure(cone, 2, 1.0) == pytest.approx(math.pi, rel=1e-12)
-    assert conic_lk_measure(cone, 3, 5.0) == 0.0
+    assert conic_lk_measure_detailed(cone, 2, 1.0)[0] == pytest.approx(math.pi, rel=1e-12)
+    assert conic_lk_measure_detailed(cone, 3, 5.0)[0] == 0.0
 
 
 def test_homogeneity_scaling(sets):
     cone = sets["star3_cone_r3"]
     for k in (1, 2):
-        base = conic_lk_measure(cone, k, 1.0)
-        scaled = conic_lk_measure(cone, k, 4.0)
+        base = conic_lk_measure_detailed(cone, k, 1.0)[0]
+        scaled = conic_lk_measure_detailed(cone, k, 4.0)[0]
         assert scaled == pytest.approx(4.0**k * base, rel=1e-12)
 
 
@@ -235,5 +229,5 @@ def test_cone_area_against_triangulated_mesh(sets, graphs):
             # triangles (0, pts_i, pts_{i+1}); radial slivers need no subdivision
             cross = np.cross(pts[:-1], pts[1:])
             mesh_area += 0.5 * float(np.sum(np.linalg.norm(cross, axis=1)))
-        value = conic_lk_measure(cone, 2, radius)
+        value = conic_lk_measure_detailed(cone, 2, radius)[0]
         assert value == pytest.approx(mesh_area, rel=1e-6)

@@ -6,7 +6,7 @@ import pytest
 
 import lkcurv as lk
 from lkcurv.report import report_from_dict, report_to_dict, report_to_json
-from lkcurv.verify import lambda0, run_theorem
+from lkcurv.verify import RunContext, lambda0, run_theorem
 
 RADII = (8.0, 16.0, 32.0, 64.0)
 
@@ -130,14 +130,14 @@ def test_thm39_file_defined_theta_cone(tmp_path, graphs):
 
 
 def test_lambda0_cross_exact(sets):
-    result = lambda0(sets["cross_r2"], n_samples=500, seed=42)
+    result = lambda0(sets["cross_r2"], RunContext(500, 42))
     assert result.value == -1.0
     assert result.stderr == 0.0
     assert result.chi == 1 and result.chi_link == 4.0
 
 
 def test_lambda0_sphere_both_routes(sets):
-    result = lambda0(sets["sphere_s2"], n_samples=500, seed=42)
+    result = lambda0(sets["sphere_s2"], RunContext(500, 42))
     assert result.value == pytest.approx(2.0, abs=1e-9)
     direct, direct_err = result.direct
     assert direct == pytest.approx(2.0, abs=1e-6)
@@ -145,19 +145,28 @@ def test_lambda0_sphere_both_routes(sets):
 
 
 def test_lambda0_plane_flat(sets):
-    result = lambda0(sets["plane_r2_in_r3"], n_samples=500, seed=42)
+    result = lambda0(sets["plane_r2_in_r3"], RunContext(500, 42))
     assert result.value == pytest.approx(0.0, abs=1e-9)
     assert result.direct[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_lambda0_hyperboloid_routes_agree(sets):
-    result = lambda0(sets["hyperboloid_r3"], n_samples=2000, seed=42)
+    result = lambda0(sets["hyperboloid_r3"], RunContext(2000, 42))
     target = -math.sqrt(2.0)
     direct, direct_err = result.direct
     assert abs(direct - target) <= 0.01
     assert abs(result.value - direct) <= 3.0 * math.hypot(result.stderr, direct_err)
     report = run_theorem("du_lambda0", sets["hyperboloid_r3"], n_samples=2000, seed=42)
     assert report.overall_pass
+
+
+def test_seeds_outside_64_bits_are_rejected(sets):
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            RunContext(100, seed)
+        with pytest.raises(ValueError, match="seed"):
+            run_theorem("thm3.9", sets["cross_r2"], n_samples=100, seed=seed)
+    assert RunContext(100, 2**64 - 1).seed == 2**64 - 1
 
 
 # --------------------------------------------------------------------- thm3.9
@@ -296,7 +305,7 @@ def test_thm42_uses_declared_chi_for_full_space(sets):
 
 
 def test_skipped_growth_rows_keep_the_limit_route():
-    from lkcurv.catalog import load_set_file
+    from lkcurv.catalog.sets import load_set_file
 
     name, x = load_set_file(str(Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"))
     routes = {}
