@@ -27,7 +27,6 @@ from .errors import (
     DegenerateSample,
     GenericityError,
     LkError,
-    NonGenericDirectionError,
     SetValidationError,
     UnsupportedSection,
 )

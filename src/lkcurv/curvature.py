@@ -265,24 +265,31 @@ def lk_density(x: SmoothSet, chart_index: int, u, k: int) -> float:
     return _point_density(x, chart_index, u, k)
 
 
+def _chart_boxes(x: SmoothSet, radius: float, center: np.ndarray) -> List[Optional[np.ndarray]]:
+    """Each chart's parameter box for the ball, None where the chart misses it."""
+    boxes = [chart.domain_for_ball(radius, center) for chart in x.charts]
+    for chart, box in zip(x.charts, boxes):
+        if box is not None and not np.all(np.isfinite(box)):
+            raise ValueError(
+                f"radius {radius:g}: chart {chart.label!r} has no finite parameter box"
+            )
+    return boxes
+
+
 def _measures_at_resolution(
     x: SmoothSet,
     ks,
     radius: float,
+    boxes: List[Optional[np.ndarray]],
     spec: CubatureSpec,
     center: np.ndarray,
 ) -> List[float]:
     """Measures of the orders ks; each chart builds its nodes and frames once."""
     totals = [0.0] * len(ks)
     multi = len(x.charts) > 1
-    for ci, chart in enumerate(x.charts):
-        box = chart.domain_for_ball(radius, center)
+    for ci, (chart, box) in enumerate(zip(x.charts, boxes)):
         if box is None:
             continue
-        if not np.all(np.isfinite(box)):
-            raise ValueError(
-                f"radius {radius:g}: chart {chart.label!r} has no finite parameter box"
-            )
         nodes, weights = gauss_legendre_nodes(box, spec.counts(chart.dim), chart.panel_axes)
         frames = _chart_frames(chart, nodes)
         inside = np.sum((frames.positions - center[None, :]) ** 2, axis=1) <= radius * radius * (
@@ -314,9 +321,10 @@ def lk_measures_detailed(
     """Curvature measures of the orders ks of X inside the ball, each with an
     error bound.
 
-    The bound is the change under halving the cubature resolution.  Both rules
-    build each chart's nodes and frames once and evaluate every order on them,
-    so each order gets the same bits as a call for that order alone.
+    The bound is the change under halving the cubature resolution.  Each
+    chart's parameter box is fitted once and shared by both rules, and each
+    rule builds the chart's nodes and frames once and evaluates every order on
+    them, so each order gets the same bits as a call for that order alone.
     """
     if not isinstance(x, SmoothSet):
         raise TypeError("lk_measures_detailed expects a smooth set")
@@ -335,8 +343,9 @@ def lk_measures_detailed(
     if live:
         spec = spec or CubatureSpec()
         center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        fine = _measures_at_resolution(x, live, radius, spec, center)
-        coarse = _measures_at_resolution(x, live, radius, spec.halved(), center)
+        boxes = _chart_boxes(x, radius, center)
+        fine = _measures_at_resolution(x, live, radius, boxes, spec, center)
+        coarse = _measures_at_resolution(x, live, radius, boxes, spec.halved(), center)
         for k, value, other in zip(live, fine, coarse):
             if not (np.isfinite(value) and np.isfinite(other)):
                 raise ValueError(f"radius {radius:g}: the order-{k} measure is not finite")

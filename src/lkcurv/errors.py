@@ -26,11 +26,6 @@ class CoverageGapError(LkError):
     """Partition-of-unity weights fail to sum to one on the sampled chart nodes."""
 
 
-class NonGenericDirectionError(LkError):
-    """A direction orthogonal to an incident edge tangent was supplied where a
-    generic direction is required."""
-
-
 class GenericityError(LkError):
     """More than the allowed fraction of Monte Carlo draws were degenerate,
     which indicates the input set violates the genericity assumptions."""

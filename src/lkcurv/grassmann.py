@@ -1,36 +1,57 @@
 """Haar-uniform random subspaces and Monte Carlo means over them.
 
 ``grassmann_mean_batch`` averages a batched oracle over Haar-uniform k-planes
-through the origin of R^n, drawn by Gram-Schmidt orthonormalization of
-independent Gaussian vectors, with a standard error.  ``haar_sample`` draws
-one such plane from a generator, and ``grassmann_mean`` is the batched loop
-for a function of one plane; no verify path calls either, and they stay
-because the benchmark's probe and tracing look them up by name.
+through the origin of R^n, with a standard error, by one of two estimators
+chosen from (n, k):
 
-Determinism contract: sample ``i`` of a run is generated from a counter-based
-Philox stream keyed by ``(seed, i)``, so the estimate is bit-identical for a
-given ``(n, k, n_samples, seed)`` no matter how the samples are batched.
-The stream of slot ``i`` is the one ``substream(seed, STREAM_GRASSMANN, i,
-stream)`` starts, but no generator is built per slot: each ``SLOT_CHUNK`` of
-slots shares one Philox, and keying it to a slot assigns that slot's key, a
-zero counter and an empty buffer.  Block ``b`` of a slot is the ``(b+1)``-th
-``standard_normal((k, n))`` call after keying; the slot's frames are its
-full-rank blocks in order, a rank-deficient block being skipped exactly as
-``haar_sample`` skips it, and a plane the oracle rejects is replaced by the
-slot's next frame.
+* **Randomized lattice**, where G(n, k) is a projective sphere of dimension 1
+  or 2: lines or hyperplanes of R^2 or R^3 (k = 1 or k = n - 1, n in {2, 3}).
+  A plane is read through its line direction or hyperplane normal, and the
+  fixed point set is equally spaced angles on S^1 or a spherical Fibonacci
+  set on the upper hemisphere of S^2 (``lattice_frames``).  The samples split
+  into ``LATTICE_REPLICATES`` replicates whose sizes differ by at most one;
+  replicate r rotates the point set by one Haar rotation.  Haar measure is
+  rotation invariant, so every plane is Haar-distributed and the mean is
+  unbiased; the standard error is the spread of the replicate means
+  (Cranley and Patterson, SIAM J. Numer. Anal. 13, 1976).
+* **Independent slots** everywhere else: sample slot i draws its own Haar
+  frame by Gram-Schmidt orthonormalization of independent Gaussian vectors.
+
+``haar_sample`` draws one plane from a generator; the lattice draws its
+rotations with it.  ``grassmann_mean`` is the batched loop for a function of
+one plane; no verify path calls it, and it stays because the benchmark's probe
+and tracing look it up by name.
+
+Determinism contract: every draw comes from a counter-based Philox stream
+keyed by ``(seed, domain, index, stream)``, so an estimate is bit-identical
+for a given ``(n, k, n_samples, seed, stream)``.
+
+* Lattice replicate r draws its rotations from ``substream(seed,
+  STREAM_LATTICE, r, stream)``: the first is ``haar_sample(n, n, rng)``, and
+  each plane the oracle rejects is offered again under the replicate's next
+  rotation from the same generator.  The rotated frames of a replicate go to
+  the oracle in one call per round.
+* Slot i draws from ``substream(seed, STREAM_GRASSMANN, i, stream)``, no
+  matter how the slots are batched, but no generator is built per slot: each
+  ``SLOT_CHUNK`` of slots shares one Philox, and keying it to a slot assigns
+  that slot's key, a zero counter and an empty buffer.  Block ``b`` of a slot
+  is the ``(b+1)``-th ``standard_normal((k, n))`` call after keying; the
+  slot's frames are its full-rank blocks in order, a rank-deficient block
+  being skipped exactly as ``haar_sample`` skips it, and a plane the oracle
+  rejects is replaced by the slot's next frame.
 
 A seed is a 64-bit word of the key: seeds outside [0, 2^64) are rejected, not
-wrapped, so no two seeds share their streams.  Stream domain 1 is the
-Grassmannian draws.  Domain 2 belongs to the sampled vertex-index check of the
-test suite, and domain 3 stays retired, so that no new stream repeats the
-samples it once drew.
+wrapped, so no two seeds share their streams.  Stream domain 1 is the slot
+draws and domain 4 the lattice rotations.  Domain 2 belongs to the sampled
+vertex-index check of the test suite, and domain 3 stays retired, so that no
+new stream repeats the samples it once drew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +65,16 @@ MAX_RETRIES_PER_SLOT = 64
 # sample slots that share one generator and one oracle call per round of redraws
 SLOT_CHUNK = 256
 
-# stream domain of the Grassmannian draws (see the module docstring)
+# stream domains of the slot draws and of the lattice rotations (see the
+# module docstring)
 STREAM_GRASSMANN = 1
+STREAM_LATTICE = 4
+# rotations of the lattice's point set per estimate, chosen by a 200-seed sweep
+# at 4000 samples (tools/seed_sweep.py): 8 cut the RMSE 5-6 times against
+# independent slots with 1-2.5% of seeds beyond 3 sigma (t with 7 degrees of
+# freedom: 2%); 4 put 6-8% there, and 16 gave a 20-30% larger RMSE
+LATTICE_REPLICATES = 8
+GOLDEN_ANGLE = np.pi * (3.0 - sqrt(5.0))
 
 
 def _stream_key(seed: int, domain: int, index: int = 0, sub: int = 0) -> Tuple[int, int]:
@@ -93,18 +122,6 @@ class Subspace:
             if np.max(np.abs(gram - np.eye(self.k))) > ORTHONORMAL_TOL:
                 raise ValueError("frame rows are not orthonormal")
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ambient points onto the subspace."""
-        x = np.asarray(x, dtype=float)
-        return (x @ self.frame.T) @ self.frame
-
-    def normal_basis(self) -> np.ndarray:
-        """Orthonormal basis of the orthogonal complement, shape (n-k, n)."""
-        if self.k == self.n:
-            return np.zeros((0, self.n))
-        q, _ = np.linalg.qr(self.frame.T, mode="complete")
-        return q[:, self.k:].T
-
 
 def _orthonormalize(blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Modified Gram-Schmidt on a stack of (k, n) blocks.
@@ -132,7 +149,8 @@ def _gram_schmidt(rows: np.ndarray) -> Optional[np.ndarray]:
     return frames[0] if ok[0] else None
 
 
-# the benchmark's tracing looks this up by name
+# the lattice draws its rotations with this; the benchmark's tracing looks it
+# up by name
 def haar_sample(n: int, k: int, rng: np.random.Generator) -> Subspace:
     """Draw a rotation-invariant random k-plane in R^n.
 
@@ -193,14 +211,47 @@ def slot_frames(n: int, k: int, seed: int, n_samples: int) -> Iterator[np.ndarra
     """The first Haar frame of sample slots 0, 1, ..., n_samples - 1, in order.
 
     Frame i, of shape (k, n), equals ``haar_sample(n, k, substream(seed,
-    STREAM_GRASSMANN, i)).frame``: the plane :func:`grassmann_mean_batch`
-    offers slot i first.
+    STREAM_GRASSMANN, i)).frame``.  :func:`grassmann_mean_batch` offers slot i
+    first on the Grassmannians it samples by slots, which are not projective
+    spheres; on those it uses the randomized lattice instead.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     for start in range(0, n_samples, SLOT_CHUNK):
         streams = _SlotStreams(n, k, seed, 0, range(start, min(start + SLOT_CHUNK, n_samples)))
         yield from streams.frames(np.arange(len(streams.slots)))
+
+
+def is_projective_sphere(n: int, k: int) -> bool:
+    """Whether G(n, k) is RP^1 or RP^2, where the randomized lattice applies."""
+    return n in (2, 3) and k in (1, n - 1)
+
+
+def lattice_frames(n: int, k: int, m: int) -> np.ndarray:
+    """The lattice's fixed point set of m planes, as frames of shape (m, k, n).
+
+    In R^2 the lines are at the angles pi (j + 1/2) / m.  In R^3 the unit
+    vectors u_j are a spherical Fibonacci set on the upper hemisphere, which
+    is a fundamental domain of RP^2: equal-area steps in the height and
+    golden-angle steps around the axis.  A line has the frame u_j, and a
+    hyperplane the orthonormal frame of the complement of u_j.
+    """
+    if not is_projective_sphere(n, k):
+        raise ValueError(f"G({n}, {k}) is not a projective sphere")
+    j = np.arange(m)
+    if n == 2:
+        theta = np.pi * (j + 0.5) / m
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, None, :]
+    z = (j + 0.5) / m
+    r = np.sqrt(1.0 - z * z)
+    phi = GOLDEN_ANGLE * j
+    c, s = np.cos(phi), np.sin(phi)
+    if k == 1:
+        return np.stack([r * c, r * s, z], axis=-1)[:, None, :]
+    # (-sin, cos, 0) and u x (-sin, cos, 0) span the complement of u
+    e1 = np.stack([-s, c, np.zeros(m)], axis=-1)
+    e2 = np.stack([-z * c, -z * s, r], axis=-1)
+    return np.stack([e1, e2], axis=1)
 
 
 @dataclass(eq=False)
@@ -213,6 +264,8 @@ class MonteCarloEstimate:
     seed: int
     n_rejected: int = 0
     values: Optional[np.ndarray] = field(default=None, repr=False)
+    # lattice replicates behind ``stderr``; None for independent slots
+    replicates: Optional[int] = None
 
 
 BatchOracle = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -238,6 +291,67 @@ def per_plane(f: Callable[[Subspace], float]) -> BatchOracle:
     return oracle
 
 
+def _fill(oracle: BatchOracle, draw: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
+          rejected: np.ndarray, where: Callable[[int], str]) -> None:
+    """Fill ``values`` with the oracle's value at each plane, counting rejections.
+
+    ``draw(pending)`` gives the next frames of the planes at the indices
+    ``pending``; every round offers the rejected planes again, in one oracle
+    call, until none is left or a plane has had ``MAX_RETRIES_PER_SLOT`` tries.
+    """
+    pending = np.arange(values.size)
+    for _ in range(MAX_RETRIES_PER_SLOT):
+        vals, bad = oracle(draw(pending))
+        bad = np.asarray(bad, dtype=bool)
+        values[pending[~bad]] = np.asarray(vals, dtype=float)[~bad]
+        rejected[pending[bad]] += 1
+        pending = pending[bad]
+        if not pending.size:
+            return
+    raise GenericityError(
+        f"{where(int(pending[0]))} exhausted {MAX_RETRIES_PER_SLOT} redraws; "
+        "the set appears to violate genericity assumptions"
+    )
+
+
+def replicate_sizes(n_samples: int) -> List[int]:
+    """Sizes of the lattice's replicates: at most ``LATTICE_REPLICATES`` of
+    them, differing by at most one and summing to ``n_samples``."""
+    reps = min(LATTICE_REPLICATES, n_samples)
+    return [n_samples // reps + (r < n_samples % reps) for r in range(reps)]
+
+
+def _lattice_draws(n: int, k: int, oracle: BatchOracle, n_samples: int, seed: int,
+                   stream: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values and rejection counts of the randomized lattice's planes, in
+    replicate order, and the replicates' bounds in that order."""
+    values = np.empty(n_samples, dtype=float)
+    rejected = np.zeros(n_samples, dtype=np.int64)
+    sizes = replicate_sizes(n_samples)
+    points = {m: lattice_frames(n, k, m) for m in set(sizes)}
+    bounds = np.cumsum([0] + sizes)
+    for r, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rng = substream(seed, STREAM_LATTICE, r, stream)
+        base = points[stop - start]
+        _fill(oracle, lambda pending: base[pending] @ haar_sample(n, n, rng).frame,
+              values[start:stop], rejected[start:stop],
+              lambda i: f"point {i} of lattice replicate {r}")
+    return values, rejected, bounds
+
+
+def _slot_draws(n: int, k: int, oracle: BatchOracle, n_samples: int, seed: int,
+                stream: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Values and rejection counts of sample slots 0, 1, ..., n_samples - 1."""
+    values = np.empty(n_samples, dtype=float)
+    rejected = np.zeros(n_samples, dtype=np.int64)
+    for start in range(0, n_samples, SLOT_CHUNK):
+        stop = min(start + SLOT_CHUNK, n_samples)
+        streams = _SlotStreams(n, k, seed, stream, range(start, stop))
+        _fill(oracle, streams.frames, values[start:stop], rejected[start:stop],
+              lambda i: f"sample slot {start + i}")
+    return values, rejected
+
+
 def grassmann_mean_batch(
     n: int,
     k: int,
@@ -250,36 +364,28 @@ def grassmann_mean_batch(
     """Monte Carlo estimate of the Haar mean of a batched oracle over k-planes in R^n.
 
     ``oracle(frames)`` takes frames of shape (m, k, n) with orthonormal rows
-    and returns ``(values, degenerate)``, two arrays of length m.  Degenerate
-    planes (a measure-zero set) are rejected and redrawn from the same
-    per-slot stream.  If more than ``DEGENERATE_BUDGET`` of all draws are
-    rejected the run aborts with :class:`GenericityError`, since that level of
-    degeneracy indicates the input violates the genericity assumptions.
-    Slots are processed ``SLOT_CHUNK`` at a time.
+    and returns ``(values, degenerate)``, two arrays of length m.  Where
+    G(n, k) is a projective sphere the planes are the rotated lattice of the
+    module docstring, and the standard error is that of the replicate means;
+    elsewhere they are independent slots, ``SLOT_CHUNK`` at a time, and the
+    standard error is that of the values.  Degenerate planes (a measure-zero
+    set) are rejected and redrawn from the same stream.  If more than
+    ``DEGENERATE_BUDGET`` of all draws are rejected the run aborts with
+    :class:`GenericityError`, since that level of degeneracy indicates the
+    input violates the genericity assumptions.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    values = np.empty(n_samples, dtype=float)
-    rejected = np.zeros(n_samples, dtype=np.int64)
-    for start in range(0, n_samples, SLOT_CHUNK):
-        slots = np.arange(start, min(start + SLOT_CHUNK, n_samples))
-        streams = _SlotStreams(n, k, seed, stream, slots)
-        pending = np.arange(slots.size)
-        for _ in range(MAX_RETRIES_PER_SLOT):
-            vals, bad = oracle(streams.frames(pending))
-            bad = np.asarray(bad, dtype=bool)
-            values[slots[pending[~bad]]] = np.asarray(vals, dtype=float)[~bad]
-            rejected[slots[pending[bad]]] += 1
-            pending = pending[bad]
-            if not pending.size:
-                break
-        else:
-            raise GenericityError(
-                f"sample slot {slots[pending[0]]} exhausted {MAX_RETRIES_PER_SLOT} redraws; "
-                "the set appears to violate genericity assumptions"
-            )
+    replicates = None
+    if is_projective_sphere(n, k):
+        values, rejected, bounds = _lattice_draws(n, k, oracle, n_samples, seed, stream)
+        spread = np.array([values[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
+        replicates = spread.size
+    else:
+        values, rejected = _slot_draws(n, k, oracle, n_samples, seed, stream)
+        spread = values
 
     n_rejected = int(rejected.sum())
     total_draws = n_samples + n_rejected
@@ -289,18 +395,15 @@ def grassmann_mean_batch(
             f"(> {DEGENERATE_BUDGET:.0%} budget)"
         )
 
-    mean = float(np.mean(values))
-    if n_samples > 1:
-        stderr = float(np.std(values, ddof=1) / sqrt(n_samples))
-    else:
-        stderr = 0.0
+    stderr = float(np.std(spread, ddof=1) / sqrt(spread.size)) if spread.size > 1 else 0.0
     return MonteCarloEstimate(
-        mean=mean,
+        mean=float(np.mean(values)),
         stderr=stderr,
         n_samples=n_samples,
         seed=seed,
         n_rejected=n_rejected,
         values=values if collect else None,
+        replicates=replicates,
     )
 
 

@@ -111,7 +111,10 @@ def _link_mean(
     if plane_dim == n:
         return float(full_space_link(x, ctx.center)), 0.0, "exact(full_space_link)"
     est = _link_estimate(x, plane_dim, ctx, stream)
-    return est.mean, est.stderr, f"grassmann_mc(planes={plane_dim},n={est.n_samples})"
+    if est.replicates is None:
+        return est.mean, est.stderr, f"grassmann_mc(planes={plane_dim},n={est.n_samples})"
+    return est.mean, est.stderr, (
+        f"grassmann_rqmc(planes={plane_dim},n={est.n_samples},reps={est.replicates})")
 
 
 def _link_estimate(

@@ -6,6 +6,8 @@ per plane, and one least-squares solve per shifted flat.  The tests hold ``link_
 against it, value for value and mask for mask.  ``ray_sphere_count`` counts
 where the rays of a cone cross one sphere off the origin, the reference for
 the library's closed-form full-space link of a translated edge-free cone.
+``project`` and ``normal_basis`` are the plane helpers these loops and the
+tests use.
 """
 
 from __future__ import annotations
@@ -25,12 +27,26 @@ from lkcurv.catalog.links import (
 )
 
 
+def project(subspace: Subspace, x) -> np.ndarray:
+    """Orthogonal projection of ambient points onto the subspace."""
+    x = np.asarray(x, dtype=float)
+    return (x @ subspace.frame.T) @ subspace.frame
+
+
+def normal_basis(subspace: Subspace) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement, shape (n-k, n)."""
+    if subspace.k == subspace.n:
+        return np.zeros((0, subspace.n))
+    q, _ = np.linalg.qr(subspace.frame.T, mode="complete")
+    return q[:, subspace.k:].T
+
+
 def graph_section_data(graph, subspace: Subspace):
     """Vertices, full arcs, and transversal crossing points of graph ∩ E_H."""
     n = graph.ambient_dim
     if subspace.k == n:
         return list(range(graph.n_vertices)), list(range(graph.n_edges)), []
-    normals = subspace.normal_basis()
+    normals = normal_basis(subspace)
     proj = graph.vertices @ normals.T  # (V, m)
     dist = np.linalg.norm(proj, axis=1)
     verts_in = [i for i in range(graph.n_vertices) if dist[i] < VERTEX_IN_TOL]
@@ -112,7 +128,7 @@ def reference_link(x, frame: np.ndarray, center: np.ndarray) -> int:
             return len(verts_in) - len(edges_in) + len(crossings)
         if x.graph.n_edges:
             raise UnsupportedSection("translated cones with two-dimensional sectors")
-        normals = subspace.normal_basis()
+        normals = normal_basis(subspace)
         pc = normals @ center
         for row in x.graph.vertices @ normals.T:
             if np.linalg.norm(row) < 1e-12 and np.linalg.norm(pc) < 1e-12:

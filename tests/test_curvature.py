@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -330,6 +331,26 @@ def test_measures_of_several_orders_match_single_orders_bitwise(sets):
             both = lk_measures_detailed(x, (0, 2), 16.0, center=center)
             single = [lk_measure_detailed(x, k, 16.0, center=center) for k in (0, 2)]
             assert both == single, name
+
+
+def test_each_chart_box_is_fitted_once_per_radius(sets):
+    for name in ("hyperboloid_r3", "torus_r3", "twisted_cubic_r3"):
+        x = sets[name]
+        calls = [0] * len(x.charts)
+
+        def counted(i, domain_fn):
+            def fit(radius, center):
+                calls[i] += 1
+                return domain_fn(radius, center)
+            return fit
+
+        charts = [dataclasses.replace(chart, domain_fn=counted(i, chart.domain_fn))
+                  for i, chart in enumerate(x.charts)]
+        counting = dataclasses.replace(x, charts=charts)
+        for radius in (8.0, 16.0):
+            assert (lk_measures_detailed(counting, (0, 1, 2), radius)
+                    == lk_measures_detailed(x, (0, 1, 2), radius)), name
+        assert calls == [2] * len(x.charts), name
 
 
 # ------------------------------------------------------------------ densities

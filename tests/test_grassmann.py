@@ -12,8 +12,12 @@ from lkcurv import (
     grassmann_mean_batch,
 )
 from lkcurv import grassmann
-from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, slot_frames, substream
-from per_slot_streams import grassmann_mean_per_slot
+from lkcurv.grassmann import (
+    LATTICE_REPLICATES, STREAM_GRASSMANN, STREAM_LATTICE, haar_sample, is_projective_sphere,
+    lattice_frames, slot_frames, substream,
+)
+from per_plane_links import project
+from per_slot_streams import grassmann_mean_lattice, grassmann_mean_per_slot
 
 
 def test_frames_are_orthonormal():
@@ -29,7 +33,7 @@ def test_full_space_sample_spans_everything():
     sub = haar_sample(3, 3, rng)
     # any vector is reproduced by projecting onto the frame
     x = np.array([0.3, -1.2, 2.0])
-    assert np.linalg.norm(sub.project(x) - x) < 1e-10
+    assert np.linalg.norm(project(sub, x) - x) < 1e-10
 
 
 def ks_uniform_p_value(samples):
@@ -195,37 +199,142 @@ def _rarely_rejecting(frames):
     return frames[:, 0, 0] ** 2 - frames[:, -1, -1], code % 200 == 0
 
 
+def _seldom_rejecting(frames):
+    """``_rarely_rejecting`` rejecting about 1/300 of frames instead of 1/200.
+
+    A lattice run of 3000 planes then expects 10 rejections against a budget of
+    30, where 700 planes at 1/200 would expect 3.5 against 7.
+    """
+    code = (np.abs(frames[:, 0, 0]) * 1e9).astype(np.int64)
+    return frames[:, 0, 0] ** 2 - frames[:, -1, -1], code % 300 == 0
+
+
 def _assert_same_estimate(a, b):
     assert np.array_equal(a.values, b.values)
     assert (a.n_rejected, a.mean, a.stderr) == (b.n_rejected, b.mean, b.stderr)
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 2])
 def test_rekeyed_draws_match_one_generator_per_slot(n, k, seed, stream):
-    est = grassmann_mean_batch(n, k, _rarely_rejecting, 700, seed, stream=stream, collect=True)
-    assert est.n_rejected > 0
-    _assert_same_estimate(est, grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, seed, stream))
+    """The slot draws on every shape, and the whole estimate on the shapes
+    that ``grassmann_mean_batch`` samples by slots."""
+    ref = grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, seed, stream)
+    values, rejected = grassmann._slot_draws(n, k, _rarely_rejecting, 700, seed, stream)
+    assert rejected.sum() > 0
+    assert np.array_equal(values, ref.values) and rejected.sum() == ref.n_rejected
+    if not is_projective_sphere(n, k):
+        est = grassmann_mean_batch(n, k, _rarely_rejecting, 700, seed, stream=stream, collect=True)
+        assert est.replicates is None
+        _assert_same_estimate(est, ref)
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (4, 3)])
 def test_rank_deficient_redraws_match_one_generator_per_slot(monkeypatch, n, k):
     monkeypatch.setattr(grassmann, "RANK_DEFICIENCY_TOL", 0.4)
     first_blocks = np.stack([substream(42, STREAM_GRASSMANN, i, 2).standard_normal((k, n))
                              for i in range(700)])
     assert not grassmann._orthonormalize(first_blocks)[1].all()  # some slots redraw
-    est = grassmann_mean_batch(n, k, _rarely_rejecting, 700, 42, stream=2, collect=True)
-    _assert_same_estimate(est, grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, 42, 2))
+    ref = grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, 42, 2)
+    values, rejected = grassmann._slot_draws(n, k, _rarely_rejecting, 700, 42, 2)
+    assert np.array_equal(values, ref.values) and rejected.sum() == ref.n_rejected
+    if not is_projective_sphere(n, k):
+        _assert_same_estimate(
+            grassmann_mean_batch(n, k, _rarely_rejecting, 700, 42, stream=2, collect=True), ref)
+        return
+    # the lattice's rotations skip rank-deficient blocks the same way
+    first_rotations = np.stack([substream(42, STREAM_LATTICE, r, 2).standard_normal((n, n))
+                                for r in range(LATTICE_REPLICATES)])
+    assert not grassmann._orthonormalize(first_rotations)[1].all()
+    _assert_same_estimate(
+        grassmann_mean_batch(n, k, _seldom_rejecting, 3000, 42, stream=2, collect=True),
+        grassmann_mean_lattice(n, k, _seldom_rejecting, 3000, 42, 2))
 
 
 def test_values_do_not_depend_on_the_slot_chunk(monkeypatch):
     runs = []
     for chunk in (1, 7, 256):
         monkeypatch.setattr(grassmann, "SLOT_CHUNK", chunk)
-        runs.append(grassmann_mean_batch(3, 2, _rarely_rejecting, 700, 5, stream=2, collect=True))
+        runs.append(grassmann_mean_batch(4, 3, _rarely_rejecting, 700, 5, stream=2, collect=True))
+    assert runs[0].replicates is None
     for est in runs[1:]:
         _assert_same_estimate(est, runs[0])
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 2])
+def test_lattice_matches_one_plane_at_a_time(n, k, seed, stream):
+    est = grassmann_mean_batch(n, k, _seldom_rejecting, 3000, seed, stream=stream, collect=True)
+    assert est.n_rejected > 0
+    assert est.replicates == LATTICE_REPLICATES
+    ref = grassmann_mean_lattice(n, k, _seldom_rejecting, 3000, seed, stream)
+    _assert_same_estimate(est, ref)
+    assert est.replicates == ref.replicates
+
+
+@pytest.mark.parametrize("n_samples,replicates",
+                         [(1003, LATTICE_REPLICATES), (13, LATTICE_REPLICATES), (5, 5), (1, 1)])
+def test_lattice_sizes_that_do_not_divide(n_samples, replicates):
+    assert n_samples % LATTICE_REPLICATES
+    sizes = grassmann.replicate_sizes(n_samples)
+    assert len(sizes) == replicates and sum(sizes) == n_samples and max(sizes) - min(sizes) <= 1
+
+    def accepting(frames):  # one rejection in 13 planes would exceed the budget
+        return frames[:, 0, 0] ** 2 - frames[:, -1, -1], np.zeros(len(frames), dtype=bool)
+
+    for n, k in [(2, 1), (3, 2)]:
+        est = grassmann_mean_batch(n, k, accepting, n_samples, 42, collect=True)
+        assert est.replicates == replicates
+        _assert_same_estimate(est, grassmann_mean_lattice(n, k, accepting, n_samples, 42))
+        if n_samples == 1:
+            assert est.stderr == 0.0
+        else:
+            assert est.stderr > 0.0
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
+def test_lattice_frames_are_a_spread_point_set(n, k):
+    frames = lattice_frames(n, k, 400)
+    assert frames.shape == (400, k, n)
+    gram = frames @ frames.transpose(0, 2, 1)
+    assert np.max(np.abs(gram - np.eye(k))) < 1e-12
+    # read each plane through its line direction or hyperplane normal
+    u = frames[:, 0] if k == 1 else np.cross(frames[:, 0], frames[:, 1])
+    if n == 2:
+        angles = np.arctan2(u[:, 1], u[:, 0]) % np.pi
+        assert np.allclose(np.diff(angles), np.pi / 400)
+    else:
+        # equal-area heights on the upper hemisphere and golden-angle turns
+        assert np.allclose(np.sort(np.abs(u[:, 2])), (np.arange(400) + 0.5) / 400)
+        # the second moment of a Haar line direction is I/3 (to O(1/m^2) here)
+        assert np.max(np.abs(u.T @ u / 400 - np.eye(3) / 3.0)) < 1e-3
+    with pytest.raises(ValueError):
+        lattice_frames(4, 2, 10)
+
+
+def test_lattice_beats_independent_slots_with_calibrated_errors(sets):
+    """40 seeds of the star3 cone's 2-plane mean (exactly 1) at 400 planes.
+
+    Over 400 seeds the lattice's RMSE is 2.5 times smaller; seeds 0-39 are the
+    least favourable block of 40 there, at 1.9 times.
+    """
+    star = sets["star3_cone_r3"]
+
+    def oracle(frames):
+        return lk.link_chi_batch(star, frames)
+
+    lattice, slots, beyond = [], [], 0
+    for seed in range(42, 82):
+        est = grassmann_mean_batch(3, 2, oracle, 400, seed)
+        lattice.append(est.mean - 1.0)
+        beyond += abs(est.mean - 1.0) > 3.0 * est.stderr
+        values, _ = grassmann._slot_draws(3, 2, oracle, 400, seed, 0)
+        slots.append(values.mean() - 1.0)
+    rmse = lambda errors: math.sqrt(np.mean(np.square(errors)))
+    assert rmse(lattice) <= 0.5 * rmse(slots)
+    assert beyond <= 3
 
 
 def test_slot_frames_match_haar_sample_and_check_the_key(monkeypatch):

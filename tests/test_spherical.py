@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import lkcurv as lk
-from lkcurv import NonGenericDirectionError, UnsupportedSection
+from lkcurv import UnsupportedSection
 from lkcurv.catalog import ConicGraph, SphericalGraph
 from lkcurv.spherical import conic_lk_measure_detailed, spherical_lk
-from vertex_index import spherical_gauss_bonnet_check, vertex_index_mean, vertex_morse_index
+from vertex_index import (
+    NonGenericDirectionError, spherical_gauss_bonnet_check, vertex_index_mean, vertex_morse_index,
+)
 
 
 def tangent_at(graph, vertex, seed=0):

@@ -17,13 +17,18 @@ from typing import Tuple
 
 import numpy as np
 
-from lkcurv import NonGenericDirectionError, SphericalGraph, TheoremReport
+from lkcurv import LkError, SphericalGraph, TheoremReport
 from lkcurv.grassmann import substream
 from lkcurv.report import make_row
 
-# the stream domain of the vertex directions; domain 1 is the Grassmannian draws
+# the stream domain of the vertex directions; domains 1 and 4 are the Grassmannian draws
 STREAM_VERTEX = 2
 GENERIC_DOT_TOL = 1e-10
+
+
+class NonGenericDirectionError(LkError):
+    """A direction orthogonal to an incident edge tangent was supplied where a
+    generic direction is required."""
 
 
 def _vertex_tangent_basis(graph: SphericalGraph, vertex: int) -> np.ndarray:
