@@ -3,7 +3,8 @@
 Curvature measures, Grassmannian Monte Carlo, links at infinity, and a
 harness that checks the Gauss-Bonnet-type identities tying them to the Euler
 characteristic.  The public surface is the batched routes
-(``link_chi_batch``, ``grassmann_mean_batch``, ``curvature_measures``),
+(``link_chi_batch``, ``grassmann_mean_batch``, ``curvature_sweep`` and its
+one-radius form ``curvature_measures``),
 ``run_theorem``, the set and report types, and the errors.
 """
 
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedSection,
 )
 from .grassmann import MonteCarloEstimate, Subspace, grassmann_mean, grassmann_mean_batch
-from .limits import LimitEstimate, curvature_measures
+from .limits import LimitEstimate, curvature_measures, curvature_sweep
 from .report import TheoremReport, TheoremRow
 from .verify import run_theorem
 

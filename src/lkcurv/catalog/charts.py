@@ -23,6 +23,8 @@ Cubature uses tensor products of Gauss-Legendre rules.  Each rule is computed
 here by Newton's method on the three-term Legendre recurrence from Tricomi's
 initial guess, which gives nodes and weights to full double precision (Hale
 and Townsend, SIAM J. Sci. Comput. 35, 2013), and is cached per node count.
+The boxes of a radius sweep share one grid, the tensor product of each axis's
+union of nodes, and each box keeps its own rule on it (``GridRule``).
 """
 
 from __future__ import annotations
@@ -157,32 +159,51 @@ def _axis_rule(lo: float, hi: float, count: int, paneled: bool):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-# the benchmark's tracing counts the nodes of this rule by name
-def gauss_legendre_nodes(box: np.ndarray, counts, panel_axes=()) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor product of per-axis Gauss-Legendre rules on an axis-aligned box.
+@dataclass(frozen=True)
+class GridRule:
+    """One box's tensor Gauss-Legendre rule on a shared tensor grid."""
+    shape: tuple         # grid nodes per axis
+    where: tuple         # per axis, the grid positions of the box's nodes
+    axis_weights: tuple  # per axis, their weights
+
+    def tensor(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Grid indices of the box's nodes in their own ij order, and their weights."""
+        index, weights = self.where[0], self.axis_weights[0]
+        for size, where, w in zip(self.shape[1:], self.where[1:], self.axis_weights[1:]):
+            index = np.add.outer(index * size, where)
+            weights = np.multiply.outer(weights, w)
+        return index.ravel(), weights.ravel()
+
+
+# the benchmark's tracing counts the nodes of this grid by name
+def gauss_legendre_nodes(boxes, counts, panel_axes=()):
+    """Tensor products of per-axis Gauss-Legendre rules on axis-aligned boxes,
+    sharing one grid.
+
+    ``boxes`` is one (dim, 2) box or a stack of them.  Returns ``(points,
+    rules)``: ``points`` (N, dim) is the tensor grid, in ij order, of each
+    axis's union of nodes over the boxes, and ``rules[j]`` is box j's own
+    rule on that grid.  Equal panels give equal nodes, so the boxes of a
+    radius sweep share most of the grid; one box's grid is its own rule.
 
     Axes listed in ``panel_axes`` use composite rules on dyadic panels, so
     unit-scale integrand features stay resolved no matter how large the
     fitted range grows with the ball radius.
     """
-    box = np.asarray(box, dtype=float)
-    dim = box.shape[0]
+    boxes = np.asarray(boxes, dtype=float)
+    if boxes.ndim == 2:
+        boxes = boxes[None]
+    dim = boxes.shape[1]
     counts = tuple(int(c) for c in (counts if np.iterable(counts) else [counts] * dim))
-    axes, wts = [], []
-    for d in range(dim):
-        lo, hi = box[d]
-        x, w = _axis_rule(lo, hi, counts[d], d in panel_axes)
-        axes.append(x)
-        wts.append(w)
-    if dim == 1:
-        return axes[0][:, None], wts[0]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrid = np.meshgrid(*wts, indexing="ij")
-    weights = np.ones(pts.shape[0])
-    for w in wgrid:
-        weights = weights * w.ravel()
-    return pts, weights
+    box_rules = [[_axis_rule(lo, hi, counts[d], d in panel_axes) for d, (lo, hi) in enumerate(box)]
+                 for box in boxes]
+    axes = [np.unique(np.concatenate([rule[d][0] for rule in box_rules])) for d in range(dim)]
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    shape = tuple(len(a) for a in axes)
+    rules = [GridRule(shape, tuple(np.searchsorted(a, x) for a, (x, _) in zip(axes, rule)),
+                      tuple(w for _, w in rule))
+             for rule in box_rules]
+    return points, rules
 
 
 def _feasible_interval(g, width0: float, max_width: float = 1e7) -> Optional[np.ndarray]:

@@ -16,7 +16,7 @@ crosses the line at infinity.  The center moves only lower-order terms, so
 shifted flats use the same count, and no radius is involved.  Linear and
 conic links are exact combinatorial counts: a linear section is a flat whose
 dimension is the number of principal angles between the two subspaces that
-vanish (one SVD for the stack), and a conic section is the cone over the
+vanish (one SVD for the stack, read by the angles' sines), and a conic section is the cone over the
 vertices, arcs and arc crossings of its spherical graph in the plane (every
 test runs over all planes and arcs at once).
 
@@ -52,6 +52,8 @@ VERTEX_GRAY_TOL = 1e-7
 CROSSING_RESIDUAL_TOL = 1e-8
 CROSSING_GRAY_TOL = 1e-5
 ENDPOINT_MARGIN = 1e-9
+# sines of the principal angles between a linear set and a plane: below the
+# first the direction is shared, below the second it is in the gray band
 SHARED_DIRECTION_TOL = 1e-10
 SHARED_GRAY_TOL = 1e-8
 # a leading-form determinant this small relative to the squared coefficient
@@ -114,38 +116,19 @@ def _normal_bases(frames: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- linear case
 
-def _shared_directions(frame: np.ndarray, frames: np.ndarray):
-    """Principal directions of span(frame) against each plane of a stack.
-
-    Returns ``u`` of shape (m, ka, ka), whose first ``shared[i]`` columns are
-    the coordinates in ``frame`` of the directions plane i shares with it,
-    the counts ``shared``, and a mask of the planes with a principal angle in
-    the gray band where shared and non-shared directions cannot be told apart.
-    """
-    u, svals, _ = np.linalg.svd(frame @ frames.transpose(0, 2, 1))
-    svals = np.clip(svals, 0.0, 1.0)
-    shared = svals > 1.0 - SHARED_DIRECTION_TOL
-    gray = (~shared) & (svals > 1.0 - SHARED_GRAY_TOL)
-    return u, np.count_nonzero(shared, axis=1), np.any(gray, axis=1)
-
-
-def _flats_meet_subspace(v_frame: np.ndarray, frames: np.ndarray, center: np.ndarray,
-                         u: np.ndarray, shared: np.ndarray) -> np.ndarray:
-    """Whether each affine flat center + span(frames[i]) meets span(v_frame).
+def _flats_meet_subspace(frames: np.ndarray, center: np.ndarray, off: np.ndarray,
+                         shared: np.ndarray) -> np.ndarray:
+    """Whether each affine flat center + span(frames[i]) meets span(v).
 
     It does when the part of the center off plane i lies in the part of
-    span(v_frame) off it.  With ``u`` and ``shared`` from
-    :func:`_shared_directions`, the shared principal directions drop out there
-    and the others leave mutually orthogonal vectors of length sin(angle),
-    which the gray band keeps away from zero.
+    span(v) off it, which the rows of ``off`` (the principal directions'
+    unit parts off the plane) that are not ``shared`` span; the gray band
+    keeps their sines away from zero.
     """
     ht = frames.transpose(0, 2, 1)
-    off = center - np.matmul(ht, np.matmul(frames, center)[:, :, None])[:, :, 0]
-    dirs = np.matmul(u.transpose(0, 2, 1), v_frame)  # (m, ka, n)
-    dirs = dirs - np.matmul(np.matmul(dirs, ht), frames)
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=2), 1e-300)[:, :, None]
-    dirs[np.arange(dirs.shape[1]) < shared[:, None]] = 0.0
-    residual = off - np.matmul(np.matmul(dirs, off[:, :, None])[:, :, 0][:, None, :], dirs)[:, 0, :]
+    rest = center - np.matmul(ht, np.matmul(frames, center)[:, :, None])[:, :, 0]
+    dirs = np.where(shared[:, :, None], 0.0, off)
+    residual = rest - np.matmul(np.matmul(dirs, rest[:, :, None])[:, :, 0][:, None, :], dirs)[:, 0, :]
     return np.linalg.norm(residual, axis=1) <= 1e-9 * (1.0 + np.linalg.norm(center))
 
 
@@ -157,10 +140,29 @@ def _sphere_chi(m):
 
 def _linear_section_links(x: LinearSubspace, frames: np.ndarray,
                           center: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    u, shared, degenerate = _shared_directions(x.frame, frames)
-    values = _sphere_chi(shared).astype(float)
-    if np.any(center != 0.0):
-        values = np.where(_flats_meet_subspace(x.frame, frames, center, u, shared), values, 0.0)
+    """Link chi of the flat section by each plane, and the degenerate planes.
+
+    The part of span(x) off plane i has the sines of the principal angles as
+    its singular values, and the principal directions' unit parts off the
+    plane as its right singular vectors.  A direction whose sine is below
+    ``SHARED_DIRECTION_TOL`` is shared, and a plane with a sine below
+    ``SHARED_GRAY_TOL`` but not below the first is degenerate, since shared
+    and non-shared directions cannot be told apart there.  Sines, unlike
+    cosines near 1, resolve angles down to rounding, so both tolerances are
+    angles in radians.
+    """
+    part = x.frame - np.matmul(np.matmul(x.frame, frames.transpose(0, 2, 1)), frames)
+    shifted = bool(np.any(center != 0.0))
+    if shifted:
+        _, sines, off = np.linalg.svd(part)
+    else:
+        sines = np.linalg.svd(part, compute_uv=False)
+    shared = sines < SHARED_DIRECTION_TOL
+    degenerate = np.any(~shared & (sines < SHARED_GRAY_TOL), axis=1)
+    values = _sphere_chi(np.count_nonzero(shared, axis=1)).astype(float)
+    if shifted:
+        meets = _flats_meet_subspace(frames, center, off[:, :x.frame.shape[0]], shared)
+        values = np.where(meets, values, 0.0)
     return values, degenerate
 
 

@@ -20,11 +20,18 @@ Charts of dimension 3 and more (none is builtin) use general contractions
 with G^-1; even orders of 4 and above in codimension 1 are 2 sigma(G^-1 B),
 and in codimension 2 or more they are not supported.  ``weyl_density`` (the
 raw integral) and ``lk_density`` (the density) evaluate it at one chart
-point, and ``lk_measures_detailed`` integrates the densities of several
-orders over the part of the set inside a ball by per-chart Gauss-Legendre
-cubature with partition-of-unity weights, building each chart's nodes and
-frames once per rule for all of them.  ``second_fundamental_form`` returns
-the form of one normal direction in an orthonormal tangent basis.
+point.  ``lk_measures_sweep`` integrates the densities of several orders
+over the part of the set inside the ball of each radius of a sweep, by
+per-chart Gauss-Legendre cubature with partition-of-unity weights.  Each
+chart's box is fitted once per radius; each rule (fine and halved) then
+evaluates the chart's jet, det G, |p - c|^2, the partition weight and every
+order's density once for the whole sweep, block by block, on the tensor grid
+of each axis's union of nodes (equal dyadic panels give equal nodes).  Each
+radius gathers its own nodes in its own order, applies its own weights and
+inside mask, and sums exactly as a sweep of that radius alone would.
+``lk_measures_detailed`` is a sweep of one radius.
+``second_fundamental_form`` returns the form of one normal direction in an
+orthonormal tangent basis.
 
 Sign convention: the form is <second derivative, v>; every quantity reported
 here is even in v, so flipping the normal orientation changes nothing.
@@ -276,39 +283,116 @@ def _chart_boxes(x: SmoothSet, radius: float, center: np.ndarray) -> List[Option
     return boxes
 
 
-def _measures_at_resolution(
-    x: SmoothSet,
-    ks,
-    radius: float,
-    boxes: List[Optional[np.ndarray]],
-    spec: CubatureSpec,
-    center: np.ndarray,
-) -> List[float]:
-    """Measures of the orders ks; each chart builds its nodes and frames once."""
-    totals = [0.0] * len(ks)
-    multi = len(x.charts) > 1
-    for ci, (chart, box) in enumerate(zip(x.charts, boxes)):
-        if box is None:
-            continue
-        nodes, weights = gauss_legendre_nodes(box, spec.counts(chart.dim), chart.panel_axes)
-        frames = _chart_frames(chart, nodes)
-        inside = np.sum((frames.positions - center[None, :]) ** 2, axis=1) <= radius * radius * (
-            1.0 + 1e-12
-        )
-        pou = chart.weights(frames.positions)
-        if multi:
-            cover = np.zeros(nodes.shape[0])
+# grid nodes per frame build: a sweep's grid is evaluated in blocks of this
+# size and keeps only a few scalars per node, so a sweep holds the frames of
+# one block, fewer than the largest rule of one radius has nodes
+_BLOCK_NODES = 4096
+
+
+def _node_scalars(x: SmoothSet, ci: int, points: np.ndarray, ks, center: np.ndarray):
+    """sqrt det G, |p - c|^2, the partition weight and the density of each order
+    at every grid point, with frames built block by block."""
+    chart = x.charts[ci]
+    size = points.shape[0]
+    sqrt_gram, dist2, pou = np.empty(size), np.empty(size), np.empty(size)
+    densities = np.empty((len(ks), size))
+    gap = 0.0
+    for start in range(0, size, _BLOCK_NODES):
+        block = slice(start, min(start + _BLOCK_NODES, size))
+        frames = _chart_frames(chart, points[block])
+        sqrt_gram[block] = frames.sqrt_gram
+        dist2[block] = np.sum((frames.positions - center[None, :]) ** 2, axis=1)
+        pou[block] = chart.weights(frames.positions)
+        if len(x.charts) > 1:
+            cover = np.zeros(frames.positions.shape[0])
             for other in x.charts:
                 cover += other.weights(frames.positions)
-            gap = float(np.max(np.abs(cover - 1.0)))
-            if gap > 1e-3:
-                raise CoverageGapError(
-                    f"partition-of-unity mass deviates from 1 by {gap:.2e} on chart {ci}"
-                )
-        factor = weights * frames.sqrt_gram * pou * inside
+            gap = max(gap, float(np.max(np.abs(cover - 1.0))))
         for i, k in enumerate(ks):
-            totals[i] += float(np.sum(factor * _lambda_batch(x, frames, k)))
+            densities[i, block] = _lambda_batch(x, frames, k)
+    if gap > 1e-3:
+        raise CoverageGapError(
+            f"partition-of-unity mass deviates from 1 by {gap:.2e} on chart {ci}"
+        )
+    return sqrt_gram, dist2, pou, densities
+
+
+def _sweep_at_resolution(
+    x: SmoothSet,
+    ks,
+    radii: List[float],
+    boxes: List[List[Optional[np.ndarray]]],
+    spec: CubatureSpec,
+    center: np.ndarray,
+) -> List[List[float]]:
+    """Measures of the orders ks at each radius of the sweep.
+
+    Each chart evaluates its frames and densities once, on the union grid of
+    every radius's rule; each radius then sums its own nodes in its own order
+    with its own weights, so it gets the bits of a sweep of that radius alone.
+    """
+    totals = [[0.0] * len(ks) for _ in radii]
+    for ci, chart in enumerate(x.charts):
+        hits = [j for j in range(len(radii)) if boxes[j][ci] is not None]
+        if not hits:
+            continue
+        points, rules = gauss_legendre_nodes(
+            [boxes[j][ci] for j in hits], spec.counts(chart.dim), chart.panel_axes)
+        sqrt_gram, dist2, pou, densities = _node_scalars(x, ci, points, ks, center)
+        for j, rule in zip(hits, rules):
+            index, weights = rule.tensor()
+            inside = dist2[index] <= radii[j] * radii[j] * (1.0 + 1e-12)
+            factor = weights * sqrt_gram[index] * pou[index] * inside
+            for i in range(len(ks)):
+                totals[j][i] += float(np.sum(factor * densities[i, index]))
     return totals
+
+
+def lk_measures_sweep(
+    x: SmoothSet,
+    ks,
+    radii,
+    spec: Optional[CubatureSpec] = None,
+    center=None,
+) -> List[List[Tuple[float, float]]]:
+    """Curvature measures of the orders ks of X inside the ball of each radius,
+    each with an error bound: one list of (value, bound) pairs per radius.
+
+    The bound is the change under halving the cubature resolution.  Each
+    chart's parameter box is fitted once per radius and shared by both rules.
+    Each rule evaluates the chart's jet and densities once for the whole
+    sweep, on the union of the radii's nodes, and evaluates every order on
+    them, so each (radius, order) gets the same bits as a call for that radius
+    and order alone.
+    """
+    if not isinstance(x, SmoothSet):
+        raise TypeError("lk_measures_sweep expects a smooth set")
+    n, d = x.ambient_dim, x.dim
+    ks = list(ks)
+    if not all(0 <= k <= n for k in ks):
+        raise ValueError(f"k must lie in [0, {n}]")
+    radii = list(radii)
+    for radius in radii:
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        if not np.isfinite(radius * radius):
+            raise ValueError(f"radius {radius:g} is too large: R^2 is not finite")
+    # orders above the dimension vanish, and odd-order symmetric functions are
+    # odd in the normal direction, so they integrate to zero over the normal sphere
+    live = [k for k in ks if k <= d and (d - k) % 2 == 0]
+    measures = [{} for _ in radii]
+    if live:
+        spec = spec or CubatureSpec()
+        center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+        boxes = [_chart_boxes(x, radius, center) for radius in radii]
+        fine = _sweep_at_resolution(x, live, radii, boxes, spec, center)
+        coarse = _sweep_at_resolution(x, live, radii, boxes, spec.halved(), center)
+        for radius, found, values, others in zip(radii, measures, fine, coarse):
+            for k, value, other in zip(live, values, others):
+                if not (np.isfinite(value) and np.isfinite(other)):
+                    raise ValueError(f"radius {radius:g}: the order-{k} measure is not finite")
+                found[k] = (value, abs(value - other))
+    return [[found.get(k, (0.0, 0.0)) for k in ks] for found in measures]
 
 
 def lk_measures_detailed(
@@ -318,39 +402,9 @@ def lk_measures_detailed(
     spec: Optional[CubatureSpec] = None,
     center=None,
 ) -> List[Tuple[float, float]]:
-    """Curvature measures of the orders ks of X inside the ball, each with an
-    error bound.
-
-    The bound is the change under halving the cubature resolution.  Each
-    chart's parameter box is fitted once and shared by both rules, and each
-    rule builds the chart's nodes and frames once and evaluates every order on
-    them, so each order gets the same bits as a call for that order alone.
-    """
-    if not isinstance(x, SmoothSet):
-        raise TypeError("lk_measures_detailed expects a smooth set")
-    n, d = x.ambient_dim, x.dim
-    ks = list(ks)
-    if not all(0 <= k <= n for k in ks):
-        raise ValueError(f"k must lie in [0, {n}]")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if not np.isfinite(radius * radius):
-        raise ValueError(f"radius {radius:g} is too large: R^2 is not finite")
-    # orders above the dimension vanish, and odd-order symmetric functions are
-    # odd in the normal direction, so they integrate to zero over the normal sphere
-    live = [k for k in ks if k <= d and (d - k) % 2 == 0]
-    measures = {}
-    if live:
-        spec = spec or CubatureSpec()
-        center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        boxes = _chart_boxes(x, radius, center)
-        fine = _measures_at_resolution(x, live, radius, boxes, spec, center)
-        coarse = _measures_at_resolution(x, live, radius, boxes, spec.halved(), center)
-        for k, value, other in zip(live, fine, coarse):
-            if not (np.isfinite(value) and np.isfinite(other)):
-                raise ValueError(f"radius {radius:g}: the order-{k} measure is not finite")
-            measures[k] = (value, abs(value - other))
-    return [measures.get(k, (0.0, 0.0)) for k in ks]
+    """Curvature measures of the orders ks of X inside one ball, each with an
+    error bound: a sweep of one radius."""
+    return lk_measures_sweep(x, ks, (radius,), spec=spec, center=center)[0]
 
 
 # the benchmark's tracing wraps this by name

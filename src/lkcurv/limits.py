@@ -5,13 +5,17 @@ its route is called.  ``curvature_measures(X, ks, R)`` gives the order-k
 measures of X in the radius-R ball with error bounds: cubature for smooth
 sets, the sphere trace for cones, b_k (R^2 - dist^2)^(k/2) at k = dim (else 0)
 for linear subspaces; the normalized measures divide them by b_k R^k.
+``curvature_sweep(X, ks, radii)`` gives them at every radius of a schedule,
+and ``curvature_measures`` is a sweep of one radius.
 
 ``estimate_limits`` extrapolates the normalized values of several orders over
 a geometric radius schedule with an a + c/R model fitted to the last three
-radii; on a smooth set one cubature per radius serves every order with the
-bits of its own sweep.  Order 0 (smooth sets only) is the total order-0
-curvature.  Exact bypasses: flats give [k == dim], cones are radius-independent
-by homogeneity, and a compact set's limit is 0 for k >= 1.  Each
+radii.  On a smooth set one cubature sweep serves every radius and order:
+each chart evaluates its jet once per rule for the whole schedule, and each
+(radius, order) gets the bits of a cubature of that radius alone.  Order 0
+(smooth sets only) is the total order-0 curvature.  Exact bypasses: flats
+give [k == dim], cones are radius-independent by homogeneity, and a compact
+set's limit is 0 for k >= 1.  Each
 ``LimitEstimate.route`` is ``linear_exact``, ``conic_homogeneity``,
 ``compact_exact_zero`` or ``cubature_limit``, plus ``,not_converged``.
 
@@ -30,7 +34,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
-from .curvature import CubatureSpec, lk_measures_detailed
+from .curvature import CubatureSpec, lk_measures_sweep
 from .geomconst import ball_volume
 from .spherical import conic_lk_measure_detailed
 
@@ -54,6 +58,33 @@ def _check_order(x: SetDescriptor, k: int) -> None:
         raise ValueError(f"k must lie in [{lowest}, {x.ambient_dim}]")
 
 
+def curvature_sweep(
+    x: SetDescriptor,
+    ks,
+    radii,
+    spec: Optional[CubatureSpec] = None,
+    center=None,
+) -> List[List[Tuple[float, float]]]:
+    """Curvature measures of the orders ks of X inside the ball of each radius,
+    each with an error bound: one list per radius."""
+    if isinstance(x, SmoothSet):
+        return lk_measures_sweep(x, ks, radii, spec=spec, center=center)
+    if isinstance(x, ConicGraph):
+        return [[conic_lk_measure_detailed(x, k, radius, center=center) for k in ks]
+                for radius in radii]
+    if not isinstance(x, LinearSubspace):
+        raise TypeError(f"not a set descriptor: {x!r}")
+    c = np.zeros(x.ambient_dim) if center is None else np.asarray(center, dtype=float)
+    dist2 = float(np.sum((c - x.frame.T @ (x.frame @ c)) ** 2))
+    # the slice is a dim-ball of radius sqrt(R^2 - dist^2) inside the subspace;
+    # b_k R^k (1 - dist^2/R^2)^(k/2) divides back to exactly 1 when centered
+    return [[
+        (ball_volume(k) * radius**k * (1.0 - dist2 / (radius * radius)) ** (k / 2.0), 0.0)
+        if k == x.dim and dist2 < radius * radius else (0.0, 0.0)
+        for k in ks
+    ] for radius in radii]
+
+
 def curvature_measures(
     x: SetDescriptor,
     ks,
@@ -61,34 +92,22 @@ def curvature_measures(
     spec: Optional[CubatureSpec] = None,
     center=None,
 ) -> List[Tuple[float, float]]:
-    """Curvature measures of the orders ks of X inside the ball, each with an
-    error bound."""
-    if isinstance(x, SmoothSet):
-        return lk_measures_detailed(x, ks, radius, spec=spec, center=center)
-    if isinstance(x, ConicGraph):
-        return [conic_lk_measure_detailed(x, k, radius, center=center) for k in ks]
-    if not isinstance(x, LinearSubspace):
-        raise TypeError(f"not a set descriptor: {x!r}")
-    c = np.zeros(x.ambient_dim) if center is None else np.asarray(center, dtype=float)
-    dist2 = float(np.sum((c - x.frame.T @ (x.frame @ c)) ** 2))
-    if dist2 >= radius * radius:
-        return [(0.0, 0.0) for _ in ks]
-    # the slice is a dim-ball of radius sqrt(R^2 - dist^2) inside the subspace;
-    # b_k R^k (1 - dist^2/R^2)^(k/2) divides back to exactly 1 when centered
-    return [
-        (ball_volume(k) * radius**k * (1.0 - dist2 / (radius * radius)) ** (k / 2.0), 0.0)
-        if k == x.dim else (0.0, 0.0)
-        for k in ks
-    ]
+    """Curvature measures of the orders ks of X inside one ball, each with an
+    error bound: a sweep of one radius."""
+    return curvature_sweep(x, ks, (radius,), spec, center)[0]
 
 
-def _normalized_many(
-    x: SetDescriptor, ks, radius: float, spec, center
-) -> List[Tuple[float, float]]:
-    """Normalized measures of the orders ks, with their errors."""
-    pairs = curvature_measures(x, ks, radius, spec, center)
-    scales = [ball_volume(k) * radius**k for k in ks]
-    return [(value / scale, err / scale) for (value, err), scale in zip(pairs, scales)]
+def _normalized_sweep(
+    x: SetDescriptor, ks, radii, spec, center
+) -> List[List[Tuple[float, float]]]:
+    """Normalized measures of the orders ks at each radius, with their errors."""
+    sweep = curvature_sweep(x, ks, radii, spec, center)
+    normalized = []
+    for radius, pairs in zip(radii, sweep):
+        scales = [ball_volume(k) * radius**k for k in ks]
+        normalized.append([(value / scale, err / scale)
+                           for (value, err), scale in zip(pairs, scales)])
+    return normalized
 
 
 def _fit_inverse_radius(radii, values) -> Tuple[float, float]:
@@ -172,12 +191,12 @@ def estimate_limits(
             estimates[k] = LimitEstimate(k, 0.0, 0.0, radii, True, "compact_exact_zero")
         elif isinstance(x, (LinearSubspace, ConicGraph)) and not shifted:
             # homogeneity: the normalized measure of a cone is radius-independent
-            value, err = _normalized_many(x, (k,), radii[0], spec, center)[0]
+            value, err = _normalized_sweep(x, (k,), radii[:1], spec, center)[0][0]
             estimates[k] = LimitEstimate(k, value, err, radii, True, route)
 
     swept = [k for k in ks if k not in estimates]
     if swept:
-        sweep = [_normalized_many(x, swept, r, spec, center) for r in radii]
+        sweep = _normalized_sweep(x, swept, radii, spec, center)
         for i, k in enumerate(swept):
             values = [pairs[i][0] for pairs in sweep]
             errors = [pairs[i][1] for pairs in sweep]

@@ -88,12 +88,13 @@ def graph_section_data(graph, subspace: Subspace):
 
 
 def shared_dimension(frame_a: np.ndarray, frame_b: np.ndarray) -> int:
-    """Dimension of span(a) ∩ span(b) from one SVD, with the gray band."""
+    """Dimension of span(a) ∩ span(b) from the sines of the principal angles
+    (one SVD of the part of span(a) off span(b)), with the gray band."""
     if frame_a.shape[0] == 0 or frame_b.shape[0] == 0:
         return 0
-    svals = np.clip(np.linalg.svd(frame_a @ frame_b.T)[1], 0.0, 1.0)
-    shared = svals > 1.0 - SHARED_DIRECTION_TOL
-    if np.any(~shared & (svals > 1.0 - SHARED_GRAY_TOL)):
+    sines = np.linalg.svd(frame_a - (frame_a @ frame_b.T) @ frame_b, compute_uv=False)
+    shared = sines < SHARED_DIRECTION_TOL
+    if np.any(~shared & (sines < SHARED_GRAY_TOL)):
         raise DegenerateSample("near-tangential pair of subspaces")
     return int(np.count_nonzero(shared))
 
@@ -102,12 +103,15 @@ def flat_meets_subspace(v_frame: np.ndarray, h_frame: np.ndarray, center: np.nda
     """Whether the affine flat center + span(h) meets span(v).
 
     A least-squares solve that drops the directions the two share: its
-    residual is the distance from the center to span(v) + span(h).  A shared
-    direction leaves a singular value below sqrt(SHARED_DIRECTION_TOL) = 1e-5,
-    any other one above sqrt(SHARED_GRAY_TOL) = 1e-4; the cut lies between.
+    residual is the distance from the center to span(v) + span(h).  Unit
+    vectors v and h at angle theta leave the singular values sqrt(1 +- cos
+    theta), the smaller about theta / sqrt(2): below 7.1e-11 for a shared
+    direction (theta < SHARED_DIRECTION_TOL), above 7.1e-9 for any other one
+    (theta > SHARED_GRAY_TOL), against a largest singular value between 1 and
+    sqrt(2).  The cut lies between.
     """
     stacked = np.vstack([v_frame, h_frame]).T
-    coeffs = np.linalg.lstsq(stacked, center, rcond=3e-5)[0]
+    coeffs = np.linalg.lstsq(stacked, center, rcond=1e-9)[0]
     residual = center - stacked @ coeffs
     return float(np.linalg.norm(residual)) <= 1e-9 * (1.0 + np.linalg.norm(center))
 

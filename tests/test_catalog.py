@@ -380,9 +380,9 @@ def test_hand_built_degenerate_planes_match_per_plane_reference(sets):
         (star, at_endpoint[None], True),
         (star, through_leaf[None], False),
     ]
-    # a plane at 5e-5 rad from the line: its principal angle is in the gray band
+    # a plane at 1e-9 rad from the line: its principal angle is in the gray band
     line = sets["line_r3"]
-    tilted = np.array([[np.cos(5e-5), np.sin(5e-5), 0.0], [0.0, 0.0, 1.0]])
+    tilted = np.array([[np.cos(1e-9), np.sin(1e-9), 0.0], [0.0, 0.0, 1.0]])
     cases.append((line, tilted[None], True))
     cases.append((line, np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]), False))
     for x, frames, expected in cases:
@@ -392,6 +392,25 @@ def test_hand_built_degenerate_planes_match_per_plane_reference(sets):
         if expected:
             with pytest.raises(DegenerateSample):
                 link_infinity_chi(x, Subspace(3, frames.shape[1], frames[0]))
+
+
+def test_linear_links_decide_shared_directions_by_angle(sets):
+    # 2-planes tilted off line_r3 by a known angle: the tolerances are angles
+    # in radians, 1e-10 to share the line and 1e-8 to leave the gray band
+    line = sets["line_r3"]
+    for angle, value, gray in ((1e-6, 0.0, False), (1e-9, None, True), (1e-12, 2.0, False)):
+        frames = np.array([[[np.cos(angle), np.sin(angle), 0.0], [0.0, 0.0, 1.0]]])
+        for center in (np.zeros(3), np.array([0.0, 0.0, 1.0])):
+            values, degenerate = lk.link_chi_batch(line, frames, center)
+            assert degenerate[0] == gray, angle
+            if not gray:
+                assert values[0] == value, angle
+            _assert_matches_reference(line, frames, center)
+    # shifted off the line across it, the flat misses the line: the section is empty
+    frames = np.array([[[np.cos(1e-12), np.sin(1e-12), 0.0], [0.0, 0.0, 1.0]]])
+    values, degenerate = lk.link_chi_batch(line, frames, np.array([0.0, 1.0, 0.0]))
+    assert values.tolist() == [0.0] and not degenerate[0]
+    _assert_matches_reference(line, frames, np.array([0.0, 1.0, 0.0]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -9,7 +9,8 @@ import pytest
 import lkcurv as lk
 from lkcurv import CoverageGapError, DegenerateChartError, UnsupportedSection
 from lkcurv.catalog import SmoothSet
-from lkcurv.catalog.charts import Chart, build_chart, gauss_legendre_nodes
+from lkcurv import curvature
+from lkcurv.catalog.charts import Chart, _axis_rule, build_chart, gauss_legendre_nodes
 from lkcurv.curvature import (
     CubatureSpec,
     _chart_frames,
@@ -18,6 +19,7 @@ from lkcurv.curvature import (
     lk_density,
     lk_measure_detailed,
     lk_measures_detailed,
+    lk_measures_sweep,
     second_fundamental_form,
     weyl_density,
 )
@@ -351,6 +353,104 @@ def test_each_chart_box_is_fitted_once_per_radius(sets):
             assert (lk_measures_detailed(counting, (0, 1, 2), radius)
                     == lk_measures_detailed(x, (0, 1, 2), radius)), name
         assert calls == [2] * len(x.charts), name
+        lk_measures_sweep(counting, (0, 1, 2), (8.0, 16.0))
+        assert calls == [4] * len(x.charts), name
+
+
+# --------------------------------------------------------------- radius sweeps
+
+SWEEP = (8.0, 16.0, 32.0, 64.0)
+
+
+def direct_measures(x, ks, radius, spec, center):
+    """Measures from each chart's own rule for this radius, evaluated whole:
+    the cubature of one radius before radius sweeps shared a grid."""
+    totals = [0.0] * len(ks)
+    for chart in x.charts:
+        box = chart.domain_for_ball(radius, center)
+        if box is None:
+            continue
+        axes = [_axis_rule(lo, hi, count, d in chart.panel_axes)
+                for d, ((lo, hi), count) in enumerate(zip(box, spec.counts(chart.dim)))]
+        grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
+        nodes = np.stack([g.ravel() for g in grids], axis=1)
+        weights = np.ones(nodes.shape[0])
+        for w in np.meshgrid(*(w for _, w in axes), indexing="ij"):
+            weights = weights * w.ravel()
+        frames = _chart_frames(chart, nodes)
+        inside = np.sum((frames.positions - center) ** 2, axis=1) <= radius * radius * (1.0 + 1e-12)
+        factor = weights * frames.sqrt_gram * chart.weights(frames.positions) * inside
+        for i, k in enumerate(ks):
+            totals[i] += float(np.sum(factor * _lambda_batch(x, frames, k)))
+    return totals
+
+
+def assert_sweep_is_bitwise(x, radii, center, name):
+    ks = list(range(x.ambient_dim + 1))
+    sweep = lk_measures_sweep(x, ks, radii, center=center)
+    # a sweep of many radii is a sweep of each radius alone ...
+    assert sweep == [lk_measures_detailed(x, ks, r, center=center) for r in radii], name
+    # ... and each radius gets the bits of its own rule evaluated whole
+    live = [k for k in ks if k <= x.dim and (x.dim - k) % 2 == 0]
+    c = np.zeros(x.ambient_dim) if center is None else center
+    spec = CubatureSpec()
+    for radius, pairs in zip(radii, sweep):
+        fine = direct_measures(x, live, radius, spec, c)
+        coarse = direct_measures(x, live, radius, spec.halved(), c)
+        want = dict(zip(live, zip(fine, (abs(a - b) for a, b in zip(fine, coarse)))))
+        assert pairs == [want.get(k, (0.0, 0.0)) for k in ks], (name, radius)
+
+
+def test_sweep_matches_one_radius_calls_bitwise(sets):
+    for name, x in oracle_cases(sets).items():
+        for center in (None, np.full(x.ambient_dim, 0.5)):
+            assert_sweep_is_bitwise(x, SWEEP, center, name)
+    assert_sweep_is_bitwise(sets["hyperboloid_r3"], SWEEP, np.array([0.0, 0.0, 3.0]),
+                            "hyperboloid_r3 at (0, 0, 3)")
+
+
+def test_off_center_sphere_sweep_is_bitwise(sets):
+    x = sets["sphere_s2"]
+    # every radius fits the whole sphere's box, but the balls cut it differently
+    center = np.full(3, 0.5)
+    boxes = [x.charts[0].domain_for_ball(r, center) for r in (0.5, 1.0, 2.0)]
+    assert all(np.array_equal(box, boxes[0]) for box in boxes)
+    assert_sweep_is_bitwise(x, (0.5, 1.0, 2.0), center, "sphere_s2 at (0.5, 0.5, 0.5)")
+    # the chart misses the smallest ball, which then measures nothing
+    far = np.array([3.0, 0.0, 0.0])
+    assert x.charts[0].domain_for_ball(1.0, far) is None
+    assert_sweep_is_bitwise(x, (1.0, 2.5, 4.0), far, "sphere_s2 at (3, 0, 0)")
+    assert lk_measures_sweep(x, (0, 2), (1.0,), center=far) == [[(0.0, 0.0), (0.0, 0.0)]]
+
+
+def test_sweep_does_not_depend_on_block_boundaries(sets, monkeypatch):
+    x = sets["hyperboloid_r3"]
+    chart = x.charts[0]
+    boxes = [chart.domain_for_ball(r, np.zeros(3)) for r in SWEEP]
+    points, _ = gauss_legendre_nodes(boxes, CubatureSpec().counts(2), chart.panel_axes)
+    assert len(points) > 2 * curvature._BLOCK_NODES
+    want = lk_measures_sweep(x, (0, 1, 2), SWEEP)
+    for block in (997, len(points)):
+        monkeypatch.setattr(curvature, "_BLOCK_NODES", block)
+        assert lk_measures_sweep(x, (0, 1, 2), SWEEP) == want, block
+
+
+def test_sweep_grid_is_the_union_of_each_radius_rule(sets):
+    for name in ("hyperboloid_r3", "paraboloid_r3", "twisted_cubic_r3", "torus_r3"):
+        chart = sets[name].charts[0]
+        boxes = [chart.domain_for_ball(r, np.zeros(3)) for r in SWEEP]
+        counts = CubatureSpec().counts(chart.dim)
+        points, rules = gauss_legendre_nodes(boxes, counts, chart.panel_axes)
+        assert len(rules) == len(SWEEP)
+        seen = np.zeros(len(points), dtype=bool)
+        for box, rule in zip(boxes, rules):
+            own, (own_rule,) = gauss_legendre_nodes(box, counts, chart.panel_axes)
+            index, weights = rule.tensor()
+            assert np.array_equal(points[index], own), name
+            assert np.array_equal(weights, own_rule.tensor()[1]), name
+            seen[index] = True
+        # the builtin charts vary one axis with the radius, so no grid node is wasted
+        assert seen.all(), name
 
 
 # ------------------------------------------------------------------ densities

@@ -79,14 +79,15 @@ def test_paraboloid_limit_is_small(sets):
 
 
 def _count_cubature(monkeypatch):
+    # (orders, radii) of each cubature sweep
     calls = []
-    measures = limits.lk_measures_detailed
+    sweep = limits.lk_measures_sweep
 
     def counted(*args, **kwargs):
-        calls.append(tuple(args[1]))
-        return measures(*args, **kwargs)
+        calls.append((tuple(args[1]), tuple(args[2])))
+        return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(limits, "lk_measures_detailed", counted)
+    monkeypatch.setattr(limits, "lk_measures_sweep", counted)
     return calls
 
 
@@ -105,7 +106,7 @@ def test_compact_order0_limit_runs_cubature(sets, monkeypatch):
     # order 0 has no compact shortcut: the total curvature of S^2 is chi = 2
     calls = _count_cubature(monkeypatch)
     est = estimate_limit(sets["sphere_s2"], 0, RADII)
-    assert calls == [(0,)] * len(RADII)
+    assert calls == [((0,), tuple(RADII))]
     assert est.value == pytest.approx(2.0, abs=1e-9)
 
 

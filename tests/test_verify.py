@@ -197,20 +197,31 @@ def test_thm39_hyperboloid_cancellation(sets):
 
 
 def test_thm39_builds_frames_once_per_radius_and_rule(sets, monkeypatch):
-    # orders 0 and 2 share each chart's frames: 4 radii x 2 rules (fine and halved)
+    # orders 0 and 2 share each chart's frames, and the 4 radii share one grid
+    # per rule (fine and halved): every grid node is built once, and the grid
+    # is smaller than the 4 radii's rules together
     from lkcurv import curvature
 
-    builds = []
-    frames = curvature._chart_frames
+    grids = []  # [grid nodes, nodes of the radii's rules, radii, nodes built]
+    nodes_fn, frames = curvature.gauss_legendre_nodes, curvature._chart_frames
 
-    def counted(chart, u):
-        builds.append(len(u))
+    def counted_nodes(*args, **kwargs):
+        points, rules = nodes_fn(*args, **kwargs)
+        grids.append([len(points), sum(len(rule.tensor()[0]) for rule in rules), len(rules), 0])
+        return points, rules
+
+    def counted_frames(chart, u):
+        grids[-1][3] += len(u)
         return frames(chart, u)
 
-    monkeypatch.setattr(curvature, "_chart_frames", counted)
+    monkeypatch.setattr(curvature, "gauss_legendre_nodes", counted_nodes)
+    monkeypatch.setattr(curvature, "_chart_frames", counted_frames)
     report = run_theorem("thm3.9", sets["hyperboloid_r3"], n_samples=500, seed=42)
     assert report.overall_pass
-    assert len(builds) == 8
+    assert len(grids) == 2
+    for size, per_radius, n_radii, built in grids:
+        assert n_radii == 4
+        assert built == size < per_radius
 
 
 def test_thm39_non_circularity_routes(sets):
