@@ -23,7 +23,6 @@ from .catalog import (
 )
 from .errors import (
     ChiUnknownError,
-    CoverageGapError,
     DegenerateChartError,
     DegenerateSample,
     GenericityError,

@@ -1,9 +1,9 @@
-"""Chart atlases for smooth sets.
+"""Charts for smooth sets.
 
-A chart supplies one jet, the parametrization together with its exact first
-and second derivatives at a batch of parameter points, a partition-of-unity
-weight defined on ambient points, and a domain fitter that returns a
-parameter box covering the part of the surface inside a given ball.  Built-in
+A smooth set has one chart, a curve or a surface.  The chart supplies one
+jet, the parametrization together with its exact first and second derivatives
+at a batch of parameter points, and a domain fitter that returns a parameter
+box covering the part of the chart's trace inside a given ball.  Built-in
 maps know their own geometry, so for the shapes shipped here the fitted box
 matches the ball almost exactly and the indicator used by the cubature rejects
 essentially nothing.
@@ -51,20 +51,10 @@ class Chart:
     jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
     base_domain: Optional[np.ndarray]  # (dim, 2) or None for an unbounded natural domain
     domain_fn: Optional[Callable[[float, np.ndarray], Optional[np.ndarray]]] = None
-    weight_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
     # axes whose fitted ranges grow with the ball radius; cubature panels them
     # dyadically toward the chart's unit-scale feature region
     panel_axes: tuple = ()
-
-    def map_fn(self, U: np.ndarray) -> np.ndarray:
-        return self.jet(U)[0]
-
-    def jac_fn(self, U: np.ndarray) -> np.ndarray:
-        return self.jet(U)[1]
-
-    def hess_fn(self, U: np.ndarray) -> np.ndarray:
-        return self.jet(U)[2]
 
     def domain_for_ball(self, radius: float, center: np.ndarray) -> Optional[np.ndarray]:
         """Parameter box covering the chart's trace inside the ball, or None."""
@@ -88,11 +78,6 @@ class Chart:
         if self.base_domain is None:
             raise SetValidationError(self.label, "chart has neither domain nor fitter")
         return np.asarray(self.base_domain, dtype=float)
-
-    def weights(self, x: np.ndarray) -> np.ndarray:
-        if self.weight_fn is None:
-            return np.ones(x.shape[0])
-        return np.asarray(self.weight_fn(x), dtype=float)
 
 
 def _legendre(count: int, x: np.ndarray):

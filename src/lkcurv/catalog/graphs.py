@@ -89,7 +89,8 @@ def validate_graph(graph: SphericalGraph) -> None:
         raise SetValidationError("vertices", "ambient dimension must be >= 2")
     if not np.all(np.isfinite(verts)):
         raise SetValidationError("vertices", "non-finite number")
-    norms = np.linalg.norm(verts, axis=1)
+    with np.errstate(over="ignore"):  # a huge entry gives norm inf, which is not 1
+        norms = np.linalg.norm(verts, axis=1)
     if np.max(np.abs(norms - 1.0)) > VERTEX_NORM_TOL:
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise SetValidationError("vertices", f"vertex {bad} has norm {norms[bad]!r}, not 1")

@@ -88,7 +88,7 @@ def euler_char(x: SetDescriptor) -> int:
         return 1
     if isinstance(x, SmoothSet):
         if x.declared_chi is None:
-            raise ChiUnknownError("chi_unknown: smooth set has no declared Euler characteristic")
+            raise ChiUnknownError("declared_chi: smooth set has no declared Euler characteristic")
         return integer_field(x.declared_chi, "declared_chi")
     raise TypeError(f"not a set descriptor: {x!r}")
 
@@ -359,11 +359,9 @@ def full_space_link(x: SetDescriptor, center=None) -> int:
             # dimension is a compact odd-dimensional manifold, with chi 0
             return 0
         if x.dim == 1:
-            if len(x.charts) != 1:
-                raise UnsupportedSection("full-space links of multi-chart curves are not supported")
             # a nonconstant polynomial curve is proper, with two ends; on a
             # bounded parameter domain it stays inside every large sphere
-            return 2 if x.charts[0].base_domain is None else 0
+            return 2 if x.chart.base_domain is None else 0
         raise UnsupportedSection("full-space links need even dimension or a curve")
     raise TypeError(f"not a set descriptor: {x!r}")
 

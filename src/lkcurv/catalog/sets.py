@@ -4,11 +4,12 @@ Three representations are supported:
 
 * :class:`LinearSubspace` -- a linear subspace given by an orthonormal frame;
 * :class:`ConicGraph`  -- the cone over a :class:`SphericalGraph`;
-* :class:`SmoothSet`   -- a smooth submanifold given by a chart atlas, an
+* :class:`SmoothSet`   -- a smooth curve or surface given by one chart, an
   optional implicit polynomial, and a declared Euler characteristic.
 
 Set-definition files use a small JSON schema mirroring these variants; see
-``load_set_file``.
+``load_set_file``.  The ``charts`` entry of a smooth set is a list holding
+exactly one chart.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .graphs import SphericalGraph, builtin_graphs, validate_graph
 from .polynomial import Poly
 
 IMPLICIT_RESIDUAL_TOL = 1e-8
-WEIGHT_SUM_TOL = 1e-6
 _SPOT_CHECK_POINTS = 64
 
 
@@ -65,13 +65,10 @@ class ConicGraph:
 class SmoothSet:
     ambient_dim: int
     dim: int
-    charts: Tuple[Chart, ...]
+    chart: Optional[Chart]  # None only for sets that are used through their implicit form
     implicit: Optional[Poly] = None
     declared_chi: Optional[int] = None
     compact: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "charts", tuple(self.charts))
 
 
 SetDescriptor = Union[LinearSubspace, ConicGraph, SmoothSet]
@@ -93,8 +90,8 @@ def coefficient_scale(x: SetDescriptor) -> float:
     if isinstance(x, SmoothSet):
         if x.implicit is not None and x.implicit.terms:
             scale = max(scale, max(abs(c) for c in x.implicit.terms.values()))
-        for chart in x.charts:
-            for value in chart.params.values():
+        if x.chart is not None:
+            for value in x.chart.params.values():
                 arr = np.asarray(value, dtype=float)
                 if arr.size:
                     scale = max(scale, float(np.max(np.abs(arr))))
@@ -110,8 +107,10 @@ def validate_set(x: SetDescriptor) -> None:
             raise SetValidationError("frame", "vector length differs from ambient_dim")
         if not np.all(np.isfinite(frame)):
             raise SetValidationError("frame", "non-finite number")
-        gram = frame @ frame.T
-        if np.max(np.abs(gram - np.eye(frame.shape[0]))) > 1e-10:
+        # orthonormal rows have entries in [-1, 1]; larger ones could overflow
+        # the Gram matrix into inf - inf
+        if not np.all(np.abs(frame) <= 1.0 + 1e-10) or np.max(
+                np.abs(frame @ frame.T - np.eye(frame.shape[0]))) > 1e-10:
             raise SetValidationError("frame", "rows are not orthonormal")
         return
     if isinstance(x, ConicGraph):
@@ -128,8 +127,9 @@ def validate_set(x: SetDescriptor) -> None:
 def _validate_smooth(x: SmoothSet) -> None:
     if not 1 <= x.dim <= x.ambient_dim - 1:
         raise SetValidationError("dim", f"need 1 <= d <= n-1, got d={x.dim}, n={x.ambient_dim}")
-    if not x.charts:
-        raise SetValidationError("charts", "smooth set needs at least one chart")
+    chart = x.chart
+    if chart is None:
+        raise SetValidationError("charts", "smooth set needs one chart")
     if x.implicit is not None and x.implicit.nvars != x.ambient_dim:
         raise SetValidationError("polynomial", "variable count differs from ambient_dim")
     if x.implicit is not None and not all(np.isfinite(c) for c in x.implicit.terms.values()):
@@ -138,37 +138,31 @@ def _validate_smooth(x: SmoothSet) -> None:
         raise SetValidationError("polynomial", "implicit form requires codimension one")
     rng = np.random.Generator(np.random.Philox(key=np.array([17, 23], dtype=np.uint64)))
     deg = x.implicit.degree() if x.implicit is not None else 0
-    for ci, chart in enumerate(x.charts):
-        if chart.dim != x.dim:
-            raise SetValidationError("charts.domain", f"chart {ci} parameter dim != set dim")
-        if chart.ambient_dim != x.ambient_dim:
-            raise SetValidationError("charts.map", f"chart {ci} ambient dim mismatch")
-        try:
-            box = chart.domain_for_ball(8.0 * coefficient_scale(x), np.zeros(x.ambient_dim))
-        except ValueError as exc:
-            raise SetValidationError(
-                "charts.params", f"chart {ci} is too large to spot-check: {exc}") from exc
-        if box is None:
-            continue
-        u = rng.uniform(box[:, 0], box[:, 1], size=(_SPOT_CHECK_POINTS, chart.dim))
-        pts, jac, _ = chart.jet(u)
-        gram = np.einsum("bia,bic->bac", jac, jac)
-        dets = np.linalg.det(gram)
-        if np.min(dets) <= GRAM_DET_TOL:
-            raise SetValidationError("charts.map", f"chart {ci} tangent frame degenerates")
-        if x.implicit is not None:
-            vals = np.abs(x.implicit.eval(pts))
-            bound = IMPLICIT_RESIDUAL_TOL * (1.0 + np.linalg.norm(pts, axis=1) ** deg)
-            if np.any(vals > bound):
-                raise SetValidationError("polynomial", f"chart {ci} points violate the implicit form")
-            grads = np.linalg.norm(x.implicit.grad_eval(pts), axis=1)
-            if np.min(grads) < 1e-10:
-                raise SetValidationError("polynomial", "implicit gradient vanishes on the set")
-        total = np.zeros(pts.shape[0])
-        for other in x.charts:
-            total += other.weights(pts)
-        if np.max(np.abs(total - 1.0)) > WEIGHT_SUM_TOL:
-            raise SetValidationError("charts", "partition-of-unity weights do not sum to 1")
+    if chart.dim != x.dim:
+        raise SetValidationError("charts.domain", "chart parameter dim != set dim")
+    if chart.ambient_dim != x.ambient_dim:
+        raise SetValidationError("charts.map", "chart ambient dim mismatch")
+    try:
+        box = chart.domain_for_ball(8.0 * coefficient_scale(x), np.zeros(x.ambient_dim))
+    except ValueError as exc:
+        raise SetValidationError(
+            "charts.params", f"chart is too large to spot-check: {exc}") from exc
+    if box is None:
+        return
+    u = rng.uniform(box[:, 0], box[:, 1], size=(_SPOT_CHECK_POINTS, chart.dim))
+    pts, jac, _ = chart.jet(u)
+    gram = np.einsum("bia,bic->bac", jac, jac)
+    dets = np.linalg.det(gram)
+    if np.min(dets) <= GRAM_DET_TOL:
+        raise SetValidationError("charts.map", "chart tangent frame degenerates")
+    if x.implicit is not None:
+        vals = np.abs(x.implicit.eval(pts))
+        bound = IMPLICIT_RESIDUAL_TOL * (1.0 + np.linalg.norm(pts, axis=1) ** deg)
+        if np.any(vals > bound):
+            raise SetValidationError("polynomial", "chart points violate the implicit form")
+        grads = np.linalg.norm(x.implicit.grad_eval(pts), axis=1)
+        if np.min(grads) < 1e-10:
+            raise SetValidationError("polynomial", "implicit gradient vanishes on the set")
 
 
 # -------------------------------------------------------------------- builtins
@@ -196,46 +190,46 @@ def builtin_sets() -> Dict[str, SetDescriptor]:
 
     sets["sphere_s2"] = SmoothSet(
         ambient_dim=3, dim=2,
-        charts=(build_chart("sphere", params={"radius": 1.0}),),
+        chart=build_chart("sphere", params={"radius": 1.0}),
         implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0}),
         declared_chi=2, compact=True,
     )
     sets["torus_r3"] = SmoothSet(
         ambient_dim=3, dim=2,
-        charts=(build_chart("torus", params={"major_radius": 2.0, "minor_radius": 0.5}),),
+        chart=build_chart("torus", params={"major_radius": 2.0, "minor_radius": 0.5}),
         implicit=_torus_implicit(2.0, 0.5),
         declared_chi=0, compact=True,
     )
     sets["cylinder_r3"] = SmoothSet(
         ambient_dim=3, dim=2,
-        charts=(build_chart("cylinder", params={"radius": 1.0}),),
+        chart=build_chart("cylinder", params={"radius": 1.0}),
         implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 0): -1.0}),
         declared_chi=0, compact=False,
     )
     sets["plane_r2_in_r3"] = SmoothSet(
         ambient_dim=3, dim=2,
-        charts=(build_chart("plane"),),
+        chart=build_chart("plane"),
         implicit=_implicit(3, {(0, 0, 1): 1.0}),
         declared_chi=1, compact=False,
     )
     sets["paraboloid_r3"] = SmoothSet(
         ambient_dim=3, dim=2,
-        charts=(build_chart("paraboloid", params={"coefficient": 1.0}),),
+        chart=build_chart("paraboloid", params={"coefficient": 1.0}),
         implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 1): -1.0}),
         declared_chi=1, compact=False,
     )
     sets["hyperboloid_r3"] = SmoothSet(
         ambient_dim=3, dim=2,
-        charts=(build_chart("hyperboloid_one_sheet"),),
+        chart=build_chart("hyperboloid_one_sheet"),
         implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): -1.0, (0, 0, 0): -1.0}),
         declared_chi=0, compact=False,
     )
     sets["twisted_cubic_r3"] = SmoothSet(
         ambient_dim=3, dim=1,
-        charts=(build_chart("poly_curve", params={
+        chart=build_chart("poly_curve", params={
             "coefficients": [[0.0, 1.0, 0.0, 0.0],
                              [0.0, 0.0, 1.0, 0.0],
-                             [0.0, 0.0, 0.0, 1.0]]}),),
+                             [0.0, 0.0, 0.0, 1.0]]}),
         implicit=None,
         declared_chi=1, compact=False,
     )
@@ -296,15 +290,16 @@ def _number_rows(value, field: str) -> np.ndarray:
     return np.atleast_2d(arr.astype(float))
 
 
-def _chart_specs(charts) -> list:
-    if not isinstance(charts, list) or not all(isinstance(spec, dict) for spec in charts):
-        raise SetValidationError("charts", "expected a list of chart objects")
-    for spec in charts:
-        for key in spec:
-            if key not in _CHART_ENTRIES:
-                raise SetValidationError(f"charts.{key}", "unknown chart entry; a chart "
-                                         f"takes {', '.join(_CHART_ENTRIES)}")
-    return charts
+def _chart_spec(charts) -> dict:
+    """The one chart object of a ``charts`` list."""
+    if not isinstance(charts, list) or len(charts) != 1 or not isinstance(charts[0], dict):
+        raise SetValidationError("charts", "expected a list of exactly one chart object")
+    spec = charts[0]
+    for key in spec:
+        if key not in _CHART_ENTRIES:
+            raise SetValidationError(f"charts.{key}", "unknown chart entry; a chart "
+                                     f"takes {', '.join(_CHART_ENTRIES)}")
+    return spec
 
 
 def _polynomial(n: int, terms) -> Poly:
@@ -340,17 +335,15 @@ def set_from_dict(doc: Dict) -> SetDescriptor:
         )
         x = ConicGraph(n, graph)
     elif kind == "smooth":
-        charts = []
-        for ci, spec in enumerate(_chart_specs(doc.get("charts", []))):
-            name = spec.get("map")
-            if name is None:
-                raise SetValidationError("charts.map", f"chart {ci} missing map name")
-            charts.append(build_chart(name, spec.get("domain"), spec.get("params", {})))
-        if not charts:
+        if "charts" not in doc:
             raise SetValidationError("charts", "missing for kind=smooth")
+        spec = _chart_spec(doc["charts"])
+        if spec.get("map") is None:
+            raise SetValidationError("charts.map", "chart missing map name")
+        chart = build_chart(spec["map"], spec.get("domain"), spec.get("params", {}))
         terms = doc.get("polynomial")
         implicit = None if terms in (None, {}) else _polynomial(n, terms)
-        dim = integer_field(doc.get("dim", charts[0].dim), "dim")
+        dim = integer_field(doc.get("dim", chart.dim), "dim")
         chi = doc.get("declared_chi")
         if chi is not None:
             chi = integer_field(chi, "declared_chi")
@@ -360,7 +353,7 @@ def set_from_dict(doc: Dict) -> SetDescriptor:
         if not isinstance(compact, bool):
             raise SetValidationError("compact", f"expected true or false, got {compact!r}")
         x = SmoothSet(
-            ambient_dim=n, dim=dim, charts=tuple(charts), implicit=implicit,
+            ambient_dim=n, dim=dim, chart=chart, implicit=implicit,
             declared_chi=chi, compact=compact,
         )
     else:
@@ -378,14 +371,12 @@ def set_to_dict(name: str, x: SetDescriptor) -> Dict:
         doc["edges"] = [list(e) for e in x.graph.edges]
     elif isinstance(x, SmoothSet):
         doc["dim"] = x.dim
-        doc["charts"] = [
-            {
-                "domain": None if c.base_domain is None else np.asarray(c.base_domain).tolist(),
-                "map": c.label,
-                "params": _jsonable_params(c.params),
-            }
-            for c in x.charts
-        ]
+        chart = x.chart
+        doc["charts"] = [{
+            "domain": None if chart.base_domain is None else np.asarray(chart.base_domain).tolist(),
+            "map": chart.label,
+            "params": _jsonable_params(chart.params),
+        }]
         doc["polynomial"] = x.implicit.to_json_terms() if x.implicit is not None else None
         doc["declared_chi"] = x.declared_chi
         doc["compact"] = x.compact

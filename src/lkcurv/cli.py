@@ -152,7 +152,7 @@ def _cmd_verify(args, out) -> int:
     except (ValueError, UnsupportedSection, ChiUnknownError, SetValidationError) as exc:
         raise UsageError(str(exc)) from exc
     except LkError as exc:
-        # numerical failure (genericity budget, coverage gap, chart defects)
+        # numerical failure (genericity budget, chart defects)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     if args.format == "json":

@@ -1,4 +1,4 @@
-"""Differential geometry of smooth strata.
+"""Differential geometry of smooth curves and surfaces.
 
 The curvature density of order k at a chart node integrates sigma_(d-k) of
 the second fundamental form over the unit normal sphere.  The integral is
@@ -16,22 +16,21 @@ for surfaces and no QR or matrix inverse per node:
 * codimension 2 and more: the normal parts h_ij - J G^-1 J^T h_ij give
   sigma_2 = (<h11_perp, h22_perp> - |h12_perp|^2) / det G.
 
-Charts of dimension 3 and more (none is builtin) use general contractions
-with G^-1; even orders of 4 and above in codimension 1 are 2 sigma(G^-1 B),
-and in codimension 2 or more they are not supported.  ``weyl_density`` (the
-raw integral) and ``lk_density`` (the density) evaluate it at one chart
-point.  ``lk_measures_sweep`` integrates the densities of several orders
-over the part of the set inside the ball of each radius of a sweep, by
-per-chart Gauss-Legendre cubature with partition-of-unity weights.  Each
-chart's box is fitted once per radius; each rule (fine and halved) then
-evaluates the chart's jet, det G, |p - c|^2, the partition weight and every
+A smooth set has one chart, a curve or a surface, so the orders d - k are
+0, 1 and 2: order 0 integrates to the normal-sphere area, which the
+normalization cancels, odd orders vanish, and order 2 is the surface formula
+above.  ``_chart_frames`` refuses a chart of dimension 3 or more, which only
+a hand-built chart can have.
+
+``lk_measures_sweep`` integrates the densities of several orders over the
+part of the set inside the ball of each radius of a sweep, by Gauss-Legendre
+cubature on the chart.  The chart's box is fitted once per radius; each rule
+(fine and halved) then evaluates the chart's jet, det G, |p - c|^2 and every
 order's density once for the whole sweep, block by block, on the tensor grid
 of each axis's union of nodes (equal dyadic panels give equal nodes).  Each
 radius gathers its own nodes in its own order, applies its own weights and
 inside mask, and sums exactly as a sweep of that radius alone would.
-``lk_measures_detailed`` is a sweep of one radius.
-``second_fundamental_form`` returns the form of one normal direction in an
-orthonormal tangent basis.
+``lk_measure_detailed`` is a sweep of one order and one radius.
 
 Sign convention: the form is <second derivative, v>; every quantity reported
 here is even in v, so flipping the normal orientation changes nothing.
@@ -46,10 +45,8 @@ import numpy as np
 
 from .catalog.charts import GRAM_DET_TOL, Chart, gauss_legendre_nodes
 from .catalog.sets import SmoothSet
-from .errors import CoverageGapError, DegenerateChartError, UnsupportedSection
+from .errors import DegenerateChartError, UnsupportedSection
 from .geomconst import sphere_volume
-
-NORMAL_ORTHO_TOL = 1e-8
 
 
 @dataclass
@@ -69,20 +66,6 @@ class CubatureSpec:
         )
 
 
-@dataclass(frozen=True)
-class SecondFundamentalForm:
-    point: np.ndarray
-    direction: np.ndarray
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class CurvatureDensity:
-    order: int
-    value: float
-    stderr: float = 0.0
-
-
 @dataclass(eq=False)
 class _FrameData:
     positions: np.ndarray   # (B, n)
@@ -97,22 +80,21 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", a, b)
 
 
-def _gram(jac: np.ndarray) -> np.ndarray:
-    return np.einsum("bia,bic->bac", jac, jac)
-
-
 def _det_gram(jac: np.ndarray) -> np.ndarray:
-    d = jac.shape[2]
-    if d == 1:
+    """det G of a curve or surface chart."""
+    if jac.shape[2] == 1:
         return _dot(jac[:, :, 0], jac[:, :, 0])
-    if d == 2:
-        j1, j2 = jac[:, :, 0], jac[:, :, 1]
-        g12 = _dot(j1, j2)
-        return _dot(j1, j1) * _dot(j2, j2) - g12 * g12
-    return np.linalg.det(_gram(jac))
+    j1, j2 = jac[:, :, 0], jac[:, :, 1]
+    g12 = _dot(j1, j2)
+    return _dot(j1, j1) * _dot(j2, j2) - g12 * g12
 
 
 def _chart_frames(chart: Chart, u: np.ndarray) -> _FrameData:
+    if chart.dim > 2:
+        raise UnsupportedSection(
+            f"chart {chart.label!r} has dimension {chart.dim}; "
+            "curvature is computed on curves and surfaces only"
+        )
     u = np.atleast_2d(np.asarray(u, dtype=float))
     positions, jac, hess = chart.jet(u)
     det_gram = _det_gram(jac)
@@ -127,47 +109,6 @@ def _chart_frames(chart: Chart, u: np.ndarray) -> _FrameData:
         det_gram=det_gram,
         sqrt_gram=np.sqrt(det_gram),
     )
-
-
-def elementary_symmetric(matrices: np.ndarray, order: int) -> np.ndarray:
-    """Order-th elementary symmetric function of the eigenvalues.
-
-    Uses Newton's identities on traces of powers, so no eigendecomposition is
-    performed; sigma_0 is identically one.
-    """
-    matrices = np.asarray(matrices, dtype=float)
-    d = matrices.shape[-1]
-    if not 0 <= order <= d:
-        raise ValueError(f"order must lie in [0, {d}], got {order}")
-    batch_shape = matrices.shape[:-2]
-    if order == 0:
-        return np.ones(batch_shape)
-    power = matrices
-    traces = []
-    for _ in range(order):
-        traces.append(np.einsum("...ii->...", power))
-        power = power @ matrices
-    elem = [np.ones(batch_shape)]
-    for k in range(1, order + 1):
-        acc = np.zeros(batch_shape)
-        for j in range(1, k + 1):
-            acc += ((-1) ** (j - 1)) * elem[k - j] * traces[j - 1]
-        elem.append(acc / k)
-    return elem[order]
-
-
-def second_fundamental_form(x: SmoothSet, chart_index: int, u, v) -> SecondFundamentalForm:
-    """Form <d^2 map, v> at a chart point, in an orthonormal tangent basis."""
-    frames = _chart_frames(x.charts[chart_index], np.atleast_2d(u))
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValueError("direction must be a unit vector")
-    tangent, r = np.linalg.qr(frames.jac[0])
-    if np.max(np.abs(tangent.T @ v)) > NORMAL_ORTHO_TOL:
-        raise ValueError("direction is not orthogonal to the tangent space")
-    r_inv = np.linalg.inv(r)
-    matrix = r_inv.T @ np.einsum("nij,n->ij", frames.hess[0], v) @ r_inv
-    return SecondFundamentalForm(point=frames.positions[0], direction=v, matrix=matrix)
 
 
 def _surface_sigma(frames: _FrameData, codim: int) -> np.ndarray:
@@ -199,30 +140,6 @@ def _surface_sigma(frames: _FrameData, codim: int) -> np.ndarray:
     return (_dot(p11, p22) - _dot(p12, p12)) / det
 
 
-def _general_sigma(frames: _FrameData, order: int, codim: int) -> np.ndarray:
-    """Sum of sigma_order of the forms over an orthonormal normal basis by
-    contractions with G^-1, for charts of dimension 3 and more (no builtin
-    set has one)."""
-    jac, hess = frames.jac, frames.hess
-    g_inv = np.linalg.inv(_gram(jac))
-    tangential = np.einsum("bna,bac,bmc->bnm", jac, g_inv, jac)
-    if order == 2:
-        # 1/2 (|H|^2 - |II|^2) with H = G^ij h_ij_perp
-        perp = hess - np.einsum("bnm,bmij->bnij", tangential, hess)
-        mean = np.einsum("bij,bnij->bn", g_inv, perp)
-        square = np.einsum("bij,bkl,bnjk,bnli->b", g_inv, g_inv, perp, perp)
-        return 0.5 * (_dot(mean, mean) - square)
-    # codimension one: the normal projector I - J G^-1 J^T is nu nu^T, so its
-    # longest column is a multiple of the unit normal nu
-    projector = np.eye(jac.shape[1]) - tangential
-    lengths = np.linalg.norm(projector, axis=1)
-    longest = np.argmax(lengths, axis=1)
-    rows = np.arange(jac.shape[0])
-    nu = projector[rows, :, longest] / lengths[rows, longest][:, None]
-    shape = np.einsum("bac,bncj,bn->baj", g_inv, hess, nu)
-    return elementary_symmetric(shape, order)
-
-
 def _lambda_batch(x: SmoothSet, frames: _FrameData, k: int) -> np.ndarray:
     """Curvature density of order k at the frame nodes."""
     n, d = x.ambient_dim, x.dim
@@ -234,52 +151,23 @@ def _lambda_batch(x: SmoothSet, frames: _FrameData, k: int) -> np.ndarray:
         # sigma_0 integrates to the normal-sphere area, which the
         # normalization cancels exactly
         return np.ones(batch)
+    # order 2: the chart is a surface
     codim = n - d
-    if codim >= 2 and order >= 4:
-        raise UnsupportedSection(
-            f"order-{order} curvature in codimension {codim} has no closed form here"
-        )
-    if d == 2:
-        sigma = _surface_sigma(frames, codim)
-    else:
-        sigma = _general_sigma(frames, order, codim)
+    sigma = _surface_sigma(frames, codim)
     return sphere_volume(codim - 1) / codim * sigma / sphere_volume(n - k - 1)
 
 
-def _point_density(x: SmoothSet, chart_index: int, u, k: int) -> float:
-    """Curvature density of order k <= dim at one chart point."""
-    frames = _chart_frames(x.charts[chart_index], np.atleast_2d(u))
-    return float(_lambda_batch(x, frames, k)[0])
-
-
-def weyl_density(x: SmoothSet, chart_index: int, u, order: int) -> CurvatureDensity:
-    """Integral of sigma_order of the second fundamental form over the unit
-    normal sphere at a chart point."""
-    n, d = x.ambient_dim, x.dim
-    if not 0 <= order <= d:
-        raise ValueError(f"order must lie in [0, {d}]")
-    k = d - order
-    value = _point_density(x, chart_index, u, k)
-    return CurvatureDensity(order, value * sphere_volume(n - k - 1))
-
-
-def lk_density(x: SmoothSet, chart_index: int, u, k: int) -> float:
-    """Curvature density of order k at a chart point; identically zero for k > dim."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k > x.dim:
-        return 0.0
-    return _point_density(x, chart_index, u, k)
-
-
-def _chart_boxes(x: SmoothSet, radius: float, center: np.ndarray) -> List[Optional[np.ndarray]]:
-    """Each chart's parameter box for the ball, None where the chart misses it."""
-    boxes = [chart.domain_for_ball(radius, center) for chart in x.charts]
-    for chart, box in zip(x.charts, boxes):
+def _chart_boxes(x: SmoothSet, radii, center: np.ndarray) -> List[Optional[np.ndarray]]:
+    """The chart's parameter box for the ball of each radius, None where the
+    chart misses it."""
+    boxes = []
+    for radius in radii:
+        box = x.chart.domain_for_ball(radius, center)
         if box is not None and not np.all(np.isfinite(box)):
             raise ValueError(
-                f"radius {radius:g}: chart {chart.label!r} has no finite parameter box"
+                f"radius {radius:g}: chart {x.chart.label!r} has no finite parameter box"
             )
+        boxes.append(box)
     return boxes
 
 
@@ -289,62 +177,50 @@ def _chart_boxes(x: SmoothSet, radius: float, center: np.ndarray) -> List[Option
 _BLOCK_NODES = 4096
 
 
-def _node_scalars(x: SmoothSet, ci: int, points: np.ndarray, ks, center: np.ndarray):
-    """sqrt det G, |p - c|^2, the partition weight and the density of each order
-    at every grid point, with frames built block by block."""
-    chart = x.charts[ci]
+def _node_scalars(x: SmoothSet, points: np.ndarray, ks, center: np.ndarray):
+    """sqrt det G, |p - c|^2 and the density of each order at every grid
+    point, with frames built block by block."""
     size = points.shape[0]
-    sqrt_gram, dist2, pou = np.empty(size), np.empty(size), np.empty(size)
+    sqrt_gram, dist2 = np.empty(size), np.empty(size)
     densities = np.empty((len(ks), size))
-    gap = 0.0
     for start in range(0, size, _BLOCK_NODES):
         block = slice(start, min(start + _BLOCK_NODES, size))
-        frames = _chart_frames(chart, points[block])
+        frames = _chart_frames(x.chart, points[block])
         sqrt_gram[block] = frames.sqrt_gram
         dist2[block] = np.sum((frames.positions - center[None, :]) ** 2, axis=1)
-        pou[block] = chart.weights(frames.positions)
-        if len(x.charts) > 1:
-            cover = np.zeros(frames.positions.shape[0])
-            for other in x.charts:
-                cover += other.weights(frames.positions)
-            gap = max(gap, float(np.max(np.abs(cover - 1.0))))
         for i, k in enumerate(ks):
             densities[i, block] = _lambda_batch(x, frames, k)
-    if gap > 1e-3:
-        raise CoverageGapError(
-            f"partition-of-unity mass deviates from 1 by {gap:.2e} on chart {ci}"
-        )
-    return sqrt_gram, dist2, pou, densities
+    return sqrt_gram, dist2, densities
 
 
 def _sweep_at_resolution(
     x: SmoothSet,
     ks,
     radii: List[float],
-    boxes: List[List[Optional[np.ndarray]]],
+    boxes: List[Optional[np.ndarray]],
     spec: CubatureSpec,
     center: np.ndarray,
 ) -> List[List[float]]:
     """Measures of the orders ks at each radius of the sweep.
 
-    Each chart evaluates its frames and densities once, on the union grid of
+    The chart evaluates its frames and densities once, on the union grid of
     every radius's rule; each radius then sums its own nodes in its own order
     with its own weights, so it gets the bits of a sweep of that radius alone.
     """
     totals = [[0.0] * len(ks) for _ in radii]
-    for ci, chart in enumerate(x.charts):
-        hits = [j for j in range(len(radii)) if boxes[j][ci] is not None]
-        if not hits:
-            continue
-        points, rules = gauss_legendre_nodes(
-            [boxes[j][ci] for j in hits], spec.counts(chart.dim), chart.panel_axes)
-        sqrt_gram, dist2, pou, densities = _node_scalars(x, ci, points, ks, center)
-        for j, rule in zip(hits, rules):
-            index, weights = rule.tensor()
-            inside = dist2[index] <= radii[j] * radii[j] * (1.0 + 1e-12)
-            factor = weights * sqrt_gram[index] * pou[index] * inside
-            for i in range(len(ks)):
-                totals[j][i] += float(np.sum(factor * densities[i, index]))
+    hits = [j for j, box in enumerate(boxes) if box is not None]
+    if not hits:
+        return totals
+    chart = x.chart
+    points, rules = gauss_legendre_nodes(
+        [boxes[j] for j in hits], spec.counts(chart.dim), chart.panel_axes)
+    sqrt_gram, dist2, densities = _node_scalars(x, points, ks, center)
+    for j, rule in zip(hits, rules):
+        index, weights = rule.tensor()
+        inside = dist2[index] <= radii[j] * radii[j] * (1.0 + 1e-12)
+        factor = weights * sqrt_gram[index] * inside
+        for i in range(len(ks)):
+            totals[j][i] += float(np.sum(factor * densities[i, index]))
     return totals
 
 
@@ -358,7 +234,7 @@ def lk_measures_sweep(
     """Curvature measures of the orders ks of X inside the ball of each radius,
     each with an error bound: one list of (value, bound) pairs per radius.
 
-    The bound is the change under halving the cubature resolution.  Each
+    The bound is the change under halving the cubature resolution.  The
     chart's parameter box is fitted once per radius and shared by both rules.
     Each rule evaluates the chart's jet and densities once for the whole
     sweep, on the union of the radii's nodes, and evaluates every order on
@@ -384,7 +260,7 @@ def lk_measures_sweep(
     if live:
         spec = spec or CubatureSpec()
         center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        boxes = [_chart_boxes(x, radius, center) for radius in radii]
+        boxes = _chart_boxes(x, radii, center)
         fine = _sweep_at_resolution(x, live, radii, boxes, spec, center)
         coarse = _sweep_at_resolution(x, live, radii, boxes, spec.halved(), center)
         for radius, found, values, others in zip(radii, measures, fine, coarse):
@@ -393,18 +269,6 @@ def lk_measures_sweep(
                     raise ValueError(f"radius {radius:g}: the order-{k} measure is not finite")
                 found[k] = (value, abs(value - other))
     return [[found.get(k, (0.0, 0.0)) for k in ks] for found in measures]
-
-
-def lk_measures_detailed(
-    x: SmoothSet,
-    ks,
-    radius: float,
-    spec: Optional[CubatureSpec] = None,
-    center=None,
-) -> List[Tuple[float, float]]:
-    """Curvature measures of the orders ks of X inside one ball, each with an
-    error bound: a sweep of one radius."""
-    return lk_measures_sweep(x, ks, (radius,), spec=spec, center=center)[0]
 
 
 # the benchmark's tracing wraps this by name
@@ -416,4 +280,4 @@ def lk_measure_detailed(
     center=None,
 ) -> Tuple[float, float]:
     """Curvature measure of order k of X inside the ball, with an error bound."""
-    return lk_measures_detailed(x, (k,), radius, spec=spec, center=center)[0]
+    return lk_measures_sweep(x, (k,), (radius,), spec=spec, center=center)[0][0]

@@ -22,10 +22,6 @@ class DegenerateChartError(LkError):
     """Chart tangent frame is numerically rank-deficient at the evaluation point."""
 
 
-class CoverageGapError(LkError):
-    """Partition-of-unity weights fail to sum to one on the sampled chart nodes."""
-
-
 class GenericityError(LkError):
     """More than the allowed fraction of Monte Carlo draws were degenerate,
     which indicates the input set violates the genericity assumptions."""

@@ -6,7 +6,8 @@ the orthonormal route it replaced: a complete QR of the Jacobian at every
 node gives an orthonormal tangent basis, the inverse of its triangular factor
 and an orthonormal normal basis, and each form <d^2 map, e_a> is read in the
 orthonormal tangent basis.  The tests hold the library's density and
-``sqrt_gram`` against it node for node, and read unit normals from it.
+``sqrt_gram`` against it node for node, and read unit normals and forms from
+it.  ``point_density`` is the library's own density at one chart point.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lkcurv import DegenerateChartError, UnsupportedSection
-from lkcurv.curvature import GRAM_DET_TOL, elementary_symmetric
+from lkcurv.curvature import GRAM_DET_TOL, _chart_frames, _lambda_batch
 from lkcurv.geomconst import sphere_volume
 
 
@@ -54,6 +55,33 @@ def form_matrices(frames: QRFrames, directions: np.ndarray) -> np.ndarray:
     return np.einsum("bki,bmkl,blj->bmij", frames.r_inv, coord, frames.r_inv)
 
 
+def elementary_symmetric(matrices: np.ndarray, order: int) -> np.ndarray:
+    """Order-th elementary symmetric function of the eigenvalues.
+
+    Uses Newton's identities on traces of powers, so no eigendecomposition is
+    performed; sigma_0 is identically one.
+    """
+    matrices = np.asarray(matrices, dtype=float)
+    d = matrices.shape[-1]
+    if not 0 <= order <= d:
+        raise ValueError(f"order must lie in [0, {d}], got {order}")
+    batch_shape = matrices.shape[:-2]
+    if order == 0:
+        return np.ones(batch_shape)
+    power = matrices
+    traces = []
+    for _ in range(order):
+        traces.append(np.einsum("...ii->...", power))
+        power = power @ matrices
+    elem = [np.ones(batch_shape)]
+    for k in range(1, order + 1):
+        acc = np.zeros(batch_shape)
+        for j in range(1, k + 1):
+            acc += ((-1) ** (j - 1)) * elem[k - j] * traces[j - 1]
+        elem.append(acc / k)
+    return elem[order]
+
+
 def qr_density(x, frames: QRFrames, k: int) -> np.ndarray:
     """Curvature density of order k at the frame nodes, from orthonormal forms."""
     n, d = x.ambient_dim, x.dim
@@ -71,6 +99,16 @@ def qr_density(x, frames: QRFrames, k: int) -> np.ndarray:
     return sphere_volume(codim - 1) / codim * sigma / sphere_volume(n - k - 1)
 
 
-def outward_normal(x, chart_index: int, u) -> np.ndarray:
+def outward_normal(x, u) -> np.ndarray:
     """First vector of the orthonormal normal basis at one chart point."""
-    return qr_frames(x.charts[chart_index], u).normal[0, :, 0]
+    return qr_frames(x.chart, u).normal[0, :, 0]
+
+
+def form_at(chart, u, v) -> np.ndarray:
+    """Form <d^2 map, v> at one chart point, in an orthonormal tangent basis."""
+    return form_matrices(qr_frames(chart, u), np.asarray(v, dtype=float)[None, None, :])[0, 0]
+
+
+def point_density(x, u, k: int) -> float:
+    """The library's curvature density of order k at one chart point."""
+    return float(_lambda_batch(x, _chart_frames(x.chart, np.atleast_2d(u)), k)[0])

@@ -13,10 +13,10 @@ import numpy as np
 
 import lkcurv as lk
 from lkcurv import cli
-from lkcurv.curvature import lk_density, weyl_density
 from lkcurv.geomconst import ball_volume, sphere_volume
 from lkcurv.spherical import spherical_lk
 from lkcurv.verify import RunContext, lambda0, run_theorem
+from qr_frames import point_density
 from vertex_index import vertex_index_mean
 
 SAMPLES = 4000
@@ -154,22 +154,20 @@ def test_criterion_8_odd_order_vanishing(sets, rng):
     # codimension one: the two-sided sum makes odd orders exactly zero
     for name in ("hyperboloid_r3", "paraboloid_r3", "sphere_s2"):
         x = sets[name]
-        chart = x.charts[0]
+        chart = x.chart
         box = chart.domain_for_ball(8.0, np.zeros(3))
         span = box[:, 1] - box[:, 0]
         u = rng.uniform(box[:, 0] + 0.02 * span, box[:, 1] - 0.02 * span,
                         size=(50, chart.dim))
         for point in u:
-            dens = weyl_density(x, 0, point, 1)
-            if dens.value != 0.0:
+            if point_density(x, point, 1) != 0.0:
                 failures += 1
     # codimension two: exact zeros at 1000 random points on the cubic
     cubic = sets["twisted_cubic_r3"]
-    box = cubic.charts[0].domain_for_ball(8.0, np.zeros(3))
+    box = cubic.chart.domain_for_ball(8.0, np.zeros(3))
     points = rng.uniform(box[0, 0], box[0, 1], size=(1000, 1))
     for point in points:
-        dens = weyl_density(cubic, 0, point, 1)
-        if dens.value != 0.0:
+        if point_density(cubic, point, 0) != 0.0:
             failures += 1
     report_line(8, "odd-order curvature integrals vanish exactly (codim 1, "
                    "and at 1000 curve points in codim 2)", failures == 0)
@@ -180,13 +178,13 @@ def test_criterion_9_top_density_is_one(sets, rng):
     for name in ("sphere_s2", "torus_r3", "cylinder_r3", "plane_r2_in_r3",
                  "paraboloid_r3", "hyperboloid_r3", "twisted_cubic_r3"):
         x = sets[name]
-        chart = x.charts[0]
+        chart = x.chart
         box = chart.domain_for_ball(8.0, np.zeros(3))
         span = box[:, 1] - box[:, 0]
         u = rng.uniform(box[:, 0] + 0.01 * span, box[:, 1] - 0.01 * span,
                         size=(1000, chart.dim))
         for point in u:
-            value = lk_density(x, 0, point, x.dim)
+            value = point_density(x, point, x.dim)
             worst = max(worst, abs(value - 1.0))
     report_line(9, f"top-order density is 1 at 1000 random points per smooth "
                    f"set, worst dev {worst:.2e} (<=1e-6)", worst <= 1e-6)

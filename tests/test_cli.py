@@ -1,13 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lkcurv import cli
+from lkcurv import builtin_sets, cli
+from lkcurv.catalog.sets import set_to_dict
 from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, substream
 from lkcurv.report import report_from_dict
 
@@ -373,6 +378,15 @@ def test_plane_chart_origin_width_mismatch(tmp_path, capsys):
     ("polynomial", {"name": "repeated_exp_plane", "ambient_dim": 3, "kind": "smooth",
                     "charts": [{"map": "plane"}], "declared_chi": 1,
                     "polynomial": {"(0,0,1)": 1.0, "(0, 0, 1)": 2.0}}),
+    # a smooth set has exactly one chart: two segments of the x axis far outside
+    # the spot-check ball, and two copies of the torus
+    ("charts", {"name": "two_far_segments", "ambient_dim": 3, "kind": "smooth", "dim": 1,
+                "declared_chi": 2,
+                "charts": [{"map": "poly_curve", "domain": [[100, 101]],
+                            "params": {"coefficients": [[0, 1], [0, 0], [0, 0]]}}] * 2}),
+    ("charts", {"name": "two_tori", "ambient_dim": 3, "kind": "smooth",
+                "charts": [{"map": "torus"}, {"map": "torus"}],
+                "declared_chi": 0, "compact": True}),
 ])
 def test_non_finite_set_data_is_a_usage_error(tmp_path, capsys, field, doc):
     path = tmp_path / "non_finite.json"
@@ -442,3 +456,85 @@ def test_non_integer_set_fields_are_usage_errors(tmp_path, capsys, field, doc):
                        "--samples", "100"])
     assert code == 64
     assert f"malformed at {field}:" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ set-file fuzzing
+
+# one valid file of each kind: linear, conic, a smooth surface and a poly_curve
+FUZZ_SEEDS = {name: set_to_dict(name, x) for name, x in builtin_sets().items()
+              if name in ("line_r3", "star3_cone_r3", "sphere_s2", "twisted_cubic_r3")}
+MISSING, EXTRA = "<missing>", "<extra entry>"
+FUZZ_VALUES = (MISSING, None, "x", math.nan, math.inf, -math.inf, -1, 0, 10**30, 1e300,
+               [], {}, [[1, [2]], [3]], True, False, EXTRA)
+SET_FIELDS = ("name", "ambient_dim", "kind", "dim", "frame", "vertices", "edges", "charts",
+              "polynomial", "declared_chi", "compact")
+
+
+def entry_paths(node, prefix=()):
+    """Key paths of every entry below a JSON node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from entry_paths(child, prefix + (key,))
+
+
+def mutate(doc, path, value):
+    """Delete, replace or extend the entry at path; a path an earlier
+    mutation removed is left alone."""
+    parent, key = doc, path[-1]
+    try:
+        for step in path[:-1]:
+            parent = parent[step]
+        old = parent[key]
+    except (KeyError, IndexError, TypeError):
+        return
+    if not isinstance(parent, (dict, list)):  # a string indexes too
+        return
+    if value == MISSING:
+        del parent[key]
+    elif value == EXTRA:
+        # another chart, row or vertex; another key; or the value given twice
+        parent[key] = (old + old[-1:] if isinstance(old, list)
+                       else dict(old, extra=1) if isinstance(old, dict) else [old, old])
+    else:
+        parent[key] = json.loads(json.dumps(value))
+
+
+@st.composite
+def mutations(draw):
+    """A seed file's name and one or two (entry path, value) mutations of it."""
+    name = draw(st.sampled_from(sorted(FUZZ_SEEDS)))
+    doc, picks = FUZZ_SEEDS[name], []
+    for _ in range(draw(st.integers(1, 2))):
+        field = draw(st.sampled_from(sorted(doc)))
+        path = draw(st.sampled_from([(field,), *entry_paths(doc[field], (field,))]))
+        picks.append((path, draw(st.sampled_from(FUZZ_VALUES))))
+    return name, picks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=mutations())
+# inputs that once escaped: a Gram matrix and a vertex norm overflowed, and a
+# missing Euler characteristic named no field
+@example(case=("line_r3", [(("frame", 0, 1), 1e300)]))
+@example(case=("star3_cone_r3", [(("vertices", 0, 0), 1e300)]))
+@example(case=("sphere_s2", [(("declared_chi",), MISSING)]))
+def test_fuzzed_set_files_exit_cleanly(tmp_path_factory, case):
+    # one or two fields of a valid file set missing, to null, a string, NaN,
+    # +-inf, -1, 0, 10^30, 1e300, [], {}, nested lists or a boolean, or given an
+    # extra entry: main returns an exit code, and a usage error names a field
+    name, picks = case
+    doc = json.loads(json.dumps(FUZZ_SEEDS[name]))
+    for path, value in picks:
+        mutate(doc, path, value)
+    path = tmp_path_factory.getbasetemp() / "fuzzed_set.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--set", str(path), "--theorem", "thm3.9",
+                         "--samples", "100"], out=io.StringIO())
+    assert code in (0, 1, 2, 64)
+    if code == 64:
+        named = re.search(r"error: (?:set file .* is malformed at )?([\w.]+): ", err.getvalue())
+        assert named and named.group(1).split(".")[0] in SET_FIELDS, err.getvalue()

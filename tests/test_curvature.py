@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lkcurv as lk
-from lkcurv import CoverageGapError, DegenerateChartError, UnsupportedSection
+from lkcurv import DegenerateChartError, UnsupportedSection
 from lkcurv.catalog import SmoothSet
 from lkcurv import curvature
 from lkcurv.catalog.charts import Chart, _axis_rule, build_chart, gauss_legendre_nodes
@@ -15,16 +15,18 @@ from lkcurv.curvature import (
     CubatureSpec,
     _chart_frames,
     _lambda_batch,
-    elementary_symmetric,
-    lk_density,
     lk_measure_detailed,
-    lk_measures_detailed,
     lk_measures_sweep,
-    second_fundamental_form,
-    weyl_density,
 )
 from lkcurv.geomconst import sphere_volume
-from qr_frames import outward_normal, qr_density, qr_frames
+from qr_frames import (
+    elementary_symmetric,
+    form_at,
+    outward_normal,
+    point_density,
+    qr_density,
+    qr_frames,
+)
 
 PLANE_R2_IN_R4 = Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"
 
@@ -69,52 +71,45 @@ def test_sphere_form_eigenvalues(sets):
     for radius in (1.0, 2.0):
         x = SmoothSet(
             ambient_dim=3, dim=2,
-            charts=(build_chart("sphere", params={"radius": radius}),),
+            chart=build_chart("sphere", params={"radius": radius}),
             implicit=None, declared_chi=2, compact=True,
         )
         u = np.array([1.1, 0.4])
-        nu = outward_normal(x, 0, u)
-        form = second_fundamental_form(x, 0, u, nu)
-        eigs = np.sort(np.abs(np.linalg.eigvalsh(form.matrix)))
+        nu = outward_normal(x, u)
+        form = form_at(x.chart, u, nu)
+        eigs = np.sort(np.abs(np.linalg.eigvalsh(form)))
         assert np.allclose(eigs, [1.0 / radius, 1.0 / radius], atol=1e-10)
 
 
 def test_plane_form_vanishes(sets):
     x = sets["plane_r2_in_r3"]
-    form = second_fundamental_form(x, 0, np.array([2.0, 0.7]), np.array([0.0, 0.0, 1.0]))
-    assert np.max(np.abs(form.matrix)) < 1e-12
+    form = form_at(x.chart, np.array([2.0, 0.7]), np.array([0.0, 0.0, 1.0]))
+    assert np.max(np.abs(form)) < 1e-12
 
 
 def test_cylinder_form_eigenvalues(sets):
     x = sets["cylinder_r3"]
     u = np.array([0.3, 1.7])
-    nu = outward_normal(x, 0, u)
-    form = second_fundamental_form(x, 0, u, nu)
-    eigs = np.sort(np.abs(np.linalg.eigvalsh(form.matrix)))
+    nu = outward_normal(x, u)
+    form = form_at(x.chart, u, nu)
+    eigs = np.sort(np.abs(np.linalg.eigvalsh(form)))
     assert np.allclose(eigs, [0.0, 1.0], atol=1e-10)
 
 
 def test_form_symmetry_and_linearity(sets, rng):
     cubic = sets["twisted_cubic_r3"]
     u = np.array([0.8])
-    frames = qr_frames(cubic.charts[0], u[None, :])
+    frames = qr_frames(cubic.chart, u[None, :])
     n1 = frames.normal[0, :, 0]
     n2 = frames.normal[0, :, 1]
-    f1 = second_fundamental_form(cubic, 0, u, n1).matrix
-    f2 = second_fundamental_form(cubic, 0, u, n2).matrix
+    f1 = form_at(cubic.chart, u, n1)
+    f2 = form_at(cubic.chart, u, n2)
     combo = (n1 + n2) / np.linalg.norm(n1 + n2)
-    f12 = second_fundamental_form(cubic, 0, u, combo).matrix
+    f12 = form_at(cubic.chart, u, combo)
     assert np.allclose(f12 * np.linalg.norm(n1 + n2), f1 + f2, atol=1e-9)
     hyp = sets["hyperboloid_r3"]
-    m = second_fundamental_form(hyp, 0, np.array([0.4, 1.3]),
-                                outward_normal(hyp, 0, np.array([0.4, 1.3]))).matrix
+    m = form_at(hyp.chart, np.array([0.4, 1.3]), outward_normal(hyp, np.array([0.4, 1.3])))
     assert np.max(np.abs(m - m.T)) <= 1e-9 * max(np.max(np.abs(m)), 1e-300)
-
-
-def test_non_normal_direction_rejected(sets):
-    x = sets["plane_r2_in_r3"]
-    with pytest.raises(ValueError):
-        second_fundamental_form(x, 0, np.array([1.0, 0.2]), np.array([1.0, 0.0, 0.0]))
 
 
 def test_degenerate_chart_detected():
@@ -123,37 +118,34 @@ def test_degenerate_chart_detected():
         "poly_curve",
         params={"coefficients": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
     )
-    x = SmoothSet(ambient_dim=3, dim=1, charts=(chart,), implicit=None,
-                  declared_chi=1, compact=False)
     with pytest.raises(DegenerateChartError):
-        second_fundamental_form(x, 0, np.array([0.0]), np.array([0.0, 1.0, 0.0]))
+        _chart_frames(chart, np.array([[0.0]]))
 
 
-# ------------------------------------------------------------ weyl densities
+# ---------------------------------------------------- normal-sphere integrals
 
 
 def test_curve_order_zero_is_normal_sphere_area(sets):
+    # order 0 of a curve in R^3 is the density of k = 1 times |S^1|
     cubic = sets["twisted_cubic_r3"]
-    dens = weyl_density(cubic, 0, np.array([0.5]), 0)
-    assert dens.value == pytest.approx(sphere_volume(1), rel=1e-12)
-    assert dens.stderr == 0.0
+    value = point_density(cubic, np.array([0.5]), 1) * sphere_volume(1)
+    assert value == pytest.approx(sphere_volume(1), rel=1e-12)
 
 
 def test_sphere_order_two_density(sets):
-    dens = weyl_density(sets["sphere_s2"], 0, np.array([0.9, 2.2]), 2)
-    assert dens.value == pytest.approx(2.0, rel=1e-12)
+    value = point_density(sets["sphere_s2"], np.array([0.9, 2.2]), 0) * sphere_volume(2)
+    assert value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_odd_orders_vanish_exactly(sets, rng):
     hyp = sets["hyperboloid_r3"]
     for _ in range(20):
         u = rng.uniform([0.0, -3.0], [2 * np.pi, 3.0])
-        assert weyl_density(hyp, 0, u, 1).value == 0.0
+        assert point_density(hyp, u, 1) == 0.0
     cubic = sets["twisted_cubic_r3"]
     for _ in range(20):
         u = rng.uniform([-2.0], [2.0], size=(1,))
-        dens = weyl_density(cubic, 0, u, 1)
-        assert dens.value == 0.0 and dens.stderr == 0.0
+        assert point_density(cubic, u, 0) == 0.0
 
 
 def test_codimension_two_density_is_exact():
@@ -169,11 +161,10 @@ def test_codimension_two_density_is_exact():
     chart.ambient_dim = 4
     chart.domain_fn = None
     chart.base_domain = np.array([[0.0, np.pi], [0.0, 2.0 * np.pi]])
-    x = SmoothSet(ambient_dim=4, dim=2, charts=(chart,), implicit=None,
+    x = SmoothSet(ambient_dim=4, dim=2, chart=chart, implicit=None,
                   declared_chi=2, compact=True)
-    dens = weyl_density(x, 0, np.array([1.2, 0.3]), 2)
-    assert dens.stderr == 0.0
-    assert dens.value == pytest.approx(math.pi, rel=1e-12)
+    value = point_density(x, np.array([1.2, 0.3]), 0) * sphere_volume(3)
+    assert value == pytest.approx(math.pi, rel=1e-12)
     # order-0 curvature of the whole set is chi, independent of the embedding
     total, _ = lk_measure_detailed(x, 0, 2.0)
     assert total == pytest.approx(2.0, abs=1e-9)
@@ -203,7 +194,7 @@ def square_graph_r4():
 
     chart = Chart("square_graph", 2, 4, jet_of(map_fn, jac_fn, hess_fn),
                   np.array([[-3.0, 3.0], [-3.0, 3.0]]))
-    return SmoothSet(ambient_dim=4, dim=2, charts=(chart,), implicit=None,
+    return SmoothSet(ambient_dim=4, dim=2, chart=chart, implicit=None,
                      declared_chi=1, compact=False)
 
 
@@ -213,38 +204,39 @@ def test_codimension_two_density_matches_normal_circle_quadrature(rng):
     x = square_graph_r4()
     angles = 2.0 * math.pi * np.arange(64) / 64
     for u in rng.uniform(-2.0, 2.0, size=(20, 2)):
-        jac = x.charts[0].jac_fn(u[None, :])[0]
+        jac = x.chart.jet(u[None, :])[1][0]
         normals = np.linalg.svd(jac)[0][:, 2:]
         circle = 0.0
         for theta in angles:
             v = math.cos(theta) * normals[:, 0] + math.sin(theta) * normals[:, 1]
-            form = second_fundamental_form(x, 0, u, v).matrix
+            form = form_at(x.chart, u, v)
             circle += np.linalg.det(form)  # sigma_2 of a 2x2 form
         circle *= 2.0 * math.pi / 64
         assert abs(circle) > 1e-3
-        dens = weyl_density(x, 0, u, 2)
-        assert dens.value == pytest.approx(circle, rel=1e-12, abs=1e-12)
+        value = point_density(x, u, 0) * sphere_volume(3)
+        assert value == pytest.approx(circle, rel=1e-12, abs=1e-12)
 
 
-def test_order_four_in_codimension_two_is_unsupported():
-    # a flat 4-plane in R^6: the order-4 normal-sphere integral has no
-    # closed form in the density layer
+def test_three_dimensional_chart_is_unsupported():
+    # a flat 3-cube in R^4: only curves and surfaces have densities
     def map_fn(u):
-        return np.concatenate([u, np.zeros((u.shape[0], 2))], axis=1)
+        return np.concatenate([u, np.zeros((u.shape[0], 1))], axis=1)
 
     def jac_fn(u):
-        return np.broadcast_to(np.eye(6, 4), (u.shape[0], 6, 4)).copy()
+        return np.broadcast_to(np.eye(4, 3), (u.shape[0], 4, 3)).copy()
 
     def hess_fn(u):
-        return np.zeros((u.shape[0], 6, 4, 4))
+        return np.zeros((u.shape[0], 4, 3, 3))
 
-    chart = Chart("flat4", 4, 6, jet_of(map_fn, jac_fn, hess_fn), np.array([[-1.0, 1.0]] * 4))
-    x = SmoothSet(ambient_dim=6, dim=4, charts=(chart,), implicit=None,
+    chart = Chart("flat3", 3, 4, jet_of(map_fn, jac_fn, hess_fn), np.array([[-1.0, 1.0]] * 3))
+    x = SmoothSet(ambient_dim=4, dim=3, chart=chart, implicit=None,
                   declared_chi=1, compact=False)
-    u = np.array([0.1, 0.2, 0.3, 0.4])
-    assert weyl_density(x, 0, u, 2).value == 0.0
     with pytest.raises(UnsupportedSection):
-        weyl_density(x, 0, u, 4)
+        _chart_frames(chart, np.zeros((1, 3)))
+    with pytest.raises(UnsupportedSection):
+        lk.curvature_measures(x, (1, 3), 2.0)
+    report = lk.run_theorem("thm3.9", x, n_samples=100, seed=42)
+    assert report.rows[0].skipped and "curves and surfaces" in report.rows[0].reason
 
 
 # ------------------------------------------- coordinate form against QR frames
@@ -270,7 +262,7 @@ def quadric_graph(dim, ambient, seed):
 
     chart = Chart(f"quadric{dim}", dim, ambient, jet_of(map_fn, jac_fn, hess_fn),
                   np.array([[-1.0, 1.0]] * dim))
-    return SmoothSet(ambient_dim=ambient, dim=dim, charts=(chart,), implicit=None,
+    return SmoothSet(ambient_dim=ambient, dim=dim, chart=chart, implicit=None,
                      declared_chi=1, compact=False)
 
 
@@ -288,29 +280,24 @@ def assert_matches_oracle(got, want):
 def test_coordinate_density_matches_qr_oracle(sets):
     # every node of the R = 64 rule of each chart, every order
     for name, x in oracle_cases(sets).items():
-        for chart in x.charts:
-            box = chart.domain_for_ball(64.0, np.zeros(x.ambient_dim))
-            if box is None:
-                continue
-            nodes, _ = gauss_legendre_nodes(box, CubatureSpec().counts(chart.dim),
-                                            chart.panel_axes)
-            frames = _chart_frames(chart, nodes)
-            oracle = qr_frames(chart, nodes)
-            assert_matches_oracle(frames.sqrt_gram, oracle.sqrt_gram)
-            for k in range(x.dim + 1):
-                assert_matches_oracle(_lambda_batch(x, frames, k), qr_density(x, oracle, k))
+        chart = x.chart
+        box = chart.domain_for_ball(64.0, np.zeros(x.ambient_dim))
+        nodes, _ = gauss_legendre_nodes(box, CubatureSpec().counts(chart.dim), chart.panel_axes)
+        frames = _chart_frames(chart, nodes)
+        oracle = qr_frames(chart, nodes)
+        assert_matches_oracle(frames.sqrt_gram, oracle.sqrt_gram)
+        for k in range(x.dim + 1):
+            assert_matches_oracle(_lambda_batch(x, frames, k), qr_density(x, oracle, k))
 
 
 def test_quadric_graphs_match_qr_oracle(rng):
     # the builtin surfaces all have diagonal metrics; these graphs do not.
-    # Surfaces in codimension 1 and 2 take the written-out path; dimension 3
-    # in codimension 2 and dimension 4 in codimension 1 (orders 2 and 4) the
-    # general contractions
-    for dim, ambient in ((2, 3), (2, 4), (3, 5), (4, 5)):
+    # Surfaces in codimension 1 and 2 take the two written-out formulas
+    for dim, ambient in ((2, 3), (2, 4)):
         x = quadric_graph(dim, ambient, seed=dim)
         u = rng.uniform(-1.0, 1.0, size=(64, dim))
-        frames = _chart_frames(x.charts[0], u)
-        oracle = qr_frames(x.charts[0], u)
+        frames = _chart_frames(x.chart, u)
+        oracle = qr_frames(x.chart, u)
         assert_matches_oracle(frames.sqrt_gram, oracle.sqrt_gram)
         for k in range(dim + 1):
             assert_matches_oracle(_lambda_batch(x, frames, k), qr_density(x, oracle, k))
@@ -319,7 +306,7 @@ def test_quadric_graphs_match_qr_oracle(rng):
 
 def test_flat_plane_density_is_exactly_zero(sets):
     x = sets["plane_r2_in_r3"]
-    chart = x.charts[0]
+    chart = x.chart
     nodes, _ = gauss_legendre_nodes(chart.domain_for_ball(64.0, np.zeros(3)),
                                     CubatureSpec().counts(2), chart.panel_axes)
     assert np.all(_lambda_batch(x, _chart_frames(chart, nodes), 0) == 0.0)
@@ -330,7 +317,7 @@ def test_measures_of_several_orders_match_single_orders_bitwise(sets):
     for name in ("hyperboloid_r3", "torus_r3", "paraboloid_r3", "twisted_cubic_r3"):
         x = sets[name]
         for center in (None, np.array([0.5, 0.5, 0.5])):
-            both = lk_measures_detailed(x, (0, 2), 16.0, center=center)
+            both = lk_measures_sweep(x, (0, 2), (16.0,), center=center)[0]
             single = [lk_measure_detailed(x, k, 16.0, center=center) for k in (0, 2)]
             assert both == single, name
 
@@ -338,23 +325,20 @@ def test_measures_of_several_orders_match_single_orders_bitwise(sets):
 def test_each_chart_box_is_fitted_once_per_radius(sets):
     for name in ("hyperboloid_r3", "torus_r3", "twisted_cubic_r3"):
         x = sets[name]
-        calls = [0] * len(x.charts)
+        calls = []
 
-        def counted(i, domain_fn):
-            def fit(radius, center):
-                calls[i] += 1
-                return domain_fn(radius, center)
-            return fit
+        def fit(radius, center, domain_fn=x.chart.domain_fn):
+            calls.append(radius)
+            return domain_fn(radius, center)
 
-        charts = [dataclasses.replace(chart, domain_fn=counted(i, chart.domain_fn))
-                  for i, chart in enumerate(x.charts)]
-        counting = dataclasses.replace(x, charts=charts)
+        counting = dataclasses.replace(
+            x, chart=dataclasses.replace(x.chart, domain_fn=fit))
         for radius in (8.0, 16.0):
-            assert (lk_measures_detailed(counting, (0, 1, 2), radius)
-                    == lk_measures_detailed(x, (0, 1, 2), radius)), name
-        assert calls == [2] * len(x.charts), name
+            assert (lk_measures_sweep(counting, (0, 1, 2), (radius,))
+                    == lk_measures_sweep(x, (0, 1, 2), (radius,))), name
+        assert calls == [8.0, 16.0], name
         lk_measures_sweep(counting, (0, 1, 2), (8.0, 16.0))
-        assert calls == [4] * len(x.charts), name
+        assert calls == [8.0, 16.0, 8.0, 16.0], name
 
 
 # --------------------------------------------------------------- radius sweeps
@@ -363,25 +347,25 @@ SWEEP = (8.0, 16.0, 32.0, 64.0)
 
 
 def direct_measures(x, ks, radius, spec, center):
-    """Measures from each chart's own rule for this radius, evaluated whole:
+    """Measures from the chart's own rule for this radius, evaluated whole:
     the cubature of one radius before radius sweeps shared a grid."""
     totals = [0.0] * len(ks)
-    for chart in x.charts:
-        box = chart.domain_for_ball(radius, center)
-        if box is None:
-            continue
-        axes = [_axis_rule(lo, hi, count, d in chart.panel_axes)
-                for d, ((lo, hi), count) in enumerate(zip(box, spec.counts(chart.dim)))]
-        grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=1)
-        weights = np.ones(nodes.shape[0])
-        for w in np.meshgrid(*(w for _, w in axes), indexing="ij"):
-            weights = weights * w.ravel()
-        frames = _chart_frames(chart, nodes)
-        inside = np.sum((frames.positions - center) ** 2, axis=1) <= radius * radius * (1.0 + 1e-12)
-        factor = weights * frames.sqrt_gram * chart.weights(frames.positions) * inside
-        for i, k in enumerate(ks):
-            totals[i] += float(np.sum(factor * _lambda_batch(x, frames, k)))
+    chart = x.chart
+    box = chart.domain_for_ball(radius, center)
+    if box is None:
+        return totals
+    axes = [_axis_rule(lo, hi, count, d in chart.panel_axes)
+            for d, ((lo, hi), count) in enumerate(zip(box, spec.counts(chart.dim)))]
+    grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=1)
+    weights = np.ones(nodes.shape[0])
+    for w in np.meshgrid(*(w for _, w in axes), indexing="ij"):
+        weights = weights * w.ravel()
+    frames = _chart_frames(chart, nodes)
+    inside = np.sum((frames.positions - center) ** 2, axis=1) <= radius * radius * (1.0 + 1e-12)
+    factor = weights * frames.sqrt_gram * inside
+    for i, k in enumerate(ks):
+        totals[i] += float(np.sum(factor * _lambda_batch(x, frames, k)))
     return totals
 
 
@@ -389,7 +373,7 @@ def assert_sweep_is_bitwise(x, radii, center, name):
     ks = list(range(x.ambient_dim + 1))
     sweep = lk_measures_sweep(x, ks, radii, center=center)
     # a sweep of many radii is a sweep of each radius alone ...
-    assert sweep == [lk_measures_detailed(x, ks, r, center=center) for r in radii], name
+    assert sweep == [lk_measures_sweep(x, ks, (r,), center=center)[0] for r in radii], name
     # ... and each radius gets the bits of its own rule evaluated whole
     live = [k for k in ks if k <= x.dim and (x.dim - k) % 2 == 0]
     c = np.zeros(x.ambient_dim) if center is None else center
@@ -413,19 +397,19 @@ def test_off_center_sphere_sweep_is_bitwise(sets):
     x = sets["sphere_s2"]
     # every radius fits the whole sphere's box, but the balls cut it differently
     center = np.full(3, 0.5)
-    boxes = [x.charts[0].domain_for_ball(r, center) for r in (0.5, 1.0, 2.0)]
+    boxes = [x.chart.domain_for_ball(r, center) for r in (0.5, 1.0, 2.0)]
     assert all(np.array_equal(box, boxes[0]) for box in boxes)
     assert_sweep_is_bitwise(x, (0.5, 1.0, 2.0), center, "sphere_s2 at (0.5, 0.5, 0.5)")
     # the chart misses the smallest ball, which then measures nothing
     far = np.array([3.0, 0.0, 0.0])
-    assert x.charts[0].domain_for_ball(1.0, far) is None
+    assert x.chart.domain_for_ball(1.0, far) is None
     assert_sweep_is_bitwise(x, (1.0, 2.5, 4.0), far, "sphere_s2 at (3, 0, 0)")
     assert lk_measures_sweep(x, (0, 2), (1.0,), center=far) == [[(0.0, 0.0), (0.0, 0.0)]]
 
 
 def test_sweep_does_not_depend_on_block_boundaries(sets, monkeypatch):
     x = sets["hyperboloid_r3"]
-    chart = x.charts[0]
+    chart = x.chart
     boxes = [chart.domain_for_ball(r, np.zeros(3)) for r in SWEEP]
     points, _ = gauss_legendre_nodes(boxes, CubatureSpec().counts(2), chart.panel_axes)
     assert len(points) > 2 * curvature._BLOCK_NODES
@@ -437,7 +421,7 @@ def test_sweep_does_not_depend_on_block_boundaries(sets, monkeypatch):
 
 def test_sweep_grid_is_the_union_of_each_radius_rule(sets):
     for name in ("hyperboloid_r3", "paraboloid_r3", "twisted_cubic_r3", "torus_r3"):
-        chart = sets[name].charts[0]
+        chart = sets[name].chart
         boxes = [chart.domain_for_ball(r, np.zeros(3)) for r in SWEEP]
         counts = CubatureSpec().counts(chart.dim)
         points, rules = gauss_legendre_nodes(boxes, counts, chart.panel_axes)
@@ -460,28 +444,28 @@ def test_top_order_density_is_one(sets, rng):
     for name in ("sphere_s2", "torus_r3", "cylinder_r3", "hyperboloid_r3",
                   "paraboloid_r3", "plane_r2_in_r3", "twisted_cubic_r3"):
         x = sets[name]
-        chart = x.charts[0]
+        chart = x.chart
         box = chart.domain_for_ball(8.0, np.zeros(3))
         span = box[:, 1] - box[:, 0]
         u = rng.uniform(box[:, 0] + 0.05 * span, box[:, 1] - 0.05 * span,
                         size=(50, chart.dim))
         for point in u:
-            assert lk_density(x, 0, point, x.dim) == pytest.approx(1.0, abs=1e-6), name
+            assert point_density(x, point, x.dim) == pytest.approx(1.0, abs=1e-6), name
 
 
 def test_plane_lower_densities_vanish(sets):
     x = sets["plane_r2_in_r3"]
     for k in (0, 1):
-        assert lk_density(x, 0, np.array([1.5, 0.3]), k) == 0.0
+        assert point_density(x, np.array([1.5, 0.3]), k) == 0.0
 
 
 def test_sphere_order_zero_density(sets):
-    value = lk_density(sets["sphere_s2"], 0, np.array([0.4, 5.0]), 0)
+    value = point_density(sets["sphere_s2"], np.array([0.4, 5.0]), 0)
     assert value == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
 
 
 def test_density_above_dimension_is_zero(sets):
-    assert lk_density(sets["sphere_s2"], 0, np.array([1.0, 1.0]), 3) == 0.0
+    assert point_density(sets["sphere_s2"], np.array([1.0, 1.0]), 3) == 0.0
 
 
 # ------------------------------------------------------------------- measures
@@ -530,7 +514,7 @@ def test_torus_total_curvature_vanishes(sets):
 def test_orientation_flip_leaves_measures_unchanged(sets):
     # reversing a chart parameter flips the normal frame orientation
     hyp = sets["hyperboloid_r3"]
-    chart = hyp.charts[0]
+    chart = hyp.chart
     flipped = build_chart("hyperboloid_one_sheet")
 
     def flipped_jet(u):
@@ -544,7 +528,7 @@ def test_orientation_flip_leaves_measures_unchanged(sets):
         return pts, jac, hess
 
     flipped.jet = flipped_jet
-    mirrored = SmoothSet(ambient_dim=3, dim=2, charts=(flipped,), implicit=None,
+    mirrored = SmoothSet(ambient_dim=3, dim=2, chart=flipped, implicit=None,
                          declared_chi=0, compact=False)
     for k in (0, 2):
         a = lk_measure_detailed(hyp, k, 8.0)[0]
@@ -569,56 +553,10 @@ def test_cubature_doubling_convergence(sets):
 
 def test_halved_curve_rule_has_fewer_nodes(sets):
     # a curve's error bound compares two rules; they must differ in size
-    chart = sets["twisted_cubic_r3"].charts[0]
+    chart = sets["twisted_cubic_r3"].chart
     box = chart.domain_for_ball(8.0, np.zeros(3))
     spec = CubatureSpec()
     fine, _ = gauss_legendre_nodes(box, spec.counts(1), chart.panel_axes)
     coarse, _ = gauss_legendre_nodes(box, spec.halved().counts(1), chart.panel_axes)
     assert len(coarse) < len(fine)
 
-
-# --------------------------------------------------------- partition of unity
-
-
-def smooth_ramp(t):
-    # C^2 quintic step
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
-
-
-def make_two_chart_torus(break_weights=False):
-    delta = 0.4
-    low = build_chart("torus", params={"major_radius": 2.0, "minor_radius": 0.5})
-    high = build_chart("torus", params={"major_radius": 2.0, "minor_radius": 0.5})
-    low.base_domain = np.array([[-delta, math.pi + delta], [0.0, 2.0 * math.pi]])
-    low.domain_fn = None
-    high.base_domain = np.array([[math.pi - delta, 2.0 * math.pi + delta],
-                                 [0.0, 2.0 * math.pi]])
-    high.domain_fn = None
-    scale = 0.9 if break_weights else 1.0
-
-    def weight_low(pts):
-        # periodic trapezoid supported on the low chart's angular arc
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        offset = np.mod(phi - math.pi / 2.0 + math.pi, 2.0 * math.pi) - math.pi
-        outer = math.pi / 2.0 + delta
-        return scale * smooth_ramp((outer - np.abs(offset)) / (2.0 * delta))
-
-    low.weight_fn = weight_low
-    high.weight_fn = lambda pts: scale - weight_low(pts)
-    return SmoothSet(ambient_dim=3, dim=2, charts=(low, high), implicit=None,
-                     declared_chi=0, compact=True)
-
-
-def test_two_chart_partition_matches_single_chart(sets):
-    two = make_two_chart_torus()
-    single = sets["torus_r3"]
-    a = lk_measure_detailed(two, 2, 8.0)[0]
-    b = lk_measure_detailed(single, 2, 8.0)[0]
-    assert a == pytest.approx(b, rel=1e-6)
-
-
-def test_coverage_gap_detected():
-    broken = make_two_chart_torus(break_weights=True)
-    with pytest.raises(CoverageGapError):
-        lk_measure_detailed(broken, 2, 8.0)[0]

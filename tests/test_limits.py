@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lkcurv import limits
-from lkcurv.curvature import lk_measures_detailed
+from lkcurv.curvature import lk_measures_sweep
 from lkcurv.geomconst import ball_volume
 from lkcurv.limits import (
     curvature_measures, estimate_limit, estimate_limits, fit_limit_sequence, validate_radii,
@@ -129,7 +129,7 @@ def test_limit_routes_name_each_set_kind(sets):
 
 def test_curvature_measures_follow_each_kind_route(sets):
     hyp = sets["hyperboloid_r3"]
-    assert curvature_measures(hyp, (0, 1, 2), 8.0) == lk_measures_detailed(hyp, (0, 1, 2), 8.0)
+    assert curvature_measures(hyp, (0, 1, 2), 8.0) == lk_measures_sweep(hyp, (0, 1, 2), (8.0,))[0]
     cross = sets["cross_r2"]
     for center in (None, np.array([1.0, 2.0])):
         assert curvature_measures(cross, (1, 2), 8.0, center=center) == [
