@@ -16,15 +16,18 @@ so a map gives only its profile curve: w, z and their first two derivatives
 at t.  ``_revolution_chart`` turns a profile into the map, its Jacobian and
 its second derivatives by the chain rule, evaluating the profile, cos phi and
 sin phi once per node for all three, with the same per-node arithmetic for
-every map.  The space curve ``poly_curve`` differentiates its polynomial
-coefficients instead.
+every map, and records the index of phi as ``Chart.rotation_axis``: det G
+and the curvature densities of such a chart do not depend on phi, so the
+cubature builds frames on the profile (phi = 0) only.  The space curve
+``poly_curve`` differentiates its polynomial coefficients instead.
 
 Cubature uses tensor products of Gauss-Legendre rules.  Each rule is computed
 here by Newton's method on the three-term Legendre recurrence from Tricomi's
 initial guess, which gives nodes and weights to full double precision (Hale
 and Townsend, SIAM J. Sci. Comput. 35, 2013), and is cached per node count.
-The boxes of a radius sweep share one grid, the tensor product of each axis's
-union of nodes, and each box keeps its own rule on it (``GridRule``).
+The boxes of a radius sweep share each axis's union of nodes
+(``union_rules``), and each box keeps its own rule on them (``GridRule``);
+``gauss_legendre_nodes`` also returns their tensor grid.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ class Chart:
     # axes whose fitted ranges grow with the ball radius; cubature panels them
     # dyadically toward the chart's unit-scale feature region
     panel_axes: tuple = ()
+    # index of phi on a surface of revolution, whose map is
+    # a(t) + cos phi u(t) + sin phi v(t): det G and the densities depend on t
+    # alone, so cubature evaluates the jet on the profile (phi = 0) only
+    rotation_axis: Optional[int] = None
 
     def domain_for_ball(self, radius: float, center: np.ndarray) -> Optional[np.ndarray]:
         """Parameter box covering the chart's trace inside the ball, or None."""
@@ -160,16 +167,15 @@ class GridRule:
         return index.ravel(), weights.ravel()
 
 
-# the benchmark's tracing counts the nodes of this grid by name
-def gauss_legendre_nodes(boxes, counts, panel_axes=()):
-    """Tensor products of per-axis Gauss-Legendre rules on axis-aligned boxes,
-    sharing one grid.
+def union_rules(boxes, counts, panel_axes=()):
+    """Per-axis Gauss-Legendre rules on axis-aligned boxes, sharing each
+    axis's union of nodes.
 
-    ``boxes`` is one (dim, 2) box or a stack of them.  Returns ``(points,
-    rules)``: ``points`` (N, dim) is the tensor grid, in ij order, of each
-    axis's union of nodes over the boxes, and ``rules[j]`` is box j's own
-    rule on that grid.  Equal panels give equal nodes, so the boxes of a
-    radius sweep share most of the grid; one box's grid is its own rule.
+    ``boxes`` is one (dim, 2) box or a stack of them.  Returns ``(axes,
+    rules)``: ``axes[d]`` holds the sorted union of every box's nodes on axis
+    d, and ``rules[j]`` is box j's own rule on the tensor grid of the axes.
+    Equal panels give equal nodes, so the boxes of a radius sweep share most
+    of each axis.
 
     Axes listed in ``panel_axes`` use composite rules on dyadic panels, so
     unit-scale integrand features stay resolved no matter how large the
@@ -183,11 +189,24 @@ def gauss_legendre_nodes(boxes, counts, panel_axes=()):
     box_rules = [[_axis_rule(lo, hi, counts[d], d in panel_axes) for d, (lo, hi) in enumerate(box)]
                  for box in boxes]
     axes = [np.unique(np.concatenate([rule[d][0] for rule in box_rules])) for d in range(dim)]
-    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     shape = tuple(len(a) for a in axes)
     rules = [GridRule(shape, tuple(np.searchsorted(a, x) for a, (x, _) in zip(axes, rule)),
                       tuple(w for _, w in rule))
              for rule in box_rules]
+    return axes, rules
+
+
+# the benchmark's tracing counts the nodes of this grid by name
+def gauss_legendre_nodes(boxes, counts, panel_axes=()):
+    """Tensor products of per-axis Gauss-Legendre rules on axis-aligned boxes,
+    sharing one grid.
+
+    Returns ``(points, rules)``: ``points`` (N, dim) is the tensor grid, in ij
+    order, of ``union_rules``'s axes, and ``rules[j]`` is box j's own rule on
+    it.  One box's grid is its own rule.
+    """
+    axes, rules = union_rules(boxes, counts, panel_axes)
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     return points, rules
 
 
@@ -284,7 +303,8 @@ def _revolution_chart(label, profile, phi_axis, domain_fn, panel_axes=(),
         hess[:, :, phi_axis, phi_axis] = span(-w * c, -w * s, 0.0)
         return origin + span(w * c, w * s, z), jac, hess
 
-    return Chart(label, 2, frame.shape[1], jet, None, domain_fn, panel_axes=panel_axes)
+    return Chart(label, 2, frame.shape[1], jet, None, domain_fn, panel_axes=panel_axes,
+                 rotation_axis=phi_axis)
 
 
 def _build_plane(frame=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), origin=None):

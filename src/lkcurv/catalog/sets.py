@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -178,53 +178,54 @@ def _torus_implicit(R0: float, r0: float) -> Poly:
     return q * q - (4.0 * R0 * R0) * planar
 
 
-def builtin_sets() -> Dict[str, SetDescriptor]:
-    graphs = builtin_graphs()
-    sets: Dict[str, SetDescriptor] = {}
+def _cone(n: int, graph: str) -> Callable[[], ConicGraph]:
+    return lambda: ConicGraph(n, builtin_graphs()[graph])
 
-    sets["line_r2"] = LinearSubspace(2, np.array([[1.0, 0.0]]))
-    sets["line_r3"] = LinearSubspace(3, np.array([[1.0, 0.0, 0.0]]))
-    sets["cross_r2"] = ConicGraph(2, graphs["cross_s1"])
-    sets["plane_cone_r3"] = ConicGraph(3, graphs["circle_s2"])
-    sets["star3_cone_r3"] = ConicGraph(3, graphs["star3_s2"])
 
-    sets["sphere_s2"] = SmoothSet(
+# name -> builder: a name resolves by building its own set, not the catalog
+_BUILTINS: Dict[str, Callable[[], SetDescriptor]] = {
+    "line_r2": lambda: LinearSubspace(2, np.array([[1.0, 0.0]])),
+    "line_r3": lambda: LinearSubspace(3, np.array([[1.0, 0.0, 0.0]])),
+    "cross_r2": _cone(2, "cross_s1"),
+    "plane_cone_r3": _cone(3, "circle_s2"),
+    "star3_cone_r3": _cone(3, "star3_s2"),
+    "sphere_s2": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("sphere", params={"radius": 1.0}),
         implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0}),
         declared_chi=2, compact=True,
-    )
-    sets["torus_r3"] = SmoothSet(
+    ),
+    "torus_r3": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("torus", params={"major_radius": 2.0, "minor_radius": 0.5}),
         implicit=_torus_implicit(2.0, 0.5),
         declared_chi=0, compact=True,
-    )
-    sets["cylinder_r3"] = SmoothSet(
+    ),
+    "cylinder_r3": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("cylinder", params={"radius": 1.0}),
         implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 0): -1.0}),
         declared_chi=0, compact=False,
-    )
-    sets["plane_r2_in_r3"] = SmoothSet(
+    ),
+    "plane_r2_in_r3": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("plane"),
         implicit=_implicit(3, {(0, 0, 1): 1.0}),
         declared_chi=1, compact=False,
-    )
-    sets["paraboloid_r3"] = SmoothSet(
+    ),
+    "paraboloid_r3": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("paraboloid", params={"coefficient": 1.0}),
         implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 1): -1.0}),
         declared_chi=1, compact=False,
-    )
-    sets["hyperboloid_r3"] = SmoothSet(
+    ),
+    "hyperboloid_r3": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("hyperboloid_one_sheet"),
         implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): -1.0, (0, 0, 0): -1.0}),
         declared_chi=0, compact=False,
-    )
-    sets["twisted_cubic_r3"] = SmoothSet(
+    ),
+    "twisted_cubic_r3": lambda: SmoothSet(
         ambient_dim=3, dim=1,
         chart=build_chart("poly_curve", params={
             "coefficients": [[0.0, 1.0, 0.0, 0.0],
@@ -232,8 +233,12 @@ def builtin_sets() -> Dict[str, SetDescriptor]:
                              [0.0, 0.0, 0.0, 1.0]]}),
         implicit=None,
         declared_chi=1, compact=False,
-    )
-    return sets
+    ),
+}
+
+
+def builtin_sets() -> Dict[str, SetDescriptor]:
+    return {name: build() for name, build in _BUILTINS.items()}
 
 
 def describe(x: SetDescriptor) -> Dict[str, object]:
@@ -403,7 +408,6 @@ def load_set_file(path: str) -> Tuple[str, SetDescriptor]:
 
 def resolve_set(ref: str) -> Tuple[str, SetDescriptor]:
     """Resolve a builtin name or a set-definition file path."""
-    table = builtin_sets()
-    if ref in table:
-        return ref, table[ref]
+    if ref in _BUILTINS:
+        return ref, _BUILTINS[ref]()
     return load_set_file(ref)

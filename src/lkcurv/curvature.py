@@ -19,17 +19,30 @@ for surfaces and no QR or matrix inverse per node:
 A smooth set has one chart, a curve or a surface, so the orders d - k are
 0, 1 and 2: order 0 integrates to the normal-sphere area, which the
 normalization cancels, odd orders vanish, and order 2 is the surface formula
-above.  ``_chart_frames`` refuses a chart of dimension 3 or more, which only
-a hand-built chart can have.
+above.  ``lk_measures_sweep`` and ``limits.estimate_limits`` refuse a chart
+of dimension 3 or more, which only a hand-built chart can have, on entry,
+before any grid is built.
 
 ``lk_measures_sweep`` integrates the densities of several orders over the
 part of the set inside the ball of each radius of a sweep, by Gauss-Legendre
-cubature on the chart.  The chart's box is fitted once per radius; each rule
-(fine and halved) then evaluates the chart's jet, det G, |p - c|^2 and every
-order's density once for the whole sweep, block by block, on the tensor grid
-of each axis's union of nodes (equal dyadic panels give equal nodes).  Each
-radius gathers its own nodes in its own order, applies its own weights and
-inside mask, and sums exactly as a sweep of that radius alone would.
+cubature on the chart.  The chart's box is fitted once per radius, and each
+rule (fine and halved) evaluates the chart once for the whole sweep, on each
+axis's union of the radii's nodes (equal dyadic panels give equal nodes):
+
+* a surface of revolution (``Chart.rotation_axis`` set; every builtin
+  surface) has det G and densities that depend on the profile parameter t
+  alone.  Its jet, det G and every order's density are built once per
+  profile node, at phi = 0, and |p - c|^2 on the (t, phi) grid follows in
+  closed form from that jet, p(t, phi) = p(t, 0) + (1 - cos phi) p_phiphi +
+  sin phi p_phi, which is exact for any map a(t) + cos phi u(t) + sin phi
+  v(t).  Each profile node then carries the weighted share of its phi nodes
+  inside the ball, so a radius sums w_t sqrt(det G) rho_k (sum_phi w_phi
+  [inside]): the tensor rule summed in another order;
+* any other chart (curves, hand-built surfaces) is evaluated on the whole
+  tensor grid, block by block, and each node carries its inside mask.
+
+Each radius gathers its own nodes in its own order, applies its own weights
+and mask, and sums exactly as a sweep of that radius alone would.
 ``lk_measure_detailed`` is a sweep of one order and one radius.
 
 Sign convention: the form is <second derivative, v>; every quantity reported
@@ -43,7 +56,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .catalog.charts import GRAM_DET_TOL, Chart, gauss_legendre_nodes
+from .catalog.charts import GRAM_DET_TOL, Chart, gauss_legendre_nodes, union_rules
 from .catalog.sets import SmoothSet
 from .errors import DegenerateChartError, UnsupportedSection
 from .geomconst import sphere_volume
@@ -90,11 +103,6 @@ def _det_gram(jac: np.ndarray) -> np.ndarray:
 
 
 def _chart_frames(chart: Chart, u: np.ndarray) -> _FrameData:
-    if chart.dim > 2:
-        raise UnsupportedSection(
-            f"chart {chart.label!r} has dimension {chart.dim}; "
-            "curvature is computed on curves and surfaces only"
-        )
     u = np.atleast_2d(np.asarray(u, dtype=float))
     positions, jac, hess = chart.jet(u)
     det_gram = _det_gram(jac)
@@ -171,26 +179,53 @@ def _chart_boxes(x: SmoothSet, radii, center: np.ndarray) -> List[Optional[np.nd
     return boxes
 
 
-# grid nodes per frame build: a sweep's grid is evaluated in blocks of this
-# size and keeps only a few scalars per node, so a sweep holds the frames of
-# one block, fewer than the largest rule of one radius has nodes
+# nodes per frame build: a sweep's nodes are evaluated in blocks of this size
+# and keep only a few scalars per node, so a sweep holds the frames of one
+# block, fewer than the largest rule of one radius has nodes
 _BLOCK_NODES = 4096
 
 
-def _node_scalars(x: SmoothSet, points: np.ndarray, ks, center: np.ndarray):
-    """sqrt det G, |p - c|^2 and the density of each order at every grid
-    point, with frames built block by block."""
+def _distance2(frames: _FrameData, center: np.ndarray, axis: Optional[int], phis):
+    """|p - c|^2 at every node, or on a chart with rotation axis ``axis`` at
+    every (profile node, phi) pair from the profile's jet at phi = 0."""
+    offset = frames.positions - center[None, :]
+    if axis is None:
+        return np.sum(offset ** 2, axis=1)
+    # p(t, phi) = p(t, 0) + (1 - cos phi) d2p/dphi2 (t, 0) + sin phi dp/dphi (t, 0)
+    # for any map a(t) + cos phi u(t) + sin phi v(t); summed coordinate by
+    # coordinate, elementwise, so a node's bits do not depend on the grid
+    bend, turn = 1.0 - np.cos(phis), np.sin(phis)
+    dist2 = 0.0
+    for i in range(offset.shape[1]):
+        coord = (offset[:, i, None] + bend * frames.hess[:, i, axis, axis, None]
+                 + turn * frames.jac[:, i, axis, None])
+        dist2 = dist2 + coord * coord
+    return dist2
+
+
+def _node_scalars(x: SmoothSet, points: np.ndarray, ks, center: np.ndarray, phis=None):
+    """sqrt det G and the density of each order at every point, and |p - c|^2
+    there (at every (point, phi) pair when ``phis`` is given), with frames
+    built block by block."""
     size = points.shape[0]
-    sqrt_gram, dist2 = np.empty(size), np.empty(size)
+    sqrt_gram = np.empty(size)
+    dist2 = np.empty(size if phis is None else (size, len(phis)))
     densities = np.empty((len(ks), size))
     for start in range(0, size, _BLOCK_NODES):
         block = slice(start, min(start + _BLOCK_NODES, size))
         frames = _chart_frames(x.chart, points[block])
         sqrt_gram[block] = frames.sqrt_gram
-        dist2[block] = np.sum((frames.positions - center[None, :]) ** 2, axis=1)
+        dist2[block] = _distance2(frames, center, x.chart.rotation_axis, phis)
         for i, k in enumerate(ks):
             densities[i, block] = _lambda_batch(x, frames, k)
     return sqrt_gram, dist2, densities
+
+
+def _radius_sums(weights, index, share, sqrt_gram, densities) -> List[float]:
+    """One radius's measure of each order: the sum over its nodes ``index``
+    of weight * sqrt det G * share inside the ball * density."""
+    factor = weights * sqrt_gram[index] * share
+    return [float(np.sum(factor * row[index])) for row in densities]
 
 
 def _sweep_at_resolution(
@@ -203,25 +238,54 @@ def _sweep_at_resolution(
 ) -> List[List[float]]:
     """Measures of the orders ks at each radius of the sweep.
 
-    The chart evaluates its frames and densities once, on the union grid of
-    every radius's rule; each radius then sums its own nodes in its own order
-    with its own weights, so it gets the bits of a sweep of that radius alone.
+    The chart evaluates its frames and densities once, on the union of every
+    radius's nodes; each radius then sums its own nodes in its own order with
+    its own weights, so it gets the bits of a sweep of that radius alone.  A
+    chart with a rotation axis is evaluated on the union of the profile
+    nodes, and each profile node carries the weighted share of its circle
+    of phi nodes that lies inside the ball.
     """
     totals = [[0.0] * len(ks) for _ in radii]
     hits = [j for j, box in enumerate(boxes) if box is not None]
     if not hits:
         return totals
     chart = x.chart
-    points, rules = gauss_legendre_nodes(
-        [boxes[j] for j in hits], spec.counts(chart.dim), chart.panel_axes)
-    sqrt_gram, dist2, densities = _node_scalars(x, points, ks, center)
-    for j, rule in zip(hits, rules):
+    counts = spec.counts(chart.dim)
+    hit_boxes = np.array([boxes[j] for j in hits])
+    axis = chart.rotation_axis
+    if axis is None:
+        points, rules = gauss_legendre_nodes(hit_boxes, counts, chart.panel_axes)
+        sqrt_gram, dist2, densities = _node_scalars(x, points, ks, center)
+        for j, rule in zip(hits, rules):
+            index, weights = rule.tensor()
+            inside = dist2[index] <= radii[j] * radii[j] * (1.0 + 1e-12)
+            totals[j] = _radius_sums(weights, index, inside, sqrt_gram, densities)
+        return totals
+    t = 1 - axis
+    profile, rules = gauss_legendre_nodes(
+        hit_boxes[:, [t]], counts[t], (0,) if t in chart.panel_axes else ())
+    (phis,), phi_rules = union_rules(
+        hit_boxes[:, [axis]], counts[axis], (0,) if axis in chart.panel_axes else ())
+    points = np.zeros((len(profile), 2))
+    points[:, t] = profile[:, 0]
+    sqrt_gram, dist2, densities = _node_scalars(x, points, ks, center, phis)
+    for j, rule, phi_rule in zip(hits, rules, phi_rules):
         index, weights = rule.tensor()
-        inside = dist2[index] <= radii[j] * radii[j] * (1.0 + 1e-12)
-        factor = weights * sqrt_gram[index] * inside
-        for i in range(len(ks)):
-            totals[j][i] += float(np.sum(factor * densities[i, index]))
+        phi_index, phi_weights = phi_rule.tensor()
+        inside = dist2[np.ix_(index, phi_index)] <= radii[j] * radii[j] * (1.0 + 1e-12)
+        share = np.sum(inside * phi_weights, axis=1)
+        totals[j] = _radius_sums(weights, index, share, sqrt_gram, densities)
     return totals
+
+
+def require_cubature_chart(x) -> None:
+    """Refuse a smooth set whose chart has dimension 3 or more, before any
+    grid is built: curvature is computed on curves and surfaces only."""
+    if isinstance(x, SmoothSet) and x.chart is not None and x.chart.dim > 2:
+        raise UnsupportedSection(
+            f"chart {x.chart.label!r} has dimension {x.chart.dim}; "
+            "curvature is computed on curves and surfaces only"
+        )
 
 
 def lk_measures_sweep(
@@ -243,6 +307,7 @@ def lk_measures_sweep(
     """
     if not isinstance(x, SmoothSet):
         raise TypeError("lk_measures_sweep expects a smooth set")
+    require_cubature_chart(x)
     n, d = x.ambient_dim, x.dim
     ks = list(ks)
     if not all(0 <= k <= n for k in ks):

@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
-from .curvature import CubatureSpec, lk_measures_sweep
+from .curvature import CubatureSpec, lk_measures_sweep, require_cubature_chart
 from .geomconst import ball_volume
 from .spherical import conic_lk_measure_detailed
 
@@ -174,6 +174,8 @@ def estimate_limits(
     center=None,
 ) -> List[LimitEstimate]:
     """Limits of the normalized curvature measures of the orders ks."""
+    # refused before the exact bypasses, whichever orders they would answer
+    require_cubature_chart(x)
     radii = validate_radii(radii)
     ks = list(ks)
     for k in ks:

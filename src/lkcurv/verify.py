@@ -272,7 +272,10 @@ def _curvature_terms(
 
 def _check_du_lambda0(x: SetDescriptor, ctx: RunContext) -> Rows:
     """Defect-formula value of the order-0 curvature against the direct route."""
-    result = lambda0(x, ctx)
+    try:
+        result = lambda0(x, ctx)
+    except UnsupportedSection as exc:
+        return [skipped_row(0, "curvature_density_cubature", "link_defect_formula", str(exc))]
     formula_route = (
         f"chi({result.chi}) - 0.5*chi_link({result.chi_link:g}) - 0.5*hyperplane_mean"
     )

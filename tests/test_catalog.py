@@ -19,7 +19,7 @@ from lkcurv.catalog import LinearSubspace, Poly, SmoothSet, SphericalGraph
 from lkcurv.catalog.charts import build_chart
 from lkcurv.catalog.graphs import validate_graph
 from lkcurv.catalog.links import _graph_sections, euler_char, link_infinity_chi
-from lkcurv.catalog.sets import set_from_dict, set_to_dict, validate_set
+from lkcurv.catalog.sets import describe, set_from_dict, set_to_dict, validate_set
 from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, substream
 from per_plane_links import normal_basis
 
@@ -660,6 +660,34 @@ def test_load_set_file(tmp_path, sets):
     name, descriptor = lk.resolve_set(str(path))
     assert name == "hyperboloid_r3"
     assert isinstance(descriptor, SmoothSet)
+
+
+def test_resolved_builtin_matches_the_catalog(sets):
+    for name, want in sets.items():
+        resolved, got = lk.resolve_set(name)
+        assert resolved == name
+        assert type(got) is type(want), name
+        assert describe(got) == describe(want), name
+        if isinstance(want, SmoothSet):
+            assert got.chart.label == want.chart.label, name
+            assert got.chart.params.keys() == want.chart.params.keys(), name
+            for key, value in want.chart.params.items():
+                assert np.array_equal(got.chart.params[key], value), (name, key)
+
+
+def test_resolving_a_set_file_builds_no_builtin(tmp_path, sets, monkeypatch):
+    from lkcurv.catalog import sets as catalog
+
+    def unbuilt():
+        raise AssertionError("a builtin set was built")
+
+    monkeypatch.setattr(catalog, "builtin_sets", unbuilt)
+    for name in list(catalog._BUILTINS):
+        monkeypatch.setitem(catalog._BUILTINS, name, unbuilt)
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(set_to_dict("my_line", sets["line_r3"])))
+    name, x = lk.resolve_set(str(path))
+    assert name == "my_line" and isinstance(x, LinearSubspace)
 
 
 def test_malformed_file_names_field(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -217,8 +218,9 @@ def test_codimension_two_density_matches_normal_circle_quadrature(rng):
         assert value == pytest.approx(circle, rel=1e-12, abs=1e-12)
 
 
-def test_three_dimensional_chart_is_unsupported():
-    # a flat 3-cube in R^4: only curves and surfaces have densities
+def test_three_dimensional_chart_is_unsupported(monkeypatch):
+    # a flat 3-cube in R^4: only curves and surfaces have densities, and the
+    # refusal comes before any grid is built, whichever orders are live
     def map_fn(u):
         return np.concatenate([u, np.zeros((u.shape[0], 1))], axis=1)
 
@@ -228,15 +230,26 @@ def test_three_dimensional_chart_is_unsupported():
     def hess_fn(u):
         return np.zeros((u.shape[0], 4, 3, 3))
 
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built for a three-dimensional chart")
+
+    monkeypatch.setattr(curvature, "gauss_legendre_nodes", no_grid)
     chart = Chart("flat3", 3, 4, jet_of(map_fn, jac_fn, hess_fn), np.array([[-1.0, 1.0]] * 3))
     x = SmoothSet(ambient_dim=4, dim=3, chart=chart, implicit=None,
                   declared_chi=1, compact=False)
     with pytest.raises(UnsupportedSection):
-        _chart_frames(chart, np.zeros((1, 3)))
-    with pytest.raises(UnsupportedSection):
         lk.curvature_measures(x, (1, 3), 2.0)
+    with pytest.raises(UnsupportedSection):
+        lk.curvature_measures(x, (0,), 2.0)  # no live order
     report = lk.run_theorem("thm3.9", x, n_samples=100, seed=42)
     assert report.rows[0].skipped and "curves and surfaces" in report.rows[0].reason
+    # a compact set answers its orders k >= 1 exactly and its odd orders vanish,
+    # so no cubature would run: the refusal must not depend on that
+    compact = dataclasses.replace(x, compact=True)
+    for theorem in ("thm3.9", "thm4.3", "du_lambda0"):
+        report = lk.run_theorem(theorem, compact, n_samples=100, seed=42)
+        assert [row.skipped for row in report.rows] == [True], theorem
+        assert "curves and surfaces" in report.rows[0].reason, theorem
 
 
 # ------------------------------------------- coordinate form against QR frames
@@ -266,11 +279,70 @@ def quadric_graph(dim, ambient, seed):
                      declared_chi=1, compact=False)
 
 
+# a plane set file whose frame rows are neither unit nor orthogonal, off the origin
+SKEWED_PLANE = {
+    "name": "skewed_plane_r4", "ambient_dim": 4, "kind": "smooth", "dim": 2,
+    "charts": [{"map": "plane", "params": {
+        "frame": [[1.0, 0.3, -0.2, 0.1], [0.4, 1.1, 0.5, 0.0]],
+        "origin": [0.3, -0.2, 0.1, 0.5]}}],
+    "declared_chi": 1, "compact": False,
+}
+
+
+# a torus patch from a set file's domain: phi = 0 lies outside it
+TORUS_PATCH = {
+    "name": "torus_patch_r3", "ambient_dim": 3, "kind": "smooth", "dim": 2,
+    "charts": [{"map": "torus", "domain": [[0.4, 5.5], [-1.0, 2.0]],
+                "params": {"major_radius": 2.0, "minor_radius": 0.5}}],
+    "declared_chi": 1, "compact": True,
+}
+
+
+def set_file(tmp_path, doc):
+    path = tmp_path / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc))
+    return lk.resolve_set(str(path))[1]
+
+
 def oracle_cases(sets):
     cases = {name: x for name, x in sorted(sets.items()) if isinstance(x, SmoothSet)}
     cases["plane_r2_in_r4"] = lk.resolve_set(str(PLANE_R2_IN_R4))[1]
     cases["square_graph_r4"] = square_graph_r4()
     return cases
+
+
+def revolution_cases(sets, tmp_path):
+    cases = {name: x for name, x in oracle_cases(sets).items()
+             if x.chart.rotation_axis is not None}
+    for doc in (SKEWED_PLANE, TORUS_PATCH):
+        cases[doc["name"]] = set_file(tmp_path, doc)
+    return cases
+
+
+def test_builtin_surfaces_are_surfaces_of_revolution(sets):
+    # every builtin surface takes the profile cubature; curves and hand-built
+    # charts keep the tensor grid
+    rotating = {name for name, x in oracle_cases(sets).items()
+                if x.chart.rotation_axis is not None}
+    assert rotating == {"cylinder_r3", "hyperboloid_r3", "paraboloid_r3", "plane_r2_in_r3",
+                        "plane_r2_in_r4", "sphere_s2", "torus_r3"}
+
+
+def test_revolution_densities_do_not_depend_on_phi(sets, tmp_path, rng):
+    # the premise of the profile cubature: at every profile node, sqrt det G
+    # and every order's density are those at phi = 0
+    for name, x in revolution_cases(sets, tmp_path).items():
+        chart, axis = x.chart, x.chart.rotation_axis
+        box = chart.domain_for_ball(8.0, np.zeros(x.ambient_dim))
+        u = rng.uniform(box[:, 0], box[:, 1], size=(200, 2))
+        u[:, axis] = rng.uniform(-math.pi, 3.0 * math.pi, size=200)
+        profile = u.copy()
+        profile[:, axis] = 0.0
+        turned, fixed = _chart_frames(chart, u), _chart_frames(chart, profile)
+        np.testing.assert_allclose(turned.sqrt_gram, fixed.sqrt_gram, rtol=1e-12, atol=1e-14)
+        for k in range(x.dim + 1):
+            np.testing.assert_allclose(_lambda_batch(x, turned, k), _lambda_batch(x, fixed, k),
+                                       rtol=1e-12, atol=1e-14, err_msg=f"{name} k={k}")
 
 
 def assert_matches_oracle(got, want):
@@ -369,24 +441,63 @@ def direct_measures(x, ks, radius, spec, center):
     return totals
 
 
+def reduced_measures(x, ks, radius, spec, center):
+    """Measures from the chart's own rule for this radius on a surface of
+    revolution: frames on its profile nodes at phi = 0, |p - c|^2 on its
+    (t, phi) grid in closed form, and per profile node the weighted share of
+    its phi nodes inside the ball, in the sweep's order of operations."""
+    totals = [0.0] * len(ks)
+    chart, axis = x.chart, x.chart.rotation_axis
+    box = chart.domain_for_ball(radius, center)
+    if box is None:
+        return totals
+    counts = spec.counts(2)
+    t_nodes, t_weights = _axis_rule(*box[1 - axis], counts[1 - axis],
+                                    1 - axis in chart.panel_axes)
+    phis, phi_weights = _axis_rule(*box[axis], counts[axis], axis in chart.panel_axes)
+    profile = np.zeros((len(t_nodes), 2))
+    profile[:, 1 - axis] = t_nodes
+    frames = _chart_frames(chart, profile)
+    offset = frames.positions - center
+    bend, turn = 1.0 - np.cos(phis), np.sin(phis)
+    dist2 = 0.0
+    for i in range(x.ambient_dim):
+        coord = (offset[:, i, None] + bend * frames.hess[:, i, axis, axis, None]
+                 + turn * frames.jac[:, i, axis, None])
+        dist2 = dist2 + coord * coord
+    share = np.sum((dist2 <= radius * radius * (1.0 + 1e-12)) * phi_weights, axis=1)
+    factor = t_weights * frames.sqrt_gram * share
+    for i, k in enumerate(ks):
+        totals[i] += float(np.sum(factor * _lambda_batch(x, frames, k)))
+    return totals
+
+
+def oracle_pairs(oracle, x, ks, radius, center):
+    """(value, bound) of each order from one radius's oracle at both rules."""
+    live = [k for k in ks if k <= x.dim and (x.dim - k) % 2 == 0]
+    spec = CubatureSpec()
+    fine = oracle(x, live, radius, spec, center)
+    coarse = oracle(x, live, radius, spec.halved(), center)
+    want = dict(zip(live, zip(fine, (abs(a - b) for a, b in zip(fine, coarse)))))
+    return [want.get(k, (0.0, 0.0)) for k in ks]
+
+
 def assert_sweep_is_bitwise(x, radii, center, name):
     ks = list(range(x.ambient_dim + 1))
     sweep = lk_measures_sweep(x, ks, radii, center=center)
     # a sweep of many radii is a sweep of each radius alone ...
     assert sweep == [lk_measures_sweep(x, ks, (r,), center=center)[0] for r in radii], name
-    # ... and each radius gets the bits of its own rule evaluated whole
-    live = [k for k in ks if k <= x.dim and (x.dim - k) % 2 == 0]
+    # ... and each radius gets the bits of its own rule: on its profile for a
+    # surface of revolution, evaluated whole otherwise
+    oracle = direct_measures if x.chart.rotation_axis is None else reduced_measures
     c = np.zeros(x.ambient_dim) if center is None else center
-    spec = CubatureSpec()
     for radius, pairs in zip(radii, sweep):
-        fine = direct_measures(x, live, radius, spec, c)
-        coarse = direct_measures(x, live, radius, spec.halved(), c)
-        want = dict(zip(live, zip(fine, (abs(a - b) for a, b in zip(fine, coarse)))))
-        assert pairs == [want.get(k, (0.0, 0.0)) for k in ks], (name, radius)
+        assert pairs == oracle_pairs(oracle, x, ks, radius, c), (name, radius)
 
 
-def test_sweep_matches_one_radius_calls_bitwise(sets):
-    for name, x in oracle_cases(sets).items():
+def test_sweep_matches_one_radius_calls_bitwise(sets, tmp_path):
+    cases = {**oracle_cases(sets), **revolution_cases(sets, tmp_path)}
+    for name, x in cases.items():
         for center in (None, np.full(x.ambient_dim, 0.5)):
             assert_sweep_is_bitwise(x, SWEEP, center, name)
     assert_sweep_is_bitwise(sets["hyperboloid_r3"], SWEEP, np.array([0.0, 0.0, 3.0]),
@@ -407,16 +518,45 @@ def test_off_center_sphere_sweep_is_bitwise(sets):
     assert lk_measures_sweep(x, (0, 2), (1.0,), center=far) == [[(0.0, 0.0), (0.0, 0.0)]]
 
 
+# centers of the whole-grid comparison: on and off every axis, inside and
+# outside the sets, and far enough out that small balls miss some of them
+ORACLE_CENTERS = ((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.5, 0.7, 3.0), (0.4, 0.3, 1.0),
+                  (0.0, 0.0, 3.0), (3.0, 0.0, 0.0), (-2.2, 1.9, 0.3))
+ORACLE_RADII = (1.2, 2.5, 8.0, 16.0, 32.0, 64.0)
+
+
+def test_profile_sweep_matches_whole_grid_rule(sets, tmp_path):
+    # the profile cubature is the whole-grid rule summed in another order
+    for name, x in revolution_cases(sets, tmp_path).items():
+        ks = list(range(x.ambient_dim + 1))
+        for center in ORACLE_CENTERS:
+            c = np.zeros(x.ambient_dim)
+            c[:3] = center
+            sweep = lk_measures_sweep(x, ks, ORACLE_RADII, center=c)
+            for radius, pairs in zip(ORACLE_RADII, sweep):
+                want = oracle_pairs(direct_measures, x, ks, radius, c)
+                for k, got, (value, bound) in zip(ks, pairs, want):
+                    tol = 1e-12 * max(abs(value), 1.0)
+                    assert abs(got[0] - value) <= tol, (name, center, radius, k)
+                    assert abs(got[1] - bound) <= tol, (name, center, radius, k)
+
+
 def test_sweep_does_not_depend_on_block_boundaries(sets, monkeypatch):
-    x = sets["hyperboloid_r3"]
-    chart = x.chart
-    boxes = [chart.domain_for_ball(r, np.zeros(3)) for r in SWEEP]
-    points, _ = gauss_legendre_nodes(boxes, CubatureSpec().counts(2), chart.panel_axes)
+    # the graph has no rotation axis, so it takes the whole tensor grid, which
+    # spans several blocks; the hyperboloid's profile spans several small ones
+    graph = square_graph_r4()
+    points, _ = gauss_legendre_nodes(graph.chart.base_domain, CubatureSpec().counts(2))
     assert len(points) > 2 * curvature._BLOCK_NODES
-    want = lk_measures_sweep(x, (0, 1, 2), SWEEP)
-    for block in (997, len(points)):
-        monkeypatch.setattr(curvature, "_BLOCK_NODES", block)
-        assert lk_measures_sweep(x, (0, 1, 2), SWEEP) == want, block
+    hyperboloid = sets["hyperboloid_r3"]
+    chart = hyperboloid.chart
+    boxes = [chart.domain_for_ball(r, np.zeros(3))[1:] for r in SWEEP]
+    profile, _ = gauss_legendre_nodes(boxes, CubatureSpec().counts(2)[1], (0,))
+    for x, blocks in ((graph, (997, len(points))), (hyperboloid, (97, len(profile)))):
+        monkeypatch.setattr(curvature, "_BLOCK_NODES", 4096)
+        want = lk_measures_sweep(x, (0, 1, 2), SWEEP)
+        for block in blocks:
+            monkeypatch.setattr(curvature, "_BLOCK_NODES", block)
+            assert lk_measures_sweep(x, (0, 1, 2), SWEEP) == want, (x.chart.label, block)
 
 
 def test_sweep_grid_is_the_union_of_each_radius_rule(sets):

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lkcurv as lk
@@ -197,26 +198,30 @@ def test_thm39_hyperboloid_cancellation(sets):
 
 
 def test_thm39_builds_frames_once_per_radius_and_rule(sets, monkeypatch):
-    # orders 0 and 2 share each chart's frames, and the 4 radii share one grid
-    # per rule (fine and halved): every grid node is built once, and the grid
-    # is smaller than the 4 radii's rules together
+    # orders 0 and 2 share the chart's frames, and the 4 radii share one
+    # profile per rule (fine and halved): every profile node is built once,
+    # at phi = 0, and the profile is smaller than the 4 radii's rules together
     from lkcurv import curvature
 
-    grids = []  # [grid nodes, nodes of the radii's rules, radii, nodes built]
+    x = sets["hyperboloid_r3"]
+    axis = x.chart.rotation_axis
+    grids = []  # [profile nodes, nodes of the radii's rules, radii, nodes built]
     nodes_fn, frames = curvature.gauss_legendre_nodes, curvature._chart_frames
 
     def counted_nodes(*args, **kwargs):
         points, rules = nodes_fn(*args, **kwargs)
+        assert points.shape[1] == 1  # the profile parameter alone
         grids.append([len(points), sum(len(rule.tensor()[0]) for rule in rules), len(rules), 0])
         return points, rules
 
     def counted_frames(chart, u):
+        assert np.all(u[:, axis] == 0.0)
         grids[-1][3] += len(u)
         return frames(chart, u)
 
     monkeypatch.setattr(curvature, "gauss_legendre_nodes", counted_nodes)
     monkeypatch.setattr(curvature, "_chart_frames", counted_frames)
-    report = run_theorem("thm3.9", sets["hyperboloid_r3"], n_samples=500, seed=42)
+    report = run_theorem("thm3.9", x, n_samples=500, seed=42)
     assert report.overall_pass
     assert len(grids) == 2
     for size, per_radius, n_radii, built in grids:
