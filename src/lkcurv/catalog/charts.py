@@ -2,40 +2,63 @@
 
 A smooth set has one chart, a curve or a surface.  The chart supplies one
 jet, the parametrization together with its exact first and second derivatives
-at a batch of parameter points, and a domain fitter that returns a parameter
-box covering the part of the chart's trace inside a given ball.  Built-in
-maps know their own geometry, so for the shapes shipped here the fitted box
-matches the ball almost exactly and the indicator used by the cubature rejects
-essentially nothing.
+at a batch of parameter points, and, for every builtin map, the exact part of
+its parameter domain that a ball reaches (``Chart.ball_intervals``).
 
 Every builtin surface is a surface of revolution,
 
     (t, phi) -> origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3,
 
-so a map gives only its profile curve: w, z and their first two derivatives
-at t.  ``_revolution_chart`` turns a profile into the map, its Jacobian and
-its second derivatives by the chain rule, evaluating the profile, cos phi and
-sin phi once per node for all three, with the same per-node arithmetic for
-every map, and records the index of phi as ``Chart.rotation_axis``: det G
-and the curvature densities of such a chart do not depend on phi, so the
-cubature builds frames on the profile (phi = 0) only.  The space curve
-``poly_curve`` differentiates its polynomial coefficients instead.
+with orthonormal e1, e2, e3, so a map gives only its profile curve: w, z and
+their first two derivatives at t.  ``_revolution_chart`` turns a profile into
+the map, its Jacobian and its second derivatives by the chain rule,
+evaluating the profile, cos phi and sin phi once per node for all three, with
+the same per-node arithmetic for every map, and records the index of phi as
+``Chart.rotation_axis``: det G and the curvature densities of such a chart do
+not depend on phi, so the cubature builds frames on the profile (phi = 0)
+only.  The space curve ``poly_curve`` differentiates its polynomial
+coefficients instead.
 
-Cubature uses tensor products of Gauss-Legendre rules.  Each rule is computed
-here by Newton's method on the three-term Legendre recurrence from Tricomi's
-initial guess, which gives nodes and weights to full double precision (Hale
-and Townsend, SIAM J. Sci. Comput. 35, 2013), and is cached per node count.
-The boxes of a radius sweep share each axis's union of nodes
-(``union_rules``), and each box keeps its own rule on them (``GridRule``);
-``gauss_legendre_nodes`` also returns their tensor grid.
+Ball geometry.  Write the ball's center, relative to the origin, as s along
+the plane of e1 and e2 (its distance from the axis), h along e3 and a normal
+rest of squared length n2.  The circle of the profile node t then lies at
+squared distance between (|w| - s)^2 + (z - h)^2 + n2 and (|w| + s)^2 + (z -
+h)^2 + n2 from the center, so it meets the ball of radius R where the profile
+point (w, z) lies in the disc of radius sqrt(R^2 - n2) about (s, h) or in
+the one about (-s, h) of the meridian plane, and lies inside the ball wholly
+where (w, z) lies in both.  Each map solves such a disc in closed form or by
+the real roots of one polynomial:
+
+* plane and cylinder: a quadratic;
+* sphere and torus: one arc of the profile circle, from a linear equation in
+  cos t and sin t;
+* paraboloid: a quartic in r; hyperboloid: the quartic in z that squaring
+  out sqrt(1 + z^2) gives (its root, a quadratic, on the axis, where the
+  quartic is a perfect square);
+* ``poly_curve``: |p(t) - c|^2 - R^2, of degree 2 deg, whose real roots
+  bound every piece of the curve inside the ball.
+
+Roots are found in a scaled variable, so that no squared form overflows,
+and which side of each root lies inside is decided by the sign of the
+unsquared gap between candidates, so near-double roots are never lost.  The
+t-values where the profile circle enters the ball wholly split the intervals
+into pieces, which the cubature takes as panel breaks.
+
+Cubature uses Gauss-Legendre rules.  Each rule is computed here by Newton's
+method on the three-term Legendre recurrence from Tricomi's initial guess,
+which gives nodes and weights to full double precision (Hale and Townsend,
+SIAM J. Sci. Comput. 35, 2013), and is cached per node count.  In
+``gauss_legendre_nodes`` the pieces of a radius sweep share each axis's
+union of nodes, and each piece keeps its own rule on them (``GridRule``).
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +66,9 @@ from ..errors import SetValidationError
 
 # floor on the tangent Gram determinant det(J^T J) at a chart node
 GRAM_DET_TOL = 1e-12
+
+# a curve still inside a ball this far out along its parameter is refused
+_CURVE_REACH = 1e7
 
 
 @dataclass(eq=False)
@@ -52,39 +78,58 @@ class Chart:
     ambient_dim: int
     # U (B, dim) -> points (B, n), Jacobians (B, n, dim), second derivatives (B, n, dim, dim)
     jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    base_domain: Optional[np.ndarray]  # (dim, 2) or None for an unbounded natural domain
-    domain_fn: Optional[Callable[[float, np.ndarray], Optional[np.ndarray]]] = None
+    # a set file's (dim, 2) parameter box, or None for the map's natural domain
+    base_domain: Optional[np.ndarray]
+    # builtin maps: (radii, center, (lo, hi) of t or None) -> per radius the
+    # pieces of t that reach the ball; see ``ball_intervals``
+    interval_fn: Optional[Callable] = None
     params: dict = field(default_factory=dict)
-    # axes whose fitted ranges grow with the ball radius; cubature panels them
+    # axes whose ranges grow with the ball radius; cubature panels them
     # dyadically toward the chart's unit-scale feature region
     panel_axes: tuple = ()
     # index of phi on a surface of revolution, whose map is
-    # a(t) + cos phi u(t) + sin phi v(t): det G and the densities depend on t
-    # alone, so cubature evaluates the jet on the profile (phi = 0) only
+    # a(t) + cos phi u(t) + sin phi v(t) with |u| = |v| and u . v = 0: det G
+    # and the densities depend on t alone, so cubature evaluates the jet on
+    # the profile (phi = 0) only
     rotation_axis: Optional[int] = None
 
-    def domain_for_ball(self, radius: float, center: np.ndarray) -> Optional[np.ndarray]:
-        """Parameter box covering the chart's trace inside the ball, or None."""
-        radius = float(radius)
-        if not np.isfinite(radius * radius):
-            # the fitters compare squared distances, which would all be inf or nan
-            raise ValueError(f"radius {radius:g} is too large: R^2 is not finite")
+    @property
+    def profile_axis(self) -> int:
+        """The index of t: the curve parameter, or the profile's on a surface."""
+        return 0 if self.rotation_axis is None else 1 - self.rotation_axis
+
+    def phi_range(self) -> Optional[Tuple[float, float]]:
+        """The set file's range of phi, or None for the whole circle."""
+        if self.rotation_axis is None or self.base_domain is None:
+            return None
+        lo, hi = self.base_domain[self.rotation_axis]
+        return float(lo), float(hi)
+
+    def ball_intervals(self, radii, center) -> List[np.ndarray]:
+        """For each radius, the pieces (m, 2) of the curve or profile parameter
+        t where the chart's trace meets the ball about ``center``, in
+        increasing order; m = 0 where it misses the ball.
+
+        Adjacent pieces of a surface share an end where its profile circle
+        enters or leaves the ball wholly.  The pieces lie in the set file's
+        range of t where one is given.
+        """
         center = np.asarray(center, dtype=float)
-        if self.domain_fn is not None:
-            box = self.domain_fn(radius, center)
-            if box is None:
-                return None
-            box = np.asarray(box, dtype=float)
-            if self.base_domain is not None:
-                lo = np.maximum(box[:, 0], self.base_domain[:, 0])
-                hi = np.minimum(box[:, 1], self.base_domain[:, 1])
-                if np.any(lo >= hi):
-                    return None
-                box = np.stack([lo, hi], axis=1)
-            return box
-        if self.base_domain is None:
-            raise SetValidationError(self.label, "chart has neither domain nor fitter")
-        return np.asarray(self.base_domain, dtype=float)
+        radii = [float(r) for r in radii]
+        for radius in radii:
+            if not np.isfinite(radius * radius):
+                # the gap polynomials hold R^2, which would be inf
+                raise ValueError(f"radius {radius:g} is too large: R^2 is not finite")
+        t_range = None
+        if self.base_domain is not None:
+            t_range = tuple(float(v) for v in self.base_domain[self.profile_axis])
+        pieces = [np.array(spans, dtype=float).reshape(-1, 2)
+                  for spans in self.interval_fn(radii, center, t_range)]
+        for radius, spans in zip(radii, pieces):
+            if not np.all(np.isfinite(spans)):
+                raise ValueError(
+                    f"radius {radius:g}: chart {self.label!r} has no finite parameter interval")
+        return pieces
 
 
 def _legendre(count: int, x: np.ndarray):
@@ -167,19 +212,20 @@ class GridRule:
         return index.ravel(), weights.ravel()
 
 
-def union_rules(boxes, counts, panel_axes=()):
-    """Per-axis Gauss-Legendre rules on axis-aligned boxes, sharing each
-    axis's union of nodes.
+# the benchmark's tracing counts the nodes of this grid by name
+def gauss_legendre_nodes(boxes, counts, panel_axes=()):
+    """Tensor products of per-axis Gauss-Legendre rules on axis-aligned boxes,
+    sharing one grid.
 
-    ``boxes`` is one (dim, 2) box or a stack of them.  Returns ``(axes,
-    rules)``: ``axes[d]`` holds the sorted union of every box's nodes on axis
-    d, and ``rules[j]`` is box j's own rule on the tensor grid of the axes.
-    Equal panels give equal nodes, so the boxes of a radius sweep share most
-    of each axis.
+    ``boxes`` is one (dim, 2) box or a stack of them.  Returns ``(points,
+    rules)``: ``points`` (N, dim) is the tensor grid, in ij order, of each
+    axis's sorted union of every box's nodes, and ``rules[j]`` is box j's own
+    rule on it.  Equal panels give equal nodes, so the boxes of a radius sweep
+    share most of each axis; one box's grid is its own rule.
 
     Axes listed in ``panel_axes`` use composite rules on dyadic panels, so
     unit-scale integrand features stay resolved no matter how large the
-    fitted range grows with the ball radius.
+    range grows with the ball radius.
     """
     boxes = np.asarray(boxes, dtype=float)
     if boxes.ndim == 2:
@@ -193,73 +239,127 @@ def union_rules(boxes, counts, panel_axes=()):
     rules = [GridRule(shape, tuple(np.searchsorted(a, x) for a, (x, _) in zip(axes, rule)),
                       tuple(w for _, w in rule))
              for rule in box_rules]
-    return axes, rules
-
-
-# the benchmark's tracing counts the nodes of this grid by name
-def gauss_legendre_nodes(boxes, counts, panel_axes=()):
-    """Tensor products of per-axis Gauss-Legendre rules on axis-aligned boxes,
-    sharing one grid.
-
-    Returns ``(points, rules)``: ``points`` (N, dim) is the tensor grid, in ij
-    order, of ``union_rules``'s axes, and ``rules[j]`` is box j's own rule on
-    it.  One box's grid is its own rule.
-    """
-    axes, rules = union_rules(boxes, counts, panel_axes)
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     return points, rules
 
 
-def _feasible_interval(g, width0: float, max_width: float = 1e7) -> Optional[np.ndarray]:
-    """Bracket {t : g(t) <= 0} for a function with g -> +inf both ways.
+# ---------------------------------------------------------------- ball geometry
+#
+# A list of spans is a sorted list of disjoint (lo, hi) pairs of floats.
 
-    Returns a slightly padded [lo, hi] (the cubature indicator trims any
-    excess) or None when the feasible set appears empty.
-    """
-    width = max(width0, 1.0)
-    while g(np.array([-width]))[0] <= 0 or g(np.array([width]))[0] <= 0:
-        width *= 2.0
-        if width > max_width:
-            raise ValueError("feasible interval fitter failed to bracket")
-    ts = np.linspace(-width, width, 8193)
-    vals = g(ts)
-    feas = vals <= 0.0
-    if not feas.any():
-        i = int(np.argmin(vals))
-        local = np.linspace(ts[max(i - 2, 0)], ts[min(i + 2, len(ts) - 1)], 4097)
-        lv = g(local)
-        if not (lv <= 0).any():
-            return None
-        ts, vals, feas = local, lv, lv <= 0
-    idx = np.nonzero(feas)[0]
-    lo = _bisect_edge(g, ts[idx[0] - 1], ts[idx[0]]) if idx[0] > 0 else ts[0]
-    hi = _bisect_edge(g, ts[idx[-1] + 1], ts[idx[-1]]) if idx[-1] < len(ts) - 1 else ts[-1]
-    return np.array([min(lo, hi), max(lo, hi)])
+_TWO_PI = 2.0 * math.pi
 
 
-# A finite bracket is at most 2^1025 wide and the closest doubles are 2^-1074
-# apart, so this many halvings reach adjacent doubles, which meet the tolerance.
-_DOUBLE_HALVINGS = 1025 + 1074
+def _clip(spans, lo: float, hi: float):
+    """The parts of the spans inside [lo, hi] that have positive length."""
+    return [(max(a, lo), min(b, hi)) for a, b in spans if max(a, lo) < min(b, hi)]
 
 
-def _bisect_edge(g, outside: float, inside: float) -> float:
-    for _ in range(_DOUBLE_HALVINGS):
-        mid = 0.5 * (outside + inside)
-        if g(np.array([mid]))[0] <= 0:
-            inside = mid
+def _union(first, second):
+    merged = []
+    for lo, hi in sorted(first + second):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
-            outside = mid
-        if abs(outside - inside) <= 1e-13 * (1.0 + abs(mid)):
-            break
-    return outside  # outer edge, so the box covers the feasible set
+            merged.append((lo, hi))
+    return merged
+
+
+def _intersection(first, second):
+    return sorted((max(a, c), min(b, d)) for a, b in first for c, d in second
+                  if max(a, c) < min(b, d))
+
+
+def _split(spans, cuts):
+    """Each span cut at the points strictly inside it."""
+    pieces = []
+    for lo, hi in spans:
+        edges = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
+        pieces += zip(edges, edges[1:])
+    return pieces
+
+
+def _arc_spans(a: float, b: float, c: float, lo: float, hi: float):
+    """{t in [lo, hi] : a cos t + b sin t <= c}, one arc per turn."""
+    rho = math.hypot(a, b)
+    if c >= rho:
+        return [(lo, hi)]
+    if c < -rho:
+        return []
+    # with t0 = atan2(b, a), inside where t - t0 lies in [alpha, 2 pi - alpha] mod 2 pi
+    t0, alpha = math.atan2(b, a), math.acos(c / rho)
+    turns = range(math.floor((lo - t0) / _TWO_PI), math.floor((hi - t0) / _TWO_PI) + 1)
+    return _clip([(t0 + _TWO_PI * k + alpha, t0 + _TWO_PI * (k + 1) - alpha) for k in turns],
+                 lo, hi)
+
+
+def _real_parts_of_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of a polynomial (highest degree first).
+
+    The roots are those of the monic polynomial in t / S, with S the largest
+    |c_j / c_0|^(1/j), whose coefficients all lie in [-1, 1]: they are
+    computed from logarithms, so no power of S overflows.
+    """
+    degree = len(coeffs) - 1
+    if degree < 1:
+        return np.empty(0)
+    logs = np.full(len(coeffs), -np.inf)
+    logs[coeffs != 0.0] = np.log(np.abs(coeffs[coeffs != 0.0]))
+    log_scale = float(np.max((logs[1:] - logs[0]) / np.arange(1, degree + 1)))
+    log_scale = log_scale if math.isfinite(log_scale) else 0.0
+    monic = np.sign(coeffs) * np.exp(logs - logs[0] - np.arange(degree + 1) * log_scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a root beyond the largest double comes out inf or nan, in no interval
+        return np.roots(monic).real * np.exp(log_scale)
+
+
+def _sublevel(coeffs, gap, lo: float, hi: float, scale: float = 1.0):
+    """{t in [lo, hi] : gap(t) <= 0} as spans, for a gap that changes sign
+    only at real roots of the polynomial ``coeffs`` (highest degree first) in
+    t / scale, and that is positive far out along an infinite end.
+
+    The candidates are the real parts of every root: a near-double root that
+    rounding makes complex still marks its crossing, and the sign of the gap
+    halfway between neighbouring candidates decides which side is inside.
+    """
+    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("the ball's gap polynomial overflows")
+    roots = scale * _real_parts_of_roots(coeffs)
+    knots = sorted({v for v in (lo, hi) if math.isfinite(v)}
+                   | {float(r) for r in roots if lo < r < hi})
+    if len(knots) < 2:
+        return []
+    knots = np.array(knots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = gap(0.5 * knots[:-1] + 0.5 * knots[1:]) <= 0.0
+    spans = []
+    for a, b, keep in zip(knots[:-1].tolist(), knots[1:].tolist(), inside):
+        if keep and spans and spans[-1][1] == a:
+            spans[-1] = (spans[-1][0], b)
+        elif keep:
+            spans.append((a, b))
+    return spans
+
+
+def _meridian_gap(profile, s: float, h: float, q: float):
+    """t -> ((w - s)^2 + (z - h)^2) / q - 1 at the profile point (w, z) of t,
+    which is not positive inside the disc of squared radius q about (s, h)."""
+    root = math.sqrt(q)
+
+    def gap(t):
+        w, _, _, z, _, _ = profile(t)
+        return ((w - s) / root) ** 2 + ((z - h) / root) ** 2 - 1.0
+
+    return gap
 
 
 # ------------------------------------------------------------------- factories
 #
 # Every builder takes the map's parameters as keywords with their defaults
-# (those keywords are the parameters a set file may give) and returns a Chart
-# with its natural or fitted domain; ``build_chart`` sets a given domain box.
-# The maps are vectorized over a batch axis: U has shape (B, dim).
+# (those keywords are the parameters a set file may give) and returns a Chart;
+# ``build_chart`` sets a given domain box.  The maps are vectorized over a
+# batch axis: U has shape (B, dim).
 
 
 def _scalar(value, key: str) -> float:
@@ -276,12 +376,16 @@ def _vector(value, key: str, n: int) -> np.ndarray:
     return value
 
 
-def _revolution_chart(label, profile, phi_axis, domain_fn, panel_axes=(),
+def _revolution_chart(label, profile, phi_axis, disc, natural, panel_axes=(),
                       frame=np.eye(3), origin=np.zeros(3)) -> Chart:
     """Chart of (t, phi) -> origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3.
 
     ``profile(t)`` returns (w, w', w'', z, z', z''), the rows of ``frame`` are
-    e1, e2 and e3, and ``phi_axis`` is the parameter index of phi.
+    e1, e2 and e3 (orthonormal, or e3 = 0 for a plane), and ``phi_axis`` is
+    the parameter index of phi.  ``disc(s, h, q, lo, hi)`` returns the spans
+    of t in [lo, hi] whose profile point lies in the disc of squared radius
+    q > 0 about (s, h), and ``natural`` is the range of t when no set file
+    gives one.
     """
     t_axis = 1 - phi_axis
 
@@ -303,26 +407,54 @@ def _revolution_chart(label, profile, phi_axis, domain_fn, panel_axes=(),
         hess[:, :, phi_axis, phi_axis] = span(-w * c, -w * s, 0.0)
         return origin + span(w * c, w * s, z), jac, hess
 
-    return Chart(label, 2, frame.shape[1], jet, None, domain_fn, panel_axes=panel_axes,
+    def intervals(radii, center, t_range):
+        lo, hi = natural if t_range is None else t_range
+        rel = center - origin
+        along = frame @ rel
+        s, h = math.hypot(along[0], along[1]), float(along[2])
+        n2 = float(np.sum((rel - along @ frame) ** 2))
+        pieces = []
+        for radius in radii:
+            q = radius * radius - n2
+            # the circle at t meets the ball where min(|w - s|, |w + s|) is small
+            # enough, and lies inside it wholly where max(...) is
+            near = disc(s, h, q, lo, hi) if q > 0.0 else []
+            far = near if s == 0.0 or q <= 0.0 else disc(-s, h, q, lo, hi)
+            cuts = [end for piece in _intersection(near, far) for end in piece]
+            pieces.append(_split(_union(near, far), cuts))
+        return pieces
+
+    return Chart(label, 2, frame.shape[1], jet, None, intervals, panel_axes=panel_axes,
                  rotation_axis=phi_axis)
 
 
+def _orthonormal_rows(frame: np.ndarray) -> bool:
+    return bool(np.max(np.abs(frame @ frame.T - np.eye(len(frame)))) <= 1e-12)
+
+
 def _build_plane(frame=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), origin=None):
-    # polar parameters (r, phi) in the plane spanned by the two frame rows
+    # polar parameters (r, phi) in the plane spanned by the two frame rows,
+    # on an orthonormal basis of that span, so every circle of r is round
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2 or frame.shape[0] != 2:
         raise SetValidationError("charts.params.frame", "needs two rows")
     n = frame.shape[1]
     origin = np.zeros(n) if origin is None else _vector(origin, "origin", n)
+    if not _orthonormal_rows(frame):
+        basis, upper = np.linalg.qr(frame.T)
+        if abs(upper[1, 1]) <= 1e-12 * abs(upper[0, 0]):
+            raise SetValidationError("charts.params.frame", "rows do not span a plane")
+        # signs fixed by the first row, then the second: an orthonormal frame stays as given
+        frame = (basis * np.sign(np.diag(upper))).T
 
     def profile(r):
         return r, 1.0, 0.0, 0.0, 0.0, 0.0
 
-    def domain_fn(ball_r, ball_c):
-        r_max = float(np.linalg.norm(ball_c - origin)) + ball_r
-        return np.array([[0.0, r_max], [0.0, 2.0 * np.pi]])
+    def disc(s, h, q, lo, hi):  # h = 0: e3 is 0
+        half = math.sqrt(q)
+        return _clip([(s - half, s + half)], lo, hi)
 
-    return _revolution_chart("plane", profile, 1, domain_fn, (0,),
+    return _revolution_chart("plane", profile, 1, disc, (0.0, math.inf), (0,),
                              np.vstack([frame, np.zeros(n)]), origin)
 
 
@@ -335,12 +467,11 @@ def _build_sphere(radius=1.0, center=(0.0, 0.0, 0.0)):
         s, c = np.sin(th), np.cos(th)
         return r0 * s, r0 * c, -r0 * s, r0 * c, -r0 * s, -r0 * c
 
-    def domain_fn(ball_r, ball_c):
-        if abs(float(np.linalg.norm(ball_c - c0)) - r0) > ball_r:
-            return None
-        return np.array([[0.0, np.pi], [0.0, 2.0 * np.pi]])
+    def disc(s, h, q, lo, hi):
+        # |(r0 sin t, r0 cos t) - (s, h)|^2 <= q is linear in cos t and sin t
+        return _arc_spans(-2.0 * r0 * h, -2.0 * r0 * s, q - r0 * r0 - s * s - h * h, lo, hi)
 
-    return _revolution_chart("sphere", profile, 1, domain_fn, origin=c0)
+    return _revolution_chart("sphere", profile, 1, disc, (0.0, math.pi), origin=c0)
 
 
 def _build_cylinder(radius=1.0):
@@ -350,15 +481,14 @@ def _build_cylinder(radius=1.0):
     def profile(z):
         return r0, 0.0, 0.0, z, 1.0, 0.0
 
-    def domain_fn(ball_r, ball_c):
-        rho = float(np.hypot(ball_c[0], ball_c[1]))
-        gap2 = ball_r * ball_r - (r0 - rho) ** 2
-        if gap2 < 0:
-            return None
-        half = float(np.sqrt(gap2))
-        return np.array([[0.0, 2.0 * np.pi], [ball_c[2] - half, ball_c[2] + half]])
+    def disc(s, h, q, lo, hi):
+        half2 = q - (r0 - s) ** 2
+        if half2 <= 0.0:
+            return []
+        half = math.sqrt(half2)
+        return _clip([(h - half, h + half)], lo, hi)
 
-    return _revolution_chart("cylinder", profile, 0, domain_fn, (1,))
+    return _revolution_chart("cylinder", profile, 0, disc, (-math.inf, math.inf), (1,))
 
 
 def _build_paraboloid(coefficient=1.0):
@@ -368,20 +498,12 @@ def _build_paraboloid(coefficient=1.0):
     def profile(r):
         return r, 1.0, 0.0, a * r * r, 2.0 * a * r, 2.0 * a
 
-    def domain_fn(ball_r, ball_c):
-        rho_c = float(np.hypot(ball_c[0], ball_c[1]))
+    def disc(s, h, q, lo, hi):
+        # (r - s)^2 + (a r^2 - h)^2 - q, a quartic in r
+        quartic = [a * a, 0.0, 1.0 - 2.0 * a * h, -2.0 * s, s * s + h * h - q]
+        return _sublevel(quartic, _meridian_gap(profile, s, h, q), lo, hi)
 
-        def gap(r):
-            r = np.abs(np.asarray(r, dtype=float))
-            return (r - rho_c) ** 2 + (a * r * r - ball_c[2]) ** 2 - ball_r * ball_r
-
-        interval = _feasible_interval(gap, width0=np.sqrt(ball_r / max(abs(a), 1e-12)) + ball_r)
-        if interval is None:
-            return None
-        r_max = float(max(abs(interval[0]), abs(interval[1])))
-        return np.array([[0.0, r_max], [0.0, 2.0 * np.pi]])
-
-    return _revolution_chart("paraboloid", profile, 1, domain_fn, (0,))
+    return _revolution_chart("paraboloid", profile, 1, disc, (0.0, math.inf), (0,))
 
 
 def _build_hyperboloid():
@@ -391,19 +513,20 @@ def _build_hyperboloid():
         w = np.sqrt(1.0 + z * z)
         return w, z / w, 1.0 / (w * w * w), z, 1.0, 0.0
 
-    def domain_fn(ball_r, ball_c):
-        rho_c = float(np.hypot(ball_c[0], ball_c[1]))
+    def disc(s, h, q, lo, hi):
+        # with w^2 = 1 + z^2 the gap is L(z) - 2 s w, L = 2 z^2 - 2 h z + k, so
+        # every crossing is a root of L^2 - 4 s^2 (1 + z^2), a perfect square
+        # on the axis (s = 0), where L alone is used; solved in z / scale
+        k = 1.0 + s * s + h * h - q
+        scale = math.sqrt(max(1.0, abs(k)))
+        quadratic = np.array([2.0, -2.0 * h / scale, k / scale / scale])
+        polynomial = quadratic if s == 0.0 else np.polysub(
+            np.polymul(quadratic, quadratic),
+            4.0 * (s / scale) ** 2 * np.array([1.0, 0.0, 1.0 / scale / scale]))
+        return _sublevel(polynomial, _meridian_gap(profile, s, h, q), lo, hi, scale)
 
-        def gap(z):
-            z = np.asarray(z, dtype=float)
-            return (np.sqrt(1.0 + z * z) - rho_c) ** 2 + (z - ball_c[2]) ** 2 - ball_r * ball_r
-
-        interval = _feasible_interval(gap, width0=ball_r + abs(ball_c[2]) + 2.0)
-        if interval is None:
-            return None
-        return np.array([[0.0, 2.0 * np.pi], [interval[0], interval[1]]])
-
-    return _revolution_chart("hyperboloid_one_sheet", profile, 0, domain_fn, (1,))
+    return _revolution_chart("hyperboloid_one_sheet", profile, 0, disc,
+                             (-math.inf, math.inf), (1,))
 
 
 def _build_torus(major_radius=2.0, minor_radius=0.5):
@@ -415,12 +538,12 @@ def _build_torus(major_radius=2.0, minor_radius=0.5):
         s, c = np.sin(ps), np.cos(ps)
         return R0 + r0 * c, -r0 * s, -r0 * c, r0 * s, r0 * c, -r0 * s
 
-    def domain_fn(ball_r, ball_c):
-        if float(np.linalg.norm(ball_c)) - (R0 + r0) > ball_r:
-            return None
-        return np.array([[0.0, 2.0 * np.pi], [0.0, 2.0 * np.pi]])
+    def disc(s, h, q, lo, hi):
+        # |(R0 + r0 cos t, r0 sin t) - (s, h)|^2 <= q is linear in cos t and sin t
+        return _arc_spans(2.0 * r0 * (R0 - s), -2.0 * r0 * h,
+                          q - (R0 - s) ** 2 - r0 * r0 - h * h, lo, hi)
 
-    return _revolution_chart("torus", profile, 0, domain_fn)
+    return _revolution_chart("torus", profile, 0, disc, (0.0, _TWO_PI))
 
 
 def _build_poly_curve(coefficients=()):
@@ -447,23 +570,28 @@ def _build_poly_curve(coefficients=()):
         return (_horner(coeffs, t), _horner(dcoeffs, t)[:, :, None],
                 _horner(d2coeffs, t)[:, :, None, None])
 
-    def domain_fn(ball_r, ball_c):
-        def gap(t):
-            t = np.asarray(t, dtype=float)
-            x = _horner(coeffs, t)
-            return np.sum((x - ball_c[None, :]) ** 2, axis=1) - ball_r * ball_r
+    def intervals(radii, center, t_range):
+        lo, hi = (-math.inf, math.inf) if t_range is None else t_range
+        offset = coeffs.copy()
+        offset[:, 0] -= center
+        # |p(t) - c|^2, lowest degree first
+        square = sum(np.convolve(row, row) for row in offset)
+        pieces = []
+        for radius in radii:
+            def gap(t, radius=radius):
+                return np.sum((_horner(offset, t) / radius) ** 2, axis=1) - 1.0
 
-        try:
-            interval = _feasible_interval(gap, width0=ball_r)
-        except ValueError as exc:
-            raise SetValidationError(
-                where, f"the curve is still inside the radius-{ball_r:g} ball at |t| = 1e7"
-            ) from exc
-        if interval is None:
-            return None
-        return interval[None, :]
+            gap_poly = square.copy()
+            gap_poly[0] -= radius * radius
+            spans = _sublevel(gap_poly[::-1], gap, lo, hi)
+            if spans and max(abs(spans[0][0]), abs(spans[-1][1])) > _CURVE_REACH:
+                raise SetValidationError(
+                    where, f"the curve is still inside the radius-{radius:g} ball at "
+                           f"|t| = {_CURVE_REACH:g}")
+            pieces.append(spans)
+        return pieces
 
-    return Chart("poly_curve", 1, ambient, jet, None, domain_fn, panel_axes=(0,))
+    return Chart("poly_curve", 1, ambient, jet, None, intervals, panel_axes=(0,))
 
 
 CHART_BUILDERS: Dict[str, Callable] = {
@@ -504,5 +632,9 @@ def build_chart(name: str, domain=None, params=None) -> Chart:
         box = np.asarray(domain, dtype=float)
         if box.shape != (chart.dim, 2) or np.any(box[:, 0] >= box[:, 1]):
             raise SetValidationError("charts.domain", f"needs {chart.dim} rows [lo, hi] with lo < hi")
+        if name == "plane" and not _orthonormal_rows(np.asarray(
+                params.get("frame", np.eye(2, 3)), dtype=float)):
+            raise SetValidationError("charts.domain", "a polar domain on a frame whose rows are "
+                                     "not orthonormal would be a sector of an ellipse")
         chart.base_domain = box
     return chart

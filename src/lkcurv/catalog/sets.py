@@ -124,6 +124,22 @@ def validate_set(x: SetDescriptor) -> None:
     raise TypeError(f"not a set descriptor: {x!r}")
 
 
+def _trace_box(chart: Chart, radius: float, center: np.ndarray) -> Optional[np.ndarray]:
+    """A parameter box holding the chart's trace inside the ball: the hull of
+    its pieces of t by the whole range of phi, or a hand-built chart's domain
+    box; None where the trace misses the ball."""
+    if chart.interval_fn is None:
+        return np.asarray(chart.base_domain, dtype=float)
+    pieces = chart.ball_intervals((radius,), center)[0]
+    if not len(pieces):
+        return None
+    box = np.empty((chart.dim, 2))
+    box[chart.profile_axis] = pieces[0, 0], pieces[-1, 1]
+    if chart.rotation_axis is not None:
+        box[chart.rotation_axis] = chart.phi_range() or (0.0, 2.0 * np.pi)
+    return box
+
+
 def _validate_smooth(x: SmoothSet) -> None:
     if not 1 <= x.dim <= x.ambient_dim - 1:
         raise SetValidationError("dim", f"need 1 <= d <= n-1, got d={x.dim}, n={x.ambient_dim}")
@@ -143,7 +159,7 @@ def _validate_smooth(x: SmoothSet) -> None:
     if chart.ambient_dim != x.ambient_dim:
         raise SetValidationError("charts.map", "chart ambient dim mismatch")
     try:
-        box = chart.domain_for_ball(8.0 * coefficient_scale(x), np.zeros(x.ambient_dim))
+        box = _trace_box(chart, 8.0 * coefficient_scale(x), np.zeros(x.ambient_dim))
     except ValueError as exc:
         raise SetValidationError(
             "charts.params", f"chart is too large to spot-check: {exc}") from exc

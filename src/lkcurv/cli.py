@@ -114,6 +114,17 @@ def _resolve(set_ref: str):
         raise UsageError(f"set file {set_ref!r} is malformed at {exc}") from exc
 
 
+def _require_scale(radius: float, k: int, flag: str) -> float:
+    """b_k R^k, which normalizes an order-k measure; refused where it overflows."""
+    try:
+        scale = ball_volume(k) * radius**k
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise UsageError(f"{flag} {radius:g} is too large: b_k R^k overflows at k={k}")
+    return scale
+
+
 def _cmd_catalog_list(out) -> int:
     sets = builtin_sets()
     for name in sorted(sets):
@@ -139,6 +150,7 @@ def _cmd_verify(args, out) -> int:
     if base_point is not None and args.theorem != "base_point":
         raise UsageError("--base-point applies only to --theorem base_point")
     name, descriptor = _resolve(args.set_ref)
+    _require_scale(max(radii), descriptor.ambient_dim, "--radii")
     try:
         report = run_theorem(
             args.theorem,
@@ -195,12 +207,7 @@ def _cmd_curvature(args, out) -> int:
         raise UsageError(f"--radius must be positive and finite, got {radius!r}")
     if not 0 <= k <= descriptor.ambient_dim:
         raise UsageError(f"--k must lie in [0, {descriptor.ambient_dim}]")
-    try:
-        scale = ball_volume(k) * radius**k
-    except OverflowError:
-        scale = math.inf
-    if not math.isfinite(scale):
-        raise UsageError(f"--radius {radius:g} is too large: b_k R^k overflows at k={k}")
+    scale = _require_scale(radius, k, "--radius")
     if k == 0 and isinstance(descriptor, ConicGraph):
         raise UsageError("order 0 needs the verify du_lambda0 route for cones")
     try:
@@ -208,7 +215,7 @@ def _cmd_curvature(args, out) -> int:
     except LkError as exc:
         raise UsageError(str(exc)) from exc
     except ValueError as exc:
-        # the chart fitters or the cubature cannot represent a ball this large
+        # the ball intervals or the cubature cannot represent a ball this large
         raise UsageError(f"--radius: {exc}") from exc
     normalized = value / scale if k >= 1 else value
     print(

@@ -25,24 +25,29 @@ before any grid is built.
 
 ``lk_measures_sweep`` integrates the densities of several orders over the
 part of the set inside the ball of each radius of a sweep, by Gauss-Legendre
-cubature on the chart.  The chart's box is fitted once per radius, and each
-rule (fine and halved) evaluates the chart once for the whole sweep, on each
-axis's union of the radii's nodes (equal dyadic panels give equal nodes):
+cubature on the chart.  A builtin chart gives, once per sweep, the exact
+pieces of its curve or profile parameter t that each ball reaches
+(``Chart.ball_intervals``), and each rule (fine and halved) evaluates the
+chart once for the whole sweep, on the union of the radii's nodes of t (equal
+dyadic panels give equal nodes):
 
+* a curve's nodes all lie inside the ball, so the rule needs no mask, and a
+  curve that leaves the ball and comes back is integrated on every piece;
 * a surface of revolution (``Chart.rotation_axis`` set; every builtin
-  surface) has det G and densities that depend on the profile parameter t
-  alone.  Its jet, det G and every order's density are built once per
-  profile node, at phi = 0, and |p - c|^2 on the (t, phi) grid follows in
-  closed form from that jet, p(t, phi) = p(t, 0) + (1 - cos phi) p_phiphi +
-  sin phi p_phi, which is exact for any map a(t) + cos phi u(t) + sin phi
-  v(t).  Each profile node then carries the weighted share of its phi nodes
-  inside the ball, so a radius sums w_t sqrt(det G) rho_k (sum_phi w_phi
-  [inside]): the tensor rule summed in another order;
-* any other chart (curves, hand-built surfaces) is evaluated on the whole
-  tensor grid, block by block, and each node carries its inside mask.
+  surface) has det G and densities that depend on t alone.  Its jet, det G
+  and every order's density are built once per profile node, at phi = 0.  On
+  its round circle |p - c|^2 = A + B cos phi + C sin phi, with A, B and C
+  read off that jet, so the part of the circle inside the ball is one arc
+  with closed-form ends, and each profile node carries the exact measure of
+  its phi inside the ball (``arc_share``): no jump enters the integrand.  The
+  t-values where the circle enters the ball wholly are panel breaks, so the
+  measure is smooth on every panel;
+* a hand-built chart with no ``interval_fn`` is evaluated on the whole tensor
+  grid of its domain box, block by block, and each node carries its inside
+  mask.
 
 Each radius gathers its own nodes in its own order, applies its own weights
-and mask, and sums exactly as a sweep of that radius alone would.
+and shares, and sums exactly as a sweep of that radius alone would.
 ``lk_measure_detailed`` is a sweep of one order and one radius.
 
 Sign convention: the form is <second derivative, v>; every quantity reported
@@ -56,9 +61,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .catalog.charts import GRAM_DET_TOL, Chart, gauss_legendre_nodes, union_rules
+from .catalog.charts import GRAM_DET_TOL, Chart, gauss_legendre_nodes
 from .catalog.sets import SmoothSet
-from .errors import DegenerateChartError, UnsupportedSection
+from .errors import DegenerateChartError, SetValidationError, UnsupportedSection
 from .geomconst import sphere_volume
 
 
@@ -165,18 +170,17 @@ def _lambda_batch(x: SmoothSet, frames: _FrameData, k: int) -> np.ndarray:
     return sphere_volume(codim - 1) / codim * sigma / sphere_volume(n - k - 1)
 
 
-def _chart_boxes(x: SmoothSet, radii, center: np.ndarray) -> List[Optional[np.ndarray]]:
-    """The chart's parameter box for the ball of each radius, None where the
-    chart misses it."""
-    boxes = []
-    for radius in radii:
-        box = x.chart.domain_for_ball(radius, center)
-        if box is not None and not np.all(np.isfinite(box)):
-            raise ValueError(
-                f"radius {radius:g}: chart {x.chart.label!r} has no finite parameter box"
-            )
-        boxes.append(box)
-    return boxes
+def _ball_pieces(x: SmoothSet, radii, center: np.ndarray) -> List[List[np.ndarray]]:
+    """Per radius, the parameter boxes the cubature integrates over: the
+    pieces of t from ``Chart.ball_intervals`` on a builtin chart, the whole
+    domain box of a hand-built one."""
+    chart = x.chart
+    if chart.interval_fn is None:
+        if chart.base_domain is None:
+            raise SetValidationError(chart.label, "chart has neither a domain nor ball intervals")
+        return [[np.asarray(chart.base_domain, dtype=float)] for _ in radii]
+    return [[piece[None, :] for piece in spans]
+            for spans in chart.ball_intervals(radii, center)]
 
 
 # nodes per frame build: a sweep's nodes are evaluated in blocks of this size
@@ -185,40 +189,66 @@ def _chart_boxes(x: SmoothSet, radii, center: np.ndarray) -> List[Optional[np.nd
 _BLOCK_NODES = 4096
 
 
-def _distance2(frames: _FrameData, center: np.ndarray, axis: Optional[int], phis):
-    """|p - c|^2 at every node, or on a chart with rotation axis ``axis`` at
-    every (profile node, phi) pair from the profile's jet at phi = 0."""
+def _ball_terms(frames: _FrameData, center: np.ndarray, axis: Optional[int]) -> np.ndarray:
+    """|p - c|^2 at every node, or on a chart with rotation axis ``axis`` the
+    rows A, B, C of |p(t, phi) - c|^2 = A + B cos phi + C sin phi at every
+    profile node, from its jet at phi = 0."""
     offset = frames.positions - center[None, :]
     if axis is None:
-        return np.sum(offset ** 2, axis=1)
-    # p(t, phi) = p(t, 0) + (1 - cos phi) d2p/dphi2 (t, 0) + sin phi dp/dphi (t, 0)
-    # for any map a(t) + cos phi u(t) + sin phi v(t); summed coordinate by
-    # coordinate, elementwise, so a node's bits do not depend on the grid
-    bend, turn = 1.0 - np.cos(phis), np.sin(phis)
-    dist2 = 0.0
+        return np.sum(offset ** 2, axis=1)[None, :]
+    # the map is a + cos phi u + sin phi v with round circles (|u| = |v|,
+    # u . v = 0): at phi = 0, p = a + u, dp/dphi = v and d2p/dphi2 = -u;
+    # summed coordinate by coordinate, so a node's bits do not depend on the block
+    terms = np.zeros((3, offset.shape[0]))
     for i in range(offset.shape[1]):
-        coord = (offset[:, i, None] + bend * frames.hess[:, i, axis, axis, None]
-                 + turn * frames.jac[:, i, axis, None])
-        dist2 = dist2 + coord * coord
-    return dist2
+        bend, turn = frames.hess[:, i, axis, axis], frames.jac[:, i, axis]
+        middle = offset[:, i] + bend
+        terms[0] += middle * middle + bend * bend
+        terms[1] -= 2.0 * middle * bend
+        terms[2] += 2.0 * middle * turn
+    return terms
 
 
-def _node_scalars(x: SmoothSet, points: np.ndarray, ks, center: np.ndarray, phis=None):
-    """sqrt det G and the density of each order at every point, and |p - c|^2
-    there (at every (point, phi) pair when ``phis`` is given), with frames
-    built block by block."""
+def arc_share(gap: np.ndarray, cos_coef: np.ndarray, sin_coef: np.ndarray,
+              phi_range: Optional[Tuple[float, float]]) -> np.ndarray:
+    """The measure of {phi : gap + cos_coef cos phi + sin_coef sin phi <= 0}
+    at each node, over the whole circle (``phi_range`` None) or over the
+    interval ``phi_range``, counting each turn it spans."""
+    rho = np.hypot(cos_coef, sin_coef)
+    positive = rho > 0.0
+    # inside where cos(phi - phi0) <= -gap / rho: outside the arc phi0 +- alpha
+    ratio = np.where(positive, np.clip(-gap, -rho, rho) / np.where(positive, rho, 1.0),
+                     np.where(gap <= 0.0, 1.0, -1.0))
+    alpha = np.arccos(ratio)
+    per_turn = 2.0 * np.pi - 2.0 * alpha
+    if phi_range is None:
+        return per_turn
+    phi0 = np.arctan2(sin_coef, cos_coef)
+
+    def inside_up_to(angle):  # measure of the inside part of [phi0, phi0 + angle]
+        return (np.floor(angle / (2.0 * np.pi)) * per_turn
+                + np.clip(np.mod(angle, 2.0 * np.pi) - alpha, 0.0, per_turn))
+
+    lo, hi = phi_range
+    return inside_up_to(hi - phi0) - inside_up_to(lo - phi0)
+
+
+def _node_scalars(x: SmoothSet, points: np.ndarray, ks, center: np.ndarray,
+                  axis: Optional[int]):
+    """sqrt det G, the ball terms of ``_ball_terms`` and the density of each
+    order at every point, with frames built block by block."""
     size = points.shape[0]
     sqrt_gram = np.empty(size)
-    dist2 = np.empty(size if phis is None else (size, len(phis)))
+    terms = np.empty((1 if axis is None else 3, size))
     densities = np.empty((len(ks), size))
     for start in range(0, size, _BLOCK_NODES):
         block = slice(start, min(start + _BLOCK_NODES, size))
         frames = _chart_frames(x.chart, points[block])
         sqrt_gram[block] = frames.sqrt_gram
-        dist2[block] = _distance2(frames, center, x.chart.rotation_axis, phis)
+        terms[:, block] = _ball_terms(frames, center, axis)
         for i, k in enumerate(ks):
             densities[i, block] = _lambda_batch(x, frames, k)
-    return sqrt_gram, dist2, densities
+    return sqrt_gram, terms, densities
 
 
 def _radius_sums(weights, index, share, sqrt_gram, densities) -> List[float]:
@@ -232,7 +262,7 @@ def _sweep_at_resolution(
     x: SmoothSet,
     ks,
     radii: List[float],
-    boxes: List[Optional[np.ndarray]],
+    pieces: List[List[np.ndarray]],
     spec: CubatureSpec,
     center: np.ndarray,
 ) -> List[List[float]]:
@@ -240,40 +270,45 @@ def _sweep_at_resolution(
 
     The chart evaluates its frames and densities once, on the union of every
     radius's nodes; each radius then sums its own nodes in its own order with
-    its own weights, so it gets the bits of a sweep of that radius alone.  A
-    chart with a rotation axis is evaluated on the union of the profile
-    nodes, and each profile node carries the weighted share of its circle
-    of phi nodes that lies inside the ball.
+    its own weights, so it gets the bits of a sweep of that radius alone.
+
+    A builtin chart is evaluated on t alone, with a Gauss-Legendre rule on
+    each piece of each radius.  A curve's nodes all lie inside the ball, and
+    each profile node of a surface carries the exact measure of the phi
+    inside the ball (``arc_share``).  A hand-built chart is evaluated on the
+    tensor grid of its box, each node with its inside mask.
     """
     totals = [[0.0] * len(ks) for _ in radii]
-    hits = [j for j, box in enumerate(boxes) if box is not None]
-    if not hits:
+    owners = [j for j, boxes in enumerate(pieces) for _ in boxes]
+    if not owners:
         return totals
     chart = x.chart
     counts = spec.counts(chart.dim)
-    hit_boxes = np.array([boxes[j] for j in hits])
-    axis = chart.rotation_axis
-    if axis is None:
-        points, rules = gauss_legendre_nodes(hit_boxes, counts, chart.panel_axes)
-        sqrt_gram, dist2, densities = _node_scalars(x, points, ks, center)
-        for j, rule in zip(hits, rules):
-            index, weights = rule.tensor()
-            inside = dist2[index] <= radii[j] * radii[j] * (1.0 + 1e-12)
-            totals[j] = _radius_sums(weights, index, inside, sqrt_gram, densities)
-        return totals
-    t = 1 - axis
-    profile, rules = gauss_legendre_nodes(
-        hit_boxes[:, [t]], counts[t], (0,) if t in chart.panel_axes else ())
-    (phis,), phi_rules = union_rules(
-        hit_boxes[:, [axis]], counts[axis], (0,) if axis in chart.panel_axes else ())
-    points = np.zeros((len(profile), 2))
-    points[:, t] = profile[:, 0]
-    sqrt_gram, dist2, densities = _node_scalars(x, points, ks, center, phis)
-    for j, rule, phi_rule in zip(hits, rules, phi_rules):
-        index, weights = rule.tensor()
-        phi_index, phi_weights = phi_rule.tensor()
-        inside = dist2[np.ix_(index, phi_index)] <= radii[j] * radii[j] * (1.0 + 1e-12)
-        share = np.sum(inside * phi_weights, axis=1)
+    boxes = np.array([box for boxes in pieces for box in boxes])
+    tensor = chart.interval_fn is None
+    if tensor:
+        points, rules = gauss_legendre_nodes(boxes, counts, chart.panel_axes)
+    else:
+        t = chart.profile_axis
+        profile, rules = gauss_legendre_nodes(
+            boxes, counts[t], (0,) if t in chart.panel_axes else ())
+        points = np.zeros((len(profile), chart.dim))
+        points[:, t] = profile[:, 0]
+    sqrt_gram, terms, densities = _node_scalars(
+        x, points, ks, center, None if tensor else chart.rotation_axis)
+    for j, radius in enumerate(radii):
+        own = [rule.tensor() for owner, rule in zip(owners, rules) if owner == j]
+        if not own:
+            continue
+        index = np.concatenate([where for where, _ in own])
+        weights = np.concatenate([w for _, w in own])
+        if tensor:
+            share = terms[0, index] <= radius * radius * (1.0 + 1e-12)
+        elif chart.rotation_axis is None:
+            share = 1.0
+        else:
+            share = arc_share(terms[0, index] - radius * radius, terms[1, index],
+                              terms[2, index], chart.phi_range())
         totals[j] = _radius_sums(weights, index, share, sqrt_gram, densities)
     return totals
 
@@ -299,7 +334,8 @@ def lk_measures_sweep(
     each with an error bound: one list of (value, bound) pairs per radius.
 
     The bound is the change under halving the cubature resolution.  The
-    chart's parameter box is fitted once per radius and shared by both rules.
+    chart's pieces of each ball are solved once per sweep and shared by both
+    rules.
     Each rule evaluates the chart's jet and densities once for the whole
     sweep, on the union of the radii's nodes, and evaluates every order on
     them, so each (radius, order) gets the same bits as a call for that radius
@@ -325,9 +361,9 @@ def lk_measures_sweep(
     if live:
         spec = spec or CubatureSpec()
         center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        boxes = _chart_boxes(x, radii, center)
-        fine = _sweep_at_resolution(x, live, radii, boxes, spec, center)
-        coarse = _sweep_at_resolution(x, live, radii, boxes, spec.halved(), center)
+        pieces = _ball_pieces(x, radii, center)
+        fine = _sweep_at_resolution(x, live, radii, pieces, spec, center)
+        coarse = _sweep_at_resolution(x, live, radii, pieces, spec.halved(), center)
         for radius, found, values, others in zip(radii, measures, fine, coarse):
             for k, value, other in zip(live, values, others):
                 if not (np.isfinite(value) and np.isfinite(other)):

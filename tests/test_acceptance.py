@@ -13,6 +13,7 @@ import numpy as np
 
 import lkcurv as lk
 from lkcurv import cli
+from lkcurv.catalog.sets import _trace_box
 from lkcurv.geomconst import ball_volume, sphere_volume
 from lkcurv.spherical import spherical_lk
 from lkcurv.verify import RunContext, lambda0, run_theorem
@@ -155,7 +156,7 @@ def test_criterion_8_odd_order_vanishing(sets, rng):
     for name in ("hyperboloid_r3", "paraboloid_r3", "sphere_s2"):
         x = sets[name]
         chart = x.chart
-        box = chart.domain_for_ball(8.0, np.zeros(3))
+        box = _trace_box(chart, 8.0, np.zeros(3))
         span = box[:, 1] - box[:, 0]
         u = rng.uniform(box[:, 0] + 0.02 * span, box[:, 1] - 0.02 * span,
                         size=(50, chart.dim))
@@ -164,7 +165,7 @@ def test_criterion_8_odd_order_vanishing(sets, rng):
                 failures += 1
     # codimension two: exact zeros at 1000 random points on the cubic
     cubic = sets["twisted_cubic_r3"]
-    box = cubic.chart.domain_for_ball(8.0, np.zeros(3))
+    box = _trace_box(cubic.chart, 8.0, np.zeros(3))
     points = rng.uniform(box[0, 0], box[0, 1], size=(1000, 1))
     for point in points:
         if point_density(cubic, point, 0) != 0.0:
@@ -179,7 +180,7 @@ def test_criterion_9_top_density_is_one(sets, rng):
                  "paraboloid_r3", "hyperboloid_r3", "twisted_cubic_r3"):
         x = sets[name]
         chart = x.chart
-        box = chart.domain_for_ball(8.0, np.zeros(3))
+        box = _trace_box(chart, 8.0, np.zeros(3))
         span = box[:, 1] - box[:, 0]
         u = rng.uniform(box[:, 0] + 0.01 * span, box[:, 1] - 0.01 * span,
                         size=(1000, chart.dim))

@@ -16,10 +16,10 @@ from lkcurv import (
     UnsupportedSection,
 )
 from lkcurv.catalog import LinearSubspace, Poly, SmoothSet, SphericalGraph
-from lkcurv.catalog.charts import build_chart
+from lkcurv.catalog.charts import CHART_BUILDERS, build_chart
 from lkcurv.catalog.graphs import validate_graph
 from lkcurv.catalog.links import _graph_sections, euler_char, link_infinity_chi
-from lkcurv.catalog.sets import describe, set_from_dict, set_to_dict, validate_set
+from lkcurv.catalog.sets import _trace_box, describe, set_from_dict, set_to_dict, validate_set
 from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, substream
 from per_plane_links import normal_basis
 
@@ -584,7 +584,7 @@ def test_chart_derivatives_match_finite_differences(sets, rng):
     ):
         charts.append((f"{name} {params}", build_chart(name, params=params)))
     for name, chart in charts:
-        box = chart.domain_for_ball(8.0, np.zeros(chart.ambient_dim))
+        box = _trace_box(chart, 8.0, np.zeros(chart.ambient_dim))
         span = box[:, 1] - box[:, 0]
         lo = box[:, 0] + 0.1 * span
         hi = box[:, 1] - 0.1 * span
@@ -605,27 +605,222 @@ def test_chart_derivatives_match_finite_differences(sets, rng):
 
 
 def test_paraboloid_box_edge_at_huge_radius():
-    # r^2 + r^4 = R^2 at the edge; the sampled gap overflows everywhere but
-    # at r = 0, so the edge bisection starts from a bracket about 2.4e96 wide
+    # r^2 + r^4 = R^2 at the edge, a quartic whose coefficients span 200
+    # orders of magnitude: its roots are found in r / S, with no warning
     radius = 1e100
-    with np.errstate(over="ignore"):
-        box = build_chart("paraboloid").domain_for_ball(radius, np.zeros(3))
+    (piece,), = build_chart("paraboloid").ball_intervals((radius,), np.zeros(3))
     edge = math.sqrt((math.sqrt(1.0 + 4.0 * radius * radius) - 1.0) / 2.0)
-    assert box[0, 1] == pytest.approx(edge, rel=1e-6)
+    assert piece[0] == 0.0
+    assert piece[1] == pytest.approx(edge, rel=1e-12)
 
 
 def test_box_fitters_reject_radii_whose_square_overflows():
-    # at R = 1e200 the fitted boxes would end near |z| = 9.5e153 and r = 1.2e77
-    for name in ("paraboloid", "hyperboloid_one_sheet"):
+    # at R = 1e200 the intervals would end near |z| = 7e199 and r = 1e100, but
+    # the gap polynomials hold R^2
+    for name in CHART_BUILDERS:
+        chart = build_chart(name, params={"coefficients": [[0.0, 1.0]] * 3}
+                            if name == "poly_curve" else None)
         with pytest.raises(ValueError, match="R\\^2 is not finite"):
-            build_chart(name).domain_for_ball(1e200, np.zeros(3))
+            chart.ball_intervals((8.0, 1e200), np.zeros(chart.ambient_dim))
+
+
+def scan_distances(chart, center, t):
+    """Along t, the distance from the center to the nearest and to the
+    farthest point of the chart's circle at t (the curve point on a curve),
+    with A, B and C of |p - c|^2 = A + B cos phi + C sin phi read off the
+    points at phi = 0, pi / 2 and pi."""
+    if chart.rotation_axis is None:
+        dist = np.linalg.norm(chart.jet(t[:, None])[0] - center, axis=1)
+        return dist, dist
+    u = np.zeros((len(t), 2))
+    u[:, chart.profile_axis] = t
+
+    def dist2(phi):
+        u[:, chart.rotation_axis] = phi
+        return np.sum((chart.jet(u)[0] - center) ** 2, axis=1)
+
+    at0, at_quarter, at_half = dist2(0.0), dist2(0.5 * np.pi), dist2(np.pi)
+    middle = 0.5 * (at0 + at_half)
+    rho = np.hypot(0.5 * (at0 - at_half), at_quarter - middle)
+    return np.sqrt(np.maximum(middle - rho, 0.0)), np.sqrt(middle + rho)
+
+
+def assert_pieces_match_scan(chart, radius, center, lo, hi, label):
+    # a dense sign scan of the unsquared gaps |p - c| - R, nearest and
+    # farthest: away from the piece ends the pieces cover exactly the nodes
+    # whose circle meets the ball, each end lies at a sign change of a gap or
+    # at an end of the domain, and each sign change lies at an end
+    pieces = chart.ball_intervals((radius,), center)[0]
+    assert np.all(pieces[:, 0] < pieces[:, 1]) and np.all(pieces[1:, 0] >= pieces[:-1, 1]), label
+    t = np.linspace(lo, hi, 20001)
+    step = t[1] - t[0]
+    near, far = scan_distances(chart, center, t)
+    meets = near - radius <= 0.0
+    changes = t[1:][(np.diff(meets.astype(int)) != 0) | (np.diff((far - radius <= 0.0).astype(int)) != 0)]
+    ends = pieces.ravel()
+    covered = np.zeros(len(t), dtype=bool)
+    for a, b in pieces:
+        covered |= (t >= a) & (t <= b)
+    clear = np.ones(len(t), dtype=bool) if not len(ends) else (
+        np.min(np.abs(t[:, None] - ends[None, :]), axis=1) > 2.0 * step)
+    assert np.array_equal(covered[clear], meets[clear]), label
+    for end in ends:
+        assert end in (lo, hi) or np.min(np.abs(changes - end)) <= 2.0 * step, (label, end)
+    for change in changes:
+        assert np.min(np.abs(ends - change)) <= 2.0 * step, (label, change)
+    return pieces
+
+
+TWO_PIECE_CURVE = [[-4.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]  # (t^2 - 4, t, 0)
+SKEWED_FRAME = {"frame": [[1.0, 0.3, -0.2, 0.1], [0.4, 1.1, 0.5, 0.0]],
+                "origin": [0.3, -0.2, 0.1, 0.5]}
+
+# (map, params, scan window of t, centers, radii): on and off the axis, and
+# balls that miss the set
+INTERVAL_CASES = [
+    ("plane", None, (0.0, 12.0), ((0, 0, 0), (0.4, 0.3, 1), (3, 0, 0)), (0.5, 2.5, 8.0)),
+    ("plane", SKEWED_FRAME, (0.0, 12.0), ((0, 0, 0, 0), (0.4, 0.3, 1, -1), (3, 0, 0, 1)),
+     (0.5, 2.5, 8.0)),
+    ("sphere", None, (0.0, np.pi), ((0, 0, 0), (0, 0, 3), (0.5, 0.5, 0.5), (3, 0, 0)),
+     (0.5, 1.5, 3.0, 4.5)),
+    ("sphere", {"radius": 2.5, "center": [1.0, -2.0, 0.5]}, (0.0, np.pi),
+     ((0, 0, 0), (1, -2, 3)), (1.0, 3.0, 6.0)),
+    ("cylinder", None, (-12.0, 12.0), ((0, 0, 0), (0.4, 0.3, 1), (3, 0, 0)), (0.5, 1.5, 8.0)),
+    ("paraboloid", None, (0.0, 4.0), ((0, 0, 0), (0, 0, 3), (1.5, 0.7, 3), (0, 0, -2)),
+     (0.5, 1.2, 2.5, 8.0)),
+    ("paraboloid", {"coefficient": 0.5}, (0.0, 6.0), ((0, 0, 0), (1.5, 0.7, 3)), (1.2, 8.0)),
+    ("hyperboloid_one_sheet", None, (-12.0, 12.0),
+     ((0, 0, 0), (0, 0, 2), (1e-9, 0, 2), (1.5, 0.7, 3), (3, 0, 0)), (0.5, 1.5, 2.5, 8.0)),
+    ("torus", None, (0.0, 2.0 * np.pi), ((0, 0, 0), (3, 0, 0), (0, 0, 1), (-2.2, 1.9, 0.3)),
+     (0.3, 1.4, 2.0, 3.0, 5.0)),
+    ("poly_curve", {"coefficients": [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                     [0.0, 0.0, 0.0, 1.0]]}, (-6.0, 6.0),
+     ((0, 0, 0), (0.5, 0.5, 0.5), (3, 0, 0)), (0.5, 1.5, 8.0)),
+    ("poly_curve", {"coefficients": TWO_PIECE_CURVE}, (-5.0, 5.0), ((0, 0, 0), (1, 0.5, 0)),
+     (1.9, 3.0, 4.2)),
+]
+
+
+@pytest.mark.parametrize("name, params, window, centers, radii", INTERVAL_CASES)
+def test_ball_intervals_match_dense_sign_scan(name, params, window, centers, radii):
+    chart = build_chart(name, params=params)
+    for center in centers:
+        for radius in radii:
+            assert_pieces_match_scan(chart, radius, np.array(center, dtype=float), *window,
+                                     f"{name} {params} at {center}, R = {radius}")
+
+
+def test_ball_intervals_of_tangent_and_missed_balls():
+    # balls that touch the set in a point or a circle, and balls just short
+    # of it: no piece of positive length
+    for name, params, center, radius in (
+            ("sphere", None, (3, 0, 0), 2.0), ("plane", None, (0.4, 0.3, 1), 1.0),
+            ("cylinder", None, (3, 0, 0), 2.0), ("paraboloid", None, (0, 0, -2), 2.0),
+            ("hyperboloid_one_sheet", None, (0, 0, 0), 1.0), ("torus", None, (0, 0, 0), 1.5),
+            ("poly_curve", {"coefficients": TWO_PIECE_CURVE}, (0, 0, 0), math.sqrt(3.75))):
+        chart = build_chart(name, params=params)
+        center = np.array(center, dtype=float)
+        touching, short = chart.ball_intervals((radius, radius * (1.0 - 1e-9)), center)
+        assert np.sum(touching[:, 1] - touching[:, 0]) <= 1e-6, name
+        assert len(short) == 0, name
+
+
+def test_hyperboloid_intervals_on_and_near_its_axis():
+    # on the axis the quartic is the square of L(z) = 2 z^2 - 2 h z + 1 + h^2 - R^2,
+    # whose roots bound the piece; a hair off the axis the quartic has two
+    # nearly double roots, and no part of the piece may be lost
+    chart = build_chart("hyperboloid_one_sheet")
+    for h, radius in ((2.0, 5.0), (0.0, 8.0), (-3.0, 4.0)):
+        (piece,), = chart.ball_intervals((radius,), np.array([0.0, 0.0, h]))
+        roots = np.sort(np.roots([2.0, -2.0 * h, 1.0 + h * h - radius * radius]).real)
+        np.testing.assert_allclose(piece, roots, rtol=1e-14, atol=1e-14)
+        near = chart.ball_intervals((radius,), np.array([1e-9, 0.0, h]))[0]
+        assert near[0, 0] == pytest.approx(roots[0], abs=1e-6)
+        assert near[-1, 1] == pytest.approx(roots[1], abs=1e-6)
+        assert np.all(near[1:, 0] == near[:-1, 1])  # one interval, cut where wholly inside
+
+
+def test_set_file_domain_clips_the_intervals(tmp_path):
+    # the torus patch's set file gives psi in [-1, 2]: the pieces lie in it,
+    # and those of the whole tube are cut to it
+    doc = {"name": "torus_patch_r3", "ambient_dim": 3, "kind": "smooth", "dim": 2,
+           "charts": [{"map": "torus", "domain": [[0.4, 5.5], [-1.0, 2.0]],
+                       "params": {"major_radius": 2.0, "minor_radius": 0.5}}],
+           "declared_chi": 1, "compact": True}
+    path = tmp_path / "torus_patch_r3.json"
+    path.write_text(json.dumps(doc))
+    chart = lk.resolve_set(str(path))[1].chart
+    whole = build_chart("torus")
+    for center in ((0, 0, 0), (3, 0, 0), (-2.2, 1.9, 0.3)):
+        center = np.array(center, dtype=float)
+        for radius in (1.4, 2.0, 3.0):
+            pieces = assert_pieces_match_scan(chart, radius, center, -1.0, 2.0,
+                                              f"patch at {center}, R = {radius}")
+            # the whole tube's pieces, one turn back and clipped to [-1, 2],
+            # have the same ends, but for the cut at psi = 0 between turns
+            spans = whole.ball_intervals((radius,), center)[0]
+            want = np.clip(np.concatenate([spans - 2.0 * np.pi, spans]), -1.0, 2.0)
+            ends, want = np.unique(pieces), np.unique(want[want[:, 0] < want[:, 1]])
+            if 0.0 not in ends:
+                want = want[want != 0.0]
+            np.testing.assert_allclose(ends, want, rtol=0, atol=1e-12)
+
+
+def test_two_piece_curve_length_is_exact():
+    # (t^2 - 4, t, 0) leaves the radius-3 ball at |t| = 1.0994 and comes back
+    # at |t| = 2.4065; its length there is 2 (F(b) - F(a)), with
+    # F(t) = t sqrt(1 + 4 t^2) / 2 + asinh(2 t) / 4
+    x = SmoothSet(ambient_dim=3, dim=1, declared_chi=1, compact=False, chart=build_chart(
+        "poly_curve", params={"coefficients": TWO_PIECE_CURVE}))
+    pieces = x.chart.ball_intervals((3.0,), np.zeros(3))[0]
+    a, b = math.sqrt((7.0 - math.sqrt(21.0)) / 2.0), math.sqrt((7.0 + math.sqrt(21.0)) / 2.0)
+    np.testing.assert_allclose(pieces, [[-b, -a], [a, b]], rtol=1e-14)
+
+    def primitive(t):
+        return t * math.sqrt(1.0 + 4.0 * t * t) / 2.0 + math.asinh(2.0 * t) / 4.0
+
+    exact = 2.0 * (primitive(b) - primitive(a))
+    (value, bound), = lk.curvature_measures(x, (1,), 3.0)
+    assert abs(value - exact) < 1e-10
+    # both rules integrate a smooth integrand to rounding, so the bound is
+    # compared above a rounding floor of 1e-13 relative
+    assert abs(value - exact) <= bound + 1e-13 * exact
+
+
+@pytest.mark.parametrize("frame", [[[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]],
+                                   [[1.0, 0.0, 0.0], [0.9, 0.1, 0.0]]])
+def test_plane_frames_that_are_not_orthonormal_measure_the_plane(tmp_path, frame):
+    # polar coordinates on an orthonormal basis of the frame's span: the
+    # area in the radius-8 ball is 64 pi, whatever the frame's rows
+    x = SmoothSet(ambient_dim=3, dim=2, declared_chi=1, compact=False,
+                  chart=build_chart("plane", params={"frame": frame}))
+    (value, bound), = lk.curvature_measures(x, (2,), 8.0)
+    assert value == pytest.approx(64.0 * math.pi, rel=1e-12)
+    assert bound <= 1e-10
+    # a polar domain on such a frame would be a sector of an ellipse
+    doc = {"name": "skewed", "ambient_dim": 3, "kind": "smooth", "dim": 2, "declared_chi": 1,
+           "charts": [{"map": "plane", "domain": [[0.0, 2.0], [0.0, 1.0]],
+                       "params": {"frame": frame}}]}
+    with pytest.raises(SetValidationError, match="charts.domain"):
+        set_from_dict(doc)
+    doc["charts"][0]["params"]["frame"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    set_from_dict(doc)
+
+
+def test_plane_frame_keeps_orthonormal_rows_and_refuses_parallel_ones():
+    frame = [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5]]
+    u = np.array([[2.0, 0.0], [2.0, 0.5 * np.pi]])
+    points = build_chart("plane", params={"frame": frame}).jet(u)[0]
+    np.testing.assert_allclose(points, 2.0 * np.array(frame), rtol=0, atol=1e-15)
+    with pytest.raises(SetValidationError, match="charts.params.frame"):
+        build_chart("plane", params={"frame": [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]})
 
 
 def test_chart_points_satisfy_implicit_form(sets, rng):
     for name in ("sphere_s2", "torus_r3", "hyperboloid_r3", "paraboloid_r3"):
         x = sets[name]
         chart = x.chart
-        box = chart.domain_for_ball(16.0, np.zeros(3))
+        box = _trace_box(chart, 16.0, np.zeros(3))
         u = rng.uniform(box[:, 0], box[:, 1], size=(400, chart.dim))
         pts = chart.jet(u)[0]
         deg = x.implicit.degree()

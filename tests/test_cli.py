@@ -162,7 +162,7 @@ def test_usage_errors(capsys):
         assert code == 64, (flag, value)
         assert flag in capsys.readouterr().err
     # a radius that is not finite, or whose b_k R^k overflows, names --radius
-    # and so does one whose fitted box or measure is not finite
+    # and so does one whose ball intervals or measure are not finite
     for name, k, radius in (("paraboloid_r3", "2", "nan"), ("paraboloid_r3", "2", "inf"),
                             ("cross_r2", "1", "nan"), ("cross_r2", "1", "inf"),
                             ("paraboloid_r3", "2", "1e308"), ("line_r2", "1", "1e308"),
@@ -180,8 +180,7 @@ def test_curvature_at_huge_radii():
     for name, radius, exact in (("paraboloid_r3", "1e100", 1.0), ("paraboloid_r3", "1e150", 1.0),
                                 ("hyperboloid_r3", "1e30", -math.sqrt(2.0)),
                                 ("hyperboloid_r3", "1e60", -math.sqrt(2.0))):
-        with np.errstate(over="ignore"):
-            code, text = run_cli(["curvature", "--set", name, "--k", "0", "--radius", radius])
+        code, text = run_cli(["curvature", "--set", name, "--k", "0", "--radius", radius])
         assert code == 0
         value = float(text.split("measure=")[1].split()[0])
         bound = float(text.split("error_bound=")[1].split()[0])
@@ -538,3 +537,61 @@ def test_fuzzed_set_files_exit_cleanly(tmp_path_factory, case):
     if code == 64:
         named = re.search(r"error: (?:set file .* is malformed at )?([\w.]+): ", err.getvalue())
         assert named and named.group(1).split(".")[0] in SET_FIELDS, err.getvalue()
+
+
+# ------------------------------------------------- chart parameters and radii
+
+FUZZ_RADII = (0.75, 8.0, 1e3, 1e20, 1e75, 1e150)
+EXTREME_LEADS = (1e-30, -1e-30, 1e30, -1e30)
+
+
+@st.composite
+def root_solver_cases(draw):
+    """A set file whose ball intervals come from polynomial roots, with one
+    extreme coefficient, and a radius: a paraboloid of coefficient +-1e-12
+    or +-1e12, or a regular poly_curve (its first coordinate is t plus a
+    constant) of degree 1 to 6 whose leading coefficient is +-1e-30 or
+    +-1e30 in another coordinate."""
+    radius = draw(st.sampled_from(FUZZ_RADII))
+    if draw(st.booleans()):
+        coefficient = draw(st.sampled_from((1e-12, -1e-12, 1e12, -1e12)))
+        chart, n, dim = {"map": "paraboloid", "params": {"coefficient": coefficient}}, 3, 2
+    else:
+        degree, n = draw(st.integers(1, 6)), draw(st.sampled_from((2, 3)))
+        rows = [[float(draw(st.integers(-3, 3))) for _ in range(degree + 1)] for _ in range(n)]
+        rows[0] = [rows[0][0], 1.0] + [0.0] * (degree - 1)
+        rows[draw(st.integers(1, n - 1))][degree] = draw(st.sampled_from(EXTREME_LEADS))
+        chart, dim = {"map": "poly_curve", "params": {"coefficients": rows}}, 1
+    doc = {"name": "fuzzed_chart", "ambient_dim": n, "kind": "smooth", "dim": dim,
+           "charts": [chart], "declared_chi": 1, "compact": False}
+    return doc, radius
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=root_solver_cases())
+@example(case=({"name": "line", "ambient_dim": 2, "kind": "smooth", "dim": 1, "declared_chi": 1,
+                "compact": False, "charts": [{"map": "poly_curve", "params": {
+                    "coefficients": [[0.0, 1.0], [0.0, 1e-30]]}}]}, 1e150))
+@example(case=({"name": "flat", "ambient_dim": 3, "kind": "smooth", "dim": 2, "declared_chi": 1,
+                "compact": False, "charts": [{"map": "paraboloid", "params": {
+                    "coefficient": 1e12}}]}, 1e150))
+def test_chart_parameters_through_the_root_solver_exit_cleanly(tmp_path_factory, case):
+    # a measure at the radius and a thm3.9 sweep from it: an exit code, never
+    # a traceback or a RuntimeWarning (the suite makes those errors), and a
+    # usage error names the chart parameter or the radius flag
+    doc, radius = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed_chart.json"
+    path.write_text(json.dumps(doc))
+    dim = str(doc["dim"])
+    radii = ",".join(f"{radius * 2**i:g}" for i in range(4))
+    for argv in (["curvature", "--set", str(path), "--k", dim, "--radius", f"{radius:g}"],
+                 ["verify", "--set", str(path), "--theorem", "thm3.9", "--samples", "100",
+                  "--radii", radii]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv, out=io.StringIO())
+        assert code in (0, 1, 64), (argv, err.getvalue())
+        if code == 64:
+            named = re.search(r"error: (?:set file .* is malformed at )?"
+                              r"(--radius|--radii|charts\.params(\.\w+)?)[ :]", err.getvalue())
+            assert named, err.getvalue()

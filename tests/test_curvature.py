@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -12,10 +13,12 @@ from lkcurv import DegenerateChartError, UnsupportedSection
 from lkcurv.catalog import SmoothSet
 from lkcurv import curvature
 from lkcurv.catalog.charts import Chart, _axis_rule, build_chart, gauss_legendre_nodes
+from lkcurv.catalog.sets import _trace_box
 from lkcurv.curvature import (
     CubatureSpec,
     _chart_frames,
     _lambda_batch,
+    arc_share,
     lk_measure_detailed,
     lk_measures_sweep,
 )
@@ -160,7 +163,7 @@ def test_codimension_two_density_is_exact():
     chart = build_chart("sphere", params={"radius": 1.0})
     chart.jet = lambda u: tuple(lift(out) for out in base.jet(u))
     chart.ambient_dim = 4
-    chart.domain_fn = None
+    chart.interval_fn = None  # hand-built: the tensor grid of its box
     chart.base_domain = np.array([[0.0, np.pi], [0.0, 2.0 * np.pi]])
     x = SmoothSet(ambient_dim=4, dim=2, chart=chart, implicit=None,
                   declared_chi=2, compact=True)
@@ -333,7 +336,7 @@ def test_revolution_densities_do_not_depend_on_phi(sets, tmp_path, rng):
     # and every order's density are those at phi = 0
     for name, x in revolution_cases(sets, tmp_path).items():
         chart, axis = x.chart, x.chart.rotation_axis
-        box = chart.domain_for_ball(8.0, np.zeros(x.ambient_dim))
+        box = _trace_box(chart, 8.0, np.zeros(x.ambient_dim))
         u = rng.uniform(box[:, 0], box[:, 1], size=(200, 2))
         u[:, axis] = rng.uniform(-math.pi, 3.0 * math.pi, size=200)
         profile = u.copy()
@@ -353,7 +356,7 @@ def test_coordinate_density_matches_qr_oracle(sets):
     # every node of the R = 64 rule of each chart, every order
     for name, x in oracle_cases(sets).items():
         chart = x.chart
-        box = chart.domain_for_ball(64.0, np.zeros(x.ambient_dim))
+        box = _trace_box(chart, 64.0, np.zeros(x.ambient_dim))
         nodes, _ = gauss_legendre_nodes(box, CubatureSpec().counts(chart.dim), chart.panel_axes)
         frames = _chart_frames(chart, nodes)
         oracle = qr_frames(chart, nodes)
@@ -379,7 +382,7 @@ def test_quadric_graphs_match_qr_oracle(rng):
 def test_flat_plane_density_is_exactly_zero(sets):
     x = sets["plane_r2_in_r3"]
     chart = x.chart
-    nodes, _ = gauss_legendre_nodes(chart.domain_for_ball(64.0, np.zeros(3)),
+    nodes, _ = gauss_legendre_nodes(_trace_box(chart, 64.0, np.zeros(3)),
                                     CubatureSpec().counts(2), chart.panel_axes)
     assert np.all(_lambda_batch(x, _chart_frames(chart, nodes), 0) == 0.0)
     assert lk_measure_detailed(x, 0, 64.0) == (0.0, 0.0)
@@ -395,22 +398,23 @@ def test_measures_of_several_orders_match_single_orders_bitwise(sets):
 
 
 def test_each_chart_box_is_fitted_once_per_radius(sets):
+    # a sweep solves its radii's intervals in one call, shared by both rules
     for name in ("hyperboloid_r3", "torus_r3", "twisted_cubic_r3"):
         x = sets[name]
         calls = []
 
-        def fit(radius, center, domain_fn=x.chart.domain_fn):
-            calls.append(radius)
-            return domain_fn(radius, center)
+        def fit(radii, center, t_range, interval_fn=x.chart.interval_fn):
+            calls.append(tuple(radii))
+            return interval_fn(radii, center, t_range)
 
         counting = dataclasses.replace(
-            x, chart=dataclasses.replace(x.chart, domain_fn=fit))
+            x, chart=dataclasses.replace(x.chart, interval_fn=fit))
         for radius in (8.0, 16.0):
             assert (lk_measures_sweep(counting, (0, 1, 2), (radius,))
                     == lk_measures_sweep(x, (0, 1, 2), (radius,))), name
-        assert calls == [8.0, 16.0], name
+        assert calls == [(8.0,), (16.0,)], name
         lk_measures_sweep(counting, (0, 1, 2), (8.0, 16.0))
-        assert calls == [8.0, 16.0, 8.0, 16.0], name
+        assert calls == [(8.0,), (16.0,), (8.0, 16.0)], name
 
 
 # --------------------------------------------------------------- radius sweeps
@@ -419,15 +423,23 @@ SWEEP = (8.0, 16.0, 32.0, 64.0)
 
 
 def direct_measures(x, ks, radius, spec, center):
-    """Measures from the chart's own rule for this radius, evaluated whole:
-    the cubature of one radius before radius sweeps shared a grid."""
+    """Measures from the whole tensor grid with its inside mask: the box of a
+    hand-built chart, or a builtin's pieces of t by a Gauss-Legendre rule on
+    phi.  Where the ball is centered on a surface's axis this is the profile
+    rule with the phi rule's weights summed."""
     totals = [0.0] * len(ks)
     chart = x.chart
-    box = chart.domain_for_ball(radius, center)
-    if box is None:
-        return totals
-    axes = [_axis_rule(lo, hi, count, d in chart.panel_axes)
-            for d, ((lo, hi), count) in enumerate(zip(box, spec.counts(chart.dim)))]
+    counts = spec.counts(chart.dim)
+    if chart.interval_fn is None:
+        axes = [_axis_rule(lo, hi, count, d in chart.panel_axes)
+                for d, ((lo, hi), count) in enumerate(zip(chart.base_domain, counts))]
+    else:
+        t, axis = chart.profile_axis, chart.rotation_axis
+        axes = [profile_rule(chart, radius, center, counts[t])] * chart.dim
+        if axes[t] is None:
+            return totals
+        if axis is not None:
+            axes[axis] = _axis_rule(*(chart.phi_range() or (0.0, 2.0 * np.pi)), counts[axis], False)
     grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
     weights = np.ones(nodes.shape[0])
@@ -441,35 +453,46 @@ def direct_measures(x, ks, radius, spec, center):
     return totals
 
 
-def reduced_measures(x, ks, radius, spec, center):
-    """Measures from the chart's own rule for this radius on a surface of
-    revolution: frames on its profile nodes at phi = 0, |p - c|^2 on its
-    (t, phi) grid in closed form, and per profile node the weighted share of
-    its phi nodes inside the ball, in the sweep's order of operations."""
+def reduced_measures(x, ks, radius, spec, center, terms=None):
+    """Measures from the chart's own rule for this radius on a builtin chart:
+    frames on its profile nodes at phi = 0 and, on a surface, per profile
+    node the closed-form measure of the phi inside the ball, in the sweep's
+    order of operations.  ``terms(chart, u, center)`` gives A, B, C in place
+    of the sweep's reading of the jet."""
     totals = [0.0] * len(ks)
-    chart, axis = x.chart, x.chart.rotation_axis
-    box = chart.domain_for_ball(radius, center)
-    if box is None:
+    chart = x.chart
+    t = chart.profile_axis
+    rule = profile_rule(chart, radius, center, spec.counts(chart.dim)[t])
+    if rule is None:
         return totals
-    counts = spec.counts(2)
-    t_nodes, t_weights = _axis_rule(*box[1 - axis], counts[1 - axis],
-                                    1 - axis in chart.panel_axes)
-    phis, phi_weights = _axis_rule(*box[axis], counts[axis], axis in chart.panel_axes)
-    profile = np.zeros((len(t_nodes), 2))
-    profile[:, 1 - axis] = t_nodes
-    frames = _chart_frames(chart, profile)
-    offset = frames.positions - center
-    bend, turn = 1.0 - np.cos(phis), np.sin(phis)
-    dist2 = 0.0
-    for i in range(x.ambient_dim):
-        coord = (offset[:, i, None] + bend * frames.hess[:, i, axis, axis, None]
-                 + turn * frames.jac[:, i, axis, None])
-        dist2 = dist2 + coord * coord
-    share = np.sum((dist2 <= radius * radius * (1.0 + 1e-12)) * phi_weights, axis=1)
+    t_nodes, t_weights = rule
+    u = np.zeros((len(t_nodes), chart.dim))
+    u[:, t] = t_nodes
+    frames = _chart_frames(chart, u)
+    # a curve's nodes all lie inside the ball; a surface's profile nodes
+    # carry the measure of the phi of their circle inside it
+    share = 1.0
+    if chart.rotation_axis is not None:
+        a, b, c = (curvature._ball_terms(frames, center, chart.rotation_axis)
+                   if terms is None else terms(chart, u, center))
+        share = arc_share(a - radius * radius, b, c, chart.phi_range())
     factor = t_weights * frames.sqrt_gram * share
     for i, k in enumerate(ks):
         totals[i] += float(np.sum(factor * _lambda_batch(x, frames, k)))
     return totals
+
+
+def assert_sweep_is_bitwise(x, radii, center, name):
+    ks = list(range(x.ambient_dim + 1))
+    sweep = lk_measures_sweep(x, ks, radii, center=center)
+    # a sweep of many radii is a sweep of each radius alone ...
+    assert sweep == [lk_measures_sweep(x, ks, (r,), center=center)[0] for r in radii], name
+    # ... and each radius gets the bits of its own rule: on t for a builtin
+    # chart, evaluated whole on a hand-built chart's box
+    oracle = direct_measures if x.chart.interval_fn is None else reduced_measures
+    c = np.zeros(x.ambient_dim) if center is None else center
+    for radius, pairs in zip(radii, sweep):
+        assert pairs == oracle_pairs(oracle, x, ks, radius, c), (name, radius)
 
 
 def oracle_pairs(oracle, x, ks, radius, center):
@@ -482,17 +505,15 @@ def oracle_pairs(oracle, x, ks, radius, center):
     return [want.get(k, (0.0, 0.0)) for k in ks]
 
 
-def assert_sweep_is_bitwise(x, radii, center, name):
-    ks = list(range(x.ambient_dim + 1))
-    sweep = lk_measures_sweep(x, ks, radii, center=center)
-    # a sweep of many radii is a sweep of each radius alone ...
-    assert sweep == [lk_measures_sweep(x, ks, (r,), center=center)[0] for r in radii], name
-    # ... and each radius gets the bits of its own rule: on its profile for a
-    # surface of revolution, evaluated whole otherwise
-    oracle = direct_measures if x.chart.rotation_axis is None else reduced_measures
-    c = np.zeros(x.ambient_dim) if center is None else center
-    for radius, pairs in zip(radii, sweep):
-        assert pairs == oracle_pairs(oracle, x, ks, radius, c), (name, radius)
+def profile_rule(chart, radius, center, count):
+    """Nodes and weights of t for one radius: a Gauss-Legendre rule on each
+    piece of ``Chart.ball_intervals``, concatenated."""
+    t = chart.profile_axis
+    rules = [_axis_rule(lo, hi, count, t in chart.panel_axes)
+             for lo, hi in chart.ball_intervals((radius,), center)[0]]
+    if not rules:
+        return None
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def test_sweep_matches_one_radius_calls_bitwise(sets, tmp_path):
@@ -506,14 +527,15 @@ def test_sweep_matches_one_radius_calls_bitwise(sets, tmp_path):
 
 def test_off_center_sphere_sweep_is_bitwise(sets):
     x = sets["sphere_s2"]
-    # every radius fits the whole sphere's box, but the balls cut it differently
+    # the balls cut the sphere differently: a cap, two pieces and the whole
     center = np.full(3, 0.5)
-    boxes = [x.chart.domain_for_ball(r, center) for r in (0.5, 1.0, 2.0)]
-    assert all(np.array_equal(box, boxes[0]) for box in boxes)
+    pieces = x.chart.ball_intervals((0.5, 1.0, 2.0), center)
+    assert [len(p) for p in pieces] == [1, 2, 1]
+    assert pieces[2].tolist() == [[0.0, np.pi]]
     assert_sweep_is_bitwise(x, (0.5, 1.0, 2.0), center, "sphere_s2 at (0.5, 0.5, 0.5)")
     # the chart misses the smallest ball, which then measures nothing
     far = np.array([3.0, 0.0, 0.0])
-    assert x.chart.domain_for_ball(1.0, far) is None
+    assert len(x.chart.ball_intervals((1.0,), far)[0]) == 0
     assert_sweep_is_bitwise(x, (1.0, 2.5, 4.0), far, "sphere_s2 at (3, 0, 0)")
     assert lk_measures_sweep(x, (0, 2), (1.0,), center=far) == [[(0.0, 0.0), (0.0, 0.0)]]
 
@@ -525,20 +547,49 @@ ORACLE_CENTERS = ((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.5, 0.7, 3.0), (0.4, 0.3, 
 ORACLE_RADII = (1.2, 2.5, 8.0, 16.0, 32.0, 64.0)
 
 
+def point_terms(chart, u, center):
+    """A, B, C from the points at phi = 0, pi / 2 and pi alone."""
+    def dist2(phi):
+        turned = u.copy()
+        turned[:, chart.rotation_axis] = phi
+        return np.sum((chart.jet(turned)[0] - center) ** 2, axis=1)
+
+    at0, at_quarter, at_half = dist2(0.0), dist2(0.5 * np.pi), dist2(np.pi)
+    middle = 0.5 * (at0 + at_half)
+    return np.stack([middle, 0.5 * (at0 - at_half), at_quarter - middle])
+
+
+def on_axis(chart, center):
+    """Whether the ball's center lies on the surface's axis: then every
+    profile circle keeps one distance from it."""
+    u = np.full((3, 2), 0.7)
+    u[:, chart.rotation_axis] = (0.5, 1.5, 2.5)
+    dist2 = np.sum((chart.jet(u)[0] - center) ** 2, axis=1)
+    return np.ptp(dist2) <= 1e-12 * np.max(dist2)
+
+
 def test_profile_sweep_matches_whole_grid_rule(sets, tmp_path):
-    # the profile cubature is the whole-grid rule summed in another order
+    # on the axis the profile cubature is the whole-grid rule summed in
+    # another order; off it, each profile node carries the closed-form phi
+    # measure, here from A, B and C read off three points of its circle
+    checked = set()
     for name, x in revolution_cases(sets, tmp_path).items():
         ks = list(range(x.ambient_dim + 1))
         for center in ORACLE_CENTERS:
             c = np.zeros(x.ambient_dim)
             c[:3] = center
+            centered = on_axis(x.chart, c)
+            checked.add(centered)
+            oracle = direct_measures if centered else functools.partial(
+                reduced_measures, terms=point_terms)
             sweep = lk_measures_sweep(x, ks, ORACLE_RADII, center=c)
             for radius, pairs in zip(ORACLE_RADII, sweep):
-                want = oracle_pairs(direct_measures, x, ks, radius, c)
+                want = oracle_pairs(oracle, x, ks, radius, c)
                 for k, got, (value, bound) in zip(ks, pairs, want):
                     tol = 1e-12 * max(abs(value), 1.0)
                     assert abs(got[0] - value) <= tol, (name, center, radius, k)
                     assert abs(got[1] - bound) <= tol, (name, center, radius, k)
+    assert checked == {True, False}
 
 
 def test_sweep_does_not_depend_on_block_boundaries(sets, monkeypatch):
@@ -549,8 +600,8 @@ def test_sweep_does_not_depend_on_block_boundaries(sets, monkeypatch):
     assert len(points) > 2 * curvature._BLOCK_NODES
     hyperboloid = sets["hyperboloid_r3"]
     chart = hyperboloid.chart
-    boxes = [chart.domain_for_ball(r, np.zeros(3))[1:] for r in SWEEP]
-    profile, _ = gauss_legendre_nodes(boxes, CubatureSpec().counts(2)[1], (0,))
+    pieces = np.concatenate(chart.ball_intervals(SWEEP, np.zeros(3)))[:, None, :]
+    profile, _ = gauss_legendre_nodes(pieces, CubatureSpec().counts(2)[1], (0,))
     for x, blocks in ((graph, (997, len(points))), (hyperboloid, (97, len(profile)))):
         monkeypatch.setattr(curvature, "_BLOCK_NODES", 4096)
         want = lk_measures_sweep(x, (0, 1, 2), SWEEP)
@@ -562,19 +613,76 @@ def test_sweep_does_not_depend_on_block_boundaries(sets, monkeypatch):
 def test_sweep_grid_is_the_union_of_each_radius_rule(sets):
     for name in ("hyperboloid_r3", "paraboloid_r3", "twisted_cubic_r3", "torus_r3"):
         chart = sets[name].chart
-        boxes = [chart.domain_for_ball(r, np.zeros(3)) for r in SWEEP]
-        counts = CubatureSpec().counts(chart.dim)
-        points, rules = gauss_legendre_nodes(boxes, counts, chart.panel_axes)
+        # one piece of t per centered radius
+        boxes = np.concatenate(chart.ball_intervals(SWEEP, np.zeros(3)))[:, None, :]
+        t = chart.profile_axis
+        counts, panels = CubatureSpec().counts(chart.dim)[t], (0,) if t in chart.panel_axes else ()
+        points, rules = gauss_legendre_nodes(boxes, counts, panels)
         assert len(rules) == len(SWEEP)
         seen = np.zeros(len(points), dtype=bool)
         for box, rule in zip(boxes, rules):
-            own, (own_rule,) = gauss_legendre_nodes(box, counts, chart.panel_axes)
+            own, (own_rule,) = gauss_legendre_nodes(box, counts, panels)
             index, weights = rule.tensor()
             assert np.array_equal(points[index], own), name
             assert np.array_equal(weights, own_rule.tensor()[1]), name
             seen[index] = True
-        # the builtin charts vary one axis with the radius, so no grid node is wasted
+        # the radii's rules share the grid, and no grid node is wasted
         assert seen.all(), name
+
+
+# ------------------------------------------------------------ arc shares
+
+
+def sampled_share(gap, cos_coef, sin_coef, lo, hi, count=20000):
+    """The share of phi in [lo, hi] where gap + cos_coef cos phi + sin_coef
+    sin phi <= 0, from the midpoints of ``count`` equal cells."""
+    phi = lo + (hi - lo) * (np.arange(count) + 0.5) / count
+    inside = gap[:, None] + np.outer(cos_coef, np.cos(phi)) + np.outer(sin_coef, np.sin(phi)) <= 0
+    return (hi - lo) * np.mean(inside, axis=1)
+
+
+def test_arc_share_matches_sampled_fraction(rng):
+    # random circles, some wholly inside or outside and some centered on the
+    # axis (B = C = 0), over the whole circle, a clipped range and ranges of
+    # more than one turn; each arc end costs the sampled share one cell
+    gap = rng.uniform(-3.0, 3.0, 300)
+    cos_coef, sin_coef = rng.standard_normal((2, 300))
+    cos_coef[:30] = sin_coef[:30] = 0.0
+    for phi_range in (None, (0.4, 5.5), (-1.0, 9.0), (-20.0, -19.5)):
+        lo, hi = phi_range or (0.0, 2.0 * np.pi)
+        got = arc_share(gap, cos_coef, sin_coef, phi_range)
+        cells = np.ceil((hi - lo) / (2.0 * np.pi)) * 2.0 + 2.0
+        np.testing.assert_allclose(got, sampled_share(gap, cos_coef, sin_coef, lo, hi),
+                                   rtol=0, atol=cells * (hi - lo) / 20000, err_msg=str(phi_range))
+    assert np.all(arc_share(gap[:30], cos_coef[:30], sin_coef[:30], None)
+                  == np.where(gap[:30] <= 0.0, 2.0 * np.pi, 0.0))
+
+
+def test_arc_share_of_chart_circles_matches_sampled_points(sets, tmp_path):
+    # on the skewed plane set file, the torus patch and the hyperboloid, the
+    # sweep's A, B and C give each profile node the share of its own circle's
+    # points inside the ball (2,000 points per circle, each arc end costing one)
+    cases = [set_file(tmp_path, SKEWED_PLANE), set_file(tmp_path, TORUS_PATCH),
+             sets["hyperboloid_r3"]]
+    for x in cases:
+        chart, axis = x.chart, x.chart.rotation_axis
+        center = np.zeros(x.ambient_dim)
+        center[:3] = (0.4, 0.3, 1.0)
+        for radius in (1.5, 2.5, 8.0):
+            pieces = chart.ball_intervals((radius,), center)[0]
+            t = np.linspace(pieces[0, 0], pieces[-1, 1], 21)[1:-1]
+            u = np.zeros((len(t), 2))
+            u[:, 1 - axis] = t
+            terms = curvature._ball_terms(_chart_frames(chart, u), center, axis)
+            got = arc_share(terms[0] - radius * radius, terms[1], terms[2], chart.phi_range())
+            lo, hi = chart.phi_range() or (0.0, 2.0 * np.pi)
+            phi = lo + (hi - lo) * (np.arange(2000) + 0.5) / 2000
+            grid = np.repeat(u, len(phi), axis=0)
+            grid[:, axis] = np.tile(phi, len(t))
+            dist2 = np.sum((chart.jet(grid)[0] - center) ** 2, axis=1).reshape(len(t), -1)
+            want = (hi - lo) * np.mean(dist2 <= radius * radius, axis=1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=4.0 * (hi - lo) / 2000,
+                                       err_msg=f"{chart.label} R = {radius}")
 
 
 # ------------------------------------------------------------------ densities
@@ -585,7 +693,7 @@ def test_top_order_density_is_one(sets, rng):
                   "paraboloid_r3", "plane_r2_in_r3", "twisted_cubic_r3"):
         x = sets[name]
         chart = x.chart
-        box = chart.domain_for_ball(8.0, np.zeros(3))
+        box = _trace_box(chart, 8.0, np.zeros(3))
         span = box[:, 1] - box[:, 0]
         u = rng.uniform(box[:, 0] + 0.05 * span, box[:, 1] - 0.05 * span,
                         size=(50, chart.dim))
@@ -694,7 +802,7 @@ def test_cubature_doubling_convergence(sets):
 def test_halved_curve_rule_has_fewer_nodes(sets):
     # a curve's error bound compares two rules; they must differ in size
     chart = sets["twisted_cubic_r3"].chart
-    box = chart.domain_for_ball(8.0, np.zeros(3))
+    box = chart.ball_intervals((8.0,), np.zeros(3))[0]
     spec = CubatureSpec()
     fine, _ = gauss_legendre_nodes(box, spec.counts(1), chart.panel_axes)
     coarse, _ = gauss_legendre_nodes(box, spec.halved().counts(1), chart.panel_axes)
