@@ -44,12 +44,14 @@ unsquared gap between candidates, so near-double roots are never lost.  The
 t-values where the profile circle enters the ball wholly split the intervals
 into pieces, which the cubature takes as panel breaks.
 
-Cubature uses Gauss-Legendre rules.  Each rule is computed here by Newton's
-method on the three-term Legendre recurrence from Tricomi's initial guess,
-which gives nodes and weights to full double precision (Hale and Townsend,
-SIAM J. Sci. Comput. 35, 2013), and is cached per node count.  In
-``gauss_legendre_nodes`` the pieces of a radius sweep share each axis's
-union of nodes, and each piece keeps its own rule on them (``GridRule``).
+Cubature uses Gauss-Legendre rules on t alone.  Each rule is computed here
+by Newton's method on the three-term Legendre recurrence from Tricomi's
+initial guess, which gives nodes and weights to full double precision (Hale
+and Townsend, SIAM J. Sci. Comput. 35, 2013), and is cached per node count.
+In ``gauss_legendre_nodes`` the pieces of t of a radius sweep share one union
+of nodes, and each piece keeps its own positions and weights on it.  A chart
+whose range of t grows with the ball radius (``Chart.paneled``) takes
+composite rules on dyadic panels.
 """
 
 from __future__ import annotations
@@ -80,13 +82,13 @@ class Chart:
     jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
     # a set file's (dim, 2) parameter box, or None for the map's natural domain
     base_domain: Optional[np.ndarray]
-    # builtin maps: (radii, center, (lo, hi) of t or None) -> per radius the
-    # pieces of t that reach the ball; see ``ball_intervals``
-    interval_fn: Optional[Callable] = None
+    # (radii, center, (lo, hi) of t or None) -> per radius the pieces of t
+    # that reach the ball; see ``ball_intervals``
+    interval_fn: Callable
     params: dict = field(default_factory=dict)
-    # axes whose ranges grow with the ball radius; cubature panels them
-    # dyadically toward the chart's unit-scale feature region
-    panel_axes: tuple = ()
+    # whether the range of t grows with the ball radius; cubature then panels
+    # it dyadically toward the chart's unit-scale feature region
+    paneled: bool = False
     # index of phi on a surface of revolution, whose map is
     # a(t) + cos phi u(t) + sin phi v(t) with |u| = |v| and u . v = 0: det G
     # and the densities depend on t alone, so cubature evaluates the jet on
@@ -196,51 +198,22 @@ def _axis_rule(lo: float, hi: float, count: int, paneled: bool):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-@dataclass(frozen=True)
-class GridRule:
-    """One box's tensor Gauss-Legendre rule on a shared tensor grid."""
-    shape: tuple         # grid nodes per axis
-    where: tuple         # per axis, the grid positions of the box's nodes
-    axis_weights: tuple  # per axis, their weights
+# the benchmark's tracing counts the nodes of this rule by name
+def gauss_legendre_nodes(pieces, count: int, paneled: bool = False):
+    """Gauss-Legendre rules of ``count`` nodes on the (m, 2) pieces of one
+    axis, sharing one set of nodes.
 
-    def tensor(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Grid indices of the box's nodes in their own ij order, and their weights."""
-        index, weights = self.where[0], self.axis_weights[0]
-        for size, where, w in zip(self.shape[1:], self.where[1:], self.axis_weights[1:]):
-            index = np.add.outer(index * size, where)
-            weights = np.multiply.outer(weights, w)
-        return index.ravel(), weights.ravel()
-
-
-# the benchmark's tracing counts the nodes of this grid by name
-def gauss_legendre_nodes(boxes, counts, panel_axes=()):
-    """Tensor products of per-axis Gauss-Legendre rules on axis-aligned boxes,
-    sharing one grid.
-
-    ``boxes`` is one (dim, 2) box or a stack of them.  Returns ``(points,
-    rules)``: ``points`` (N, dim) is the tensor grid, in ij order, of each
-    axis's sorted union of every box's nodes, and ``rules[j]`` is box j's own
-    rule on it.  Equal panels give equal nodes, so the boxes of a radius sweep
-    share most of each axis; one box's grid is its own rule.
-
-    Axes listed in ``panel_axes`` use composite rules on dyadic panels, so
-    unit-scale integrand features stay resolved no matter how large the
-    range grows with the ball radius.
+    Returns ``(points, rules)``: ``points`` is the sorted union of every
+    piece's nodes, and ``rules[j]`` is piece j's (positions in ``points`` of
+    its nodes in its own order, their weights).  Equal panels give equal
+    nodes, so the pieces of a radius sweep share most of them.  A ``paneled``
+    axis uses composite rules on dyadic panels, so unit-scale integrand
+    features stay resolved no matter how large the range grows with the
+    ball radius.
     """
-    boxes = np.asarray(boxes, dtype=float)
-    if boxes.ndim == 2:
-        boxes = boxes[None]
-    dim = boxes.shape[1]
-    counts = tuple(int(c) for c in (counts if np.iterable(counts) else [counts] * dim))
-    box_rules = [[_axis_rule(lo, hi, counts[d], d in panel_axes) for d, (lo, hi) in enumerate(box)]
-                 for box in boxes]
-    axes = [np.unique(np.concatenate([rule[d][0] for rule in box_rules])) for d in range(dim)]
-    shape = tuple(len(a) for a in axes)
-    rules = [GridRule(shape, tuple(np.searchsorted(a, x) for a, (x, _) in zip(axes, rule)),
-                      tuple(w for _, w in rule))
-             for rule in box_rules]
-    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return points, rules
+    rules = [_axis_rule(lo, hi, count, paneled) for lo, hi in np.reshape(pieces, (-1, 2))]
+    points = np.unique(np.concatenate([nodes for nodes, _ in rules]))
+    return points, [(np.searchsorted(points, nodes), weights) for nodes, weights in rules]
 
 
 # ---------------------------------------------------------------- ball geometry
@@ -376,7 +349,7 @@ def _vector(value, key: str, n: int) -> np.ndarray:
     return value
 
 
-def _revolution_chart(label, profile, phi_axis, disc, natural, panel_axes=(),
+def _revolution_chart(label, profile, phi_axis, disc, natural, paneled=False,
                       frame=np.eye(3), origin=np.zeros(3)) -> Chart:
     """Chart of (t, phi) -> origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3.
 
@@ -424,7 +397,7 @@ def _revolution_chart(label, profile, phi_axis, disc, natural, panel_axes=(),
             pieces.append(_split(_union(near, far), cuts))
         return pieces
 
-    return Chart(label, 2, frame.shape[1], jet, None, intervals, panel_axes=panel_axes,
+    return Chart(label, 2, frame.shape[1], jet, None, intervals, paneled=paneled,
                  rotation_axis=phi_axis)
 
 
@@ -454,7 +427,7 @@ def _build_plane(frame=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), origin=None):
         half = math.sqrt(q)
         return _clip([(s - half, s + half)], lo, hi)
 
-    return _revolution_chart("plane", profile, 1, disc, (0.0, math.inf), (0,),
+    return _revolution_chart("plane", profile, 1, disc, (0.0, math.inf), True,
                              np.vstack([frame, np.zeros(n)]), origin)
 
 
@@ -488,7 +461,7 @@ def _build_cylinder(radius=1.0):
         half = math.sqrt(half2)
         return _clip([(h - half, h + half)], lo, hi)
 
-    return _revolution_chart("cylinder", profile, 0, disc, (-math.inf, math.inf), (1,))
+    return _revolution_chart("cylinder", profile, 0, disc, (-math.inf, math.inf), True)
 
 
 def _build_paraboloid(coefficient=1.0):
@@ -503,7 +476,7 @@ def _build_paraboloid(coefficient=1.0):
         quartic = [a * a, 0.0, 1.0 - 2.0 * a * h, -2.0 * s, s * s + h * h - q]
         return _sublevel(quartic, _meridian_gap(profile, s, h, q), lo, hi)
 
-    return _revolution_chart("paraboloid", profile, 1, disc, (0.0, math.inf), (0,))
+    return _revolution_chart("paraboloid", profile, 1, disc, (0.0, math.inf), True)
 
 
 def _build_hyperboloid():
@@ -511,7 +484,10 @@ def _build_hyperboloid():
 
     def profile(z):
         w = np.sqrt(1.0 + z * z)
-        return w, z / w, 1.0 / (w * w * w), z, 1.0, 0.0
+        # w^3 overflows past |z| ~ 5.6e102, where 1 / w^3 is below the
+        # smallest normal double: it rounds to 0 there
+        with np.errstate(over="ignore"):
+            return w, z / w, 1.0 / (w * w * w), z, 1.0, 0.0
 
     def disc(s, h, q, lo, hi):
         # with w^2 = 1 + z^2 the gap is L(z) - 2 s w, L = 2 z^2 - 2 h z + k, so
@@ -526,7 +502,7 @@ def _build_hyperboloid():
         return _sublevel(polynomial, _meridian_gap(profile, s, h, q), lo, hi, scale)
 
     return _revolution_chart("hyperboloid_one_sheet", profile, 0, disc,
-                             (-math.inf, math.inf), (1,))
+                             (-math.inf, math.inf), True)
 
 
 def _build_torus(major_radius=2.0, minor_radius=0.5):
@@ -591,7 +567,7 @@ def _build_poly_curve(coefficients=()):
             pieces.append(spans)
         return pieces
 
-    return Chart("poly_curve", 1, ambient, jet, None, intervals, panel_axes=(0,))
+    return Chart("poly_curve", 1, ambient, jet, None, intervals, paneled=True)
 
 
 CHART_BUILDERS: Dict[str, Callable] = {

@@ -126,10 +126,8 @@ def validate_set(x: SetDescriptor) -> None:
 
 def _trace_box(chart: Chart, radius: float, center: np.ndarray) -> Optional[np.ndarray]:
     """A parameter box holding the chart's trace inside the ball: the hull of
-    its pieces of t by the whole range of phi, or a hand-built chart's domain
-    box; None where the trace misses the ball."""
-    if chart.interval_fn is None:
-        return np.asarray(chart.base_domain, dtype=float)
+    its pieces of t by the whole range of phi; None where the trace misses
+    the ball."""
     pieces = chart.ball_intervals((radius,), center)[0]
     if not len(pieces):
         return None

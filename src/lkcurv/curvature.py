@@ -19,14 +19,12 @@ for surfaces and no QR or matrix inverse per node:
 A smooth set has one chart, a curve or a surface, so the orders d - k are
 0, 1 and 2: order 0 integrates to the normal-sphere area, which the
 normalization cancels, odd orders vanish, and order 2 is the surface formula
-above.  ``lk_measures_sweep`` and ``limits.estimate_limits`` refuse a chart
-of dimension 3 or more, which only a hand-built chart can have, on entry,
-before any grid is built.
+above.
 
 ``lk_measures_sweep`` integrates the densities of several orders over the
 part of the set inside the ball of each radius of a sweep, by Gauss-Legendre
-cubature on the chart.  A builtin chart gives, once per sweep, the exact
-pieces of its curve or profile parameter t that each ball reaches
+cubature on the curve or profile parameter t alone.  The chart gives, once
+per sweep, the exact pieces of t that each ball reaches
 (``Chart.ball_intervals``), and each rule (fine and halved) evaluates the
 chart once for the whole sweep, on the union of the radii's nodes of t (equal
 dyadic panels give equal nodes):
@@ -41,10 +39,11 @@ dyadic panels give equal nodes):
   with closed-form ends, and each profile node carries the exact measure of
   its phi inside the ball (``arc_share``): no jump enters the integrand.  The
   t-values where the circle enters the ball wholly are panel breaks, so the
-  measure is smooth on every panel;
-* a hand-built chart with no ``interval_fn`` is evaluated on the whole tensor
-  grid of its domain box, block by block, and each node carries its inside
-  mask.
+  measure is smooth on every panel.
+
+Any other chart, a surface with no rotation axis or a chart of dimension 3
+or more, is refused on entry to ``lk_measures_sweep`` and
+``limits.estimate_limits``, before any grid is built.
 
 Each radius gathers its own nodes in its own order, applies its own weights
 and shares, and sums exactly as a sweep of that radius alone would.
@@ -63,19 +62,18 @@ import numpy as np
 
 from .catalog.charts import GRAM_DET_TOL, Chart, gauss_legendre_nodes
 from .catalog.sets import SmoothSet
-from .errors import DegenerateChartError, SetValidationError, UnsupportedSection
+from .errors import DegenerateChartError, UnsupportedSection
 from .geomconst import sphere_volume
 
 
 @dataclass
 class CubatureSpec:
-    nodes_2d: int = 128       # per axis of a two-dimensional chart
+    nodes_2d: int = 128       # on the profile parameter of a surface
     nodes_1d: int = 512       # 64 per dyadic panel; halved, 32 per panel
 
-    def counts(self, dim: int) -> Tuple[int, ...]:
-        if dim == 1:
-            return (self.nodes_1d,)
-        return (self.nodes_2d,) * dim
+    def count(self, dim: int) -> int:
+        """The rule's node count on t for a chart of dimension ``dim``."""
+        return self.nodes_1d if dim == 1 else self.nodes_2d
 
     def halved(self) -> "CubatureSpec":
         return CubatureSpec(
@@ -170,35 +168,15 @@ def _lambda_batch(x: SmoothSet, frames: _FrameData, k: int) -> np.ndarray:
     return sphere_volume(codim - 1) / codim * sigma / sphere_volume(n - k - 1)
 
 
-def _ball_pieces(x: SmoothSet, radii, center: np.ndarray) -> List[List[np.ndarray]]:
-    """Per radius, the parameter boxes the cubature integrates over: the
-    pieces of t from ``Chart.ball_intervals`` on a builtin chart, the whole
-    domain box of a hand-built one."""
-    chart = x.chart
-    if chart.interval_fn is None:
-        if chart.base_domain is None:
-            raise SetValidationError(chart.label, "chart has neither a domain nor ball intervals")
-        return [[np.asarray(chart.base_domain, dtype=float)] for _ in radii]
-    return [[piece[None, :] for piece in spans]
-            for spans in chart.ball_intervals(radii, center)]
-
-
-# nodes per frame build: a sweep's nodes are evaluated in blocks of this size
-# and keep only a few scalars per node, so a sweep holds the frames of one
-# block, fewer than the largest rule of one radius has nodes
-_BLOCK_NODES = 4096
-
-
-def _ball_terms(frames: _FrameData, center: np.ndarray, axis: Optional[int]) -> np.ndarray:
-    """|p - c|^2 at every node, or on a chart with rotation axis ``axis`` the
-    rows A, B, C of |p(t, phi) - c|^2 = A + B cos phi + C sin phi at every
-    profile node, from its jet at phi = 0."""
+def _ball_terms(frames: _FrameData, center: np.ndarray, axis: int) -> np.ndarray:
+    """On a chart with rotation axis ``axis``, the rows A, B, C of
+    |p(t, phi) - c|^2 = A + B cos phi + C sin phi at every profile node, from
+    its jet at phi = 0."""
     offset = frames.positions - center[None, :]
-    if axis is None:
-        return np.sum(offset ** 2, axis=1)[None, :]
     # the map is a + cos phi u + sin phi v with round circles (|u| = |v|,
     # u . v = 0): at phi = 0, p = a + u, dp/dphi = v and d2p/dphi2 = -u;
-    # summed coordinate by coordinate, so a node's bits do not depend on the block
+    # summed coordinate by coordinate, so a node's bits do not depend on the
+    # other nodes of its grid
     terms = np.zeros((3, offset.shape[0]))
     for i in range(offset.shape[1]):
         bend, turn = frames.hess[:, i, axis, axis], frames.jac[:, i, axis]
@@ -233,22 +211,16 @@ def arc_share(gap: np.ndarray, cos_coef: np.ndarray, sin_coef: np.ndarray,
     return inside_up_to(hi - phi0) - inside_up_to(lo - phi0)
 
 
-def _node_scalars(x: SmoothSet, points: np.ndarray, ks, center: np.ndarray,
-                  axis: Optional[int]):
-    """sqrt det G, the ball terms of ``_ball_terms`` and the density of each
-    order at every point, with frames built block by block."""
-    size = points.shape[0]
-    sqrt_gram = np.empty(size)
-    terms = np.empty((1 if axis is None else 3, size))
-    densities = np.empty((len(ks), size))
-    for start in range(0, size, _BLOCK_NODES):
-        block = slice(start, min(start + _BLOCK_NODES, size))
-        frames = _chart_frames(x.chart, points[block])
-        sqrt_gram[block] = frames.sqrt_gram
-        terms[:, block] = _ball_terms(frames, center, axis)
-        for i, k in enumerate(ks):
-            densities[i, block] = _lambda_batch(x, frames, k)
-    return sqrt_gram, terms, densities
+def _node_scalars(x: SmoothSet, t: np.ndarray, ks, center: np.ndarray):
+    """sqrt det G, the ball terms of ``_ball_terms`` (None on a curve) and the
+    density of each order at every node of t, at phi = 0 on a surface."""
+    chart = x.chart
+    u = np.zeros((len(t), chart.dim))
+    u[:, chart.profile_axis] = t
+    frames = _chart_frames(chart, u)
+    terms = None if chart.rotation_axis is None else _ball_terms(
+        frames, center, chart.rotation_axis)
+    return frames.sqrt_gram, terms, [_lambda_batch(x, frames, k) for k in ks]
 
 
 def _radius_sums(weights, index, share, sqrt_gram, densities) -> List[float]:
@@ -262,64 +234,50 @@ def _sweep_at_resolution(
     x: SmoothSet,
     ks,
     radii: List[float],
-    pieces: List[List[np.ndarray]],
+    pieces: List[np.ndarray],
     spec: CubatureSpec,
     center: np.ndarray,
 ) -> List[List[float]]:
-    """Measures of the orders ks at each radius of the sweep.
+    """Measures of the orders ks at each radius of the sweep, from a
+    Gauss-Legendre rule on each of its pieces of t.
 
     The chart evaluates its frames and densities once, on the union of every
     radius's nodes; each radius then sums its own nodes in its own order with
-    its own weights, so it gets the bits of a sweep of that radius alone.
-
-    A builtin chart is evaluated on t alone, with a Gauss-Legendre rule on
-    each piece of each radius.  A curve's nodes all lie inside the ball, and
-    each profile node of a surface carries the exact measure of the phi
-    inside the ball (``arc_share``).  A hand-built chart is evaluated on the
-    tensor grid of its box, each node with its inside mask.
+    its own weights, so it gets the bits of a sweep of that radius alone.  A
+    curve's nodes all lie inside the ball, and each profile node of a surface
+    carries the exact measure of the phi inside the ball (``arc_share``).
     """
     totals = [[0.0] * len(ks) for _ in radii]
-    owners = [j for j, boxes in enumerate(pieces) for _ in boxes]
+    owners = [j for j, spans in enumerate(pieces) for _ in spans]
     if not owners:
         return totals
     chart = x.chart
-    counts = spec.counts(chart.dim)
-    boxes = np.array([box for boxes in pieces for box in boxes])
-    tensor = chart.interval_fn is None
-    if tensor:
-        points, rules = gauss_legendre_nodes(boxes, counts, chart.panel_axes)
-    else:
-        t = chart.profile_axis
-        profile, rules = gauss_legendre_nodes(
-            boxes, counts[t], (0,) if t in chart.panel_axes else ())
-        points = np.zeros((len(profile), chart.dim))
-        points[:, t] = profile[:, 0]
-    sqrt_gram, terms, densities = _node_scalars(
-        x, points, ks, center, None if tensor else chart.rotation_axis)
+    points, rules = gauss_legendre_nodes(
+        np.concatenate(pieces), spec.count(chart.dim), chart.paneled)
+    sqrt_gram, terms, densities = _node_scalars(x, points, ks, center)
     for j, radius in enumerate(radii):
-        own = [rule.tensor() for owner, rule in zip(owners, rules) if owner == j]
+        own = [rule for owner, rule in zip(owners, rules) if owner == j]
         if not own:
             continue
         index = np.concatenate([where for where, _ in own])
         weights = np.concatenate([w for _, w in own])
-        if tensor:
-            share = terms[0, index] <= radius * radius * (1.0 + 1e-12)
-        elif chart.rotation_axis is None:
-            share = 1.0
-        else:
-            share = arc_share(terms[0, index] - radius * radius, terms[1, index],
-                              terms[2, index], chart.phi_range())
+        share = 1.0 if terms is None else arc_share(
+            terms[0, index] - radius * radius, terms[1, index], terms[2, index],
+            chart.phi_range())
         totals[j] = _radius_sums(weights, index, share, sqrt_gram, densities)
     return totals
 
 
 def require_cubature_chart(x) -> None:
-    """Refuse a smooth set whose chart has dimension 3 or more, before any
-    grid is built: curvature is computed on curves and surfaces only."""
-    if isinstance(x, SmoothSet) and x.chart is not None and x.chart.dim > 2:
+    """Refuse a smooth set whose chart is neither a curve nor a surface of
+    revolution, before any grid is built: the cubature integrates on the
+    curve or profile parameter t alone."""
+    chart = x.chart if isinstance(x, SmoothSet) else None
+    if chart is not None and chart.dim != (1 if chart.rotation_axis is None else 2):
         raise UnsupportedSection(
-            f"chart {x.chart.label!r} has dimension {x.chart.dim}; "
-            "curvature is computed on curves and surfaces only"
+            f"chart {chart.label!r} of dimension {chart.dim} is neither a curve nor a "
+            "surface of revolution; curvature is computed on curves and surfaces of "
+            "revolution only"
         )
 
 
@@ -361,7 +319,7 @@ def lk_measures_sweep(
     if live:
         spec = spec or CubatureSpec()
         center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        pieces = _ball_pieces(x, radii, center)
+        pieces = x.chart.ball_intervals(radii, center)
         fine = _sweep_at_resolution(x, live, radii, pieces, spec, center)
         coarse = _sweep_at_resolution(x, live, radii, pieces, spec.halved(), center)
         for radius, found, values, others in zip(radii, measures, fine, coarse):

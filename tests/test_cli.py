@@ -179,7 +179,8 @@ def test_curvature_at_huge_radii():
     # the order-0 curvature of the paraboloid is 1, that of the hyperboloid -sqrt(2)
     for name, radius, exact in (("paraboloid_r3", "1e100", 1.0), ("paraboloid_r3", "1e150", 1.0),
                                 ("hyperboloid_r3", "1e30", -math.sqrt(2.0)),
-                                ("hyperboloid_r3", "1e60", -math.sqrt(2.0))):
+                                ("hyperboloid_r3", "1e60", -math.sqrt(2.0)),
+                                ("hyperboloid_r3", "1e150", -math.sqrt(2.0))):
         code, text = run_cli(["curvature", "--set", name, "--k", "0", "--radius", radius])
         assert code == 0
         value = float(text.split("measure=")[1].split()[0])

@@ -40,6 +40,20 @@ def jet_of(map_fn, jac_fn, hess_fn):
     return lambda u: (map_fn(u), jac_fn(u), hess_fn(u))
 
 
+def no_intervals(radii, center, t_range):
+    """The ball intervals of a chart that is neither a curve nor a surface of
+    revolution: the cubature refuses it before it asks for them."""
+    raise AssertionError("ball intervals asked of a chart the cubature refuses")
+
+
+def box_nodes(chart, box, count):
+    """The tensor grid of a Gauss-Legendre rule of ``count`` nodes on each axis
+    of the parameter box, paneled on t where the chart's is."""
+    axes = [gauss_legendre_nodes(box[d], count, chart.paneled and d == chart.profile_axis)[0]
+            for d in range(chart.dim)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 # --------------------------------------------------------- symmetric functions
 
 
@@ -163,8 +177,9 @@ def test_codimension_two_density_is_exact():
     chart = build_chart("sphere", params={"radius": 1.0})
     chart.jet = lambda u: tuple(lift(out) for out in base.jet(u))
     chart.ambient_dim = 4
-    chart.interval_fn = None  # hand-built: the tensor grid of its box
-    chart.base_domain = np.array([[0.0, np.pi], [0.0, 2.0 * np.pi]])
+    # the lifted circles stay round, so the sweep takes the profile route
+    chart.interval_fn = lambda radii, center, t_range: base.interval_fn(
+        radii, center[:3], t_range)
     x = SmoothSet(ambient_dim=4, dim=2, chart=chart, implicit=None,
                   declared_chi=2, compact=True)
     value = point_density(x, np.array([1.2, 0.3]), 0) * sphere_volume(3)
@@ -197,7 +212,7 @@ def square_graph_r4():
         return hess
 
     chart = Chart("square_graph", 2, 4, jet_of(map_fn, jac_fn, hess_fn),
-                  np.array([[-3.0, 3.0], [-3.0, 3.0]]))
+                  np.array([[-3.0, 3.0], [-3.0, 3.0]]), no_intervals)
     return SmoothSet(ambient_dim=4, dim=2, chart=chart, implicit=None,
                      declared_chi=1, compact=False)
 
@@ -222,8 +237,9 @@ def test_codimension_two_density_matches_normal_circle_quadrature(rng):
 
 
 def test_three_dimensional_chart_is_unsupported(monkeypatch):
-    # a flat 3-cube in R^4: only curves and surfaces have densities, and the
-    # refusal comes before any grid is built, whichever orders are live
+    # a flat 3-cube in R^4 and a surface with no rotation axis: the cubature
+    # takes curves and surfaces of revolution only, and the refusal comes
+    # before any grid is built, whichever orders are live
     def map_fn(u):
         return np.concatenate([u, np.zeros((u.shape[0], 1))], axis=1)
 
@@ -234,25 +250,28 @@ def test_three_dimensional_chart_is_unsupported(monkeypatch):
         return np.zeros((u.shape[0], 4, 3, 3))
 
     def no_grid(*args, **kwargs):
-        raise AssertionError("a grid was built for a three-dimensional chart")
+        raise AssertionError("a grid was built for a chart the cubature refuses")
 
     monkeypatch.setattr(curvature, "gauss_legendre_nodes", no_grid)
-    chart = Chart("flat3", 3, 4, jet_of(map_fn, jac_fn, hess_fn), np.array([[-1.0, 1.0]] * 3))
-    x = SmoothSet(ambient_dim=4, dim=3, chart=chart, implicit=None,
-                  declared_chi=1, compact=False)
-    with pytest.raises(UnsupportedSection):
-        lk.curvature_measures(x, (1, 3), 2.0)
-    with pytest.raises(UnsupportedSection):
-        lk.curvature_measures(x, (0,), 2.0)  # no live order
-    report = lk.run_theorem("thm3.9", x, n_samples=100, seed=42)
-    assert report.rows[0].skipped and "curves and surfaces" in report.rows[0].reason
-    # a compact set answers its orders k >= 1 exactly and its odd orders vanish,
-    # so no cubature would run: the refusal must not depend on that
-    compact = dataclasses.replace(x, compact=True)
-    for theorem in ("thm3.9", "thm4.3", "du_lambda0"):
-        report = lk.run_theorem(theorem, compact, n_samples=100, seed=42)
-        assert [row.skipped for row in report.rows] == [True], theorem
-        assert "curves and surfaces" in report.rows[0].reason, theorem
+    chart = Chart("flat3", 3, 4, jet_of(map_fn, jac_fn, hess_fn), np.array([[-1.0, 1.0]] * 3),
+                  no_intervals)
+    flat3 = SmoothSet(ambient_dim=4, dim=3, chart=chart, implicit=None,
+                      declared_chi=1, compact=False)
+    for x in (flat3, square_graph_r4()):
+        label = x.chart.label
+        with pytest.raises(UnsupportedSection, match="curves and surfaces"):
+            lk.curvature_measures(x, (1, 3), 2.0)
+        with pytest.raises(UnsupportedSection):
+            lk.curvature_measures(x, (0,), 2.0)  # no live order on the 3-cube
+        report = lk.run_theorem("thm3.9", x, n_samples=100, seed=42)
+        assert report.rows[0].skipped and "curves and surfaces" in report.rows[0].reason, label
+        # a compact set answers its orders k >= 1 exactly and its odd orders
+        # vanish, so no cubature would run: the refusal must not depend on that
+        compact = dataclasses.replace(x, compact=True)
+        for theorem in ("thm3.9", "thm4.3", "du_lambda0"):
+            report = lk.run_theorem(theorem, compact, n_samples=100, seed=42)
+            assert [row.skipped for row in report.rows] == [True], (label, theorem)
+            assert "curves and surfaces" in report.rows[0].reason, (label, theorem)
 
 
 # ------------------------------------------- coordinate form against QR frames
@@ -277,7 +296,7 @@ def quadric_graph(dim, ambient, seed):
         return hess
 
     chart = Chart(f"quadric{dim}", dim, ambient, jet_of(map_fn, jac_fn, hess_fn),
-                  np.array([[-1.0, 1.0]] * dim))
+                  np.array([[-1.0, 1.0]] * dim), no_intervals)
     return SmoothSet(ambient_dim=ambient, dim=dim, chart=chart, implicit=None,
                      declared_chi=1, compact=False)
 
@@ -310,7 +329,6 @@ def set_file(tmp_path, doc):
 def oracle_cases(sets):
     cases = {name: x for name, x in sorted(sets.items()) if isinstance(x, SmoothSet)}
     cases["plane_r2_in_r4"] = lk.resolve_set(str(PLANE_R2_IN_R4))[1]
-    cases["square_graph_r4"] = square_graph_r4()
     return cases
 
 
@@ -323,12 +341,12 @@ def revolution_cases(sets, tmp_path):
 
 
 def test_builtin_surfaces_are_surfaces_of_revolution(sets):
-    # every builtin surface takes the profile cubature; curves and hand-built
-    # charts keep the tensor grid
-    rotating = {name for name, x in oracle_cases(sets).items()
-                if x.chart.rotation_axis is not None}
+    # every builtin surface takes the profile cubature; the rest are curves
+    cases = oracle_cases(sets)
+    rotating = {name for name, x in cases.items() if x.chart.rotation_axis is not None}
     assert rotating == {"cylinder_r3", "hyperboloid_r3", "paraboloid_r3", "plane_r2_in_r3",
                         "plane_r2_in_r4", "sphere_s2", "torus_r3"}
+    assert all(cases[name].chart.dim == 1 for name in cases.keys() - rotating)
 
 
 def test_revolution_densities_do_not_depend_on_phi(sets, tmp_path, rng):
@@ -353,11 +371,14 @@ def assert_matches_oracle(got, want):
 
 
 def test_coordinate_density_matches_qr_oracle(sets):
-    # every node of the R = 64 rule of each chart, every order
-    for name, x in oracle_cases(sets).items():
+    # every node of the R = 64 box's tensor rule of each chart, every order;
+    # the graph of z -> z^2 has no ball intervals and takes its own box
+    graph = square_graph_r4()
+    cases = [(x, _trace_box(x.chart, 64.0, np.zeros(x.ambient_dim)))
+             for x in oracle_cases(sets).values()]
+    for x, box in cases + [(graph, graph.chart.base_domain)]:
         chart = x.chart
-        box = _trace_box(chart, 64.0, np.zeros(x.ambient_dim))
-        nodes, _ = gauss_legendre_nodes(box, CubatureSpec().counts(chart.dim), chart.panel_axes)
+        nodes = box_nodes(chart, box, CubatureSpec().count(chart.dim))
         frames = _chart_frames(chart, nodes)
         oracle = qr_frames(chart, nodes)
         assert_matches_oracle(frames.sqrt_gram, oracle.sqrt_gram)
@@ -382,8 +403,7 @@ def test_quadric_graphs_match_qr_oracle(rng):
 def test_flat_plane_density_is_exactly_zero(sets):
     x = sets["plane_r2_in_r3"]
     chart = x.chart
-    nodes, _ = gauss_legendre_nodes(_trace_box(chart, 64.0, np.zeros(3)),
-                                    CubatureSpec().counts(2), chart.panel_axes)
+    nodes = box_nodes(chart, _trace_box(chart, 64.0, np.zeros(3)), CubatureSpec().count(2))
     assert np.all(_lambda_batch(x, _chart_frames(chart, nodes), 0) == 0.0)
     assert lk_measure_detailed(x, 0, 64.0) == (0.0, 0.0)
 
@@ -423,23 +443,19 @@ SWEEP = (8.0, 16.0, 32.0, 64.0)
 
 
 def direct_measures(x, ks, radius, spec, center):
-    """Measures from the whole tensor grid with its inside mask: the box of a
-    hand-built chart, or a builtin's pieces of t by a Gauss-Legendre rule on
-    phi.  Where the ball is centered on a surface's axis this is the profile
-    rule with the phi rule's weights summed."""
+    """Measures from the whole tensor grid with its inside mask: the chart's
+    pieces of t by a Gauss-Legendre rule on phi.  Where the ball is centered
+    on a surface's axis this is the profile rule with the phi rule's weights
+    summed."""
     totals = [0.0] * len(ks)
     chart = x.chart
-    counts = spec.counts(chart.dim)
-    if chart.interval_fn is None:
-        axes = [_axis_rule(lo, hi, count, d in chart.panel_axes)
-                for d, ((lo, hi), count) in enumerate(zip(chart.base_domain, counts))]
-    else:
-        t, axis = chart.profile_axis, chart.rotation_axis
-        axes = [profile_rule(chart, radius, center, counts[t])] * chart.dim
-        if axes[t] is None:
-            return totals
-        if axis is not None:
-            axes[axis] = _axis_rule(*(chart.phi_range() or (0.0, 2.0 * np.pi)), counts[axis], False)
+    count = spec.count(chart.dim)
+    t, axis = chart.profile_axis, chart.rotation_axis
+    axes = [profile_rule(chart, radius, center, count)] * chart.dim
+    if axes[t] is None:
+        return totals
+    if axis is not None:
+        axes[axis] = _axis_rule(*(chart.phi_range() or (0.0, 2.0 * np.pi)), count, False)
     grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
     weights = np.ones(nodes.shape[0])
@@ -462,7 +478,7 @@ def reduced_measures(x, ks, radius, spec, center, terms=None):
     totals = [0.0] * len(ks)
     chart = x.chart
     t = chart.profile_axis
-    rule = profile_rule(chart, radius, center, spec.counts(chart.dim)[t])
+    rule = profile_rule(chart, radius, center, spec.count(chart.dim))
     if rule is None:
         return totals
     t_nodes, t_weights = rule
@@ -487,12 +503,10 @@ def assert_sweep_is_bitwise(x, radii, center, name):
     sweep = lk_measures_sweep(x, ks, radii, center=center)
     # a sweep of many radii is a sweep of each radius alone ...
     assert sweep == [lk_measures_sweep(x, ks, (r,), center=center)[0] for r in radii], name
-    # ... and each radius gets the bits of its own rule: on t for a builtin
-    # chart, evaluated whole on a hand-built chart's box
-    oracle = direct_measures if x.chart.interval_fn is None else reduced_measures
+    # ... and each radius gets the bits of its own rule on t
     c = np.zeros(x.ambient_dim) if center is None else center
     for radius, pairs in zip(radii, sweep):
-        assert pairs == oracle_pairs(oracle, x, ks, radius, c), (name, radius)
+        assert pairs == oracle_pairs(reduced_measures, x, ks, radius, c), (name, radius)
 
 
 def oracle_pairs(oracle, x, ks, radius, center):
@@ -508,8 +522,7 @@ def oracle_pairs(oracle, x, ks, radius, center):
 def profile_rule(chart, radius, center, count):
     """Nodes and weights of t for one radius: a Gauss-Legendre rule on each
     piece of ``Chart.ball_intervals``, concatenated."""
-    t = chart.profile_axis
-    rules = [_axis_rule(lo, hi, count, t in chart.panel_axes)
+    rules = [_axis_rule(lo, hi, count, chart.paneled)
              for lo, hi in chart.ball_intervals((radius,), center)[0]]
     if not rules:
         return None
@@ -592,39 +605,19 @@ def test_profile_sweep_matches_whole_grid_rule(sets, tmp_path):
     assert checked == {True, False}
 
 
-def test_sweep_does_not_depend_on_block_boundaries(sets, monkeypatch):
-    # the graph has no rotation axis, so it takes the whole tensor grid, which
-    # spans several blocks; the hyperboloid's profile spans several small ones
-    graph = square_graph_r4()
-    points, _ = gauss_legendre_nodes(graph.chart.base_domain, CubatureSpec().counts(2))
-    assert len(points) > 2 * curvature._BLOCK_NODES
-    hyperboloid = sets["hyperboloid_r3"]
-    chart = hyperboloid.chart
-    pieces = np.concatenate(chart.ball_intervals(SWEEP, np.zeros(3)))[:, None, :]
-    profile, _ = gauss_legendre_nodes(pieces, CubatureSpec().counts(2)[1], (0,))
-    for x, blocks in ((graph, (997, len(points))), (hyperboloid, (97, len(profile)))):
-        monkeypatch.setattr(curvature, "_BLOCK_NODES", 4096)
-        want = lk_measures_sweep(x, (0, 1, 2), SWEEP)
-        for block in blocks:
-            monkeypatch.setattr(curvature, "_BLOCK_NODES", block)
-            assert lk_measures_sweep(x, (0, 1, 2), SWEEP) == want, (x.chart.label, block)
-
-
 def test_sweep_grid_is_the_union_of_each_radius_rule(sets):
     for name in ("hyperboloid_r3", "paraboloid_r3", "twisted_cubic_r3", "torus_r3"):
         chart = sets[name].chart
         # one piece of t per centered radius
-        boxes = np.concatenate(chart.ball_intervals(SWEEP, np.zeros(3)))[:, None, :]
-        t = chart.profile_axis
-        counts, panels = CubatureSpec().counts(chart.dim)[t], (0,) if t in chart.panel_axes else ()
-        points, rules = gauss_legendre_nodes(boxes, counts, panels)
+        pieces = np.concatenate(chart.ball_intervals(SWEEP, np.zeros(3)))
+        count = CubatureSpec().count(chart.dim)
+        points, rules = gauss_legendre_nodes(pieces, count, chart.paneled)
         assert len(rules) == len(SWEEP)
         seen = np.zeros(len(points), dtype=bool)
-        for box, rule in zip(boxes, rules):
-            own, (own_rule,) = gauss_legendre_nodes(box, counts, panels)
-            index, weights = rule.tensor()
+        for piece, (index, weights) in zip(pieces, rules):
+            own, ((_, own_weights),) = gauss_legendre_nodes(piece, count, chart.paneled)
             assert np.array_equal(points[index], own), name
-            assert np.array_equal(weights, own_rule.tensor()[1]), name
+            assert np.array_equal(weights, own_weights), name
             seen[index] = True
         # the radii's rules share the grid, and no grid node is wasted
         assert seen.all(), name
@@ -804,7 +797,7 @@ def test_halved_curve_rule_has_fewer_nodes(sets):
     chart = sets["twisted_cubic_r3"].chart
     box = chart.ball_intervals((8.0,), np.zeros(3))[0]
     spec = CubatureSpec()
-    fine, _ = gauss_legendre_nodes(box, spec.counts(1), chart.panel_axes)
-    coarse, _ = gauss_legendre_nodes(box, spec.halved().counts(1), chart.panel_axes)
+    fine, _ = gauss_legendre_nodes(box, spec.count(1), chart.paneled)
+    coarse, _ = gauss_legendre_nodes(box, spec.halved().count(1), chart.paneled)
     assert len(coarse) < len(fine)
 

@@ -20,7 +20,7 @@ def cubature_counts():
     ``CubatureSpec`` and its halving."""
     counts = set(range(6, 65))
     for spec in (CubatureSpec(), CubatureSpec().halved()):
-        counts.update(spec.counts(1) + spec.counts(2))
+        counts.update((spec.count(1), spec.count(2)))
     return sorted(counts | {256, 512})
 
 
