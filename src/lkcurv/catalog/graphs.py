@@ -8,6 +8,7 @@ every edge has length in (0, pi) and is totally geodesic by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -48,6 +49,11 @@ class SphericalGraph:
         i, j = self.edges[edge_index]
         dot = float(np.clip(np.dot(self.vertices[i], self.vertices[j]), -1.0, 1.0))
         return float(np.arccos(dot))
+
+    @cached_property
+    def arc_angles(self) -> np.ndarray:
+        """``arc_angle`` of every edge, computed once per graph."""
+        return np.array([self.arc_angle(e) for e in range(self.n_edges)])
 
     def total_arc_length(self) -> float:
         return float(sum(self.arc_angle(e) for e in range(self.n_edges)))

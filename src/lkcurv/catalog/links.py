@@ -3,9 +3,11 @@
 ``link_chi_batch(X, frames, center)`` returns, for a stack of planes H, the
 Euler characteristic of (X intersect (center + H)) intersect S_R for stably
 large R, spheres taken around the center; ``full_space_link(X, center)`` is
-the same for H the whole space.  ``link_chi`` and ``link_infinity_chi`` run
-the stacked count on one plane; no verify path calls them, and they stay
-because the benchmark's probe and tracing look them up by name.
+the same for H the whole space, and ``generic_link_chi(X, k, center)`` is the
+link that almost every k-plane gives, where one link does.  ``link_chi`` and
+``link_infinity_chi`` run the stacked count on one plane; no verify path calls
+them, and they stay because the benchmark's probe and tracing look them up by
+name.
 
 Routes.  Each set kind has one count for proper planes, made for a whole
 stack of planes.  A one-dimensional implicit section {g = 0} of a smooth set
@@ -31,7 +33,7 @@ bounded one.  No link depends on a radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -187,7 +189,7 @@ def _graph_sections(graph, frames: np.ndarray):
     ends = np.array(graph.edges, dtype=int).reshape(-1, 2)
     i, j = ends[:, 0], ends[:, 1]
     edges_in = verts_in[:, i] & verts_in[:, j]
-    theta = np.array([graph.arc_angle(e) for e in range(graph.n_edges)])
+    theta = graph.arc_angles
     # the normal components of the arc at angle u from v_i are
     # a cos(u) + b sin(u); the crossing solves it for the largest component
     a = proj[:, i, :]
@@ -326,13 +328,18 @@ def _implicit_end_counts(p: Poly, frames: np.ndarray) -> Tuple[np.ndarray, np.nd
     return 2.0 * roots, degenerate
 
 
+def _bounded_sections(x: SetDescriptor, k: int) -> bool:
+    """Whether almost every k-plane section of X is bounded, so that its link
+    at infinity is empty: X is compact, or a generic section has dimension
+    dim X + k - n <= 0 (a finite set, a point or nothing)."""
+    return x.compact or x.dim + k <= x.ambient_dim
+
+
 def _smooth_section_ends(x: SmoothSet, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Link chis of smooth sections by proper planes, batched over frames."""
     m, k, n = frames.shape
     section_dim = x.dim + k - n
-    if x.compact or section_dim <= 0:
-        # compact sections, and zero-dimensional semi-algebraic ones (finite
-        # sets), are bounded: their links at infinity are empty
+    if _bounded_sections(x, k):
         return np.zeros(m), np.zeros(m, dtype=bool)
     if section_dim == 1 and x.implicit is not None and k == 2:
         return _implicit_end_counts(x.implicit, frames)
@@ -364,6 +371,26 @@ def full_space_link(x: SetDescriptor, center=None) -> int:
             return 2 if x.chart.base_domain is None else 0
         raise UnsupportedSection("full-space links need even dimension or a curve")
     raise TypeError(f"not a set descriptor: {x!r}")
+
+
+def generic_link_chi(x: SetDescriptor, k: int, center=None) -> Optional[int]:
+    """Link chi at infinity of X ∩ (center + H) for almost every k-plane H,
+    or None when it varies with H.
+
+    A generic section has dimension dim X + k - n.  It is bounded, with an
+    empty link, when that is at most 0 or X is compact
+    (``_bounded_sections``, the rule the smooth oracle applies to every
+    plane), and the section of an m-flat is a flat of dimension
+    max(0, m + k - n).  The oracle's refusals come first: a translated cone
+    with sectors raises :class:`UnsupportedSection` here as in
+    :func:`link_chi_batch`.
+    """
+    n = x.ambient_dim
+    if isinstance(x, ConicGraph) and np.any(_center_vector(n, center) != 0.0):
+        _require_rays(x.graph)
+    if isinstance(x, LinearSubspace):
+        return _sphere_chi(max(0, x.dim + k - n))
+    return 0 if _bounded_sections(x, k) else None
 
 
 def _section_links(x: SetDescriptor, frames: np.ndarray,

@@ -25,7 +25,12 @@ The growth identities (``prop3.1``, ``thm3.7``, ``cor3.8``, ``thm4.1``,
 side and its route label per set kind (``curvature_measures``,
 ``LimitEstimate.route``).  Every row labels how each side was computed, so the
 non-circularity contract (curvature/cubature routes on the left, Grassmannian
-means only on the right) is auditable from the report alone.
+means only on the right) is auditable from the report alone.  Every
+Grassmannian mean of link chis goes through ``_link_mean``.  Where almost every plane
+gives the same link (the set is compact, dim X + k <= n, or X is a flat) the
+term is that link, labelled ``exact(generic_section)``: the Grassmannian mean
+evaluated exactly from the dimension of a generic section, with no curvature
+in it.  Every other term is a Haar mean over drawn planes.
 """
 
 from __future__ import annotations
@@ -38,12 +43,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .catalog.links import euler_char, full_space_link, link_chi_batch
+from .catalog.links import euler_char, full_space_link, generic_link_chi, link_chi_batch
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
 from .curvature import CubatureSpec
 from .errors import UnsupportedSection
 from .geomconst import ball_volume
-from .grassmann import MonteCarloEstimate, grassmann_mean_batch
+from .grassmann import grassmann_mean_batch
 from .limits import (
     DEFAULT_RADII, LimitEstimate, curvature_measures, estimate_limit, estimate_limits,
     validate_radii,
@@ -103,24 +108,19 @@ Rows = List[TheoremRow]
 def _link_mean(
     x: SetDescriptor, plane_dim: int, ctx: RunContext, stream: int
 ) -> Tuple[float, float, str]:
-    """Haar mean of chi(link at infinity of X ∩ plane) over planes of a dimension."""
-    n = x.ambient_dim
-    if plane_dim == 0:
-        # a zero-dimensional section is at most a point; its link is empty
-        return 0.0, 0.0, "exact(zero_dim_plane)"
-    if plane_dim == n:
+    """Haar mean of chi(link at infinity of X ∩ plane) over planes of a
+    dimension, with its standard error and route label.
+
+    The whole space has one link; where almost every plane gives the same
+    link (``generic_link_chi``) that link is the mean, exactly; otherwise
+    the mean is estimated over Haar planes.
+    """
+    if plane_dim == x.ambient_dim:
         return float(full_space_link(x, ctx.center)), 0.0, "exact(full_space_link)"
-    est = _link_estimate(x, plane_dim, ctx, stream)
-    if est.replicates is None:
-        return est.mean, est.stderr, f"grassmann_mc(planes={plane_dim},n={est.n_samples})"
-    return est.mean, est.stderr, (
-        f"grassmann_rqmc(planes={plane_dim},n={est.n_samples},reps={est.replicates})")
-
-
-def _link_estimate(
-    x: SetDescriptor, plane_dim: int, ctx: RunContext, stream: int
-) -> MonteCarloEstimate:
-    return grassmann_mean_batch(
+    chi = generic_link_chi(x, plane_dim, ctx.center)
+    if chi is not None:
+        return float(chi), 0.0, "exact(generic_section)"
+    est = grassmann_mean_batch(
         x.ambient_dim,
         plane_dim,
         lambda frames: link_chi_batch(x, frames, ctx.center),
@@ -128,6 +128,10 @@ def _link_estimate(
         seed=ctx.seed,
         stream=stream,
     )
+    if est.replicates is None:
+        return est.mean, est.stderr, f"grassmann_mc(planes={plane_dim},n={est.n_samples})"
+    return est.mean, est.stderr, (
+        f"grassmann_rqmc(planes={plane_dim},n={est.n_samples},reps={est.replicates})")
 
 
 def _growth_rhs(
@@ -227,7 +231,9 @@ def _check_limits(x: SetDescriptor, ctx: RunContext) -> Rows:
 class Lambda0Result:
     chi: int
     chi_link: float
-    hyperplane_mean: MonteCarloEstimate
+    hyperplane_mean: float
+    # route label of ``hyperplane_mean``, as ``_link_mean`` gives it
+    hyperplane_route: str
     value: float
     stderr: float
     direct: Optional[Tuple[float, float]]
@@ -239,13 +245,13 @@ def lambda0(x: SetDescriptor, ctx: RunContext) -> Lambda0Result:
     n = x.ambient_dim
     chi = euler_char(x)
     chi_link = float(full_space_link(x, ctx.center))
-    est = _link_estimate(x, n - 1, ctx, 1)
-    value = chi - 0.5 * chi_link - 0.5 * est.mean
-    stderr = 0.5 * est.stderr
+    mean, err, route = _link_mean(x, n - 1, ctx, 1)
+    value = chi - 0.5 * chi_link - 0.5 * mean
+    stderr = 0.5 * err
     direct = None
     if isinstance(x, (SmoothSet, LinearSubspace)):
         direct = _curvature_terms(x, ctx)[0][:2]
-    return Lambda0Result(chi, chi_link, est, value, stderr, direct)
+    return Lambda0Result(chi, chi_link, mean, route, value, stderr, direct)
 
 
 def _curvature_terms(

@@ -18,7 +18,12 @@ from lkcurv import (
 from lkcurv.catalog import LinearSubspace, Poly, SmoothSet, SphericalGraph
 from lkcurv.catalog.charts import CHART_BUILDERS, build_chart
 from lkcurv.catalog.graphs import validate_graph
-from lkcurv.catalog.links import _graph_sections, euler_char, link_infinity_chi
+from lkcurv.catalog.links import (
+    _graph_sections,
+    euler_char,
+    generic_link_chi,
+    link_infinity_chi,
+)
 from lkcurv.catalog.sets import _trace_box, describe, set_from_dict, set_to_dict, validate_set
 from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, substream
 from per_plane_links import normal_basis
@@ -446,6 +451,57 @@ def test_compact_set_links_vanish(sets):
     assert link_infinity_chi(torus, full_space(3)).chi == 0
     sub = haar_sample(3, 2, substream(11, STREAM_GRASSMANN, 0))
     assert link_infinity_chi(torus, sub).chi == 0
+
+
+def _gaussian_frames(rng, m, n, k):
+    # the span of k Gaussian vectors is a Haar k-plane
+    q, _ = np.linalg.qr(rng.standard_normal((m, n, k)))
+    return q.transpose(0, 2, 1)
+
+
+def test_generic_link_chi_matches_the_batched_oracle(sets):
+    rng = np.random.default_rng(19)
+    flats = {f"flat{d}_r{n}": LinearSubspace(n, np.linalg.qr(rng.standard_normal((n, d)))[0].T)
+             for n, d in ((3, 2), (4, 2), (4, 3))}
+    frames = {(n, k): _gaussian_frames(rng, 2000, n, k) for n in (2, 3, 4) for k in range(1, n)}
+    generic, varying = {}, {}
+    for name, x in {**sets, **flats}.items():
+        n = x.ambient_dim
+        for k, shifted in itertools.product(range(1, n), (False, True)):
+            center = np.array([1.0, 2.0, 0.5, -1.0][:n]) if shifted else np.zeros(n)
+            try:
+                values, degenerate = lk.link_chi_batch(x, frames[n, k], center)
+            except UnsupportedSection:
+                # what the oracle refuses, the closed form refuses or leaves to it
+                try:
+                    assert generic_link_chi(x, k, center) is None
+                except UnsupportedSection:
+                    pass
+                continue
+            chi = generic_link_chi(x, k, center)
+            assert np.count_nonzero(degenerate) <= 5, (name, k, shifted)
+            if chi is None:
+                varying[name, k] = set(values[~degenerate])
+                continue
+            assert np.all(values[~degenerate] == chi), (name, k, shifted)
+            generic[name, k] = chi
+    for name in ("star3_cone_r3", "hyperboloid_r3"):
+        assert len(varying[name, 2]) > 1
+    # flat sections are spheres S^(d+k-n-1): chi 2 for a line, 0 for a circle
+    assert {key: chi for key, chi in generic.items() if key[0] in flats} == {
+        ("flat2_r3", 1): 0, ("flat2_r3", 2): 2,
+        ("flat2_r4", 1): 0, ("flat2_r4", 2): 0, ("flat2_r4", 3): 2,
+        ("flat3_r4", 1): 0, ("flat3_r4", 2): 2, ("flat3_r4", 3): 0,
+    }
+
+
+def test_generic_link_chi_keeps_the_oracle_refusals(sets):
+    star = sets["star3_cone_r3"]
+    with pytest.raises(UnsupportedSection):
+        generic_link_chi(star, 1, center=(1.0, 2.0, 3.0))
+    # at the origin, and off it for a cone without sectors, lines miss the cone
+    assert generic_link_chi(star, 1) == 0
+    assert generic_link_chi(sets["cross_r2"], 1, center=(1.0, 2.0)) == 0
 
 
 def test_curve_full_space_link(sets):

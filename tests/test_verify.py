@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lkcurv as lk
+from lkcurv import verify
 from lkcurv.report import report_from_dict, report_to_dict, report_to_json
 from lkcurv.verify import RunContext, lambda0, run_theorem
 
@@ -135,6 +136,8 @@ def test_lambda0_cross_exact(sets):
     assert result.value == -1.0
     assert result.stderr == 0.0
     assert result.chi == 1 and result.chi_link == 4.0
+    # a generic line meets the cross's rays at most at the apex
+    assert result.hyperplane_route == "exact(generic_section)"
 
 
 def test_lambda0_sphere_both_routes(sets):
@@ -157,8 +160,25 @@ def test_lambda0_hyperboloid_routes_agree(sets):
     direct, direct_err = result.direct
     assert abs(direct - target) <= 0.01
     assert abs(result.value - direct) <= 3.0 * math.hypot(result.stderr, direct_err)
+    assert result.hyperplane_route == "grassmann_rqmc(planes=2,n=2000,reps=8)"
     report = run_theorem("du_lambda0", sets["hyperboloid_r3"], n_samples=2000, seed=42)
     assert report.overall_pass
+
+
+def test_generically_constant_terms_draw_no_planes(sets, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a Grassmannian term drew planes")
+
+    monkeypatch.setattr(verify, "grassmann_mean_batch", no_draws)
+    for name, theorem in (("sphere_s2", "thm3.7"), ("torus_r3", "thm4.2"),
+                          ("line_r2", "odd_d_corollary"), ("line_r3", "prop3.1"),
+                          ("cross_r2", "du_lambda0")):
+        report = run_theorem(theorem, sets[name], n_samples=500, seed=42)
+        assert report.overall_pass, (name, theorem)
+        assert all("grassmann" not in row.route_rhs for row in report.rows)
+    # the hyperplanes of a cone are drawn: their links vary
+    with pytest.raises(AssertionError, match="drew planes"):
+        run_theorem("prop3.1", sets["plane_cone_r3"], n_samples=500, seed=42)
 
 
 def test_seeds_outside_64_bits_are_rejected(sets):

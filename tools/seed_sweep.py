@@ -17,8 +17,9 @@ Each side is taken with its own Monte Carlo standard error sigma, not the
 row's combined uncertainty, so the left side's extrapolation error does not
 hide a miscalibrated sigma.  For each row it prints the RMSE against the
 exact value, the mean sigma, and the distribution of |error| / sigma: its
-quantiles and the share of seeds beyond 2 and 3 sigma.  The script reads only
-``lkcurv.verify``, so it runs unchanged against older checkouts.
+quantiles and the share of seeds beyond 2 and 3 sigma, and the route label
+each side reports.  The script reads only ``lkcurv.verify``, so it runs
+unchanged against older checkouts.
 """
 
 from __future__ import annotations
@@ -39,8 +40,11 @@ SQRT2 = math.sqrt(2.0)
 
 def _defect_formula(x, ctx):
     result = verify.lambda0(x, ctx)
-    replicates = getattr(result.hyperplane_mean, "replicates", None)
-    route = "grassmann_mc" if replicates is None else f"grassmann_rqmc(reps={replicates})"
+    route = getattr(result, "hyperplane_route", None)
+    if route is None:
+        # older checkouts keep the term's MonteCarloEstimate and no route
+        replicates = result.hyperplane_mean.replicates
+        route = "grassmann_mc" if replicates is None else f"grassmann_rqmc(reps={replicates})"
     return result.value, result.stderr, f"hyperplane_mean:{route}"
 
 
