@@ -3,9 +3,11 @@
 Curvature measures, Grassmannian Monte Carlo, links at infinity, and a
 harness that checks the Gauss-Bonnet-type identities tying them to the Euler
 characteristic.  The public surface is the batched routes
-(``link_chi_batch``, ``grassmann_mean_batch``, ``curvature_sweep`` and its
-one-radius form ``curvature_measures``),
-``run_theorem``, the set and report types, and the errors.
+(``link_chi_batch`` and ``grassmann_mean_batch``, whose hyperplanes are unit
+normals: the spherical Fibonacci lattice in R^3, slot normals elsewhere;
+``curvature_sweep`` and its one-radius form ``curvature_measures``),
+``run_theorem``, the set and report types, and the errors.  Planes of lower
+dimension are closed forms only (``catalog.links.generic_link_chi``).
 """
 
 from .catalog import (

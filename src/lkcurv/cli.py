@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -54,6 +55,9 @@ def _seed(flag: Optional[int]) -> int:
     return seed
 
 
+# one parser serves every call of ``main`` in a process; argparse keeps no
+# state between ``parse_args`` calls
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="lkcurv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,44 +1,50 @@
-"""Haar-uniform random subspaces and Monte Carlo means over them.
+"""Haar-uniform random subspaces and Monte Carlo means over hyperplanes.
 
-``grassmann_mean_batch`` averages a batched oracle over Haar-uniform k-planes
-through the origin of R^n, with a standard error, by one of two estimators
-chosen from (n, k):
+``grassmann_mean_batch`` averages a batched oracle over Haar-uniform
+hyperplanes through the origin of R^n, with a standard error.  A hyperplane
+is read through its unit normal u: Haar measure on G(n, n-1) is the image of
+the uniform measure on S^(n-1) under u -> u^perp (Santalo, *Integral Geometry
+and Geometric Probability*), so the oracle takes normals and no frame is
+built.  The normals come from one of two estimators chosen from n:
 
-* **Randomized lattice**, where G(n, k) is a projective sphere of dimension 1
-  or 2: lines or hyperplanes of R^2 or R^3 (k = 1 or k = n - 1, n in {2, 3}).
-  A plane is read through its line direction or hyperplane normal, and the
-  fixed point set is equally spaced angles on S^1 or a spherical Fibonacci
-  set on the upper hemisphere of S^2 (``lattice_frames``).  The samples split
-  into ``LATTICE_REPLICATES`` replicates whose sizes differ by at most one;
-  replicate r rotates the point set by one Haar rotation.  Haar measure is
-  rotation invariant, so every plane is Haar-distributed and the mean is
-  unbiased; the standard error is the spread of the replicate means
-  (Cranley and Patterson, SIAM J. Numer. Anal. 13, 1976).
-* **Independent slots** everywhere else: sample slot i draws its own Haar
-  frame by Gram-Schmidt orthonormalization of independent Gaussian vectors.
+* **Randomized lattice** in R^3: the fixed point set is a spherical Fibonacci
+  set on the upper hemisphere of S^2 (``lattice_normals``), a fundamental
+  domain of RP^2.  The samples split into ``LATTICE_REPLICATES`` replicates
+  whose sizes differ by at most one; replicate r rotates the point set by one
+  Haar rotation.  Haar measure is rotation invariant, so every plane is
+  Haar-distributed and the mean is unbiased; the standard error is the spread
+  of the replicate means (Cranley and Patterson, SIAM J. Numer. Anal. 13,
+  1976).
+* **Independent slots** in every other R^n: sample slot i draws its own Haar
+  normal, a normalized Gaussian vector.
+
+Planes of lower dimension are never drawn: the report's means over them are
+closed forms (``catalog.links.generic_link_chi``).
 
 ``haar_sample`` draws one plane from a generator; the lattice draws its
-rotations with it.  ``grassmann_mean`` is the batched loop for a function of
-one plane; no verify path calls it, and it stays because the benchmark's probe
-and tracing look it up by name.
+rotations with it.  ``grassmann_mean`` is the loop for a function of one
+hyperplane, which ``per_plane`` hands a frame built by ``hyperplane_frames``;
+no verify path calls it, and it stays because the benchmark's probe and
+tracing look it up by name.  ``slot_frames`` gives the Haar k-frames of
+``lkcurv grassmann sample``.
 
 Determinism contract: every draw comes from a counter-based Philox stream
 keyed by ``(seed, domain, index, stream)``, so an estimate is bit-identical
-for a given ``(n, k, n_samples, seed, stream)``.
+for a given ``(n, n_samples, seed, stream)``.
 
 * Lattice replicate r draws its rotations from ``substream(seed,
-  STREAM_LATTICE, r, stream)``: the first is ``haar_sample(n, n, rng)``, and
+  STREAM_LATTICE, r, stream)``: the first is ``haar_sample(3, 3, rng)``, and
   each plane the oracle rejects is offered again under the replicate's next
-  rotation from the same generator.  The rotated frames of a replicate go to
+  rotation from the same generator.  The rotated normals of a replicate go to
   the oracle in one call per round.
 * Slot i draws from ``substream(seed, STREAM_GRASSMANN, i, stream)``, no
   matter how the slots are batched, but no generator is built per slot: each
   ``SLOT_CHUNK`` of slots shares one Philox, and keying it to a slot assigns
   that slot's key, a zero counter and an empty buffer.  Block ``b`` of a slot
-  is the ``(b+1)``-th ``standard_normal((k, n))`` call after keying; the
-  slot's frames are its full-rank blocks in order, a rank-deficient block
-  being skipped exactly as ``haar_sample`` skips it, and a plane the oracle
-  rejects is replaced by the slot's next frame.
+  is the ``(b+1)``-th ``standard_normal((k, n))`` call after keying (k = 1
+  for a normal); the slot's frames are its full-rank blocks in order, a
+  rank-deficient block being skipped exactly as ``haar_sample`` skips it, and
+  a plane the oracle rejects is replaced by the slot's next frame.
 
 A seed is a 64-bit word of the key: seeds outside [0, 2^64) are rejected, not
 wrapped, so no two seeds share their streams.  Stream domain 1 is the slot
@@ -211,9 +217,8 @@ def slot_frames(n: int, k: int, seed: int, n_samples: int) -> Iterator[np.ndarra
     """The first Haar frame of sample slots 0, 1, ..., n_samples - 1, in order.
 
     Frame i, of shape (k, n), equals ``haar_sample(n, k, substream(seed,
-    STREAM_GRASSMANN, i)).frame``.  :func:`grassmann_mean_batch` offers slot i
-    first on the Grassmannians it samples by slots, which are not projective
-    spheres; on those it uses the randomized lattice instead.
+    STREAM_GRASSMANN, i)).frame``.  For k = 1 its row is the first normal
+    :func:`grassmann_mean_batch` offers slot i outside R^3.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -222,36 +227,32 @@ def slot_frames(n: int, k: int, seed: int, n_samples: int) -> Iterator[np.ndarra
         yield from streams.frames(np.arange(len(streams.slots)))
 
 
-def is_projective_sphere(n: int, k: int) -> bool:
-    """Whether G(n, k) is RP^1 or RP^2, where the randomized lattice applies."""
-    return n in (2, 3) and k in (1, n - 1)
+def lattice_normals(m: int) -> np.ndarray:
+    """The lattice's fixed point set of m unit normals in R^3, shape (m, 3).
 
-
-def lattice_frames(n: int, k: int, m: int) -> np.ndarray:
-    """The lattice's fixed point set of m planes, as frames of shape (m, k, n).
-
-    In R^2 the lines are at the angles pi (j + 1/2) / m.  In R^3 the unit
-    vectors u_j are a spherical Fibonacci set on the upper hemisphere, which
-    is a fundamental domain of RP^2: equal-area steps in the height and
-    golden-angle steps around the axis.  A line has the frame u_j, and a
-    hyperplane the orthonormal frame of the complement of u_j.
+    A spherical Fibonacci set on the upper hemisphere, which is a fundamental
+    domain of RP^2: equal-area steps in the height and golden-angle steps
+    around the axis.
     """
-    if not is_projective_sphere(n, k):
-        raise ValueError(f"G({n}, {k}) is not a projective sphere")
     j = np.arange(m)
-    if n == 2:
-        theta = np.pi * (j + 0.5) / m
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, None, :]
     z = (j + 0.5) / m
     r = np.sqrt(1.0 - z * z)
     phi = GOLDEN_ANGLE * j
-    c, s = np.cos(phi), np.sin(phi)
-    if k == 1:
-        return np.stack([r * c, r * s, z], axis=-1)[:, None, :]
-    # (-sin, cos, 0) and u x (-sin, cos, 0) span the complement of u
-    e1 = np.stack([-s, c, np.zeros(m)], axis=-1)
-    e2 = np.stack([-z * c, -z * s, r], axis=-1)
-    return np.stack([e1, e2], axis=1)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+
+
+def hyperplane_frames(normals: np.ndarray) -> np.ndarray:
+    """Orthonormal frames of the hyperplanes u^perp for unit normals u, (m, n) -> (m, n-1, n).
+
+    One Householder reflection each: I - 2 w w^T / |w|^2 with w = u + s e_n,
+    s = +-1 the sign of u_n, swaps u and -s e_n, so its first n - 1 rows span
+    u^perp; |w|^2 = 2 (1 + |u_n|) stays at least 2.
+    """
+    w = np.array(normals, dtype=float)
+    n = w.shape[1]
+    w[:, -1] += np.where(w[:, -1] < 0.0, -1.0, 1.0)
+    scale = 2.0 / np.sum(w * w, axis=1)
+    return np.eye(n)[:-1] - scale[:, None, None] * w[:, :-1, None] * w[:, None, :]
 
 
 @dataclass(eq=False)
@@ -272,12 +273,15 @@ BatchOracle = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 def per_plane(f: Callable[[Subspace], float]) -> BatchOracle:
-    """Batched oracle that calls ``f`` on one plane at a time.
+    """Batched oracle over unit normals that calls ``f`` on one hyperplane at a time.
 
-    A plane where ``f`` raises :class:`DegenerateSample` is marked degenerate.
+    Each hyperplane reaches ``f`` as a :class:`Subspace` with the frame
+    :func:`hyperplane_frames` builds; a plane where ``f`` raises
+    :class:`DegenerateSample` is marked degenerate.
     """
 
-    def oracle(frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def oracle(normals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        frames = hyperplane_frames(normals)
         m, k, n = frames.shape
         values = np.zeros(m)
         degenerate = np.zeros(m, dtype=bool)
@@ -295,7 +299,7 @@ def _fill(oracle: BatchOracle, draw: Callable[[np.ndarray], np.ndarray], values:
           rejected: np.ndarray, where: Callable[[int], str]) -> None:
     """Fill ``values`` with the oracle's value at each plane, counting rejections.
 
-    ``draw(pending)`` gives the next frames of the planes at the indices
+    ``draw(pending)`` gives the next planes (normals or frames) at the indices
     ``pending``; every round offers the rejected planes again, in one oracle
     call, until none is left or a plane has had ``MAX_RETRIES_PER_SLOT`` tries.
     """
@@ -321,19 +325,19 @@ def replicate_sizes(n_samples: int) -> List[int]:
     return [n_samples // reps + (r < n_samples % reps) for r in range(reps)]
 
 
-def _lattice_draws(n: int, k: int, oracle: BatchOracle, n_samples: int, seed: int,
+def _lattice_draws(oracle: BatchOracle, n_samples: int, seed: int,
                    stream: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values and rejection counts of the randomized lattice's planes, in
-    replicate order, and the replicates' bounds in that order."""
+    """Values and rejection counts of the randomized lattice's planes of R^3,
+    in replicate order, and the replicates' bounds in that order."""
     values = np.empty(n_samples, dtype=float)
     rejected = np.zeros(n_samples, dtype=np.int64)
     sizes = replicate_sizes(n_samples)
-    points = {m: lattice_frames(n, k, m) for m in set(sizes)}
+    points = {m: lattice_normals(m) for m in set(sizes)}
     bounds = np.cumsum([0] + sizes)
     for r, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         rng = substream(seed, STREAM_LATTICE, r, stream)
         base = points[stop - start]
-        _fill(oracle, lambda pending: base[pending] @ haar_sample(n, n, rng).frame,
+        _fill(oracle, lambda pending: base[pending] @ haar_sample(3, 3, rng).frame,
               values[start:stop], rejected[start:stop],
               lambda i: f"point {i} of lattice replicate {r}")
     return values, rejected, bounds
@@ -341,7 +345,8 @@ def _lattice_draws(n: int, k: int, oracle: BatchOracle, n_samples: int, seed: in
 
 def _slot_draws(n: int, k: int, oracle: BatchOracle, n_samples: int, seed: int,
                 stream: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Values and rejection counts of sample slots 0, 1, ..., n_samples - 1."""
+    """Values and rejection counts of sample slots 0, 1, ..., n_samples - 1,
+    each offering the oracle its Haar k-frames of shape (k, n)."""
     values = np.empty(n_samples, dtype=float)
     rejected = np.zeros(n_samples, dtype=np.int64)
     for start in range(0, n_samples, SLOT_CHUNK):
@@ -354,37 +359,36 @@ def _slot_draws(n: int, k: int, oracle: BatchOracle, n_samples: int, seed: int,
 
 def grassmann_mean_batch(
     n: int,
-    k: int,
     oracle: BatchOracle,
     n_samples: int,
     seed: int,
     stream: int = 0,
     collect: bool = False,
 ) -> MonteCarloEstimate:
-    """Monte Carlo estimate of the Haar mean of a batched oracle over k-planes in R^n.
+    """Monte Carlo estimate of the Haar mean of a batched oracle over hyperplanes of R^n.
 
-    ``oracle(frames)`` takes frames of shape (m, k, n) with orthonormal rows
-    and returns ``(values, degenerate)``, two arrays of length m.  Where
-    G(n, k) is a projective sphere the planes are the rotated lattice of the
-    module docstring, and the standard error is that of the replicate means;
-    elsewhere they are independent slots, ``SLOT_CHUNK`` at a time, and the
-    standard error is that of the values.  Degenerate planes (a measure-zero
-    set) are rejected and redrawn from the same stream.  If more than
-    ``DEGENERATE_BUDGET`` of all draws are rejected the run aborts with
-    :class:`GenericityError`, since that level of degeneracy indicates the
-    input violates the genericity assumptions.
+    ``oracle(normals)`` takes unit normals of shape (m, n) and returns
+    ``(values, degenerate)``, two arrays of length m.  In R^3 the normals are
+    the rotated lattice of the module docstring, and the standard error is
+    that of the replicate means; elsewhere they are independent slots,
+    ``SLOT_CHUNK`` at a time, and the standard error is that of the values.
+    Degenerate planes (a measure-zero set) are rejected and redrawn from the
+    same stream.  If more than ``DEGENERATE_BUDGET`` of all draws are
+    rejected the run aborts with :class:`GenericityError`, since that level
+    of degeneracy indicates the input violates the genericity assumptions.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     replicates = None
-    if is_projective_sphere(n, k):
-        values, rejected, bounds = _lattice_draws(n, k, oracle, n_samples, seed, stream)
+    if n == 3:
+        values, rejected, bounds = _lattice_draws(oracle, n_samples, seed, stream)
         spread = np.array([values[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
         replicates = spread.size
     else:
-        values, rejected = _slot_draws(n, k, oracle, n_samples, seed, stream)
+        values, rejected = _slot_draws(n, 1, lambda frames: oracle(frames[:, 0]),
+                                       n_samples, seed, stream)
         spread = values
 
     n_rejected = int(rejected.sum())
@@ -419,14 +423,16 @@ def grassmann_mean(
     stream: int = 0,
     collect: bool = False,
 ) -> MonteCarloEstimate:
-    """Monte Carlo estimate of the Haar mean of ``f`` over k-planes in R^n.
+    """Monte Carlo estimate of the Haar mean of ``f`` over hyperplanes of R^n.
 
-    ``f`` may raise :class:`DegenerateSample` on a measure-zero set of planes;
-    those draws are rejected and redrawn as in :func:`grassmann_mean_batch`,
-    which this calls with ``per_plane(f)``.
+    ``k`` must be n - 1.  ``f`` may raise :class:`DegenerateSample` on a
+    measure-zero set of planes; those draws are rejected and redrawn as in
+    :func:`grassmann_mean_batch`, which this calls with ``per_plane(f)``.
     ``workers`` is accepted for compatibility and has no effect: the samples
     run in one thread, since a thread pool only slowed this GIL-bound loop
     down.
     """
-    return grassmann_mean_batch(n, k, per_plane(f), n_samples, seed, stream=stream,
+    if k != n - 1:
+        raise ValueError(f"planes are hyperplanes: need k = n - 1, got k={k}, n={n}")
+    return grassmann_mean_batch(n, per_plane(f), n_samples, seed, stream=stream,
                                 collect=collect)

@@ -30,7 +30,7 @@ Grassmannian mean of link chis goes through ``_link_mean``.  Where almost every 
 gives the same link (the set is compact, dim X + k <= n, or X is a flat) the
 term is that link, labelled ``exact(generic_section)``: the Grassmannian mean
 evaluated exactly from the dimension of a generic section, with no curvature
-in it.  Every other term is a Haar mean over drawn planes.
+in it.  Every other term is over hyperplanes, a Haar mean over drawn normals.
 """
 
 from __future__ import annotations
@@ -113,17 +113,18 @@ def _link_mean(
 
     The whole space has one link; where almost every plane gives the same
     link (``generic_link_chi``) that link is the mean, exactly; otherwise
-    the mean is estimated over Haar planes.
+    the planes are hyperplanes and the mean is estimated over Haar normals.
     """
     if plane_dim == x.ambient_dim:
         return float(full_space_link(x, ctx.center)), 0.0, "exact(full_space_link)"
     chi = generic_link_chi(x, plane_dim, ctx.center)
     if chi is not None:
         return float(chi), 0.0, "exact(generic_section)"
+    if plane_dim != x.ambient_dim - 1:
+        raise UnsupportedSection(f"links of {plane_dim}-plane sections vary and are not drawn")
     est = grassmann_mean_batch(
         x.ambient_dim,
-        plane_dim,
-        lambda frames: link_chi_batch(x, frames, ctx.center),
+        lambda normals: link_chi_batch(x, normals, ctx.center),
         n_samples=ctx.n_samples,
         seed=ctx.seed,
         stream=stream,
@@ -284,6 +285,7 @@ def _check_du_lambda0(x: SetDescriptor, ctx: RunContext) -> Rows:
         return [skipped_row(0, "curvature_density_cubature", "link_defect_formula", str(exc))]
     formula_route = (
         f"chi({result.chi}) - 0.5*chi_link({result.chi_link:g}) - 0.5*hyperplane_mean"
+        f":{result.hyperplane_route}"
     )
     if result.direct is None:
         return [

@@ -1,13 +1,15 @@
-"""Per-plane conic and linear link counts: the reference oracle for the stack.
+"""Per-plane conic and linear link counts: the reference oracle.
 
-The same counts as the library's stacked route, made one plane at a time:
-a graph section found arc by arc with early exits, a principal-angle SVD
-per plane, and one least-squares solve per shifted flat.  The tests hold ``link_chi_batch``
-against it, value for value and mask for mask.  ``ray_sphere_count`` counts
-where the rays of a cone cross one sphere off the origin, the reference for
-the library's closed-form full-space link of a translated edge-free cone.
-``project`` and ``normal_basis`` are the plane helpers these loops and the
-tests use.
+The same counts as the library's routes, made one plane at a time for planes
+of any dimension: a graph section found arc by arc with early exits, a
+principal-angle SVD per plane, and one least-squares solve per shifted flat.
+The tests hold ``link_chi_batch`` against it on hyperplanes of cones, value
+for value and mask for mask, and ``generic_link_chi`` on every plane of a
+flat and every lower-dimensional plane of a cone, which the library answers
+in closed form.  ``ray_sphere_count`` counts where the rays of a cone cross
+one sphere off the origin, the reference for the library's closed-form
+full-space link of a translated edge-free cone.  ``project`` and
+``normal_basis`` are the plane helpers these loops and the tests use.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ import numpy as np
 
 from lkcurv import DegenerateSample, Subspace, UnsupportedSection
 from lkcurv.catalog import ConicGraph, LinearSubspace
-from lkcurv.catalog.links import (
-    CROSSING_GRAY_TOL,
-    CROSSING_RESIDUAL_TOL,
-    ENDPOINT_MARGIN,
-    SHARED_DIRECTION_TOL,
-    SHARED_GRAY_TOL,
-    VERTEX_GRAY_TOL,
-    VERTEX_IN_TOL,
-)
+from lkcurv.catalog.links import ENDPOINT_MARGIN, VERTEX_GRAY_TOL, VERTEX_IN_TOL
+
+# a crossing of an arc with a plane of codimension 2 or more can graze it:
+# its residual off the plane decides below the first tolerance and is in the
+# gray band below the second
+CROSSING_RESIDUAL_TOL = 1e-8
+CROSSING_GRAY_TOL = 1e-5
+# sines of the principal angles between a flat and a plane: below the first
+# the direction is shared, below the second it is in the gray band
+SHARED_DIRECTION_TOL = 1e-10
+SHARED_GRAY_TOL = 1e-8
 
 
 def project(subspace: Subspace, x) -> np.ndarray:

@@ -6,10 +6,10 @@ re-keying replaced: each slot of a chunk gets its own ``substream``
 generator, which runs on from draw to draw, and a rank-deficient block is
 redrawn from that generator by ``haar_sample``.
 
-``grassmann_mean_lattice``: the library rotates the lattice's point set
+``grassmann_mean_lattice``: the library rotates the lattice's normals in R^3
 replicate by replicate, offering all rejected planes of a replicate to the
 next rotation in one oracle call.  This walks the point set one plane at a
-time instead: plane j of replicate r takes rotations 0, 1, ... of the
+time instead: normal j of replicate r takes rotations 0, 1, ... of the
 replicate's generator ``substream(seed, STREAM_LATTICE, r, stream)`` until
 the oracle accepts it.
 
@@ -33,7 +33,7 @@ from lkcurv.grassmann import (
     STREAM_LATTICE,
     _orthonormalize,
     haar_sample,
-    lattice_frames,
+    lattice_normals,
     substream,
 )
 
@@ -47,7 +47,9 @@ def haar_frames(n: int, k: int, rngs) -> np.ndarray:
 
 
 def grassmann_mean_per_slot(n, k, oracle, n_samples, seed, stream=0) -> MonteCarloEstimate:
-    """``grassmann_mean_batch(..., collect=True)`` with one generator per slot."""
+    """The slot draws of Haar k-frames with one generator per slot; for k = 1
+    this is ``grassmann_mean_batch(n, ..., collect=True)`` outside R^3, whose
+    normals are the frames' rows."""
     values = np.empty(n_samples, dtype=float)
     rejected = np.zeros(n_samples, dtype=np.int64)
     for start in range(0, n_samples, grassmann.SLOT_CHUNK):
@@ -73,8 +75,8 @@ def grassmann_mean_per_slot(n, k, oracle, n_samples, seed, stream=0) -> MonteCar
                               seed=seed, n_rejected=n_rejected, values=values)
 
 
-def grassmann_mean_lattice(n, k, oracle, n_samples, seed, stream=0) -> MonteCarloEstimate:
-    """``grassmann_mean_batch(..., collect=True)`` on a projective sphere, one plane at a time."""
+def grassmann_mean_lattice(oracle, n_samples, seed, stream=0) -> MonteCarloEstimate:
+    """``grassmann_mean_batch(3, ..., collect=True)``, one plane at a time."""
     reps = min(LATTICE_REPLICATES, n_samples)
     values, means, n_rejected = [], [], 0
     for r in range(reps):
@@ -82,10 +84,10 @@ def grassmann_mean_lattice(n, k, oracle, n_samples, seed, stream=0) -> MonteCarl
         rng = substream(seed, STREAM_LATTICE, r, stream)
         rotations = []
         start = len(values)
-        for point in lattice_frames(n, k, size):
+        for point in lattice_normals(size):
             for t in range(MAX_RETRIES_PER_SLOT):
                 if t == len(rotations):
-                    rotations.append(haar_sample(n, n, rng).frame)
+                    rotations.append(haar_sample(3, 3, rng).frame)
                 vals, bad = oracle((point @ rotations[t])[None])
                 if not bad[0]:
                     values.append(float(vals[0]))

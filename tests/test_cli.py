@@ -175,6 +175,26 @@ def test_usage_errors(capsys):
         assert "--radius" in capsys.readouterr().err
 
 
+def test_usage_errors_leave_the_shared_parser_intact(tmp_path):
+    # main builds its parser once per process, so a call that fails to parse
+    # must not change the next one
+    assert cli.build_parser() is cli.build_parser()
+    out_path = tmp_path / "report.json"
+    argv = ["verify", "--set", "star3_cone_r3", "--theorem", "prop3.1",
+            "--samples", "200", "--seed", "5", "--out", str(out_path)]
+    docs = []
+    for bad in ([], ["verify", "--set", "cross_r2", "--theorem", "nope"],
+                ["verify", "--set", "cross_r2", "--theorem", "thm3.9", "--samples", "x"],
+                ["grassmann", "sample", "--n", "3"]):
+        if bad:
+            assert run_cli(bad)[0] == 64, bad
+        assert run_cli(argv)[0] == 0
+        doc = json.loads(out_path.read_text())
+        doc.pop("elapsed_seconds")
+        docs.append(doc)
+    assert all(doc == docs[0] for doc in docs)
+
+
 def test_curvature_at_huge_radii():
     # the order-0 curvature of the paraboloid is 1, that of the hyperboloid -sqrt(2)
     for name, radius, exact in (("paraboloid_r3", "1e100", 1.0), ("paraboloid_r3", "1e150", 1.0),
@@ -303,6 +323,28 @@ def test_largest_seed_is_accepted(monkeypatch):
 
 
 PLANE_R2_IN_R4 = Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"
+STAR4_CONE_R4 = Path(__file__).resolve().parent / "sets" / "star4_cone_r4.json"
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "42"])
+def test_star4_cone_draws_slot_normals_in_r4(tmp_path, seed):
+    # the cone over arcs from e4 to e1, e2 and e3: its k=2 row is half the mean
+    # link of a hyperplane of R^4, drawn as slot normals; a hyperplane separates
+    # two points at angle theta with probability theta / pi, so the mean is
+    # 3 (pi/2) / pi and the row is exactly 3/4
+    docs = []
+    for run in range(2):
+        out_path = tmp_path / f"run{run}.json"
+        code, _ = run_cli(["verify", "--set", str(STAR4_CONE_R4), "--theorem", "thm3.7",
+                           "--seed", seed, "--out", str(out_path)])
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        doc.pop("elapsed_seconds")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    row = next(row for row in docs[0]["rows"] if row["k"] == 2)
+    assert "grassmann_mc(planes=3,n=4000)" in row["route_rhs"]
+    assert abs(row["rhs"] - 0.75) <= 3.0 * row["uncertainty"]
 
 
 def test_plane_chart_default_origin_follows_frame(tmp_path):

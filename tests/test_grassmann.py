@@ -13,8 +13,8 @@ from lkcurv import (
 )
 from lkcurv import grassmann
 from lkcurv.grassmann import (
-    LATTICE_REPLICATES, STREAM_GRASSMANN, STREAM_LATTICE, haar_sample, is_projective_sphere,
-    lattice_frames, slot_frames, substream,
+    LATTICE_REPLICATES, STREAM_GRASSMANN, STREAM_LATTICE, haar_sample, hyperplane_frames,
+    lattice_normals, slot_frames, substream,
 )
 from per_plane_links import project
 from per_slot_streams import grassmann_mean_lattice, grassmann_mean_per_slot
@@ -26,6 +26,15 @@ def test_frames_are_orthonormal():
         sub = haar_sample(n, k, rng)
         gram = sub.frame @ sub.frame.T
         assert np.max(np.abs(gram - np.eye(k))) < 1e-10
+    # the Householder frames of hyperplanes, also where u_n is 0 or +-1
+    for n in (2, 3, 4, 5):
+        normals = np.concatenate([rng.standard_normal((20, n)), np.eye(n), -np.eye(n)])
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        frames = hyperplane_frames(normals)
+        assert frames.shape == (len(normals), n - 1, n)
+        gram = frames @ frames.transpose(0, 2, 1)
+        assert np.max(np.abs(gram - np.eye(n - 1))) < 1e-14
+        assert np.max(np.abs(frames @ normals[:, :, None])) < 1e-15
 
 
 def test_full_space_sample_spans_everything():
@@ -72,6 +81,8 @@ def test_constant_integrand():
     est = grassmann_mean(3, 2, lambda h: 2.5, 500, seed=3)
     assert est.mean == 2.5
     assert est.stderr == 0.0
+    with pytest.raises(ValueError, match="hyperplanes"):
+        grassmann_mean(3, 1, lambda h: 2.5, 500, seed=3)
 
 
 def test_cross_generic_line_misses(sets):
@@ -117,7 +128,7 @@ def test_scalar_and_batched_means_agree(sets):
 
     hyp = sets["hyperboloid_r3"]
     scalar = grassmann_mean(3, 2, lambda h: lk.link_chi(hyp, h), 600, seed=42, collect=True)
-    batched = grassmann_mean_batch(3, 2, lambda frames: link_chi_batch(hyp, frames), 600,
+    batched = grassmann_mean_batch(3, lambda normals: link_chi_batch(hyp, normals), 600,
                                    seed=42, collect=True)
     assert np.array_equal(scalar.values, batched.values)
     assert (scalar.mean, scalar.stderr, scalar.n_rejected) == (
@@ -129,24 +140,25 @@ def test_batched_frames_match_haar_sample():
 
     seen = []
 
-    def record(frames):
-        seen.append(frames.copy())
-        return np.zeros(len(frames)), np.zeros(len(frames), dtype=bool)
+    def record(normals):
+        seen.append(normals.copy())
+        return np.zeros(len(normals)), np.zeros(len(normals), dtype=bool)
 
-    grassmann_mean_batch(4, 2, record, 300, seed=5, stream=2)
-    frames = np.concatenate(seen)
+    # outside R^3 the normal of slot i is the line haar_sample draws from its stream
+    grassmann_mean_batch(4, record, 300, seed=5, stream=2)
+    normals = np.concatenate(seen)
     for i in range(300):
-        sub = haar_sample(4, 2, substream(5, STREAM_GRASSMANN, i, 2))
-        assert np.array_equal(frames[i], sub.frame)
+        sub = haar_sample(4, 1, substream(5, STREAM_GRASSMANN, i, 2))
+        assert np.array_equal(normals[i], sub.frame[0])
 
 
 def test_rotation_invariance(sets):
     cone = sets["plane_cone_r3"]
     rng = np.random.Generator(np.random.Philox(key=np.array([4, 4], dtype=np.uint64)))
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    a = grassmann_mean_batch(3, 2, lambda frames: lk.link_chi_batch(cone, frames),
+    a = grassmann_mean_batch(3, lambda normals: lk.link_chi_batch(cone, normals),
                              10000, seed=8)
-    b = grassmann_mean_batch(3, 2, lambda frames: lk.link_chi_batch(cone, frames @ q.T),
+    b = grassmann_mean_batch(3, lambda normals: lk.link_chi_batch(cone, normals @ q.T),
                              10000, seed=9)
     combined = math.hypot(a.stderr, b.stderr)
     assert abs(a.mean - b.mean) <= 3.0 * combined + 1e-12
@@ -190,23 +202,27 @@ def test_substream_keys_are_disjoint():
     assert np.array_equal(a, again)
 
 
-def _rarely_rejecting(frames):
-    """A batched oracle that rejects about 0.5% of frames by a rule on their bits.
+def _rarely_rejecting(planes):
+    """A batched oracle that rejects about 0.5% of planes by a rule on their bits.
 
     That is half the degenerate budget, so no 700-sample run below exhausts it.
+    It reads the first and last entry of each plane, so it takes normals (m, n)
+    and frames (m, k, n) alike, and a normal as the frame of its line.
     """
-    code = (np.abs(frames[:, 0, 0]) * 1e9).astype(np.int64)
-    return frames[:, 0, 0] ** 2 - frames[:, -1, -1], code % 200 == 0
+    flat = planes.reshape(len(planes), -1)
+    code = (np.abs(flat[:, 0]) * 1e9).astype(np.int64)
+    return flat[:, 0] ** 2 - flat[:, -1], code % 200 == 0
 
 
-def _seldom_rejecting(frames):
-    """``_rarely_rejecting`` rejecting about 1/300 of frames instead of 1/200.
+def _seldom_rejecting(planes):
+    """``_rarely_rejecting`` rejecting about 1/300 of planes instead of 1/200.
 
     A lattice run of 3000 planes then expects 10 rejections against a budget of
     30, where 700 planes at 1/200 would expect 3.5 against 7.
     """
-    code = (np.abs(frames[:, 0, 0]) * 1e9).astype(np.int64)
-    return frames[:, 0, 0] ** 2 - frames[:, -1, -1], code % 300 == 0
+    flat = planes.reshape(len(planes), -1)
+    code = (np.abs(flat[:, 0]) * 1e9).astype(np.int64)
+    return flat[:, 0] ** 2 - flat[:, -1], code % 300 == 0
 
 
 def _assert_same_estimate(a, b):
@@ -218,14 +234,14 @@ def _assert_same_estimate(a, b):
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 2])
 def test_rekeyed_draws_match_one_generator_per_slot(n, k, seed, stream):
-    """The slot draws on every shape, and the whole estimate on the shapes
-    that ``grassmann_mean_batch`` samples by slots."""
+    """The slot draws on every shape, and the whole estimate where
+    ``grassmann_mean_batch`` samples normals, the lines of k = 1, by slots."""
     ref = grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, seed, stream)
     values, rejected = grassmann._slot_draws(n, k, _rarely_rejecting, 700, seed, stream)
     assert rejected.sum() > 0
     assert np.array_equal(values, ref.values) and rejected.sum() == ref.n_rejected
-    if not is_projective_sphere(n, k):
-        est = grassmann_mean_batch(n, k, _rarely_rejecting, 700, seed, stream=stream, collect=True)
+    if k == 1 and n != 3:
+        est = grassmann_mean_batch(n, _rarely_rejecting, 700, seed, stream=stream, collect=True)
         assert est.replicates is None
         _assert_same_estimate(est, ref)
 
@@ -239,37 +255,47 @@ def test_rank_deficient_redraws_match_one_generator_per_slot(monkeypatch, n, k):
     ref = grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, 42, 2)
     values, rejected = grassmann._slot_draws(n, k, _rarely_rejecting, 700, 42, 2)
     assert np.array_equal(values, ref.values) and rejected.sum() == ref.n_rejected
-    if not is_projective_sphere(n, k):
+    if n != 3:
+        # the normals of R^n skip rank-deficient lines the same way
         _assert_same_estimate(
-            grassmann_mean_batch(n, k, _rarely_rejecting, 700, 42, stream=2, collect=True), ref)
+            grassmann_mean_batch(n, _rarely_rejecting, 700, 42, stream=2, collect=True),
+            grassmann_mean_per_slot(n, 1, _rarely_rejecting, 700, 42, 2))
         return
     # the lattice's rotations skip rank-deficient blocks the same way
     first_rotations = np.stack([substream(42, STREAM_LATTICE, r, 2).standard_normal((n, n))
                                 for r in range(LATTICE_REPLICATES)])
     assert not grassmann._orthonormalize(first_rotations)[1].all()
     _assert_same_estimate(
-        grassmann_mean_batch(n, k, _seldom_rejecting, 3000, 42, stream=2, collect=True),
-        grassmann_mean_lattice(n, k, _seldom_rejecting, 3000, 42, 2))
+        grassmann_mean_batch(n, _seldom_rejecting, 3000, 42, stream=2, collect=True),
+        grassmann_mean_lattice(_seldom_rejecting, 3000, 42, 2))
 
 
 def test_values_do_not_depend_on_the_slot_chunk(monkeypatch):
     runs = []
     for chunk in (1, 7, 256):
         monkeypatch.setattr(grassmann, "SLOT_CHUNK", chunk)
-        runs.append(grassmann_mean_batch(4, 3, _rarely_rejecting, 700, 5, stream=2, collect=True))
+        runs.append(grassmann_mean_batch(4, _rarely_rejecting, 700, 5, stream=2, collect=True))
     assert runs[0].replicates is None
     for est in runs[1:]:
         _assert_same_estimate(est, runs[0])
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
+def _read_as(k):
+    """An oracle over normals of R^3 that reads each one as a k-plane: its
+    line for k = 1, the frame ``per_plane`` gives its hyperplane for k = 2."""
+    if k == 1:
+        return _seldom_rejecting
+    return lambda normals: _seldom_rejecting(hyperplane_frames(normals))
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2)])
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 2])
 def test_lattice_matches_one_plane_at_a_time(n, k, seed, stream):
-    est = grassmann_mean_batch(n, k, _seldom_rejecting, 3000, seed, stream=stream, collect=True)
+    est = grassmann_mean_batch(n, _read_as(k), 3000, seed, stream=stream, collect=True)
     assert est.n_rejected > 0
     assert est.replicates == LATTICE_REPLICATES
-    ref = grassmann_mean_lattice(n, k, _seldom_rejecting, 3000, seed, stream)
+    ref = grassmann_mean_lattice(_read_as(k), 3000, seed, stream)
     _assert_same_estimate(est, ref)
     assert est.replicates == ref.replicates
 
@@ -281,37 +307,33 @@ def test_lattice_sizes_that_do_not_divide(n_samples, replicates):
     sizes = grassmann.replicate_sizes(n_samples)
     assert len(sizes) == replicates and sum(sizes) == n_samples and max(sizes) - min(sizes) <= 1
 
-    def accepting(frames):  # one rejection in 13 planes would exceed the budget
-        return frames[:, 0, 0] ** 2 - frames[:, -1, -1], np.zeros(len(frames), dtype=bool)
+    def accepting(normals):  # one rejection in 13 planes would exceed the budget
+        return normals[:, 0] ** 2 - normals[:, -1], np.zeros(len(normals), dtype=bool)
 
-    for n, k in [(2, 1), (3, 2)]:
-        est = grassmann_mean_batch(n, k, accepting, n_samples, 42, collect=True)
-        assert est.replicates == replicates
-        _assert_same_estimate(est, grassmann_mean_lattice(n, k, accepting, n_samples, 42))
-        if n_samples == 1:
-            assert est.stderr == 0.0
-        else:
-            assert est.stderr > 0.0
+    est = grassmann_mean_batch(3, accepting, n_samples, 42, collect=True)
+    assert est.replicates == replicates
+    _assert_same_estimate(est, grassmann_mean_lattice(accepting, n_samples, 42))
+    if n_samples == 1:
+        assert est.stderr == 0.0
+    else:
+        assert est.stderr > 0.0
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2)])
 def test_lattice_frames_are_a_spread_point_set(n, k):
-    frames = lattice_frames(n, k, 400)
+    """The lattice's normals read as lines (k = 1) or as hyperplane frames (k = 2)."""
+    normals = lattice_normals(400)
+    frames = normals[:, None, :] if k == 1 else hyperplane_frames(normals)
     assert frames.shape == (400, k, n)
     gram = frames @ frames.transpose(0, 2, 1)
     assert np.max(np.abs(gram - np.eye(k))) < 1e-12
     # read each plane through its line direction or hyperplane normal
     u = frames[:, 0] if k == 1 else np.cross(frames[:, 0], frames[:, 1])
-    if n == 2:
-        angles = np.arctan2(u[:, 1], u[:, 0]) % np.pi
-        assert np.allclose(np.diff(angles), np.pi / 400)
-    else:
-        # equal-area heights on the upper hemisphere and golden-angle turns
-        assert np.allclose(np.sort(np.abs(u[:, 2])), (np.arange(400) + 0.5) / 400)
-        # the second moment of a Haar line direction is I/3 (to O(1/m^2) here)
-        assert np.max(np.abs(u.T @ u / 400 - np.eye(3) / 3.0)) < 1e-3
-    with pytest.raises(ValueError):
-        lattice_frames(4, 2, 10)
+    assert np.allclose(np.abs(np.sum(u * normals, axis=1)), 1.0)
+    # equal-area heights on the upper hemisphere and golden-angle turns
+    assert np.allclose(np.sort(np.abs(u[:, 2])), (np.arange(400) + 0.5) / 400)
+    # the second moment of a Haar line direction is I/3 (to O(1/m^2) here)
+    assert np.max(np.abs(u.T @ u / 400 - np.eye(3) / 3.0)) < 1e-3
 
 
 def test_lattice_beats_independent_slots_with_calibrated_errors(sets):
@@ -322,15 +344,15 @@ def test_lattice_beats_independent_slots_with_calibrated_errors(sets):
     """
     star = sets["star3_cone_r3"]
 
-    def oracle(frames):
-        return lk.link_chi_batch(star, frames)
+    def oracle(normals):
+        return lk.link_chi_batch(star, normals)
 
     lattice, slots, beyond = [], [], 0
     for seed in range(42, 82):
-        est = grassmann_mean_batch(3, 2, oracle, 400, seed)
+        est = grassmann_mean_batch(3, oracle, 400, seed)
         lattice.append(est.mean - 1.0)
         beyond += abs(est.mean - 1.0) > 3.0 * est.stderr
-        values, _ = grassmann._slot_draws(3, 2, oracle, 400, seed, 0)
+        values, _ = grassmann._slot_draws(3, 1, lambda lines: oracle(lines[:, 0]), 400, seed, 0)
         slots.append(values.mean() - 1.0)
     rmse = lambda errors: math.sqrt(np.mean(np.square(errors)))
     assert rmse(lattice) <= 0.5 * rmse(slots)
@@ -356,6 +378,6 @@ def test_seeds_outside_64_bits_are_rejected_not_wrapped():
         with pytest.raises(ValueError, match="seed"):
             grassmann._stream_key(seed, STREAM_GRASSMANN)
         with pytest.raises(ValueError, match="seed"):
-            grassmann_mean_batch(3, 2, _rarely_rejecting, 10, seed)
+            grassmann_mean_batch(3, _rarely_rejecting, 10, seed)
     with pytest.raises(ValueError):
-        grassmann_mean_batch(3, 2, _rarely_rejecting, 10, 0, stream=1 << 24)
+        grassmann_mean_batch(3, _rarely_rejecting, 10, 0, stream=1 << 24)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lkcurv as lk
-from lkcurv import verify
+from lkcurv import SmoothSet, UnsupportedSection, verify
 from lkcurv.report import report_from_dict, report_to_dict, report_to_json
 from lkcurv.verify import RunContext, lambda0, run_theorem
 
@@ -179,6 +179,12 @@ def test_generically_constant_terms_draw_no_planes(sets, monkeypatch):
     # the hyperplanes of a cone are drawn: their links vary
     with pytest.raises(AssertionError, match="drew planes"):
         run_theorem("prop3.1", sets["plane_cone_r3"], n_samples=500, seed=42)
+    # only hyperplanes are drawn: a varying link on planes of lower dimension
+    # (a 3-fold in R^4 meets 2-planes in curves) is refused, not averaged
+    # over hyperplanes
+    threefold = SmoothSet(ambient_dim=4, dim=3, chart=None, implicit=None, declared_chi=1)
+    with pytest.raises(UnsupportedSection, match="2-plane"):
+        verify._link_mean(threefold, 2, RunContext(), 1)
 
 
 def test_seeds_outside_64_bits_are_rejected(sets):

@@ -4,22 +4,28 @@ Usage, from the root of a checkout:
 
     PYTHONPATH=src python tools/seed_sweep.py --seeds 200 --samples 4000 > sweep.json
 
-Runs, in process, the Monte Carlo right side of three report rows with known
+Runs, in process, the Monte Carlo right side of four report rows with known
 exact values, once per seed 0, 1, ..., seeds - 1:
 
 * ``hyperboloid_r3 thm3.7`` row k=2: 0.5*E[chi|dim2] = sqrt(2);
 * ``star3_cone_r3 prop3.1`` row k=2: 0.5*E[chi|dim2] = 1/2 (the star's
   three arcs have total length pi);
 * ``hyperboloid_r3 du_lambda0``: the defect formula chi - 0.5*chi_link -
-  0.5*E[chi|dim2] = -sqrt(2).
+  0.5*E[chi|dim2] = -sqrt(2);
+* ``star4_cone_r4 thm3.7`` row k=2: 0.5*E[chi|dim3] = 3/4, the cone over
+  three quarter arcs of S^3 in ``tests/sets/star4_cone_r4.json`` (a
+  hyperplane separates two points at angle theta with probability
+  theta / pi).  Its hyperplanes are the slot normals of R^4; the first three
+  rows use the randomized lattice of R^3.
 
 Each side is taken with its own Monte Carlo standard error sigma, not the
 row's combined uncertainty, so the left side's extrapolation error does not
 hide a miscalibrated sigma.  For each row it prints the RMSE against the
 exact value, the mean sigma, and the distribution of |error| / sigma: its
 quantiles and the share of seeds beyond 2 and 3 sigma, and the route label
-each side reports.  The script reads only ``lkcurv.verify``, so it runs
-unchanged against older checkouts.
+each side reports.  The script reads ``lkcurv.verify`` and loads each set
+with ``lkcurv.resolve_set``, so it runs unchanged against older checkouts
+that have both.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +43,7 @@ import lkcurv
 from lkcurv import verify
 
 SQRT2 = math.sqrt(2.0)
+STAR4 = str(Path(__file__).resolve().parents[1] / "tests" / "sets" / "star4_cone_r4.json")
 
 
 def _defect_formula(x, ctx):
@@ -54,14 +62,15 @@ ROWS = [
     ("star3_cone_r3 prop3.1 k=2", 0.5, "star3_cone_r3",
      lambda x, ctx: verify._growth_rhs(x, 2, ctx)),
     ("hyperboloid_r3 du_lambda0", -SQRT2, "hyperboloid_r3", _defect_formula),
+    ("star4_cone_r4 thm3.7 k=2", 0.75, STAR4,
+     lambda x, ctx: verify._growth_rhs(x, 2, ctx)),
 ]
 
 
 def sweep(seeds: int, samples: int):
-    sets = lkcurv.builtin_sets()
     out = []
-    for label, exact, set_name, side in ROWS:
-        x = sets[set_name]
+    for label, exact, ref, side in ROWS:
+        _, x = lkcurv.resolve_set(ref)
         errors, sigmas, route = [], [], None
         start = time.perf_counter()
         for seed in range(seeds):
