@@ -288,12 +288,18 @@ def _read_as(k):
     return lambda normals: _seldom_rejecting(hyperplane_frames(normals))
 
 
-@pytest.mark.parametrize("n,k", [(3, 1), (3, 2)])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 2])
 def test_lattice_matches_one_plane_at_a_time(n, k, seed, stream):
+    """R^3 planes come from the lattice; the lines of R^2 have no lattice and
+    come from independent slots, each matching its one-plane-at-a-time loop."""
     est = grassmann_mean_batch(n, _read_as(k), 3000, seed, stream=stream, collect=True)
     assert est.n_rejected > 0
+    if n == 2:
+        assert est.replicates is None
+        _assert_same_estimate(est, grassmann_mean_per_slot(n, k, _read_as(k), 3000, seed, stream))
+        return
     assert est.replicates == LATTICE_REPLICATES
     ref = grassmann_mean_lattice(_read_as(k), 3000, seed, stream)
     _assert_same_estimate(est, ref)
