@@ -7,7 +7,9 @@ characteristic.  The public surface is the batched routes
 normals: the spherical Fibonacci lattice in R^3, slot normals elsewhere;
 ``curvature_sweep`` and its one-radius form ``curvature_measures``),
 ``run_theorem``, the set and report types, and the errors.  Planes of lower
-dimension are closed forms only (``catalog.links.generic_link_chi``).
+dimension, and hyperplanes whose links agree almost everywhere, are closed
+forms only (``catalog.links.generic_link_chi``).  No link takes a center:
+a link at infinity depends only on asymptotic data.
 """
 
 from .catalog import (

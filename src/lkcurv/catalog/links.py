@@ -1,36 +1,30 @@
 """Topological oracles: Euler characteristics and links at infinity.
 
-``link_chi_batch(X, normals, center)`` returns, for a stack of hyperplanes
-H = u^perp given by their unit normals u, the Euler characteristic of
-(X intersect (center + H)) intersect S_R for stably large R, spheres taken
-around the center.  Every other plane is a closed form:
-``full_space_link(X, center)`` is the link of X itself, and
-``generic_link_chi(X, k, center)`` is the link that almost every k-plane
-gives, where one link does; that covers every flat and every plane of
-dimension below n - 1 that a report asks about.  ``link_chi`` and
-``link_infinity_chi`` run the stacked count on one hyperplane given by a
-frame; no verify path calls them, and they stay because the benchmark's probe
-and tracing look them up by name.
+A link at infinity depends only on asymptotic data, the asymptotic cone or
+the leading form of a section, so no function here takes a center: for a
+plane H transverse to the asymptotic cone C of X, (c + H) ∩ X has the
+asymptotic cone H ∩ C at every c.
 
-Routes.  A hyperplane section of a cone through the origin is the cone over
-the vertices, arcs and arc crossings of its spherical graph in u^perp, read
-off the signs of ``vertices @ u`` for all planes and arcs at once.  A
-one-dimensional implicit section {g = 0} of a smooth surface in R^3 has two
-ends for each simple real root on P^1 of its leading form, the restriction
-of the top-degree part of the implicit polynomial to the plane: such a root
-is a smooth point of the projective closure that crosses the line at
-infinity.  A linear form gives 2 ends, and a quadratic form with matrix A
-gives 4 or 0 by the sign of u^T adj(A) u, the determinant of its restriction
-to u^perp; only forms of degree 3 or more are restricted to a frame of
-u^perp (``hyperplane_frames``).  The center moves only lower-order terms, so
-shifted planes use the same count, and no radius is involved.
+``generic_link_chi(X, k)`` is the one rule for links that do not vary: the
+link of almost every k-plane section, where one link holds.
+``full_space_link(X)`` is the link of X itself.  ``link_chi_batch(X,
+normals)`` gives chi(X ∩ u^perp ∩ S_R) for stably large R over a stack of
+unit normals u: the generic link on every plane where there is one, else a
+count per plane.  ``link_chi`` and ``link_infinity_chi`` run it on one
+hyperplane given by a frame; no verify path calls them, and they stay
+because the benchmark's probe and tracing look them up by name.
 
-Full-space links are closed forms too: a flat of dimension m has the link
-S^(m-1), a cone has chi(graph) = V - E around the origin and each ray of an
-edge-free cone leaves every large sphere exactly once around any center, a
-smooth set of even dimension or a compact one has chi 0, and a nonconstant
-polynomial curve has two ends on its natural unbounded domain and none on a
-bounded one.  No link depends on a radius.
+Routes.  A hyperplane section of a cone is the cone over the vertices, arcs
+and arc crossings of its spherical graph in u^perp, read off the signs of
+``vertices @ u`` for all planes and arcs at once.  A one-dimensional
+implicit section {g = 0} of a smooth surface in R^3 has two ends for each
+simple real root on P^1 of its leading form, the restriction of the
+top-degree part of the implicit polynomial to the plane: such a root is a
+smooth point of the projective closure that crosses the line at infinity.
+A quadratic form with matrix A gives 4 or 0 by the sign of u^T adj(A) u, the
+determinant of its restriction to u^perp; only forms of degree 3 or more
+are restricted to a frame of u^perp (``hyperplane_frames``).  No link
+depends on a radius.
 """
 
 from __future__ import annotations
@@ -92,15 +86,6 @@ def euler_char(x: SetDescriptor) -> int:
     raise TypeError(f"not a set descriptor: {x!r}")
 
 
-def _center_vector(n: int, center) -> np.ndarray:
-    if center is None:
-        return np.zeros(n)
-    center = np.asarray(center, dtype=float)
-    if center.shape != (n,):
-        raise ValueError("center has the wrong dimension")
-    return center
-
-
 def _sphere_chi(m):
     """chi of S^(m-1), the link of an m-flat: 2 for odd m, 0 for even m (the
     empty sphere of m = 0 included)."""
@@ -153,13 +138,6 @@ def _conic_section_links(graph, normals: np.ndarray) -> Tuple[np.ndarray, np.nda
     counts = (np.count_nonzero(verts_in, axis=1) - np.count_nonzero(edges_in, axis=1)
               + np.count_nonzero(crossing, axis=1))
     return counts.astype(float), degenerate
-
-
-def _require_rays(graph) -> None:
-    if graph.n_edges:
-        raise UnsupportedSection(
-            "links of translated cones with two-dimensional sectors are not supported"
-        )
 
 
 # ------------------------------------------------------------------ smooth case
@@ -227,48 +205,39 @@ def _real_root_counts(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.count_nonzero(real, axis=1), degenerate
 
 
+def _quadric_adjugate(p: Poly) -> Tuple[np.ndarray, float]:
+    """adj(A) for the matrix A of the quadratic leading form of ``p`` in R^3,
+    and the parabolic gray band: a plane u^perp whose restricted determinant
+    u^T adj(A) u is at most the band in size is parabolic."""
+    a = p.leading_form().quadratic_form_matrix()
+    adj = np.cross(a[[1, 2, 0]], a[[2, 0, 1]])  # row i: the cross of the other two rows
+    return adj, PARABOLIC_DET_TOL * np.sum(np.abs(a)) ** 2
+
+
 def _implicit_end_counts(p: Poly, normals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Ends of the plane curves {p = 0} ∩ (center + u^perp) in R^3 for unit normals (m, 3).
+    """Ends of the plane curves {p = 0} ∩ u^perp in R^3 for unit normals (m, 3).
 
     Returns the end counts and a mask of the planes where the count is not
-    decided: a linear leading form whose gradient is exactly normal to the
-    plane, a parabolic quadratic leading form, or a restricted leading form
+    decided: a parabolic quadratic leading form, or a restricted leading form
     of degree 3 or more that vanishes or has a real root that is multiple or
-    in the gray band.
+    in the gray band.  Linear forms never get here: a plane is a flat, which
+    ``generic_link_chi`` answers.
     """
     m = normals.shape[0]
     d = p.degree()
     if d <= 0:
         return np.zeros(m), np.ones(m, dtype=bool)
-    form = p.leading_form()
-    if d == 1:
-        grad = np.zeros(p.nvars)
-        for exps, coeff in form.terms.items():
-            grad[exps.index(1)] += coeff
-        off_normal = grad - (normals @ grad)[:, None] * normals
-        return np.full(m, 2.0), np.all(off_normal == 0.0, axis=1)
     if d == 2:
-        a = form.quadratic_form_matrix()
-        adj = np.cross(a[[1, 2, 0]], a[[2, 0, 1]])  # row i: the cross of the other two rows
+        adj, band = _quadric_adjugate(p)
         det = np.sum((normals @ adj) * normals, axis=1)
-        degenerate = np.abs(det) <= PARABOLIC_DET_TOL * np.sum(np.abs(a)) ** 2
-        return np.where(det < 0.0, 4.0, 0.0), degenerate
+        return np.where(det < 0.0, 4.0, 0.0), np.abs(det) <= band
     roots, degenerate = _real_root_counts(_restricted_leading_form(p, hyperplane_frames(normals)))
     return 2.0 * roots, degenerate
 
 
-def _bounded_sections(x: SetDescriptor, k: int) -> bool:
-    """Whether almost every k-plane section of X is bounded, so that its link
-    at infinity is empty: X is compact, or a generic section has dimension
-    dim X + k - n <= 0 (a finite set, a point or nothing)."""
-    return x.compact or x.dim + k <= x.ambient_dim
-
-
 def _smooth_section_ends(x: SmoothSet, normals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Link chis of smooth sections by hyperplanes, batched over unit normals."""
-    m, n = normals.shape
-    if _bounded_sections(x, n - 1):
-        return np.zeros(m), np.zeros(m, dtype=bool)
+    n = normals.shape[1]
     if x.dim == 2 and n == 3 and x.implicit is not None:
         return _implicit_end_counts(x.implicit, normals)
     raise UnsupportedSection(
@@ -276,17 +245,25 @@ def _smooth_section_ends(x: SmoothSet, normals: np.ndarray) -> Tuple[np.ndarray,
     )
 
 
-def full_space_link(x: SetDescriptor, center=None) -> int:
-    """Link chi at infinity of X itself, on spheres around the center (the
-    origin when not given)."""
-    center = _center_vector(x.ambient_dim, center)
+def _is_flat(x: SetDescriptor) -> bool:
+    """Whether X is a flat: a linear subspace, or a smooth set with an
+    implicit polynomial of degree 1 or a ``plane`` chart on its whole plane."""
+    if isinstance(x, LinearSubspace):
+        return True
+    if not isinstance(x, SmoothSet):
+        return False
+    if x.implicit is not None and x.implicit.degree() == 1:
+        return True
+    return x.chart is not None and x.chart.label == "plane" and x.chart.base_domain is None
+
+
+def full_space_link(x: SetDescriptor) -> int:
+    """Link chi at infinity of X itself: S^(m-1) for an m-flat, chi(graph) =
+    V - E for a cone, 0 for a compact or even-dimensional smooth set, and the
+    ends of a polynomial curve."""
     if isinstance(x, LinearSubspace):
         return _sphere_chi(x.dim)
     if isinstance(x, ConicGraph):
-        if np.any(center != 0.0):
-            # off the origin only edge-free cones are supported; each of
-            # their rays leaves every large sphere around the center once
-            _require_rays(x.graph)
         return x.graph.euler_characteristic()
     if isinstance(x, SmoothSet):
         if x.compact or x.dim % 2 == 0:
@@ -301,23 +278,32 @@ def full_space_link(x: SetDescriptor, center=None) -> int:
     raise TypeError(f"not a set descriptor: {x!r}")
 
 
-def generic_link_chi(x: SetDescriptor, k: int, center=None) -> Optional[int]:
-    """Link chi at infinity of X ∩ (center + H) for almost every k-plane H,
-    or None when it varies with H.
+def generic_link_chi(x: SetDescriptor, k: int) -> Optional[int]:
+    """Link chi at infinity of X ∩ H for almost every k-plane H, or None
+    when it varies with H.
 
-    A generic section has dimension dim X + k - n.  It is bounded, with an
-    empty link, when that is at most 0 or X is compact
-    (``_bounded_sections``, the rule the smooth oracle applies to every
-    plane), and the section of an m-flat is a flat of dimension
-    max(0, m + k - n).  A translated cone with sectors raises
-    :class:`UnsupportedSection` here as in :func:`full_space_link`.
+    A generic section has dimension d + k - n, with d = dim X.  It is
+    bounded, with an empty link, when that is at most 0 or X is compact, and
+    the section of a d-flat is a flat of that dimension.  A plane u^perp cuts
+    a quadric surface of R^3 with 4 ends where u^T adj(A) u < 0 and none where
+    it is > 0 (``_implicit_end_counts``), so one value holds almost surely
+    when adj(A) is semidefinite beyond the parabolic gray band.  Where adj(A)
+    is within the band every plane is parabolic, and there is no value.
     """
     n = x.ambient_dim
-    if isinstance(x, ConicGraph) and np.any(_center_vector(n, center) != 0.0):
-        _require_rays(x.graph)
-    if isinstance(x, LinearSubspace):
-        return _sphere_chi(max(0, x.dim + k - n))
-    return 0 if _bounded_sections(x, k) else None
+    if x.compact or x.dim + k <= n:
+        return 0
+    if _is_flat(x):
+        return _sphere_chi(x.dim + k - n)
+    if (isinstance(x, SmoothSet) and (x.dim, n, k) == (2, 3, 2) and x.implicit is not None
+            and x.implicit.degree() == 2):
+        adj, band = _quadric_adjugate(x.implicit)
+        low, high = np.linalg.eigvalsh(adj)[[0, -1]]
+        if low >= -band and high > band:
+            return 0
+        if high <= band and low < -band:
+            return 4
+    return None
 
 
 # ----------------------------------------------------------------------- public
@@ -326,12 +312,12 @@ def generic_link_chi(x: SetDescriptor, k: int, center=None) -> Optional[int]:
 # ``link_infinity_chi`` and reads ``.stable`` and ``.radius_used`` of its result,
 # and its probe averages ``link_chi`` with ``grassmann_mean``.
 
-def link_infinity_chi(x: SetDescriptor, subspace: Subspace, center=None) -> LinkSection:
-    """Euler characteristic of the link at infinity of X ∩ (center + H) for a hyperplane H.
+def link_infinity_chi(x: SetDescriptor, subspace: Subspace) -> LinkSection:
+    """Euler characteristic of the link at infinity of X ∩ H for a hyperplane H.
 
-    The link is taken on spheres around the center (the origin when not
-    given); this is :func:`link_chi_batch` on the normal of H.  Raises
-    :class:`DegenerateSample` on measure-zero configurations and
+    This is :func:`link_chi_batch` on the normal of H, so a link that is
+    constant almost everywhere takes that value on every plane.  Raises
+    :class:`DegenerateSample` where a varying count is not decided and
     :class:`UnsupportedSection` outside the supported representations.
     """
     n = x.ambient_dim
@@ -341,37 +327,35 @@ def link_infinity_chi(x: SetDescriptor, subspace: Subspace, center=None) -> Link
         raise ValueError("link_infinity_chi takes a hyperplane; full_space_link and "
                          "generic_link_chi give the other planes")
     normal = np.linalg.qr(subspace.frame.T, mode="complete")[0][:, -1]
-    values, degenerate = link_chi_batch(x, normal[None], center)
+    values, degenerate = link_chi_batch(x, normal[None])
     if degenerate[0]:
         raise DegenerateSample("the plane meets the set in a degenerate position")
     return LinkSection(int(values[0]), BASE_RADIUS_FACTOR * coefficient_scale(x), True)
 
 
-def link_chi(x: SetDescriptor, subspace: Subspace, center=None) -> int:
-    """Link Euler characteristic at infinity of X ∩ (center + H) for a hyperplane H."""
-    return link_infinity_chi(x, subspace, center).chi
+def link_chi(x: SetDescriptor, subspace: Subspace) -> int:
+    """Link Euler characteristic at infinity of X ∩ H for a hyperplane H."""
+    return link_infinity_chi(x, subspace).chi
 
 
-def link_chi_batch(x: SetDescriptor, normals, center=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable link chis of X ∩ (center + u^perp) for a stack of unit normals u.
+def link_chi_batch(x: SetDescriptor, normals) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable link chis of X ∩ u^perp for a stack of unit normals u.
 
     ``normals`` has shape (m, n).  Returns the values and a mask of the planes
-    in a degenerate position, where the count is not decided.  Cones are
-    counted through the origin only, and flats not at all: their hyperplane
-    sections are the closed forms of :func:`generic_link_chi`.
+    in a degenerate position, where the count is not decided.  A cone is
+    counted on every plane; any other set takes the value of
+    :func:`generic_link_chi` on every plane where it has one, so only links
+    that vary are counted plane by plane.
     """
     normals = np.asarray(normals, dtype=float)
     if normals.ndim != 2 or normals.shape[1] != x.ambient_dim:
         raise ValueError("normals live in a different ambient space")
-    center = _center_vector(x.ambient_dim, center)
     if isinstance(x, ConicGraph):
-        if np.any(center != 0.0):
-            raise UnsupportedSection("hyperplane links of cones are counted through the "
-                                     "origin only")
         return _conic_section_links(x.graph, normals)
+    chi = generic_link_chi(x, x.ambient_dim - 1)
+    if chi is not None:
+        m = normals.shape[0]
+        return np.full(m, float(chi)), np.zeros(m, dtype=bool)
     if isinstance(x, SmoothSet):
         return _smooth_section_ends(x, normals)
-    if isinstance(x, LinearSubspace):
-        raise UnsupportedSection("hyperplane links of flats are closed forms: "
-                                 "use generic_link_chi")
     raise TypeError(f"not a set descriptor: {x!r}")

@@ -18,7 +18,8 @@ built.  The normals come from one of two estimators chosen from n:
 * **Independent slots** in every other R^n: sample slot i draws its own Haar
   normal, a normalized Gaussian vector.
 
-Planes of lower dimension are never drawn: the report's means over them are
+Planes of lower dimension are never drawn, nor hyperplanes of a set whose
+hyperplane links agree almost everywhere: the report's means over them are
 closed forms (``catalog.links.generic_link_chi``).
 
 ``haar_sample`` draws one plane from a generator; the lattice draws its

@@ -15,8 +15,9 @@ that returns the report rows:
 
 ``run_theorem`` validates the settings into one frozen ``RunContext``, times
 the check and builds the report.  Every check reads its sample count, seed,
-radius schedule, cubature resolution and center from the context.  The center
-is the origin in every run except inside the ``base_point`` check, which runs
+radius schedule, cubature resolution and center from the context.  Only the
+curvature side reads the center: a link at infinity does not depend on it.
+The center is the origin in every run except inside the ``base_point`` check, which runs
 the thm3.9 check once with the context and once with a copy recentered at the
 context's base point; no other theorem accepts a base point.
 
@@ -27,10 +28,12 @@ side and its route label per set kind (``curvature_measures``,
 non-circularity contract (curvature/cubature routes on the left, Grassmannian
 means only on the right) is auditable from the report alone.  Every
 Grassmannian mean of link chis goes through ``_link_mean``.  Where almost every plane
-gives the same link (the set is compact, dim X + k <= n, or X is a flat) the
-term is that link, labelled ``exact(generic_section)``: the Grassmannian mean
-evaluated exactly from the dimension of a generic section, with no curvature
-in it.  Every other term is over hyperplanes, a Haar mean over drawn normals.
+gives the same link (``generic_link_chi``: the set is compact, dim X + k <= n,
+X is a flat, or X is a quadric surface whose hyperplane sections have one
+shape almost surely) the term is that link, labelled
+``exact(generic_section)``: the Grassmannian mean evaluated exactly from the
+generic section, with no curvature in it.  Every other term is over
+hyperplanes, a Haar mean over drawn normals.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ def _as_center(center):
 class RunContext:
     """Validated settings shared by every check of one run.
 
-    ``center`` is where radius balls and section planes are centered (None
-    for the origin); ``base_point`` is the point the ``base_point`` check
+    ``center`` is where radius balls are centered (None for the origin);
+    ``base_point`` is the point the ``base_point`` check
     recenters at.
     """
 
@@ -116,15 +119,15 @@ def _link_mean(
     the planes are hyperplanes and the mean is estimated over Haar normals.
     """
     if plane_dim == x.ambient_dim:
-        return float(full_space_link(x, ctx.center)), 0.0, "exact(full_space_link)"
-    chi = generic_link_chi(x, plane_dim, ctx.center)
+        return float(full_space_link(x)), 0.0, "exact(full_space_link)"
+    chi = generic_link_chi(x, plane_dim)
     if chi is not None:
         return float(chi), 0.0, "exact(generic_section)"
     if plane_dim != x.ambient_dim - 1:
         raise UnsupportedSection(f"links of {plane_dim}-plane sections vary and are not drawn")
     est = grassmann_mean_batch(
         x.ambient_dim,
-        lambda normals: link_chi_batch(x, normals, ctx.center),
+        partial(link_chi_batch, x),
         n_samples=ctx.n_samples,
         seed=ctx.seed,
         stream=stream,
@@ -245,7 +248,7 @@ def lambda0(x: SetDescriptor, ctx: RunContext) -> Lambda0Result:
     plus the direct density route when the set is smooth or flat."""
     n = x.ambient_dim
     chi = euler_char(x)
-    chi_link = float(full_space_link(x, ctx.center))
+    chi_link = float(full_space_link(x))
     mean, err, route = _link_mean(x, n - 1, ctx, 1)
     value = chi - 0.5 * chi_link - 0.5 * mean
     stderr = 0.5 * err
@@ -263,18 +266,18 @@ def _curvature_terms(
 
     The order-0 term is the growth limit of order 0 for smooth sets, which
     then shares its cubature with the other orders, 0 for flats, and the
-    link-defect formula otherwise.
+    link-defect formula otherwise.  A cone's limits come first, so that a
+    center they refuse draws no planes.
     """
     if isinstance(x, SmoothSet):
         est, *ests = ctx.limits(x, (0, *ks))
         return (est.value, est.uncertainty, "lambda0=curvature_cubature"), ests
+    ests = ctx.limits(x, ks)
     if isinstance(x, LinearSubspace):
         # every curvature density of order below the dimension of a flat vanishes
-        term = (0.0, 0.0, "lambda0=flat_defect_exact")
-    else:
-        result = lambda0(x, ctx)
-        term = (result.value, result.stderr, "lambda0=link_defect_formula")
-    return term, ctx.limits(x, ks)
+        return (0.0, 0.0, "lambda0=flat_defect_exact"), ests
+    result = lambda0(x, ctx)
+    return (result.value, result.stderr, "lambda0=link_defect_formula"), ests
 
 
 def _check_du_lambda0(x: SetDescriptor, ctx: RunContext) -> Rows:
@@ -364,23 +367,21 @@ def _check_odd_d_corollary(x: SetDescriptor, ctx: RunContext) -> Rows:
 # ------------------------------------------------------------------ base point
 
 def _check_base_point(x: SetDescriptor, ctx: RunContext) -> Rows:
-    """The thm3.9 assembly recentered at the base point must match the origin-based run."""
+    """The thm3.9 assembly recentered at the base point must match the origin-based run.
+
+    The shifted run goes first; where it is refused, the origin run is not
+    made, so a refused base point draws no planes.
+    """
     x0 = ctx.base_point
-    brow = _check_thm_3_9(x, ctx)[0]
     srow = _check_thm_3_9(x, replace(ctx, center=x0))[0]
-    rows = []
     if srow.skipped:
-        rows.append(skipped_row(0, "shifted_assembly", "chi", srow.reason))
-    else:
-        rows.append(
-            make_row(0, srow.lhs, srow.rhs, srow.uncertainty,
-                     "euler_char", f"shifted({x0.tolist()});{srow.route_rhs}")
-        )
-    if brow.skipped or srow.skipped:
-        rows.append(
-            skipped_row(1, "origin_assembly", "shifted_assembly",
-                        brow.reason or srow.reason)
-        )
+        return [skipped_row(0, "shifted_assembly", "chi", srow.reason),
+                skipped_row(1, "origin_assembly", "shifted_assembly", srow.reason)]
+    brow = _check_thm_3_9(x, ctx)[0]
+    rows = [make_row(0, srow.lhs, srow.rhs, srow.uncertainty,
+                     "euler_char", f"shifted({x0.tolist()});{srow.route_rhs}")]
+    if brow.skipped:
+        rows.append(skipped_row(1, "origin_assembly", "shifted_assembly", brow.reason))
     else:
         rows.append(
             make_row(1, brow.rhs, srow.rhs, hypot(brow.uncertainty, srow.uncertainty),

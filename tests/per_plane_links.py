@@ -3,20 +3,23 @@
 The same counts as the library's routes, made one plane at a time for planes
 of any dimension: a graph section found arc by arc with early exits, a
 principal-angle SVD per plane, and one least-squares solve per shifted flat.
-The tests hold ``link_chi_batch`` against it on hyperplanes of cones, value
-for value and mask for mask, and ``generic_link_chi`` on every plane of a
-flat and every lower-dimensional plane of a cone, which the library answers
-in closed form.  ``ray_sphere_count`` counts where the rays of a cone cross
-one sphere off the origin, the reference for the library's closed-form
-full-space link of a translated edge-free cone.  ``project`` and
-``normal_basis`` are the plane helpers these loops and the tests use.
+A plane off the origin meets a cone in rays and in the sections of its flat
+sectors; ``far_sphere_count`` counts where those leave a far sphere about
+the plane's center, with no use of the asymptotic cone.  The tests hold
+``link_chi_batch`` against it on hyperplanes of cones through the origin and
+off it, value for value, and ``generic_link_chi`` on every plane of a flat
+and every lower-dimensional plane of a cone, which the library answers in
+closed form.  ``ray_sphere_count`` counts where the rays of a cone cross one
+sphere off the origin, the reference for the library's closed-form
+full-space link of a cone over points.  ``project`` and ``normal_basis`` are
+the plane helpers these loops and the tests use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lkcurv import DegenerateSample, Subspace, UnsupportedSection
+from lkcurv import DegenerateSample, Subspace
 from lkcurv.catalog import ConicGraph, LinearSubspace
 from lkcurv.catalog.links import ENDPOINT_MARGIN, VERTEX_GRAY_TOL, VERTEX_IN_TOL
 
@@ -29,6 +32,8 @@ CROSSING_GRAY_TOL = 1e-5
 # the direction is shared, below the second it is in the gray band
 SHARED_DIRECTION_TOL = 1e-10
 SHARED_GRAY_TOL = 1e-8
+# the sphere on which a translated cone's section is counted
+FAR_RADIUS = 1.0e8
 
 
 def project(subspace: Subspace, x) -> np.ndarray:
@@ -134,15 +139,49 @@ def reference_link(x, frame: np.ndarray, center: np.ndarray) -> int:
         if not shifted:
             verts_in, edges_in, crossings = graph_section_data(x.graph, subspace)
             return len(verts_in) - len(edges_in) + len(crossings)
-        if x.graph.n_edges:
-            raise UnsupportedSection("translated cones with two-dimensional sectors")
-        normals = normal_basis(subspace)
-        pc = normals @ center
-        for row in x.graph.vertices @ normals.T:
-            if np.linalg.norm(row) < 1e-12 and np.linalg.norm(pc) < 1e-12:
-                raise DegenerateSample("ray contained in the affine flat")
-        return 0
+        return far_sphere_count(x.graph, normal_basis(subspace), center, FAR_RADIUS)
     raise TypeError(f"no per-plane reference for {x!r}")
+
+
+def far_sphere_count(graph, normals: np.ndarray, center: np.ndarray, radius: float) -> int:
+    """Points of cone(graph) ∩ (center + P) on the sphere |p - center| = radius,
+    for the plane P with orthonormal normal rows ``normals``.
+
+    A ray meets center + P in at most a point, unless it is parallel to P.
+    The sector over the arc from v_i to v_j is {a v_i + b v_j : a, b >= 0};
+    where P has codimension 2 or more it meets the sector in at most a point,
+    and a hyperplane u^perp meets it where a (v_i . u) + b (v_j . u) = c . u:
+    a line of the (a, b) plane, whose part in the quadrant is a segment, a ray
+    or empty.  Its points on the sphere are the roots t of |p0 + t d - c|^2 =
+    R^2 along the line, kept where a > 0 and b > 0.  Sectors meet only along
+    rays, so each point is counted once.  Raises :class:`DegenerateSample`
+    for a ray nearly parallel to P, a sector with a direction nearly in P, or
+    a bounded part of the section that reaches out to the sphere.
+    """
+    verts = graph.vertices
+    nv = verts @ normals.T
+    if np.any(np.linalg.norm(nv, axis=1) < VERTEX_GRAY_TOL):
+        raise DegenerateSample("a ray of the cone is nearly parallel to the plane")
+    q = float((normals @ center)[0])
+    total = 0
+    for i, j in graph.edges:
+        if normals.shape[0] > 1:
+            sines = np.linalg.svd(nv[[i, j]].T, compute_uv=False)
+            if sines[1] < SHARED_GRAY_TOL:
+                raise DegenerateSample("a sector has a direction nearly in the plane")
+            continue
+        pi, pj = float(nv[i, 0]), float(nv[j, 0])
+        if max(abs(q / pi), abs(q / pj)) > 1e-3 * radius:
+            raise DegenerateSample("the section of a sector reaches out to the sphere")
+        s = pi * pi + pj * pj
+        a0, b0 = q * pi / s, q * pj / s
+        p0 = a0 * verts[i] + b0 * verts[j] - center
+        d = pj * verts[i] - pi * verts[j]
+        qa, qb, qc = float(d @ d), 2.0 * float(p0 @ d), float(p0 @ p0) - radius * radius
+        root = np.sqrt(qb * qb - 4.0 * qa * qc)
+        for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)):
+            total += int(a0 + t * pj > 0.0 and b0 - t * pi > 0.0)
+    return total
 
 
 def ray_sphere_count(dirs: np.ndarray, center: np.ndarray, radius: float) -> int:

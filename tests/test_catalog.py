@@ -11,6 +11,7 @@ import lkcurv as lk
 from lkcurv import (
     ChiUnknownError,
     DegenerateSample,
+    GenericityError,
     SetValidationError,
     Subspace,
     UnsupportedSection,
@@ -20,13 +21,16 @@ from lkcurv.catalog.charts import CHART_BUILDERS, build_chart
 from lkcurv.catalog.graphs import validate_graph
 from lkcurv.catalog.links import (
     _graph_sections,
+    _implicit_end_counts,
     euler_char,
     full_space_link,
     generic_link_chi,
     link_infinity_chi,
 )
 from lkcurv.catalog.sets import _trace_box, describe, set_from_dict, set_to_dict, validate_set
-from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, hyperplane_frames, substream
+from lkcurv.grassmann import (
+    STREAM_GRASSMANN, haar_sample, hyperplane_frames, slot_frames, substream,
+)
 from per_plane_links import normal_basis
 
 
@@ -189,23 +193,36 @@ def test_link_gauge_invariance(sets):
 
 
 def test_paraboloid_nonzero_links_have_probability_zero(sets):
-    # over many draws: a handful of degenerate/unstable rejections at most, and
-    # never a stable nonzero count
-    par = sets["paraboloid_r3"]
-    n_samples = 10000
-    rejections = 0
-    for i in range(n_samples):
-        sub = haar_sample(3, 2, substream(97, STREAM_GRASSMANN, i))
-        try:
-            result = link_infinity_chi(par, sub)
-        except DegenerateSample:
-            rejections += 1
-            continue
-        if not result.stable:
-            rejections += 1
-            continue
-        assert result.chi == 0
-    assert rejections <= 50
+    # the per-plane rule that the closed form 0 stands in for, over many slot
+    # normals: a handful of parabolic rejections at most, and never a nonzero
+    # count; the cylinder's leading form is the paraboloid's
+    normals = np.concatenate(list(slot_frames(3, 1, 97, 10000)))
+    for name in ("paraboloid_r3", "cylinder_r3"):
+        x = sets[name]
+        values, degenerate = _implicit_end_counts(x.implicit, normals)
+        assert np.count_nonzero(degenerate) <= 50, name
+        assert not np.any(values[~degenerate]), name
+        assert generic_link_chi(x, 2) == 0
+
+
+def test_quadric_generic_links_follow_the_adjugate():
+    # x^2 - y^2 - z, a saddle: adj(A) = diag(0, 0, -1) is negative
+    # semidefinite, and almost every plane cuts a hyperbola with 4 ends;
+    # x^2 - z, a trough: adj(A) = 0, so every plane is parabolic, there is no
+    # closed form, and a drawn mean rejects every plane
+    normals = np.concatenate(list(slot_frames(3, 1, 83, 2000)))
+    saddle = SmoothSet(ambient_dim=3, dim=2, chart=None, declared_chi=1,
+                       implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): -1.0, (0, 0, 1): -1.0}))
+    assert generic_link_chi(saddle, 2) == 4
+    values, degenerate = _implicit_end_counts(saddle.implicit, normals)
+    assert np.count_nonzero(degenerate) <= 10
+    assert np.all(values[~degenerate] == 4.0)
+    trough = SmoothSet(ambient_dim=3, dim=2, chart=None, declared_chi=1,
+                       implicit=Poly(3, {(2, 0, 0): 1.0, (0, 0, 1): -1.0}))
+    assert generic_link_chi(trough, 2) is None
+    assert lk.link_chi_batch(trough, normals)[1].all()
+    with pytest.raises(GenericityError):
+        lk.grassmann_mean_batch(3, lambda u: lk.link_chi_batch(trough, u), 200, 42)
 
 
 def test_oversized_oval_resolved_by_compactness(sets):
@@ -238,10 +255,12 @@ def test_far_line_is_stable_on_the_exact_route():
     horizontal = Subspace(3, 2, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     result = link_infinity_chi(far_plane, horizontal)
     assert result.stable and result.chi == 2
-    # a plane parallel to the set meets it in nothing or in a whole plane
+    # the set is a flat, so every plane takes the closed form, the null set
+    # of planes parallel to it included
+    assert generic_link_chi(far_plane, 2) == 2
     values, degenerate = lk.link_chi_batch(far_plane, np.array([[1.0, 0.0, 0.0],
                                                                 [0.6, 0.8, 0.0]]))
-    assert degenerate.tolist() == [True, False] and values[1] == 2.0
+    assert degenerate.tolist() == [False, False] and values.tolist() == [2.0, 2.0]
 
 
 def _cubic_surface():
@@ -259,6 +278,8 @@ def _haar_normals(seed, count, n=3):
 
 
 def test_batched_link_counts_match_circle_ladder(sets):
+    # the ladder counts crossings on circles about the plane's center; the
+    # library's count takes no center
     from circle_ladder import ladder_link
 
     normals = _haar_normals(59, 200)
@@ -268,7 +289,7 @@ def test_batched_link_counts_match_circle_ladder(sets):
         (np.zeros(3), np.array([0.0, 0.0, 3.0])),
     ):
         x = sets[name]
-        values, degenerate = lk.link_chi_batch(x, normals, center)
+        values, degenerate = lk.link_chi_batch(x, normals)
         assert np.count_nonzero(degenerate) <= 2
         compared = 0
         for frame, value, bad in zip(frames, values, degenerate):
@@ -347,9 +368,30 @@ def test_batched_exact_links_match_per_plane_reference(sets):
         normals = _haar_normals(71, 500, n)
         degenerate = _assert_matches_reference(x, normals)
         assert np.count_nonzero(degenerate) <= 5, name
-        # off the origin the closed forms of generic_link_chi answer instead
-        with pytest.raises(UnsupportedSection):
-            lk.link_chi_batch(x, normals, np.array([1.0, 2.0, 0.5][:n]))
+
+
+@pytest.mark.parametrize("name", ("star3_cone_r3", "plane_cone_r3"))
+def test_translated_cone_links_match_a_far_sphere_count(sets, name):
+    # a plane off the apex meets each sector in a segment, a ray or a line;
+    # the reference counts their points on a far sphere about the plane's
+    # center, and the library's count takes no center
+    from per_plane_links import FAR_RADIUS, far_sphere_count
+
+    x = sets[name]
+    normals = _haar_normals(79, 200)
+    values, degenerate = lk.link_chi_batch(x, normals)
+    for center in ((1.0, 2.0, 0.5), (-3.0, 0.25, 4.0), (0.0, 0.0, -7.5)):
+        center = np.array(center)
+        compared = 0
+        for normal, value, bad in zip(normals, values, degenerate):
+            try:
+                far = far_sphere_count(x.graph, normal[None], center, FAR_RADIUS)
+            except DegenerateSample:
+                continue
+            if not bad:
+                assert value == far, (center, normal)
+                compared += 1
+        assert compared >= 180, center
 
 
 def test_conic_sections_match_per_plane_reference(sets):
@@ -438,18 +480,16 @@ def _gaussian_frames(rng, m, n, k):
     return q.transpose(0, 2, 1)
 
 
-def _oracle_or_reference(x, k, center, normals, frames):
-    """Link chis of X ∩ (center + H) over a stack of k-planes: the batched
-    oracle on hyperplanes where it counts, else the per-plane reference on
-    flats and cones; None for the lower-dimensional planes of smooth sets."""
-    n = x.ambient_dim
-    if k == n - 1:
-        try:
-            return lk.link_chi_batch(x, normals, center)
-        except UnsupportedSection:
-            pass
+def _per_plane_links(x, k, center, normals, frames):
+    """Link chis of X ∩ (center + H) over a stack of k-planes, by a route that
+    does not use the closed forms: the per-plane reference on flats and
+    cones, and the end count of the leading form on hyperplane sections of
+    unbounded implicit surfaces of degree 2 or more; None elsewhere."""
     if isinstance(x, (LinearSubspace, ConicGraph)):
         return _reference_links(x, frames, center)
+    if (k == x.ambient_dim - 1 and not x.compact and x.implicit is not None
+            and x.implicit.degree() >= 2):
+        return _implicit_end_counts(x.implicit, normals)
     return None
 
 
@@ -464,14 +504,8 @@ def test_generic_link_chi_matches_the_batched_oracle(sets):
         n = x.ambient_dim
         for k, shifted in itertools.product(range(1, n), (False, True)):
             center = np.array([1.0, 2.0, 0.5, -1.0][:n]) if shifted else np.zeros(n)
-            try:
-                chi = generic_link_chi(x, k, center)
-            except UnsupportedSection:
-                # the closed form keeps the refusals of the oracle and the reference
-                with pytest.raises(UnsupportedSection):
-                    _oracle_or_reference(x, k, center, normals[n], frames[n, k])
-                continue
-            links = _oracle_or_reference(x, k, center, normals[n], frames[n, k])
+            chi = generic_link_chi(x, k)
+            links = _per_plane_links(x, k, center, normals[n], frames[n, k])
             if links is None:
                 continue
             values, degenerate = links
@@ -483,6 +517,12 @@ def test_generic_link_chi_matches_the_batched_oracle(sets):
             generic[name, k] = chi
     for name in ("star3_cone_r3", "hyperboloid_r3"):
         assert len(varying[name, 2]) > 1
+    # semidefinite quadrics: almost every plane cuts the cylinder and the
+    # paraboloid in an ellipse
+    assert {key: chi for key, chi in generic.items() if key[1] == 2 and key[0] in sets
+            and isinstance(sets[key[0]], SmoothSet)} == {
+        ("cylinder_r3", 2): 0, ("paraboloid_r3", 2): 0,
+    }
     # flat sections are spheres S^(d+k-n-1): chi 2 for a line, 0 for a circle
     assert {key: chi for key, chi in generic.items() if key[0] in flats} == {
         ("flat2_r3", 1): 0, ("flat2_r3", 2): 2,
@@ -492,12 +532,18 @@ def test_generic_link_chi_matches_the_batched_oracle(sets):
 
 
 def test_generic_link_chi_keeps_the_oracle_refusals(sets):
-    star = sets["star3_cone_r3"]
-    with pytest.raises(UnsupportedSection):
-        generic_link_chi(star, 1, center=(1.0, 2.0, 3.0))
-    # at the origin, and off it for a cone without sectors, lines miss the cone
-    assert generic_link_chi(star, 1) == 0
-    assert generic_link_chi(sets["cross_r2"], 1, center=(1.0, 2.0)) == 0
+    # where the oracle refuses a section, the closed form has no value either,
+    # so the refusal reaches the report
+    chart_only = SmoothSet(ambient_dim=3, dim=2, chart=sets["cylinder_r3"].chart,
+                           declared_chi=0)
+    threefold = SmoothSet(ambient_dim=4, dim=3, chart=None, declared_chi=1)
+    for x in (chart_only, threefold):
+        assert generic_link_chi(x, x.ambient_dim - 1) is None
+        with pytest.raises(UnsupportedSection):
+            lk.link_chi_batch(x, np.eye(x.ambient_dim)[:1])
+    # lines miss a cone in R^3 and meet one in R^2 at its apex alone
+    assert generic_link_chi(sets["star3_cone_r3"], 1) == 0
+    assert generic_link_chi(sets["cross_r2"], 1) == 0
 
 
 def test_curve_full_space_link(sets):
@@ -520,7 +566,7 @@ def test_translated_ray_cone_full_space_link(sets):
         center = np.array(center)
         expected = ray_sphere_count(cross.graph.vertices, center, 1.0e3)
         assert expected == 4
-        assert full_space_link(cross, center) == expected
+        assert full_space_link(cross) == expected
 
 
 def test_curve_full_space_link_off_center(sets):
@@ -533,7 +579,7 @@ def test_curve_full_space_link_off_center(sets):
         vals = np.sum((pts - center) ** 2, axis=1) - 1.0e3**2
         expected = int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
         assert expected == 2
-        assert full_space_link(cubic, center) == expected
+        assert full_space_link(cubic) == expected
 
 
 def test_curve_on_bounded_domain_has_empty_link(tmp_path, sets):
@@ -542,8 +588,11 @@ def test_curve_on_bounded_domain_has_empty_link(tmp_path, sets):
     path = tmp_path / "cubic_arc.json"
     path.write_text(json.dumps(doc))
     _, arc = lk.resolve_set(str(path))
+    assert full_space_link(arc) == 0
+    # the arc lies inside every large sphere, about any center
+    pts = arc.chart.jet(np.linspace(-2.0, 2.0, 2001)[:, None])[0]
     for center in CURVE_CENTERS:
-        assert full_space_link(arc, center) == 0
+        assert np.max(np.linalg.norm(pts - center, axis=1)) < 1.0e3
 
 
 def test_unsupported_section_raises():
@@ -563,11 +612,11 @@ def test_linear_section(sets):
     # whose link at infinity is S^0, and a line meets a plane in a point
     v = LinearSubspace(3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert generic_link_chi(v, 2) == 2
-    assert generic_link_chi(sets["line_r3"], 2, center=np.array([0.0, 0.0, 1.0])) == 0
-    # the oracle counts no flat, so no special plane of one can slip past the
-    # closed form
-    with pytest.raises(UnsupportedSection, match="generic_link_chi"):
-        lk.link_chi_batch(v, np.array([[0.0, 1.0, 0.0]]))
+    assert generic_link_chi(sets["line_r3"], 2) == 0
+    # the oracle takes the closed form on every plane of a flat, so no
+    # special plane of one can slip past it
+    values, degenerate = lk.link_chi_batch(v, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert values.tolist() == [2.0, 2.0] and not degenerate.any()
 
 
 def test_cross_axis_section_is_a_line(sets):

@@ -68,11 +68,11 @@ def test_line_angles_uniform_in_r2():
 
 
 def test_plane_normals_uniform_on_s2():
+    # slot_frames gives the frames of haar_sample(3, 2, substream(77,
+    # STREAM_GRASSMANN, i)), i = 0, 1, ..., in order
     n_samples = 10000
-    normals = np.empty((n_samples, 3))
-    for i in range(n_samples):
-        sub = haar_sample(3, 2, substream(77, STREAM_GRASSMANN, i))
-        normals[i] = np.cross(sub.frame[0], sub.frame[1])
+    frames = np.stack(list(slot_frames(3, 2, 77, n_samples)))
+    normals = np.cross(frames[:, 0], frames[:, 1])
     resultant = np.linalg.norm(normals.mean(axis=0))
     assert resultant < 3.0 / math.sqrt(n_samples) * 1.3
 

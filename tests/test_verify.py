@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from pathlib import Path
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 
 import lkcurv as lk
-from lkcurv import SmoothSet, UnsupportedSection, verify
+from lkcurv import SmoothSet, UnsupportedSection, cli, verify
 from lkcurv.report import report_from_dict, report_to_dict, report_to_json
 from lkcurv.verify import RunContext, lambda0, run_theorem
 
 RADII = (8.0, 16.0, 32.0, 64.0)
+SETS = Path(__file__).resolve().parent / "sets"
 
 
 def rows_by_k(report):
@@ -170,12 +172,27 @@ def test_generically_constant_terms_draw_no_planes(sets, monkeypatch):
         raise AssertionError("a Grassmannian term drew planes")
 
     monkeypatch.setattr(verify, "grassmann_mean_batch", no_draws)
+    # compact sets, flats, low-dimensional sections, and quadrics whose
+    # leading form has a semidefinite adjugate
     for name, theorem in (("sphere_s2", "thm3.7"), ("torus_r3", "thm4.2"),
                           ("line_r2", "odd_d_corollary"), ("line_r3", "prop3.1"),
-                          ("cross_r2", "du_lambda0")):
+                          ("cross_r2", "du_lambda0"), ("plane_r2_in_r3", "thm3.7"),
+                          ("cylinder_r3", "thm4.2"), ("paraboloid_r3", "du_lambda0")):
         report = run_theorem(theorem, sets[name], n_samples=500, seed=42)
         assert report.overall_pass, (name, theorem)
         assert all("grassmann" not in row.route_rhs for row in report.rows)
+    # a flat plane in R^4 given by a chart: every hyperplane cuts a line
+    code = cli.main(["verify", "--set", str(SETS / "plane_r2_in_r4.json"), "--theorem", "thm3.7",
+                     "--samples", "500"], out=io.StringIO())
+    name, plane = lk.resolve_set(str(SETS / "plane_r2_in_r4.json"))
+    report = run_theorem("thm3.7", plane, name, n_samples=500, seed=42)
+    assert code == 0 and report.status == "pass"
+    assert rows_by_k(report)[2].lhs == pytest.approx(1.0) and rows_by_k(report)[2].rhs == 1.0
+    # the curvature side refuses a translated cone with sectors before any
+    # plane is drawn
+    report = run_theorem("base_point", sets["plane_cone_r3"], n_samples=500, seed=42,
+                         base_point=[0.5, 0.5, 0.5])
+    assert report.status == "incomplete"
     # the hyperplanes of a cone are drawn: their links vary
     with pytest.raises(AssertionError, match="drew planes"):
         run_theorem("prop3.1", sets["plane_cone_r3"], n_samples=500, seed=42)
@@ -346,13 +363,13 @@ def test_thm42_uses_declared_chi_for_full_space(sets):
     assert "declared_chi" in rows[1].route_rhs
 
 
-def test_skipped_growth_rows_keep_the_limit_route():
-    from lkcurv.catalog.sets import load_set_file
-
-    name, x = load_set_file(str(Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"))
+def test_skipped_growth_rows_keep_the_limit_route(sets):
+    # a surface given by its chart alone: cubature reads the chart, but the
+    # hyperplane links need an implicit form
+    x = SmoothSet(ambient_dim=3, dim=2, chart=sets["hyperboloid_r3"].chart, declared_chi=0)
     routes = {}
     for tid in ("thm3.7", "thm4.1", "thm4.2"):
-        row = rows_by_k(run_theorem(tid, x, name, n_samples=200, seed=42))[2]
+        row = rows_by_k(run_theorem(tid, x, "chart_only_hyperboloid", n_samples=200, seed=42))[2]
         assert row.skipped, tid
         routes[tid] = row.route_lhs
     assert routes == {tid: "cubature_limit" for tid in routes}

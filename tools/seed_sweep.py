@@ -26,6 +26,10 @@ quantiles and the share of seeds beyond 2 and 3 sigma, and the route label
 each side reports.  The script reads ``lkcurv.verify`` and loads each set
 with ``lkcurv.resolve_set``, so it runs unchanged against older checkouts
 that have both.
+
+``tests/test_calibration.py`` imports :func:`sweep` and runs it at 60 seeds
+of 400 samples, with bounds fixed in advance: at most 5 seeds beyond 3 sigma
+and an RMSE between 0.5 and 2 mean sigmas on every row.
 """
 
 from __future__ import annotations
