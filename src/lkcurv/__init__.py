@@ -1,15 +1,16 @@
 """Numerical integral geometry for closed semi-algebraic sets.
 
-Curvature measures, Grassmannian Monte Carlo, links at infinity, and a
-harness that checks the Gauss-Bonnet-type identities tying them to the Euler
+Curvature measures, Grassmannian means, links at infinity, and a harness
+that checks the Gauss-Bonnet-type identities tying them to the Euler
 characteristic.  The public surface is the batched routes
-(``link_chi_batch`` and ``grassmann_mean_batch``, whose hyperplanes are unit
-normals: the spherical Fibonacci lattice in R^3, slot normals elsewhere;
-``curvature_sweep`` and its one-radius form ``curvature_measures``),
+(``link_chi_batch`` and ``grassmann_mean_batch``, whose hyperplanes are slot
+normals; ``curvature_sweep`` and its one-radius form ``curvature_measures``),
 ``run_theorem``, the set and report types, and the errors.  Planes of lower
 dimension, and hyperplanes whose links agree almost everywhere, are closed
-forms only (``catalog.links.generic_link_chi``).  No link takes a center:
-a link at infinity depends only on asymptotic data.
+forms only (``catalog.links.generic_link_chi``), and the hyperplanes of cones
+and indefinite quadrics of R^3 are sliced quadratures
+(``grassmann.sliced_mean``).  No link takes a center: a link at infinity
+depends only on asymptotic data.
 """
 
 from .catalog import (

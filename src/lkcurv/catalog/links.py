@@ -10,9 +10,12 @@ link of almost every k-plane section, where one link holds.
 ``full_space_link(X)`` is the link of X itself.  ``link_chi_batch(X,
 normals)`` gives chi(X ∩ u^perp ∩ S_R) for stably large R over a stack of
 unit normals u: the generic link on every plane where there is one, else a
-count per plane.  ``link_chi`` and ``link_infinity_chi`` run it on one
-hyperplane given by a frame; no verify path calls them, and they stay
-because the benchmark's probe and tracing look them up by name.
+count per plane.  ``hyperplane_breaks(X)`` says where that count can change
+on the normals of a cone or an indefinite quadric of R^3, so that
+``grassmann.sliced_mean`` integrates it with one oracle call per cell.
+``link_chi`` and ``link_infinity_chi`` run the oracle on one hyperplane given
+by a frame; no verify path calls them, and they stay because the
+benchmark's probe and tracing look them up by name.
 
 Routes.  A hyperplane section of a cone is the cone over the vertices, arcs
 and arc crossings of its spherical graph in u^perp, read off the signs of
@@ -23,8 +26,10 @@ top-degree part of the implicit polynomial to the plane: such a root is a
 smooth point of the projective closure that crosses the line at infinity.
 A quadratic form with matrix A gives 4 or 0 by the sign of u^T adj(A) u, the
 determinant of its restriction to u^perp; only forms of degree 3 or more
-are restricted to a frame of u^perp (``hyperplane_frames``).  No link
-depends on a radius.
+are restricted to a frame of u^perp (``hyperplane_frames``); a restricted
+form that vanishes at s = (1, -i), as a factor x^2 + y^2 + z^2 makes it do,
+has a root at infinity of its Cayley polynomial, which is dropped as not
+real.  No link depends on a radius.
 """
 
 from __future__ import annotations
@@ -57,6 +62,10 @@ PARABOLIC_DET_TOL = 1e-12
 # real roots closer than the second tolerance are a multiple root
 FORM_ROOT_TOL = 1e-9
 FORM_ROOT_GRAY_TOL = 1e-5
+# vertices this close to antipodal share a great circle, vertices this close
+# to a pole put theirs on the equator, and adjugate eigenvalues this close
+# (relative) are equal
+BREAK_TOL = 1e-12
 # no link uses a radius; the benchmark's tracing reads this factor and
 # ``coefficient_scale`` to count radius doublings of ``LinkSection.radius_used``
 BASE_RADIUS_FACTOR = 8.0
@@ -181,24 +190,39 @@ def _cayley_matrix(d: int) -> np.ndarray:
     return np.array(rows)
 
 
+def _form_roots(poly: np.ndarray) -> np.ndarray:
+    """Roots in w of polynomials with ascending coefficients (m, d+1), shape (m, d).
+
+    A top coefficient at or below ``FORM_ROOT_TOL`` of the row's largest is a
+    root at w = inf, which is off the unit circle: the form vanishes at
+    s = (1, -i), as it does with a factor s1^2 + s2^2.  Dropping it keeps the
+    companion matrix of the rest well posed.
+    """
+    m, d = poly.shape[0], poly.shape[1] - 1
+    roots = np.full((m, d), np.inf, dtype=complex)
+    if d == 0:
+        return roots
+    top = np.abs(poly[:, d]) > FORM_ROOT_TOL * np.max(np.abs(poly), axis=1)
+    companion = np.zeros((np.count_nonzero(top), d, d), dtype=complex)
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, :, -1] = -poly[top, :d] / poly[top, d, None]
+    roots[top] = np.linalg.eigvals(companion)
+    roots[~top, :-1] = _form_roots(poly[~top, :d])
+    return roots
+
+
 def _real_root_counts(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Real roots on P^1 of binary forms of degree d >= 3, with a gray band."""
-    m, d = coeffs.shape[0], coeffs.shape[1] - 1
+    d = coeffs.shape[1] - 1
     scale = np.max(np.abs(coeffs), axis=1)
     degenerate = scale == 0.0
     poly = (coeffs / np.where(degenerate, 1.0, scale)[:, None]) @ _cayley_matrix(d)
-    lead = poly[:, d]
-    # |lead| is the size of the form at s = (1, -i); a tiny one puts a root
-    # of w near infinity, where the companion matrix is ill-posed
-    degenerate |= np.abs(lead) <= FORM_ROOT_TOL * np.max(np.abs(poly), axis=1)
-    companion = np.zeros((m, d, d), dtype=complex)
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    companion[:, :, -1] = -poly[:, :d] / np.where(degenerate, 1.0, lead)[:, None]
-    roots = np.linalg.eigvals(companion)
+    roots = _form_roots(poly)
     off_circle = np.abs(np.abs(roots) - 1.0)
     real = off_circle <= FORM_ROOT_TOL
     degenerate |= np.any(~real & (off_circle < FORM_ROOT_GRAY_TOL), axis=1)
-    gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+    on_circle = np.where(real, roots, 0.0)
+    gaps = np.abs(on_circle[:, :, None] - on_circle[:, None, :])
     close = real[:, :, None] & real[:, None, :] & (gaps < FORM_ROOT_GRAY_TOL)
     close[:, np.arange(d), np.arange(d)] = False
     degenerate |= np.any(close, axis=(1, 2))
@@ -303,6 +327,94 @@ def generic_link_chi(x: SetDescriptor, k: int) -> Optional[int]:
             return 0
         if high <= band and low < -band:
             return 4
+    return None
+
+
+# ------------------------------------------------- where hyperplane links change
+
+@dataclass(frozen=True, eq=False)
+class HyperplaneBreaks:
+    """Where the hyperplane link count of a set in R^3 can change.
+
+    A hyperplane is read through its unit normal u = (r cos p, r sin p, z) @
+    ``basis``, r = sqrt(1 - z^2), on the upper hemisphere 0 <= z <= 1, which
+    meets every hyperplane once.  On the height z the count is constant
+    between the break longitudes p with cos(m p - psi_j) = a_j + b_j (z/r)^m,
+    m = ``order``: 2m of them for each family j whose right side lies in
+    [-1, 1].  The families that have break points, and their cyclic order,
+    change only at the heights ``cuts``.
+    """
+
+    basis: np.ndarray  # (3, 3), rows e1, e2 and the pole
+    order: int
+    psi: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    cuts: np.ndarray
+
+    def longitudes(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Break longitudes at heights z in (0, 1), shape (Z, 2m J), not
+        reduced mod 2 pi, and whether each exists there."""
+        m = self.order
+        c = self.a + self.b * (z / np.sqrt(1.0 - z * z))[:, None] ** m  # (Z, J)
+        alpha = np.arccos(np.clip(c, -1.0, 1.0))
+        branches = np.stack([self.psi + alpha, self.psi - alpha], axis=-1)[..., None]
+        phi = (branches + 2.0 * np.pi * np.arange(m)) / m  # (Z, J, 2, m)
+        exists = np.broadcast_to((np.abs(c) <= 1.0)[..., None, None], phi.shape)
+        return phi.reshape(len(z), -1), exists.reshape(len(z), -1)
+
+
+def _cone_breaks(vertices: np.ndarray) -> HyperplaneBreaks:
+    """The count of a cone changes where u crosses the great circle v^perp of
+    a vertex v: at cos(p - psi) = -v_z z / (rho r), rho = |(v_x, v_y)|.  The
+    circle reaches up to the height rho / |v|, and two circles cross at u
+    parallel to v_i x v_j."""
+    kept: list = []
+    for v in vertices:  # v and -v share one circle
+        if all(abs(float(v @ w)) < 1.0 - BREAK_TOL for w in kept):
+            kept.append(v)
+    v = np.array(kept)
+    rho = np.hypot(v[:, 0], v[:, 1])
+    # the circle of a vertex at the pole is the equator, the hemisphere's edge
+    v, rho = v[rho > BREAK_TOL], rho[rho > BREAK_TOL]
+    i, j = np.triu_indices(len(v), 1)
+    w = np.cross(v[i], v[j])
+    cuts = np.concatenate([rho / np.linalg.norm(v, axis=1),
+                           np.abs(w[:, 2]) / np.linalg.norm(w, axis=1)])
+    return HyperplaneBreaks(np.eye(3), 1, np.arctan2(v[:, 1], v[:, 0]), np.zeros(len(v)),
+                            -v[:, 2] / rho, cuts)
+
+
+def _quadric_breaks(adj: np.ndarray, band: float) -> Optional[HyperplaneBreaks]:
+    """The count of a quadric changes where u^T adj(A) u = 0; None unless
+    adj(A) is indefinite beyond the parabolic band.  An indefinite adj(A) =
+    det(A) A^-1 has one positive eigenvalue l3 and two negative ones, l1 and
+    l2.  In its eigenbasis, with l3 at the pole, the walls are at cos 2p =
+    (-2 l3 (z/r)^2 - l1 - l2) / (l1 - l2), with break points between the cuts
+    z^2 = l1 / (l1 - l3) and l2 / (l2 - l3)."""
+    (l1, l2, l3), vecs = np.linalg.eigh(adj)
+    if not l1 < -band < band < l3:
+        return None
+    cuts = np.sqrt(np.abs([l1, l2]) / (np.abs([l1, l2]) + abs(l3)))
+    if abs(l1 - l2) <= BREAK_TOL * abs(l3):
+        # a surface of revolution: the count changes on one height only
+        family = np.zeros(0), np.zeros(0), np.zeros(0)
+    else:
+        family = np.zeros(1), np.array([-(l1 + l2) / (l1 - l2)]), np.array([-2.0 * l3 / (l1 - l2)])
+    return HyperplaneBreaks(vecs.T, 2, *family, cuts)
+
+
+def hyperplane_breaks(x: SetDescriptor) -> Optional[HyperplaneBreaks]:
+    """Where the hyperplane link count of X can change, for a cone of R^3 and
+    for a quadric surface of R^3 whose adj(A) is indefinite; None for every
+    other set, whose varying hyperplane links are drawn."""
+    if x.ambient_dim != 3:
+        return None
+    if isinstance(x, ConicGraph):
+        return _cone_breaks(x.graph.vertices)
+    if (isinstance(x, SmoothSet) and x.dim == 2 and x.implicit is not None
+            and x.implicit.degree() == 2):
+        return _quadric_breaks(*_quadric_adjugate(x.implicit))
     return None
 
 

@@ -1,67 +1,68 @@
-"""Haar-uniform random subspaces and Monte Carlo means over hyperplanes.
+"""Haar means over hyperplanes: drawn normals and sliced quadrature.
 
-``grassmann_mean_batch`` averages a batched oracle over Haar-uniform
-hyperplanes through the origin of R^n, with a standard error.  A hyperplane
-is read through its unit normal u: Haar measure on G(n, n-1) is the image of
-the uniform measure on S^(n-1) under u -> u^perp (Santalo, *Integral Geometry
-and Geometric Probability*), so the oracle takes normals and no frame is
-built.  The normals come from one of two estimators chosen from n:
+A hyperplane is read through its unit normal u: Haar measure on G(n, n-1) is
+the image of the uniform measure on S^(n-1) under u -> u^perp (Santalo,
+*Integral Geometry and Geometric Probability*), so an oracle takes normals
+and no frame is built.  A mean comes from one of two rules:
 
-* **Randomized lattice** in R^3: the fixed point set is a spherical Fibonacci
-  set on the upper hemisphere of S^2 (``lattice_normals``), a fundamental
-  domain of RP^2.  The samples split into ``LATTICE_REPLICATES`` replicates
-  whose sizes differ by at most one; replicate r rotates the point set by one
-  Haar rotation.  Haar measure is rotation invariant, so every plane is
-  Haar-distributed and the mean is unbiased; the standard error is the spread
-  of the replicate means (Cranley and Patterson, SIAM J. Numer. Anal. 13,
-  1976).
-* **Independent slots** in every other R^n: sample slot i draws its own Haar
-  normal, a normalized Gaussian vector.
+* **Sliced quadrature** (``sliced_mean``) where the count is piecewise
+  constant on cells whose walls are known: the cones of R^3 and the quadrics
+  of R^3 whose hyperplane links vary (``catalog.links.hyperplane_breaks``).
+  The upper hemisphere of normals meets every hyperplane once, and its
+  uniform measure is dz dp / 2 pi in the height z along the pole and the
+  longitude p (Archimedes), so the mean is the integral over z of the sum
+  over the cells of the height of each cell's value times its length / 2 pi.
+  The heights are cut into panels at the cuts of the breaks, and graded
+  toward close cuts, so that within a panel the same break longitudes bound
+  the cells in the same cyclic order: the oracle gives each cell's value
+  once, at the panel's middle height, and the lengths are integrated by
+  Gauss-Legendre in z.  The cells are born and die at the panel ends like
+  square roots, which a smoothstep substitution takes off.  The error bound is the change of each panel's value from
+  ``SLICE_NODES`` to half as many nodes, summed in absolute value.  Nothing
+  is drawn.
+* **Independent slots** (``grassmann_mean_batch``) everywhere else: sample
+  slot i draws its own Haar normal, a normalized Gaussian vector, and the
+  standard error is that of the values.
 
 Planes of lower dimension are never drawn, nor hyperplanes of a set whose
 hyperplane links agree almost everywhere: the report's means over them are
 closed forms (``catalog.links.generic_link_chi``).
 
-``haar_sample`` draws one plane from a generator; the lattice draws its
-rotations with it.  ``grassmann_mean`` is the loop for a function of one
-hyperplane, which ``per_plane`` hands a frame built by ``hyperplane_frames``;
-no verify path calls it, and it stays because the benchmark's probe and
-tracing look it up by name.  ``slot_frames`` gives the Haar k-frames of
-``lkcurv grassmann sample``.
+``haar_sample`` draws one plane from a generator.  ``grassmann_mean`` is the
+loop for a function of one hyperplane, which ``per_plane`` hands a frame
+built by ``hyperplane_frames``; no verify path calls ``haar_sample`` or
+``grassmann_mean``, and they stay because the benchmark's probe and tracing
+look them up by name.  ``slot_frames`` gives the Haar k-frames of ``lkcurv
+grassmann sample``.
 
 Determinism contract: every draw comes from a counter-based Philox stream
 keyed by ``(seed, domain, index, stream)``, so an estimate is bit-identical
-for a given ``(n, n_samples, seed, stream)``.
-
-* Lattice replicate r draws its rotations from ``substream(seed,
-  STREAM_LATTICE, r, stream)``: the first is ``haar_sample(3, 3, rng)``, and
-  each plane the oracle rejects is offered again under the replicate's next
-  rotation from the same generator.  The rotated normals of a replicate go to
-  the oracle in one call per round.
-* Slot i draws from ``substream(seed, STREAM_GRASSMANN, i, stream)``, no
-  matter how the slots are batched, but no generator is built per slot: each
-  ``SLOT_CHUNK`` of slots shares one Philox, and keying it to a slot assigns
-  that slot's key, a zero counter and an empty buffer.  Block ``b`` of a slot
-  is the ``(b+1)``-th ``standard_normal((k, n))`` call after keying (k = 1
-  for a normal); the slot's frames are its full-rank blocks in order, a
-  rank-deficient block being skipped exactly as ``haar_sample`` skips it, and
-  a plane the oracle rejects is replaced by the slot's next frame.
+for a given ``(n, n_samples, seed, stream)``.  Slot i draws from
+``substream(seed, STREAM_GRASSMANN, i, stream)``, no matter how the slots are
+batched, but no generator is built per slot: each ``SLOT_CHUNK`` of slots
+shares one Philox, and keying it to a slot assigns that slot's key, a zero
+counter and an empty buffer.  Block ``b`` of a slot is the ``(b+1)``-th
+``standard_normal((k, n))`` call after keying (k = 1 for a normal); the
+slot's frames are its full-rank blocks in order, a rank-deficient block
+being skipped exactly as ``haar_sample`` skips it, and a plane the oracle
+rejects is replaced by the slot's next frame.
 
 A seed is a 64-bit word of the key: seeds outside [0, 2^64) are rejected, not
 wrapped, so no two seeds share their streams.  Stream domain 1 is the slot
-draws and domain 4 the lattice rotations.  Domain 2 belongs to the sampled
-vertex-index check of the test suite, and domain 3 stays retired, so that no
-new stream repeats the samples it once drew.
+draws.  Domain 2 belongs to the sampled vertex-index check of the test suite,
+and domains 3 and 4 stay retired, so that no new stream repeats the samples
+they once drew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from .catalog.charts import _gl_rule
 from .errors import DegenerateSample, GenericityError
 
 ORTHONORMAL_TOL = 1e-10
@@ -72,16 +73,14 @@ MAX_RETRIES_PER_SLOT = 64
 # sample slots that share one generator and one oracle call per round of redraws
 SLOT_CHUNK = 256
 
-# stream domains of the slot draws and of the lattice rotations (see the
-# module docstring)
+# stream domain of the slot draws (see the module docstring)
 STREAM_GRASSMANN = 1
-STREAM_LATTICE = 4
-# rotations of the lattice's point set per estimate, chosen by a 200-seed sweep
-# at 4000 samples (tools/seed_sweep.py): 8 cut the RMSE 5-6 times against
-# independent slots with 1-2.5% of seeds beyond 3 sigma (t with 7 degrees of
-# freedom: 2%); 4 put 6-8% there, and 16 gave a 20-30% larger RMSE
-LATTICE_REPLICATES = 8
-GOLDEN_ANGLE = np.pi * (3.0 - sqrt(5.0))
+# Gauss-Legendre nodes per panel of the sliced rule; its bound compares the
+# rule on half as many
+SLICE_NODES = 16
+# cuts of the sliced rule closer than this differ by rounding and are one cut
+CUT_MERGE_TOL = 1e-12
+TWO_PI = 2.0 * np.pi
 
 
 def _stream_key(seed: int, domain: int, index: int = 0, sub: int = 0) -> Tuple[int, int]:
@@ -156,8 +155,7 @@ def _gram_schmidt(rows: np.ndarray) -> Optional[np.ndarray]:
     return frames[0] if ok[0] else None
 
 
-# the lattice draws its rotations with this; the benchmark's tracing looks it
-# up by name
+# the benchmark's tracing looks this up by name
 def haar_sample(n: int, k: int, rng: np.random.Generator) -> Subspace:
     """Draw a rotation-invariant random k-plane in R^n.
 
@@ -219,27 +217,13 @@ def slot_frames(n: int, k: int, seed: int, n_samples: int) -> Iterator[np.ndarra
 
     Frame i, of shape (k, n), equals ``haar_sample(n, k, substream(seed,
     STREAM_GRASSMANN, i)).frame``.  For k = 1 its row is the first normal
-    :func:`grassmann_mean_batch` offers slot i outside R^3.
+    :func:`grassmann_mean_batch` offers slot i.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     for start in range(0, n_samples, SLOT_CHUNK):
         streams = _SlotStreams(n, k, seed, 0, range(start, min(start + SLOT_CHUNK, n_samples)))
         yield from streams.frames(np.arange(len(streams.slots)))
-
-
-def lattice_normals(m: int) -> np.ndarray:
-    """The lattice's fixed point set of m unit normals in R^3, shape (m, 3).
-
-    A spherical Fibonacci set on the upper hemisphere, which is a fundamental
-    domain of RP^2: equal-area steps in the height and golden-angle steps
-    around the axis.
-    """
-    j = np.arange(m)
-    z = (j + 0.5) / m
-    r = np.sqrt(1.0 - z * z)
-    phi = GOLDEN_ANGLE * j
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
 def hyperplane_frames(normals: np.ndarray) -> np.ndarray:
@@ -266,8 +250,6 @@ class MonteCarloEstimate:
     seed: int
     n_rejected: int = 0
     values: Optional[np.ndarray] = field(default=None, repr=False)
-    # lattice replicates behind ``stderr``; None for independent slots
-    replicates: Optional[int] = None
 
 
 BatchOracle = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -296,65 +278,32 @@ def per_plane(f: Callable[[Subspace], float]) -> BatchOracle:
     return oracle
 
 
-def _fill(oracle: BatchOracle, draw: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
-          rejected: np.ndarray, where: Callable[[int], str]) -> None:
-    """Fill ``values`` with the oracle's value at each plane, counting rejections.
-
-    ``draw(pending)`` gives the next planes (normals or frames) at the indices
-    ``pending``; every round offers the rejected planes again, in one oracle
-    call, until none is left or a plane has had ``MAX_RETRIES_PER_SLOT`` tries.
-    """
-    pending = np.arange(values.size)
-    for _ in range(MAX_RETRIES_PER_SLOT):
-        vals, bad = oracle(draw(pending))
-        bad = np.asarray(bad, dtype=bool)
-        values[pending[~bad]] = np.asarray(vals, dtype=float)[~bad]
-        rejected[pending[bad]] += 1
-        pending = pending[bad]
-        if not pending.size:
-            return
-    raise GenericityError(
-        f"{where(int(pending[0]))} exhausted {MAX_RETRIES_PER_SLOT} redraws; "
-        "the set appears to violate genericity assumptions"
-    )
-
-
-def replicate_sizes(n_samples: int) -> List[int]:
-    """Sizes of the lattice's replicates: at most ``LATTICE_REPLICATES`` of
-    them, differing by at most one and summing to ``n_samples``."""
-    reps = min(LATTICE_REPLICATES, n_samples)
-    return [n_samples // reps + (r < n_samples % reps) for r in range(reps)]
-
-
-def _lattice_draws(oracle: BatchOracle, n_samples: int, seed: int,
-                   stream: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values and rejection counts of the randomized lattice's planes of R^3,
-    in replicate order, and the replicates' bounds in that order."""
-    values = np.empty(n_samples, dtype=float)
-    rejected = np.zeros(n_samples, dtype=np.int64)
-    sizes = replicate_sizes(n_samples)
-    points = {m: lattice_normals(m) for m in set(sizes)}
-    bounds = np.cumsum([0] + sizes)
-    for r, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        rng = substream(seed, STREAM_LATTICE, r, stream)
-        base = points[stop - start]
-        _fill(oracle, lambda pending: base[pending] @ haar_sample(3, 3, rng).frame,
-              values[start:stop], rejected[start:stop],
-              lambda i: f"point {i} of lattice replicate {r}")
-    return values, rejected, bounds
-
-
 def _slot_draws(n: int, k: int, oracle: BatchOracle, n_samples: int, seed: int,
                 stream: int) -> Tuple[np.ndarray, np.ndarray]:
     """Values and rejection counts of sample slots 0, 1, ..., n_samples - 1,
-    each offering the oracle its Haar k-frames of shape (k, n)."""
+    each offering the oracle its Haar k-frames of shape (k, n).
+
+    Every round offers the rejected slots of a chunk their next frames, in
+    one oracle call, until none is left or a slot has had
+    ``MAX_RETRIES_PER_SLOT`` tries.
+    """
     values = np.empty(n_samples, dtype=float)
     rejected = np.zeros(n_samples, dtype=np.int64)
     for start in range(0, n_samples, SLOT_CHUNK):
-        stop = min(start + SLOT_CHUNK, n_samples)
-        streams = _SlotStreams(n, k, seed, stream, range(start, stop))
-        _fill(oracle, streams.frames, values[start:stop], rejected[start:stop],
-              lambda i: f"sample slot {start + i}")
+        streams = _SlotStreams(n, k, seed, stream, range(start, min(start + SLOT_CHUNK, n_samples)))
+        pending = np.arange(len(streams.slots))
+        for _ in range(MAX_RETRIES_PER_SLOT):
+            vals, bad = oracle(streams.frames(pending))
+            bad = np.asarray(bad, dtype=bool)
+            values[start + pending[~bad]] = np.asarray(vals, dtype=float)[~bad]
+            rejected[start + pending[bad]] += 1
+            pending = pending[bad]
+            if not pending.size:
+                break
+        else:
+            raise GenericityError(
+                f"sample slot {start + int(pending[0])} exhausted {MAX_RETRIES_PER_SLOT} "
+                "redraws; the set appears to violate genericity assumptions")
     return values, rejected
 
 
@@ -369,10 +318,9 @@ def grassmann_mean_batch(
     """Monte Carlo estimate of the Haar mean of a batched oracle over hyperplanes of R^n.
 
     ``oracle(normals)`` takes unit normals of shape (m, n) and returns
-    ``(values, degenerate)``, two arrays of length m.  In R^3 the normals are
-    the rotated lattice of the module docstring, and the standard error is
-    that of the replicate means; elsewhere they are independent slots,
-    ``SLOT_CHUNK`` at a time, and the standard error is that of the values.
+    ``(values, degenerate)``, two arrays of length m.  The normals are
+    independent slots, ``SLOT_CHUNK`` at a time, and the standard error is
+    that of the values.
     Degenerate planes (a measure-zero set) are rejected and redrawn from the
     same stream.  If more than ``DEGENERATE_BUDGET`` of all draws are
     rejected the run aborts with :class:`GenericityError`, since that level
@@ -382,16 +330,8 @@ def grassmann_mean_batch(
         raise ValueError(f"need n >= 2, got n={n}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    replicates = None
-    if n == 3:
-        values, rejected, bounds = _lattice_draws(oracle, n_samples, seed, stream)
-        spread = np.array([values[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
-        replicates = spread.size
-    else:
-        values, rejected = _slot_draws(n, 1, lambda frames: oracle(frames[:, 0]),
-                                       n_samples, seed, stream)
-        spread = values
-
+    values, rejected = _slot_draws(n, 1, lambda frames: oracle(frames[:, 0]),
+                                   n_samples, seed, stream)
     n_rejected = int(rejected.sum())
     total_draws = n_samples + n_rejected
     if n_rejected > DEGENERATE_BUDGET * total_draws:
@@ -400,7 +340,7 @@ def grassmann_mean_batch(
             f"(> {DEGENERATE_BUDGET:.0%} budget)"
         )
 
-    stderr = float(np.std(spread, ddof=1) / sqrt(spread.size)) if spread.size > 1 else 0.0
+    stderr = float(np.std(values, ddof=1) / sqrt(n_samples)) if n_samples > 1 else 0.0
     return MonteCarloEstimate(
         mean=float(np.mean(values)),
         stderr=stderr,
@@ -408,8 +348,107 @@ def grassmann_mean_batch(
         seed=seed,
         n_rejected=n_rejected,
         values=values if collect else None,
-        replicates=replicates,
     )
+
+
+@dataclass(frozen=True)
+class SlicedMean:
+    """A Haar mean over hyperplanes of R^3 by sliced quadrature, its error
+    bound, and the panels and cells (one oracle plane each) it took."""
+
+    mean: float
+    bound: float
+    panels: int
+    cells: int
+
+
+def _panel_rule(lo: np.ndarray, hi: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on each panel [lo, hi] under the
+    smoothstep z = lo + (hi - lo)(3s^2 - 2s^3), shape (panels, count)."""
+    x, w = _gl_rule(count)
+    s = 0.5 * (1.0 + x)
+    width = (hi - lo)[:, None]
+    return lo[:, None] + width * s * s * (3.0 - 2.0 * s), width * 3.0 * s * (1.0 - s) * w
+
+
+def _panel_edges(cuts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ends of the slices between the cuts on [0, 1], and the panel ends:
+    the slices graded toward each end whose neighbor across that end is
+    narrower than half the slice.
+
+    A cut can be a branch point, so a panel sees one at the far end of each
+    neighbor.  Steps that double from the neighbor's width keep every panel
+    at least a third of its width away from a branch point outside it, so
+    that Gauss-Legendre converges at one rate on every panel however close
+    two cuts are.
+    """
+    inner = np.sort(cuts[(cuts > CUT_MERGE_TOL) & (cuts < 1.0 - CUT_MERGE_TOL)])
+    inner = inner[np.diff(inner, prepend=0.0) > CUT_MERGE_TOL]
+    edges = np.concatenate([[0.0], inner, [1.0]])
+    widths = np.diff(edges)
+    graded = [edges]
+    for i, width in enumerate(widths):
+        for end, sign, step in ((edges[i], 1.0, widths[i - 1] if i else width),
+                                (edges[i + 1], -1.0, widths[i + 1] if i + 1 < widths.size else width)):
+            steps = step * 2.0 ** np.arange(max(0, int(np.ceil(np.log2(0.5 * width / step)))))
+            graded.append(end + sign * steps)
+    return edges, np.unique(np.concatenate(graded))
+
+
+def sliced_mean(oracle: BatchOracle, breaks) -> SlicedMean:
+    """Haar mean of a batched oracle over hyperplanes of R^3 whose value can
+    change only where ``breaks`` says (``catalog.links.HyperplaneBreaks``).
+
+    The rule of the module docstring.  Every cell's value comes from one
+    oracle call over all slices between cuts, at the cell's middle longitude
+    on its slice's middle height, and :class:`GenericityError` is raised if
+    the oracle flags any of those planes as degenerate.  A panel whose cells
+    take values f_c contributes f_0 times its height plus the integral of
+    sum_c (f_c - f_0) len_c(z) / 2 pi, so a panel with one value is exact.
+    At each node a cell's length is the gap to the next break point in the
+    order of the slice's middle height, each point taken on the branch mod
+    2 pi nearest its middle position, so a cell that vanishes at a panel end
+    has length 0 there.
+    """
+    slices, edges = _panel_edges(breaks.cuts)
+    lo, hi = edges[:-1], edges[1:]
+    owner = np.searchsorted(slices, 0.5 * (lo + hi)) - 1
+    mid = 0.5 * (slices[:-1] + slices[1:])
+    phi, exists = breaks.longitudes(mid)
+    cells, height, lon = [], [], []
+    for p in range(mid.size):
+        cols = np.flatnonzero(exists[p])
+        ref = phi[p, cols] % TWO_PI
+        order = np.argsort(ref)
+        cols, ref = cols[order], ref[order]
+        centers = ref + 0.5 * np.diff(ref, append=ref[:1] + TWO_PI) if cols.size else np.zeros(1)
+        cells.append((cols, ref, slice(len(lon), len(lon) + centers.size)))
+        height += [mid[p]] * centers.size
+        lon += centers.tolist()
+    z, lon = np.array(height), np.array(lon)
+    r = np.sqrt(1.0 - z * z)
+    values, degenerate = oracle(np.stack([r * np.cos(lon), r * np.sin(lon), z], axis=-1)
+                                @ breaks.basis)
+    values = np.asarray(values, dtype=float)
+    if np.any(degenerate):
+        raise GenericityError(
+            f"the plane of a sliced cell at height {z[np.argmax(degenerate)]:.6g} is "
+            "degenerate; the set appears to violate genericity assumptions")
+    base = np.array([values[where][0] for _, _, where in cells])[owner]
+    sums = []
+    for count in (SLICE_NODES // 2, SLICE_NODES):
+        nodes, w = _panel_rule(lo, hi, count)
+        at_nodes = breaks.longitudes(nodes.ravel())[0].reshape(nodes.shape + (-1,))
+        panel_sums = np.zeros(lo.size)
+        for p, (cols, ref, where) in enumerate(cells[i] for i in owner):
+            if cols.size:
+                b = ref + (at_nodes[p][:, cols] - ref + np.pi) % TWO_PI - np.pi
+                lengths = np.diff(b, axis=1, append=b[:, :1] + TWO_PI)
+                panel_sums[p] = w[p] @ (lengths @ (values[where] - base[p])) / TWO_PI
+        sums.append(panel_sums)
+    coarse, fine = sums
+    return SlicedMean(float(np.sum(base * (hi - lo) + fine)), float(np.sum(np.abs(fine - coarse))),
+                      lo.size, values.size)
 
 
 # the benchmark's probe calls this with ``workers=`` and ``collect=``, and its

@@ -33,7 +33,14 @@ X is a flat, or X is a quadric surface whose hyperplane sections have one
 shape almost surely) the term is that link, labelled
 ``exact(generic_section)``: the Grassmannian mean evaluated exactly from the
 generic section, with no curvature in it.  Every other term is over
-hyperplanes, a Haar mean over drawn normals.
+hyperplanes.  On a cone of R^3, or a quadric surface of R^3 whose hyperplane
+links vary, it is ``sliced_quadrature(...)``: the Haar integral of the
+oracle's link count over cells whose walls ``hyperplane_breaks`` gives,
+with a quadrature error bound for its uncertainty and nothing drawn.  Only
+the rest, hyperplanes of R^n for n >= 4 and of R^3 surfaces whose leading
+form has degree 3 or more, are Haar means over drawn normals
+(``grassmann_mc(...)``), the only terms that ``--samples`` and ``--seed``
+move.
 """
 
 from __future__ import annotations
@@ -46,12 +53,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .catalog.links import euler_char, full_space_link, generic_link_chi, link_chi_batch
+from .catalog.links import (
+    euler_char, full_space_link, generic_link_chi, hyperplane_breaks, link_chi_batch,
+)
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
 from .curvature import CubatureSpec
 from .errors import UnsupportedSection
 from .geomconst import ball_volume
-from .grassmann import grassmann_mean_batch
+from .grassmann import grassmann_mean_batch, sliced_mean
 from .limits import (
     DEFAULT_RADII, LimitEstimate, curvature_measures, estimate_limit, estimate_limits,
     validate_radii,
@@ -112,11 +121,14 @@ def _link_mean(
     x: SetDescriptor, plane_dim: int, ctx: RunContext, stream: int
 ) -> Tuple[float, float, str]:
     """Haar mean of chi(link at infinity of X ∩ plane) over planes of a
-    dimension, with its standard error and route label.
+    dimension, with its uncertainty and route label.
 
     The whole space has one link; where almost every plane gives the same
-    link (``generic_link_chi``) that link is the mean, exactly; otherwise
-    the planes are hyperplanes and the mean is estimated over Haar normals.
+    link (``generic_link_chi``) that link is the mean, exactly.  Otherwise
+    the planes are hyperplanes.  Where the links of R^3 change only on known
+    walls (``hyperplane_breaks``: cones and indefinite quadrics) the mean is
+    the sliced quadrature of ``grassmann.sliced_mean``, with its error bound
+    and no draws; elsewhere it is estimated over Haar normals.
     """
     if plane_dim == x.ambient_dim:
         return float(full_space_link(x)), 0.0, "exact(full_space_link)"
@@ -125,17 +137,15 @@ def _link_mean(
         return float(chi), 0.0, "exact(generic_section)"
     if plane_dim != x.ambient_dim - 1:
         raise UnsupportedSection(f"links of {plane_dim}-plane sections vary and are not drawn")
-    est = grassmann_mean_batch(
-        x.ambient_dim,
-        partial(link_chi_batch, x),
-        n_samples=ctx.n_samples,
-        seed=ctx.seed,
-        stream=stream,
-    )
-    if est.replicates is None:
-        return est.mean, est.stderr, f"grassmann_mc(planes={plane_dim},n={est.n_samples})"
-    return est.mean, est.stderr, (
-        f"grassmann_rqmc(planes={plane_dim},n={est.n_samples},reps={est.replicates})")
+    oracle = partial(link_chi_batch, x)
+    breaks = hyperplane_breaks(x)
+    if breaks is not None:
+        sliced = sliced_mean(oracle, breaks)
+        return sliced.mean, sliced.bound, (
+            f"sliced_quadrature(planes={plane_dim},panels={sliced.panels},cells={sliced.cells})")
+    est = grassmann_mean_batch(x.ambient_dim, oracle, n_samples=ctx.n_samples, seed=ctx.seed,
+                               stream=stream)
+    return est.mean, est.stderr, f"grassmann_mc(planes={plane_dim},n={est.n_samples})"
 
 
 def _growth_rhs(

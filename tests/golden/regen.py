@@ -54,9 +54,11 @@ def golden_path(name: str, theorem: str) -> Path:
     return GOLDEN_DIR / f"{case_id(name, theorem)}.json"
 
 
-def run_case(name: str, theorem: str) -> Tuple[int, Optional[str]]:
+def run_case(name: str, theorem: str, samples: int = 200,
+             seed: int = 42) -> Tuple[int, Optional[str]]:
     """Exit code and normalized report text (None when no report is printed)."""
-    argv = ["verify", "--set", name, "--theorem", theorem, "--samples", "200", "--seed", "42"]
+    argv = ["verify", "--set", name, "--theorem", theorem, "--samples", str(samples),
+            "--seed", str(seed)]
     if theorem == "base_point":
         dim = builtin_sets()[name].ambient_dim
         argv += ["--base-point", ",".join(["0.5"] * dim)]

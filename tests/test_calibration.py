@@ -11,10 +11,14 @@ integrand to rounding, so its bound is compared above a rounding floor of
 1e-13 relative.
 
 Monte Carlo standard errors: ``tools/seed_sweep.py`` runs the drawn right
-side of four rows with exact values at 60 seeds of 400 samples.  The bounds
-were fixed before the sweep was run in this suite: at most 5 of 60 seeds
-beyond 3 sigma (a t distribution with 7 degrees of freedom, the spread of 8
-replicates, puts 2.0% there), and an RMSE between 0.5 and 2 mean sigmas.
+side of the two rows with exact values that still draw planes, at 60 seeds
+of 400 samples.  The bounds were fixed before the sweep was run in this
+suite: at most 5 of 60 seeds beyond 3 sigma, and an RMSE between 0.5 and 2
+mean sigmas.
+
+Sliced right sides: every golden row whose hyperplane term is a sliced
+quadrature (it was drawn before) lies within its reported uncertainty of its
+exact value, above a rounding floor of 1e-14.
 """
 
 import importlib
@@ -68,7 +72,29 @@ def test_two_piece_curve_bound_covers_the_error():
 def test_seed_sweep_sigmas_are_calibrated(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     rows = importlib.import_module("seed_sweep").sweep(60, 400)
-    assert len(rows) == 4
+    assert len(rows) == 2
     for row in rows:
         assert row["share_beyond_3sigma"] * row["seeds"] <= 5, row
         assert 0.5 <= row["rmse"] / row["mean_sigma"] <= 2.0, row
+
+
+# (set, theorem, row k, exact right side): 1/2 is the star's arc length pi
+# over 2 pi, 1 the flat plane's, sqrt(2) half the hyperboloid's mean of 2
+# sqrt(2), and the defect formula chi - chi_link/2 - mean/2 gives 0 on the
+# cones and -sqrt(2) on the hyperboloid
+SLICED_ROWS = (
+    [("star3_cone_r3", theorem, 2, 0.5) for theorem in ("prop3.1", "thm3.7", "cor3.8")]
+    + [("plane_cone_r3", theorem, 2, 1.0) for theorem in ("prop3.1", "thm3.7", "cor3.8")]
+    + [("hyperboloid_r3", theorem, 2, math.sqrt(2.0))
+       for theorem in ("thm3.7", "cor3.8", "thm4.1", "thm4.2")]
+    + [("star3_cone_r3", "du_lambda0", 0, 0.0), ("plane_cone_r3", "du_lambda0", 0, 0.0),
+       ("hyperboloid_r3", "du_lambda0", 0, -math.sqrt(2.0))]
+)
+
+
+@pytest.mark.parametrize("name, theorem, k, exact", SLICED_ROWS)
+def test_sliced_right_sides_cover_their_exact_values(sets, name, theorem, k, exact):
+    report = lk.run_theorem(theorem, sets[name], n_samples=200, seed=42)
+    row, = [row for row in report.rows if row.k == k]
+    assert "sliced_quadrature(" in row.route_lhs + row.route_rhs
+    assert abs(row.rhs - exact) <= row.uncertainty + 1e-14, (row.rhs, row.uncertainty)

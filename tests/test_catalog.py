@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from lkcurv.grassmann import (
     STREAM_GRASSMANN, haar_sample, hyperplane_frames, slot_frames, substream,
 )
 from per_plane_links import normal_basis
+
+SETS = Path(__file__).resolve().parent / "sets"
 
 
 def plane_through_normal(nu):
@@ -223,6 +226,20 @@ def test_quadric_generic_links_follow_the_adjugate():
     assert lk.link_chi_batch(trough, normals)[1].all()
     with pytest.raises(GenericityError):
         lk.grassmann_mean_batch(3, lambda u: lk.link_chi_batch(trough, u), 200, 42)
+
+
+def test_a_sphere_factor_of_the_leading_form_is_not_a_real_root(sets):
+    # (x^2 + y^2 - z^2)(x^2 + y^2 + z^2) restricted to a plane vanishes at
+    # s = (1, -i), a root at w = inf of its Cayley polynomial: it is dropped,
+    # not a reason to reject the plane, and the other factor gives the
+    # quadric's ends
+    _, quartic = lk.resolve_set(str(SETS / "quartic_hyperboloid_r3.json"))
+    normals = np.concatenate(list(slot_frames(3, 1, 89, 2000)))
+    values, degenerate = _implicit_end_counts(quartic.implicit, normals)
+    quadric, _ = _implicit_end_counts(sets["hyperboloid_r3"].implicit, normals)
+    assert not degenerate.any()
+    assert np.array_equal(values, quadric)
+    assert 0.0 < np.mean(values == 4.0) < 1.0
 
 
 def test_oversized_oval_resolved_by_compactness(sets):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +14,13 @@ from lkcurv import (
     grassmann_mean_batch,
 )
 from lkcurv import grassmann
+from lkcurv.catalog import ConicGraph, Poly, SmoothSet, SphericalGraph
+from lkcurv.catalog.links import hyperplane_breaks, link_chi_batch
 from lkcurv.grassmann import (
-    LATTICE_REPLICATES, STREAM_GRASSMANN, STREAM_LATTICE, haar_sample, hyperplane_frames,
-    lattice_normals, slot_frames, substream,
+    STREAM_GRASSMANN, haar_sample, hyperplane_frames, sliced_mean, slot_frames, substream,
 )
 from per_plane_links import project
-from per_slot_streams import grassmann_mean_lattice, grassmann_mean_per_slot
+from per_slot_streams import grassmann_mean_per_slot
 
 
 def test_frames_are_orthonormal():
@@ -217,8 +220,8 @@ def _rarely_rejecting(planes):
 def _seldom_rejecting(planes):
     """``_rarely_rejecting`` rejecting about 1/300 of planes instead of 1/200.
 
-    A lattice run of 3000 planes then expects 10 rejections against a budget of
-    30, where 700 planes at 1/200 would expect 3.5 against 7.
+    A run of 3000 planes then expects 10 rejections against a budget of 30,
+    where 700 planes at 1/200 would expect 3.5 against 7.
     """
     flat = planes.reshape(len(planes), -1)
     code = (np.abs(flat[:, 0]) * 1e9).astype(np.int64)
@@ -234,15 +237,14 @@ def _assert_same_estimate(a, b):
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 2])
 def test_rekeyed_draws_match_one_generator_per_slot(n, k, seed, stream):
-    """The slot draws on every shape, and the whole estimate where
-    ``grassmann_mean_batch`` samples normals, the lines of k = 1, by slots."""
+    """The slot draws on every shape, and the whole estimate of
+    ``grassmann_mean_batch``, whose normals are the lines of k = 1."""
     ref = grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, seed, stream)
     values, rejected = grassmann._slot_draws(n, k, _rarely_rejecting, 700, seed, stream)
     assert rejected.sum() > 0
     assert np.array_equal(values, ref.values) and rejected.sum() == ref.n_rejected
-    if k == 1 and n != 3:
+    if k == 1:
         est = grassmann_mean_batch(n, _rarely_rejecting, 700, seed, stream=stream, collect=True)
-        assert est.replicates is None
         _assert_same_estimate(est, ref)
 
 
@@ -255,19 +257,10 @@ def test_rank_deficient_redraws_match_one_generator_per_slot(monkeypatch, n, k):
     ref = grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, 42, 2)
     values, rejected = grassmann._slot_draws(n, k, _rarely_rejecting, 700, 42, 2)
     assert np.array_equal(values, ref.values) and rejected.sum() == ref.n_rejected
-    if n != 3:
-        # the normals of R^n skip rank-deficient lines the same way
-        _assert_same_estimate(
-            grassmann_mean_batch(n, _rarely_rejecting, 700, 42, stream=2, collect=True),
-            grassmann_mean_per_slot(n, 1, _rarely_rejecting, 700, 42, 2))
-        return
-    # the lattice's rotations skip rank-deficient blocks the same way
-    first_rotations = np.stack([substream(42, STREAM_LATTICE, r, 2).standard_normal((n, n))
-                                for r in range(LATTICE_REPLICATES)])
-    assert not grassmann._orthonormalize(first_rotations)[1].all()
+    # the normals of R^n skip rank-deficient lines the same way
     _assert_same_estimate(
-        grassmann_mean_batch(n, _seldom_rejecting, 3000, 42, stream=2, collect=True),
-        grassmann_mean_lattice(_seldom_rejecting, 3000, 42, 2))
+        grassmann_mean_batch(n, _rarely_rejecting, 700, 42, stream=2, collect=True),
+        grassmann_mean_per_slot(n, 1, _rarely_rejecting, 700, 42, 2))
 
 
 def test_values_do_not_depend_on_the_slot_chunk(monkeypatch):
@@ -275,7 +268,6 @@ def test_values_do_not_depend_on_the_slot_chunk(monkeypatch):
     for chunk in (1, 7, 256):
         monkeypatch.setattr(grassmann, "SLOT_CHUNK", chunk)
         runs.append(grassmann_mean_batch(4, _rarely_rejecting, 700, 5, stream=2, collect=True))
-    assert runs[0].replicates is None
     for est in runs[1:]:
         _assert_same_estimate(est, runs[0])
 
@@ -291,78 +283,14 @@ def _read_as(k):
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 2])
-def test_lattice_matches_one_plane_at_a_time(n, k, seed, stream):
-    """R^3 planes come from the lattice; the lines of R^2 have no lattice and
-    come from independent slots, each matching its one-plane-at-a-time loop."""
+def test_normals_match_one_plane_at_a_time(n, k, seed, stream):
+    """Lines of R^2 and planes of R^3, whose normals are read as lines (k =
+    1) or as hyperplane frames (k = 2), come from independent slots and
+    match the one-plane-at-a-time loop."""
     est = grassmann_mean_batch(n, _read_as(k), 3000, seed, stream=stream, collect=True)
     assert est.n_rejected > 0
-    if n == 2:
-        assert est.replicates is None
-        _assert_same_estimate(est, grassmann_mean_per_slot(n, k, _read_as(k), 3000, seed, stream))
-        return
-    assert est.replicates == LATTICE_REPLICATES
-    ref = grassmann_mean_lattice(_read_as(k), 3000, seed, stream)
+    ref = grassmann_mean_per_slot(n, 1, lambda lines: _read_as(k)(lines[:, 0]), 3000, seed, stream)
     _assert_same_estimate(est, ref)
-    assert est.replicates == ref.replicates
-
-
-@pytest.mark.parametrize("n_samples,replicates",
-                         [(1003, LATTICE_REPLICATES), (13, LATTICE_REPLICATES), (5, 5), (1, 1)])
-def test_lattice_sizes_that_do_not_divide(n_samples, replicates):
-    assert n_samples % LATTICE_REPLICATES
-    sizes = grassmann.replicate_sizes(n_samples)
-    assert len(sizes) == replicates and sum(sizes) == n_samples and max(sizes) - min(sizes) <= 1
-
-    def accepting(normals):  # one rejection in 13 planes would exceed the budget
-        return normals[:, 0] ** 2 - normals[:, -1], np.zeros(len(normals), dtype=bool)
-
-    est = grassmann_mean_batch(3, accepting, n_samples, 42, collect=True)
-    assert est.replicates == replicates
-    _assert_same_estimate(est, grassmann_mean_lattice(accepting, n_samples, 42))
-    if n_samples == 1:
-        assert est.stderr == 0.0
-    else:
-        assert est.stderr > 0.0
-
-
-@pytest.mark.parametrize("n,k", [(3, 1), (3, 2)])
-def test_lattice_frames_are_a_spread_point_set(n, k):
-    """The lattice's normals read as lines (k = 1) or as hyperplane frames (k = 2)."""
-    normals = lattice_normals(400)
-    frames = normals[:, None, :] if k == 1 else hyperplane_frames(normals)
-    assert frames.shape == (400, k, n)
-    gram = frames @ frames.transpose(0, 2, 1)
-    assert np.max(np.abs(gram - np.eye(k))) < 1e-12
-    # read each plane through its line direction or hyperplane normal
-    u = frames[:, 0] if k == 1 else np.cross(frames[:, 0], frames[:, 1])
-    assert np.allclose(np.abs(np.sum(u * normals, axis=1)), 1.0)
-    # equal-area heights on the upper hemisphere and golden-angle turns
-    assert np.allclose(np.sort(np.abs(u[:, 2])), (np.arange(400) + 0.5) / 400)
-    # the second moment of a Haar line direction is I/3 (to O(1/m^2) here)
-    assert np.max(np.abs(u.T @ u / 400 - np.eye(3) / 3.0)) < 1e-3
-
-
-def test_lattice_beats_independent_slots_with_calibrated_errors(sets):
-    """40 seeds of the star3 cone's 2-plane mean (exactly 1) at 400 planes.
-
-    Over 400 seeds the lattice's RMSE is 2.5 times smaller; seeds 0-39 are the
-    least favourable block of 40 there, at 1.9 times.
-    """
-    star = sets["star3_cone_r3"]
-
-    def oracle(normals):
-        return lk.link_chi_batch(star, normals)
-
-    lattice, slots, beyond = [], [], 0
-    for seed in range(42, 82):
-        est = grassmann_mean_batch(3, oracle, 400, seed)
-        lattice.append(est.mean - 1.0)
-        beyond += abs(est.mean - 1.0) > 3.0 * est.stderr
-        values, _ = grassmann._slot_draws(3, 1, lambda lines: oracle(lines[:, 0]), 400, seed, 0)
-        slots.append(values.mean() - 1.0)
-    rmse = lambda errors: math.sqrt(np.mean(np.square(errors)))
-    assert rmse(lattice) <= 0.5 * rmse(slots)
-    assert beyond <= 3
 
 
 def test_slot_frames_match_haar_sample_and_check_the_key(monkeypatch):
@@ -387,3 +315,90 @@ def test_seeds_outside_64_bits_are_rejected_not_wrapped():
             grassmann_mean_batch(3, _rarely_rejecting, 10, seed)
     with pytest.raises(ValueError):
         grassmann_mean_batch(3, _rarely_rejecting, 10, 0, stream=1 << 24)
+
+
+# ------------------------------------------------------- sliced quadrature
+
+SETS = Path(__file__).resolve().parent / "sets"
+# the rule sums panels of one value exactly, but in floating point
+ROUNDING_FLOOR = 1e-14
+
+
+def _sliced(x):
+    return sliced_mean(lambda normals: link_chi_batch(x, normals), hyperplane_breaks(x))
+
+
+def _rotations(count):
+    """Derandomized Haar rotations of R^3."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([23, 5], dtype=np.uint64)))
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        yield q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("name", ["star3_s2", "circle_s2", "theta_s2", "tetra_s2"])
+def test_sliced_mean_of_rotated_cones_is_the_crofton_value(graphs, name):
+    """A hyperplane crosses a minor arc of length theta with probability
+    theta / pi, so the mean link chi of a cone over a graph is sum theta / pi.
+    Two great circles of vertices cross at a height of their own, so without
+    the crossing cuts rotated cones are off far beyond their bounds."""
+    graph = graphs[name]
+    exact = graph.total_arc_length() / math.pi
+    for rotation in _rotations(6):
+        est = _sliced(ConicGraph(3, SphericalGraph(graph.vertices @ rotation.T, graph.edges)))
+        error = abs(est.mean - exact)
+        assert error <= est.bound + ROUNDING_FLOOR and error <= 1e-9, (est, exact)
+
+
+def test_sliced_mean_of_an_elliptic_hyperboloid_is_its_periodic_integral():
+    # x^2 + 4y^2 - z^2 = 1: a plane with normal (r cos p, r sin p, z) cuts 4
+    # ends below the height z*(p) = sqrt(mu / (1 + mu)), mu = cos^2 p + sin^2 p / 4,
+    # and none above, so the mean is 4 times the mean of z* over p, which
+    # the periodic trapezoid rule gives to rounding
+    p = np.arange(4096) * 2.0 * math.pi / 4096
+    mu = np.cos(p) ** 2 + np.sin(p) ** 2 / 4.0
+    exact = 4.0 * float(np.mean(np.sqrt(mu / (1.0 + mu))))
+    assert exact == pytest.approx(2.3980100, abs=1e-7)
+    # the same surface turned by rotations q: x^T q A q^T x = 1
+    for rotation in [np.eye(3), *_rotations(3)]:
+        a = rotation @ np.diag([1.0, 4.0, -1.0]) @ rotation.T
+        terms = {(0, 0, 0): -1.0}
+        for i, j in itertools.combinations_with_replacement(range(3), 2):
+            exps = tuple(int(i == m) + int(j == m) for m in range(3))
+            terms[exps] = a[i, j] * (1.0 if i == j else 2.0)
+        est = _sliced(SmoothSet(ambient_dim=3, dim=2, chart=None, declared_chi=0,
+                                implicit=Poly(3, terms)))
+        error = abs(est.mean - exact)
+        assert error <= est.bound + ROUNDING_FLOOR and error <= 1e-9, (est, exact)
+
+
+def test_sliced_mean_of_the_builtins(sets):
+    for name, exact in (("star3_cone_r3", 1.0), ("plane_cone_r3", 2.0),
+                        ("hyperboloid_r3", 2.0 * math.sqrt(2.0))):
+        est = _sliced(sets[name])
+        assert abs(est.mean - exact) <= est.bound + ROUNDING_FLOOR, (name, est)
+        assert est.cells < 100
+
+
+def test_sliced_mean_refuses_a_degenerate_cell(sets):
+    star = sets["star3_cone_r3"]
+
+    def one_flagged(normals):
+        values, degenerate = link_chi_batch(star, normals)
+        degenerate = degenerate.copy()
+        degenerate[len(normals) // 2] = True
+        return values, degenerate
+
+    with pytest.raises(GenericityError, match="sliced cell"):
+        sliced_mean(one_flagged, hyperplane_breaks(star))
+
+
+def test_only_cones_and_indefinite_quadrics_of_r3_are_sliced(sets):
+    assert hyperplane_breaks(lk.resolve_set(str(SETS / "quartic_hyperboloid_r3.json"))[1]) is None
+    assert hyperplane_breaks(lk.resolve_set(str(SETS / "star4_cone_r4.json"))[1]) is None
+    trough = SmoothSet(ambient_dim=3, dim=2, chart=None, declared_chi=1,
+                       implicit=Poly(3, {(2, 0, 0): 1.0, (0, 0, 1): -1.0}))
+    assert hyperplane_breaks(trough) is None
+    assert hyperplane_breaks(sets["paraboloid_r3"]) is None  # adj(A) is semidefinite
+    for name in ("star3_cone_r3", "plane_cone_r3", "hyperboloid_r3"):
+        assert hyperplane_breaks(sets[name]) is not None

@@ -162,7 +162,7 @@ def test_lambda0_hyperboloid_routes_agree(sets):
     direct, direct_err = result.direct
     assert abs(direct - target) <= 0.01
     assert abs(result.value - direct) <= 3.0 * math.hypot(result.stderr, direct_err)
-    assert result.hyperplane_route == "grassmann_rqmc(planes=2,n=2000,reps=8)"
+    assert result.hyperplane_route.startswith("sliced_quadrature(planes=2,")
     report = run_theorem("du_lambda0", sets["hyperboloid_r3"], n_samples=2000, seed=42)
     assert report.overall_pass
 
@@ -193,9 +193,17 @@ def test_generically_constant_terms_draw_no_planes(sets, monkeypatch):
     report = run_theorem("base_point", sets["plane_cone_r3"], n_samples=500, seed=42,
                          base_point=[0.5, 0.5, 0.5])
     assert report.status == "incomplete"
-    # the hyperplanes of a cone are drawn: their links vary
+    # the hyperplane links of cones and of indefinite quadrics vary, but they
+    # change only on known walls: sliced quadrature, no draws
+    for name, theorem in (("plane_cone_r3", "prop3.1"), ("star3_cone_r3", "du_lambda0"),
+                          ("hyperboloid_r3", "thm4.1")):
+        report = run_theorem(theorem, sets[name], n_samples=500, seed=42)
+        assert report.overall_pass, (name, theorem)
+        assert any("sliced_quadrature(" in row.route_lhs + row.route_rhs for row in report.rows)
+    # the hyperplanes of a surface whose leading form has degree 4 are drawn
+    _, quartic = lk.resolve_set(str(SETS / "quartic_hyperboloid_r3.json"))
     with pytest.raises(AssertionError, match="drew planes"):
-        run_theorem("prop3.1", sets["plane_cone_r3"], n_samples=500, seed=42)
+        run_theorem("thm3.7", quartic, n_samples=500, seed=42)
     # only hyperplanes are drawn: a varying link on planes of lower dimension
     # (a 3-fold in R^4 meets 2-planes in curves) is refused, not averaged
     # over hyperplanes

@@ -4,28 +4,29 @@ Usage, from the root of a checkout:
 
     PYTHONPATH=src python tools/seed_sweep.py --seeds 200 --samples 4000 > sweep.json
 
-Runs, in process, the Monte Carlo right side of four report rows with known
-exact values, once per seed 0, 1, ..., seeds - 1:
+Runs, in process, the Monte Carlo right side of the report rows that still
+draw planes and have known exact values, once per seed 0, 1, ...,
+seeds - 1:
 
-* ``hyperboloid_r3 thm3.7`` row k=2: 0.5*E[chi|dim2] = sqrt(2);
-* ``star3_cone_r3 prop3.1`` row k=2: 0.5*E[chi|dim2] = 1/2 (the star's
-  three arcs have total length pi);
-* ``hyperboloid_r3 du_lambda0``: the defect formula chi - 0.5*chi_link -
-  0.5*E[chi|dim2] = -sqrt(2);
 * ``star4_cone_r4 thm3.7`` row k=2: 0.5*E[chi|dim3] = 3/4, the cone over
   three quarter arcs of S^3 in ``tests/sets/star4_cone_r4.json`` (a
   hyperplane separates two points at angle theta with probability
-  theta / pi).  Its hyperplanes are the slot normals of R^4; the first three
-  rows use the randomized lattice of R^3.
+  theta / pi); its hyperplanes are slot normals of R^4;
+* ``quartic_hyperboloid_r3 thm3.7`` row k=2: 0.5*E[chi|dim2] = sqrt(2), the
+  hyperboloid x^2 + y^2 - z^2 = 1 given by the quartic (x^2 + y^2 - z^2 - 1)
+  (x^2 + y^2 + z^2 + 1) in ``tests/sets/quartic_hyperboloid_r3.json``; its
+  sections have the quadric's ends, but a leading form of degree 4 is drawn
+  over slot normals of R^3.
+
+The hyperplane terms of cones and quadrics of R^3 are sliced quadratures,
+with nothing drawn, so no row of theirs is here.
 
 Each side is taken with its own Monte Carlo standard error sigma, not the
 row's combined uncertainty, so the left side's extrapolation error does not
 hide a miscalibrated sigma.  For each row it prints the RMSE against the
 exact value, the mean sigma, and the distribution of |error| / sigma: its
 quantiles and the share of seeds beyond 2 and 3 sigma, and the route label
-each side reports.  The script reads ``lkcurv.verify`` and loads each set
-with ``lkcurv.resolve_set``, so it runs unchanged against older checkouts
-that have both.
+each side reports.
 
 ``tests/test_calibration.py`` imports :func:`sweep` and runs it at 60 seeds
 of 400 samples, with bounds fixed in advance: at most 5 seeds beyond 3 sigma
@@ -46,39 +47,23 @@ import numpy as np
 import lkcurv
 from lkcurv import verify
 
-SQRT2 = math.sqrt(2.0)
-STAR4 = str(Path(__file__).resolve().parents[1] / "tests" / "sets" / "star4_cone_r4.json")
-
-
-def _defect_formula(x, ctx):
-    result = verify.lambda0(x, ctx)
-    route = getattr(result, "hyperplane_route", None)
-    if route is None:
-        # older checkouts keep the term's MonteCarloEstimate and no route
-        replicates = result.hyperplane_mean.replicates
-        route = "grassmann_mc" if replicates is None else f"grassmann_rqmc(reps={replicates})"
-    return result.value, result.stderr, f"hyperplane_mean:{route}"
-
+SETS = Path(__file__).resolve().parents[1] / "tests" / "sets"
 
 ROWS = [
-    ("hyperboloid_r3 thm3.7 k=2", SQRT2, "hyperboloid_r3",
-     lambda x, ctx: verify._growth_rhs(x, 2, ctx)),
-    ("star3_cone_r3 prop3.1 k=2", 0.5, "star3_cone_r3",
-     lambda x, ctx: verify._growth_rhs(x, 2, ctx)),
-    ("hyperboloid_r3 du_lambda0", -SQRT2, "hyperboloid_r3", _defect_formula),
-    ("star4_cone_r4 thm3.7 k=2", 0.75, STAR4,
-     lambda x, ctx: verify._growth_rhs(x, 2, ctx)),
+    ("star4_cone_r4 thm3.7 k=2", 0.75, str(SETS / "star4_cone_r4.json")),
+    ("quartic_hyperboloid_r3 thm3.7 k=2", math.sqrt(2.0), str(SETS / "quartic_hyperboloid_r3.json")),
 ]
 
 
 def sweep(seeds: int, samples: int):
     out = []
-    for label, exact, ref, side in ROWS:
+    for label, exact, ref in ROWS:
         _, x = lkcurv.resolve_set(ref)
         errors, sigmas, route = [], [], None
         start = time.perf_counter()
         for seed in range(seeds):
-            value, sigma, route = side(x, verify.RunContext(n_samples=samples, seed=seed))
+            value, sigma, route = verify._growth_rhs(
+                x, 2, verify.RunContext(n_samples=samples, seed=seed))
             errors.append(value - exact)
             sigmas.append(sigma)
         errors, sigmas = np.array(errors), np.array(sigmas)
