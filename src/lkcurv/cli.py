@@ -19,9 +19,8 @@ from typing import List, Optional
 
 from .catalog.sets import ConicGraph, builtin_sets, describe, resolve_set
 from .errors import ChiUnknownError, LkError, SetValidationError, UnsupportedSection
-from .geomconst import ball_volume
 from .grassmann import slot_frames
-from .limits import DEFAULT_RADII, curvature_measures, validate_radii
+from .limits import DEFAULT_RADII, curvature_measures, radius_scale, validate_radii
 from .report import report_to_csv_rows, report_to_json
 from .verify import DEFAULT_SAMPLES, THEOREM_IDS, run_theorem
 
@@ -112,6 +111,11 @@ def _resolve(set_ref: str):
         return resolve_set(set_ref)
     except FileNotFoundError as exc:
         raise UsageError(f"no builtin set or readable file named {set_ref!r}") from exc
+    except OSError as exc:
+        raise UsageError(f"set file {set_ref!r} cannot be read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"set file {set_ref!r} is not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"set file {set_ref!r} is not valid JSON: {exc}") from exc
     except SetValidationError as exc:
@@ -119,14 +123,12 @@ def _resolve(set_ref: str):
 
 
 def _require_scale(radius: float, k: int, flag: str) -> float:
-    """b_k R^k, which normalizes an order-k measure; refused where it overflows."""
+    """b_k R^k, which normalizes an order-k measure; refused where it or 1/R
+    leaves the normal floats."""
     try:
-        scale = ball_volume(k) * radius**k
-    except OverflowError:
-        scale = math.inf
-    if not math.isfinite(scale):
-        raise UsageError(f"{flag} {radius:g} is too large: b_k R^k overflows at k={k}")
-    return scale
+        return radius_scale(radius, k)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _cmd_catalog_list(out) -> int:
@@ -154,7 +156,9 @@ def _cmd_verify(args, out) -> int:
     if base_point is not None and args.theorem != "base_point":
         raise UsageError("--base-point applies only to --theorem base_point")
     name, descriptor = _resolve(args.set_ref)
-    _require_scale(max(radii), descriptor.ambient_dim, "--radii")
+    for radius in radii:
+        for k in range(descriptor.ambient_dim + 1):
+            _require_scale(radius, k, "--radii")
     try:
         report = run_theorem(
             args.theorem,
@@ -179,8 +183,11 @@ def _cmd_verify(args, out) -> int:
         writer.writerows(report_to_csv_rows(report))
         payload = buffer.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise UsageError(f"--out {args.out!r} cannot be written: {exc.strerror}") from exc
     print(payload, file=out)
     _print_summary(report, out)
     if report.status == "pass":

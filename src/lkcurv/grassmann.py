@@ -17,11 +17,11 @@ and no frame is built.  A mean comes from one of two rules:
   the cells in the same cyclic order: the oracle gives each cell's value
   once, at the panel's middle height, and the lengths are integrated by
   Gauss-Legendre in z.  The cells are born and die at the panel ends like
-  square roots, which a smoothstep substitution takes off.  The error bound is the change of each panel's value from
-  ``SLICE_NODES`` to half as many nodes, summed in absolute value.  Nothing
-  is drawn.
+  square roots, which a smoothstep substitution takes off.  The error bound
+  is the change of each panel's value from ``SLICE_NODES`` to half as many
+  nodes, summed in absolute value.  Nothing is drawn.
 * **Independent slots** (``grassmann_mean_batch``) everywhere else: sample
-  slot i draws its own Haar normal, a normalized Gaussian vector, and the
+  slot i takes a Haar normal, a normalized Gaussian vector, and the
   standard error is that of the values.
 
 Planes of lower dimension are never drawn, nor hyperplanes of a set whose
@@ -35,23 +35,21 @@ built by ``hyperplane_frames``; no verify path calls ``haar_sample`` or
 look them up by name.  ``slot_frames`` gives the Haar k-frames of ``lkcurv
 grassmann sample``.
 
-Determinism contract: every draw comes from a counter-based Philox stream
-keyed by ``(seed, domain, index, stream)``, so an estimate is bit-identical
-for a given ``(n, n_samples, seed, stream)``.  Slot i draws from
-``substream(seed, STREAM_GRASSMANN, i, stream)``, no matter how the slots are
-batched, but no generator is built per slot: each ``SLOT_CHUNK`` of slots
-shares one Philox, and keying it to a slot assigns that slot's key, a zero
-counter and an empty buffer.  Block ``b`` of a slot is the ``(b+1)``-th
-``standard_normal((k, n))`` call after keying (k = 1 for a normal); the
-slot's frames are its full-rank blocks in order, a rank-deficient block
-being skipped exactly as ``haar_sample`` skips it, and a plane the oracle
-rejects is replaced by the slot's next frame.
+Determinism contract: an estimate draws every normal from one counter-based
+Philox stream, ``substream(seed, STREAM_GRASSMANN, 0, stream)``, so it is
+bit-identical for a given ``(n, n_samples, seed, stream)``.  The stream is
+read as ``haar_sample`` reads it: one ``standard_normal((1, n))`` block per
+draw, a rank-deficient block being skipped.  Slot i takes the i-th normal
+of the stream.  Then the slots the oracle rejected take the next normals,
+one each in slot order, round by round.  So a batch of draws equals as many
+``haar_sample`` calls on one generator, and ``SLOT_CHUNK``, the number of
+normals per oracle call, changes no value.
 
 A seed is a 64-bit word of the key: seeds outside [0, 2^64) are rejected, not
 wrapped, so no two seeds share their streams.  Stream domain 1 is the slot
-draws.  Domain 2 belongs to the sampled vertex-index check of the test suite,
-and domains 3 and 4 stay retired, so that no new stream repeats the samples
-they once drew.
+draws, its sub-index the term's ``stream``.  Domain 2 belongs to the sampled
+vertex-index check of the test suite, and domains 3 and 4 stay retired, so
+that no new stream repeats the samples they once drew.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ ORTHONORMAL_TOL = 1e-10
 RANK_DEFICIENCY_TOL = 1e-8
 DEGENERATE_BUDGET = 0.01
 MAX_RETRIES_PER_SLOT = 64
-# sample slots that share one generator and one oracle call per round of redraws
+# normals per oracle call of the slot draws; no value depends on it
 SLOT_CHUNK = 256
 
 # stream domain of the slot draws (see the module docstring)
@@ -99,8 +97,9 @@ def _stream_key(seed: int, domain: int, index: int = 0, sub: int = 0) -> Tuple[i
 def substream(seed: int, domain: int, index: int = 0, sub: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, domain, index, sub).
 
-    Distinct keys give statistically independent streams, so per-sample and
-    per-vertex draws can be evaluated in any order or in parallel.
+    Distinct keys give statistically independent streams: each drawn term
+    of a run has its own, and so has each vertex of the test suite's
+    sampled vertex-index check.
     """
     key = np.array(_stream_key(seed, domain, index, sub), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -170,60 +169,37 @@ def haar_sample(n: int, k: int, rng: np.random.Generator) -> Subspace:
             return Subspace(n=n, k=k, frame=frame)
 
 
-class _SlotStreams:
-    """Haar k-planes in R^n for some sample slots, drawn through one Philox.
+def _haar_frames(n: int, k: int, rng: np.random.Generator, m: int) -> np.ndarray:
+    """The next m Haar k-frames of R^n from ``rng``, shape (m, k, n).
 
-    Keying the generator to slot ``i`` assigns it the state a fresh
-    ``substream(seed, STREAM_GRASSMANN, i, sub)`` has, so it draws that
-    stream's bits.  ``drawn[r]`` counts the blocks slot ``slots[r]`` has drawn;
-    its next block is reached by replaying them after keying.
+    They are the frames m calls of :func:`haar_sample` return: the full-rank
+    ``standard_normal((k, n))`` blocks of the stream, in order.  A round
+    draws one block per missing frame, so the stream ends where the m-th
+    frame's block does.
     """
-
-    def __init__(self, n: int, k: int, seed: int, sub: int, slots):
-        self.shape = (k, n)
-        self.seed = seed
-        self.sub = sub
-        self.slots = [int(i) for i in slots]
-        self.drawn = [0] * len(self.slots)
-        self._rng = np.random.Generator(np.random.Philox(key=0))
-        self._state = self._rng.bit_generator.state  # zero counter, empty buffer
-
-    def _next_blocks(self, rows) -> np.ndarray:
-        blocks = np.empty((len(rows),) + self.shape)
-        for j, r in enumerate(rows):
-            self._state["state"]["key"] = _stream_key(self.seed, STREAM_GRASSMANN,
-                                                      self.slots[r], self.sub)
-            self._rng.bit_generator.state = self._state
-            for _ in range(self.drawn[r] + 1):
-                self._rng.standard_normal(out=blocks[j])
-            self.drawn[r] += 1
-        return blocks
-
-    def frames(self, rows: np.ndarray) -> np.ndarray:
-        """The next Haar frame of slot ``slots[r]`` for each r in ``rows``, shape (len(rows), k, n).
-
-        A rank-deficient block is skipped and the slot's next block taken, as
-        :func:`haar_sample` does.
-        """
-        frames, ok = _orthonormalize(self._next_blocks(rows.tolist()))
-        while not ok.all():
-            bad = np.flatnonzero(~ok)
-            frames[bad], ok[bad] = _orthonormalize(self._next_blocks(rows[bad].tolist()))
-        return frames
+    frames = np.empty((m, k, n))
+    filled = 0
+    while filled < m:
+        q, ok = _orthonormalize(rng.standard_normal((m - filled, k, n)))
+        q = q[ok]
+        frames[filled:filled + len(q)] = q
+        filled += len(q)
+    return frames
 
 
 def slot_frames(n: int, k: int, seed: int, n_samples: int) -> Iterator[np.ndarray]:
-    """The first Haar frame of sample slots 0, 1, ..., n_samples - 1, in order.
+    """The Haar k-frames of sample slots 0, 1, ..., n_samples - 1, in order.
 
-    Frame i, of shape (k, n), equals ``haar_sample(n, k, substream(seed,
-    STREAM_GRASSMANN, i)).frame``.  For k = 1 its row is the first normal
-    :func:`grassmann_mean_batch` offers slot i.
+    They are the frames of ``n_samples`` calls of ``haar_sample(n, k, rng)``
+    on one ``rng = substream(seed, STREAM_GRASSMANN)``, drawn ``SLOT_CHUNK``
+    at a time.  For k = 1 row i is the first normal
+    :func:`grassmann_mean_batch` offers slot i on stream 0.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    rng = substream(seed, STREAM_GRASSMANN)
     for start in range(0, n_samples, SLOT_CHUNK):
-        streams = _SlotStreams(n, k, seed, 0, range(start, min(start + SLOT_CHUNK, n_samples)))
-        yield from streams.frames(np.arange(len(streams.slots)))
+        yield from _haar_frames(n, k, rng, min(SLOT_CHUNK, n_samples - start))
 
 
 def hyperplane_frames(normals: np.ndarray) -> np.ndarray:
@@ -278,33 +254,34 @@ def per_plane(f: Callable[[Subspace], float]) -> BatchOracle:
     return oracle
 
 
-def _slot_draws(n: int, k: int, oracle: BatchOracle, n_samples: int, seed: int,
+def _slot_draws(n: int, oracle: BatchOracle, n_samples: int, seed: int,
                 stream: int) -> Tuple[np.ndarray, np.ndarray]:
     """Values and rejection counts of sample slots 0, 1, ..., n_samples - 1,
-    each offering the oracle its Haar k-frames of shape (k, n).
+    each offering the oracle its Haar unit normals of R^n.
 
-    Every round offers the rejected slots of a chunk their next frames, in
-    one oracle call, until none is left or a slot has had
-    ``MAX_RETRIES_PER_SLOT`` tries.
+    The rule of the module docstring; the oracle sees ``SLOT_CHUNK`` normals
+    a call.  Every round offers each rejected slot its next normal, until
+    none is left or a slot has had ``MAX_RETRIES_PER_SLOT`` tries.
     """
+    rng = substream(seed, STREAM_GRASSMANN, 0, stream)
     values = np.empty(n_samples, dtype=float)
     rejected = np.zeros(n_samples, dtype=np.int64)
-    for start in range(0, n_samples, SLOT_CHUNK):
-        streams = _SlotStreams(n, k, seed, stream, range(start, min(start + SLOT_CHUNK, n_samples)))
-        pending = np.arange(len(streams.slots))
-        for _ in range(MAX_RETRIES_PER_SLOT):
-            vals, bad = oracle(streams.frames(pending))
+    pending = np.arange(n_samples)
+    for _ in range(MAX_RETRIES_PER_SLOT):
+        bad_slots = []
+        for start in range(0, pending.size, SLOT_CHUNK):
+            slots = pending[start:start + SLOT_CHUNK]
+            vals, bad = oracle(_haar_frames(n, 1, rng, slots.size)[:, 0])
             bad = np.asarray(bad, dtype=bool)
-            values[start + pending[~bad]] = np.asarray(vals, dtype=float)[~bad]
-            rejected[start + pending[bad]] += 1
-            pending = pending[bad]
-            if not pending.size:
-                break
-        else:
-            raise GenericityError(
-                f"sample slot {start + int(pending[0])} exhausted {MAX_RETRIES_PER_SLOT} "
-                "redraws; the set appears to violate genericity assumptions")
-    return values, rejected
+            values[slots[~bad]] = np.asarray(vals, dtype=float)[~bad]
+            bad_slots.append(slots[bad])
+        pending = np.concatenate(bad_slots)
+        rejected[pending] += 1
+        if not pending.size:
+            return values, rejected
+    raise GenericityError(
+        f"sample slot {int(pending[0])} exhausted {MAX_RETRIES_PER_SLOT} "
+        "redraws; the set appears to violate genericity assumptions")
 
 
 def grassmann_mean_batch(
@@ -330,8 +307,7 @@ def grassmann_mean_batch(
         raise ValueError(f"need n >= 2, got n={n}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    values, rejected = _slot_draws(n, 1, lambda frames: oracle(frames[:, 0]),
-                                   n_samples, seed, stream)
+    values, rejected = _slot_draws(n, oracle, n_samples, seed, stream)
     n_rejected = int(rejected.sum())
     total_draws = n_samples + n_rejected
     if n_rejected > DEGENERATE_BUDGET * total_draws:

@@ -39,6 +39,8 @@ from .geomconst import ball_volume
 from .spherical import conic_lk_measure_detailed
 
 DEFAULT_RADII = (8.0, 16.0, 32.0, 64.0)
+# the smallest normal double: a ball scale below it has lost precision
+SMALLEST_NORMAL = 2.0 ** -1022
 
 
 @dataclass
@@ -97,17 +99,32 @@ def curvature_measures(
     return curvature_sweep(x, ks, (radius,), spec, center)[0]
 
 
+def radius_scale(radius: float, k: int) -> float:
+    """b_k R^k, which normalizes an order-k measure in the radius-R ball.
+
+    A ValueError where it is not a normal float, or where 1/R, which the
+    limit fit takes, overflows.
+    """
+    try:
+        scale = ball_volume(k) * radius**k
+    except OverflowError:
+        scale = np.inf
+    if not scale < np.inf:
+        raise ValueError(f"radius {radius:g} is too large: b_k R^k overflows at k={k}")
+    if not (scale >= SMALLEST_NORMAL and 1.0 / radius < np.inf):
+        raise ValueError(f"radius {radius:g} is too small: b_k R^k or 1/R leaves the "
+                         f"normal floats at k={k}")
+    return scale
+
+
 def _normalized_sweep(
     x: SetDescriptor, ks, radii, spec, center
 ) -> List[List[Tuple[float, float]]]:
     """Normalized measures of the orders ks at each radius, with their errors."""
+    scales = [[radius_scale(radius, k) for k in ks] for radius in radii]
     sweep = curvature_sweep(x, ks, radii, spec, center)
-    normalized = []
-    for radius, pairs in zip(radii, sweep):
-        scales = [ball_volume(k) * radius**k for k in ks]
-        normalized.append([(value / scale, err / scale)
-                           for (value, err), scale in zip(pairs, scales)])
-    return normalized
+    return [[(value / scale, err / scale) for (value, err), scale in zip(pairs, row)]
+            for pairs, row in zip(sweep, scales)]
 
 
 def _fit_inverse_radius(radii, values) -> Tuple[float, float]:
@@ -144,6 +161,8 @@ def validate_radii(radii) -> List[float]:
     radii = [float(r) for r in radii]
     if not all(np.isfinite(radii)):
         raise ValueError("radius schedule must be finite")
+    if not all(r > 0.0 for r in radii):
+        raise ValueError("radius schedule must be positive")
     if len(radii) < 3:
         raise ValueError("radius schedule needs at least three radii")
     if any(b <= a for a, b in zip(radii, radii[1:])):

@@ -40,7 +40,9 @@ with a quadrature error bound for its uncertainty and nothing drawn.  Only
 the rest, hyperplanes of R^n for n >= 4 and of R^3 surfaces whose leading
 form has degree 3 or more, are Haar means over drawn normals
 (``grassmann_mc(...)``), the only terms that ``--samples`` and ``--seed``
-move.
+move.  A drawn term takes all its normals, in order, from one Philox stream
+keyed by the seed and the term's ``stream`` index, (k << 4) | position, so
+no two terms of a run share a normal.
 """
 
 from __future__ import annotations

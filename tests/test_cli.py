@@ -123,9 +123,19 @@ def test_verify_failure_exit_code(tmp_path, sets):
     assert code == 1
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _ = run_cli(["verify", "--set", "no_such_set", "--theorem", "thm3.9"])
     assert code == 64
+    # a set that is a directory or not UTF-8 text, and an --out that cannot
+    # be written, are named
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+    for argv, field in (([str(tmp_path)], str(tmp_path)), ([str(not_utf8)], str(not_utf8)),
+                        (["line_r2", "--out", str(tmp_path / "no_dir" / "x.json")], "--out")):
+        capsys.readouterr()
+        code, _ = run_cli(["verify", "--theorem", "thm3.9", "--set"] + argv)
+        assert code == 64, argv
+        assert field in capsys.readouterr().err
     code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", "thm3.9",
                        "--samples", "50"])
     assert code == 64
@@ -161,13 +171,23 @@ def test_usage_errors(capsys):
         code, _ = run_cli(["verify", "--set", "cross_r2", "--theorem", theorem, flag, value])
         assert code == 64, (flag, value)
         assert flag in capsys.readouterr().err
-    # a radius that is not finite, or whose b_k R^k overflows, names --radius
-    # and so does one whose ball intervals or measure are not finite
+    # a schedule with a radius whose b_k R^k or 1/R leaves the normal floats,
+    # or with a radius of 0, names --radii
+    for name, theorem, radii in (("hyperboloid_r3", "thm3.7", "1e-200,2e-200,4e-200"),
+                                 ("sphere_s2", "thm3.9", "1e-320,2e-320,4e-320"),
+                                 ("line_r2", "thm3.9", "0,8,16")):
+        capsys.readouterr()
+        code, _ = run_cli(["verify", "--set", name, "--theorem", theorem, "--radii", radii])
+        assert code == 64, (name, radii)
+        assert "--radii" in capsys.readouterr().err
+    # a radius that is not finite, or whose b_k R^k overflows or underflows,
+    # names --radius, and so does one whose ball intervals or measure are not
+    # finite
     for name, k, radius in (("paraboloid_r3", "2", "nan"), ("paraboloid_r3", "2", "inf"),
                             ("cross_r2", "1", "nan"), ("cross_r2", "1", "inf"),
                             ("paraboloid_r3", "2", "1e308"), ("line_r2", "1", "1e308"),
                             ("paraboloid_r3", "0", "1e154"), ("hyperboloid_r3", "0", "1e200"),
-                            ("paraboloid_r3", "0", "1e308")):
+                            ("paraboloid_r3", "0", "1e308"), ("hyperboloid_r3", "2", "1e-200")):
         capsys.readouterr()
         with np.errstate(over="ignore", invalid="ignore"):
             code, _ = run_cli(["curvature", "--set", name, "--k", k, "--radius", radius])
@@ -253,9 +273,10 @@ def test_grassmann_sample_command():
     assert len(lines) == 50
     frame = np.array(json.loads(lines[0])["frame"])
     assert np.allclose(frame @ frame.T, np.eye(2), atol=1e-10)
-    # each line is the plane of a generator built for its sample alone
+    # the lines are the planes of sequential haar_sample calls on one stream
+    rng = substream(5, STREAM_GRASSMANN)
     for i, line in enumerate(lines):
-        sub = haar_sample(3, 2, substream(5, STREAM_GRASSMANN, i))
+        sub = haar_sample(3, 2, rng)
         assert line == json.dumps({"sample": i, "n": 3, "k": 2, "frame": sub.frame.tolist()})
 
 

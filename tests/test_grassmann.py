@@ -17,10 +17,10 @@ from lkcurv import grassmann
 from lkcurv.catalog import ConicGraph, Poly, SmoothSet, SphericalGraph
 from lkcurv.catalog.links import hyperplane_breaks, link_chi_batch
 from lkcurv.grassmann import (
-    STREAM_GRASSMANN, haar_sample, hyperplane_frames, sliced_mean, slot_frames, substream,
+    DEGENERATE_BUDGET, MAX_RETRIES_PER_SLOT, STREAM_GRASSMANN, haar_sample, hyperplane_frames,
+    sliced_mean, slot_frames, substream,
 )
 from per_plane_links import project
-from per_slot_streams import grassmann_mean_per_slot
 
 
 def test_frames_are_orthonormal():
@@ -147,12 +147,12 @@ def test_batched_frames_match_haar_sample():
         seen.append(normals.copy())
         return np.zeros(len(normals)), np.zeros(len(normals), dtype=bool)
 
-    # outside R^3 the normal of slot i is the line haar_sample draws from its stream
+    # the normal of slot i is the i-th line haar_sample draws from the one stream
     grassmann_mean_batch(4, record, 300, seed=5, stream=2)
     normals = np.concatenate(seen)
+    rng = substream(5, STREAM_GRASSMANN, 0, 2)
     for i in range(300):
-        sub = haar_sample(4, 1, substream(5, STREAM_GRASSMANN, i, 2))
-        assert np.array_equal(normals[i], sub.frame[0])
+        assert np.array_equal(normals[i], haar_sample(4, 1, rng).frame[0])
 
 
 def test_rotation_invariance(sets):
@@ -205,12 +205,57 @@ def test_substream_keys_are_disjoint():
     assert np.array_equal(a, again)
 
 
+def one_stream_draws(n, oracle, n_samples, seed, stream=0):
+    """Reference loop for the slot draws of ``grassmann_mean_batch``: the
+    values of the slots and the number of rejected draws.
+
+    One generator, ``haar_sample`` one normal at a time: slot i takes the
+    i-th, then each rejected slot takes the next, in slot order, round by
+    round.  The oracle sees one normal a call.
+    """
+    rng = substream(seed, STREAM_GRASSMANN, 0, stream)
+    values = np.empty(n_samples)
+    pending, n_rejected = list(range(n_samples)), 0
+    for _ in range(MAX_RETRIES_PER_SLOT):
+        redraw = []
+        for slot in pending:
+            (value,), (bad,) = oracle(haar_sample(n, 1, rng).frame)
+            if bad:
+                redraw.append(slot)
+            else:
+                values[slot] = value
+        pending = redraw
+        n_rejected += len(pending)
+        if not pending:
+            return values, n_rejected
+    raise GenericityError(f"sample slot {pending[0]} exhausted its redraws")
+
+
+def _assert_matches_one_stream(n, oracle, n_samples, seed, stream):
+    """The slot draws equal the reference loop's, and so does the estimate
+    built from them, or both exceed the degenerate budget."""
+    values, n_rejected = one_stream_draws(n, oracle, n_samples, seed, stream)
+    assert n_rejected > 0
+    drawn, rejected = grassmann._slot_draws(n, oracle, n_samples, seed, stream)
+    assert np.array_equal(drawn, values) and rejected.sum() == n_rejected
+    draws = n_samples + n_rejected
+    if n_rejected > DEGENERATE_BUDGET * draws:
+        with pytest.raises(GenericityError, match=f"{n_rejected} of {draws} draws"):
+            grassmann_mean_batch(n, oracle, n_samples, seed, stream=stream)
+        return
+    est = grassmann_mean_batch(n, oracle, n_samples, seed, stream=stream, collect=True)
+    assert np.array_equal(est.values, values)
+    stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
+    assert (est.n_rejected, est.mean, est.stderr) == (n_rejected, float(np.mean(values)), stderr)
+
+
 def _rarely_rejecting(planes):
     """A batched oracle that rejects about 0.5% of planes by a rule on their bits.
 
-    That is half the degenerate budget, so no 700-sample run below exhausts it.
+    That is half the degenerate budget, so a 700-sample run seldom exceeds it;
+    one of the grid below does (8 of 708 draws), and must raise.
     It reads the first and last entry of each plane, so it takes normals (m, n)
-    and frames (m, k, n) alike, and a normal as the frame of its line.
+    and frames (m, k, n) alike.
     """
     flat = planes.reshape(len(planes), -1)
     code = (np.abs(flat[:, 0]) * 1e9).astype(np.int64)
@@ -228,48 +273,41 @@ def _seldom_rejecting(planes):
     return flat[:, 0] ** 2 - flat[:, -1], code % 300 == 0
 
 
-def _assert_same_estimate(a, b):
-    assert np.array_equal(a.values, b.values)
-    assert (a.n_rejected, a.mean, a.stderr) == (b.n_rejected, b.mean, b.stderr)
+def _assert_sequential_frames(n, k, seed, stream, count):
+    """``count`` batched Haar k-frames of a stream are as many ``haar_sample``
+    calls on it, and leave the stream where those calls leave it."""
+    batched, sequential = (substream(seed, STREAM_GRASSMANN, 0, stream) for _ in range(2))
+    frames = grassmann._haar_frames(n, k, batched, count)
+    assert np.array_equal(frames, np.stack([haar_sample(n, k, sequential).frame
+                                            for _ in range(count)]))
+    assert batched.standard_normal() == sequential.standard_normal()
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 2])
-def test_rekeyed_draws_match_one_generator_per_slot(n, k, seed, stream):
-    """The slot draws on every shape, and the whole estimate of
-    ``grassmann_mean_batch``, whose normals are the lines of k = 1."""
-    ref = grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, seed, stream)
-    values, rejected = grassmann._slot_draws(n, k, _rarely_rejecting, 700, seed, stream)
-    assert rejected.sum() > 0
-    assert np.array_equal(values, ref.values) and rejected.sum() == ref.n_rejected
+def test_draws_match_sequential_haar_samples(n, k, seed, stream):
+    """Batched k-frames on every shape, and for k = 1 the whole estimate of
+    ``grassmann_mean_batch``, redraws included."""
+    _assert_sequential_frames(n, k, seed, stream, 700)
     if k == 1:
-        est = grassmann_mean_batch(n, _rarely_rejecting, 700, seed, stream=stream, collect=True)
-        _assert_same_estimate(est, ref)
+        _assert_matches_one_stream(n, _rarely_rejecting, 700, seed, stream)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (4, 3)])
-def test_rank_deficient_redraws_match_one_generator_per_slot(monkeypatch, n, k):
+def test_rank_deficient_redraws_match_sequential_haar_samples(monkeypatch, n, k):
     monkeypatch.setattr(grassmann, "RANK_DEFICIENCY_TOL", 0.4)
-    first_blocks = np.stack([substream(42, STREAM_GRASSMANN, i, 2).standard_normal((k, n))
-                             for i in range(700)])
-    assert not grassmann._orthonormalize(first_blocks)[1].all()  # some slots redraw
-    ref = grassmann_mean_per_slot(n, k, _rarely_rejecting, 700, 42, 2)
-    values, rejected = grassmann._slot_draws(n, k, _rarely_rejecting, 700, 42, 2)
-    assert np.array_equal(values, ref.values) and rejected.sum() == ref.n_rejected
+    first_blocks = substream(42, STREAM_GRASSMANN, 0, 2).standard_normal((700, k, n))
+    assert not grassmann._orthonormalize(first_blocks)[1].all()  # some blocks are skipped
+    _assert_sequential_frames(n, k, 42, 2, 700)
     # the normals of R^n skip rank-deficient lines the same way
-    _assert_same_estimate(
-        grassmann_mean_batch(n, _rarely_rejecting, 700, 42, stream=2, collect=True),
-        grassmann_mean_per_slot(n, 1, _rarely_rejecting, 700, 42, 2))
+    _assert_matches_one_stream(n, _rarely_rejecting, 700, 42, 2)
 
 
 def test_values_do_not_depend_on_the_slot_chunk(monkeypatch):
-    runs = []
     for chunk in (1, 7, 256):
         monkeypatch.setattr(grassmann, "SLOT_CHUNK", chunk)
-        runs.append(grassmann_mean_batch(4, _rarely_rejecting, 700, 5, stream=2, collect=True))
-    for est in runs[1:]:
-        _assert_same_estimate(est, runs[0])
+        _assert_matches_one_stream(4, _rarely_rejecting, 700, 5, 2)
 
 
 def _read_as(k):
@@ -285,20 +323,17 @@ def _read_as(k):
 @pytest.mark.parametrize("stream", [0, 2])
 def test_normals_match_one_plane_at_a_time(n, k, seed, stream):
     """Lines of R^2 and planes of R^3, whose normals are read as lines (k =
-    1) or as hyperplane frames (k = 2), come from independent slots and
-    match the one-plane-at-a-time loop."""
-    est = grassmann_mean_batch(n, _read_as(k), 3000, seed, stream=stream, collect=True)
-    assert est.n_rejected > 0
-    ref = grassmann_mean_per_slot(n, 1, lambda lines: _read_as(k)(lines[:, 0]), 3000, seed, stream)
-    _assert_same_estimate(est, ref)
+    1) or as hyperplane frames (k = 2), match the one-plane-at-a-time loop."""
+    _assert_matches_one_stream(n, _read_as(k), 3000, seed, stream)
 
 
 def test_slot_frames_match_haar_sample_and_check_the_key(monkeypatch):
     monkeypatch.setattr(grassmann, "SLOT_CHUNK", 7)
     frames = list(slot_frames(4, 2, 7, 20))
     assert len(frames) == 20
-    for i, frame in enumerate(frames):
-        assert np.array_equal(frame, haar_sample(4, 2, substream(7, STREAM_GRASSMANN, i)).frame)
+    rng = substream(7, STREAM_GRASSMANN)
+    for frame in frames:
+        assert np.array_equal(frame, haar_sample(4, 2, rng).frame)
     with pytest.raises(ValueError):
         grassmann._stream_key(0, STREAM_GRASSMANN, 1 << 32)
     with pytest.raises(ValueError):

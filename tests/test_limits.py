@@ -30,6 +30,8 @@ def test_schedule_validation():
         validate_radii((16.0, 8.0, 4.0))
     with pytest.raises(ValueError):
         validate_radii((float("nan"),) * 3)
+    with pytest.raises(ValueError, match="positive"):
+        validate_radii((0.0, 8.0, 16.0))
 
 
 def test_plane_normalized_value_is_exact(sets):

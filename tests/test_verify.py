@@ -438,6 +438,12 @@ def test_run_theorem_dispatch(sets):
         run_theorem("base_point", sets["cross_r2"])
     with pytest.raises(ValueError):
         run_theorem("thm3.9", sets["cross_r2"], base_point=[1.0, 2.0])
+    # radii whose b_k R^k underflows, or whose 1/R overflows, are refused
+    # before any division by them
+    for theorem, name, radius in (("thm3.7", "hyperboloid_r3", 1e-200),
+                                  ("thm3.9", "sphere_s2", 1e-320)):
+        with pytest.raises(ValueError, match="too small"):
+            run_theorem(theorem, sets[name], radii=(radius, 2 * radius, 4 * radius))
 
 
 def test_report_round_trip(sets):

@@ -6,7 +6,8 @@ Usage, from the root of a checkout:
 
 Runs, in process, the Monte Carlo right side of the report rows that still
 draw planes and have known exact values, once per seed 0, 1, ...,
-seeds - 1:
+seeds - 1.  Each run draws its normals from the one Philox stream of its
+seed and term, so the seeds give independent estimates:
 
 * ``star4_cone_r4 thm3.7`` row k=2: 0.5*E[chi|dim3] = 3/4, the cone over
   three quarter arcs of S^3 in ``tests/sets/star4_cone_r4.json`` (a
