@@ -44,6 +44,11 @@ unsquared gap between candidates, so near-double roots are never lost.  The
 t-values where the profile circle enters the ball wholly split the intervals
 into pieces, which the cubature takes as panel breaks.
 
+A chart's tangent frame at a node is judged here, by ``tangent_gram``, the
+one rule that set validation and the cubature share: det G of G = J^T J
+against a fraction of Hadamard's bound g11 g22, so the verdict does not change
+when the set is dilated.
+
 Cubature uses Gauss-Legendre rules on t alone.  Each rule is computed here
 by Newton's method on the three-term Legendre recurrence from Tricomi's
 initial guess, which gives nodes and weights to full double precision (Hale
@@ -66,7 +71,7 @@ import numpy as np
 
 from ..errors import SetValidationError
 
-# floor on the tangent Gram determinant det(J^T J) at a chart node
+# a tangent frame is degenerate where det G <= GRAM_DET_TOL g11 g22 (``tangent_gram``)
 GRAM_DET_TOL = 1e-12
 
 # a curve still inside a ball this far out along its parameter is refused
@@ -132,6 +137,33 @@ class Chart:
                 raise ValueError(
                     f"radius {radius:g}: chart {self.label!r} has no finite parameter interval")
         return pieces
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products of two (B, n) stacks."""
+    return np.einsum("bi,bi->b", a, b)
+
+
+def tangent_gram(jac: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """det G, G = J^T J, of a curve or surface chart at each node of a
+    (B, n, d) stack of Jacobians, and whether some node's frame is degenerate.
+
+    The one tangent-frame rule of the package: a frame is degenerate where
+    det G <= GRAM_DET_TOL g11 g22, a fraction of Hadamard's bound
+    det G <= g11 g22, so dilating a set changes no verdict.  On a curve
+    det G = g11, and only a zero velocity is degenerate.  A node where
+    g11 g22 overflows is too large to judge, not degenerate.
+    """
+    j1 = jac[:, :, 0]
+    g11 = _dot(j1, j1)
+    if jac.shape[2] == 1:
+        det = hadamard = g11
+    else:
+        j2 = jac[:, :, 1]
+        g12 = _dot(j1, j2)
+        hadamard = g11 * _dot(j2, j2)
+        det = hadamard - g12 * g12
+    return det, bool(np.any((det <= GRAM_DET_TOL * hadamard) & (hadamard < np.inf)))
 
 
 def _legendre(count: int, x: np.ndarray):

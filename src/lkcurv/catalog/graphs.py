@@ -9,15 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..errors import SetValidationError
+from .charts import GRAM_DET_TOL
 
 VERTEX_NORM_TOL = 1e-10
 ARC_ANGLE_MARGIN = 1e-8
-ARC_INTERIOR_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +57,7 @@ class SphericalGraph:
         return np.array([self.arc_angle(e) for e in range(self.n_edges)])
 
     def total_arc_length(self) -> float:
-        return float(sum(self.arc_angle(e) for e in range(self.n_edges)))
+        return float(sum(self.arc_angles))
 
     def edge_tangent(self, edge_index: int, at_vertex: int) -> np.ndarray:
         """Unit tangent of the arc at one of its endpoints, pointing inward."""
@@ -113,72 +114,65 @@ def validate_graph(graph: SphericalGraph) -> None:
     _validate_edge_intersections(graph)
 
 
-def _arc_parameter_of(graph, e, point, tol=1e-9):
-    """Parameter in [0, 1] if the unit vector ``point`` lies on arc e, else None."""
-    i, _ = graph.edges[e]
-    theta = graph.arc_angle(e)
-    vi = graph.vertices[i]
-    tangent = graph.edge_tangent(e, i)
-    c = float(np.dot(point, vi))
-    s = float(np.dot(point, tangent))
-    residual = point - (c * vi + s * tangent)
-    if np.linalg.norm(residual) > 1e-8:
-        return None  # not on the arc's great circle
-    u = float(np.arctan2(s, c))  # angle from vi along the arc
-    if -tol * theta <= u <= theta * (1.0 + tol):
-        return float(np.clip(u / theta, 0.0, 1.0))
-    return None
+# the rows a, b, -c, -d of ``_arcs_meet`` left after dropping each one in turn
+_TRIPLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+# on one great circle, ends closer than this are one point: the squared sine
+# of the angle between them is then at most GRAM_DET_TOL
+_SAME_POINT_ANGLE = float(np.sqrt(GRAM_DET_TOL))
+
+
+def _arcs_meet(a, b, c, d) -> bool:
+    """Whether the minor arcs ab and cd share a point that is not an end of both.
+
+    A point of both is a nonzero x >= 0 with x0 a + x1 b = x2 c + x3 d, a
+    kernel vector of the rows [a, b, -c, -d], and it is an end of ab where x0
+    or x1 vanishes and of cd where x2 or x3 does.  Independent rows have no
+    kernel.  Otherwise, where some three rows are independent, the kernel is
+    one line, and x_j vanishes exactly where the other three rows are
+    dependent (x_j^2 is proportional to their Gram determinant).  Where no
+    three are, the four span a plane: the arcs lie on one great circle and
+    are compared as angle intervals.  Rows are dependent by the rule of
+    ``charts.tangent_gram``, whose Hadamard bound is 1 on unit vectors.
+    """
+    rows = np.stack([a, b, -c, -d])
+    gram = rows @ rows.T
+    if np.linalg.det(gram) > GRAM_DET_TOL:
+        return False
+    minors = np.linalg.det(gram[_TRIPLES[:, :, None], _TRIPLES[:, None, :]])
+    zero = minors <= GRAM_DET_TOL
+    if np.all(zero):
+        return _one_circle_overlap(a, b, c, d)
+    # the kernel vector with x_r = 1, from the best-conditioned three rows
+    r = int(np.argmax(minors))
+    others = _TRIPLES[r]
+    x = np.ones(4)
+    x[others] = np.linalg.solve(gram[others[:, None], others], -gram[others, r])
+    if np.any((x < 0.0) & ~zero):
+        return False
+    return not ((zero[0] or zero[1]) and (zero[2] or zero[3]))
+
+
+def _one_circle_overlap(a, b, c, d) -> bool:
+    """Whether minor arcs ab and cd of one great circle share more than an end:
+    cd as the interval [start, start + length] of angles from a toward b,
+    start in [0, 2 pi), against (0, angle of b)."""
+    e = b - (a @ b) * a
+    e /= np.linalg.norm(e)
+    theta, start, stop = np.arctan2([b @ e, c @ e, d @ e], [b @ a, c @ a, d @ a])
+    length = (stop - start) % (2.0 * np.pi)
+    if length > np.pi:  # the minor arc runs from d to c
+        start, length = stop, 2.0 * np.pi - length
+    start %= 2.0 * np.pi
+    return bool(start < theta - _SAME_POINT_ANGLE
+                or start + length > 2.0 * np.pi + _SAME_POINT_ANGLE)
 
 
 def _validate_edge_intersections(graph: SphericalGraph) -> None:
-    """Arcs may meet only at shared endpoints."""
-    for e1 in range(graph.n_edges):
-        for e2 in range(e1 + 1, graph.n_edges):
-            p1 = _arc_plane_basis(graph, e1)
-            p2 = _arc_plane_basis(graph, e2)
-            # candidate intersection directions of the two great circles
-            m = p1 @ p2.T
-            _, svals, vt = np.linalg.svd(m)
-            if svals[-1] > 1.0 - 1e-9:
-                # same great circle: check the parameter intervals overlap
-                if _same_circle_overlap(graph, e1, e2):
-                    raise SetValidationError(
-                        "edges", f"edges {e1} and {e2} overlap along a common circle"
-                    )
-                continue
-            if svals[0] < 1.0 - 1e-9:
-                continue  # planes meet only at the origin
-            direction = vt[0] @ p2
-            direction /= np.linalg.norm(direction)
-            for cand in (direction, -direction):
-                t1 = _arc_parameter_of(graph, e1, cand)
-                t2 = _arc_parameter_of(graph, e2, cand)
-                if t1 is None or t2 is None:
-                    continue
-                # endpoint-to-endpoint contact is a shared vertex; anything
-                # touching an arc interior is a genuine crossing
-                interior1 = ARC_INTERIOR_MARGIN < t1 < 1.0 - ARC_INTERIOR_MARGIN
-                interior2 = ARC_INTERIOR_MARGIN < t2 < 1.0 - ARC_INTERIOR_MARGIN
-                if interior1 or interior2:
-                    raise SetValidationError(
-                        "edges", f"edges {e1} and {e2} cross away from a shared vertex"
-                    )
-
-
-def _arc_plane_basis(graph, e):
-    i, j = graph.edges[e]
-    q, _ = np.linalg.qr(np.stack([graph.vertices[i], graph.vertices[j]]).T)
-    return q.T  # (2, n)
-
-
-def _same_circle_overlap(graph, e1, e2) -> bool:
-    ts = np.linspace(0.05, 0.95, 19)
-    pts1 = graph.arc_points(e1, ts)
-    for p in pts1:
-        t2 = _arc_parameter_of(graph, e2, p)
-        if t2 is not None and ARC_INTERIOR_MARGIN < t2 < 1 - ARC_INTERIOR_MARGIN:
-            return True
-    return False
+    """Arcs may meet only at shared ends."""
+    for e1, e2 in combinations(range(graph.n_edges), 2):
+        if _arcs_meet(*graph.vertices[list(graph.edges[e1] + graph.edges[e2])]):
+            raise SetValidationError(
+                "edges", f"edges {e1} and {e2} meet away from a shared vertex")
 
 
 # --------------------------------------------------------------------- builtins

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import SetValidationError
-from .charts import GRAM_DET_TOL, Chart, build_chart
+from .charts import Chart, build_chart, tangent_gram
 from .graphs import SphericalGraph, builtin_graphs, validate_graph
 from .polynomial import Poly
 
@@ -85,7 +85,11 @@ def kind_of(x: SetDescriptor) -> str:
 
 
 def coefficient_scale(x: SetDescriptor) -> float:
-    """Size scale of the defining data; seeds the link-radius policy."""
+    """Size scale of the defining data: the largest of 1 and the absolute
+    polynomial coefficients and chart parameters.  Set validation spot-checks
+    a chart inside the ball of 8 times this radius, and
+    ``LinkSection.radius_used``, which the benchmark's tracing reads, is
+    ``links.BASE_RADIUS_FACTOR`` times it."""
     scale = 1.0
     if isinstance(x, SmoothSet):
         if x.implicit is not None and x.implicit.terms:
@@ -150,10 +154,9 @@ def _validate_smooth(x: SmoothSet) -> None:
         raise SetValidationError("polynomial", "non-finite coefficient")
     if x.implicit is not None and x.dim != x.ambient_dim - 1:
         raise SetValidationError("polynomial", "implicit form requires codimension one")
-    rng = np.random.Generator(np.random.Philox(key=np.array([17, 23], dtype=np.uint64)))
-    deg = x.implicit.degree() if x.implicit is not None else 0
     if chart.dim != x.dim:
-        raise SetValidationError("charts.domain", "chart parameter dim != set dim")
+        raise SetValidationError("dim", f"set dim {x.dim} differs from the "
+                                 f"{chart.label!r} chart's dim {chart.dim}")
     if chart.ambient_dim != x.ambient_dim:
         raise SetValidationError("charts.map", "chart ambient dim mismatch")
     try:
@@ -163,15 +166,14 @@ def _validate_smooth(x: SmoothSet) -> None:
             "charts.params", f"chart is too large to spot-check: {exc}") from exc
     if box is None:
         return
+    rng = np.random.Generator(np.random.Philox(key=np.array([17, 23], dtype=np.uint64)))
     u = rng.uniform(box[:, 0], box[:, 1], size=(_SPOT_CHECK_POINTS, chart.dim))
     pts, jac, _ = chart.jet(u)
-    gram = np.einsum("bia,bic->bac", jac, jac)
-    dets = np.linalg.det(gram)
-    if np.min(dets) <= GRAM_DET_TOL:
+    if tangent_gram(jac)[1]:
         raise SetValidationError("charts.map", "chart tangent frame degenerates")
     if x.implicit is not None:
         vals = np.abs(x.implicit.eval(pts))
-        bound = IMPLICIT_RESIDUAL_TOL * (1.0 + np.linalg.norm(pts, axis=1) ** deg)
+        bound = IMPLICIT_RESIDUAL_TOL * (1.0 + np.linalg.norm(pts, axis=1) ** x.implicit.degree())
         if np.any(vals > bound):
             raise SetValidationError("polynomial", "chart points violate the implicit form")
         grads = np.linalg.norm(x.implicit.grad_eval(pts), axis=1)
@@ -180,10 +182,6 @@ def _validate_smooth(x: SmoothSet) -> None:
 
 
 # -------------------------------------------------------------------- builtins
-
-def _implicit(nvars, terms):
-    return Poly(nvars, terms)
-
 
 def _torus_implicit(R0: float, r0: float) -> Poly:
     q = Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0,
@@ -206,7 +204,7 @@ _BUILTINS: Dict[str, Callable[[], SetDescriptor]] = {
     "sphere_s2": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("sphere", params={"radius": 1.0}),
-        implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0}),
+        implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0}),
         declared_chi=2, compact=True,
     ),
     "torus_r3": lambda: SmoothSet(
@@ -218,25 +216,25 @@ _BUILTINS: Dict[str, Callable[[], SetDescriptor]] = {
     "cylinder_r3": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("cylinder", params={"radius": 1.0}),
-        implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 0): -1.0}),
+        implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 0): -1.0}),
         declared_chi=0, compact=False,
     ),
     "plane_r2_in_r3": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("plane"),
-        implicit=_implicit(3, {(0, 0, 1): 1.0}),
+        implicit=Poly(3, {(0, 0, 1): 1.0}),
         declared_chi=1, compact=False,
     ),
     "paraboloid_r3": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("paraboloid", params={"coefficient": 1.0}),
-        implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 1): -1.0}),
+        implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 1): -1.0}),
         declared_chi=1, compact=False,
     ),
     "hyperboloid_r3": lambda: SmoothSet(
         ambient_dim=3, dim=2,
         chart=build_chart("hyperboloid_one_sheet"),
-        implicit=_implicit(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): -1.0, (0, 0, 0): -1.0}),
+        implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): -1.0, (0, 0, 0): -1.0}),
         declared_chi=0, compact=False,
     ),
     "twisted_cubic_r3": lambda: SmoothSet(

@@ -9,7 +9,9 @@ the Gauss equation that sum is 1/2 (|H|^2 - |II|^2), which is intrinsic, so
 the cubature needs no orthonormal frame: ``_chart_frames`` keeps the
 Jacobian J, the second derivatives h_ij and det G of the metric G = J^T J,
 and the density is read in coordinates, with G and G^-1 written out by hand
-for surfaces and no QR or matrix inverse per node:
+for surfaces and no QR or matrix inverse per node.  det G and the rule that
+calls a frame degenerate come from ``catalog.charts.tangent_gram``, which set
+validation shares:
 
 * codimension 1: B_ij = <h_ij, N> with N = J_1 x J_2, |N|^2 = det G, so
   sigma_2 = det B / det G^2, and a flat chart gives exactly zero;
@@ -60,7 +62,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .catalog.charts import GRAM_DET_TOL, Chart, gauss_legendre_nodes
+from .catalog.charts import GRAM_DET_TOL, Chart, _dot, gauss_legendre_nodes, tangent_gram
 from .catalog.sets import SmoothSet
 from .errors import DegenerateChartError, UnsupportedSection
 from .geomconst import sphere_volume
@@ -91,27 +93,14 @@ class _FrameData:
     sqrt_gram: np.ndarray   # (B,)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise inner products of two (B, n) stacks."""
-    return np.einsum("bi,bi->b", a, b)
-
-
-def _det_gram(jac: np.ndarray) -> np.ndarray:
-    """det G of a curve or surface chart."""
-    if jac.shape[2] == 1:
-        return _dot(jac[:, :, 0], jac[:, :, 0])
-    j1, j2 = jac[:, :, 0], jac[:, :, 1]
-    g12 = _dot(j1, j2)
-    return _dot(j1, j1) * _dot(j2, j2) - g12 * g12
-
-
 def _chart_frames(chart: Chart, u: np.ndarray) -> _FrameData:
     u = np.atleast_2d(np.asarray(u, dtype=float))
     positions, jac, hess = chart.jet(u)
-    det_gram = _det_gram(jac)
-    if np.min(det_gram) < GRAM_DET_TOL:
+    det_gram, degenerate = tangent_gram(jac)
+    if degenerate:
         raise DegenerateChartError(
-            f"chart {chart.label!r}: tangent Gram determinant below {GRAM_DET_TOL}"
+            f"chart {chart.label!r}: tangent Gram determinant at most "
+            f"{GRAM_DET_TOL} g11 g22"
         )
     return _FrameData(
         positions=positions,

@@ -148,35 +148,24 @@ def _orthonormalize(blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return q, ok
 
 
-def _gram_schmidt(rows: np.ndarray) -> Optional[np.ndarray]:
-    """Modified Gram-Schmidt; None when a residual norm falls below tolerance."""
-    frames, ok = _orthonormalize(np.asarray(rows, dtype=float)[None])
-    return frames[0] if ok[0] else None
-
-
 # the benchmark's tracing looks this up by name
 def haar_sample(n: int, k: int, rng: np.random.Generator) -> Subspace:
-    """Draw a rotation-invariant random k-plane in R^n.
-
-    Orthonormalizes k independent standard-normal n-vectors; numerically
-    rank-deficient draws (a probability-zero event) are redrawn.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    while True:
-        frame = _gram_schmidt(rng.standard_normal((k, n)))
-        if frame is not None:
-            return Subspace(n=n, k=k, frame=frame)
+    """Draw a rotation-invariant random k-plane in R^n: the next Haar frame
+    of ``rng``, from k independent standard-normal n-vectors."""
+    return Subspace(n=n, k=k, frame=_haar_frames(n, k, rng, 1)[0])
 
 
 def _haar_frames(n: int, k: int, rng: np.random.Generator, m: int) -> np.ndarray:
     """The next m Haar k-frames of R^n from ``rng``, shape (m, k, n).
 
-    They are the frames m calls of :func:`haar_sample` return: the full-rank
-    ``standard_normal((k, n))`` blocks of the stream, in order.  A round
-    draws one block per missing frame, so the stream ends where the m-th
-    frame's block does.
+    They are the orthonormalized full-rank ``standard_normal((k, n))`` blocks
+    of the stream, in order; a numerically rank-deficient block (a
+    probability-zero event) is skipped.  A round draws one block per missing
+    frame, so the stream ends where the m-th frame's block does, and m calls
+    of :func:`haar_sample` read the same frames as one call with m.
     """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     frames = np.empty((m, k, n))
     filled = 0
     while filled < m:
@@ -195,8 +184,6 @@ def slot_frames(n: int, k: int, seed: int, n_samples: int) -> Iterator[np.ndarra
     at a time.  For k = 1 row i is the first normal
     :func:`grassmann_mean_batch` offers slot i on stream 0.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = substream(seed, STREAM_GRASSMANN)
     for start in range(0, n_samples, SLOT_CHUNK):
         yield from _haar_frames(n, k, rng, min(SLOT_CHUNK, n_samples - start))

@@ -117,12 +117,10 @@ def radius_scale(radius: float, k: int) -> float:
     return scale
 
 
-def _normalized_sweep(
-    x: SetDescriptor, ks, radii, spec, center
-) -> List[List[Tuple[float, float]]]:
+def _normalized_sweep(x: SetDescriptor, ks, radii, center) -> List[List[Tuple[float, float]]]:
     """Normalized measures of the orders ks at each radius, with their errors."""
     scales = [[radius_scale(radius, k) for k in ks] for radius in radii]
-    sweep = curvature_sweep(x, ks, radii, spec, center)
+    sweep = curvature_sweep(x, ks, radii, center=center)
     return [[(value / scale, err / scale) for (value, err), scale in zip(pairs, row)]
             for pairs, row in zip(sweep, scales)]
 
@@ -174,24 +172,12 @@ def validate_radii(radii) -> List[float]:
 
 
 # the benchmark's tracing wraps this by name
-def estimate_limit(
-    x: SetDescriptor,
-    k: int,
-    radii=DEFAULT_RADII,
-    spec: Optional[CubatureSpec] = None,
-    center=None,
-) -> LimitEstimate:
+def estimate_limit(x: SetDescriptor, k: int, radii=DEFAULT_RADII, center=None) -> LimitEstimate:
     """Limit of the normalized order-k curvature measure along the schedule."""
-    return estimate_limits(x, (k,), radii, spec=spec, center=center)[0]
+    return estimate_limits(x, (k,), radii, center=center)[0]
 
 
-def estimate_limits(
-    x: SetDescriptor,
-    ks,
-    radii=DEFAULT_RADII,
-    spec: Optional[CubatureSpec] = None,
-    center=None,
-) -> List[LimitEstimate]:
+def estimate_limits(x: SetDescriptor, ks, radii=DEFAULT_RADII, center=None) -> List[LimitEstimate]:
     """Limits of the normalized curvature measures of the orders ks."""
     # refused before the exact bypasses, whichever orders they would answer
     require_cubature_chart(x)
@@ -212,12 +198,12 @@ def estimate_limits(
             estimates[k] = LimitEstimate(k, 0.0, 0.0, radii, True, "compact_exact_zero")
         elif isinstance(x, (LinearSubspace, ConicGraph)) and not shifted:
             # homogeneity: the normalized measure of a cone is radius-independent
-            value, err = _normalized_sweep(x, (k,), radii[:1], spec, center)[0][0]
+            value, err = _normalized_sweep(x, (k,), radii[:1], center)[0][0]
             estimates[k] = LimitEstimate(k, value, err, radii, True, route)
 
     swept = [k for k in ks if k not in estimates]
     if swept:
-        sweep = _normalized_sweep(x, swept, radii, spec, center)
+        sweep = _normalized_sweep(x, swept, radii, center)
         for i, k in enumerate(swept):
             values = [pairs[i][0] for pairs in sweep]
             errors = [pairs[i][1] for pairs in sweep]

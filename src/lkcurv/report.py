@@ -136,8 +136,8 @@ def report_from_dict(doc: dict) -> TheoremReport:
 
 
 # the benchmark's tracing wraps this by name
-def report_to_json(report: TheoremReport, indent: int = 2) -> str:
-    return json.dumps(report_to_dict(report), indent=indent, allow_nan=False)
+def report_to_json(report: TheoremReport) -> str:
+    return json.dumps(report_to_dict(report), indent=2, allow_nan=False)
 
 
 CSV_HEADER = [

@@ -17,7 +17,6 @@ cone picks up R^k / k times order k-1 of the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 from typing import Tuple
 
@@ -28,14 +27,7 @@ from .catalog.sets import ConicGraph
 from .errors import UnsupportedSection
 
 
-@dataclass(frozen=True)
-class SphericalLK:
-    k: int
-    value: float
-    stderr: float
-
-
-def spherical_lk(graph: SphericalGraph, k: int) -> SphericalLK:
+def spherical_lk(graph: SphericalGraph, k: int) -> float:
     """Relative curvature of order k of a spherical graph, in closed form.
 
     Order 0 is V - E (the vertex index means 1 - deg/2 summed), order 1 the
@@ -44,10 +36,10 @@ def spherical_lk(graph: SphericalGraph, k: int) -> SphericalLK:
     if k < 0 or k > graph.ambient_dim - 1:
         raise ValueError(f"order must lie in [0, {graph.ambient_dim - 1}]")
     if k == 0:
-        return SphericalLK(0, float(graph.euler_characteristic()), 0.0)
+        return float(graph.euler_characteristic())
     if k == 1:
-        return SphericalLK(1, graph.total_arc_length(), 0.0)
-    return SphericalLK(k, 0.0, 0.0)
+        return graph.total_arc_length()
+    return 0.0
 
 
 # ``limits.curvature_measures`` calls this for cones, and the benchmark's
@@ -87,6 +79,4 @@ def conic_lk_measure_detailed(
         return 0.0, 0.0
     if k - 1 >= 2:
         return 0.0, 0.0
-    trace = spherical_lk(x.graph, k - 1)
-    scale = radius**k / k
-    return scale * trace.value, scale * trace.stderr
+    return radius**k / k * spherical_lk(x.graph, k - 1), 0.0

@@ -15,7 +15,7 @@ that returns the report rows:
 
 ``run_theorem`` validates the settings into one frozen ``RunContext``, times
 the check and builds the report.  Every check reads its sample count, seed,
-radius schedule, cubature resolution and center from the context.  Only the
+radius schedule and center from the context.  Only the
 curvature side reads the center: a link at infinity does not depend on it.
 The center is the origin in every run except inside the ``base_point`` check, which runs
 the thm3.9 check once with the context and once with a copy recentered at the
@@ -48,7 +48,7 @@ no two terms of a run share a normal.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from math import hypot, sqrt
 from typing import Callable, Dict, List, Optional, Tuple
@@ -59,7 +59,6 @@ from .catalog.links import (
     euler_char, full_space_link, generic_link_chi, hyperplane_breaks, link_chi_batch,
 )
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
-from .curvature import CubatureSpec
 from .errors import UnsupportedSection
 from .geomconst import ball_volume
 from .grassmann import grassmann_mean_batch, sliced_mean
@@ -73,22 +72,13 @@ DEFAULT_SAMPLES = 4000
 DEFAULT_SEED = 42
 
 
-def _as_center(center):
-    if center is None:
-        return None
-    center = np.asarray(center, dtype=float)
-    if not np.any(center):
-        return None
-    return center
-
-
 @dataclass(frozen=True)
 class RunContext:
     """Validated settings shared by every check of one run.
 
-    ``center`` is where radius balls are centered (None for the origin);
-    ``base_point`` is the point the ``base_point`` check
-    recenters at.
+    ``center`` is where radius balls are centered (None, or zero, for the
+    origin); ``base_point`` is the point the ``base_point`` check recenters
+    at.
     """
 
     n_samples: int = DEFAULT_SAMPLES
@@ -96,7 +86,6 @@ class RunContext:
     radii: Tuple[float, ...] = DEFAULT_RADII
     center: Optional[np.ndarray] = None
     base_point: Optional[np.ndarray] = None
-    cubature: CubatureSpec = field(default_factory=CubatureSpec)
 
     def __post_init__(self):
         if self.n_samples < 100:
@@ -104,16 +93,15 @@ class RunContext:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         object.__setattr__(self, "radii", tuple(validate_radii(self.radii)))
-        object.__setattr__(self, "center", _as_center(self.center))
 
     def limits(self, x: SetDescriptor, ks) -> List[LimitEstimate]:
         """Growth limits of the normalized curvature measures of x of the
         orders ks, on one cubature per radius."""
-        return estimate_limits(x, ks, self.radii, spec=self.cubature, center=self.center)
+        return estimate_limits(x, ks, self.radii, center=self.center)
 
     def limit(self, x: SetDescriptor, k: int) -> LimitEstimate:
         """Growth limit of the normalized order-k curvature measure of x."""
-        return estimate_limit(x, k, self.radii, spec=self.cubature, center=self.center)
+        return estimate_limit(x, k, self.radii, center=self.center)
 
 
 Rows = List[TheoremRow]

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from lkcurv import DegenerateChartError, UnsupportedSection
-from lkcurv.curvature import GRAM_DET_TOL, _chart_frames, _lambda_batch
+from lkcurv.catalog.charts import tangent_gram
+from lkcurv.curvature import _chart_frames, _lambda_batch
 from lkcurv.geomconst import sphere_volume
 
 
@@ -37,7 +38,7 @@ def qr_frames(chart, u) -> QRFrames:
     d = chart.dim
     q, r = np.linalg.qr(jac, mode="complete")
     sqrt_gram = np.prod(np.abs(np.einsum("bii->bi", r[:, :d, :d])), axis=1)
-    if np.min(sqrt_gram * sqrt_gram) < GRAM_DET_TOL:
+    if tangent_gram(jac)[1]:
         raise DegenerateChartError(f"chart {chart.label!r}: tangent Gram determinant too small")
     return QRFrames(
         positions=positions,

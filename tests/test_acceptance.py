@@ -55,7 +55,7 @@ def test_criterion_2_spherical_morse_count(graphs):
         chi = graph.euler_characteristic()
         if abs(value - chi) > max(3.0 * stderr, 1e-12):
             failures.append(name)
-        if spherical_lk(graph, 0).value != chi:
+        if spherical_lk(graph, 0) != chi:
             failures.append(name)
     report_line(2, f"chi = sum of vertex index means on {len(names)} graphs "
                    f"(3 sigma, 1e4 samples)", not failures)

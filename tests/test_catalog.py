@@ -88,6 +88,64 @@ def test_graph_rejects_crossing_arcs():
         validate_graph(bad)
 
 
+def _unit_rows(*rows):
+    rows = np.array(rows, dtype=float)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _equator(*angles):
+    return np.array([[math.cos(a), math.sin(a), 0.0] for a in angles])
+
+
+# (vertices, edges, whether the arcs may stand together)
+_ARC_PAIRS = {
+    # an end of one arc inside the other, from either end and either side
+    "t_junction": (_unit_rows([1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]),
+                   ((0, 1), (2, 3)), False),
+    "t_junction_reversed": (_unit_rows([1, 0, 0], [0, 1, 0], [1, 2, -1], [1, 2, 0]),
+                            ((0, 1), (2, 3)), False),
+    "t_junction_on_the_other_arc": (_unit_rows([1, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]),
+                                    ((0, 1), (2, 3)), False),
+    # two arcs that share one vertex, off one great circle and on it
+    "shared_vertex": (_unit_rows([1, 0, 0], [0, 1, 0], [0, 0, 1]), ((0, 1), (0, 2)), True),
+    "shared_vertex_reversed": (_unit_rows([1, 0, 0], [0, 1, 0], [1, 2, 3]),
+                               ((1, 0), (2, 1)), True),
+    "adjacent_on_one_circle": (_equator(0.0, 1.0, 2.5), ((0, 1), (1, 2)), True),
+    "adjacent_across_the_seam": (_equator(0.0, 1.0, -2.5), ((0, 1), (2, 0)), True),
+    "overlapping_on_one_circle": (_equator(0.0, 1.0, 0.5, 1.5), ((0, 1), (2, 3)), False),
+    "nested_on_one_circle": (_equator(0.0, 1.0, 0.3, 0.7), ((0, 1), (3, 2)), False),
+    "one_arc_twice": (_equator(0.0, 1.0), ((0, 1), (1, 0)), False),
+    # overlapping only in the last 3% of the first arc
+    "overlapping_near_an_end": (_equator(0.0, 1.0, 0.97, 1.5), ((0, 1), (2, 3)), False),
+    "same_start_same_way": (_equator(0.0, 1.0, 0.5), ((0, 1), (0, 2)), False),
+    "disjoint_on_one_circle": (_equator(0.0, 0.5, 1.0, 1.5), ((0, 1), (2, 3)), True),
+    "disjoint_across_the_seam": (_equator(-0.5, 0.5, 2.0, 3.0), ((0, 1), (2, 3)), True),
+    "on_a_tilted_circle": (_unit_rows([1, 0, 1], [0, 1, 0], [1, 1, 1], [-1, 1, -1]),
+                           ((0, 1), (2, 3)), False),
+    # R^4: through each other's middles, and with circles that meet off one arc
+    "crossing_in_r4": (_unit_rows([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0.8, 0.6],
+                                  [1, 1, -0.8, -0.6]), ((0, 1), (2, 3)), False),
+    "circles_meet_off_the_arc_in_r4": (_unit_rows([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0.8, 0.6],
+                                                  [1, 1, 1.6, 1.2]), ((0, 1), (2, 3)), True),
+    "skew_in_r4": (_unit_rows([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0.8, 0.6], [1, 1, -0.8, 0.6]),
+                   ((0, 1), (2, 3)), True),
+    "t_junction_in_r4": (_unit_rows([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]),
+                         ((0, 1), (2, 3)), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARC_PAIRS))
+def test_arcs_meet_only_at_shared_ends(name):
+    vertices, edges, valid = _ARC_PAIRS[name]
+    graph = SphericalGraph(vertices=vertices, edges=edges)
+    if valid:
+        validate_graph(graph)
+        return
+    with pytest.raises(SetValidationError) as err:
+        validate_graph(graph)
+    assert err.value.field == "edges"
+
+
 # ---------------------------------------------------------------- euler char
 
 

@@ -309,10 +309,10 @@ def test_env_seed_override(monkeypatch, tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, "abc"])
 def test_seeds_outside_64_bits_are_usage_errors(monkeypatch, capsys, seed):
     # a seed is one 64-bit key word: wrapping would give 2^64 the report of 0
-    # and -1 that of 2^64 - 1, each recording its own seed
+    # and -1 that of 2^64 - 1, each recording its own seed; a word is no seed
     verify = ["verify", "--set", "cross_r2", "--theorem", "thm3.9", "--samples", "100"]
     sample = ["grassmann", "sample", "--n", "3", "--k", "2"]
     for argv in (verify, sample):
@@ -519,6 +519,72 @@ def test_non_integer_set_fields_are_usage_errors(tmp_path, capsys, field, doc):
                        "--samples", "100"])
     assert code == 64
     assert f"malformed at {field}:" in capsys.readouterr().err
+
+
+_SPHERE_SQUARED = {"(4,0,0)": 1.0, "(0,4,0)": 1.0, "(0,0,4)": 1.0, "(2,2,0)": 2.0,
+                   "(2,0,2)": 2.0, "(0,2,2)": 2.0, "(2,0,0)": -2.0, "(0,2,0)": -2.0,
+                   "(0,0,2)": -2.0, "(0,0,0)": 1.0}
+
+
+@pytest.mark.parametrize("field, doc", [
+    # a sphere of radius 0 has no tangent plane
+    ("charts.map", {"name": "point_sphere", "ambient_dim": 3, "kind": "smooth",
+                    "charts": [{"map": "sphere", "params": {"radius": 0.0}}],
+                    "declared_chi": 2, "compact": True}),
+    # (x^2 + y^2 + z^2 - 1)^2 vanishes on the unit sphere, and so does its gradient
+    ("polynomial", {"name": "squared_sphere", "ambient_dim": 3, "kind": "smooth",
+                    "charts": [{"map": "sphere"}], "polynomial": _SPHERE_SQUARED,
+                    "declared_chi": 2, "compact": True}),
+    # an implicit form needs codimension one
+    ("polynomial", {"name": "implicit_curve", "ambient_dim": 3, "kind": "smooth", "dim": 1,
+                    "charts": [{"map": "poly_curve",
+                                "params": {"coefficients": [[0, 1], [0, 0], [0, 0]]}}],
+                    "polynomial": {"(0,1,0)": 1.0}, "declared_chi": 1}),
+    # a surface's dim on a curve's chart, in a file with no domain
+    ("dim", {"name": "surface_dim_curve", "ambient_dim": 3, "kind": "smooth", "dim": 2,
+             "charts": [{"map": "poly_curve",
+                         "params": {"coefficients": [[0, 1], [0, 0], [0, 0]]}}],
+             "declared_chi": 1}),
+    # an end of one arc inside the other
+    ("edges", {"name": "t_junction_cone", "ambient_dim": 3, "kind": "conic_graph",
+               "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0]],
+               "edges": [[0, 1], [2, 3]]}),
+])
+def test_set_refusals_name_their_field(tmp_path, capsys, field, doc):
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli(["verify", "--set", str(path), "--theorem", "thm3.9",
+                       "--samples", "100"])
+    assert code == 64
+    assert f"malformed at {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theorem", ["thm3.9", "thm4.3"])
+@pytest.mark.parametrize("radii", ["1e-6,2e-6,4e-6", "1e-50,2e-50,4e-50"])
+def test_flat_plane_passes_at_tiny_radii(theorem, radii):
+    code, _ = run_cli(["verify", "--set", "plane_r2_in_r3", "--theorem", theorem,
+                       "--radii", radii])
+    assert code == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {"name": "tiny_sphere", "ambient_dim": 3, "kind": "smooth",
+     "charts": [{"map": "sphere", "params": {"radius": 1e-7}}],
+     "polynomial": {"(2,0,0)": 1.0, "(0,2,0)": 1.0, "(0,0,2)": 1.0, "(0,0,0)": -1e-14},
+     "declared_chi": 2, "compact": True},
+    {"name": "tiny_twisted_cubic", "ambient_dim": 3, "kind": "smooth", "dim": 1,
+     "charts": [{"map": "poly_curve", "params": {
+         "coefficients": [[0, 1e-7, 0, 0], [0, 0, 1e-7, 0], [0, 0, 0, 1e-7]]}}],
+     "declared_chi": 1},
+])
+def test_dilated_sets_load_and_pass(tmp_path, doc):
+    # the tangent-frame rule is scale-free, so a valid set scaled by 1e-7 stays valid
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli(["verify", "--set", str(path), "--theorem", "thm3.9"])
+    assert code == 0
+
+
 
 
 # ------------------------------------------------------------ set-file fuzzing

@@ -12,7 +12,9 @@ import lkcurv as lk
 from lkcurv import DegenerateChartError, UnsupportedSection
 from lkcurv.catalog import SmoothSet
 from lkcurv import curvature
-from lkcurv.catalog.charts import Chart, _axis_rule, build_chart, gauss_legendre_nodes
+from lkcurv.catalog.charts import (
+    Chart, _axis_rule, build_chart, gauss_legendre_nodes, tangent_gram,
+)
 from lkcurv.catalog.sets import _trace_box
 from lkcurv.curvature import (
     CubatureSpec,
@@ -138,6 +140,21 @@ def test_degenerate_chart_detected():
     )
     with pytest.raises(DegenerateChartError):
         _chart_frames(chart, np.array([[0.0]]))
+
+
+def test_tangent_frame_rule_is_scale_free():
+    # an orthonormal frame, and one whose columns are 1e-7 apart in angle
+    sound = np.array([[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]])
+    flat = np.array([[[1.0, 1.0], [0.0, 1e-7], [0.0, 0.0]]])
+    for scale in (1e-60, 1e-7, 1.0, 1e7, 1e60):
+        assert not tangent_gram(scale * sound)[1], scale
+        assert tangent_gram(scale * flat)[1], scale
+        assert not tangent_gram(scale * sound[:, :, :1])[1], scale
+    # a zero column is degenerate at every scale; a frame whose g11 g22
+    # overflows is too large to judge
+    assert tangent_gram(np.zeros((1, 3, 2)))[1] and tangent_gram(np.zeros((1, 3, 1)))[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not tangent_gram(1e160 * flat)[1]
 
 
 # ---------------------------------------------------- normal-sphere integrals
