@@ -38,11 +38,15 @@ the real roots of one polynomial:
 * ``poly_curve``: |p(t) - c|^2 - R^2, of degree 2 deg, whose real roots
   bound every piece of the curve inside the ball.
 
-Roots are found in a scaled variable, so that no squared form overflows,
-and which side of each root lies inside is decided by the sign of the
-unsquared gap between candidates, so near-double roots are never lost.  The
-t-values where the profile circle enters the ball wholly split the intervals
-into pieces, which the cubature takes as panel breaks.
+A disc takes the whole list of q = R^2 - n2 of a radius sweep at once: the
+gap polynomials of every radius go to one companion-matrix stack, one
+``eigvals`` call per degree, and the unsquared gap is evaluated once at every
+candidate midpoint of every radius.  Roots are found in a scaled variable,
+so that no squared form overflows, and which side of each root lies inside
+is decided by the sign of the unsquared gap between candidates, so
+near-double roots are never lost.  The t-values where the profile circle
+enters the ball wholly split the intervals into pieces, which the cubature
+takes as panel breaks.
 
 A chart's tangent frame at a node is judged here, by ``tangent_gram``, the
 one rule that set validation and the cubature share: det G of G = J^T J
@@ -54,9 +58,11 @@ by Newton's method on the three-term Legendre recurrence from Tricomi's
 initial guess, which gives nodes and weights to full double precision (Hale
 and Townsend, SIAM J. Sci. Comput. 35, 2013), and is cached per node count.
 In ``gauss_legendre_nodes`` the pieces of t of a radius sweep share one union
-of nodes, and each piece keeps its own positions and weights on it.  A chart
-whose range of t grows with the ball radius (``Chart.paneled``) takes
-composite rules on dyadic panels.
+of nodes, and each piece keeps its own positions and weights on it; every
+panel of every piece is mapped from [-1, 1] in one broadcast.  A chart whose
+range of t grows with the ball radius (``Chart.paneled``) takes composite
+rules on dyadic panels, whose bounds (``dyadic_panels``) both rules of a
+sweep share.
 """
 
 from __future__ import annotations
@@ -201,37 +207,26 @@ def _gl_rule(count: int):
     return nodes, weights
 
 
-def _dyadic_panels(lo: float, hi: float, scale: float = 1.0):
-    """Panel boundaries refined geometrically toward the origin of the axis."""
-    points = {float(lo), float(hi)}
-    if lo < 0.0 < hi:
-        points.add(0.0)
-    magnitude = scale
-    top = max(abs(lo), abs(hi))
-    while magnitude < top:
-        for p in (magnitude, -magnitude):
-            if lo < p < hi:
-                points.add(float(p))
-        magnitude *= 2.0
-    return sorted(points)
-
-
-def _axis_rule(lo: float, hi: float, count: int, paneled: bool):
+def dyadic_panels(pieces, paneled: bool):
+    """The panels (P, 2) of the (m, 2) pieces of one axis, in order, and the
+    offsets (m + 1,) of each piece's first panel: a piece is one panel, or on
+    a ``paneled`` axis is cut at 0 and every +-2^j (j >= 0) inside it."""
+    spans = np.reshape(np.asarray(pieces, dtype=float), (-1, 2))
     if not paneled:
-        x, w = _gl_rule(count)
-        return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
-    per_panel = int(np.clip(count / 8, 6, 64))
-    x, w = _gl_rule(per_panel)
-    nodes, weights = [], []
-    bounds = _dyadic_panels(lo, hi)
-    for a, b in zip(bounds, bounds[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+        return spans, np.arange(len(spans) + 1)
+    cuts = []
+    for lo, hi in spans.tolist():
+        points, magnitude = [0.0], 1.0
+        while magnitude < max(abs(lo), abs(hi)):
+            points += [magnitude, -magnitude]
+            magnitude *= 2.0
+        cuts.append(sorted({lo, hi} | {p for p in points if lo < p < hi}))
+    bounds = np.array([pair for edges in cuts for pair in zip(edges, edges[1:])]).reshape(-1, 2)
+    return bounds, np.cumsum([0] + [len(edges) - 1 for edges in cuts])
 
 
 # the benchmark's tracing counts the nodes of this rule by name
-def gauss_legendre_nodes(pieces, count: int, paneled: bool = False):
+def gauss_legendre_nodes(pieces, count: int, paneled: bool = False, panels=None):
     """Gauss-Legendre rules of ``count`` nodes on the (m, 2) pieces of one
     axis, sharing one set of nodes.
 
@@ -239,13 +234,20 @@ def gauss_legendre_nodes(pieces, count: int, paneled: bool = False):
     piece's nodes, and ``rules[j]`` is piece j's (positions in ``points`` of
     its nodes in its own order, their weights).  Equal panels give equal
     nodes, so the pieces of a radius sweep share most of them.  A ``paneled``
-    axis uses composite rules on dyadic panels, so unit-scale integrand
-    features stay resolved no matter how large the range grows with the
-    ball radius.
+    axis uses composite rules of ``count / 8`` nodes (6 to 64) on dyadic
+    panels, so unit-scale integrand features stay resolved no matter how
+    large the range grows with the ball radius.  Every panel of every piece
+    is mapped from [-1, 1] in one broadcast; ``panels``, the pieces'
+    ``dyadic_panels``, lets two rules share them.
     """
-    rules = [_axis_rule(lo, hi, count, paneled) for lo, hi in np.reshape(pieces, (-1, 2))]
-    points = np.unique(np.concatenate([nodes for nodes, _ in rules]))
-    return points, [(np.searchsorted(points, nodes), weights) for nodes, weights in rules]
+    bounds, starts = dyadic_panels(pieces, paneled) if panels is None else panels
+    x, w = _gl_rule(int(np.clip(count / 8, 6, 64)) if paneled else count)
+    lo, hi = bounds[:, :1], bounds[:, 1:]
+    half = 0.5 * (hi - lo)
+    points, index = np.unique((half * x + 0.5 * (hi + lo)).ravel(), return_inverse=True)
+    weights = (half * w).ravel()
+    ends = starts * len(x)
+    return points, [(index[a:b], weights[a:b]) for a, b in zip(ends[:-1], ends[1:])]
 
 
 # ---------------------------------------------------------------- ball geometry
@@ -298,63 +300,87 @@ def _arc_spans(a: float, b: float, c: float, lo: float, hi: float):
                  lo, hi)
 
 
-def _real_parts_of_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Real parts of the roots of a polynomial (highest degree first).
+def _real_parts_of_roots(rows) -> List[np.ndarray]:
+    """Real parts of the roots of each polynomial of ``rows`` (highest degree
+    first, of any lengths), row by row as ``np.roots`` gives them: leading
+    zeros are trimmed and trailing zeros are roots at 0.
 
-    The roots are those of the monic polynomial in t / S, with S the largest
-    |c_j / c_0|^(1/j), whose coefficients all lie in [-1, 1]: they are
-    computed from logarithms, so no power of S overflows.
+    The roots of a row are those of the monic polynomial in t / S, with S the
+    largest |c_j / c_0|^(1/j), whose coefficients all lie in [-1, 1]: they are
+    computed from logarithms, so no power of S overflows.  The rows of one
+    length are scaled together, and the companion matrices of one degree go
+    to one ``eigvals`` call.
     """
-    degree = len(coeffs) - 1
-    if degree < 1:
-        return np.empty(0)
-    logs = np.full(len(coeffs), -np.inf)
-    logs[coeffs != 0.0] = np.log(np.abs(coeffs[coeffs != 0.0]))
-    log_scale = float(np.max((logs[1:] - logs[0]) / np.arange(1, degree + 1)))
-    log_scale = log_scale if math.isfinite(log_scale) else 0.0
-    monic = np.sign(coeffs) * np.exp(logs - logs[0] - np.arange(degree + 1) * log_scale)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a root beyond the largest double comes out inf or nan, in no interval
-        return np.roots(monic).real * np.exp(log_scale)
+    trimmed = [np.trim_zeros(np.asarray(row, dtype=float), "f") for row in rows]
+    found = [np.empty(0)] * len(rows)
+    companions: Dict[int, list] = {}  # degree -> [(row, top row of its companion, zeros, S)]
+    for length in {len(row) for row in trimmed if len(row) > 1}:
+        members = [i for i, row in enumerate(trimmed) if len(row) == length]
+        coeffs = np.array([trimmed[i] for i in members])
+        logs = np.full(coeffs.shape, -np.inf)
+        logs[coeffs != 0.0] = np.log(np.abs(coeffs[coeffs != 0.0]))
+        log_scale = np.max((logs[:, 1:] - logs[:, :1]) / np.arange(1, length), axis=1)
+        log_scale[~np.isfinite(log_scale)] = 0.0
+        powers = np.arange(length) * log_scale[:, None]
+        monic = np.sign(coeffs) * np.exp(logs - logs[:, :1] - powers)
+        for i, row, scale in zip(members, monic, log_scale):
+            size = int(np.flatnonzero(row)[-1]) + 1  # without the roots at 0
+            companions.setdefault(size - 1, []).append(
+                (i, -row[1:size] / row[0], length - size, scale))
+    for degree, group in companions.items():
+        stack = np.zeros((len(group), degree, degree))
+        stack[:, :1, :] = [[top] for _, top, _, _ in group]
+        stack[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+        roots = np.linalg.eigvals(stack) if degree else np.empty((len(group), 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a root beyond the largest double comes out inf or nan, in no interval
+            for (i, _, zeros, scale), values in zip(group, roots):
+                found[i] = np.concatenate([values.real, np.zeros(zeros)]) * np.exp(scale)
+    return found
 
 
-def _sublevel(coeffs, gap, lo: float, hi: float, scale: float = 1.0):
-    """{t in [lo, hi] : gap(t) <= 0} as spans, for a gap that changes sign
-    only at real roots of the polynomial ``coeffs`` (highest degree first) in
-    t / scale, and that is positive far out along an infinite end.
+def _sublevel(rows, gap, lo: float, hi: float, scales=None) -> List[list]:
+    """For each polynomial of ``rows`` (highest degree first) in t / scale,
+    {t in [lo, hi] : gap(t) <= 0} as spans, for a gap that changes sign only
+    at real roots of its row and that is positive far out along an infinite
+    end.  ``gap(t, i)`` evaluates at each t the gap of the row of index i.
 
     The candidates are the real parts of every root: a near-double root that
     rounding makes complex still marks its crossing, and the sign of the gap
     halfway between neighbouring candidates decides which side is inside.
     """
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
-    if not np.all(np.isfinite(coeffs)):
+    if not all(np.all(np.isfinite(row)) for row in rows):
         raise ValueError("the ball's gap polynomial overflows")
-    roots = scale * _real_parts_of_roots(coeffs)
-    knots = sorted({v for v in (lo, hi) if math.isfinite(v)}
-                   | {float(r) for r in roots if lo < r < hi})
-    if len(knots) < 2:
-        return []
-    knots = np.array(knots)
+    scales = [1.0] * len(rows) if scales is None else scales
+    ends = {v for v in (lo, hi) if math.isfinite(v)}
+    knots = [sorted(ends | {float(r) for r in scale * roots if lo < r < hi})
+             for scale, roots in zip(scales, _real_parts_of_roots(rows))]
+    left = np.array([a for row in knots for a in row[:-1]])
+    right = np.array([b for row in knots for b in row[1:]])
+    which = np.repeat(np.arange(len(knots)), [max(len(row) - 1, 0) for row in knots])
     with np.errstate(over="ignore", invalid="ignore"):
-        inside = gap(0.5 * knots[:-1] + 0.5 * knots[1:]) <= 0.0
-    spans = []
-    for a, b, keep in zip(knots[:-1].tolist(), knots[1:].tolist(), inside):
-        if keep and spans and spans[-1][1] == a:
-            spans[-1] = (spans[-1][0], b)
-        elif keep:
-            spans.append((a, b))
-    return spans
+        inside = iter(gap(0.5 * left + 0.5 * right, which) <= 0.0)
+    pieces = []
+    for row in knots:
+        spans = []
+        for a, b, keep in zip(row[:-1], row[1:], inside):  # takes len(row) - 1 of inside
+            if keep and spans and spans[-1][1] == a:
+                spans[-1] = (spans[-1][0], b)
+            elif keep:
+                spans.append((a, b))
+        pieces.append(spans)
+    return pieces
 
 
-def _meridian_gap(profile, s: float, h: float, q: float):
-    """t -> ((w - s)^2 + (z - h)^2) / q - 1 at the profile point (w, z) of t,
-    which is not positive inside the disc of squared radius q about (s, h)."""
-    root = math.sqrt(q)
+def _meridian_gap(profile, s: float, h: float, qs):
+    """(t, i) -> ((w - s)^2 + (z - h)^2) / q_i - 1 at the profile point (w, z)
+    of t, which is not positive inside the disc of squared radius q_i about
+    (s, h)."""
+    roots = np.sqrt(qs)
 
-    def gap(t):
+    def gap(t, i):
         w, _, _, z, _, _ = profile(t)
-        return ((w - s) / root) ** 2 + ((z - h) / root) ** 2 - 1.0
+        return ((w - s) / roots[i]) ** 2 + ((z - h) / roots[i]) ** 2 - 1.0
 
     return gap
 
@@ -387,10 +413,10 @@ def _revolution_chart(label, profile, phi_axis, disc, natural, paneled=False,
 
     ``profile(t)`` returns (w, w', w'', z, z', z''), the rows of ``frame`` are
     e1, e2 and e3 (orthonormal, or e3 = 0 for a plane), and ``phi_axis`` is
-    the parameter index of phi.  ``disc(s, h, q, lo, hi)`` returns the spans
-    of t in [lo, hi] whose profile point lies in the disc of squared radius
-    q > 0 about (s, h), and ``natural`` is the range of t when no set file
-    gives one.
+    the parameter index of phi.  ``disc(s, h, qs, lo, hi)`` returns, for each
+    q > 0 of the list ``qs``, the spans of t in [lo, hi] whose profile point
+    lies in the disc of squared radius q about (s, h), and ``natural`` is the
+    range of t when no set file gives one.
     """
     t_axis = 1 - phi_axis
 
@@ -418,13 +444,15 @@ def _revolution_chart(label, profile, phi_axis, disc, natural, paneled=False,
         along = frame @ rel
         s, h = math.hypot(along[0], along[1]), float(along[2])
         n2 = float(np.sum((rel - along @ frame) ** 2))
+        qs = [radius * radius - n2 for radius in radii]
+        live = [q for q in qs if q > 0.0]
+        # the circle at t meets the ball where min(|w - s|, |w + s|) is small
+        # enough, and lies inside it wholly where max(...) is
+        near = disc(s, h, live, lo, hi)
+        found = iter(zip(near, near if s == 0.0 else disc(-s, h, live, lo, hi)))
         pieces = []
-        for radius in radii:
-            q = radius * radius - n2
-            # the circle at t meets the ball where min(|w - s|, |w + s|) is small
-            # enough, and lies inside it wholly where max(...) is
-            near = disc(s, h, q, lo, hi) if q > 0.0 else []
-            far = near if s == 0.0 or q <= 0.0 else disc(-s, h, q, lo, hi)
+        for q in qs:
+            near, far = next(found) if q > 0.0 else ([], [])
             cuts = [end for piece in _intersection(near, far) for end in piece]
             pieces.append(_split(_union(near, far), cuts))
         return pieces
@@ -455,9 +483,8 @@ def _build_plane(frame=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), origin=None):
     def profile(r):
         return r, 1.0, 0.0, 0.0, 0.0, 0.0
 
-    def disc(s, h, q, lo, hi):  # h = 0: e3 is 0
-        half = math.sqrt(q)
-        return _clip([(s - half, s + half)], lo, hi)
+    def disc(s, h, qs, lo, hi):  # h = 0: e3 is 0
+        return [_clip([(s - half, s + half)], lo, hi) for half in map(math.sqrt, qs)]
 
     return _revolution_chart("plane", profile, 1, disc, (0.0, math.inf), True,
                              np.vstack([frame, np.zeros(n)]), origin)
@@ -472,9 +499,10 @@ def _build_sphere(radius=1.0, center=(0.0, 0.0, 0.0)):
         s, c = np.sin(th), np.cos(th)
         return r0 * s, r0 * c, -r0 * s, r0 * c, -r0 * s, -r0 * c
 
-    def disc(s, h, q, lo, hi):
+    def disc(s, h, qs, lo, hi):
         # |(r0 sin t, r0 cos t) - (s, h)|^2 <= q is linear in cos t and sin t
-        return _arc_spans(-2.0 * r0 * h, -2.0 * r0 * s, q - r0 * r0 - s * s - h * h, lo, hi)
+        return [_arc_spans(-2.0 * r0 * h, -2.0 * r0 * s, q - r0 * r0 - s * s - h * h, lo, hi)
+                for q in qs]
 
     return _revolution_chart("sphere", profile, 1, disc, (0.0, math.pi), origin=c0)
 
@@ -486,12 +514,9 @@ def _build_cylinder(radius=1.0):
     def profile(z):
         return r0, 0.0, 0.0, z, 1.0, 0.0
 
-    def disc(s, h, q, lo, hi):
-        half2 = q - (r0 - s) ** 2
-        if half2 <= 0.0:
-            return []
-        half = math.sqrt(half2)
-        return _clip([(h - half, h + half)], lo, hi)
+    def disc(s, h, qs, lo, hi):
+        halves = [math.sqrt(max(q - (r0 - s) ** 2, 0.0)) for q in qs]
+        return [_clip([(h - half, h + half)], lo, hi) if half > 0.0 else [] for half in halves]
 
     return _revolution_chart("cylinder", profile, 0, disc, (-math.inf, math.inf), True)
 
@@ -503,10 +528,10 @@ def _build_paraboloid(coefficient=1.0):
     def profile(r):
         return r, 1.0, 0.0, a * r * r, 2.0 * a * r, 2.0 * a
 
-    def disc(s, h, q, lo, hi):
+    def disc(s, h, qs, lo, hi):
         # (r - s)^2 + (a r^2 - h)^2 - q, a quartic in r
-        quartic = [a * a, 0.0, 1.0 - 2.0 * a * h, -2.0 * s, s * s + h * h - q]
-        return _sublevel(quartic, _meridian_gap(profile, s, h, q), lo, hi)
+        quartics = [[a * a, 0.0, 1.0 - 2.0 * a * h, -2.0 * s, s * s + h * h - q] for q in qs]
+        return _sublevel(quartics, _meridian_gap(profile, s, h, qs), lo, hi)
 
     return _revolution_chart("paraboloid", profile, 1, disc, (0.0, math.inf), True)
 
@@ -521,17 +546,20 @@ def _build_hyperboloid():
         with np.errstate(over="ignore"):
             return w, z / w, 1.0 / (w * w * w), z, 1.0, 0.0
 
-    def disc(s, h, q, lo, hi):
+    def disc(s, h, qs, lo, hi):
         # with w^2 = 1 + z^2 the gap is L(z) - 2 s w, L = 2 z^2 - 2 h z + k, so
         # every crossing is a root of L^2 - 4 s^2 (1 + z^2), a perfect square
         # on the axis (s = 0), where L alone is used; solved in z / scale
-        k = 1.0 + s * s + h * h - q
-        scale = math.sqrt(max(1.0, abs(k)))
-        quadratic = np.array([2.0, -2.0 * h / scale, k / scale / scale])
-        polynomial = quadratic if s == 0.0 else np.polysub(
-            np.polymul(quadratic, quadratic),
-            4.0 * (s / scale) ** 2 * np.array([1.0, 0.0, 1.0 / scale / scale]))
-        return _sublevel(polynomial, _meridian_gap(profile, s, h, q), lo, hi, scale)
+        polynomials, scales = [], []
+        for q in qs:
+            k = 1.0 + s * s + h * h - q
+            scale = math.sqrt(max(1.0, abs(k)))
+            quadratic = np.array([2.0, -2.0 * h / scale, k / scale / scale])
+            polynomials.append(quadratic if s == 0.0 else np.polysub(
+                np.polymul(quadratic, quadratic),
+                4.0 * (s / scale) ** 2 * np.array([1.0, 0.0, 1.0 / scale / scale])))
+            scales.append(scale)
+        return _sublevel(polynomials, _meridian_gap(profile, s, h, qs), lo, hi, scales)
 
     return _revolution_chart("hyperboloid_one_sheet", profile, 0, disc,
                              (-math.inf, math.inf), True)
@@ -546,10 +574,10 @@ def _build_torus(major_radius=2.0, minor_radius=0.5):
         s, c = np.sin(ps), np.cos(ps)
         return R0 + r0 * c, -r0 * s, -r0 * c, r0 * s, r0 * c, -r0 * s
 
-    def disc(s, h, q, lo, hi):
+    def disc(s, h, qs, lo, hi):
         # |(R0 + r0 cos t, r0 sin t) - (s, h)|^2 <= q is linear in cos t and sin t
-        return _arc_spans(2.0 * r0 * (R0 - s), -2.0 * r0 * h,
-                          q - (R0 - s) ** 2 - r0 * r0 - h * h, lo, hi)
+        return [_arc_spans(2.0 * r0 * (R0 - s), -2.0 * r0 * h,
+                           q - (R0 - s) ** 2 - r0 * r0 - h * h, lo, hi) for q in qs]
 
     return _revolution_chart("torus", profile, 0, disc, (0.0, _TWO_PI))
 
@@ -582,21 +610,21 @@ def _build_poly_curve(coefficients=()):
         lo, hi = (-math.inf, math.inf) if t_range is None else t_range
         offset = coeffs.copy()
         offset[:, 0] -= center
-        # |p(t) - c|^2, lowest degree first
-        square = sum(np.convolve(row, row) for row in offset)
-        pieces = []
-        for radius in radii:
-            def gap(t, radius=radius):
-                return np.sum((_horner(offset, t) / radius) ** 2, axis=1) - 1.0
+        # |p(t) - c|^2 - R^2, highest degree first, one row per radius
+        square = sum(np.convolve(row, row) for row in offset)[::-1]
+        gaps = np.tile(square, (len(radii), 1))
+        gaps[:, -1] -= np.square(radii)
+        sizes = np.array(radii)
 
-            gap_poly = square.copy()
-            gap_poly[0] -= radius * radius
-            spans = _sublevel(gap_poly[::-1], gap, lo, hi)
+        def gap(t, i):
+            return np.sum((_horner(offset, t) / sizes[i, None]) ** 2, axis=1) - 1.0
+
+        pieces = _sublevel(gaps, gap, lo, hi)
+        for radius, spans in zip(radii, pieces):
             if spans and max(abs(spans[0][0]), abs(spans[-1][1])) > _CURVE_REACH:
                 raise SetValidationError(
                     where, f"the curve is still inside the radius-{radius:g} ball at "
                            f"|t| = {_CURVE_REACH:g}")
-            pieces.append(spans)
         return pieces
 
     return Chart("poly_curve", 1, ambient, jet, None, intervals, paneled=True)

@@ -26,7 +26,10 @@ from .charts import Chart, build_chart, tangent_gram
 from .graphs import SphericalGraph, builtin_graphs, validate_graph
 from .polynomial import Poly
 
+# an implicit form must vanish on the chart and keep its gradient there, each
+# against the form's own size at the point (``_validate_smooth``)
 IMPLICIT_RESIDUAL_TOL = 1e-8
+IMPLICIT_GRADIENT_TOL = 1e-10
 _SPOT_CHECK_POINTS = 64
 
 
@@ -172,12 +175,14 @@ def _validate_smooth(x: SmoothSet) -> None:
     if tangent_gram(jac)[1]:
         raise SetValidationError("charts.map", "chart tangent frame degenerates")
     if x.implicit is not None:
-        vals = np.abs(x.implicit.eval(pts))
-        bound = IMPLICIT_RESIDUAL_TOL * (1.0 + np.linalg.norm(pts, axis=1) ** x.implicit.degree())
-        if np.any(vals > bound):
+        # the size of the form at p is sum |c_a| |p^a|, and of its gradient that
+        # sum's gradient at |p|: no floor is absolute, so dilating a set changes no verdict
+        size = Poly(x.ambient_dim, {e: abs(c) for e, c in x.implicit.terms.items()})
+        if np.any(np.abs(x.implicit.eval(pts)) > IMPLICIT_RESIDUAL_TOL * size.eval(np.abs(pts))):
             raise SetValidationError("polynomial", "chart points violate the implicit form")
         grads = np.linalg.norm(x.implicit.grad_eval(pts), axis=1)
-        if np.min(grads) < 1e-10:
+        scale = np.linalg.norm(size.grad_eval(np.abs(pts)), axis=1)
+        if np.any(grads <= IMPLICIT_GRADIENT_TOL * scale):
             raise SetValidationError("polynomial", "implicit gradient vanishes on the set")
 
 

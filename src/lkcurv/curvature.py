@@ -25,11 +25,12 @@ above.
 
 ``lk_measures_sweep`` integrates the densities of several orders over the
 part of the set inside the ball of each radius of a sweep, by Gauss-Legendre
-cubature on the curve or profile parameter t alone.  The chart gives, once
-per sweep, the exact pieces of t that each ball reaches
-(``Chart.ball_intervals``), and each rule (fine and halved) evaluates the
-chart once for the whole sweep, on the union of the radii's nodes of t (equal
-dyadic panels give equal nodes):
+cubature on the curve or profile parameter t alone, in one batched pass.  The
+chart gives, once per sweep, the exact pieces of t that each ball reaches
+(``Chart.ball_intervals``); each rule (fine and halved) takes the union of
+the radii's nodes of t on the pieces' shared panels (equal dyadic panels
+give equal nodes), and the chart is evaluated once for the whole sweep, on
+both rules' nodes together:
 
 * a curve's nodes all lie inside the ball, so the rule needs no mask, and a
   curve that leaves the ball and comes back is integrated on every piece;
@@ -47,8 +48,9 @@ Any other chart, a surface with no rotation axis or a chart of dimension 3
 or more, is refused on entry to ``lk_measures_sweep`` and
 ``limits.estimate_limits``, before any grid is built.
 
-Each radius gathers its own nodes in its own order, applies its own weights
-and shares, and sums exactly as a sweep of that radius alone would.
+One ``arc_share`` call covers every radius and rule.  Each (rule, radius)
+then sums its own slice of nodes, in its own order with its own weights and
+shares, exactly as a sweep of that radius alone would.
 ``lk_measure_detailed`` is a sweep of one order and one radius.
 
 Sign convention: the form is <second derivative, v>; every quantity reported
@@ -62,7 +64,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .catalog.charts import GRAM_DET_TOL, Chart, _dot, gauss_legendre_nodes, tangent_gram
+from .catalog.charts import (
+    GRAM_DET_TOL, Chart, _dot, dyadic_panels, gauss_legendre_nodes, tangent_gram,
+)
 from .catalog.sets import SmoothSet
 from .errors import DegenerateChartError, UnsupportedSection
 from .geomconst import sphere_volume
@@ -212,49 +216,39 @@ def _node_scalars(x: SmoothSet, t: np.ndarray, ks, center: np.ndarray):
     return frames.sqrt_gram, terms, [_lambda_batch(x, frames, k) for k in ks]
 
 
-def _radius_sums(weights, index, share, sqrt_gram, densities) -> List[float]:
-    """One radius's measure of each order: the sum over its nodes ``index``
-    of weight * sqrt det G * share inside the ball * density."""
-    factor = weights * sqrt_gram[index] * share
-    return [float(np.sum(factor * row[index])) for row in densities]
-
-
-def _sweep_at_resolution(
-    x: SmoothSet,
-    ks,
-    radii: List[float],
-    pieces: List[np.ndarray],
-    spec: CubatureSpec,
-    center: np.ndarray,
-) -> List[List[float]]:
+def _sweep_sums(x: SmoothSet, ks, radii: List[float], pieces: List[np.ndarray],
+                spec: CubatureSpec, center: np.ndarray) -> List[np.ndarray]:
     """Measures of the orders ks at each radius of the sweep, from a
-    Gauss-Legendre rule on each of its pieces of t.
-
-    The chart evaluates its frames and densities once, on the union of every
-    radius's nodes; each radius then sums its own nodes in its own order with
-    its own weights, so it gets the bits of a sweep of that radius alone.  A
-    curve's nodes all lie inside the ball, and each profile node of a surface
-    carries the exact measure of the phi inside the ball (``arc_share``).
-    """
-    totals = [[0.0] * len(ks) for _ in radii]
-    owners = [j for j, spans in enumerate(pieces) for _ in spans]
-    if not owners:
-        return totals
+    Gauss-Legendre rule on each of its pieces of t: one row per radius at
+    the fine rule, then one per radius at the halved rule.  The chart's
+    frames and densities are built once, on both rules' nodes together, and
+    each (rule, radius) sums its own slice of nodes in its own order."""
     chart = x.chart
-    points, rules = gauss_legendre_nodes(
-        np.concatenate(pieces), spec.count(chart.dim), chart.paneled)
-    sqrt_gram, terms, densities = _node_scalars(x, points, ks, center)
-    for j, radius in enumerate(radii):
-        own = [rule for owner, rule in zip(owners, rules) if owner == j]
-        if not own:
-            continue
-        index = np.concatenate([where for where, _ in own])
-        weights = np.concatenate([w for _, w in own])
-        share = 1.0 if terms is None else arc_share(
-            terms[0, index] - radius * radius, terms[1, index], terms[2, index],
-            chart.phi_range())
-        totals[j] = _radius_sums(weights, index, share, sqrt_gram, densities)
-    return totals
+    owners = np.repeat(np.arange(len(radii)), [len(spans) for spans in pieces])
+    if not len(owners):
+        return [np.zeros(len(ks))] * (2 * len(radii))
+    spans = np.concatenate(pieces)
+    panels = dyadic_panels(spans, chart.paneled)
+    grids = [gauss_legendre_nodes(spans, rule.count(chart.dim), chart.paneled, panels)
+             for rule in (spec, spec.halved())]
+    sqrt_gram, terms, densities = _node_scalars(
+        x, np.concatenate([points for points, _ in grids]), ks, center)
+    # the nodes of rule r and piece j in one order: by rule, then by radius
+    offsets = (0, len(grids[0][0]))
+    index = np.concatenate([where + offset for (_, rules), offset in zip(grids, offsets)
+                            for where, _ in rules])
+    weights = np.concatenate([w for _, rules in grids for _, w in rules])
+    sizes = [len(where) for _, rules in grids for where, _ in rules]
+    slot = np.concatenate([owners, owners + len(radii)])
+    ends = np.cumsum(np.bincount(slot, sizes, minlength=2 * len(radii))).astype(int)
+    share = 1.0
+    if terms is not None:
+        squares = np.square(radii)[slot % len(radii)]
+        share = arc_share(terms[0, index] - np.repeat(squares, sizes), terms[1, index],
+                          terms[2, index], chart.phi_range())
+    # C order, so that each row's slice is summed pairwise as a 1-d array is
+    products = weights * sqrt_gram[index] * share * np.take(np.stack(densities), index, axis=1)
+    return [np.sum(products[:, a:b], axis=1) for a, b in zip(np.r_[0, ends[:-1]], ends)]
 
 
 def require_cubature_chart(x) -> None:
@@ -282,11 +276,9 @@ def lk_measures_sweep(
 
     The bound is the change under halving the cubature resolution.  The
     chart's pieces of each ball are solved once per sweep and shared by both
-    rules.
-    Each rule evaluates the chart's jet and densities once for the whole
-    sweep, on the union of the radii's nodes, and evaluates every order on
-    them, so each (radius, order) gets the same bits as a call for that radius
-    and order alone.
+    rules, and the chart's jet and every order's density are evaluated once,
+    on both rules' nodes together, so each (radius, order) gets the same bits
+    as a call for that radius and order alone.
     """
     if not isinstance(x, SmoothSet):
         raise TypeError("lk_measures_sweep expects a smooth set")
@@ -308,11 +300,9 @@ def lk_measures_sweep(
     if live:
         spec = spec or CubatureSpec()
         center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        pieces = x.chart.ball_intervals(radii, center)
-        fine = _sweep_at_resolution(x, live, radii, pieces, spec, center)
-        coarse = _sweep_at_resolution(x, live, radii, pieces, spec.halved(), center)
-        for radius, found, values, others in zip(radii, measures, fine, coarse):
-            for k, value, other in zip(live, values, others):
+        sums = _sweep_sums(x, live, radii, x.chart.ball_intervals(radii, center), spec, center)
+        for radius, found, values, others in zip(radii, measures, sums, sums[len(radii):]):
+            for k, value, other in zip(live, values.tolist(), others.tolist()):
                 if not (np.isfinite(value) and np.isfinite(other)):
                     raise ValueError(f"radius {radius:g}: the order-{k} measure is not finite")
                 found[k] = (value, abs(value - other))

@@ -10,9 +10,11 @@ and ``curvature_measures`` is a sweep of one radius.
 
 ``estimate_limits`` extrapolates the normalized values of several orders over
 a geometric radius schedule with an a + c/R model fitted to the last three
-radii.  On a smooth set one cubature sweep serves every radius and order:
-each chart evaluates its jet once per rule for the whole schedule, and each
-(radius, order) gets the bits of a cubature of that radius alone.  Order 0
+radii, every order in one multi-column least-squares fit per window
+(``fit_limit_sequence`` is its one-column call).  On a smooth set one
+cubature sweep serves every radius and order: the chart evaluates its jet
+once for the whole schedule and both rules, and each (radius, order) gets
+the bits of a cubature of that radius alone.  Order 0
 (smooth sets only) is the total order-0 curvature.  Exact bypasses: flats
 give [k == dim], cones are radius-independent by homogeneity, and a compact
 set's limit is 0 for k >= 1.  Each
@@ -125,34 +127,41 @@ def _normalized_sweep(x: SetDescriptor, ks, radii, center) -> List[List[Tuple[fl
             for pairs, row in zip(sweep, scales)]
 
 
-def _fit_inverse_radius(radii, values) -> Tuple[float, float]:
-    """Least-squares a + c/R fit; returns (a, max abs residual)."""
+def _fit_inverse_radius(radii, values) -> Tuple[np.ndarray, np.ndarray]:
+    """Least-squares a + c/R fit of each column of ``values`` (radii, orders)
+    in one multi-column solve; returns a and the max abs residual per column."""
     radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
     design = np.stack([np.ones_like(radii), 1.0 / radii], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
-    residual = float(np.max(np.abs(design @ coeffs - values)))
-    return float(coeffs[0]), residual
+    return coeffs[0], np.max(np.abs(design @ coeffs - values), axis=0)
 
 
-# the benchmark's tracing wraps this by name
-def fit_limit_sequence(radii, values, errors) -> Tuple[float, float, bool]:
-    """Extrapolate a radius sweep: a + c/R over the last three radii.
+def _fit_limits(radii, values, errors) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extrapolate each column of a radius sweep (radii, orders): a + c/R over
+    the last three radii, all orders in one fit per window.
 
-    Returns (value, uncertainty, converged) where the uncertainty also covers
-    the shift of the extrapolant between the last two fit windows and the
-    largest per-radius evaluation error.
+    Returns (value, uncertainty, converged) per column, where the uncertainty
+    also covers the shift of the extrapolant between the last two fit windows
+    and the largest per-radius evaluation error.
     """
     if len(values) < 3:
         raise ValueError("need at least three radii to extrapolate")
     value, residual = _fit_inverse_radius(radii[-3:], values[-3:])
-    drift = 0.0
+    drift = np.zeros_like(value)
     if len(values) >= 4:
         prev_value, _ = _fit_inverse_radius(radii[-4:-1], values[-4:-1])
-        drift = abs(value - prev_value)
-    uncertainty = max(residual, drift, max(errors))
-    converged = abs(values[-1] - values[-2]) <= uncertainty
+        drift = np.abs(value - prev_value)
+    uncertainty = np.maximum(np.maximum(residual, drift), np.max(errors, axis=0))
+    converged = np.abs(values[-1] - values[-2]) <= uncertainty
     return value, uncertainty, converged
+
+
+# the benchmark's tracing wraps this by name
+def fit_limit_sequence(radii, values, errors) -> Tuple[float, float, bool]:
+    """Extrapolate one radius sweep: the one-column call of ``_fit_limits``."""
+    fit = _fit_limits(radii, np.reshape(values, (-1, 1)), np.reshape(errors, (-1, 1)))
+    value, uncertainty, converged = (column[0] for column in fit)
+    return float(value), float(uncertainty), bool(converged)
 
 
 def validate_radii(radii) -> List[float]:
@@ -203,11 +212,9 @@ def estimate_limits(x: SetDescriptor, ks, radii=DEFAULT_RADII, center=None) -> L
 
     swept = [k for k in ks if k not in estimates]
     if swept:
-        sweep = _normalized_sweep(x, swept, radii, center)
-        for i, k in enumerate(swept):
-            values = [pairs[i][0] for pairs in sweep]
-            errors = [pairs[i][1] for pairs in sweep]
-            value, uncertainty, converged = fit_limit_sequence(radii, values, errors)
+        sweep = np.array(_normalized_sweep(x, swept, radii, center))  # (radii, orders, 2)
+        fit = _fit_limits(radii, sweep[:, :, 0], sweep[:, :, 1])
+        for k, value, uncertainty, converged in zip(swept, *(column.tolist() for column in fit)):
             tag = "" if converged else ",not_converged"
             estimates[k] = LimitEstimate(k, value, uncertainty, radii, converged, route + tag)
     return [estimates[k] for k in ks]

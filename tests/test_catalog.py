@@ -18,7 +18,9 @@ from lkcurv import (
     UnsupportedSection,
 )
 from lkcurv.catalog import ConicGraph, LinearSubspace, Poly, SmoothSet, SphericalGraph
-from lkcurv.catalog.charts import CHART_BUILDERS, build_chart
+from lkcurv.catalog.charts import (
+    CHART_BUILDERS, _real_parts_of_roots, _sublevel, build_chart,
+)
 from lkcurv.catalog.graphs import validate_graph
 from lkcurv.catalog.links import (
     _graph_sections,
@@ -908,6 +910,65 @@ def test_hyperboloid_intervals_on_and_near_its_axis():
         assert near[0, 0] == pytest.approx(roots[0], abs=1e-6)
         assert near[-1, 1] == pytest.approx(roots[1], abs=1e-6)
         assert np.all(near[1:, 0] == near[:-1, 1])  # one interval, cut where wholly inside
+
+
+def one_row_real_parts(row):
+    """The real parts of one row's roots: ``np.roots`` of the monic row in
+    t / S, from logarithms, times S, as the root finder made them one row at
+    a time before it was batched."""
+    coeffs = np.trim_zeros(np.asarray(row, dtype=float), "f")
+    degree = len(coeffs) - 1
+    if degree < 1:
+        return np.empty(0)
+    logs = np.full(len(coeffs), -np.inf)
+    logs[coeffs != 0.0] = np.log(np.abs(coeffs[coeffs != 0.0]))
+    log_scale = float(np.max((logs[1:] - logs[0]) / np.arange(1, degree + 1)))
+    log_scale = log_scale if math.isfinite(log_scale) else 0.0
+    monic = np.sign(coeffs) * np.exp(logs - logs[0] - np.arange(degree + 1) * log_scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.roots(monic).real * np.exp(log_scale)
+
+
+def hyperboloid_gap_row(s, h, radius):
+    """The hyperboloid's gap polynomial in z / scale, as its disc builds it."""
+    k = 1.0 + s * s + h * h - radius * radius
+    scale = math.sqrt(max(1.0, abs(k)))
+    quadratic = np.array([2.0, -2.0 * h / scale, k / scale / scale])
+    return quadratic if s == 0.0 else np.polysub(
+        np.polymul(quadratic, quadratic),
+        4.0 * (s / scale) ** 2 * np.array([1.0, 0.0, 1.0 / scale / scale]))
+
+
+def test_batched_roots_match_one_row_np_roots():
+    # one call, rows of every kind: the on-axis quadratic and off-axis quartics
+    # of the hyperboloid (a hair off the axis its roots are nearly double),
+    # zero constant terms, leading zeros, a near-double root that rounding
+    # makes complex, constants, a row whose scale S overflows, and a root
+    # beyond the largest double
+    beyond = [1e-308, -1.2, -1.44e308]  # roots ~ 1.94e308 (past the doubles) and -7.4e307
+    rows = [hyperboloid_gap_row(0.0, 2.0, 5.0), hyperboloid_gap_row(1.5, 0.7, 8.0),
+            hyperboloid_gap_row(1e-9, 2.0, 5.0), hyperboloid_gap_row(1e-9, -3.0, 4.0),
+            [1.0, -3.0, 2.0, 0.0], [1.0, 0.0, -1.0, 0.0, 0.0], [3.0, 0.0],
+            [0.0, 0.0, 1.0, -1.0], [0.0, 2.0, -3.0, 1.0], [1.0, -2.0, 1.0 + 1e-15],
+            [2.0], [0.0, 0.0], [1e-300, 1e10, -1.0], beyond]
+    got = _real_parts_of_roots(rows)
+    assert len(got) == len(rows)
+    for row, values in zip(rows, got):
+        # bit for bit, in np.roots's order, signed zeros and NaNs included
+        want = one_row_real_parts(row)
+        assert values.dtype == want.dtype and values.tobytes() == want.tobytes(), row
+    assert np.iscomplexobj(np.roots([1.0, -2.0, 1.0 + 1e-15]))  # the near-double row
+    huge, finite = sorted(got[-1], key=np.isfinite)
+    assert huge == np.inf and -1e308 < finite < 0.0
+
+    # the root past the doubles bounds no span: the finite root and the
+    # domain ends do, and each row's own gap picks the side between them
+    def gap(t, i):
+        return np.array([np.polyval(rows[-2:][j], v) for v, j in zip(t, i)])
+
+    spans = _sublevel(rows[-2:], gap, -1e308, 1e308)
+    assert spans[1] == [(finite, 1e308)]
+    assert all(-1e308 <= end <= 1e308 for pieces in spans for span in pieces for end in span)
 
 
 def test_set_file_domain_clips_the_intervals(tmp_path):

@@ -585,6 +585,26 @@ def test_dilated_sets_load_and_pass(tmp_path, doc):
     assert code == 0
 
 
+@pytest.mark.parametrize("radius", [1e-11, 1e-7, 1.0, 1e6])
+@pytest.mark.parametrize("implicit", [True, False])
+def test_spheres_of_any_size_load_and_pass(tmp_path, radius, implicit):
+    # the implicit form's residual and gradient are judged against the form's
+    # own size at each point, so a dilated sphere keeps its form: at 1e-11
+    # its gradient 2e-11 once fell below an absolute floor of 1e-10
+    doc = {"name": "sphere", "ambient_dim": 3, "kind": "smooth",
+           "charts": [{"map": "sphere", "params": {"radius": radius}}],
+           "declared_chi": 2, "compact": True}
+    if implicit:
+        doc["polynomial"] = {"(2,0,0)": 1.0, "(0,2,0)": 1.0, "(0,0,2)": 1.0,
+                             "(0,0,0)": -radius * radius}
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(doc))
+    radii = ",".join(f"{f * radius:g}" for f in (2, 4, 8))
+    for theorem in ("thm3.9", "thm4.3"):
+        code, _ = run_cli(["verify", "--set", str(path), "--theorem", theorem, "--radii", radii])
+        assert code == 0, theorem
+
+
 
 
 # ------------------------------------------------------------ set-file fuzzing

@@ -13,7 +13,7 @@ from lkcurv import DegenerateChartError, UnsupportedSection
 from lkcurv.catalog import SmoothSet
 from lkcurv import curvature
 from lkcurv.catalog.charts import (
-    Chart, _axis_rule, build_chart, gauss_legendre_nodes, tangent_gram,
+    Chart, build_chart, gauss_legendre_nodes, tangent_gram,
 )
 from lkcurv.catalog.sets import _trace_box
 from lkcurv.curvature import (
@@ -25,6 +25,7 @@ from lkcurv.curvature import (
     lk_measures_sweep,
 )
 from lkcurv.geomconst import sphere_volume
+from axis_rule import axis_rule
 from qr_frames import (
     elementary_symmetric,
     form_at,
@@ -472,7 +473,7 @@ def direct_measures(x, ks, radius, spec, center):
     if axes[t] is None:
         return totals
     if axis is not None:
-        axes[axis] = _axis_rule(*(chart.phi_range() or (0.0, 2.0 * np.pi)), count, False)
+        axes[axis] = axis_rule(*(chart.phi_range() or (0.0, 2.0 * np.pi)), count, False)
     grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
     weights = np.ones(nodes.shape[0])
@@ -539,7 +540,7 @@ def oracle_pairs(oracle, x, ks, radius, center):
 def profile_rule(chart, radius, center, count):
     """Nodes and weights of t for one radius: a Gauss-Legendre rule on each
     piece of ``Chart.ball_intervals``, concatenated."""
-    rules = [_axis_rule(lo, hi, count, chart.paneled)
+    rules = [axis_rule(lo, hi, count, chart.paneled)
              for lo, hi in chart.ball_intervals((radius,), center)[0]]
     if not rules:
         return None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lkcurv import limits
+from lkcurv.catalog import SmoothSet
 from lkcurv.curvature import lk_measures_sweep
 from lkcurv.geomconst import ball_volume
 from lkcurv.limits import (
@@ -177,6 +178,24 @@ def test_fit_limit_sequence_inverse_radius_family():
     # the extrapolant is exact but the raw values have not plateaued yet,
     # which is what the converged flag reports
     assert not converged
+
+
+def test_batched_fit_columns_match_one_column_fits(sets):
+    # estimate_limits fits every swept order of a sweep in one multi-column
+    # solve per window; each column must get the bits of its own one-column fit
+    smooth = {name: x for name, x in sets.items() if isinstance(x, SmoothSet)}
+    assert len(smooth) >= 7
+    for name, x in smooth.items():
+        for center in (None, np.full(x.ambient_dim, 0.5)):
+            ks = range(x.ambient_dim + 1)
+            sweep = np.array(limits._normalized_sweep(x, ks, RADII, center))
+            fit = limits._fit_limits(RADII, sweep[:, :, 0], sweep[:, :, 1])
+            for i in ks:
+                value, uncertainty, converged = fit_limit_sequence(
+                    RADII, sweep[:, i, 0].tolist(), sweep[:, i, 1].tolist())
+                got = np.array([fit[0][i], fit[1][i]])
+                assert got.tobytes() == np.array([value, uncertainty]).tobytes(), (name, i)
+                assert bool(fit[2][i]) is converged, (name, i)
 
 
 def test_fit_window_drift_covers_faster_decay():

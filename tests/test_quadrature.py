@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def cubature_counts():
     """Every rule size the cubature asks for: the per-panel counts of
-    ``_axis_rule`` (6 to 64) and the whole-axis counts of the default
+    ``gauss_legendre_nodes`` (6 to 64) and the whole-axis counts of the default
     ``CubatureSpec`` and its halving."""
     counts = set(range(6, 65))
     for spec in (CubatureSpec(), CubatureSpec().halved()):

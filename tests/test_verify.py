@@ -248,36 +248,44 @@ def test_thm39_hyperboloid_cancellation(sets):
     assert abs(row.rhs) <= 0.03
 
 
-def test_thm39_builds_frames_once_per_radius_and_rule(sets, monkeypatch):
-    # orders 0 and 2 share the chart's frames, and the 4 radii share one
-    # profile per rule (fine and halved): every profile node is built once,
-    # at phi = 0, and the profile is smaller than the 4 radii's rules together
+@pytest.mark.parametrize("name, theorem, base_point", [
+    ("hyperboloid_r3", "thm3.9", None),
+    ("twisted_cubic_r3", "thm3.9", None),
+    ("hyperboloid_r3", "base_point", (0.0, 0.0, 3.0)),
+], ids=["hyperboloid_r3", "twisted_cubic_r3", "hyperboloid_r3-base_point"])
+def test_sweep_builds_frames_once_for_both_rules(sets, monkeypatch, name, theorem, base_point):
+    # each sweep asks for one rule of t per resolution (fine and halved), the
+    # 4 radii's pieces sharing one union of nodes in each, and builds the
+    # chart's frames once, on both rules' nodes together: every node once,
+    # at phi = 0 on a surface, and each grid smaller than its radii's rules
     from lkcurv import curvature
 
-    x = sets["hyperboloid_r3"]
-    axis = x.chart.rotation_axis
-    grids = []  # [profile nodes, nodes of the radii's rules, radii, nodes built]
+    x = sets[name]
+    t, axis = x.chart.profile_axis, x.chart.rotation_axis
+    rules, sweeps = [], []  # the rules' grids since the last frames; nodes per sweep
     nodes_fn, frames = curvature.gauss_legendre_nodes, curvature._chart_frames
 
     def counted_nodes(*args, **kwargs):
-        points, rules = nodes_fn(*args, **kwargs)
+        points, own = nodes_fn(*args, **kwargs)
         assert points.ndim == 1  # the profile parameter alone
-        grids.append([len(points), sum(len(index) for index, _ in rules), len(rules), 0])
-        return points, rules
+        assert len(own) == 4 and len(points) < sum(len(index) for index, _ in own)
+        rules.append(points)
+        return points, own
 
     def counted_frames(chart, u):
-        assert np.all(u[:, axis] == 0.0)
-        grids[-1][3] += len(u)
+        assert axis is None or np.all(u[:, axis] == 0.0)
+        assert len(rules) == 2 and np.array_equal(u[:, t], np.concatenate(rules))
+        assert len(np.unique(u[:, t])) == len(u)
+        sweeps.append(len(u))
+        rules.clear()
         return frames(chart, u)
 
     monkeypatch.setattr(curvature, "gauss_legendre_nodes", counted_nodes)
     monkeypatch.setattr(curvature, "_chart_frames", counted_frames)
-    report = run_theorem("thm3.9", x, n_samples=500, seed=42)
+    report = run_theorem(theorem, x, n_samples=500, seed=42, base_point=base_point)
     assert report.overall_pass
-    assert len(grids) == 2
-    for size, per_radius, n_radii, built in grids:
-        assert n_radii == 4
-        assert built == size < per_radius
+    # one sweep per assembly: base_point runs the shifted one and the origin one
+    assert len(sweeps) == (1 if base_point is None else 2) and not rules
 
 
 def test_thm39_non_circularity_routes(sets):
