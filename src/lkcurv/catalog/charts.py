@@ -91,10 +91,11 @@ class Chart:
     ambient_dim: int
     # U (B, dim) -> points (B, n), Jacobians (B, n, dim), second derivatives (B, n, dim, dim)
     jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    # a set file's (dim, 2) parameter box, or None for the map's natural domain
+    # a set file's (dim, 2) parameter box, which bounds the set, or None for the
+    # map's natural domain
     base_domain: Optional[np.ndarray]
-    # (radii, center, (lo, hi) of t or None) -> per radius the pieces of t
-    # that reach the ball; see ``ball_intervals``
+    # (radii, center, (lo, hi) of t) -> per radius the pieces of t that reach
+    # the ball; see ``ball_intervals``
     interval_fn: Callable
     params: dict = field(default_factory=dict)
     # whether the range of t grows with the ball radius; cubature then panels
@@ -105,11 +106,21 @@ class Chart:
     # and the densities depend on t alone, so cubature evaluates the jet on
     # the profile (phi = 0) only
     rotation_axis: Optional[int] = None
+    # the map's own range of t, where no set file gives one
+    natural_t_range: Tuple[float, float] = (-math.inf, math.inf)
 
     @property
     def profile_axis(self) -> int:
         """The index of t: the curve parameter, or the profile's on a surface."""
         return 0 if self.rotation_axis is None else 1 - self.rotation_axis
+
+    @property
+    def t_range(self) -> Tuple[float, float]:
+        """The range of t: the set file's, or else the map's own."""
+        if self.base_domain is None:
+            return self.natural_t_range
+        lo, hi = self.base_domain[self.profile_axis]
+        return float(lo), float(hi)
 
     def phi_range(self) -> Optional[Tuple[float, float]]:
         """The set file's range of phi, or None for the whole circle."""
@@ -133,11 +144,8 @@ class Chart:
             if not np.isfinite(radius * radius):
                 # the gap polynomials hold R^2, which would be inf
                 raise ValueError(f"radius {radius:g} is too large: R^2 is not finite")
-        t_range = None
-        if self.base_domain is not None:
-            t_range = tuple(float(v) for v in self.base_domain[self.profile_axis])
         pieces = [np.array(spans, dtype=float).reshape(-1, 2)
-                  for spans in self.interval_fn(radii, center, t_range)]
+                  for spans in self.interval_fn(radii, center, self.t_range)]
         for radius, spans in zip(radii, pieces):
             if not np.all(np.isfinite(spans)):
                 raise ValueError(
@@ -416,7 +424,7 @@ def _revolution_chart(label, profile, phi_axis, disc, natural, paneled=False,
     the parameter index of phi.  ``disc(s, h, qs, lo, hi)`` returns, for each
     q > 0 of the list ``qs``, the spans of t in [lo, hi] whose profile point
     lies in the disc of squared radius q about (s, h), and ``natural`` is the
-    range of t when no set file gives one.
+    map's own range of t.
     """
     t_axis = 1 - phi_axis
 
@@ -439,7 +447,7 @@ def _revolution_chart(label, profile, phi_axis, disc, natural, paneled=False,
         return origin + span(w * c, w * s, z), jac, hess
 
     def intervals(radii, center, t_range):
-        lo, hi = natural if t_range is None else t_range
+        lo, hi = t_range
         rel = center - origin
         along = frame @ rel
         s, h = math.hypot(along[0], along[1]), float(along[2])
@@ -458,7 +466,7 @@ def _revolution_chart(label, profile, phi_axis, disc, natural, paneled=False,
         return pieces
 
     return Chart(label, 2, frame.shape[1], jet, None, intervals, paneled=paneled,
-                 rotation_axis=phi_axis)
+                 rotation_axis=phi_axis, natural_t_range=natural)
 
 
 def _orthonormal_rows(frame: np.ndarray) -> bool:
@@ -607,7 +615,7 @@ def _build_poly_curve(coefficients=()):
                 _horner(d2coeffs, t)[:, :, None, None])
 
     def intervals(radii, center, t_range):
-        lo, hi = (-math.inf, math.inf) if t_range is None else t_range
+        lo, hi = t_range
         offset = coeffs.copy()
         offset[:, 0] -= center
         # |p(t) - c|^2 - R^2, highest degree first, one row per radius

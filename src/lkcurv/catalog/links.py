@@ -278,7 +278,7 @@ def _is_flat(x: SetDescriptor) -> bool:
         return False
     if x.implicit is not None and x.implicit.degree() == 1:
         return True
-    return x.chart is not None and x.chart.label == "plane" and x.chart.base_domain is None
+    return x.chart is not None and x.chart.label == "plane" and not x.compact
 
 
 def full_space_link(x: SetDescriptor) -> int:
@@ -294,10 +294,9 @@ def full_space_link(x: SetDescriptor) -> int:
             # a compact set has an empty link; that of a smooth set of even
             # dimension is a compact odd-dimensional manifold, with chi 0
             return 0
-        if x.dim == 1:
-            # a nonconstant polynomial curve is proper, with two ends; on a
-            # bounded parameter domain it stays inside every large sphere
-            return 2 if x.chart.base_domain is None else 0
+        if x.dim == 1 and x.chart is not None:
+            # a nonconstant polynomial curve on an unbounded range is proper, with two ends
+            return 2
         raise UnsupportedSection("full-space links need even dimension or a curve")
     raise TypeError(f"not a set descriptor: {x!r}")
 

@@ -7,16 +7,18 @@ Three representations are supported:
 * :class:`SmoothSet`   -- a smooth curve or surface given by one chart, an
   optional implicit polynomial, and a declared Euler characteristic.
 
-Set-definition files use a small JSON schema mirroring these variants; see
-``load_set_file``.  The ``charts`` entry of a smooth set is a list holding
-exactly one chart.
+Each descriptor derives its ambient dimension, dimension and compactness
+from its data when it is built; a smooth set is compact exactly when its
+chart's range of t is bounded.  Set-definition files use a small JSON schema
+mirroring these variants (``load_set_file``), whose ``ambient_dim``, ``dim``
+and ``compact`` are only compared with the derived values.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -33,45 +35,54 @@ IMPLICIT_GRADIENT_TOL = 1e-10
 _SPOT_CHECK_POINTS = 64
 
 
+def _store(x, **derived) -> None:
+    """Set the derived fields of a frozen descriptor."""
+    for name, value in derived.items():
+        object.__setattr__(x, name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSubspace:
-    ambient_dim: int
     frame: np.ndarray  # (k, n) orthonormal rows
+    ambient_dim: int = field(init=False)
+    dim: int = field(init=False)
+    compact = False
 
     def __post_init__(self):
-        object.__setattr__(self, "frame", np.atleast_2d(np.asarray(self.frame, dtype=float)))
-
-    @property
-    def dim(self) -> int:
-        return self.frame.shape[0]
-
-    @property
-    def compact(self) -> bool:
-        return False
+        frame = np.atleast_2d(np.asarray(self.frame, dtype=float))
+        _store(self, frame=frame, ambient_dim=frame.shape[1], dim=frame.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
 class ConicGraph:
-    ambient_dim: int
     graph: SphericalGraph
+    ambient_dim: int = field(init=False)
+    dim: int = field(init=False)
+    compact = False
 
-    @property
-    def dim(self) -> int:
-        return 2 if self.graph.n_edges else (1 if self.graph.n_vertices else 0)
-
-    @property
-    def compact(self) -> bool:
-        return False
+    def __post_init__(self):
+        g = self.graph
+        _store(self, ambient_dim=g.ambient_dim, dim=2 if g.n_edges else (1 if g.n_vertices else 0))
 
 
 @dataclass(frozen=True, eq=False)
 class SmoothSet:
-    ambient_dim: int
-    dim: int
     chart: Optional[Chart]  # None only for sets that are used through their implicit form
     implicit: Optional[Poly] = None
     declared_chi: Optional[int] = None
-    compact: bool = False
+    ambient_dim: int = field(init=False)
+    dim: int = field(init=False)
+    compact: bool = field(init=False)  # never claimed without a chart
+
+    def __post_init__(self):
+        if self.chart is not None:
+            _store(self, ambient_dim=self.chart.ambient_dim, dim=self.chart.dim,
+                   compact=bool(np.all(np.isfinite(self.chart.t_range))))
+        elif self.implicit is not None:
+            n = self.implicit.nvars
+            _store(self, ambient_dim=n, dim=n - 1, compact=False)
+        else:
+            raise SetValidationError("charts", "a smooth set needs a chart or an implicit form")
 
 
 SetDescriptor = Union[LinearSubspace, ConicGraph, SmoothSet]
@@ -110,8 +121,6 @@ def coefficient_scale(x: SetDescriptor) -> float:
 def validate_set(x: SetDescriptor) -> None:
     if isinstance(x, LinearSubspace):
         frame = x.frame
-        if frame.shape[1] != x.ambient_dim:
-            raise SetValidationError("frame", "vector length differs from ambient_dim")
         if not np.all(np.isfinite(frame)):
             raise SetValidationError("frame", "non-finite number")
         # orthonormal rows have entries in [-1, 1]; larger ones could overflow
@@ -121,8 +130,6 @@ def validate_set(x: SetDescriptor) -> None:
             raise SetValidationError("frame", "rows are not orthonormal")
         return
     if isinstance(x, ConicGraph):
-        if x.graph.ambient_dim != x.ambient_dim:
-            raise SetValidationError("vertices", "vertex length differs from ambient_dim")
         validate_graph(x.graph)
         return
     if isinstance(x, SmoothSet):
@@ -152,16 +159,11 @@ def _validate_smooth(x: SmoothSet) -> None:
     if chart is None:
         raise SetValidationError("charts", "smooth set needs one chart")
     if x.implicit is not None and x.implicit.nvars != x.ambient_dim:
-        raise SetValidationError("polynomial", "variable count differs from ambient_dim")
+        raise SetValidationError("polynomial", "variable count differs from the chart's ambient dim")
     if x.implicit is not None and not all(np.isfinite(c) for c in x.implicit.terms.values()):
         raise SetValidationError("polynomial", "non-finite coefficient")
     if x.implicit is not None and x.dim != x.ambient_dim - 1:
         raise SetValidationError("polynomial", "implicit form requires codimension one")
-    if chart.dim != x.dim:
-        raise SetValidationError("dim", f"set dim {x.dim} differs from the "
-                                 f"{chart.label!r} chart's dim {chart.dim}")
-    if chart.ambient_dim != x.ambient_dim:
-        raise SetValidationError("charts.map", "chart ambient dim mismatch")
     try:
         box = _trace_box(chart, 8.0 * coefficient_scale(x), np.zeros(x.ambient_dim))
     except ValueError as exc:
@@ -195,61 +197,53 @@ def _torus_implicit(R0: float, r0: float) -> Poly:
     return q * q - (4.0 * R0 * R0) * planar
 
 
-def _cone(n: int, graph: str) -> Callable[[], ConicGraph]:
-    return lambda: ConicGraph(n, builtin_graphs()[graph])
+def _cone(graph: str) -> Callable[[], ConicGraph]:
+    return lambda: ConicGraph(builtin_graphs()[graph])
 
 
 # name -> builder: a name resolves by building its own set, not the catalog
 _BUILTINS: Dict[str, Callable[[], SetDescriptor]] = {
-    "line_r2": lambda: LinearSubspace(2, np.array([[1.0, 0.0]])),
-    "line_r3": lambda: LinearSubspace(3, np.array([[1.0, 0.0, 0.0]])),
-    "cross_r2": _cone(2, "cross_s1"),
-    "plane_cone_r3": _cone(3, "circle_s2"),
-    "star3_cone_r3": _cone(3, "star3_s2"),
+    "line_r2": lambda: LinearSubspace(np.array([[1.0, 0.0]])),
+    "line_r3": lambda: LinearSubspace(np.array([[1.0, 0.0, 0.0]])),
+    "cross_r2": _cone("cross_s1"),
+    "plane_cone_r3": _cone("circle_s2"),
+    "star3_cone_r3": _cone("star3_s2"),
     "sphere_s2": lambda: SmoothSet(
-        ambient_dim=3, dim=2,
         chart=build_chart("sphere", params={"radius": 1.0}),
         implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0}),
-        declared_chi=2, compact=True,
+        declared_chi=2,
     ),
     "torus_r3": lambda: SmoothSet(
-        ambient_dim=3, dim=2,
         chart=build_chart("torus", params={"major_radius": 2.0, "minor_radius": 0.5}),
         implicit=_torus_implicit(2.0, 0.5),
-        declared_chi=0, compact=True,
+        declared_chi=0,
     ),
     "cylinder_r3": lambda: SmoothSet(
-        ambient_dim=3, dim=2,
         chart=build_chart("cylinder", params={"radius": 1.0}),
         implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 0): -1.0}),
-        declared_chi=0, compact=False,
+        declared_chi=0,
     ),
     "plane_r2_in_r3": lambda: SmoothSet(
-        ambient_dim=3, dim=2,
         chart=build_chart("plane"),
         implicit=Poly(3, {(0, 0, 1): 1.0}),
-        declared_chi=1, compact=False,
+        declared_chi=1,
     ),
     "paraboloid_r3": lambda: SmoothSet(
-        ambient_dim=3, dim=2,
         chart=build_chart("paraboloid", params={"coefficient": 1.0}),
         implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 1): -1.0}),
-        declared_chi=1, compact=False,
+        declared_chi=1,
     ),
     "hyperboloid_r3": lambda: SmoothSet(
-        ambient_dim=3, dim=2,
         chart=build_chart("hyperboloid_one_sheet"),
         implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): -1.0, (0, 0, 0): -1.0}),
-        declared_chi=0, compact=False,
+        declared_chi=0,
     ),
     "twisted_cubic_r3": lambda: SmoothSet(
-        ambient_dim=3, dim=1,
         chart=build_chart("poly_curve", params={
             "coefficients": [[0.0, 1.0, 0.0, 0.0],
                              [0.0, 0.0, 1.0, 0.0],
                              [0.0, 0.0, 0.0, 1.0]]}),
-        implicit=None,
-        declared_chi=1, compact=False,
+        declared_chi=1,
     ),
 }
 
@@ -299,6 +293,8 @@ def _edge_list(edges) -> Tuple[Tuple[int, int], ...]:
 # |chi| above this has no exact double, so a report could not carry it
 _MAX_CHI = 2**53
 _CHART_ENTRIES = ("map", "domain", "params")
+# the entry whose data give a kind's ambient dimension
+_AMBIENT_SOURCE = {"linear": "frame", "conic_graph": "vertices", "smooth": "charts.map"}
 
 
 def _number_rows(value, field: str) -> np.ndarray:
@@ -346,7 +342,7 @@ def set_from_dict(doc: Dict) -> SetDescriptor:
     if kind == "linear":
         if "frame" not in doc:
             raise SetValidationError("frame", "missing for kind=linear")
-        x: SetDescriptor = LinearSubspace(n, _number_rows(doc["frame"], "frame"))
+        x: SetDescriptor = LinearSubspace(_number_rows(doc["frame"], "frame"))
     elif kind == "conic_graph":
         for key in ("vertices",):
             if key not in doc:
@@ -355,7 +351,7 @@ def set_from_dict(doc: Dict) -> SetDescriptor:
             vertices=_number_rows(doc["vertices"], "vertices"),
             edges=_edge_list(doc.get("edges", [])),
         )
-        x = ConicGraph(n, graph)
+        x = ConicGraph(graph)
     elif kind == "smooth":
         if "charts" not in doc:
             raise SetValidationError("charts", "missing for kind=smooth")
@@ -365,21 +361,27 @@ def set_from_dict(doc: Dict) -> SetDescriptor:
         chart = build_chart(spec["map"], spec.get("domain"), spec.get("params", {}))
         terms = doc.get("polynomial")
         implicit = None if terms in (None, {}) else _polynomial(n, terms)
-        dim = integer_field(doc.get("dim", chart.dim), "dim")
         chi = doc.get("declared_chi")
         if chi is not None:
             chi = integer_field(chi, "declared_chi")
             if abs(chi) > _MAX_CHI:
                 raise SetValidationError("declared_chi", "|chi| exceeds 2**53")
-        compact = doc.get("compact", False)
-        if not isinstance(compact, bool):
-            raise SetValidationError("compact", f"expected true or false, got {compact!r}")
-        x = SmoothSet(
-            ambient_dim=n, dim=dim, chart=chart, implicit=implicit,
-            declared_chi=chi, compact=compact,
-        )
+        x = SmoothSet(chart, implicit, chi)
     else:
         raise SetValidationError("kind", f"unknown kind {kind!r}")
+    # the one place where a file's declarations meet what its data give
+    if x.ambient_dim != n:
+        raise SetValidationError(_AMBIENT_SOURCE[kind], f"the data lie in R^{x.ambient_dim}, "
+                                 f"but ambient_dim is {n}")
+    if "dim" in doc and integer_field(doc["dim"], "dim") != x.dim:
+        raise SetValidationError("dim", f"declared {doc['dim']}, but the set's data give {x.dim}")
+    if "compact" in doc:
+        if not isinstance(doc["compact"], bool):
+            raise SetValidationError("compact", f"expected true or false, got {doc['compact']!r}")
+        if doc["compact"] != x.compact:
+            bounded = "compact" if x.compact else "unbounded"
+            raise SetValidationError("compact", f"declared {json.dumps(doc['compact'])}, "
+                                     f"but the set's data make it {bounded}")
     validate_set(x)
     return x
 

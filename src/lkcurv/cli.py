@@ -220,7 +220,7 @@ def _cmd_curvature(args, out) -> int:
         raise UsageError(f"--k must lie in [0, {descriptor.ambient_dim}]")
     scale = _require_scale(radius, k, "--radius")
     if k == 0 and isinstance(descriptor, ConicGraph):
-        raise UsageError("order 0 needs the verify du_lambda0 route for cones")
+        raise UsageError("--k 0 of a cone needs the verify du_lambda0 route")
     try:
         (value, err), = curvature_measures(descriptor, (k,), radius)
     except LkError as exc:
@@ -240,7 +240,7 @@ def _cmd_curvature(args, out) -> int:
 def _cmd_grassmann_sample(args, out) -> int:
     seed = _seed(args.seed)
     if not 1 <= args.k <= args.n:
-        raise UsageError("need 1 <= k <= n")
+        raise UsageError(f"--k must lie in [1, --n], got --k {args.k} and --n {args.n}")
     if args.samples < 1:
         raise UsageError("--samples must be positive")
     for i, frame in enumerate(slot_frames(args.n, args.k, seed, args.samples)):

@@ -58,7 +58,7 @@ def test_two_piece_curve_bound_covers_the_error():
     # a^2, b^2 = (7 -+ sqrt 21) / 2, and arc length t sqrt(1 + 4 t^2) / 2 + asinh(2 t) / 4
     chart = build_chart("poly_curve", params={"coefficients": [[-4.0, 0.0, 1.0], [0.0, 1.0, 0.0],
                                                                [0.0, 0.0, 0.0]]})
-    x = SmoothSet(ambient_dim=3, dim=1, chart=chart, declared_chi=1, compact=False)
+    x = SmoothSet(chart=chart, declared_chi=1)
 
     def primitive(t):
         return t * math.sqrt(1.0 + 4.0 * t * t) / 2.0 + math.asinh(2.0 * t) / 4.0

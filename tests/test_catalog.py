@@ -156,11 +156,12 @@ def test_euler_char_values(sets):
     assert euler_char(sets["cross_r2"]) == 1
     assert euler_char(sets["sphere_s2"]) == 2
     assert euler_char(sets["torus_r3"]) == 0
-    undeclared = SmoothSet(
-        ambient_dim=2, dim=1, chart=None, implicit=None, declared_chi=None
-    )
+    undeclared = SmoothSet(chart=None, implicit=Poly(2, {(0, 1): 1.0}))
     with pytest.raises(ChiUnknownError):
         euler_char(undeclared)
+    # a set with neither a chart nor an implicit form has no data to derive from
+    with pytest.raises(SetValidationError, match="a chart or an implicit form"):
+        SmoothSet(chart=None, declared_chi=1)
 
 
 # --------------------------------------------------------------------- links
@@ -274,13 +275,13 @@ def test_quadric_generic_links_follow_the_adjugate():
     # x^2 - z, a trough: adj(A) = 0, so every plane is parabolic, there is no
     # closed form, and a drawn mean rejects every plane
     normals = np.concatenate(list(slot_frames(3, 1, 83, 2000)))
-    saddle = SmoothSet(ambient_dim=3, dim=2, chart=None, declared_chi=1,
+    saddle = SmoothSet(chart=None, declared_chi=1,
                        implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): -1.0, (0, 0, 1): -1.0}))
     assert generic_link_chi(saddle, 2) == 4
     values, degenerate = _implicit_end_counts(saddle.implicit, normals)
     assert np.count_nonzero(degenerate) <= 10
     assert np.all(values[~degenerate] == 4.0)
-    trough = SmoothSet(ambient_dim=3, dim=2, chart=None, declared_chi=1,
+    trough = SmoothSet(chart=None, declared_chi=1,
                        implicit=Poly(3, {(2, 0, 0): 1.0, (0, 0, 1): -1.0}))
     assert generic_link_chi(trough, 2) is None
     assert lk.link_chi_batch(trough, normals)[1].all()
@@ -326,7 +327,7 @@ def test_unreachable_ends_flagged_unstable():
 def test_far_line_is_stable_on_the_exact_route():
     # the leading form of x - 1e5 on the plane z = 0 is s1: one simple root,
     # two ends, however far the line lies from the origin
-    far_plane = SmoothSet(ambient_dim=3, dim=2, chart=None,
+    far_plane = SmoothSet(chart=None,
                           implicit=Poly(3, {(1, 0, 0): 1.0, (0, 0, 0): -1.0e5}),
                           declared_chi=1)
     horizontal = Subspace(3, 2, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
@@ -343,7 +344,7 @@ def test_far_line_is_stable_on_the_exact_route():
 def _cubic_surface():
     # x^3 - 3 x y^2 + z^3 = 1: restricted cubic leading forms have one or
     # three real roots, so generic plane sections have 2 or 6 ends
-    return SmoothSet(ambient_dim=3, dim=2, chart=None,
+    return SmoothSet(chart=None,
                      implicit=Poly(3, {(3, 0, 0): 1.0, (1, 2, 0): -3.0, (0, 0, 3): 1.0,
                                        (0, 0, 0): -1.0}),
                      declared_chi=1)
@@ -537,7 +538,7 @@ def test_exact_links_ignore_the_choice_of_frame(sets, name, seed):
 
 def test_multiple_root_at_infinity_is_degenerate():
     # t = s^3 has a triple root of its leading form s^3 at infinity
-    cusp = SmoothSet(ambient_dim=3, dim=2, chart=None,
+    cusp = SmoothSet(chart=None,
                      implicit=Poly(3, {(3, 0, 0): 1.0, (0, 1, 0): -1.0}), declared_chi=1)
     horizontal = Subspace(3, 2, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     with pytest.raises(DegenerateSample):
@@ -572,7 +573,7 @@ def _per_plane_links(x, k, center, normals, frames):
 
 def test_generic_link_chi_matches_the_batched_oracle(sets):
     rng = np.random.default_rng(19)
-    flats = {f"flat{d}_r{n}": LinearSubspace(n, np.linalg.qr(rng.standard_normal((n, d)))[0].T)
+    flats = {f"flat{d}_r{n}": LinearSubspace(np.linalg.qr(rng.standard_normal((n, d)))[0].T)
              for n, d in ((3, 2), (4, 2), (4, 3))}
     normals = {n: _gaussian_frames(rng, 2000, n, 1)[:, 0] for n in (2, 3, 4)}
     frames = {(n, k): _gaussian_frames(rng, 300, n, k) for n in (2, 3, 4) for k in range(1, n)}
@@ -611,9 +612,11 @@ def test_generic_link_chi_matches_the_batched_oracle(sets):
 def test_generic_link_chi_keeps_the_oracle_refusals(sets):
     # where the oracle refuses a section, the closed form has no value either,
     # so the refusal reaches the report
-    chart_only = SmoothSet(ambient_dim=3, dim=2, chart=sets["cylinder_r3"].chart,
+    chart_only = SmoothSet(chart=sets["cylinder_r3"].chart,
                            declared_chi=0)
-    threefold = SmoothSet(ambient_dim=4, dim=3, chart=None, declared_chi=1)
+    threefold = SmoothSet(chart=None, declared_chi=1, implicit=Poly(4, {
+        (2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 1.0, (0, 0, 0, 2): -1.0,
+        (0, 0, 0, 0): -1.0}))
     for x in (chart_only, threefold):
         assert generic_link_chi(x, x.ambient_dim - 1) is None
         with pytest.raises(UnsupportedSection):
@@ -664,21 +667,30 @@ def test_curve_on_bounded_domain_has_empty_link(tmp_path, sets):
     doc["charts"][0]["domain"] = [[-2.0, 2.0]]
     path = tmp_path / "cubic_arc.json"
     path.write_text(json.dumps(doc))
+    # the file still declares the whole curve's noncompactness, which its domain denies
+    with pytest.raises(SetValidationError, match="compact"):
+        lk.resolve_set(str(path))
+    del doc["compact"]
+    path.write_text(json.dumps(doc))
     _, arc = lk.resolve_set(str(path))
-    assert full_space_link(arc) == 0
+    assert arc.compact and full_space_link(arc) == 0
     # the arc lies inside every large sphere, about any center
     pts = arc.chart.jet(np.linspace(-2.0, 2.0, 2001)[:, None])[0]
     for center in CURVE_CENTERS:
         assert np.max(np.linalg.norm(pts - center, axis=1)) < 1.0e3
 
 
-def test_unsupported_section_raises():
+def test_unsupported_section_raises(sets):
     # a proper-plane section of a smooth set without an implicit form is out of scope
-    no_implicit = SmoothSet(ambient_dim=3, dim=2, chart=None, implicit=None,
-                            declared_chi=5, compact=False)
+    no_implicit = SmoothSet(chart=sets["hyperboloid_r3"].chart, declared_chi=5)
     sub = haar_sample(3, 2, substream(41, STREAM_GRASSMANN, 0))
     with pytest.raises(UnsupportedSection):
         link_infinity_chi(no_implicit, sub)
+    # a curve known only by its implicit form, here a circle, has no parameter
+    # range that would certify its ends
+    circle = SmoothSet(chart=None, implicit=Poly(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}))
+    with pytest.raises(UnsupportedSection):
+        full_space_link(circle)
 
 
 # ------------------------------------------------------------------ sections
@@ -687,7 +699,7 @@ def test_unsupported_section_raises():
 def test_linear_section(sets):
     # a flat's hyperplane sections are closed forms: two planes meet in a line,
     # whose link at infinity is S^0, and a line meets a plane in a point
-    v = LinearSubspace(3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    v = LinearSubspace(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert generic_link_chi(v, 2) == 2
     assert generic_link_chi(sets["line_r3"], 2) == 0
     # the oracle takes the closed form on every plane of a flat, so no
@@ -708,8 +720,7 @@ def test_smooth_section_residuals(sets):
     par = sets["paraboloid_r3"]
     sub = haar_sample(3, 2, substream(29, STREAM_GRASSMANN, 4))
     g = par.implicit.compose_affine(np.zeros(3), sub.frame)
-    piece = SmoothSet(ambient_dim=2, dim=1, chart=None, implicit=g, declared_chi=None,
-                      compact=par.compact)
+    piece = SmoothSet(chart=None, implicit=g, declared_chi=None)
     assert g.nvars == 2
     # points found on the section satisfy the ambient implicit form
     found = []
@@ -1001,8 +1012,8 @@ def test_two_piece_curve_length_is_exact():
     # (t^2 - 4, t, 0) leaves the radius-3 ball at |t| = 1.0994 and comes back
     # at |t| = 2.4065; its length there is 2 (F(b) - F(a)), with
     # F(t) = t sqrt(1 + 4 t^2) / 2 + asinh(2 t) / 4
-    x = SmoothSet(ambient_dim=3, dim=1, declared_chi=1, compact=False, chart=build_chart(
-        "poly_curve", params={"coefficients": TWO_PIECE_CURVE}))
+    x = SmoothSet(build_chart("poly_curve", params={"coefficients": TWO_PIECE_CURVE}),
+                  declared_chi=1)
     pieces = x.chart.ball_intervals((3.0,), np.zeros(3))[0]
     a, b = math.sqrt((7.0 - math.sqrt(21.0)) / 2.0), math.sqrt((7.0 + math.sqrt(21.0)) / 2.0)
     np.testing.assert_allclose(pieces, [[-b, -a], [a, b]], rtol=1e-14)
@@ -1023,7 +1034,7 @@ def test_two_piece_curve_length_is_exact():
 def test_plane_frames_that_are_not_orthonormal_measure_the_plane(tmp_path, frame):
     # polar coordinates on an orthonormal basis of the frame's span: the
     # area in the radius-8 ball is 64 pi, whatever the frame's rows
-    x = SmoothSet(ambient_dim=3, dim=2, declared_chi=1, compact=False,
+    x = SmoothSet(declared_chi=1,
                   chart=build_chart("plane", params={"frame": frame}))
     (value, bound), = lk.curvature_measures(x, (2,), 8.0)
     assert value == pytest.approx(64.0 * math.pi, rel=1e-12)
@@ -1077,6 +1088,32 @@ def test_set_dict_round_trip(sets):
             assert back.compact == x.compact
             if x.implicit is not None:
                 assert back.implicit.terms == x.implicit.terms
+
+
+# (ambient_dim, dim, compact) of each builtin and shipped set file, as their
+# definitions declared them by hand before these values were derived
+DECLARED = {
+    "line_r2": (2, 1, False), "line_r3": (3, 1, False), "cross_r2": (2, 1, False),
+    "plane_cone_r3": (3, 2, False), "star3_cone_r3": (3, 2, False),
+    "sphere_s2": (3, 2, True), "torus_r3": (3, 2, True), "cylinder_r3": (3, 2, False),
+    "plane_r2_in_r3": (3, 2, False), "paraboloid_r3": (3, 2, False),
+    "hyperboloid_r3": (3, 2, False), "twisted_cubic_r3": (3, 1, False),
+    "tests/sets/plane_r2_in_r4.json": (4, 2, False),
+    "tests/sets/quartic_hyperboloid_r3.json": (3, 2, False),
+    "tests/sets/star4_cone_r4.json": (4, 2, False),
+    "perfbench/sets/plane_r2_in_r4.json": (4, 2, False),
+}
+
+
+def test_derived_values_match_the_declared_ones(sets):
+    root = SETS.parent.parent
+    for ref, want in DECLARED.items():
+        x = sets[ref] if ref in sets else lk.resolve_set(str(root / ref))[1]
+        assert (x.ambient_dim, x.dim, x.compact) == want, ref
+    # a sphere file that leaves compactness out is compact by its chart
+    doc = set_to_dict("sphere", sets["sphere_s2"])
+    del doc["compact"], doc["dim"]
+    assert set_from_dict(doc).compact
 
 
 def test_load_set_file(tmp_path, sets):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lkcurv import builtin_sets, cli
+from lkcurv import GenericityError, builtin_sets, cli
 from lkcurv.catalog.sets import set_to_dict
 from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, substream
 from lkcurv.report import report_from_dict
@@ -130,7 +130,10 @@ def test_usage_errors(capsys, tmp_path):
     # be written, are named
     not_utf8 = tmp_path / "utf16.json"
     not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{'kind': 'linear'}")
     for argv, field in (([str(tmp_path)], str(tmp_path)), ([str(not_utf8)], str(not_utf8)),
+                        ([str(not_json)], "not valid JSON"),
                         (["line_r2", "--out", str(tmp_path / "no_dir" / "x.json")], "--out")):
         capsys.readouterr()
         code, _ = run_cli(["verify", "--theorem", "thm3.9", "--set"] + argv)
@@ -193,6 +196,30 @@ def test_usage_errors(capsys, tmp_path):
             code, _ = run_cli(["curvature", "--set", name, "--k", k, "--radius", radius])
         assert code == 64, (name, radius)
         assert "--radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["verify", "--set", "cross_r2", "--theorem", "thm3.9", "--radii", "8,a,32"], ["--radii"]),
+    (["curvature", "--set", "sphere_s2", "--k", "4", "--radius", "2"], ["--k"]),
+    (["curvature", "--set", "cross_r2", "--k", "0", "--radius", "2"], ["--k"]),
+    (["grassmann", "sample", "--n", "2", "--k", "3"], ["--k", "--n"]),
+    (["grassmann", "sample", "--n", "2", "--k", "1", "--samples", "0"], ["--samples"]),
+])
+def test_refused_flags_are_named(capsys, argv, flags):
+    code, text = run_cli(argv)
+    assert code == 64 and text == ""
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags), err
+
+
+def test_numerical_failure_during_a_check_exits_1(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise GenericityError("every drawn plane was rejected")
+
+    monkeypatch.setattr(cli, "run_theorem", failing)
+    code, text = run_cli(["verify", "--set", "cross_r2", "--theorem", "thm3.9"])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err.startswith("error: every drawn plane was rejected")
 
 
 def test_usage_errors_leave_the_shared_parser_intact(tmp_path):
@@ -549,6 +576,22 @@ _SPHERE_SQUARED = {"(4,0,0)": 1.0, "(0,4,0)": 1.0, "(0,0,4)": 1.0, "(2,2,0)": 2.
     ("edges", {"name": "t_junction_cone", "ambient_dim": 3, "kind": "conic_graph",
                "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0]],
                "edges": [[0, 1], [2, 3]]}),
+    # an ambient_dim that the frame width or the chart's map contradicts
+    ("frame", {"name": "wide_line", "ambient_dim": 3, "kind": "linear", "frame": [[1.0, 0.0]]}),
+    ("charts.map", {"name": "sphere_r4", "ambient_dim": 4, "kind": "smooth",
+                    "charts": [{"map": "sphere"}], "declared_chi": 2}),
+    # compactness is the chart's: a hyperboloid is unbounded, a sphere and a
+    # domain are bounded, and a flat is never compact
+    ("compact", {"name": "compact_hyperboloid", "ambient_dim": 3, "kind": "smooth",
+                 "charts": [{"map": "hyperboloid_one_sheet"}], "declared_chi": 0,
+                 "compact": True}),
+    ("compact", {"name": "unbounded_sphere", "ambient_dim": 3, "kind": "smooth",
+                 "charts": [{"map": "sphere"}], "declared_chi": 2, "compact": False}),
+    ("compact", {"name": "unbounded_disc", "ambient_dim": 3, "kind": "smooth",
+                 "charts": [{"map": "plane", "domain": [[0, 1], [0, 6]]}],
+                 "declared_chi": 1, "compact": False}),
+    ("compact", {"name": "compact_line", "ambient_dim": 2, "kind": "linear",
+                 "frame": [[1.0, 0.0]], "compact": True}),
 ])
 def test_set_refusals_name_their_field(tmp_path, capsys, field, doc):
     path = tmp_path / "refused.json"
@@ -557,6 +600,21 @@ def test_set_refusals_name_their_field(tmp_path, capsys, field, doc):
                        "--samples", "100"])
     assert code == 64
     assert f"malformed at {field}:" in capsys.readouterr().err
+
+
+def test_a_hyperboloid_declared_compact_is_refused(tmp_path, capsys):
+    # as compact, every row of these checks would read 0 = 0, where the true
+    # k = 2 value of both sides is sqrt(2)
+    doc = set_to_dict("compact_hyperboloid", builtin_sets()["hyperboloid_r3"])
+    doc["compact"] = True
+    path = tmp_path / "compact_hyperboloid.json"
+    path.write_text(json.dumps(doc))
+    for theorem in ("thm3.7", "cor3.8", "thm4.1", "thm4.2"):
+        capsys.readouterr()
+        code, text = run_cli(["verify", "--set", str(path), "--theorem", theorem,
+                              "--samples", "100"])
+        assert code == 64 and text == "", theorem
+        assert "malformed at compact:" in capsys.readouterr().err, theorem
 
 
 @pytest.mark.parametrize("theorem", ["thm3.9", "thm4.3"])

@@ -90,11 +90,7 @@ def test_sigma_matches_eigenvalue_subset_sums(rng):
 
 def test_sphere_form_eigenvalues(sets):
     for radius in (1.0, 2.0):
-        x = SmoothSet(
-            ambient_dim=3, dim=2,
-            chart=build_chart("sphere", params={"radius": radius}),
-            implicit=None, declared_chi=2, compact=True,
-        )
+        x = SmoothSet(build_chart("sphere", params={"radius": radius}), declared_chi=2)
         u = np.array([1.1, 0.4])
         nu = outward_normal(x, u)
         form = form_at(x.chart, u, nu)
@@ -198,8 +194,7 @@ def test_codimension_two_density_is_exact():
     # the lifted circles stay round, so the sweep takes the profile route
     chart.interval_fn = lambda radii, center, t_range: base.interval_fn(
         radii, center[:3], t_range)
-    x = SmoothSet(ambient_dim=4, dim=2, chart=chart, implicit=None,
-                  declared_chi=2, compact=True)
+    x = SmoothSet(chart, declared_chi=2)
     value = point_density(x, np.array([1.2, 0.3]), 0) * sphere_volume(3)
     assert value == pytest.approx(math.pi, rel=1e-12)
     # order-0 curvature of the whole set is chi, independent of the embedding
@@ -231,8 +226,7 @@ def square_graph_r4():
 
     chart = Chart("square_graph", 2, 4, jet_of(map_fn, jac_fn, hess_fn),
                   np.array([[-3.0, 3.0], [-3.0, 3.0]]), no_intervals)
-    return SmoothSet(ambient_dim=4, dim=2, chart=chart, implicit=None,
-                     declared_chi=1, compact=False)
+    return SmoothSet(chart, declared_chi=1)
 
 
 def test_codimension_two_density_matches_normal_circle_quadrature(rng):
@@ -273,23 +267,27 @@ def test_three_dimensional_chart_is_unsupported(monkeypatch):
     monkeypatch.setattr(curvature, "gauss_legendre_nodes", no_grid)
     chart = Chart("flat3", 3, 4, jet_of(map_fn, jac_fn, hess_fn), np.array([[-1.0, 1.0]] * 3),
                   no_intervals)
-    flat3 = SmoothSet(ambient_dim=4, dim=3, chart=chart, implicit=None,
-                      declared_chi=1, compact=False)
+    flat3 = SmoothSet(chart, declared_chi=1)
     for x in (flat3, square_graph_r4()):
         label = x.chart.label
         with pytest.raises(UnsupportedSection, match="curves and surfaces"):
             lk.curvature_measures(x, (1, 3), 2.0)
         with pytest.raises(UnsupportedSection):
             lk.curvature_measures(x, (0,), 2.0)  # no live order on the 3-cube
-        report = lk.run_theorem("thm3.9", x, n_samples=100, seed=42)
-        assert report.rows[0].skipped and "curves and surfaces" in report.rows[0].reason, label
-        # a compact set answers its orders k >= 1 exactly and its odd orders
-        # vanish, so no cubature would run: the refusal must not depend on that
-        compact = dataclasses.replace(x, compact=True)
+        # both boxed charts are compact, so their orders k >= 1 are answered
+        # exactly and their odd orders vanish, and no cubature would run: the
+        # refusal must not depend on that
+        assert x.compact, label
         for theorem in ("thm3.9", "thm4.3", "du_lambda0"):
-            report = lk.run_theorem(theorem, compact, n_samples=100, seed=42)
+            report = lk.run_theorem(theorem, x, n_samples=100, seed=42)
             assert [row.skipped for row in report.rows] == [True], (label, theorem)
             assert "curves and surfaces" in report.rows[0].reason, (label, theorem)
+        # the growth identities skip every order at the left side's refusal
+        for theorem in ("thm3.7", "cor3.8", "thm4.1", "thm4.2"):
+            report = lk.run_theorem(theorem, x, n_samples=100, seed=42)
+            assert report.status == "incomplete" and report.rows, (label, theorem)
+            for row in report.rows:
+                assert row.skipped and "curves and surfaces" in row.reason, (label, theorem, row.k)
 
 
 # ------------------------------------------- coordinate form against QR frames
@@ -315,8 +313,7 @@ def quadric_graph(dim, ambient, seed):
 
     chart = Chart(f"quadric{dim}", dim, ambient, jet_of(map_fn, jac_fn, hess_fn),
                   np.array([[-1.0, 1.0]] * dim), no_intervals)
-    return SmoothSet(ambient_dim=ambient, dim=dim, chart=chart, implicit=None,
-                     declared_chi=1, compact=False)
+    return SmoothSet(chart, declared_chi=1)
 
 
 # a plane set file whose frame rows are neither unit nor orthogonal, off the origin
@@ -787,8 +784,7 @@ def test_orientation_flip_leaves_measures_unchanged(sets):
         return pts, jac, hess
 
     flipped.jet = flipped_jet
-    mirrored = SmoothSet(ambient_dim=3, dim=2, chart=flipped, implicit=None,
-                         declared_chi=0, compact=False)
+    mirrored = SmoothSet(flipped, declared_chi=0)
     for k in (0, 2):
         a = lk_measure_detailed(hyp, k, 8.0)[0]
         b = lk_measure_detailed(mirrored, k, 8.0)[0]

@@ -380,7 +380,7 @@ def test_sliced_mean_of_rotated_cones_is_the_crofton_value(graphs, name):
     graph = graphs[name]
     exact = graph.total_arc_length() / math.pi
     for rotation in _rotations(6):
-        est = _sliced(ConicGraph(3, SphericalGraph(graph.vertices @ rotation.T, graph.edges)))
+        est = _sliced(ConicGraph(SphericalGraph(graph.vertices @ rotation.T, graph.edges)))
         error = abs(est.mean - exact)
         assert error <= est.bound + ROUNDING_FLOOR and error <= 1e-9, (est, exact)
 
@@ -401,7 +401,7 @@ def test_sliced_mean_of_an_elliptic_hyperboloid_is_its_periodic_integral():
         for i, j in itertools.combinations_with_replacement(range(3), 2):
             exps = tuple(int(i == m) + int(j == m) for m in range(3))
             terms[exps] = a[i, j] * (1.0 if i == j else 2.0)
-        est = _sliced(SmoothSet(ambient_dim=3, dim=2, chart=None, declared_chi=0,
+        est = _sliced(SmoothSet(chart=None, declared_chi=0,
                                 implicit=Poly(3, terms)))
         error = abs(est.mean - exact)
         assert error <= est.bound + ROUNDING_FLOOR and error <= 1e-9, (est, exact)
@@ -431,7 +431,7 @@ def test_sliced_mean_refuses_a_degenerate_cell(sets):
 def test_only_cones_and_indefinite_quadrics_of_r3_are_sliced(sets):
     assert hyperplane_breaks(lk.resolve_set(str(SETS / "quartic_hyperboloid_r3.json"))[1]) is None
     assert hyperplane_breaks(lk.resolve_set(str(SETS / "star4_cone_r4.json"))[1]) is None
-    trough = SmoothSet(ambient_dim=3, dim=2, chart=None, declared_chi=1,
+    trough = SmoothSet(chart=None, declared_chi=1,
                        implicit=Poly(3, {(2, 0, 0): 1.0, (0, 0, 1): -1.0}))
     assert hyperplane_breaks(trough) is None
     assert hyperplane_breaks(sets["paraboloid_r3"]) is None  # adj(A) is semidefinite

@@ -166,7 +166,7 @@ def test_disjoint_union_additivity(graphs):
 
 def test_line_measure(sets):
     # a cone over two antipodal points is a line; order 1 is its length
-    line = ConicGraph(3, lk.builtin_graphs()["antipodal_s2"])
+    line = ConicGraph(lk.builtin_graphs()["antipodal_s2"])
     assert conic_lk_measure_detailed(line, 1, 1.0)[0] == pytest.approx(2.0)
 
 

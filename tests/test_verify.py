@@ -8,6 +8,7 @@ import pytest
 
 import lkcurv as lk
 from lkcurv import SmoothSet, UnsupportedSection, cli, verify
+from lkcurv.catalog.sets import set_from_dict, set_to_dict
 from lkcurv.report import report_from_dict, report_to_dict, report_to_json
 from lkcurv.verify import RunContext, lambda0, run_theorem
 
@@ -99,6 +100,28 @@ def test_thm37_conic_sets_match_prop31(sets):
         assert growth.overall_pass, name
         for g_row, b_row in zip(growth.rows, ball.rows):
             assert g_row.lhs == pytest.approx(b_row.lhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["line_r3", "plane_cone_r3", "star3_cone_r3", "cross_r2"])
+def test_left_sides_are_invariant_under_rotation(sets, name):
+    # curvature measures and their growth limits do not see a rotation about
+    # the origin; each rotated copy is reloaded through its set file
+    doc = set_to_dict(name, sets[name])
+    rows = "frame" if doc["kind"] == "linear" else "vertices"
+    theorems = ("prop3.1", "thm3.7", "thm3.9")
+    base = {tid: run_theorem(tid, sets[name], n_samples=200, seed=42) for tid in theorems}
+    rng = np.random.Generator(np.random.Philox(key=np.array([31, 7], dtype=np.uint64)))
+    for turn in range(3):
+        q, r = np.linalg.qr(rng.standard_normal((doc["ambient_dim"],) * 2))
+        q = q * np.sign(np.diag(r))
+        q[:, 0] *= np.linalg.det(q)  # a rotation, not a reflection
+        copy = set_from_dict({**doc, rows: (np.array(doc[rows]) @ q.T).tolist()})
+        for tid in theorems:
+            report = run_theorem(tid, copy, n_samples=200, seed=42)
+            assert report.overall_pass and len(report.rows) == len(base[tid].rows), (tid, turn)
+            for want, got in zip(base[tid].rows, report.rows):
+                assert abs(got.lhs - want.lhs) <= max(got.uncertainty, 1e-12), (tid, turn, got.k)
+                assert abs(got.rhs - want.rhs) <= got.uncertainty, (tid, turn, got.k)
 
 
 def test_cor38_alias(sets):
@@ -207,7 +230,9 @@ def test_generically_constant_terms_draw_no_planes(sets, monkeypatch):
     # only hyperplanes are drawn: a varying link on planes of lower dimension
     # (a 3-fold in R^4 meets 2-planes in curves) is refused, not averaged
     # over hyperplanes
-    threefold = SmoothSet(ambient_dim=4, dim=3, chart=None, implicit=None, declared_chi=1)
+    threefold = SmoothSet(chart=None, declared_chi=1, implicit=lk.Poly(4, {
+        (2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 1.0, (0, 0, 0, 2): -1.0,
+        (0, 0, 0, 0): -1.0}))
     with pytest.raises(UnsupportedSection, match="2-plane"):
         verify._link_mean(threefold, 2, RunContext(), 1)
 
@@ -382,7 +407,7 @@ def test_thm42_uses_declared_chi_for_full_space(sets):
 def test_skipped_growth_rows_keep_the_limit_route(sets):
     # a surface given by its chart alone: cubature reads the chart, but the
     # hyperplane links need an implicit form
-    x = SmoothSet(ambient_dim=3, dim=2, chart=sets["hyperboloid_r3"].chart, declared_chi=0)
+    x = SmoothSet(chart=sets["hyperboloid_r3"].chart, declared_chi=0)
     routes = {}
     for tid in ("thm3.7", "thm4.1", "thm4.2"):
         row = rows_by_k(run_theorem(tid, x, "chart_only_hyperboloid", n_samples=200, seed=42))[2]
