@@ -57,18 +57,20 @@ Cubature uses Gauss-Legendre rules on t alone.  Each rule is computed here
 by Newton's method on the three-term Legendre recurrence from Tricomi's
 initial guess, which gives nodes and weights to full double precision (Hale
 and Townsend, SIAM J. Sci. Comput. 35, 2013), and is cached per node count.
-In ``gauss_legendre_nodes`` the pieces of t of a radius sweep share one union
-of nodes, and each piece keeps its own positions and weights on it; every
-panel of every piece is mapped from [-1, 1] in one broadcast.  A chart whose
-range of t grows with the ball radius (``Chart.paneled``) takes composite
-rules on dyadic panels, whose bounds (``dyadic_panels``) both rules of a
-sweep share.
+In ``gauss_legendre_nodes`` the pieces of t of a radius sweep share their
+distinct panels: a dict keyed on the panel bounds finds each distinct panel
+once, every distinct panel is mapped from [-1, 1] once, in one broadcast,
+and each piece keeps its own positions and weights on those nodes.  A chart
+whose range of t grows with the ball radius (``Chart.paneled``) takes
+composite rules on dyadic panels, cut from one list of powers of 2 for
+every piece, whose bounds (``dyadic_panels``) both rules of a sweep share.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
@@ -222,15 +224,15 @@ def dyadic_panels(pieces, paneled: bool):
     spans = np.reshape(np.asarray(pieces, dtype=float), (-1, 2))
     if not paneled:
         return spans, np.arange(len(spans) + 1)
-    cuts = []
-    for lo, hi in spans.tolist():
-        points, magnitude = [0.0], 1.0
-        while magnitude < max(abs(lo), abs(hi)):
-            points += [magnitude, -magnitude]
-            magnitude *= 2.0
-        cuts.append(sorted({lo, hi} | {p for p in points if lo < p < hi}))
-    bounds = np.array([pair for edges in cuts for pair in zip(edges, edges[1:])]).reshape(-1, 2)
-    return bounds, np.cumsum([0] + [len(edges) - 1 for edges in cuts])
+    powers, magnitude, top = [], 1.0, np.max(np.abs(spans), initial=0.0)
+    while magnitude < top:
+        powers.append(magnitude)
+        magnitude *= 2.0
+    cuts = [-p for p in reversed(powers)] + [0.0] + powers
+    edges = [[lo, *cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)], hi]
+             for lo, hi in spans.tolist()]
+    bounds = np.array([pair for row in edges for pair in zip(row, row[1:])]).reshape(-1, 2)
+    return bounds, np.cumsum([0] + [len(row) - 1 for row in edges])
 
 
 # the benchmark's tracing counts the nodes of this rule by name
@@ -238,22 +240,27 @@ def gauss_legendre_nodes(pieces, count: int, paneled: bool = False, panels=None)
     """Gauss-Legendre rules of ``count`` nodes on the (m, 2) pieces of one
     axis, sharing one set of nodes.
 
-    Returns ``(points, rules)``: ``points`` is the sorted union of every
-    piece's nodes, and ``rules[j]`` is piece j's (positions in ``points`` of
-    its nodes in its own order, their weights).  Equal panels give equal
-    nodes, so the pieces of a radius sweep share most of them.  A ``paneled``
-    axis uses composite rules of ``count / 8`` nodes (6 to 64) on dyadic
-    panels, so unit-scale integrand features stay resolved no matter how
-    large the range grows with the ball radius.  Every panel of every piece
-    is mapped from [-1, 1] in one broadcast; ``panels``, the pieces'
-    ``dyadic_panels``, lets two rules share them.
+    Returns ``(points, rules)``: ``points`` holds the nodes of every distinct
+    panel, panel by panel in the order the panels first occur, and
+    ``rules[j]`` is piece j's (positions in ``points`` of its nodes in its
+    own order, their weights).  Equal panels give equal nodes, so the pieces
+    of a radius sweep share most of them.  A ``paneled`` axis uses composite
+    rules of ``count / 8`` nodes (6 to 64) on dyadic panels, so unit-scale
+    integrand features stay resolved no matter how large the range grows
+    with the ball radius.  Every distinct panel is mapped from [-1, 1] once,
+    all in one broadcast; ``panels``, the pieces' ``dyadic_panels``, lets two
+    rules share them.
     """
     bounds, starts = dyadic_panels(pieces, paneled) if panels is None else panels
     x, w = _gl_rule(int(np.clip(count / 8, 6, 64)) if paneled else count)
-    lo, hi = bounds[:, :1], bounds[:, 1:]
+    distinct: Dict[Tuple[float, float], int] = {}
+    which = [distinct.setdefault(pair, len(distinct)) for pair in map(tuple, bounds.tolist())]
+    unique = np.array(list(distinct)).reshape(-1, 2)
+    lo, hi = unique[:, :1], unique[:, 1:]
     half = 0.5 * (hi - lo)
-    points, index = np.unique((half * x + 0.5 * (hi + lo)).ravel(), return_inverse=True)
-    weights = (half * w).ravel()
+    points = (half * x + 0.5 * (hi + lo)).ravel()
+    index = (len(x) * np.array(which)[:, None] + np.arange(len(x))).ravel()
+    weights = (half * w).ravel()[index]
     ends = starts * len(x)
     return points, [(index[a:b], weights[a:b]) for a, b in zip(ends[:-1], ends[1:])]
 
@@ -308,6 +315,21 @@ def _arc_spans(a: float, b: float, c: float, lo: float, hi: float):
                  lo, hi)
 
 
+# the largest log S whose S is a double
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _monic_in_scaled_variable(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows (m, L) of coefficients, highest degree first and each with a
+    nonzero leading one, as monic rows in t / S, and log S per row."""
+    logs = np.full(coeffs.shape, -np.inf)
+    logs[coeffs != 0.0] = np.log(np.abs(coeffs[coeffs != 0.0]))
+    log_scale = np.max((logs[:, 1:] - logs[:, :1]) / np.arange(1, coeffs.shape[1]), axis=1)
+    log_scale[~np.isfinite(log_scale)] = 0.0
+    powers = np.arange(coeffs.shape[1]) * log_scale[:, None]
+    return np.sign(coeffs) * np.exp(logs - logs[:, :1] - powers), log_scale
+
+
 def _real_parts_of_roots(rows) -> List[np.ndarray]:
     """Real parts of the roots of each polynomial of ``rows`` (highest degree
     first, of any lengths), row by row as ``np.roots`` gives them: leading
@@ -317,32 +339,40 @@ def _real_parts_of_roots(rows) -> List[np.ndarray]:
     largest |c_j / c_0|^(1/j), whose coefficients all lie in [-1, 1]: they are
     computed from logarithms, so no power of S overflows.  The rows of one
     length are scaled together, and the companion matrices of one degree go
-    to one ``eigvals`` call.
+    to one ``eigvals`` call.  Where S itself overflows, the roots spread
+    beyond the doubles, and the small ones would underflow in t / S: that
+    row's roots are found as 1 / u from the roots u of its reversed row,
+    scaled in turn, so its finite roots keep full precision and those
+    beyond the doubles come out inf or nan.
     """
-    trimmed = [np.trim_zeros(np.asarray(row, dtype=float), "f") for row in rows]
+    trimmed = []
+    for row in rows:
+        row = np.asarray(row, dtype=float)
+        nonzero = np.flatnonzero(row)
+        trimmed.append(row[nonzero[0]:] if len(nonzero) else row[:0])
     found = [np.empty(0)] * len(rows)
-    companions: Dict[int, list] = {}  # degree -> [(row, top row of its companion, zeros, S)]
+    # degree -> [(row, top row of its companion, zeros, log S, whether reversed)]
+    companions: Dict[int, list] = {}
     for length in {len(row) for row in trimmed if len(row) > 1}:
         members = [i for i, row in enumerate(trimmed) if len(row) == length]
-        coeffs = np.array([trimmed[i] for i in members])
-        logs = np.full(coeffs.shape, -np.inf)
-        logs[coeffs != 0.0] = np.log(np.abs(coeffs[coeffs != 0.0]))
-        log_scale = np.max((logs[:, 1:] - logs[:, :1]) / np.arange(1, length), axis=1)
-        log_scale[~np.isfinite(log_scale)] = 0.0
-        powers = np.arange(length) * log_scale[:, None]
-        monic = np.sign(coeffs) * np.exp(logs - logs[:, :1] - powers)
+        monic, log_scale = _monic_in_scaled_variable(np.array([trimmed[i] for i in members]))
         for i, row, scale in zip(members, monic, log_scale):
             size = int(np.flatnonzero(row)[-1]) + 1  # without the roots at 0
+            reversed_ = scale > _LOG_MAX
+            if reversed_:
+                (row,), (scale,) = _monic_in_scaled_variable(trimmed[i][size - 1::-1][None])
             companions.setdefault(size - 1, []).append(
-                (i, -row[1:size] / row[0], length - size, scale))
+                (i, -row[1:size] / row[0], length - size, scale, reversed_))
     for degree, group in companions.items():
         stack = np.zeros((len(group), degree, degree))
-        stack[:, :1, :] = [[top] for _, top, _, _ in group]
+        stack[:, :1, :] = [[top] for _, top, _, _, _ in group]
         stack[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
         roots = np.linalg.eigvals(stack) if degree else np.empty((len(group), 0))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # a root beyond the largest double comes out inf or nan, in no interval
-            for (i, _, zeros, scale), values in zip(group, roots):
+            for (i, _, zeros, scale, reversed_), values in zip(group, roots):
+                if reversed_:
+                    values, scale = 1.0 / values, -scale
                 found[i] = np.concatenate([values.real, np.zeros(zeros)]) * np.exp(scale)
     return found
 
@@ -480,6 +510,10 @@ def _build_plane(frame=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), origin=None):
     if frame.ndim != 2 or frame.shape[0] != 2:
         raise SetValidationError("charts.params.frame", "needs two rows")
     n = frame.shape[1]
+    if n < 3:
+        # its row length fixes the plane's space: R^2 would make it the whole space
+        raise SetValidationError("charts.params.frame", f"rows of length {n}: a plane needs "
+                                 "rows of length 3 or more")
     origin = np.zeros(n) if origin is None else _vector(origin, "origin", n)
     if not _orthonormal_rows(frame):
         basis, upper = np.linalg.qr(frame.T)
@@ -596,6 +630,9 @@ def _build_poly_curve(coefficients=()):
     if coeffs.ndim != 2 or coeffs.size == 0:
         raise SetValidationError(where, "needs one row of coefficients per coordinate")
     ambient = coeffs.shape[0]
+    if ambient < 2:
+        # its rows fix the curve's space: one row would make it a 1-fold in R^1
+        raise SetValidationError(where, f"a curve needs two or more coordinate rows, got {ambient}")
     dcoeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
     if not np.any(dcoeffs):
         raise SetValidationError(where, "every coordinate is constant, so the map is a point")

@@ -25,11 +25,13 @@ simple real root on P^1 of its leading form, the restriction of the
 top-degree part of the implicit polynomial to the plane: such a root is a
 smooth point of the projective closure that crosses the line at infinity.
 A quadratic form with matrix A gives 4 or 0 by the sign of u^T adj(A) u, the
-determinant of its restriction to u^perp; only forms of degree 3 or more
-are restricted to a frame of u^perp (``hyperplane_frames``); a restricted
-form that vanishes at s = (1, -i), as a factor x^2 + y^2 + z^2 makes it do,
-has a root at infinity of its Cayley polynomial, which is dropped as not
-real.  No link depends on a radius.
+determinant of its restriction to u^perp; adj(A), its gray band and its
+eigen data are derived once per set (``SmoothSet.quadric``), and every rule
+here that needs them reads that one derivation.  Only forms of degree 3 or
+more are restricted to a frame of u^perp (``hyperplane_frames``); a
+restricted form that vanishes at s = (1, -i), as a factor x^2 + y^2 + z^2
+makes it do, has a root at infinity of its Cayley polynomial, which is
+dropped as not real.  No link depends on a radius.
 """
 
 from __future__ import annotations
@@ -229,17 +231,32 @@ def _real_root_counts(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.count_nonzero(real, axis=1), degenerate
 
 
-def _quadric_adjugate(p: Poly) -> Tuple[np.ndarray, float]:
-    """adj(A) for the matrix A of the quadratic leading form of ``p`` in R^3,
-    and the parabolic gray band: a plane u^perp whose restricted determinant
-    u^T adj(A) u is at most the band in size is parabolic."""
+@dataclass(frozen=True, eq=False)
+class QuadricForm:
+    """The leading-form data of a quadric surface of R^3 that the link rules
+    read: adj(A) for the matrix A of its quadratic leading form, the
+    parabolic gray band (a plane u^perp whose restricted determinant
+    u^T adj(A) u is at most the band in size is parabolic), and the
+    eigenvalues of adj(A), ascending, with their eigenvectors as columns.
+    ``SmoothSet.quadric`` derives it once per set."""
+
+    adj: np.ndarray
+    band: float
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def quadric_form(p: Poly) -> QuadricForm:
+    """The ``QuadricForm`` of a polynomial of degree 2 in three variables."""
     a = p.leading_form().quadratic_form_matrix()
     adj = np.cross(a[[1, 2, 0]], a[[2, 0, 1]])  # row i: the cross of the other two rows
-    return adj, PARABOLIC_DET_TOL * np.sum(np.abs(a)) ** 2
+    values, vectors = np.linalg.eigh(adj)
+    return QuadricForm(adj, PARABOLIC_DET_TOL * np.sum(np.abs(a)) ** 2, values, vectors)
 
 
-def _implicit_end_counts(p: Poly, normals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Ends of the plane curves {p = 0} ∩ u^perp in R^3 for unit normals (m, 3).
+def _implicit_end_counts(x: SmoothSet, normals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ends of the plane curves {p = 0} ∩ u^perp in R^3 for unit normals (m, 3),
+    p the implicit form of the surface X.
 
     Returns the end counts and a mask of the planes where the count is not
     decided: a parabolic quadratic leading form, or a restricted leading form
@@ -248,13 +265,14 @@ def _implicit_end_counts(p: Poly, normals: np.ndarray) -> Tuple[np.ndarray, np.n
     ``generic_link_chi`` answers.
     """
     m = normals.shape[0]
+    p = x.implicit
     d = p.degree()
     if d <= 0:
         return np.zeros(m), np.ones(m, dtype=bool)
     if d == 2:
-        adj, band = _quadric_adjugate(p)
-        det = np.sum((normals @ adj) * normals, axis=1)
-        return np.where(det < 0.0, 4.0, 0.0), np.abs(det) <= band
+        quadric = x.quadric
+        det = np.sum((normals @ quadric.adj) * normals, axis=1)
+        return np.where(det < 0.0, 4.0, 0.0), np.abs(det) <= quadric.band
     roots, degenerate = _real_root_counts(_restricted_leading_form(p, hyperplane_frames(normals)))
     return 2.0 * roots, degenerate
 
@@ -263,7 +281,7 @@ def _smooth_section_ends(x: SmoothSet, normals: np.ndarray) -> Tuple[np.ndarray,
     """Link chis of smooth sections by hyperplanes, batched over unit normals."""
     n = normals.shape[1]
     if x.dim == 2 and n == 3 and x.implicit is not None:
-        return _implicit_end_counts(x.implicit, normals)
+        return _implicit_end_counts(x, normals)
     raise UnsupportedSection(
         f"sections of dimension {x.dim - 1} of smooth sets in R^{n} are not supported"
     )
@@ -318,10 +336,9 @@ def generic_link_chi(x: SetDescriptor, k: int) -> Optional[int]:
         return 0
     if _is_flat(x):
         return _sphere_chi(x.dim + k - n)
-    if (isinstance(x, SmoothSet) and (x.dim, n, k) == (2, 3, 2) and x.implicit is not None
-            and x.implicit.degree() == 2):
-        adj, band = _quadric_adjugate(x.implicit)
-        low, high = np.linalg.eigvalsh(adj)[[0, -1]]
+    quadric = x.quadric if isinstance(x, SmoothSet) and k == 2 else None
+    if quadric is not None:
+        low, high, band = quadric.eigenvalues[0], quadric.eigenvalues[-1], quadric.band
         if low >= -band and high > band:
             return 0
         if high <= band and low < -band:
@@ -384,14 +401,14 @@ def _cone_breaks(vertices: np.ndarray) -> HyperplaneBreaks:
                             -v[:, 2] / rho, cuts)
 
 
-def _quadric_breaks(adj: np.ndarray, band: float) -> Optional[HyperplaneBreaks]:
+def _quadric_breaks(quadric: QuadricForm) -> Optional[HyperplaneBreaks]:
     """The count of a quadric changes where u^T adj(A) u = 0; None unless
     adj(A) is indefinite beyond the parabolic band.  An indefinite adj(A) =
     det(A) A^-1 has one positive eigenvalue l3 and two negative ones, l1 and
     l2.  In its eigenbasis, with l3 at the pole, the walls are at cos 2p =
     (-2 l3 (z/r)^2 - l1 - l2) / (l1 - l2), with break points between the cuts
     z^2 = l1 / (l1 - l3) and l2 / (l2 - l3)."""
-    (l1, l2, l3), vecs = np.linalg.eigh(adj)
+    (l1, l2, l3), vecs, band = quadric.eigenvalues, quadric.eigenvectors, quadric.band
     if not l1 < -band < band < l3:
         return None
     cuts = np.sqrt(np.abs([l1, l2]) / (np.abs([l1, l2]) + abs(l3)))
@@ -411,9 +428,8 @@ def hyperplane_breaks(x: SetDescriptor) -> Optional[HyperplaneBreaks]:
         return None
     if isinstance(x, ConicGraph):
         return _cone_breaks(x.graph.vertices)
-    if (isinstance(x, SmoothSet) and x.dim == 2 and x.implicit is not None
-            and x.implicit.degree() == 2):
-        return _quadric_breaks(*_quadric_adjugate(x.implicit))
+    if isinstance(x, SmoothSet) and x.quadric is not None:
+        return _quadric_breaks(x.quadric)
     return None
 
 

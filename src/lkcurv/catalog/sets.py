@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -83,6 +84,17 @@ class SmoothSet:
             _store(self, ambient_dim=n, dim=n - 1, compact=False)
         else:
             raise SetValidationError("charts", "a smooth set needs a chart or an implicit form")
+
+    @cached_property
+    def quadric(self):
+        """The leading-form data of a quadric surface of R^3
+        (``links.QuadricForm``), derived on first use and kept by this set
+        alone; None for every other smooth set."""
+        if (self.dim, self.ambient_dim) != (2, 3) or self.implicit is None \
+                or self.implicit.degree() != 2:
+            return None
+        from .links import quadric_form  # links imports this module
+        return quadric_form(self.implicit)
 
 
 SetDescriptor = Union[LinearSubspace, ConicGraph, SmoothSet]
@@ -190,13 +202,6 @@ def _validate_smooth(x: SmoothSet) -> None:
 
 # -------------------------------------------------------------------- builtins
 
-def _torus_implicit(R0: float, r0: float) -> Poly:
-    q = Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0,
-                 (0, 0, 0): R0 * R0 - r0 * r0})
-    planar = Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0})
-    return q * q - (4.0 * R0 * R0) * planar
-
-
 def _cone(graph: str) -> Callable[[], ConicGraph]:
     return lambda: ConicGraph(builtin_graphs()[graph])
 
@@ -215,7 +220,11 @@ _BUILTINS: Dict[str, Callable[[], SetDescriptor]] = {
     ),
     "torus_r3": lambda: SmoothSet(
         chart=build_chart("torus", params={"major_radius": 2.0, "minor_radius": 0.5}),
-        implicit=_torus_implicit(2.0, 0.5),
+        # q^2 - 4 R0^2 (x^2 + y^2), q = x^2 + y^2 + z^2 + R0^2 - r0^2, expanded
+        # for R0 = 2 and r0 = 0.5: every coefficient is exact in binary
+        implicit=Poly(3, {(4, 0, 0): 1.0, (2, 2, 0): 2.0, (2, 0, 2): 2.0, (2, 0, 0): -8.5,
+                          (0, 4, 0): 1.0, (0, 2, 2): 2.0, (0, 2, 0): -8.5, (0, 0, 4): 1.0,
+                          (0, 0, 2): 7.5, (0, 0, 0): 14.0625}),
         declared_chi=0,
     ),
     "cylinder_r3": lambda: SmoothSet(

@@ -27,10 +27,10 @@ above.
 part of the set inside the ball of each radius of a sweep, by Gauss-Legendre
 cubature on the curve or profile parameter t alone, in one batched pass.  The
 chart gives, once per sweep, the exact pieces of t that each ball reaches
-(``Chart.ball_intervals``); each rule (fine and halved) takes the union of
-the radii's nodes of t on the pieces' shared panels (equal dyadic panels
-give equal nodes), and the chart is evaluated once for the whole sweep, on
-both rules' nodes together:
+(``Chart.ball_intervals``); each rule (fine and halved) maps each distinct
+panel of the radii's pieces once (equal dyadic panels give equal nodes), and
+the chart is evaluated once for the whole sweep, on both rules' nodes
+together:
 
 * a curve's nodes all lie inside the ball, so the rule needs no mask, and a
   curve that leaves the ball and comes back is integrated on every piece;
@@ -144,12 +144,20 @@ def _surface_sigma(frames: _FrameData, codim: int) -> np.ndarray:
     return (_dot(p11, p22) - _dot(p12, p12)) / det
 
 
+def vanishes_identically(dim: int, k: int) -> bool:
+    """Whether the order-k density of a smooth set of dimension ``dim`` is 0
+    at every node: orders above the dimension vanish, and odd-order symmetric
+    functions are odd in the normal direction, so they integrate to zero over
+    the normal sphere."""
+    return k > dim or (dim - k) % 2 == 1
+
+
 def _lambda_batch(x: SmoothSet, frames: _FrameData, k: int) -> np.ndarray:
     """Curvature density of order k at the frame nodes."""
     n, d = x.ambient_dim, x.dim
     batch = frames.positions.shape[0]
     order = d - k
-    if order < 0 or order % 2 == 1:
+    if vanishes_identically(d, k):
         return np.zeros(batch)
     if order == 0:
         # sigma_0 integrates to the normal-sphere area, which the
@@ -224,8 +232,8 @@ def _sweep_sums(x: SmoothSet, ks, radii: List[float], pieces: List[np.ndarray],
     frames and densities are built once, on both rules' nodes together, and
     each (rule, radius) sums its own slice of nodes in its own order."""
     chart = x.chart
-    owners = np.repeat(np.arange(len(radii)), [len(spans) for spans in pieces])
-    if not len(owners):
+    counts = [len(spans) for spans in pieces]
+    if not sum(counts):
         return [np.zeros(len(ks))] * (2 * len(radii))
     spans = np.concatenate(pieces)
     panels = dyadic_panels(spans, chart.paneled)
@@ -238,17 +246,18 @@ def _sweep_sums(x: SmoothSet, ks, radii: List[float], pieces: List[np.ndarray],
     index = np.concatenate([where + offset for (_, rules), offset in zip(grids, offsets)
                             for where, _ in rules])
     weights = np.concatenate([w for _, rules in grids for _, w in rules])
-    sizes = [len(where) for _, rules in grids for where, _ in rules]
-    slot = np.concatenate([owners, owners + len(radii)])
-    ends = np.cumsum(np.bincount(slot, sizes, minlength=2 * len(radii))).astype(int)
+    # each (rule, radius) slot ends after the nodes of its last piece
+    piece_ends = np.cumsum([0] + [len(where) for _, rules in grids for where, _ in rules])
+    ends = piece_ends[np.cumsum(counts + counts)]
+    starts = np.r_[0, ends[:-1]]
     share = 1.0
     if terms is not None:
-        squares = np.square(radii)[slot % len(radii)]
-        share = arc_share(terms[0, index] - np.repeat(squares, sizes), terms[1, index],
-                          terms[2, index], chart.phi_range())
+        squares = np.repeat(np.tile(np.square(radii), 2), ends - starts)
+        share = arc_share(terms[0, index] - squares, terms[1, index], terms[2, index],
+                          chart.phi_range())
     # C order, so that each row's slice is summed pairwise as a 1-d array is
     products = weights * sqrt_gram[index] * share * np.take(np.stack(densities), index, axis=1)
-    return [np.sum(products[:, a:b], axis=1) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+    return [np.sum(products[:, a:b], axis=1) for a, b in zip(starts, ends)]
 
 
 def require_cubature_chart(x) -> None:
@@ -293,9 +302,7 @@ def lk_measures_sweep(
             raise ValueError("radius must be positive")
         if not np.isfinite(radius * radius):
             raise ValueError(f"radius {radius:g} is too large: R^2 is not finite")
-    # orders above the dimension vanish, and odd-order symmetric functions are
-    # odd in the normal direction, so they integrate to zero over the normal sphere
-    live = [k for k in ks if k <= d and (d - k) % 2 == 0]
+    live = [k for k in ks if not vanishes_identically(d, k)]
     measures = [{} for _ in radii]
     if live:
         spec = spec or CubatureSpec()

@@ -17,7 +17,11 @@ once for the whole schedule and both rules, and each (radius, order) gets
 the bits of a cubature of that radius alone.  Order 0
 (smooth sets only) is the total order-0 curvature.  Exact bypasses: flats
 give [k == dim], cones are radius-independent by homogeneity, and a compact
-set's limit is 0 for k >= 1.  Each
+set's limit is 0 for k >= 1.  On a smooth set an order that vanishes
+identically, k > dim or dim - k odd, is 0 with no sweep, normalization or
+fit, under the route ``cubature_limit`` that its all-zero sweep would have
+given; so a growth identity, which asks one order per call, runs one sweep
+and one pair of fits for the one live order.  Each
 ``LimitEstimate.route`` is ``linear_exact``, ``conic_homogeneity``,
 ``compact_exact_zero`` or ``cubature_limit``, plus ``,not_converged``.
 
@@ -36,7 +40,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
-from .curvature import CubatureSpec, lk_measures_sweep, require_cubature_chart
+from .curvature import (
+    CubatureSpec, lk_measures_sweep, require_cubature_chart, vanishes_identically,
+)
 from .geomconst import ball_volume
 from .spherical import conic_lk_measure_detailed
 
@@ -205,6 +211,9 @@ def estimate_limits(x: SetDescriptor, ks, radii=DEFAULT_RADII, center=None) -> L
             # for a bounded set the measure is eventually constant in R, so the
             # normalized values decay like 1/R^k and the limit vanishes exactly
             estimates[k] = LimitEstimate(k, 0.0, 0.0, radii, True, "compact_exact_zero")
+        elif isinstance(x, SmoothSet) and vanishes_identically(x.dim, k):
+            # the sweep would measure 0 at every radius, and the fit would give exactly this
+            estimates[k] = LimitEstimate(k, 0.0, 0.0, radii, True, route)
         elif isinstance(x, (LinearSubspace, ConicGraph)) and not shifted:
             # homogeneity: the normalized measure of a cone is radius-independent
             value, err = _normalized_sweep(x, (k,), radii[:1], center)[0][0]

@@ -59,6 +59,31 @@ def test_builtin_sets_validate(sets):
         validate_set(descriptor)
 
 
+def test_torus_quartic_is_the_expanded_product():
+    # the builtin's coefficients, written out, are q^2 - 4 R0^2 (x^2 + y^2)
+    # with q = x^2 + y^2 + z^2 + R0^2 - r0^2, term for term and in its order
+    torus = lk.resolve_set("torus_r3")[1]
+    R0, r0 = torus.chart.params["major_radius"], torus.chart.params["minor_radius"]
+    q = Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): R0 * R0 - r0 * r0})
+    planar = Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0})
+    product = q * q - (4.0 * R0 * R0) * planar
+    assert list(torus.implicit.terms.items()) == list(product.terms.items())
+
+
+def test_resolved_sets_share_no_derived_object():
+    # every resolve builds its own descriptor, which derives its own quadric data
+    first, second = (lk.resolve_set("hyperboloid_r3")[1] for _ in range(2))
+    assert first.chart is not second.chart and first.implicit is not second.implicit
+    assert first.quadric is not second.quadric
+    for name in ("adj", "eigenvalues", "eigenvectors"):
+        a, b = getattr(first.quadric, name), getattr(second.quadric, name)
+        assert np.array_equal(a, b) and not np.shares_memory(a, b), name
+    assert first.quadric is first.quadric  # derived once per descriptor
+    assert lk.resolve_set("sphere_s2")[1].quadric.band > 0.0
+    assert lk.resolve_set("torus_r3")[1].quadric is None  # degree 4
+    assert lk.resolve_set("twisted_cubic_r3")[1].quadric is None  # a curve
+
+
 def test_graph_rejects_non_unit_vertex():
     bad = SphericalGraph(vertices=np.array([[1.0, 0.5]]), edges=())
     with pytest.raises(SetValidationError):
@@ -263,7 +288,7 @@ def test_paraboloid_nonzero_links_have_probability_zero(sets):
     normals = np.concatenate(list(slot_frames(3, 1, 97, 10000)))
     for name in ("paraboloid_r3", "cylinder_r3"):
         x = sets[name]
-        values, degenerate = _implicit_end_counts(x.implicit, normals)
+        values, degenerate = _implicit_end_counts(x, normals)
         assert np.count_nonzero(degenerate) <= 50, name
         assert not np.any(values[~degenerate]), name
         assert generic_link_chi(x, 2) == 0
@@ -278,7 +303,7 @@ def test_quadric_generic_links_follow_the_adjugate():
     saddle = SmoothSet(chart=None, declared_chi=1,
                        implicit=Poly(3, {(2, 0, 0): 1.0, (0, 2, 0): -1.0, (0, 0, 1): -1.0}))
     assert generic_link_chi(saddle, 2) == 4
-    values, degenerate = _implicit_end_counts(saddle.implicit, normals)
+    values, degenerate = _implicit_end_counts(saddle, normals)
     assert np.count_nonzero(degenerate) <= 10
     assert np.all(values[~degenerate] == 4.0)
     trough = SmoothSet(chart=None, declared_chi=1,
@@ -296,8 +321,8 @@ def test_a_sphere_factor_of_the_leading_form_is_not_a_real_root(sets):
     # quadric's ends
     _, quartic = lk.resolve_set(str(SETS / "quartic_hyperboloid_r3.json"))
     normals = np.concatenate(list(slot_frames(3, 1, 89, 2000)))
-    values, degenerate = _implicit_end_counts(quartic.implicit, normals)
-    quadric, _ = _implicit_end_counts(sets["hyperboloid_r3"].implicit, normals)
+    values, degenerate = _implicit_end_counts(quartic, normals)
+    quadric, _ = _implicit_end_counts(sets["hyperboloid_r3"], normals)
     assert not degenerate.any()
     assert np.array_equal(values, quadric)
     assert 0.0 < np.mean(values == 4.0) < 1.0
@@ -567,7 +592,7 @@ def _per_plane_links(x, k, center, normals, frames):
         return _reference_links(x, frames, center)
     if (k == x.ambient_dim - 1 and not x.compact and x.implicit is not None
             and x.implicit.degree() >= 2):
-        return _implicit_end_counts(x.implicit, normals)
+        return _implicit_end_counts(x, normals)
     return None
 
 
@@ -954,21 +979,35 @@ def test_batched_roots_match_one_row_np_roots():
     # one call, rows of every kind: the on-axis quadratic and off-axis quartics
     # of the hyperboloid (a hair off the axis its roots are nearly double),
     # zero constant terms, leading zeros, a near-double root that rounding
-    # makes complex, constants, a row whose scale S overflows, and a root
+    # makes complex, constants, rows whose scale S overflows, and a root
     # beyond the largest double
     beyond = [1e-308, -1.2, -1.44e308]  # roots ~ 1.94e308 (past the doubles) and -7.4e307
+    # roots ~ -1e310 and 1e-10, -1e-10 and 1e310, and the first pair with one at 0
+    spread = [[1e-300, 1e10, -1.0], [1e-300, -1e10, -1.0], [1e-300, 1e10, -1.0, 0.0]]
     rows = [hyperboloid_gap_row(0.0, 2.0, 5.0), hyperboloid_gap_row(1.5, 0.7, 8.0),
             hyperboloid_gap_row(1e-9, 2.0, 5.0), hyperboloid_gap_row(1e-9, -3.0, 4.0),
             [1.0, -3.0, 2.0, 0.0], [1.0, 0.0, -1.0, 0.0, 0.0], [3.0, 0.0],
             [0.0, 0.0, 1.0, -1.0], [0.0, 2.0, -3.0, 1.0], [1.0, -2.0, 1.0 + 1e-15],
-            [2.0], [0.0, 0.0], [1e-300, 1e10, -1.0], beyond]
+            [2.0], [0.0, 0.0], *spread, beyond]
     got = _real_parts_of_roots(rows)
     assert len(got) == len(rows)
+    spread_got = got[-1 - len(spread):-1]
     for row, values in zip(rows, got):
+        if any(row is other for other in spread):
+            continue
         # bit for bit, in np.roots's order, signed zeros and NaNs included
         want = one_row_real_parts(row)
         assert values.dtype == want.dtype and values.tobytes() == want.tobytes(), row
     assert np.iscomplexobj(np.roots([1.0, -2.0, 1.0 + 1e-15]))  # the near-double row
+    # where S overflows, t / S would underflow the small root (np.roots of the
+    # scaled row gives -inf and nan): it keeps full precision, and the root
+    # past the doubles is not finite
+    for row, values, small in zip(spread, spread_got, (1e-10, -1e-10, 1e-10)):
+        assert len(values) == len(row) - 1
+        assert np.count_nonzero(~np.isfinite(values)) == 1, row
+        finite = values[np.isfinite(values) & (values != 0.0)]
+        assert len(finite) == 1 and abs(finite[0] - small) <= 1e-12 * abs(small), row
+    assert np.count_nonzero(spread_got[2] == 0.0) == 1
     huge, finite = sorted(got[-1], key=np.isfinite)
     assert huge == np.inf and -1e308 < finite < 0.0
 

@@ -592,6 +592,16 @@ _SPHERE_SQUARED = {"(4,0,0)": 1.0, "(0,4,0)": 1.0, "(0,0,4)": 1.0, "(2,2,0)": 2.
                  "declared_chi": 1, "compact": False}),
     ("compact", {"name": "compact_line", "ambient_dim": 2, "kind": "linear",
                  "frame": [[1.0, 0.0]], "compact": True}),
+    # a curve in R^1 and a plane in R^2 fill their space; the data that say so
+    # are named, not the dim that the files never gave
+    ("charts.params.coefficients", {"name": "curve_r1", "ambient_dim": 1, "kind": "smooth",
+                                    "charts": [{"map": "poly_curve",
+                                                "params": {"coefficients": [[0, 1]]}}],
+                                    "declared_chi": 1}),
+    ("charts.params.frame", {"name": "plane_r2", "ambient_dim": 2, "kind": "smooth",
+                             "charts": [{"map": "plane",
+                                         "params": {"frame": [[1, 0], [0, 1]]}}],
+                             "declared_chi": 1}),
 ])
 def test_set_refusals_name_their_field(tmp_path, capsys, field, doc):
     path = tmp_path / "refused.json"

@@ -313,6 +313,67 @@ def test_sweep_builds_frames_once_for_both_rules(sets, monkeypatch, name, theore
     assert len(sweeps) == (1 if base_point is None else 2) and not rules
 
 
+def test_a_growth_identity_derives_each_quantity_once(monkeypatch):
+    # thm3.7 on the hyperboloid asks k = 1, 2 and 3 one row at a time: only
+    # k = 2 is live, so one sweep and one pair of limit fits, and the link
+    # rules of its rows read one derivation of the quadric's adj(A); a second
+    # call, on its own descriptor, derives its own
+    from lkcurv import limits
+    from lkcurv.catalog import links
+
+    sweeps, fits, derivations = [], [], []
+    sweep_fn, fit_fn, form_fn = (limits.lk_measures_sweep, limits._fit_inverse_radius,
+                                 links.quadric_form)
+
+    def counted_sweep(x, ks, *args, **kwargs):
+        sweeps.append(list(ks))
+        return sweep_fn(x, ks, *args, **kwargs)
+
+    def counted_fit(*args):
+        fits.append(args)
+        return fit_fn(*args)
+
+    def counted_form(p):
+        derivations.append(p)
+        return form_fn(p)
+
+    monkeypatch.setattr(limits, "lk_measures_sweep", counted_sweep)
+    monkeypatch.setattr(limits, "_fit_inverse_radius", counted_fit)
+    monkeypatch.setattr(links, "quadric_form", counted_form)
+    argv = ["verify", "--set", "hyperboloid_r3", "--theorem", "thm3.7", "--samples", "500"]
+    assert cli.main(argv, out=io.StringIO()) == 0
+    assert sweeps == [[2]] and len(fits) == 2 and len(derivations) == 1
+    assert cli.main(argv, out=io.StringIO()) == 0
+    assert len(sweeps) == 2 and len(fits) == 4 and len(derivations) == 2
+    assert derivations[0] is not derivations[1]
+
+
+def test_vanishing_orders_never_reach_the_sweep(sets, monkeypatch):
+    # an order above the dimension, or of odd codegree d - k, is 0 at every
+    # node: its row is answered without a sweep, under the sweep's route
+    from lkcurv import limits
+
+    sweep_fn, swept = limits.lk_measures_sweep, []
+
+    def live_only(x, ks, *args, **kwargs):
+        ks = list(ks)
+        assert all(k <= x.dim and (x.dim - k) % 2 == 0 for k in ks), ks
+        swept.append(ks)
+        return sweep_fn(x, ks, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "lk_measures_sweep", live_only)
+    for name in ("hyperboloid_r3", "paraboloid_r3", "cylinder_r3", "twisted_cubic_r3",
+                 "plane_r2_in_r3"):
+        x = sets[name]
+        for theorem in ("thm3.7", "thm3.9", "thm4.1", "thm4.2", "thm4.3", "odd_d_corollary"):
+            run_theorem(theorem, x, n_samples=500, seed=42)
+        vanishing = [k for k in range(4) if k > x.dim or (x.dim - k) % 2]
+        for est in RunContext().limits(x, vanishing):
+            assert (est.value, est.uncertainty, est.converged) == (0.0, 0.0, True)
+            assert est.route == "cubature_limit", (name, est.k)
+    assert swept
+
+
 def test_thm39_non_circularity_routes(sets):
     report = run_theorem("thm3.9", sets["hyperboloid_r3"], n_samples=500, seed=42)
     row = report.rows[0]
