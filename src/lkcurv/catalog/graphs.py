@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -182,27 +182,8 @@ def _unit(v) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def builtin_graphs() -> Dict[str, SphericalGraph]:
-    """Catalog of small spherical graphs used throughout the test corpus."""
-    graphs: Dict[str, SphericalGraph] = {}
-
-    graphs["cross_s1"] = SphericalGraph(
-        vertices=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-        edges=(),
-    )
-    graphs["antipodal_s2"] = SphericalGraph(
-        vertices=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
-        edges=(),
-    )
-    # great circle in the xy-plane split into four quarter arcs; a minor-arc
-    # representation cannot split a circle into fewer than three arcs
-    graphs["circle_s2"] = SphericalGraph(
-        vertices=np.array(
-            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
-        ),
-        edges=((0, 1), (1, 2), (2, 3), (3, 0)),
-    )
-    # three arcs of length pi/3 from the north pole
+def _star3() -> SphericalGraph:
+    """Three arcs of length pi/3 from the north pole."""
     center = np.array([0.0, 0.0, 1.0])
     leaves = []
     polar = np.pi / 3.0
@@ -210,25 +191,54 @@ def builtin_graphs() -> Dict[str, SphericalGraph]:
         leaves.append(
             [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]
         )
-    graphs["star3_s2"] = SphericalGraph(
+    return SphericalGraph(
         vertices=np.vstack([center, np.array(leaves)]),
         edges=((0, 1), (0, 2), (0, 3)),
     )
-    # two junctions joined by three two-arc paths (graph with chi = -1)
+
+
+def _theta() -> SphericalGraph:
+    """Two junctions joined by three two-arc paths (graph with chi = -1)."""
     v1 = np.array([1.0, 0.0, 0.0])
     v2 = np.array([0.0, 1.0, 0.0])
     mid = _unit(v1 + v2)
     m_up = _unit(mid + 0.45 * np.array([0.0, 0.0, 1.0]))
     m_dn = _unit(mid - 0.45 * np.array([0.0, 0.0, 1.0]))
-    graphs["theta_s2"] = SphericalGraph(
+    return SphericalGraph(
         vertices=np.vstack([v1, v2, m_up, mid, m_dn]),
         edges=((0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)),
     )
-    tetra = np.array(
-        [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
-    ) / np.sqrt(3.0)
-    graphs["tetra_s2"] = SphericalGraph(
-        vertices=tetra,
+
+
+# name -> builder: a cone resolves by building its own graph, not the catalog
+_BUILTIN_GRAPHS: Dict[str, Callable[[], SphericalGraph]] = {
+    "cross_s1": lambda: SphericalGraph(
+        vertices=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        edges=(),
+    ),
+    "antipodal_s2": lambda: SphericalGraph(
+        vertices=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+        edges=(),
+    ),
+    # great circle in the xy-plane split into four quarter arcs; a minor-arc
+    # representation cannot split a circle into fewer than three arcs
+    "circle_s2": lambda: SphericalGraph(
+        vertices=np.array(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+        ),
+        edges=((0, 1), (1, 2), (2, 3), (3, 0)),
+    ),
+    "star3_s2": _star3,
+    "theta_s2": _theta,
+    "tetra_s2": lambda: SphericalGraph(
+        vertices=np.array(
+            [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+        ) / np.sqrt(3.0),
         edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-    )
-    return graphs
+    ),
+}
+
+
+def builtin_graphs() -> Dict[str, SphericalGraph]:
+    """Catalog of small spherical graphs used throughout the test corpus."""
+    return {name: build() for name, build in _BUILTIN_GRAPHS.items()}

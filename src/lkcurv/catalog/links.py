@@ -37,6 +37,8 @@ dropped as not real.  No link depends on a radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import sqrt
 from typing import Optional, Tuple
 
 import numpy as np
@@ -393,10 +395,11 @@ def _cone_breaks(vertices: np.ndarray) -> HyperplaneBreaks:
     rho = np.hypot(v[:, 0], v[:, 1])
     # the circle of a vertex at the pole is the equator, the hemisphere's edge
     v, rho = v[rho > BREAK_TOL], rho[rho > BREAK_TOL]
-    i, j = np.triu_indices(len(v), 1)
-    w = np.cross(v[i], v[j])
-    cuts = np.concatenate([rho / np.linalg.norm(v, axis=1),
-                           np.abs(w[:, 2]) / np.linalg.norm(w, axis=1)])
+    crossings = []
+    for (x1, y1, z1), (x2, y2, z2) in combinations(v.tolist(), 2):
+        wx, wy, wz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+        crossings.append(abs(wz) / sqrt(wx * wx + wy * wy + wz * wz))
+    cuts = np.concatenate([rho / np.linalg.norm(v, axis=1), crossings])
     return HyperplaneBreaks(np.eye(3), 1, np.arctan2(v[:, 1], v[:, 0]), np.zeros(len(v)),
                             -v[:, 2] / rho, cuts)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import SetValidationError
 from .charts import Chart, build_chart, tangent_gram
-from .graphs import SphericalGraph, builtin_graphs, validate_graph
+from .graphs import _BUILTIN_GRAPHS, SphericalGraph, validate_graph
 from .polynomial import Poly
 
 # an implicit form must vanish on the chart and keep its gradient there, each
@@ -203,7 +203,7 @@ def _validate_smooth(x: SmoothSet) -> None:
 # -------------------------------------------------------------------- builtins
 
 def _cone(graph: str) -> Callable[[], ConicGraph]:
-    return lambda: ConicGraph(builtin_graphs()[graph])
+    return lambda: ConicGraph(_BUILTIN_GRAPHS[graph]())
 
 
 # name -> builder: a name resolves by building its own set, not the catalog

@@ -19,7 +19,10 @@ and no frame is built.  A mean comes from one of two rules:
   Gauss-Legendre in z.  The cells are born and die at the panel ends like
   square roots, which a smoothstep substitution takes off.  The error bound
   is the change of each panel's value from ``SLICE_NODES`` to half as many
-  nodes, summed in absolute value.  Nothing is drawn.
+  nodes, summed in absolute value.  A panel whose cells all take one value
+  is that value times its height, exactly, and takes no nodes; the break
+  longitudes at the nodes of both rules on the other panels are read in one
+  call.  Nothing is drawn.
 * **Independent slots** (``grassmann_mean_batch``) everywhere else: sample
   slot i takes a Haar normal, a normalized Gaussian vector, and the
   standard error is that of the values.
@@ -349,13 +352,17 @@ def _panel_edges(cuts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     inner = inner[np.diff(inner, prepend=0.0) > CUT_MERGE_TOL]
     edges = np.concatenate([[0.0], inner, [1.0]])
     widths = np.diff(edges)
-    graded = [edges]
-    for i, width in enumerate(widths):
-        for end, sign, step in ((edges[i], 1.0, widths[i - 1] if i else width),
-                                (edges[i + 1], -1.0, widths[i + 1] if i + 1 < widths.size else width)):
-            steps = step * 2.0 ** np.arange(max(0, int(np.ceil(np.log2(0.5 * width / step)))))
-            graded.append(end + sign * steps)
-    return edges, np.unique(np.concatenate(graded))
+    # per slice, its lower end then its upper end: the end, the direction into
+    # the slice, and the first step, the neighbor's width (its own at 0 and 1)
+    ends = np.stack([edges[:-1], edges[1:]], axis=1).ravel()
+    signs = np.tile([1.0, -1.0], widths.size)
+    steps = np.stack([np.concatenate([widths[:1], widths[:-1]]),
+                      np.concatenate([widths[1:], widths[-1:]])], axis=1).ravel()
+    counts = np.maximum(0, np.ceil(np.log2(0.5 * np.repeat(widths, 2) / steps))).astype(int)
+    # the k-th point from an end steps 2^k times the first step into the slice
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    graded = np.repeat(ends, counts) + np.repeat(signs * steps, counts) * 2.0 ** k
+    return edges, np.unique(np.concatenate([edges, graded]))
 
 
 def sliced_mean(oracle: BatchOracle, breaks) -> SlicedMean:
@@ -367,7 +374,8 @@ def sliced_mean(oracle: BatchOracle, breaks) -> SlicedMean:
     on its slice's middle height, and :class:`GenericityError` is raised if
     the oracle flags any of those planes as degenerate.  A panel whose cells
     take values f_c contributes f_0 times its height plus the integral of
-    sum_c (f_c - f_0) len_c(z) / 2 pi, so a panel with one value is exact.
+    sum_c (f_c - f_0) len_c(z) / 2 pi, so a panel with one value is exact,
+    and its integral, 0, is not evaluated.
     At each node a cell's length is the gap to the next break point in the
     order of the slice's middle height, each point taken on the branch mod
     2 pi nearest its middle position, so a cell that vanishes at a panel end
@@ -398,17 +406,20 @@ def sliced_mean(oracle: BatchOracle, breaks) -> SlicedMean:
             f"the plane of a sliced cell at height {z[np.argmax(degenerate)]:.6g} is "
             "degenerate; the set appears to violate genericity assumptions")
     base = np.array([values[where][0] for _, _, where in cells])[owner]
-    sums = []
-    for count in (SLICE_NODES // 2, SLICE_NODES):
-        nodes, w = _panel_rule(lo, hi, count)
-        at_nodes = breaks.longitudes(nodes.ravel())[0].reshape(nodes.shape + (-1,))
-        panel_sums = np.zeros(lo.size)
-        for p, (cols, ref, where) in enumerate(cells[i] for i in owner):
-            if cols.size:
-                b = ref + (at_nodes[p][:, cols] - ref + np.pi) % TWO_PI - np.pi
+    # a panel of one value would add w @ (lengths @ 0) = 0 under both rules
+    varies = np.array([np.any(values[where] != values[where][0]) for _, _, where in cells])
+    live = np.flatnonzero(varies[owner])
+    sums = np.zeros((2, lo.size))
+    if live.size:
+        rules = [_panel_rule(lo[live], hi[live], count) for count in (SLICE_NODES // 2, SLICE_NODES)]
+        phi = breaks.longitudes(np.concatenate([nodes.ravel() for nodes, _ in rules]))[0]
+        for panel_sums, (nodes, w), at_nodes in zip(sums, rules, np.split(phi, [rules[0][0].size])):
+            at_nodes = at_nodes.reshape(nodes.shape + (-1,))
+            for i, p in enumerate(live):
+                cols, ref, where = cells[owner[p]]
+                b = ref + (at_nodes[i][:, cols] - ref + np.pi) % TWO_PI - np.pi
                 lengths = np.diff(b, axis=1, append=b[:, :1] + TWO_PI)
-                panel_sums[p] = w[p] @ (lengths @ (values[where] - base[p])) / TWO_PI
-        sums.append(panel_sums)
+                panel_sums[p] = w[i] @ (lengths @ (values[where] - base[p])) / TWO_PI
     coarse, fine = sums
     return SlicedMean(float(np.sum(base * (hi - lo) + fine)), float(np.sum(np.abs(fine - coarse))),
                       lo.size, values.size)

@@ -35,7 +35,7 @@ extrapolant still carries a visible model bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class LimitEstimate:
     k: int
     value: float
     uncertainty: float
-    radii: List[float]
+    radii: Sequence[float]
     converged: bool
     route: str
 
@@ -194,9 +194,15 @@ def estimate_limit(x: SetDescriptor, k: int, radii=DEFAULT_RADII, center=None) -
 
 def estimate_limits(x: SetDescriptor, ks, radii=DEFAULT_RADII, center=None) -> List[LimitEstimate]:
     """Limits of the normalized curvature measures of the orders ks."""
+    return schedule_limits(x, ks, validate_radii(radii), center)
+
+
+def schedule_limits(x: SetDescriptor, ks, radii: Sequence[float],
+                    center=None) -> List[LimitEstimate]:
+    """``estimate_limits`` on radii that ``validate_radii`` has already
+    passed, so that a run validates its schedule once."""
     # refused before the exact bypasses, whichever orders they would answer
     require_cubature_chart(x)
-    radii = validate_radii(radii)
     ks = list(ks)
     for k in ks:
         _check_order(x, k)

@@ -63,8 +63,7 @@ from .errors import UnsupportedSection
 from .geomconst import ball_volume
 from .grassmann import grassmann_mean_batch, sliced_mean
 from .limits import (
-    DEFAULT_RADII, LimitEstimate, curvature_measures, estimate_limit, estimate_limits,
-    validate_radii,
+    DEFAULT_RADII, LimitEstimate, curvature_measures, schedule_limits, validate_radii,
 )
 from .report import TheoremReport, TheoremRow, make_row, skipped_row
 
@@ -96,12 +95,12 @@ class RunContext:
 
     def limits(self, x: SetDescriptor, ks) -> List[LimitEstimate]:
         """Growth limits of the normalized curvature measures of x of the
-        orders ks, on one cubature per radius."""
-        return estimate_limits(x, ks, self.radii, center=self.center)
+        orders ks, on one cubature per radius of the validated schedule."""
+        return schedule_limits(x, ks, self.radii, center=self.center)
 
     def limit(self, x: SetDescriptor, k: int) -> LimitEstimate:
         """Growth limit of the normalized order-k curvature measure of x."""
-        return estimate_limit(x, k, self.radii, center=self.center)
+        return self.limits(x, (k,))[0]
 
 
 Rows = List[TheoremRow]
@@ -324,9 +323,16 @@ def _check_thm_3_9(x: SetDescriptor, ctx: RunContext) -> Rows:
 
 def _check_smooth_growth(x: SetDescriptor, ctx: RunContext, section_chi: bool) -> Rows:
     """Smooth growth limits against half-means of link chis (thm4.1) or means
-    of section chis (thm4.2); k = d is the volume row, k = d - i the others."""
+    of section chis (thm4.2); k = d is the volume row, k = d - i the others.
+
+    A closed set Y split at a large sphere has chi(Lk^inf Y) = chi(Y) -
+    chi_c(Y), and chi_c = (-1)^e chi on a manifold of dimension e, so half a
+    link chi is the section chi only where the section dimensions d - k +- 1
+    are odd: thm4.2 keeps the rows with d - k even, as thm4.3 does.  Its other
+    rows are 0 = 0 by odd-order vanishing, which thm4.1 checks."""
     _require_smooth(x)
-    return _growth_rows(x, ctx, range(x.dim, 0, -1), _limit_lhs, section_chi)
+    return _growth_rows(x, ctx, range(x.dim, 0, -2 if section_chi else -1), _limit_lhs,
+                        section_chi)
 
 
 def _check_thm_4_3(x: SetDescriptor, ctx: RunContext) -> Rows:

@@ -54,6 +54,53 @@ def test_builtin_graphs_validate(graphs):
         validate_graph(graph)
 
 
+# the catalog's graphs, every vertex to the bit
+BUILTIN_GRAPHS = {
+    "cross_s1": ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], ()),
+    "antipodal_s2": ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], ()),
+    "circle_s2": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+                  ((0, 1), (1, 2), (2, 3), (3, 0))),
+    "star3_s2": ([[0.0, 0.0, 1.0], [0.8660254037844386, 0.0, 0.5000000000000001],
+                  [-0.43301270189221913, 0.75, 0.5000000000000001],
+                  [-0.4330127018922197, -0.7499999999999997, 0.5000000000000001]],
+                 ((0, 1), (0, 2), (0, 3))),
+    "theta_s2": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                  [0.6448258802191611, 0.6448258802191611, 0.41036467732879794],
+                  [0.7071067811865475, 0.7071067811865475, 0.0],
+                  [0.6448258802191611, 0.6448258802191611, -0.41036467732879794]],
+                 ((0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1))),
+    "tetra_s2": ([[0.5773502691896258, 0.5773502691896258, 0.5773502691896258],
+                  [0.5773502691896258, -0.5773502691896258, -0.5773502691896258],
+                  [-0.5773502691896258, 0.5773502691896258, -0.5773502691896258],
+                  [-0.5773502691896258, -0.5773502691896258, 0.5773502691896258]],
+                 ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+}
+
+
+def test_builtin_graphs_keep_their_vertices_and_edges(graphs):
+    assert list(graphs) == list(BUILTIN_GRAPHS)
+    for name, (vertices, edges) in BUILTIN_GRAPHS.items():
+        assert graphs[name].vertices.tolist() == vertices, name
+        assert graphs[name].edges == edges, name
+
+
+def test_a_cone_resolves_by_building_its_own_graph(monkeypatch):
+    from lkcurv.catalog import graphs as catalog
+
+    built = []
+    for name, build in list(catalog._BUILTIN_GRAPHS.items()):
+        def counted(name=name, build=build):
+            built.append(name)
+            return build()
+        monkeypatch.setitem(catalog._BUILTIN_GRAPHS, name, counted)
+    for set_name, graph in (("cross_r2", "cross_s1"), ("plane_cone_r3", "circle_s2"),
+                            ("star3_cone_r3", "star3_s2")):
+        built.clear()
+        x = lk.resolve_set(set_name)[1]
+        assert built == [graph], set_name
+        assert x.graph.vertices.tolist() == BUILTIN_GRAPHS[graph][0]
+
+
 def test_builtin_sets_validate(sets):
     for descriptor in sets.values():
         validate_set(descriptor)

@@ -18,7 +18,7 @@ from lkcurv.catalog import ConicGraph, Poly, SmoothSet, SphericalGraph
 from lkcurv.catalog.links import hyperplane_breaks, link_chi_batch
 from lkcurv.grassmann import (
     DEGENERATE_BUDGET, MAX_RETRIES_PER_SLOT, STREAM_GRASSMANN, haar_sample, hyperplane_frames,
-    sliced_mean, slot_frames, substream,
+    SlicedMean, sliced_mean, slot_frames, substream,
 )
 from per_plane_links import project
 
@@ -415,6 +415,35 @@ def test_sliced_mean_of_the_builtins(sets):
         assert est.cells < 100
 
 
+def test_panels_of_one_value_take_no_nodes(sets, monkeypatch):
+    # every cell of plane_cone's one panel has count 2, and each of the
+    # hyperboloid's three panels has one cell: no panel varies, so no node
+    # rule is built and the breaks are read once, at the slices' middles
+    from lkcurv.catalog.links import HyperplaneBreaks
+
+    def unbuilt(*args):
+        raise AssertionError("a node rule was built")
+
+    read = []
+    longitudes = HyperplaneBreaks.longitudes
+
+    def counted(self, z):
+        read.append(z.size)
+        return longitudes(self, z)
+
+    monkeypatch.setattr(HyperplaneBreaks, "longitudes", counted)
+    with monkeypatch.context() as patched:
+        patched.setattr(grassmann, "_panel_rule", unbuilt)
+        assert _sliced(sets["plane_cone_r3"]) == SlicedMean(2.0, 0.0, 1, 4)
+        assert _sliced(sets["hyperboloid_r3"]) == SlicedMean(2.8284271247461903, 0.0, 3, 2)
+    assert len(read) == 2
+    # the star's varying panels read the nodes of both rules in one call
+    read.clear()
+    assert _sliced(sets["star3_cone_r3"]) == SlicedMean(
+        0.9999999999999999, 4.5737078048502244e-09, 4, 13)
+    assert len(read) == 2
+
+
 def test_sliced_mean_refuses_a_degenerate_cell(sets):
     star = sets["star3_cone_r3"]
 
@@ -437,3 +466,61 @@ def test_only_cones_and_indefinite_quadrics_of_r3_are_sliced(sets):
     assert hyperplane_breaks(sets["paraboloid_r3"]) is None  # adj(A) is semidefinite
     for name in ("star3_cone_r3", "plane_cone_r3", "hyperboloid_r3"):
         assert hyperplane_breaks(sets[name]) is not None
+
+
+def _graded_by_slice_end(edges):
+    """Reference for the panel ends: each slice end on its own, stepping
+    into the slice from its neighbor's width by doubling."""
+    widths = np.diff(edges)
+    graded = [edges]
+    for i, width in enumerate(widths):
+        for end, sign, step in ((edges[i], 1.0, widths[i - 1] if i else width),
+                                (edges[i + 1], -1.0, widths[i + 1] if i + 1 < widths.size else width)):
+            steps = step * 2.0 ** np.arange(max(0, int(np.ceil(np.log2(0.5 * width / step)))))
+            graded.append(end + sign * steps)
+    return np.unique(np.concatenate(graded))
+
+
+def test_panel_ends_match_the_reference_to_the_bit():
+    rng = np.random.Generator(np.random.Philox(key=np.array([29, 1], dtype=np.uint64)))
+    for trial in range(300):
+        cuts = rng.random(rng.integers(0, 8))
+        if trial % 2:  # cuts closer than their neighbors' widths, down to 1e-11
+            cuts = np.concatenate([cuts, cuts[:2] + 10.0 ** -rng.integers(3, 12, cuts[:2].size)])
+        if trial % 5 == 0:  # ends, a merged cut, and widths in ratios of powers of 2
+            cuts = np.concatenate([cuts, [0.0, 1.0, 1e-13, 0.25, 0.5, 0.625]])
+        edges, panels = grassmann._panel_edges(cuts)
+        assert np.array_equal(panels, _graded_by_slice_end(edges)), cuts
+
+
+def _cone_cuts_by_cross_products(vertices):
+    """Reference for the cuts of a cone: the heights of the vertices' circles,
+    then of every pair's crossing from one vectorized cross product."""
+    from lkcurv.catalog.links import BREAK_TOL
+
+    kept = []
+    for v in vertices:
+        if all(abs(float(v @ w)) < 1.0 - BREAK_TOL for w in kept):
+            kept.append(v)
+    v = np.array(kept)
+    rho = np.hypot(v[:, 0], v[:, 1])
+    v, rho = v[rho > BREAK_TOL], rho[rho > BREAK_TOL]
+    i, j = np.triu_indices(len(v), 1)
+    w = np.cross(v[i], v[j])
+    return np.concatenate([rho / np.linalg.norm(v, axis=1),
+                           np.abs(w[:, 2]) / np.linalg.norm(w, axis=1)])
+
+
+def test_cone_cuts_match_the_reference_to_the_bit(graphs):
+    from lkcurv.catalog.links import _cone_breaks
+
+    rng = np.random.Generator(np.random.Philox(key=np.array([29, 2], dtype=np.uint64)))
+    for trial in range(200):
+        v = rng.standard_normal((rng.integers(1, 8), 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        if trial % 4 == 0:  # a vertex at the pole, and one antipodal pair
+            v = np.concatenate([v, [[0.0, 0.0, 1.0]], -v[:1]])
+        assert np.array_equal(_cone_breaks(v).cuts, _cone_cuts_by_cross_products(v)), v
+    for name in ("star3_s2", "circle_s2", "theta_s2", "tetra_s2"):
+        v = graphs[name].vertices
+        assert np.array_equal(_cone_breaks(v).cuts, _cone_cuts_by_cross_products(v)), name

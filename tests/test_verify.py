@@ -348,6 +348,27 @@ def test_a_growth_identity_derives_each_quantity_once(monkeypatch):
     assert derivations[0] is not derivations[1]
 
 
+@pytest.mark.parametrize("name", ["hyperboloid_r3", "plane_cone_r3", "twisted_cubic_r3"])
+def test_a_run_validates_its_radius_schedule_once(sets, monkeypatch, name):
+    # the run context validates the schedule, and every row's limit fit takes
+    # it as it is; the public estimate_limit still validates its own radii
+    from lkcurv import limits
+
+    validate_fn, calls = limits.validate_radii, []
+
+    def counted(radii):
+        calls.append(radii)
+        return validate_fn(radii)
+
+    monkeypatch.setattr(limits, "validate_radii", counted)
+    monkeypatch.setattr(verify, "validate_radii", counted)
+    report = run_theorem("thm3.7", sets[name], n_samples=200, seed=42)
+    assert report.overall_pass and len(report.rows) == 3
+    assert len(calls) == 1
+    limits.estimate_limit(sets[name], 1)
+    assert len(calls) == 2
+
+
 def test_vanishing_orders_never_reach_the_sweep(sets, monkeypatch):
     # an order above the dimension, or of odd codegree d - k, is 0 at every
     # node: its row is answered without a sweep, under the sweep's route
@@ -450,12 +471,16 @@ def test_odd_d_corollary_skips_even_dimension(sets):
 
 
 def test_thm41_thm42_hyperboloid(sets):
+    rows = {}
     for tid in ("thm4.1", "thm4.2"):
         report = run_theorem(tid, sets["hyperboloid_r3"], n_samples=2000, seed=42)
-        rows = rows_by_k(report)
+        rows[tid] = rows_by_k(report)
         assert report.overall_pass, tid
-        assert abs(rows[2].lhs - math.sqrt(2.0)) <= 0.02
-        assert rows[1].lhs == 0.0 and abs(rows[1].rhs) <= 3.0 * rows[1].uncertainty + 1e-9
+        assert abs(rows[tid][2].lhs - math.sqrt(2.0)) <= 0.02
+    # thm4.2 keeps the rows with d - k even; thm4.1 also has the 0 = 0 row k = 1
+    assert sorted(rows["thm4.2"]) == [2]
+    k1 = rows["thm4.1"][1]
+    assert k1.lhs == 0.0 and abs(k1.rhs) <= 3.0 * k1.uncertainty + 1e-9
 
 
 def test_thm42_uses_declared_chi_for_full_space(sets):
