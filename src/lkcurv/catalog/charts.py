@@ -9,15 +9,19 @@ Every builtin surface is a surface of revolution,
 
     (t, phi) -> origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3,
 
-with orthonormal e1, e2, e3, so a map gives only its profile curve: w, z and
-their first two derivatives at t.  ``_revolution_chart`` turns a profile into
-the map, its Jacobian and its second derivatives by the chain rule,
-evaluating the profile, cos phi and sin phi once per node for all three, with
-the same per-node arithmetic for every map, and records the index of phi as
-``Chart.rotation_axis``: det G and the curvature densities of such a chart do
-not depend on phi, so the cubature builds frames on the profile (phi = 0)
-only.  The space curve ``poly_curve`` differentiates its polynomial
-coefficients instead.
+with orthonormal e1, e2, e3 (e3 = 0 for a plane), so a map gives only its
+profile curve: w, z and their first two derivatives at t.
+``_revolution_chart`` turns a profile into the map, its Jacobian and its
+second derivatives by the chain rule, for set validation, and keeps the
+profile, the frame (rows e1, e2, e3), the origin and the index of phi as
+``Chart.revolution`` (``Chart.rotation_axis`` reads the index off it).  det G
+and the curvature densities of such a chart do not depend on phi, so the
+cubature takes them, and the ball terms of each profile circle, from
+``Revolution.node_scalars``, with one profile call per sweep: det G, the
+Gauss curvature, which is intrinsic and so gives the order-2 density in
+every codimension, and A, B, C of |p - c|^2 = A + B cos phi + C sin phi.
+The space curve ``poly_curve`` differentiates its polynomial coefficients
+instead.
 
 Ball geometry.  Write the ball's center, relative to the origin, as s along
 the plane of e1 and e2 (its distance from the axis), h along e3 and a normal
@@ -39,31 +43,31 @@ the real roots of one polynomial:
   bound every piece of the curve inside the ball.
 
 A disc takes the whole list of q = R^2 - n2 of a radius sweep at once: the
-gap polynomials of every radius go to one companion-matrix stack, one
-``eigvals`` call per degree, and the unsquared gap is evaluated once at every
-candidate midpoint of every radius.  Roots are found in a scaled variable,
-so that no squared form overflows, and which side of each root lies inside
-is decided by the sign of the unsquared gap between candidates, so
-near-double roots are never lost.  The t-values where the profile circle
-enters the ball wholly split the intervals into pieces, which the cubature
-takes as panel breaks.
+gap polynomials of every radius go to one companion-matrix stack per
+degree, one ``eigvals`` call each, and the unsquared gap is evaluated once
+at every candidate midpoint of every radius.
+Roots are found in a scaled variable, so that no squared form overflows,
+and which side of each root lies inside is decided by the sign of the
+unsquared gap between candidates, so near-double roots are never lost.  The
+t-values where the profile circle enters the ball wholly split the
+intervals into pieces, which the cubature takes as panel breaks.
 
-A chart's tangent frame at a node is judged here, by ``tangent_gram``, the
-one rule that set validation and the cubature share: det G of G = J^T J
-against a fraction of Hadamard's bound g11 g22, so the verdict does not change
-when the set is dilated.
+A chart's tangent frame at a node is judged here, by ``gram_degenerate``,
+the one rule that set validation and the cubature share: det G of G = J^T J
+against a fraction of Hadamard's bound g11 g22, so the verdict does not
+change when the set is dilated.
 
 Cubature uses Gauss-Legendre rules on t alone.  Each rule is computed here
 by Newton's method on the three-term Legendre recurrence from Tricomi's
 initial guess, which gives nodes and weights to full double precision (Hale
 and Townsend, SIAM J. Sci. Comput. 35, 2013), and is cached per node count.
-In ``gauss_legendre_nodes`` the pieces of t of a radius sweep share their
-distinct panels: a dict keyed on the panel bounds finds each distinct panel
-once, every distinct panel is mapped from [-1, 1] once, in one broadcast,
-and each piece keeps its own positions and weights on those nodes.  A chart
-whose range of t grows with the ball radius (``Chart.paneled``) takes
-composite rules on dyadic panels, cut from one list of powers of 2 for
-every piece, whose bounds (``dyadic_panels``) both rules of a sweep share.
+The pieces of t of a radius sweep share their distinct panels: a dict keyed
+on the panel bounds finds each distinct panel once (``dyadic_panels``, whose
+result both rules of a sweep share), ``gauss_legendre_nodes`` maps every
+distinct panel from [-1, 1] once, in one broadcast, and each piece keeps its
+own positions and weights on those nodes, as flat arrays.  A chart whose
+range of t grows with the ball radius (``Chart.paneled``) takes composite
+rules on dyadic panels, cut from one list of powers of 2 for every piece.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -84,6 +89,50 @@ GRAM_DET_TOL = 1e-12
 
 # a curve still inside a ball this far out along its parameter is refused
 _CURVE_REACH = 1e7
+
+
+class Revolution(NamedTuple):
+    """origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3: ``profile(t)`` gives
+    (w, w', w'', z, z', z''), constants as scalars, ``frame`` (3, n) the rows
+    e1, e2, e3 (orthonormal, or e3 = 0 for a plane) and ``phi_axis`` the
+    parameter index of phi."""
+    profile: Callable
+    frame: np.ndarray
+    origin: np.ndarray
+    phi_axis: int
+
+    def node_scalars(self, t: np.ndarray, center: np.ndarray, gauss: bool):
+        """det G at each node of t, whether some node's frame is degenerate
+        (``gram_degenerate``), the Gauss curvature K (None unless ``gauss``
+        and no frame is degenerate) and the rows (3, B) A, B, C of
+        |p(t, phi) - center|^2 = A + B cos phi + C sin phi, from one profile
+        call (do Carmo, Differential Geometry of Curves and Surfaces, 3-3).
+
+        g12 = 0, so det G = g11 g22 = (w'^2 + z'^2) w^2 is its own Hadamard
+        bound.  The forms of N = (-z' w, 0, w' w) in (e1, e2, e3) at phi = 0,
+        which has |N|^2 = det G, are b11 = <p_tt, N>, b22 = <p_phiphi, N> and
+        b12 = 0, so K = b11 b22 / det G^2, in the operation order of the jet;
+        K is intrinsic (the Gauss equation), so it serves every codimension.
+        A, B and C come from the phi = 0 point a + u, with a = origin + z e3
+        and u = w e1, and its phi-derivatives v = w e2 and -u, one row per
+        coordinate; the rows are summed in order, as onto a start of 0 (0.0 -
+        and 0.0 + clear a -0.0), so a node's bits do not depend on the other
+        nodes of its grid.
+        """
+        w, dw, ddw, z, dz, ddz = self.profile(t)  # constants may come as scalars
+        det = np.broadcast_to((dw * dw + dz * dz) * (w * w), t.shape)
+        degenerate = gram_degenerate(det, det)
+        curvature = None
+        if gauss and not degenerate:
+            b11 = ddw * (0.0 - dz * w) + ddz * (dw * w)
+            b22 = w * (dz * w)
+            curvature = b11 * b22 / det / det
+        e1, e2, e3 = self.frame[:, :, None]
+        bend = -(w * e1)
+        middle = self.origin[:, None] + (w * e1 + z * e3) - center[:, None] + bend
+        terms = np.add.reduce([middle * middle + bend * bend, 0.0 - 2.0 * middle * bend,
+                               0.0 + 2.0 * middle * (w * e2)], axis=1)
+        return det, degenerate, curvature, terms
 
 
 @dataclass(eq=False)
@@ -103,13 +152,16 @@ class Chart:
     # whether the range of t grows with the ball radius; cubature then panels
     # it dyadically toward the chart's unit-scale feature region
     paneled: bool = False
-    # index of phi on a surface of revolution, whose map is
-    # a(t) + cos phi u(t) + sin phi v(t) with |u| = |v| and u . v = 0: det G
-    # and the densities depend on t alone, so cubature evaluates the jet on
-    # the profile (phi = 0) only
-    rotation_axis: Optional[int] = None
+    # a surface of revolution's profile, frame, origin and index of phi: its
+    # det G and densities depend on t alone, and cubature reads them off it
+    revolution: Optional[Revolution] = None
     # the map's own range of t, where no set file gives one
     natural_t_range: Tuple[float, float] = (-math.inf, math.inf)
+
+    @property
+    def rotation_axis(self) -> Optional[int]:
+        """The index of phi on a surface of revolution, else None."""
+        return None if self.revolution is None else self.revolution.phi_axis
 
     @property
     def profile_axis(self) -> int:
@@ -143,15 +195,15 @@ class Chart:
         center = np.asarray(center, dtype=float)
         radii = [float(r) for r in radii]
         for radius in radii:
-            if not np.isfinite(radius * radius):
+            if not math.isfinite(radius * radius):
                 # the gap polynomials hold R^2, which would be inf
                 raise ValueError(f"radius {radius:g} is too large: R^2 is not finite")
-        pieces = [np.array(spans, dtype=float).reshape(-1, 2)
-                  for spans in self.interval_fn(radii, center, self.t_range)]
-        for radius, spans in zip(radii, pieces):
-            if not np.all(np.isfinite(spans)):
+        pieces = []
+        for radius, spans in zip(radii, self.interval_fn(radii, center, self.t_range)):
+            if not all(map(math.isfinite, np.ravel(spans).tolist())):
                 raise ValueError(
                     f"radius {radius:g}: chart {self.label!r} has no finite parameter interval")
+            pieces.append(np.array(spans, dtype=float).reshape(-1, 2))
         return pieces
 
 
@@ -164,11 +216,7 @@ def tangent_gram(jac: np.ndarray) -> Tuple[np.ndarray, bool]:
     """det G, G = J^T J, of a curve or surface chart at each node of a
     (B, n, d) stack of Jacobians, and whether some node's frame is degenerate.
 
-    The one tangent-frame rule of the package: a frame is degenerate where
-    det G <= GRAM_DET_TOL g11 g22, a fraction of Hadamard's bound
-    det G <= g11 g22, so dilating a set changes no verdict.  On a curve
-    det G = g11, and only a zero velocity is degenerate.  A node where
-    g11 g22 overflows is too large to judge, not degenerate.
+    On a curve det G = g11, and only a zero velocity is degenerate.
     """
     j1 = jac[:, :, 0]
     g11 = _dot(j1, j1)
@@ -179,7 +227,15 @@ def tangent_gram(jac: np.ndarray) -> Tuple[np.ndarray, bool]:
         g12 = _dot(j1, j2)
         hadamard = g11 * _dot(j2, j2)
         det = hadamard - g12 * g12
-    return det, bool(np.any((det <= GRAM_DET_TOL * hadamard) & (hadamard < np.inf)))
+    return det, gram_degenerate(det, hadamard)
+
+
+def gram_degenerate(det: np.ndarray, hadamard: np.ndarray) -> bool:
+    """The one tangent-frame rule of the package: whether some node's frame
+    has det G <= GRAM_DET_TOL g11 g22, a fraction of Hadamard's bound
+    det G <= g11 g22 (``hadamard``), so dilating a set changes no verdict.  A
+    node where g11 g22 overflows is too large to judge, not degenerate."""
+    return bool(np.any((det <= GRAM_DET_TOL * hadamard) & (hadamard < np.inf)))
 
 
 def _legendre(count: int, x: np.ndarray):
@@ -218,21 +274,29 @@ def _gl_rule(count: int):
 
 
 def dyadic_panels(pieces, paneled: bool):
-    """The panels (P, 2) of the (m, 2) pieces of one axis, in order, and the
-    offsets (m + 1,) of each piece's first panel: a piece is one panel, or on
-    a ``paneled`` axis is cut at 0 and every +-2^j (j >= 0) inside it."""
-    spans = np.reshape(np.asarray(pieces, dtype=float), (-1, 2))
-    if not paneled:
-        return spans, np.arange(len(spans) + 1)
-    powers, magnitude, top = [], 1.0, np.max(np.abs(spans), initial=0.0)
-    while magnitude < top:
-        powers.append(magnitude)
-        magnitude *= 2.0
-    cuts = [-p for p in reversed(powers)] + [0.0] + powers
-    edges = [[lo, *cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)], hi]
-             for lo, hi in spans.tolist()]
-    bounds = np.array([pair for row in edges for pair in zip(row, row[1:])]).reshape(-1, 2)
-    return bounds, np.cumsum([0] + [len(row) - 1 for row in edges])
+    """The panels of the (m, 2) pieces of one axis: the distinct panels
+    (D, 2) in the order they first occur, the index (P,) in them of each
+    piece's panels, piece by piece, and the offsets (m + 1,) of each piece's
+    first panel.  A piece is one panel, or on a ``paneled`` axis is cut at 0
+    and every +-2^j (j >= 0) inside it."""
+    spans = np.reshape(np.asarray(pieces, dtype=float), (-1, 2)).tolist()
+    if paneled:
+        powers, magnitude = [], 1.0
+        top = max((abs(end) for span in spans for end in span), default=0.0)
+        while magnitude < top:
+            powers.append(magnitude)
+            magnitude *= 2.0
+        cuts = [-p for p in reversed(powers)] + [0.0] + powers
+        edges = [[lo, *cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)], hi]
+                 for lo, hi in spans]
+        bounds = [pair for row in edges for pair in zip(row, row[1:])]
+        sizes = [len(row) - 1 for row in edges]
+    else:
+        bounds, sizes = map(tuple, spans), [1] * len(spans)
+    distinct: Dict[Tuple[float, float], int] = {}
+    which = np.array([distinct.setdefault(pair, len(distinct)) for pair in bounds], dtype=int)
+    return (np.array(list(distinct), dtype=float).reshape(-1, 2), which,
+            np.array([0, *accumulate(sizes)]))
 
 
 # the benchmark's tracing counts the nodes of this rule by name
@@ -240,29 +304,25 @@ def gauss_legendre_nodes(pieces, count: int, paneled: bool = False, panels=None)
     """Gauss-Legendre rules of ``count`` nodes on the (m, 2) pieces of one
     axis, sharing one set of nodes.
 
-    Returns ``(points, rules)``: ``points`` holds the nodes of every distinct
-    panel, panel by panel in the order the panels first occur, and
-    ``rules[j]`` is piece j's (positions in ``points`` of its nodes in its
-    own order, their weights).  Equal panels give equal nodes, so the pieces
-    of a radius sweep share most of them.  A ``paneled`` axis uses composite
-    rules of ``count / 8`` nodes (6 to 64) on dyadic panels, so unit-scale
-    integrand features stay resolved no matter how large the range grows
-    with the ball radius.  Every distinct panel is mapped from [-1, 1] once,
-    all in one broadcast; ``panels``, the pieces' ``dyadic_panels``, lets two
-    rules share them.
+    Returns ``(points, index, weights, ends)``: ``points`` holds the nodes of
+    every distinct panel, panel by panel in the order the panels first
+    occur, and piece j's nodes, in its own order, are the ``points`` at
+    ``index[ends[j]:ends[j + 1]]``, with weights ``weights[ends[j]:ends[j +
+    1]]``.  Equal panels give equal nodes, so the pieces of a radius sweep
+    share most of them.  A ``paneled`` axis uses composite rules of
+    ``count / 8`` nodes (6 to 64) on dyadic panels, so unit-scale integrand
+    features stay resolved no matter how large the range grows with the ball
+    radius.  Every distinct panel is mapped from [-1, 1] once, all in one
+    broadcast; ``panels``, the pieces' ``dyadic_panels``, lets two rules
+    share them.
     """
-    bounds, starts = dyadic_panels(pieces, paneled) if panels is None else panels
-    x, w = _gl_rule(int(np.clip(count / 8, 6, 64)) if paneled else count)
-    distinct: Dict[Tuple[float, float], int] = {}
-    which = [distinct.setdefault(pair, len(distinct)) for pair in map(tuple, bounds.tolist())]
-    unique = np.array(list(distinct)).reshape(-1, 2)
-    lo, hi = unique[:, :1], unique[:, 1:]
+    distinct, which, starts = dyadic_panels(pieces, paneled) if panels is None else panels
+    x, w = _gl_rule(min(max(count // 8, 6), 64) if paneled else count)
+    lo, hi = distinct[:, :1], distinct[:, 1:]
     half = 0.5 * (hi - lo)
     points = (half * x + 0.5 * (hi + lo)).ravel()
-    index = (len(x) * np.array(which)[:, None] + np.arange(len(x))).ravel()
-    weights = (half * w).ravel()[index]
-    ends = starts * len(x)
-    return points, [(index[a:b], weights[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+    index = (len(x) * which[:, None] + np.arange(len(x))).ravel()
+    return points, index, (half * w).ravel()[index], starts * len(x)
 
 
 # ---------------------------------------------------------------- ball geometry
@@ -317,6 +377,9 @@ def _arc_spans(a: float, b: float, c: float, lo: float, hi: float):
 
 # the largest log S whose S is a double
 _LOG_MAX = math.log(np.finfo(float).max)
+# LAPACK's QR iteration takes entries below about tiny / eps (1e-292) for zero,
+# so a monic row whose constant term is smaller would lose its smallest roots
+_SMALLEST_ENTRY = 1e-290
 
 
 def _monic_in_scaled_variable(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -339,11 +402,13 @@ def _real_parts_of_roots(rows) -> List[np.ndarray]:
     largest |c_j / c_0|^(1/j), whose coefficients all lie in [-1, 1]: they are
     computed from logarithms, so no power of S overflows.  The rows of one
     length are scaled together, and the companion matrices of one degree go
-    to one ``eigvals`` call.  Where S itself overflows, the roots spread
-    beyond the doubles, and the small ones would underflow in t / S: that
-    row's roots are found as 1 / u from the roots u of its reversed row,
-    scaled in turn, so its finite roots keep full precision and those
-    beyond the doubles come out inf or nan.
+    to one ``eigvals`` call.  Where S itself overflows, or the monic row's
+    constant term falls below what LAPACK resolves (its roots spread past
+    about 1e290), the small roots would be lost in t / S: that row's roots
+    are found as 1 / u from the roots u of its reversed row, scaled in turn,
+    so its small roots keep full precision and those beyond the doubles
+    come out inf or nan.  A row whose reversed scale alone overflows keeps
+    its own.
     """
     trimmed = []
     for row in rows:
@@ -358,9 +423,12 @@ def _real_parts_of_roots(rows) -> List[np.ndarray]:
         monic, log_scale = _monic_in_scaled_variable(np.array([trimmed[i] for i in members]))
         for i, row, scale in zip(members, monic, log_scale):
             size = int(np.flatnonzero(row)[-1]) + 1  # without the roots at 0
-            reversed_ = scale > _LOG_MAX
-            if reversed_:
-                (row,), (scale,) = _monic_in_scaled_variable(trimmed[i][size - 1::-1][None])
+            reversed_ = False
+            if scale > _LOG_MAX or abs(row[size - 1]) < _SMALLEST_ENTRY:
+                (flipped,), (flipped_scale,) = _monic_in_scaled_variable(
+                    trimmed[i][size - 1::-1][None])
+                if flipped_scale <= _LOG_MAX or scale > _LOG_MAX:
+                    reversed_, row, scale = True, flipped, flipped_scale
             companions.setdefault(size - 1, []).append(
                 (i, -row[1:size] / row[0], length - size, scale, reversed_))
     for degree, group in companions.items():
@@ -387,11 +455,11 @@ def _sublevel(rows, gap, lo: float, hi: float, scales=None) -> List[list]:
     rounding makes complex still marks its crossing, and the sign of the gap
     halfway between neighbouring candidates decides which side is inside.
     """
-    if not all(np.all(np.isfinite(row)) for row in rows):
+    if not all(math.isfinite(c) for row in rows for c in row):
         raise ValueError("the ball's gap polynomial overflows")
     scales = [1.0] * len(rows) if scales is None else scales
     ends = {v for v in (lo, hi) if math.isfinite(v)}
-    knots = [sorted(ends | {float(r) for r in scale * roots if lo < r < hi})
+    knots = [sorted(ends | {r for r in (scale * roots).tolist() if lo < r < hi})
              for scale, roots in zip(scales, _real_parts_of_roots(rows))]
     left = np.array([a for row in knots for a in row[:-1]])
     right = np.array([b for row in knots for b in row[1:]])
@@ -496,7 +564,8 @@ def _revolution_chart(label, profile, phi_axis, disc, natural, paneled=False,
         return pieces
 
     return Chart(label, 2, frame.shape[1], jet, None, intervals, paneled=paneled,
-                 rotation_axis=phi_axis, natural_t_range=natural)
+                 revolution=Revolution(profile, frame, origin, phi_axis),
+                 natural_t_range=natural)
 
 
 def _orthonormal_rows(frame: np.ndarray) -> bool:

@@ -5,53 +5,49 @@ the second fundamental form over the unit normal sphere.  The integral is
 exact, with no sampling: for a unit normal v = sum_a w_a e_a the form is
 sum_a w_a A_a, odd orders integrate to zero, and sigma_2 is a quadratic form
 in w, so its integral over S^(c-1) is |S^(c-1)|/c * sum_a sigma_2(A_a).  By
-the Gauss equation that sum is 1/2 (|H|^2 - |II|^2), which is intrinsic, so
-the cubature needs no orthonormal frame: ``_chart_frames`` keeps the
-Jacobian J, the second derivatives h_ij and det G of the metric G = J^T J,
-and the density is read in coordinates, with G and G^-1 written out by hand
-for surfaces and no QR or matrix inverse per node.  det G and the rule that
-calls a frame degenerate come from ``catalog.charts.tangent_gram``, which set
-validation shares:
+the Gauss equation that sum is the Gauss curvature K, which is intrinsic, so
+one formula serves every codimension.  A smooth set has one chart, a curve
+or a surface, so the orders d - k are 0, 1 and 2: order 0 integrates to the
+normal-sphere area, which the normalization cancels, odd orders vanish, and
+order 2 is |S^(c-1)|/c K.
 
-* codimension 1: B_ij = <h_ij, N> with N = J_1 x J_2, |N|^2 = det G, so
-  sigma_2 = det B / det G^2, and a flat chart gives exactly zero;
-* codimension 2 and more: the normal parts h_ij - J G^-1 J^T h_ij give
-  sigma_2 = (<h11_perp, h22_perp> - |h12_perp|^2) / det G.
-
-A smooth set has one chart, a curve or a surface, so the orders d - k are
-0, 1 and 2: order 0 integrates to the normal-sphere area, which the
-normalization cancels, odd orders vanish, and order 2 is the surface formula
-above.
-
-``lk_measures_sweep`` integrates the densities of several orders over the
-part of the set inside the ball of each radius of a sweep, by Gauss-Legendre
-cubature on the curve or profile parameter t alone, in one batched pass.  The
-chart gives, once per sweep, the exact pieces of t that each ball reaches
+``measure_sweep`` integrates the densities of several orders over the part
+of the set inside the ball of each radius of a sweep, by Gauss-Legendre
+cubature on the curve or profile parameter t alone, in one batched pass, and
+gives (radii, orders) arrays of measures and bounds.  The chart gives, once
+per sweep, the exact pieces of t that each ball reaches
 (``Chart.ball_intervals``); each rule (fine and halved) maps each distinct
 panel of the radii's pieces once (equal dyadic panels give equal nodes), and
-the chart is evaluated once for the whole sweep, on both rules' nodes
-together:
+``_node_scalars`` runs once for the whole sweep, on both rules' nodes:
 
 * a curve's nodes all lie inside the ball, so the rule needs no mask, and a
-  curve that leaves the ball and comes back is integrated on every piece;
-* a surface of revolution (``Chart.rotation_axis`` set; every builtin
-  surface) has det G and densities that depend on t alone.  Its jet, det G
-  and every order's density are built once per profile node, at phi = 0.  On
-  its round circle |p - c|^2 = A + B cos phi + C sin phi, with A, B and C
-  read off that jet, so the part of the circle inside the ball is one arc
-  with closed-form ends, and each profile node carries the exact measure of
-  its phi inside the ball (``arc_share``): no jump enters the integrand.  The
-  t-values where the circle enters the ball wholly are panel breaks, so the
-  measure is smooth on every panel.
+  curve that leaves the ball and comes back is integrated on every piece.
+  Its jet gives det G = |p'|^2, judged by ``catalog.charts.tangent_gram``,
+  the frame rule that set validation shares;
+* a surface of revolution (``Chart.revolution``; every builtin surface) is
+  read off its profile (w, z), one profile call per sweep
+  (``Revolution.node_scalars``, which owns the parametrization): det G =
+  (w'^2 + z'^2) w^2, the Gauss curvature K, which gives the order-2 density
+  in every codimension, and the terms A, B, C of |p - c|^2 = A + B cos phi +
+  C sin phi on the round circle at t.  The part of the circle inside the
+  ball is one arc with closed-form ends, and each profile node carries the
+  exact measure of its phi inside the ball (``arc_share``): no jump enters
+  the integrand.  The t-values where the circle enters the ball wholly are
+  panel breaks, so the measure is smooth on every panel.  On a frame of
+  coordinate axes, as on every builtin surface, each of these is the
+  arithmetic of the 2-D jet at phi = 0, bit for bit; the tests hold the
+  route against that jet (``tests/qr_frames.py``).
 
 Any other chart, a surface with no rotation axis or a chart of dimension 3
-or more, is refused on entry to ``lk_measures_sweep`` and
+or more, is refused on entry to ``measure_sweep`` and
 ``limits.estimate_limits``, before any grid is built.
 
 One ``arc_share`` call covers every radius and rule.  Each (rule, radius)
-then sums its own slice of nodes, in its own order with its own weights and
-shares, exactly as a sweep of that radius alone would.
-``lk_measure_detailed`` is a sweep of one order and one radius.
+slot then sums its own slice of nodes with ``np.add.reduce``, in its own
+order with its own weights and shares, exactly as a sweep of that radius
+alone would.  ``lk_measure_detailed`` is a sweep of one order and one
+radius.  The benchmark's tracing wraps ``lk_measure_detailed`` and counts
+the nodes of ``gauss_legendre_nodes`` by these names in this module.
 
 Sign convention: the form is <second derivative, v>; every quantity reported
 here is even in v, so flipping the normal orientation changes nothing.
@@ -59,14 +55,13 @@ here is even in v, so flipping the normal orientation changes nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .catalog.charts import (
-    GRAM_DET_TOL, Chart, _dot, dyadic_panels, gauss_legendre_nodes, tangent_gram,
-)
+from .catalog.charts import GRAM_DET_TOL, dyadic_panels, gauss_legendre_nodes, tangent_gram
 from .catalog.sets import SmoothSet
 from .errors import DegenerateChartError, UnsupportedSection
 from .geomconst import sphere_volume
@@ -88,104 +83,12 @@ class CubatureSpec:
         )
 
 
-@dataclass(eq=False)
-class _FrameData:
-    positions: np.ndarray   # (B, n)
-    jac: np.ndarray         # (B, n, d) columns d map / du_i
-    hess: np.ndarray        # (B, n, d, d)
-    det_gram: np.ndarray    # (B,) det G, G = J^T J
-    sqrt_gram: np.ndarray   # (B,)
-
-
-def _chart_frames(chart: Chart, u: np.ndarray) -> _FrameData:
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    positions, jac, hess = chart.jet(u)
-    det_gram, degenerate = tangent_gram(jac)
-    if degenerate:
-        raise DegenerateChartError(
-            f"chart {chart.label!r}: tangent Gram determinant at most "
-            f"{GRAM_DET_TOL} g11 g22"
-        )
-    return _FrameData(
-        positions=positions,
-        jac=jac,
-        hess=hess,
-        det_gram=det_gram,
-        sqrt_gram=np.sqrt(det_gram),
-    )
-
-
-def _surface_sigma(frames: _FrameData, codim: int) -> np.ndarray:
-    """Sum of sigma_2 of the forms over an orthonormal normal basis, on a
-    surface chart: (<h11_perp, h22_perp> - |h12_perp|^2) / det G."""
-    jac, hess, det = frames.jac, frames.hess, frames.det_gram
-    j1, j2 = jac[:, :, 0], jac[:, :, 1]
-    h11, h12, h22 = hess[:, :, 0, 0], hess[:, :, 0, 1], hess[:, :, 1, 1]
-    if codim == 1:
-        # N = J1 x J2 has |N|^2 = det G, so sigma_2 = det <h, N> / det G^2;
-        # a flat chart gives exactly zero
-        normal = np.stack([
-            j1[:, 1] * j2[:, 2] - j1[:, 2] * j2[:, 1],
-            j1[:, 2] * j2[:, 0] - j1[:, 0] * j2[:, 2],
-            j1[:, 0] * j2[:, 1] - j1[:, 1] * j2[:, 0],
-        ], axis=1)
-        b11, b12, b22 = _dot(h11, normal), _dot(h12, normal), _dot(h22, normal)
-        return (b11 * b22 - b12 * b12) / det / det
-    g11, g12, g22 = _dot(j1, j1), _dot(j1, j2), _dot(j2, j2)
-
-    def normal_part(h):
-        # h - J G^-1 J^T h, with G^-1 written out
-        t1, t2 = _dot(j1, h), _dot(j2, h)
-        c1 = (g22 * t1 - g12 * t2) / det
-        c2 = (g11 * t2 - g12 * t1) / det
-        return h - c1[:, None] * j1 - c2[:, None] * j2
-
-    p11, p12, p22 = normal_part(h11), normal_part(h12), normal_part(h22)
-    return (_dot(p11, p22) - _dot(p12, p12)) / det
-
-
 def vanishes_identically(dim: int, k: int) -> bool:
     """Whether the order-k density of a smooth set of dimension ``dim`` is 0
     at every node: orders above the dimension vanish, and odd-order symmetric
     functions are odd in the normal direction, so they integrate to zero over
     the normal sphere."""
     return k > dim or (dim - k) % 2 == 1
-
-
-def _lambda_batch(x: SmoothSet, frames: _FrameData, k: int) -> np.ndarray:
-    """Curvature density of order k at the frame nodes."""
-    n, d = x.ambient_dim, x.dim
-    batch = frames.positions.shape[0]
-    order = d - k
-    if vanishes_identically(d, k):
-        return np.zeros(batch)
-    if order == 0:
-        # sigma_0 integrates to the normal-sphere area, which the
-        # normalization cancels exactly
-        return np.ones(batch)
-    # order 2: the chart is a surface
-    codim = n - d
-    sigma = _surface_sigma(frames, codim)
-    return sphere_volume(codim - 1) / codim * sigma / sphere_volume(n - k - 1)
-
-
-def _ball_terms(frames: _FrameData, center: np.ndarray, axis: int) -> np.ndarray:
-    """On a chart with rotation axis ``axis``, the rows A, B, C of
-    |p(t, phi) - c|^2 = A + B cos phi + C sin phi at every profile node, from
-    its jet at phi = 0."""
-    offset = frames.positions - center[None, :]
-    # the map is a + cos phi u + sin phi v with round circles (|u| = |v|,
-    # u . v = 0): at phi = 0, p = a + u, dp/dphi = v and d2p/dphi2 = -u;
-    # summed coordinate by coordinate, so a node's bits do not depend on the
-    # other nodes of its grid
-    terms = np.zeros((3, offset.shape[0]))
-    for i in range(offset.shape[1]):
-        bend, turn = frames.hess[:, i, axis, axis], frames.jac[:, i, axis]
-        middle = offset[:, i] + bend
-        terms[0] += middle * middle + bend * bend
-        terms[1] -= 2.0 * middle * bend
-        terms[2] += 2.0 * middle * turn
-    return terms
 
 
 def arc_share(gap: np.ndarray, cos_coef: np.ndarray, sin_coef: np.ndarray,
@@ -213,51 +116,63 @@ def arc_share(gap: np.ndarray, cos_coef: np.ndarray, sin_coef: np.ndarray,
 
 
 def _node_scalars(x: SmoothSet, t: np.ndarray, ks, center: np.ndarray):
-    """sqrt det G, the ball terms of ``_ball_terms`` (None on a curve) and the
-    density of each order at every node of t, at phi = 0 on a surface."""
-    chart = x.chart
-    u = np.zeros((len(t), chart.dim))
-    u[:, chart.profile_axis] = t
-    frames = _chart_frames(chart, u)
-    terms = None if chart.rotation_axis is None else _ball_terms(
-        frames, center, chart.rotation_axis)
-    return frames.sqrt_gram, terms, [_lambda_batch(x, frames, k) for k in ks]
+    """sqrt det G, the ball terms A, B, C of |p(t, phi) - c|^2 = A + B cos phi
+    + C sin phi (None on a curve) and the densities (orders, nodes) of the
+    orders ks, none of which vanishes identically, at every node of t."""
+    chart, n = x.chart, x.ambient_dim
+    gauss = terms = None
+    if chart.revolution is None:  # a curve: det G = |p'|^2
+        det, degenerate = tangent_gram(chart.jet(t[:, None])[1])
+    else:
+        det, degenerate, gauss, terms = chart.revolution.node_scalars(
+            t, center, any(k < 2 for k in ks))
+    if degenerate:
+        raise DegenerateChartError(f"chart {chart.label!r}: tangent Gram determinant at "
+                                   f"most {GRAM_DET_TOL} g11 g22")
+    # a curve's one live order, k = 1, and a surface's top order have density 1
+    densities = np.ones((len(ks), len(t)))
+    if gauss is not None:
+        codim = n - 2
+        for row, k in zip(densities, ks):
+            if k < 2:
+                row[:] = sphere_volume(codim - 1) / codim * gauss / sphere_volume(n - k - 1)
+    return np.sqrt(det), terms, densities
 
 
-def _sweep_sums(x: SmoothSet, ks, radii: List[float], pieces: List[np.ndarray],
-                spec: CubatureSpec, center: np.ndarray) -> List[np.ndarray]:
-    """Measures of the orders ks at each radius of the sweep, from a
-    Gauss-Legendre rule on each of its pieces of t: one row per radius at
-    the fine rule, then one per radius at the halved rule.  The chart's
-    frames and densities are built once, on both rules' nodes together, and
-    each (rule, radius) sums its own slice of nodes in its own order."""
+def _slot_sums(x: SmoothSet, ks, radii: List[float], pieces: List[np.ndarray],
+               spec: CubatureSpec, center: np.ndarray) -> np.ndarray:
+    """Measures (2 radii, orders) of the orders ks at each radius of the
+    sweep, from a Gauss-Legendre rule on each of its pieces of t: one row per
+    radius at the fine rule, then one per radius at the halved rule.  The
+    node scalars are built once, on both rules' nodes together, and each
+    (rule, radius) slot sums its own slice of nodes in its own order."""
     chart = x.chart
     counts = [len(spans) for spans in pieces]
+    sums = np.zeros((2 * len(radii), len(ks)))
     if not sum(counts):
-        return [np.zeros(len(ks))] * (2 * len(radii))
+        return sums
     spans = np.concatenate(pieces)
     panels = dyadic_panels(spans, chart.paneled)
-    grids = [gauss_legendre_nodes(spans, rule.count(chart.dim), chart.paneled, panels)
-             for rule in (spec, spec.halved())]
-    sqrt_gram, terms, densities = _node_scalars(
-        x, np.concatenate([points for points, _ in grids]), ks, center)
-    # the nodes of rule r and piece j in one order: by rule, then by radius
-    offsets = (0, len(grids[0][0]))
-    index = np.concatenate([where + offset for (_, rules), offset in zip(grids, offsets)
-                            for where, _ in rules])
-    weights = np.concatenate([w for _, rules in grids for _, w in rules])
-    # each (rule, radius) slot ends after the nodes of its last piece
-    piece_ends = np.cumsum([0] + [len(where) for _, rules in grids for where, _ in rules])
-    ends = piece_ends[np.cumsum(counts + counts)]
-    starts = np.r_[0, ends[:-1]]
+    points, (fine, coarse), weights, (fine_ends, coarse_ends) = zip(*(
+        gauss_legendre_nodes(spans, rule.count(chart.dim), chart.paneled, panels)
+        for rule in (spec, spec.halved())))
+    sqrt_gram, terms, densities = _node_scalars(x, np.concatenate(points), ks, center)
+    # the nodes of both rules in one order, by rule, then by piece; each
+    # (rule, radius) slot ends after the nodes of its radius's last piece
+    index, weights = np.concatenate([fine, coarse + len(points[0])]), np.concatenate(weights)
+    last = np.cumsum(counts)
+    ends = np.concatenate([fine_ends[last], coarse_ends[last] + len(fine)]).tolist()
+    slots = list(zip([0] + ends, ends))
     share = 1.0
     if terms is not None:
-        squares = np.repeat(np.tile(np.square(radii), 2), ends - starts)
+        squares = np.repeat(np.square(radii * 2), [b - a for a, b in slots])
         share = arc_share(terms[0, index] - squares, terms[1, index], terms[2, index],
                           chart.phi_range())
     # C order, so that each row's slice is summed pairwise as a 1-d array is
-    products = weights * sqrt_gram[index] * share * np.take(np.stack(densities), index, axis=1)
-    return [np.sum(products[:, a:b], axis=1) for a, b in zip(starts, ends)]
+    products = weights * sqrt_gram[index] * share * np.take(densities, index, axis=1)
+    for slot, (a, b) in enumerate(slots):
+        sums[slot] = np.add.reduce(products[:, a:b], axis=1)
+    return sums
 
 
 def require_cubature_chart(x) -> None:
@@ -273,24 +188,19 @@ def require_cubature_chart(x) -> None:
         )
 
 
-def lk_measures_sweep(
+def measure_sweep(
     x: SmoothSet,
     ks,
     radii,
     spec: Optional[CubatureSpec] = None,
     center=None,
-) -> List[List[Tuple[float, float]]]:
-    """Curvature measures of the orders ks of X inside the ball of each radius,
-    each with an error bound: one list of (value, bound) pairs per radius.
-
-    The bound is the change under halving the cubature resolution.  The
-    chart's pieces of each ball are solved once per sweep and shared by both
-    rules, and the chart's jet and every order's density are evaluated once,
-    on both rules' nodes together, so each (radius, order) gets the same bits
-    as a call for that radius and order alone.
-    """
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Curvature measures of the orders ks of X inside the ball of each radius
+    and their error bounds, the change under halving the cubature
+    resolution, as two (radii, orders) arrays.  Each (radius, order) gets the
+    bits of a sweep of that radius and order alone."""
     if not isinstance(x, SmoothSet):
-        raise TypeError("lk_measures_sweep expects a smooth set")
+        raise TypeError("measure_sweep expects a smooth set")
     require_cubature_chart(x)
     n, d = x.ambient_dim, x.dim
     ks = list(ks)
@@ -300,20 +210,23 @@ def lk_measures_sweep(
     for radius in radii:
         if radius <= 0:
             raise ValueError("radius must be positive")
-        if not np.isfinite(radius * radius):
+        if not math.isfinite(radius * radius):
             raise ValueError(f"radius {radius:g} is too large: R^2 is not finite")
-    live = [k for k in ks if not vanishes_identically(d, k)]
-    measures = [{} for _ in radii]
+    values, bounds = np.zeros((2, len(radii), len(ks)))
+    live = [j for j, k in enumerate(ks) if not vanishes_identically(d, k)]
     if live:
         spec = spec or CubatureSpec()
         center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        sums = _sweep_sums(x, live, radii, x.chart.ball_intervals(radii, center), spec, center)
-        for radius, found, values, others in zip(radii, measures, sums, sums[len(radii):]):
-            for k, value, other in zip(live, values.tolist(), others.tolist()):
-                if not (np.isfinite(value) and np.isfinite(other)):
-                    raise ValueError(f"radius {radius:g}: the order-{k} measure is not finite")
-                found[k] = (value, abs(value - other))
-    return [[found.get(k, (0.0, 0.0)) for k in ks] for found in measures]
+        sums = _slot_sums(x, [ks[j] for j in live], radii,
+                          x.chart.ball_intervals(radii, center), spec, center)
+        fine, coarse = sums[:len(radii)], sums[len(radii):]
+        infinite = ~(np.isfinite(fine) & np.isfinite(coarse))
+        if infinite.any():
+            i, j = np.argwhere(infinite)[0]
+            raise ValueError(f"radius {radii[i]:g}: the order-{ks[live[j]]} measure "
+                             "is not finite")
+        values[:, live], bounds[:, live] = fine, np.abs(fine - coarse)
+    return values, bounds
 
 
 # the benchmark's tracing wraps this by name
@@ -325,4 +238,5 @@ def lk_measure_detailed(
     center=None,
 ) -> Tuple[float, float]:
     """Curvature measure of order k of X inside the ball, with an error bound."""
-    return lk_measures_sweep(x, (k,), (radius,), spec=spec, center=center)[0][0]
+    values, bounds = measure_sweep(x, (k,), (radius,), spec=spec, center=center)
+    return float(values[0, 0]), float(bounds[0, 0])

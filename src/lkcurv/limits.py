@@ -41,7 +41,7 @@ import numpy as np
 
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
 from .curvature import (
-    CubatureSpec, lk_measures_sweep, require_cubature_chart, vanishes_identically,
+    CubatureSpec, measure_sweep, require_cubature_chart, vanishes_identically,
 )
 from .geomconst import ball_volume
 from .spherical import conic_lk_measure_detailed
@@ -78,7 +78,8 @@ def curvature_sweep(
     """Curvature measures of the orders ks of X inside the ball of each radius,
     each with an error bound: one list per radius."""
     if isinstance(x, SmoothSet):
-        return lk_measures_sweep(x, ks, radii, spec=spec, center=center)
+        values, bounds = measure_sweep(x, ks, radii, spec=spec, center=center)
+        return [list(zip(row, errs)) for row, errs in zip(values.tolist(), bounds.tolist())]
     if isinstance(x, ConicGraph):
         return [[conic_lk_measure_detailed(x, k, radius, center=center) for k in ks]
                 for radius in radii]
@@ -93,6 +94,16 @@ def curvature_sweep(
         if k == x.dim and dist2 < radius * radius else (0.0, 0.0)
         for k in ks
     ] for radius in radii]
+
+
+def _measure_arrays(x: SetDescriptor, ks, radii, center) -> Tuple[np.ndarray, np.ndarray]:
+    """Curvature measures of the orders ks of X inside the ball of each radius
+    and their error bounds, as two (radii, orders) arrays: a smooth set's
+    straight from its cubature sweep."""
+    if isinstance(x, SmoothSet):
+        return measure_sweep(x, ks, radii, center=center)
+    pairs = np.reshape(curvature_sweep(x, ks, radii, center=center), (len(radii), len(ks), 2))
+    return pairs[:, :, 0], pairs[:, :, 1]
 
 
 def curvature_measures(
@@ -125,12 +136,13 @@ def radius_scale(radius: float, k: int) -> float:
     return scale
 
 
-def _normalized_sweep(x: SetDescriptor, ks, radii, center) -> List[List[Tuple[float, float]]]:
-    """Normalized measures of the orders ks at each radius, with their errors."""
-    scales = [[radius_scale(radius, k) for k in ks] for radius in radii]
-    sweep = curvature_sweep(x, ks, radii, center=center)
-    return [[(value / scale, err / scale) for (value, err), scale in zip(pairs, row)]
-            for pairs, row in zip(sweep, scales)]
+def _normalized_sweep(x: SetDescriptor, ks, radii, center) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalized measures of the orders ks at each radius and their errors,
+    as two (radii, orders) arrays."""
+    # Python's ** is libm's pow; numpy's vectorized power may round R^k otherwise
+    scales = np.array([[radius_scale(radius, k) for k in ks] for radius in radii])
+    values, errors = _measure_arrays(x, ks, radii, center)
+    return values / scales, errors / scales
 
 
 def _fit_inverse_radius(radii, values) -> Tuple[np.ndarray, np.ndarray]:
@@ -222,13 +234,13 @@ def schedule_limits(x: SetDescriptor, ks, radii: Sequence[float],
             estimates[k] = LimitEstimate(k, 0.0, 0.0, radii, True, route)
         elif isinstance(x, (LinearSubspace, ConicGraph)) and not shifted:
             # homogeneity: the normalized measure of a cone is radius-independent
-            value, err = _normalized_sweep(x, (k,), radii[:1], center)[0][0]
-            estimates[k] = LimitEstimate(k, value, err, radii, True, route)
+            scale = radius_scale(radii[0], k)
+            (value, err), = curvature_measures(x, (k,), radii[0], center=center)
+            estimates[k] = LimitEstimate(k, value / scale, err / scale, radii, True, route)
 
     swept = [k for k in ks if k not in estimates]
     if swept:
-        sweep = np.array(_normalized_sweep(x, swept, radii, center))  # (radii, orders, 2)
-        fit = _fit_limits(radii, sweep[:, :, 0], sweep[:, :, 1])
+        fit = _fit_limits(radii, *_normalized_sweep(x, swept, radii, center))
         for k, value, uncertainty, converged in zip(swept, *(column.tolist() for column in fit)):
             tag = "" if converged else ",not_converged"
             estimates[k] = LimitEstimate(k, value, uncertainty, radii, converged, route + tag)

@@ -15,11 +15,11 @@ that returns the report rows:
 
 ``run_theorem`` validates the settings into one frozen ``RunContext``, times
 the check and builds the report.  Every check reads its sample count, seed,
-radius schedule and center from the context.  Only the
-curvature side reads the center: a link at infinity does not depend on it.
-The center is the origin in every run except inside the ``base_point`` check, which runs
-the thm3.9 check once with the context and once with a copy recentered at the
-context's base point; no other theorem accepts a base point.
+radius schedule from the context.  Radius balls are centered at the origin
+in every run except inside the ``base_point`` check, which runs the thm3.9
+check once at the origin and once recentered at the context's base point;
+only the curvature side takes the center, since a link at infinity does not
+depend on it, and no other theorem accepts a base point.
 
 The growth identities (``prop3.1``, ``thm3.7``, ``cor3.8``, ``thm4.1``,
 ``thm4.2``) share one row loop, ``_growth_rows``; ``limits`` decides each left
@@ -48,7 +48,7 @@ no two terms of a run share a normal.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from math import hypot, sqrt
 from typing import Callable, Dict, List, Optional, Tuple
@@ -73,17 +73,12 @@ DEFAULT_SEED = 42
 
 @dataclass(frozen=True)
 class RunContext:
-    """Validated settings shared by every check of one run.
-
-    ``center`` is where radius balls are centered (None, or zero, for the
-    origin); ``base_point`` is the point the ``base_point`` check recenters
-    at.
-    """
+    """Validated settings shared by every check of one run; ``base_point`` is
+    the point the ``base_point`` check recenters at."""
 
     n_samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     radii: Tuple[float, ...] = DEFAULT_RADII
-    center: Optional[np.ndarray] = None
     base_point: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -93,10 +88,11 @@ class RunContext:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         object.__setattr__(self, "radii", tuple(validate_radii(self.radii)))
 
-    def limits(self, x: SetDescriptor, ks) -> List[LimitEstimate]:
+    def limits(self, x: SetDescriptor, ks, center=None) -> List[LimitEstimate]:
         """Growth limits of the normalized curvature measures of x of the
-        orders ks, on one cubature per radius of the validated schedule."""
-        return schedule_limits(x, ks, self.radii, center=self.center)
+        orders ks, on one cubature per radius of the validated schedule, with
+        balls about ``center`` (None, or zero, for the origin)."""
+        return schedule_limits(x, ks, self.radii, center=center)
 
     def limit(self, x: SetDescriptor, k: int) -> LimitEstimate:
         """Growth limit of the normalized order-k curvature measure of x."""
@@ -258,10 +254,10 @@ def lambda0(x: SetDescriptor, ctx: RunContext) -> Lambda0Result:
 
 
 def _curvature_terms(
-    x: SetDescriptor, ctx: RunContext, ks=()
+    x: SetDescriptor, ctx: RunContext, ks=(), center=None
 ) -> Tuple[Tuple[float, float, str], List[LimitEstimate]]:
     """Order-0 curvature for an assembly, (value, uncertainty, route), and the
-    growth limits of the orders ks.
+    growth limits of the orders ks, with balls about ``center``.
 
     The order-0 term is the growth limit of order 0 for smooth sets, which
     then shares its cubature with the other orders, 0 for flats, and the
@@ -269,9 +265,9 @@ def _curvature_terms(
     center they refuse draws no planes.
     """
     if isinstance(x, SmoothSet):
-        est, *ests = ctx.limits(x, (0, *ks))
+        est, *ests = ctx.limits(x, (0, *ks), center)
         return (est.value, est.uncertainty, "lambda0=curvature_cubature"), ests
-    ests = ctx.limits(x, ks)
+    ests = ctx.limits(x, ks, center)
     if isinstance(x, LinearSubspace):
         # every curvature density of order below the dimension of a flat vanishes
         return (0.0, 0.0, "lambda0=flat_defect_exact"), ests
@@ -303,8 +299,9 @@ def _check_du_lambda0(x: SetDescriptor, ctx: RunContext) -> Rows:
 
 # ---------------------------------------------------------------------- thm 3.9
 
-def _check_thm_3_9(x: SetDescriptor, ctx: RunContext) -> Rows:
-    """chi(X) = order-0 curvature + sum over k of growth limits.
+def _check_thm_3_9(x: SetDescriptor, ctx: RunContext, center=None) -> Rows:
+    """chi(X) = order-0 curvature + sum over k of growth limits, with balls
+    about ``center``.
 
     For smooth and flat sets the order-0 term uses the direct curvature route
     and the limits use cubature, so the Grassmannian machinery never appears
@@ -313,7 +310,7 @@ def _check_thm_3_9(x: SetDescriptor, ctx: RunContext) -> Rows:
     chi = euler_char(x)
     try:
         (lam0, lam0_err, lam0_route), ests = _curvature_terms(
-            x, ctx, range(1, x.ambient_dim + 1))
+            x, ctx, range(1, x.ambient_dim + 1), center)
         return [_assembly_row(chi, [(lam0, lam0_err, "L0")], ests, f"{lam0_route};")]
     except UnsupportedSection as exc:
         return [skipped_row(0, "chi", "assembly", str(exc))]
@@ -379,7 +376,7 @@ def _check_base_point(x: SetDescriptor, ctx: RunContext) -> Rows:
     made, so a refused base point draws no planes.
     """
     x0 = ctx.base_point
-    srow = _check_thm_3_9(x, replace(ctx, center=x0))[0]
+    srow = _check_thm_3_9(x, ctx, center=x0)[0]
     if srow.skipped:
         return [skipped_row(0, "shifted_assembly", "chi", srow.reason),
                 skipped_row(1, "origin_assembly", "shifted_assembly", srow.reason)]

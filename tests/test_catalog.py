@@ -1068,6 +1068,17 @@ def test_batched_roots_match_one_row_np_roots():
     assert all(-1e308 <= end <= 1e308 for pieces in spans for span in pieces for end in span)
 
 
+@pytest.mark.parametrize("c", [1e-280, 1e-290, 1e-298])
+def test_small_roots_survive_a_wide_spread(c):
+    # c t^2 + 1e10 t - 1 has roots near -1e10 / c and 1e-10, spread past 1e290
+    # while S stays a double: in t / S the small root would fall below what
+    # LAPACK's QR iteration resolves and come out 0
+    values, = _real_parts_of_roots([[c, 1e10, -1.0]])
+    assert len(values) == 2
+    small = values[np.abs(values) < 1.0]
+    assert len(small) == 1 and abs(small[0] - 1e-10) <= 1e-12 * 1e-10
+
+
 def test_set_file_domain_clips_the_intervals(tmp_path):
     # the torus patch's set file gives psi in [-1, 2]: the pieces lie in it,
     # and those of the whole tube are cut to it

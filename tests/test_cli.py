@@ -212,6 +212,21 @@ def test_refused_flags_are_named(capsys, argv, flags):
     assert all(flag in err for flag in flags), err
 
 
+def test_a_schedule_failing_only_at_its_top_names_that_radius(capsys):
+    # b_3 R^3 overflows at 4e102 alone: the refusal names the first failing
+    # radius and order
+    code, _ = run_cli(["verify", "--set", "hyperboloid_r3", "--theorem", "thm3.9",
+                       "--radii", "1e102,2e102,4e102"])
+    assert code == 64
+    assert capsys.readouterr().err == (
+        "error: --radii: radius 4e+102 is too large: b_k R^k overflows at k=3\n")
+    code, _ = run_cli(["verify", "--set", "hyperboloid_r3", "--theorem", "thm3.9",
+                       "--radii", "1e-310,2e-310,4e-310"])
+    assert code == 64
+    assert capsys.readouterr().err == ("error: --radii: radius 1e-310 is too small: b_k R^k "
+                                       "or 1/R leaves the normal floats at k=0\n")
+
+
 def test_numerical_failure_during_a_check_exits_1(monkeypatch, capsys):
     def failing(*args, **kwargs):
         raise GenericityError("every drawn plane was rejected")

@@ -13,22 +13,23 @@ from lkcurv import DegenerateChartError, UnsupportedSection
 from lkcurv.catalog import SmoothSet
 from lkcurv import curvature
 from lkcurv.catalog.charts import (
-    Chart, build_chart, gauss_legendre_nodes, tangent_gram,
+    Chart, _arc_spans, _revolution_chart, build_chart, gauss_legendre_nodes, tangent_gram,
 )
 from lkcurv.catalog.sets import _trace_box
 from lkcurv.curvature import (
     CubatureSpec,
-    _chart_frames,
-    _lambda_batch,
+    _node_scalars,
     arc_share,
     lk_measure_detailed,
-    lk_measures_sweep,
 )
 from lkcurv.geomconst import sphere_volume
 from axis_rule import axis_rule
 from qr_frames import (
+    ball_terms,
+    chart_frames,
     elementary_symmetric,
     form_at,
+    lambda_batch,
     outward_normal,
     point_density,
     qr_density,
@@ -130,13 +131,17 @@ def test_form_symmetry_and_linearity(sets, rng):
 
 
 def test_degenerate_chart_detected():
-    # a curve chart whose velocity vanishes at t = 0
+    # a curve chart whose velocity vanishes at t = 0, and the sphere's pole,
+    # where its profile radius w vanishes
     chart = build_chart(
         "poly_curve",
         params={"coefficients": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
     )
-    with pytest.raises(DegenerateChartError):
-        _chart_frames(chart, np.array([[0.0]]))
+    for x, k in ((SmoothSet(chart, declared_chi=1), 1),
+                 (SmoothSet(build_chart("sphere"), declared_chi=2), 0)):
+        with pytest.raises(DegenerateChartError):
+            _node_scalars(x, np.array([0.5, 0.0]), [k], np.zeros(3))
+        _node_scalars(x, np.array([0.5]), [k], np.zeros(3))
 
 
 def test_tangent_frame_rule_is_scale_free():
@@ -180,21 +185,24 @@ def test_odd_orders_vanish_exactly(sets, rng):
         assert point_density(cubic, u, 0) == 0.0
 
 
-def test_codimension_two_density_is_exact():
-    # the unit 2-sphere flatly embedded in R^4: the order-2 density integrates
-    # cos^2 over the normal circle, which is half the circle length
-    def lift(out):
-        pad = np.zeros((out.shape[0], 1) + out.shape[2:])
-        return np.concatenate([out, pad], axis=1)
-
+def sphere_r4():
+    """The unit 2-sphere in the first three coordinates of R^4, as a surface
+    of revolution whose frame has four columns."""
     base = build_chart("sphere", params={"radius": 1.0})
-    chart = build_chart("sphere", params={"radius": 1.0})
-    chart.jet = lambda u: tuple(lift(out) for out in base.jet(u))
-    chart.ambient_dim = 4
-    # the lifted circles stay round, so the sweep takes the profile route
-    chart.interval_fn = lambda radii, center, t_range: base.interval_fn(
-        radii, center[:3], t_range)
-    x = SmoothSet(chart, declared_chi=2)
+
+    def disc(s, h, qs, lo, hi):  # the unit sphere's, as its builder solves it
+        return [_arc_spans(-2.0 * h, -2.0 * s, q - 1.0 - s * s - h * h, lo, hi) for q in qs]
+
+    chart = _revolution_chart("sphere_r4", base.revolution.profile, 1, disc, (0.0, math.pi),
+                              frame=np.eye(3, 4), origin=np.zeros(4))
+    return SmoothSet(chart, declared_chi=2)
+
+
+def test_codimension_two_density_is_exact():
+    # the order-2 density integrates cos^2 over the normal circle, which is
+    # half the circle length
+    x = sphere_r4()
+    assert x.ambient_dim == 4 and x.chart.rotation_axis == 1
     value = point_density(x, np.array([1.2, 0.3]), 0) * sphere_volume(3)
     assert value == pytest.approx(math.pi, rel=1e-12)
     # order-0 curvature of the whole set is chi, independent of the embedding
@@ -230,8 +238,10 @@ def square_graph_r4():
 
 
 def test_codimension_two_density_matches_normal_circle_quadrature(rng):
-    # oracle: sigma_2 of the form is a degree-2 trigonometric polynomial in the
-    # normal angle, so the 64-point trapezoid rule on the circle is exact
+    # the coordinate reference's normal parts, on a surface that is not one of
+    # revolution; oracle: sigma_2 of the form is a degree-2 trigonometric
+    # polynomial in the normal angle, so the 64-point trapezoid rule on the
+    # circle is exact
     x = square_graph_r4()
     angles = 2.0 * math.pi * np.arange(64) / 64
     for u in rng.uniform(-2.0, 2.0, size=(20, 2)):
@@ -244,7 +254,7 @@ def test_codimension_two_density_matches_normal_circle_quadrature(rng):
             circle += np.linalg.det(form)  # sigma_2 of a 2x2 form
         circle *= 2.0 * math.pi / 64
         assert abs(circle) > 1e-3
-        value = point_density(x, u, 0) * sphere_volume(3)
+        value = lambda_batch(x, chart_frames(x.chart, u), 0)[0] * sphere_volume(3)
         assert value == pytest.approx(circle, rel=1e-12, abs=1e-12)
 
 
@@ -364,6 +374,41 @@ def test_builtin_surfaces_are_surfaces_of_revolution(sets):
     assert all(cases[name].chart.dim == 1 for name in cases.keys() - rotating)
 
 
+def test_profile_route_matches_the_jet_reference(sets, tmp_path):
+    # sqrt det G, A, B, C and every live order's density at the nodes of a
+    # sweep's fine rule off every axis: the builtin surfaces get the bits of
+    # the 2-D jet at phi = 0, but for the sign of a zero (adding 0.0 clears
+    # it: the flat cylinder's density is 0.0 where the jet's is -0.0); a
+    # sphere with a center, a plane on a rotated frame and the sphere in R^4
+    # (whose jet takes the normal parts) agree within 1e-12
+    off_origin = SmoothSet(build_chart("sphere", params={"center": [0.3, -0.2, 0.5]}),
+                           declared_chi=2)
+    cases = [(x, True) for x in sets.values()
+             if isinstance(x, SmoothSet) and x.chart.revolution is not None]
+    assert len(cases) == 6
+    cases += [(off_origin, False), (set_file(tmp_path, SKEWED_PLANE), False),
+              (sphere_r4(), False)]
+    for x, exact in cases:
+        chart = x.chart
+        center = np.full(x.ambient_dim, 0.5)
+        pieces = np.concatenate(chart.ball_intervals(SWEEP, center))
+        t = gauss_legendre_nodes(pieces, CubatureSpec().count(2), chart.paneled)[0]
+        ks = [k for k in range(x.ambient_dim + 1) if not curvature.vanishes_identically(2, k)]
+        sqrt_gram, terms, densities = _node_scalars(x, t, ks, center)
+        u = np.zeros((len(t), 2))
+        u[:, chart.profile_axis] = t
+        frames = chart_frames(chart, u)
+        want = [frames.sqrt_gram, *ball_terms(frames, center, chart.rotation_axis),
+                *(lambda_batch(x, frames, k) for k in ks)]
+        for got, ref in zip([sqrt_gram, *terms, *densities], want):
+            if exact:
+                assert (got + 0.0).tobytes() == (ref + 0.0).tobytes(), chart.label
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                           atol=1e-12 * max(np.max(np.abs(ref)), 1.0),
+                                           err_msg=chart.label)
+
+
 def test_revolution_densities_do_not_depend_on_phi(sets, tmp_path, rng):
     # the premise of the profile cubature: at every profile node, sqrt det G
     # and every order's density are those at phi = 0
@@ -374,10 +419,10 @@ def test_revolution_densities_do_not_depend_on_phi(sets, tmp_path, rng):
         u[:, axis] = rng.uniform(-math.pi, 3.0 * math.pi, size=200)
         profile = u.copy()
         profile[:, axis] = 0.0
-        turned, fixed = _chart_frames(chart, u), _chart_frames(chart, profile)
+        turned, fixed = chart_frames(chart, u), chart_frames(chart, profile)
         np.testing.assert_allclose(turned.sqrt_gram, fixed.sqrt_gram, rtol=1e-12, atol=1e-14)
         for k in range(x.dim + 1):
-            np.testing.assert_allclose(_lambda_batch(x, turned, k), _lambda_batch(x, fixed, k),
+            np.testing.assert_allclose(lambda_batch(x, turned, k), lambda_batch(x, fixed, k),
                                        rtol=1e-12, atol=1e-14, err_msg=f"{name} k={k}")
 
 
@@ -394,11 +439,11 @@ def test_coordinate_density_matches_qr_oracle(sets):
     for x, box in cases + [(graph, graph.chart.base_domain)]:
         chart = x.chart
         nodes = box_nodes(chart, box, CubatureSpec().count(chart.dim))
-        frames = _chart_frames(chart, nodes)
+        frames = chart_frames(chart, nodes)
         oracle = qr_frames(chart, nodes)
         assert_matches_oracle(frames.sqrt_gram, oracle.sqrt_gram)
         for k in range(x.dim + 1):
-            assert_matches_oracle(_lambda_batch(x, frames, k), qr_density(x, oracle, k))
+            assert_matches_oracle(lambda_batch(x, frames, k), qr_density(x, oracle, k))
 
 
 def test_quadric_graphs_match_qr_oracle(rng):
@@ -407,19 +452,20 @@ def test_quadric_graphs_match_qr_oracle(rng):
     for dim, ambient in ((2, 3), (2, 4)):
         x = quadric_graph(dim, ambient, seed=dim)
         u = rng.uniform(-1.0, 1.0, size=(64, dim))
-        frames = _chart_frames(x.chart, u)
+        frames = chart_frames(x.chart, u)
         oracle = qr_frames(x.chart, u)
         assert_matches_oracle(frames.sqrt_gram, oracle.sqrt_gram)
         for k in range(dim + 1):
-            assert_matches_oracle(_lambda_batch(x, frames, k), qr_density(x, oracle, k))
+            assert_matches_oracle(lambda_batch(x, frames, k), qr_density(x, oracle, k))
         assert np.max(np.abs(qr_density(x, oracle, dim - 2))) > 1e-3
 
 
 def test_flat_plane_density_is_exactly_zero(sets):
     x = sets["plane_r2_in_r3"]
     chart = x.chart
-    nodes = box_nodes(chart, _trace_box(chart, 64.0, np.zeros(3)), CubatureSpec().count(2))
-    assert np.all(_lambda_batch(x, _chart_frames(chart, nodes), 0) == 0.0)
+    t = box_nodes(chart, _trace_box(chart, 64.0, np.zeros(3)), CubatureSpec().count(2))
+    t = t[:, chart.profile_axis]
+    assert np.all(_node_scalars(x, t, [0], np.zeros(3))[2] == 0.0)
     assert lk_measure_detailed(x, 0, 64.0) == (0.0, 0.0)
 
 
@@ -427,7 +473,7 @@ def test_measures_of_several_orders_match_single_orders_bitwise(sets):
     for name in ("hyperboloid_r3", "torus_r3", "paraboloid_r3", "twisted_cubic_r3"):
         x = sets[name]
         for center in (None, np.array([0.5, 0.5, 0.5])):
-            both = lk_measures_sweep(x, (0, 2), (16.0,), center=center)[0]
+            both = lk.curvature_sweep(x, (0, 2), (16.0,), center=center)[0]
             single = [lk_measure_detailed(x, k, 16.0, center=center) for k in (0, 2)]
             assert both == single, name
 
@@ -445,10 +491,10 @@ def test_each_chart_box_is_fitted_once_per_radius(sets):
         counting = dataclasses.replace(
             x, chart=dataclasses.replace(x.chart, interval_fn=fit))
         for radius in (8.0, 16.0):
-            assert (lk_measures_sweep(counting, (0, 1, 2), (radius,))
-                    == lk_measures_sweep(x, (0, 1, 2), (radius,))), name
+            assert (lk.curvature_sweep(counting, (0, 1, 2), (radius,))
+                    == lk.curvature_sweep(x, (0, 1, 2), (radius,))), name
         assert calls == [(8.0,), (16.0,)], name
-        lk_measures_sweep(counting, (0, 1, 2), (8.0, 16.0))
+        lk.curvature_sweep(counting, (0, 1, 2), (8.0, 16.0))
         assert calls == [(8.0,), (16.0,), (8.0, 16.0)], name
 
 
@@ -476,52 +522,85 @@ def direct_measures(x, ks, radius, spec, center):
     weights = np.ones(nodes.shape[0])
     for w in np.meshgrid(*(w for _, w in axes), indexing="ij"):
         weights = weights * w.ravel()
-    frames = _chart_frames(chart, nodes)
+    frames = chart_frames(chart, nodes)
     inside = np.sum((frames.positions - center) ** 2, axis=1) <= radius * radius * (1.0 + 1e-12)
     factor = weights * frames.sqrt_gram * inside
     for i, k in enumerate(ks):
-        totals[i] += float(np.sum(factor * _lambda_batch(x, frames, k)))
+        totals[i] += float(np.sum(factor * lambda_batch(x, frames, k)))
     return totals
 
 
-def reduced_measures(x, ks, radius, spec, center, terms=None):
+def jet_scalars(x, t, ks, center, terms=None):
+    """The reference's sqrt det G, ball terms and densities at the profile
+    nodes t, from the chart's jet at phi = 0: ``chart_frames``,
+    ``ball_terms`` (or ``terms(chart, u, center)``) and ``lambda_batch``."""
+    chart = x.chart
+    u = np.zeros((len(t), chart.dim))
+    u[:, chart.profile_axis] = t
+    frames = chart_frames(chart, u)
+    abc = None
+    if chart.rotation_axis is not None:
+        abc = (ball_terms(frames, center, chart.rotation_axis)
+               if terms is None else terms(chart, u, center))
+    return frames.sqrt_gram, abc, [lambda_batch(x, frames, k) for k in ks]
+
+
+def reduced_measures(x, ks, radius, spec, center, scalars=_node_scalars):
     """Measures from the chart's own rule for this radius on a builtin chart:
-    frames on its profile nodes at phi = 0 and, on a surface, per profile
-    node the closed-form measure of the phi inside the ball, in the sweep's
-    order of operations.  ``terms(chart, u, center)`` gives A, B, C in place
-    of the sweep's reading of the jet."""
+    the node scalars ``scalars(x, t, ks, center)`` (the library's, by default)
+    on its profile nodes and, on a surface, per profile node the
+    closed-form measure of the phi inside the ball, in the sweep's order of
+    operations."""
     totals = [0.0] * len(ks)
     chart = x.chart
-    t = chart.profile_axis
     rule = profile_rule(chart, radius, center, spec.count(chart.dim))
     if rule is None:
         return totals
     t_nodes, t_weights = rule
-    u = np.zeros((len(t_nodes), chart.dim))
-    u[:, t] = t_nodes
-    frames = _chart_frames(chart, u)
+    sqrt_gram, terms, densities = scalars(x, t_nodes, ks, center)
     # a curve's nodes all lie inside the ball; a surface's profile nodes
     # carry the measure of the phi of their circle inside it
     share = 1.0
-    if chart.rotation_axis is not None:
-        a, b, c = (curvature._ball_terms(frames, center, chart.rotation_axis)
-                   if terms is None else terms(chart, u, center))
+    if terms is not None:
+        a, b, c = terms
         share = arc_share(a - radius * radius, b, c, chart.phi_range())
-    factor = t_weights * frames.sqrt_gram * share
-    for i, k in enumerate(ks):
-        totals[i] += float(np.sum(factor * _lambda_batch(x, frames, k)))
+    factor = t_weights * sqrt_gram * share
+    for i, density in enumerate(densities):
+        totals[i] += float(np.sum(factor * density))
     return totals
+
+
+def reference_bits(x):
+    """Whether the profile route gives the jet reference's bits: on a curve,
+    and in codimension 1 on a frame of coordinate axes, as on every builtin
+    surface.  Elsewhere the reference's normal parts (codimension 2) or its
+    rotated frame round otherwise, within 1e-12."""
+    revolution = x.chart.revolution
+    return revolution is None or (x.ambient_dim == 3 and np.all(np.isin(revolution.frame,
+                                                                        (0.0, 1.0))))
 
 
 def assert_sweep_is_bitwise(x, radii, center, name):
     ks = list(range(x.ambient_dim + 1))
-    sweep = lk_measures_sweep(x, ks, radii, center=center)
+    sweep = lk.curvature_sweep(x, ks, radii, center=center)
     # a sweep of many radii is a sweep of each radius alone ...
-    assert sweep == [lk_measures_sweep(x, ks, (r,), center=center)[0] for r in radii], name
-    # ... and each radius gets the bits of its own rule on t
+    assert sweep == [lk.curvature_sweep(x, ks, (r,), center=center)[0] for r in radii], name
     c = np.zeros(x.ambient_dim) if center is None else center
+    live = [k for k in ks if not curvature.vanishes_identically(x.dim, k)]
     for radius, pairs in zip(radii, sweep):
+        # ... each radius gets the bits of its own rule on t over the
+        # library's node scalars ...
         assert pairs == oracle_pairs(reduced_measures, x, ks, radius, c), (name, radius)
+        # ... and each rule's measures are the jet reference's, bit for bit
+        # on the builtin surfaces; so is the bound, their difference
+        for spec in (CubatureSpec(), CubatureSpec().halved()):
+            got = reduced_measures(x, live, radius, spec, c)
+            want = reduced_measures(x, live, radius, spec, c, scalars=jet_scalars)
+            if reference_bits(x):
+                assert got == want, (name, radius)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12,
+                                           err_msg=f"{name} R = {radius}")
 
 
 def oracle_pairs(oracle, x, ks, radius, center):
@@ -565,7 +644,7 @@ def test_off_center_sphere_sweep_is_bitwise(sets):
     far = np.array([3.0, 0.0, 0.0])
     assert len(x.chart.ball_intervals((1.0,), far)[0]) == 0
     assert_sweep_is_bitwise(x, (1.0, 2.5, 4.0), far, "sphere_s2 at (3, 0, 0)")
-    assert lk_measures_sweep(x, (0, 2), (1.0,), center=far) == [[(0.0, 0.0), (0.0, 0.0)]]
+    assert lk.curvature_sweep(x, (0, 2), (1.0,), center=far) == [[(0.0, 0.0), (0.0, 0.0)]]
 
 
 # centers of the whole-grid comparison: on and off every axis, inside and
@@ -609,8 +688,8 @@ def test_profile_sweep_matches_whole_grid_rule(sets, tmp_path):
             centered = on_axis(x.chart, c)
             checked.add(centered)
             oracle = direct_measures if centered else functools.partial(
-                reduced_measures, terms=point_terms)
-            sweep = lk_measures_sweep(x, ks, ORACLE_RADII, center=c)
+                reduced_measures, scalars=functools.partial(jet_scalars, terms=point_terms))
+            sweep = lk.curvature_sweep(x, ks, ORACLE_RADII, center=c)
             for radius, pairs in zip(ORACLE_RADII, sweep):
                 want = oracle_pairs(oracle, x, ks, radius, c)
                 for k, got, (value, bound) in zip(ks, pairs, want):
@@ -626,14 +705,14 @@ def test_sweep_grid_is_the_union_of_each_radius_rule(sets):
         # one piece of t per centered radius
         pieces = np.concatenate(chart.ball_intervals(SWEEP, np.zeros(3)))
         count = CubatureSpec().count(chart.dim)
-        points, rules = gauss_legendre_nodes(pieces, count, chart.paneled)
-        assert len(rules) == len(SWEEP)
+        points, index, weights, ends = gauss_legendre_nodes(pieces, count, chart.paneled)
+        assert len(ends) == len(SWEEP) + 1
         seen = np.zeros(len(points), dtype=bool)
-        for piece, (index, weights) in zip(pieces, rules):
-            own, ((_, own_weights),) = gauss_legendre_nodes(piece, count, chart.paneled)
-            assert np.array_equal(points[index], own), name
-            assert np.array_equal(weights, own_weights), name
-            seen[index] = True
+        for piece, a, b in zip(pieces, ends[:-1], ends[1:]):
+            own, own_index, own_weights, _ = gauss_legendre_nodes(piece, count, chart.paneled)
+            assert np.array_equal(points[index[a:b]], own[own_index]), name
+            assert np.array_equal(weights[a:b], own_weights), name
+            seen[index[a:b]] = True
         # the radii's rules share the grid, and no grid node is wasted
         assert seen.all(), name
 
@@ -681,7 +760,7 @@ def test_arc_share_of_chart_circles_matches_sampled_points(sets, tmp_path):
             t = np.linspace(pieces[0, 0], pieces[-1, 1], 21)[1:-1]
             u = np.zeros((len(t), 2))
             u[:, 1 - axis] = t
-            terms = curvature._ball_terms(_chart_frames(chart, u), center, axis)
+            terms = _node_scalars(x, t, [2], center)[1]
             got = arc_share(terms[0] - radius * radius, terms[1], terms[2], chart.phi_range())
             lo, hi = chart.phi_range() or (0.0, 2.0 * np.pi)
             phi = lo + (hi - lo) * (np.arange(2000) + 0.5) / 2000
@@ -811,7 +890,7 @@ def test_halved_curve_rule_has_fewer_nodes(sets):
     chart = sets["twisted_cubic_r3"].chart
     box = chart.ball_intervals((8.0,), np.zeros(3))[0]
     spec = CubatureSpec()
-    fine, _ = gauss_legendre_nodes(box, spec.count(1), chart.paneled)
-    coarse, _ = gauss_legendre_nodes(box, spec.halved().count(1), chart.paneled)
+    fine = gauss_legendre_nodes(box, spec.count(1), chart.paneled)[0]
+    coarse = gauss_legendre_nodes(box, spec.halved().count(1), chart.paneled)[0]
     assert len(coarse) < len(fine)
 

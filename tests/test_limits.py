@@ -5,7 +5,7 @@ import pytest
 
 from lkcurv import limits
 from lkcurv.catalog import SmoothSet
-from lkcurv.curvature import lk_measures_sweep
+from lkcurv.curvature import measure_sweep
 from lkcurv.geomconst import ball_volume
 from lkcurv.limits import (
     curvature_measures, estimate_limit, estimate_limits, fit_limit_sequence, validate_radii,
@@ -84,13 +84,13 @@ def test_paraboloid_limit_is_small(sets):
 def _count_cubature(monkeypatch):
     # (orders, radii) of each cubature sweep
     calls = []
-    sweep = limits.lk_measures_sweep
+    sweep = limits.measure_sweep
 
     def counted(*args, **kwargs):
         calls.append((tuple(args[1]), tuple(args[2])))
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(limits, "lk_measures_sweep", counted)
+    monkeypatch.setattr(limits, "measure_sweep", counted)
     return calls
 
 
@@ -132,7 +132,9 @@ def test_limit_routes_name_each_set_kind(sets):
 
 def test_curvature_measures_follow_each_kind_route(sets):
     hyp = sets["hyperboloid_r3"]
-    assert curvature_measures(hyp, (0, 1, 2), 8.0) == lk_measures_sweep(hyp, (0, 1, 2), (8.0,))[0]
+    values, bounds = measure_sweep(hyp, (0, 1, 2), (8.0,))
+    assert curvature_measures(hyp, (0, 1, 2), 8.0) == list(zip(values[0].tolist(),
+                                                               bounds[0].tolist()))
     cross = sets["cross_r2"]
     for center in (None, np.array([1.0, 2.0])):
         assert curvature_measures(cross, (1, 2), 8.0, center=center) == [
@@ -188,11 +190,11 @@ def test_batched_fit_columns_match_one_column_fits(sets):
     for name, x in smooth.items():
         for center in (None, np.full(x.ambient_dim, 0.5)):
             ks = range(x.ambient_dim + 1)
-            sweep = np.array(limits._normalized_sweep(x, ks, RADII, center))
-            fit = limits._fit_limits(RADII, sweep[:, :, 0], sweep[:, :, 1])
+            values, errors = limits._normalized_sweep(x, ks, RADII, center)
+            fit = limits._fit_limits(RADII, values, errors)
             for i in ks:
                 value, uncertainty, converged = fit_limit_sequence(
-                    RADII, sweep[:, i, 0].tolist(), sweep[:, i, 1].tolist())
+                    RADII, values[:, i].tolist(), errors[:, i].tolist())
                 got = np.array([fit[0][i], fit[1][i]])
                 assert got.tobytes() == np.array([value, uncertainty]).tobytes(), (name, i)
                 assert bool(fit[2][i]) is converged, (name, i)

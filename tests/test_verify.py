@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -280,37 +281,44 @@ def test_thm39_hyperboloid_cancellation(sets):
 ], ids=["hyperboloid_r3", "twisted_cubic_r3", "hyperboloid_r3-base_point"])
 def test_sweep_builds_frames_once_for_both_rules(sets, monkeypatch, name, theorem, base_point):
     # each sweep asks for one rule of t per resolution (fine and halved), the
-    # 4 radii's pieces sharing one union of nodes in each, and builds the
-    # chart's frames once, on both rules' nodes together: every node once,
-    # at phi = 0 on a surface, and each grid smaller than its radii's rules
+    # 4 radii's pieces sharing one union of nodes in each, and builds the node
+    # scalars once, on both rules' nodes together: every node once, and each
+    # grid smaller than its radii's rules; a surface calls its profile once
     from lkcurv import curvature
 
     x = sets[name]
-    t, axis = x.chart.profile_axis, x.chart.rotation_axis
-    rules, sweeps = [], []  # the rules' grids since the last frames; nodes per sweep
-    nodes_fn, frames = curvature.gauss_legendre_nodes, curvature._chart_frames
+    rules, sweeps, profiles = [], [], []  # the grids since the last scalars; nodes per sweep
+    nodes_fn, scalars_fn = curvature.gauss_legendre_nodes, curvature._node_scalars
 
     def counted_nodes(*args, **kwargs):
-        points, own = nodes_fn(*args, **kwargs)
+        points, index, weights, ends = nodes_fn(*args, **kwargs)
         assert points.ndim == 1  # the profile parameter alone
-        assert len(own) == 4 and len(points) < sum(len(index) for index, _ in own)
+        assert len(ends) == 5 and len(points) < len(index)
         rules.append(points)
-        return points, own
+        return points, index, weights, ends
 
-    def counted_frames(chart, u):
-        assert axis is None or np.all(u[:, axis] == 0.0)
-        assert len(rules) == 2 and np.array_equal(u[:, t], np.concatenate(rules))
-        assert len(np.unique(u[:, t])) == len(u)
-        sweeps.append(len(u))
+    def counted_scalars(x, t, ks, center):
+        assert len(rules) == 2 and np.array_equal(t, np.concatenate(rules))
+        assert len(np.unique(t)) == len(t)
+        sweeps.append(len(t))
         rules.clear()
-        return frames(chart, u)
+        return scalars_fn(x, t, ks, center)
 
+    revolution = x.chart.revolution
+    if revolution is not None:
+        def counted_profile(t):
+            profiles.append(len(t))
+            return revolution.profile(t)
+
+        x = dataclasses.replace(x, chart=dataclasses.replace(
+            x.chart, revolution=revolution._replace(profile=counted_profile)))
     monkeypatch.setattr(curvature, "gauss_legendre_nodes", counted_nodes)
-    monkeypatch.setattr(curvature, "_chart_frames", counted_frames)
+    monkeypatch.setattr(curvature, "_node_scalars", counted_scalars)
     report = run_theorem(theorem, x, n_samples=500, seed=42, base_point=base_point)
     assert report.overall_pass
     # one sweep per assembly: base_point runs the shifted one and the origin one
     assert len(sweeps) == (1 if base_point is None else 2) and not rules
+    assert profiles == ([] if revolution is None else sweeps)
 
 
 def test_a_growth_identity_derives_each_quantity_once(monkeypatch):
@@ -322,7 +330,7 @@ def test_a_growth_identity_derives_each_quantity_once(monkeypatch):
     from lkcurv.catalog import links
 
     sweeps, fits, derivations = [], [], []
-    sweep_fn, fit_fn, form_fn = (limits.lk_measures_sweep, limits._fit_inverse_radius,
+    sweep_fn, fit_fn, form_fn = (limits.measure_sweep, limits._fit_inverse_radius,
                                  links.quadric_form)
 
     def counted_sweep(x, ks, *args, **kwargs):
@@ -337,7 +345,7 @@ def test_a_growth_identity_derives_each_quantity_once(monkeypatch):
         derivations.append(p)
         return form_fn(p)
 
-    monkeypatch.setattr(limits, "lk_measures_sweep", counted_sweep)
+    monkeypatch.setattr(limits, "measure_sweep", counted_sweep)
     monkeypatch.setattr(limits, "_fit_inverse_radius", counted_fit)
     monkeypatch.setattr(links, "quadric_form", counted_form)
     argv = ["verify", "--set", "hyperboloid_r3", "--theorem", "thm3.7", "--samples", "500"]
@@ -369,12 +377,32 @@ def test_a_run_validates_its_radius_schedule_once(sets, monkeypatch, name):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("theorem", verify.THEOREM_IDS)
+def test_each_theorem_validates_its_radius_schedule_once(sets, monkeypatch, theorem):
+    # base_point too: its shifted run takes its center as an argument, not a new context
+    from lkcurv import limits
+
+    validate_fn, calls = limits.validate_radii, []
+
+    def counted(radii):
+        calls.append(radii)
+        return validate_fn(radii)
+
+    monkeypatch.setattr(limits, "validate_radii", counted)
+    monkeypatch.setattr(verify, "validate_radii", counted)
+    name = "line_r3" if theorem == "prop3.1" else "twisted_cubic_r3"
+    base_point = (0.5, 0.5, 0.5) if theorem == "base_point" else None
+    report = run_theorem(theorem, sets[name], n_samples=200, seed=42, base_point=base_point)
+    assert report.overall_pass
+    assert len(calls) == 1
+
+
 def test_vanishing_orders_never_reach_the_sweep(sets, monkeypatch):
     # an order above the dimension, or of odd codegree d - k, is 0 at every
     # node: its row is answered without a sweep, under the sweep's route
     from lkcurv import limits
 
-    sweep_fn, swept = limits.lk_measures_sweep, []
+    sweep_fn, swept = limits.measure_sweep, []
 
     def live_only(x, ks, *args, **kwargs):
         ks = list(ks)
@@ -382,7 +410,7 @@ def test_vanishing_orders_never_reach_the_sweep(sets, monkeypatch):
         swept.append(ks)
         return sweep_fn(x, ks, *args, **kwargs)
 
-    monkeypatch.setattr(limits, "lk_measures_sweep", live_only)
+    monkeypatch.setattr(limits, "measure_sweep", live_only)
     for name in ("hyperboloid_r3", "paraboloid_r3", "cylinder_r3", "twisted_cubic_r3",
                  "plane_r2_in_r3"):
         x = sets[name]
