@@ -157,6 +157,8 @@ class Chart:
     revolution: Optional[Revolution] = None
     # the map's own range of t, where no set file gives one
     natural_t_range: Tuple[float, float] = (-math.inf, math.inf)
+    # a curve's velocities p'(t), (B,) -> (B, n), whence its det G; None on a surface
+    velocity: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def rotation_axis(self) -> Optional[int]:
@@ -741,7 +743,8 @@ def _build_poly_curve(coefficients=()):
                            f"|t| = {_CURVE_REACH:g}")
         return pieces
 
-    return Chart("poly_curve", 1, ambient, jet, None, intervals, paneled=True)
+    return Chart("poly_curve", 1, ambient, jet, None, intervals, paneled=True,
+                 velocity=lambda t: _horner(dcoeffs, t))
 
 
 CHART_BUILDERS: Dict[str, Callable] = {

@@ -22,8 +22,8 @@ panel of the radii's pieces once (equal dyadic panels give equal nodes), and
 
 * a curve's nodes all lie inside the ball, so the rule needs no mask, and a
   curve that leaves the ball and comes back is integrated on every piece.
-  Its jet gives det G = |p'|^2, judged by ``catalog.charts.tangent_gram``,
-  the frame rule that set validation shares;
+  Its velocities alone (``Chart.velocity``) give det G = |p'|^2, judged by
+  ``catalog.charts.tangent_gram``, the frame rule that set validation shares;
 * a surface of revolution (``Chart.revolution``; every builtin surface) is
   read off its profile (w, z), one profile call per sweep
   (``Revolution.node_scalars``, which owns the parametrization): det G =
@@ -122,7 +122,7 @@ def _node_scalars(x: SmoothSet, t: np.ndarray, ks, center: np.ndarray):
     chart, n = x.chart, x.ambient_dim
     gauss = terms = None
     if chart.revolution is None:  # a curve: det G = |p'|^2
-        det, degenerate = tangent_gram(chart.jet(t[:, None])[1])
+        det, degenerate = tangent_gram(chart.velocity(t)[:, :, None])
     else:
         det, degenerate, gauss, terms = chart.revolution.node_scalars(
             t, center, any(k < 2 for k in ks))

@@ -22,7 +22,15 @@ and no frame is built.  A mean comes from one of two rules:
   nodes, summed in absolute value.  A panel whose cells all take one value
   is that value times its height, exactly, and takes no nodes; the break
   longitudes at the nodes of both rules on the other panels are read in one
-  call.  Nothing is drawn.
+  call.  Nothing is drawn.  The bookkeeping, a few to a few dozen numbers a
+  call, is on Python floats and lists, where a numpy call would cost more
+  than its arithmetic: the panel layout, each panel's slice, each slice's
+  cells in cyclic order with their centers and first values, and which
+  panels vary.  Numpy keeps the vector work: the break longitudes, the
+  oracle, the panel rules, and each varying slice's lengths at all its
+  nodes with each panel's dot products.  Each number is the same IEEE
+  operation on the same operands as in the all-numpy bookkeeping that the
+  tests keep as the reference, so every mean and bound has its bits.
 * **Independent slots** (``grassmann_mean_batch``) everywhere else: sample
   slot i takes a Haar normal, a normalized Gaussian vector, and the
   standard error is that of the values.
@@ -58,8 +66,8 @@ that no new stream repeats the samples they once drew.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
-from typing import Callable, Iterator, Optional, Tuple
+from math import ceil, log2, pi, sqrt
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,7 +89,7 @@ STREAM_GRASSMANN = 1
 SLICE_NODES = 16
 # cuts of the sliced rule closer than this differ by rounding and are one cut
 CUT_MERGE_TOL = 1e-12
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * pi
 
 
 def _stream_key(seed: int, domain: int, index: int = 0, sub: int = 0) -> Tuple[int, int]:
@@ -337,7 +345,7 @@ def _panel_rule(lo: np.ndarray, hi: np.ndarray, count: int) -> Tuple[np.ndarray,
     return lo[:, None] + width * s * s * (3.0 - 2.0 * s), width * 3.0 * s * (1.0 - s) * w
 
 
-def _panel_edges(cuts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _panel_edges(cuts: np.ndarray) -> Tuple[List[float], List[float]]:
     """Ends of the slices between the cuts on [0, 1], and the panel ends:
     the slices graded toward each end whose neighbor across that end is
     narrower than half the slice.
@@ -348,21 +356,18 @@ def _panel_edges(cuts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     that Gauss-Legendre converges at one rate on every panel however close
     two cuts are.
     """
-    inner = np.sort(cuts[(cuts > CUT_MERGE_TOL) & (cuts < 1.0 - CUT_MERGE_TOL)])
-    inner = inner[np.diff(inner, prepend=0.0) > CUT_MERGE_TOL]
-    edges = np.concatenate([[0.0], inner, [1.0]])
-    widths = np.diff(edges)
-    # per slice, its lower end then its upper end: the end, the direction into
-    # the slice, and the first step, the neighbor's width (its own at 0 and 1)
-    ends = np.stack([edges[:-1], edges[1:]], axis=1).ravel()
-    signs = np.tile([1.0, -1.0], widths.size)
-    steps = np.stack([np.concatenate([widths[:1], widths[:-1]]),
-                      np.concatenate([widths[1:], widths[-1:]])], axis=1).ravel()
-    counts = np.maximum(0, np.ceil(np.log2(0.5 * np.repeat(widths, 2) / steps))).astype(int)
-    # the k-th point from an end steps 2^k times the first step into the slice
-    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    graded = np.repeat(ends, counts) + np.repeat(signs * steps, counts) * 2.0 ** k
-    return edges, np.unique(np.concatenate([edges, graded]))
+    inner = sorted(c for c in cuts.tolist() if CUT_MERGE_TOL < c < 1.0 - CUT_MERGE_TOL)
+    edges = [0.0] + [c for prev, c in zip([0.0] + inner, inner) if c - prev > CUT_MERGE_TOL] + [1.0]
+    widths = [b - a for a, b in zip(edges, edges[1:])]
+    ends = list(edges)
+    for i, width in enumerate(widths):
+        # from each end into the slice, the k-th point steps 2^k times the
+        # neighbor's width across that end (its own at 0 and 1)
+        for end, step in ((edges[i], widths[i - 1] if i else width),
+                          (edges[i + 1], -(widths[i + 1] if i + 1 < len(widths) else width))):
+            count = ceil(log2(0.5 * width / abs(step)))
+            ends += [end + step * 2.0 ** k for k in range(count)]
+    return edges, sorted(set(ends))
 
 
 def sliced_mean(oracle: BatchOracle, breaks) -> SlicedMean:
@@ -381,21 +386,22 @@ def sliced_mean(oracle: BatchOracle, breaks) -> SlicedMean:
     2 pi nearest its middle position, so a cell that vanishes at a panel end
     has length 0 there.
     """
-    slices, edges = _panel_edges(breaks.cuts)
-    lo, hi = edges[:-1], edges[1:]
-    owner = np.searchsorted(slices, 0.5 * (lo + hi)) - 1
-    mid = 0.5 * (slices[:-1] + slices[1:])
-    phi, exists = breaks.longitudes(mid)
+    slices, ends = _panel_edges(breaks.cuts)
+    lo, hi = ends[:-1], ends[1:]
+    # slice s holds the panels p0 <= p < p1
+    spans = [(s, ends.index(a), ends.index(b)) for s, (a, b) in enumerate(zip(slices, slices[1:]))]
+    mid = [0.5 * (a + b) for a, b in zip(slices, slices[1:])]
+    phi, exists = breaks.longitudes(np.array(mid))
+    # per slice: the columns of its break points in cyclic order (ties by
+    # column), their longitudes mod 2 pi, and where its cells' values lie
     cells, height, lon = [], [], []
-    for p in range(mid.size):
-        cols = np.flatnonzero(exists[p])
-        ref = phi[p, cols] % TWO_PI
-        order = np.argsort(ref)
-        cols, ref = cols[order], ref[order]
-        centers = ref + 0.5 * np.diff(ref, append=ref[:1] + TWO_PI) if cols.size else np.zeros(1)
-        cells.append((cols, ref, slice(len(lon), len(lon) + centers.size)))
-        height += [mid[p]] * centers.size
-        lon += centers.tolist()
+    for z, row, found in zip(mid, (phi % TWO_PI).tolist(), exists.tolist()):
+        order = sorted((p, j) for j, (p, ok) in enumerate(zip(row, found)) if ok)
+        ref = [p for p, _ in order]
+        centers = [a + 0.5 * (b - a) for a, b in zip(ref, ref[1:] + [ref[0] + TWO_PI])] if ref else [0.0]
+        cells.append(([j for _, j in order], ref, slice(len(lon), len(lon) + len(centers))))
+        height += [z] * len(centers)
+        lon += centers
     z, lon = np.array(height), np.array(lon)
     r = np.sqrt(1.0 - z * z)
     values, degenerate = oracle(np.stack([r * np.cos(lon), r * np.sin(lon), z], axis=-1)
@@ -405,24 +411,32 @@ def sliced_mean(oracle: BatchOracle, breaks) -> SlicedMean:
         raise GenericityError(
             f"the plane of a sliced cell at height {z[np.argmax(degenerate)]:.6g} is "
             "degenerate; the set appears to violate genericity assumptions")
-    base = np.array([values[where][0] for _, _, where in cells])[owner]
+    listed = values.tolist()
+    first = [listed[where.start] for _, _, where in cells]
     # a panel of one value would add w @ (lengths @ 0) = 0 under both rules
-    varies = np.array([np.any(values[where] != values[where][0]) for _, _, where in cells])
-    live = np.flatnonzero(varies[owner])
-    sums = np.zeros((2, lo.size))
-    if live.size:
-        rules = [_panel_rule(lo[live], hi[live], count) for count in (SLICE_NODES // 2, SLICE_NODES)]
+    live = [(s, p0, p1) for s, p0, p1 in spans if any(v != first[s] for v in listed[cells[s][2]])]
+    panels = [p for _, p0, p1 in live for p in range(p0, p1)]
+    sums = np.zeros((2, len(lo)))
+    if live:
+        rules = [_panel_rule(np.array(lo)[panels], np.array(hi)[panels], count)
+                 for count in (SLICE_NODES // 2, SLICE_NODES)]
         phi = breaks.longitudes(np.concatenate([nodes.ravel() for nodes, _ in rules]))[0]
-        for panel_sums, (nodes, w), at_nodes in zip(sums, rules, np.split(phi, [rules[0][0].size])):
-            at_nodes = at_nodes.reshape(nodes.shape + (-1,))
-            for i, p in enumerate(live):
-                cols, ref, where = cells[owner[p]]
-                b = ref + (at_nodes[i][:, cols] - ref + np.pi) % TWO_PI - np.pi
-                lengths = np.diff(b, axis=1, append=b[:, :1] + TWO_PI)
-                panel_sums[p] = w[i] @ (lengths @ (values[where] - base[p])) / TWO_PI
+        at_rules = np.split(phi, [rules[0][0].size])
+        for s, p0, p1 in live:
+            # the slice's break points at all its live panels' nodes at once
+            i0, (cols, ref, where) = panels.index(p0), cells[s]
+            cols, ref, rise = np.array(cols), np.array(ref), values[where] - first[s]
+            for panel_sums, (nodes, w), at_nodes in zip(sums, rules, at_rules):
+                count = nodes.shape[1]
+                at = at_nodes[i0 * count:(i0 + p1 - p0) * count, cols]
+                b = ref + (at - ref + np.pi) % TWO_PI - np.pi
+                lengths = np.concatenate([b[:, 1:], b[:, :1] + TWO_PI], axis=1) - b
+                for i, rows in enumerate(lengths.reshape(p1 - p0, count, -1), i0):
+                    panel_sums[panels[i]] = w[i] @ (rows @ rise) / TWO_PI
     coarse, fine = sums
-    return SlicedMean(float(np.sum(base * (hi - lo) + fine)), float(np.sum(np.abs(fine - coarse))),
-                      lo.size, values.size)
+    parts = [first[s] * (hi[p] - lo[p]) for s, p0, p1 in spans for p in range(p0, p1)]
+    return SlicedMean(float(np.sum(parts + fine)), float(np.sum(np.abs(fine - coarse))),
+                      len(lo), len(listed))
 
 
 # the benchmark's probe calls this with ``workers=`` and ``collect=``, and its

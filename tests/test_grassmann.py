@@ -21,6 +21,7 @@ from lkcurv.grassmann import (
     SlicedMean, sliced_mean, slot_frames, substream,
 )
 from per_plane_links import project
+from sliced_reference import reference_panel_edges, reference_sliced_mean
 
 
 def test_frames_are_orthonormal():
@@ -371,6 +372,21 @@ def _rotations(count):
         yield q * np.sign(np.diag(r))
 
 
+def _turned_hyperboloid(rotation):
+    """The elliptic hyperboloid x^2 + 4y^2 - z^2 = 1 turned by a rotation q:
+    x^T q A q^T x = 1."""
+    a = rotation @ np.diag([1.0, 4.0, -1.0]) @ rotation.T
+    terms = {(0, 0, 0): -1.0}
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        exps = tuple(int(i == m) + int(j == m) for m in range(3))
+        terms[exps] = a[i, j] * (1.0 if i == j else 2.0)
+    return SmoothSet(chart=None, declared_chi=0, implicit=Poly(3, terms))
+
+
+def _turned_cone(graph, rotation):
+    return ConicGraph(SphericalGraph(graph.vertices @ rotation.T, graph.edges))
+
+
 @pytest.mark.parametrize("name", ["star3_s2", "circle_s2", "theta_s2", "tetra_s2"])
 def test_sliced_mean_of_rotated_cones_is_the_crofton_value(graphs, name):
     """A hyperplane crosses a minor arc of length theta with probability
@@ -380,7 +396,7 @@ def test_sliced_mean_of_rotated_cones_is_the_crofton_value(graphs, name):
     graph = graphs[name]
     exact = graph.total_arc_length() / math.pi
     for rotation in _rotations(6):
-        est = _sliced(ConicGraph(SphericalGraph(graph.vertices @ rotation.T, graph.edges)))
+        est = _sliced(_turned_cone(graph, rotation))
         error = abs(est.mean - exact)
         assert error <= est.bound + ROUNDING_FLOOR and error <= 1e-9, (est, exact)
 
@@ -394,15 +410,8 @@ def test_sliced_mean_of_an_elliptic_hyperboloid_is_its_periodic_integral():
     mu = np.cos(p) ** 2 + np.sin(p) ** 2 / 4.0
     exact = 4.0 * float(np.mean(np.sqrt(mu / (1.0 + mu))))
     assert exact == pytest.approx(2.3980100, abs=1e-7)
-    # the same surface turned by rotations q: x^T q A q^T x = 1
     for rotation in [np.eye(3), *_rotations(3)]:
-        a = rotation @ np.diag([1.0, 4.0, -1.0]) @ rotation.T
-        terms = {(0, 0, 0): -1.0}
-        for i, j in itertools.combinations_with_replacement(range(3), 2):
-            exps = tuple(int(i == m) + int(j == m) for m in range(3))
-            terms[exps] = a[i, j] * (1.0 if i == j else 2.0)
-        est = _sliced(SmoothSet(chart=None, declared_chi=0,
-                                implicit=Poly(3, terms)))
+        est = _sliced(_turned_hyperboloid(rotation))
         error = abs(est.mean - exact)
         assert error <= est.bound + ROUNDING_FLOOR and error <= 1e-9, (est, exact)
 
@@ -442,6 +451,49 @@ def test_panels_of_one_value_take_no_nodes(sets, monkeypatch):
     assert _sliced(sets["star3_cone_r3"]) == SlicedMean(
         0.9999999999999999, 4.5737078048502244e-09, 4, 13)
     assert len(read) == 2
+
+
+def _random_cones(count):
+    """Derandomized cones over 2 to 7 random vertices on a path; every fourth
+    also has a vertex at the pole and the antipode of its first vertex."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([29, 3], dtype=np.uint64)))
+    for trial in range(count):
+        v = rng.standard_normal((rng.integers(2, 8), 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        if trial % 4 == 0:
+            v = np.concatenate([v, [[0.0, 0.0, 1.0]], -v[:1]])
+        # no arc joins the antipodal pair, the last two vertices
+        path = [(i, i + 1) for i in range(len(v) - 1 - (trial % 4 == 0))]
+        yield ConicGraph(SphericalGraph(v, path))
+
+
+def _sliced_outcome(mean, x):
+    """A sliced mean of the link chi of x, or the message of its GenericityError."""
+    try:
+        return mean(lambda normals: link_chi_batch(x, normals), hyperplane_breaks(x))
+    except GenericityError as exc:
+        return str(exc)
+
+
+def test_sliced_mean_matches_the_numpy_reference_to_the_bit(sets, graphs):
+    cases = [sets[name] for name in ("star3_cone_r3", "plane_cone_r3", "hyperboloid_r3")]
+    cases += [_turned_cone(graphs[name], rotation)
+              for name in ("star3_s2", "circle_s2", "theta_s2", "tetra_s2")
+              for rotation in _rotations(6)]
+    cases += [_turned_hyperboloid(rotation) for rotation in [np.eye(3), *_rotations(3)]]
+    cones = list(_random_cones(120))
+    outcomes = []
+    for x in cases + cones:
+        outcome = _sliced_outcome(sliced_mean, x)
+        assert outcome == _sliced_outcome(reference_sliced_mean, x), x
+        outcomes.append(outcome)
+    means = [est for est in outcomes if isinstance(est, SlicedMean)]
+    # two random cones have two cuts within 1e-7, and both rules refuse the
+    # thin slice between them; every other case has a mean
+    assert len(means) == len(outcomes) - 2
+    # the cases reach panels of one value, varying ones, and more panels than
+    # np.sum adds in one plain loop
+    assert min(est.panels for est in means) == 1 and max(est.panels for est in means) > 8
 
 
 def test_sliced_mean_refuses_a_degenerate_cell(sets):
@@ -491,6 +543,8 @@ def test_panel_ends_match_the_reference_to_the_bit():
             cuts = np.concatenate([cuts, [0.0, 1.0, 1e-13, 0.25, 0.5, 0.625]])
         edges, panels = grassmann._panel_edges(cuts)
         assert np.array_equal(panels, _graded_by_slice_end(edges)), cuts
+        reference = reference_panel_edges(cuts)
+        assert np.array_equal(edges, reference[0]) and np.array_equal(panels, reference[1]), cuts
 
 
 def _cone_cuts_by_cross_products(vertices):
