@@ -27,10 +27,11 @@ and no frame is built.  A mean comes from one of two rules:
   than its arithmetic: the panel layout, each panel's slice, each slice's
   cells in cyclic order with their centers and first values, and which
   panels vary.  Numpy keeps the vector work: the break longitudes, the
-  oracle, the panel rules, and each varying slice's lengths at all its
-  nodes with each panel's dot products.  Each number is the same IEEE
-  operation on the same operands as in the all-numpy bookkeeping that the
-  tests keep as the reference, so every mean and bound has its bits.
+  oracle, the panel rules, and each varying slice's lengths at the nodes of
+  both rules on all its panels at once, with each panel's dot products.
+  Each number is the same IEEE operation on the same operands as in the
+  all-numpy bookkeeping that the tests keep as the reference, so every mean
+  and bound has its bits.
 * **Independent slots** (``grassmann_mean_batch``) everywhere else: sample
   slot i takes a Haar normal, a normalized Gaussian vector, and the
   standard error is that of the values.
@@ -418,21 +419,27 @@ def sliced_mean(oracle: BatchOracle, breaks) -> SlicedMean:
     panels = [p for _, p0, p1 in live for p in range(p0, p1)]
     sums = np.zeros((2, len(lo)))
     if live:
-        rules = [_panel_rule(np.array(lo)[panels], np.array(hi)[panels], count)
-                 for count in (SLICE_NODES // 2, SLICE_NODES)]
-        phi = breaks.longitudes(np.concatenate([nodes.ravel() for nodes, _ in rules]))[0]
-        at_rules = np.split(phi, [rules[0][0].size])
-        for s, p0, p1 in live:
-            # the slice's break points at all its live panels' nodes at once
-            i0, (cols, ref, where) = panels.index(p0), cells[s]
+        live_lo, live_hi = np.array([lo[p] for p in panels]), np.array([hi[p] for p in panels])
+        rules = [_panel_rule(live_lo, live_hi, count) for count in (SLICE_NODES // 2, SLICE_NODES)]
+        # slice by slice, the nodes of both rules on its live panels, so that
+        # each slice reads its break points in one block of rows
+        firsts = [panels.index(p0) for _, p0, _ in live]
+        phi = breaks.longitudes(np.concatenate([
+            nodes[i0:i0 + p1 - p0].ravel()
+            for i0, (_, p0, p1) in zip(firsts, live) for nodes, _ in rules]))[0]
+        offset = 0
+        for i0, (s, p0, p1) in zip(firsts, live):
+            cols, ref, where = cells[s]
             cols, ref, rise = np.array(cols), np.array(ref), values[where] - first[s]
-            for panel_sums, (nodes, w), at_nodes in zip(sums, rules, at_rules):
+            at = phi[offset:offset + (p1 - p0) * (SLICE_NODES // 2 + SLICE_NODES), cols]
+            b = ref + (at - ref + np.pi) % TWO_PI - np.pi
+            lengths = np.concatenate([b[:, 1:], b[:, :1] + TWO_PI], axis=1) - b
+            for panel_sums, (nodes, w) in zip(sums, rules):
                 count = nodes.shape[1]
-                at = at_nodes[i0 * count:(i0 + p1 - p0) * count, cols]
-                b = ref + (at - ref + np.pi) % TWO_PI - np.pi
-                lengths = np.concatenate([b[:, 1:], b[:, :1] + TWO_PI], axis=1) - b
-                for i, rows in enumerate(lengths.reshape(p1 - p0, count, -1), i0):
+                block, lengths = lengths[:(p1 - p0) * count], lengths[(p1 - p0) * count:]
+                for i, rows in enumerate(block.reshape(p1 - p0, count, -1), i0):
                     panel_sums[panels[i]] = w[i] @ (rows @ rise) / TWO_PI
+            offset += at.shape[0]
     coarse, fine = sums
     parts = [first[s] * (hi[p] - lo[p]) for s, p0, p1 in spans for p in range(p0, p1)]
     return SlicedMean(float(np.sum(parts + fine)), float(np.sum(np.abs(fine - coarse))),
