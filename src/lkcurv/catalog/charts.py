@@ -157,8 +157,7 @@ class Chart:
     revolution: Optional[Revolution] = None
     # the map's own range of t, where no set file gives one
     natural_t_range: Tuple[float, float] = (-math.inf, math.inf)
-    # a curve's velocities p'(t), (B,) -> (B, n), whence its det G; None on a surface
-    velocity: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    velocity: Optional[Callable] = None  # a curve's p'(t), (B,) -> (B, n), whence det G
 
     @property
     def rotation_axis(self) -> Optional[int]:

@@ -360,14 +360,12 @@ def _panel_edges(cuts: np.ndarray) -> Tuple[List[float], List[float]]:
     inner = sorted(c for c in cuts.tolist() if CUT_MERGE_TOL < c < 1.0 - CUT_MERGE_TOL)
     edges = [0.0] + [c for prev, c in zip([0.0] + inner, inner) if c - prev > CUT_MERGE_TOL] + [1.0]
     widths = [b - a for a, b in zip(edges, edges[1:])]
-    ends = list(edges)
+    ends, padded = list(edges), widths[:1] + widths + widths[-1:]
     for i, width in enumerate(widths):
         # from each end into the slice, the k-th point steps 2^k times the
         # neighbor's width across that end (its own at 0 and 1)
-        for end, step in ((edges[i], widths[i - 1] if i else width),
-                          (edges[i + 1], -(widths[i + 1] if i + 1 < len(widths) else width))):
-            count = ceil(log2(0.5 * width / abs(step)))
-            ends += [end + step * 2.0 ** k for k in range(count)]
+        for end, step in ((edges[i], padded[i]), (edges[i + 1], -padded[i + 2])):
+            ends += [end + step * 2.0 ** k for k in range(ceil(log2(0.5 * width / abs(step))))]
     return edges, sorted(set(ends))
 
 
@@ -388,7 +386,6 @@ def sliced_mean(oracle: BatchOracle, breaks) -> SlicedMean:
     has length 0 there.
     """
     slices, ends = _panel_edges(breaks.cuts)
-    lo, hi = ends[:-1], ends[1:]
     # slice s holds the panels p0 <= p < p1
     spans = [(s, ends.index(a), ends.index(b)) for s, (a, b) in enumerate(zip(slices, slices[1:]))]
     mid = [0.5 * (a + b) for a, b in zip(slices, slices[1:])]
@@ -407,43 +404,33 @@ def sliced_mean(oracle: BatchOracle, breaks) -> SlicedMean:
     r = np.sqrt(1.0 - z * z)
     values, degenerate = oracle(np.stack([r * np.cos(lon), r * np.sin(lon), z], axis=-1)
                                 @ breaks.basis)
-    values = np.asarray(values, dtype=float)
     if np.any(degenerate):
         raise GenericityError(
             f"the plane of a sliced cell at height {z[np.argmax(degenerate)]:.6g} is "
             "degenerate; the set appears to violate genericity assumptions")
-    listed = values.tolist()
-    first = [listed[where.start] for _, _, where in cells]
+    values = np.asarray(values, dtype=float).tolist()
+    first = [values[where.start] for _, _, where in cells]
     # a panel of one value would add w @ (lengths @ 0) = 0 under both rules
-    live = [(s, p0, p1) for s, p0, p1 in spans if any(v != first[s] for v in listed[cells[s][2]])]
-    panels = [p for _, p0, p1 in live for p in range(p0, p1)]
-    sums = np.zeros((2, len(lo)))
+    live = [(s, p0, p1) for s, p0, p1 in spans if any(v != first[s] for v in values[cells[s][2]])]
+    coarse, fine = np.zeros(len(ends) - 1), np.zeros(len(ends) - 1)
     if live:
-        live_lo, live_hi = np.array([lo[p] for p in panels]), np.array([hi[p] for p in panels])
-        rules = [_panel_rule(live_lo, live_hi, count) for count in (SLICE_NODES // 2, SLICE_NODES)]
-        # slice by slice, the nodes of both rules on its live panels, so that
-        # each slice reads its break points in one block of rows
-        firsts = [panels.index(p0) for _, p0, _ in live]
-        phi = breaks.longitudes(np.concatenate([
-            nodes[i0:i0 + p1 - p0].ravel()
-            for i0, (_, p0, p1) in zip(firsts, live) for nodes, _ in rules]))[0]
-        offset = 0
-        for i0, (s, p0, p1) in zip(firsts, live):
-            cols, ref, where = cells[s]
-            cols, ref, rise = np.array(cols), np.array(ref), values[where] - first[s]
-            at = phi[offset:offset + (p1 - p0) * (SLICE_NODES // 2 + SLICE_NODES), cols]
+        rules = [_panel_rule(*np.array([ends[:-1], ends[1:]]), SLICE_NODES // k) for k in (2, 1)]
+        # per varying slice, one block of rows: rule 0's n nodes, then rule 1's 2n
+        phi = breaks.longitudes(np.concatenate([nodes[p0:p1].ravel() for _, p0, p1 in live
+                                                for nodes, _ in rules]))[0]
+        end = 0
+        for s, p0, p1 in live:
+            (cols, ref, where), n = cells[s], (p1 - p0) * SLICE_NODES // 2
+            at, end = phi[end:end + 3 * n, cols], end + 3 * n
+            ref, rise = np.array(ref), np.array(values[where]) - first[s]
             b = ref + (at - ref + np.pi) % TWO_PI - np.pi
             lengths = np.concatenate([b[:, 1:], b[:, :1] + TWO_PI], axis=1) - b
-            for panel_sums, (nodes, w) in zip(sums, rules):
-                count = nodes.shape[1]
-                block, lengths = lengths[:(p1 - p0) * count], lengths[(p1 - p0) * count:]
-                for i, rows in enumerate(block.reshape(p1 - p0, count, -1), i0):
-                    panel_sums[panels[i]] = w[i] @ (rows @ rise) / TWO_PI
-            offset += at.shape[0]
-    coarse, fine = sums
-    parts = [first[s] * (hi[p] - lo[p]) for s, p0, p1 in spans for p in range(p0, p1)]
+            for sums, (nodes, w), block in zip((coarse, fine), rules, (lengths[:n], lengths[n:])):
+                for p, rows in enumerate(block.reshape(p1 - p0, nodes.shape[1], -1), p0):
+                    sums[p] = w[p] @ (rows @ rise) / TWO_PI
+    parts = [first[s] * (ends[p + 1] - ends[p]) for s, p0, p1 in spans for p in range(p0, p1)]
     return SlicedMean(float(np.sum(parts + fine)), float(np.sum(np.abs(fine - coarse))),
-                      len(lo), len(listed))
+                      len(ends) - 1, len(values))
 
 
 # the benchmark's probe calls this with ``workers=`` and ``collect=``, and its
