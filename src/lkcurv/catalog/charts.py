@@ -1,27 +1,30 @@
 """Charts for smooth sets.
 
-A smooth set has one chart, a curve or a surface.  The chart supplies one
-jet, the parametrization together with its exact first and second derivatives
-at a batch of parameter points, and, for every builtin map, the exact part of
-its parameter domain that a ball reaches (``Chart.ball_intervals``).
+A smooth set has one chart, a curve or a surface, and a chart's shape is one
+of the two the cubature integrates:
 
-Every builtin surface is a surface of revolution,
+* ``Revolution``, a surface of revolution,
 
-    (t, phi) -> origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3,
+      (t, phi) -> origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3,
 
-with orthonormal e1, e2, e3 (e3 = 0 for a plane), so a map gives only its
-profile curve: w, z and their first two derivatives at t.
-``_revolution_chart`` turns a profile into the map, its Jacobian and its
-second derivatives by the chain rule, for set validation, and keeps the
-profile, the frame (rows e1, e2, e3), the origin and the index of phi as
-``Chart.revolution`` (``Chart.rotation_axis`` reads the index off it).  det G
-and the curvature densities of such a chart do not depend on phi, so the
-cubature takes them, and the ball terms of each profile circle, from
-``Revolution.node_scalars``, with one profile call per sweep: det G, the
-Gauss curvature, which is intrinsic and so gives the order-2 density in
-every codimension, and A, B, C of |p - c|^2 = A + B cos phi + C sin phi.
-The space curve ``poly_curve`` differentiates its polynomial coefficients
-instead.
+  with orthonormal e1, e2, e3 (e3 = 0 for a plane), given by its profile
+  curve: w, z and their first two derivatives at t.  Every builtin surface
+  is one;
+* ``PolyCurve``, the space curve ``poly_curve``, given by its polynomial
+  coefficients.
+
+A ``Chart`` is the map's name, its shape, a set file's domain box and the
+map's parameters.  Each shape gives its points (``points``), which set
+validation spot-checks, and the scalars of the cubature at a batch of nodes
+of t (``node_scalars``): det G, whether some node's tangent frame is
+degenerate and, on a surface, the Gauss curvature and the ball terms of each
+profile circle.  det G and the curvature densities of a surface of
+revolution do not depend on phi, so one profile call gives them for a whole
+sweep; a curve's det G = |p'|^2 comes from its velocities alone.  Set
+validation takes its verdict on the tangent frames from the same
+``node_scalars``, so the two share one det G.  Each shape also owns its map's
+natural range of t and the exact part of it that a ball reaches
+(``Chart.ball_intervals``).
 
 Ball geometry.  Write the ball's center, relative to the origin, as s along
 the plane of e1 and e2 (its distance from the axis), h along e3 and a normal
@@ -52,10 +55,11 @@ unsquared gap between candidates, so near-double roots are never lost.  The
 t-values where the profile circle enters the ball wholly split the
 intervals into pieces, which the cubature takes as panel breaks.
 
-A chart's tangent frame at a node is judged here, by ``gram_degenerate``,
-the one rule that set validation and the cubature share: det G of G = J^T J
-against a fraction of Hadamard's bound g11 g22, so the verdict does not
-change when the set is dilated.
+A tangent frame is judged by ``gram_degenerate``: det G against a fraction
+of Hadamard's bound g11 g22, so the verdict does not change when the set is
+dilated.  On a curve det G = g11, and the frame of a surface of revolution
+is orthogonal (g12 = 0), so det G is its own bound on both shapes, and a
+frame is degenerate exactly where det G is 0.
 
 Cubature uses Gauss-Legendre rules on t alone.  Each rule is computed here
 by Newton's method on the three-term Legendre recurrence from Tricomi's
@@ -78,28 +82,50 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import SetValidationError
 
-# a tangent frame is degenerate where det G <= GRAM_DET_TOL g11 g22 (``tangent_gram``)
+# a tangent frame is degenerate where det G <= GRAM_DET_TOL g11 g22 (``gram_degenerate``)
 GRAM_DET_TOL = 1e-12
 
 # a curve still inside a ball this far out along its parameter is refused
 _CURVE_REACH = 1e7
 
+_TWO_PI = 2.0 * math.pi
+
 
 class Revolution(NamedTuple):
     """origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3: ``profile(t)`` gives
-    (w, w', w'', z, z', z''), constants as scalars, ``frame`` (3, n) the rows
-    e1, e2, e3 (orthonormal, or e3 = 0 for a plane) and ``phi_axis`` the
-    parameter index of phi."""
+    (w, w', w'', z, z', z''), constants as scalars, and ``phi_axis`` is the
+    parameter index of phi.  ``disc(s, h, qs, lo, hi)`` gives, for each q > 0
+    of the list ``qs``, the spans of t in [lo, hi] whose profile point lies in
+    the disc of squared radius q about (s, h), and ``natural`` is the map's
+    own range of t, one turn of an angle where ``periodic``.  ``frame`` (3, n)
+    holds the rows e1, e2, e3 (orthonormal, or e3 = 0 for a plane)."""
     profile: Callable
-    frame: np.ndarray
-    origin: np.ndarray
     phi_axis: int
+    disc: Callable
+    natural: Tuple[float, float]
+    frame: np.ndarray = np.eye(3)
+    origin: np.ndarray = np.zeros(3)
+    periodic: bool = False
+
+    dim = 2
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.frame.shape[1]
+
+    def points(self, u: np.ndarray) -> np.ndarray:
+        """The points (B, n) at the parameter points u (B, 2)."""
+        w, _, _, z, _, _ = self.profile(u[:, 1 - self.phi_axis])
+        phi = u[:, self.phi_axis]
+        local = np.empty((len(u), 3))  # a e1 + b e2 + c e3 at each node
+        local[:, 0], local[:, 1], local[:, 2] = w * np.cos(phi), w * np.sin(phi), z
+        return self.origin + local @ self.frame
 
     def node_scalars(self, t: np.ndarray, center: np.ndarray, gauss: bool):
         """det G at each node of t, whether some node's frame is degenerate
@@ -111,8 +137,9 @@ class Revolution(NamedTuple):
         g12 = 0, so det G = g11 g22 = (w'^2 + z'^2) w^2 is its own Hadamard
         bound.  The forms of N = (-z' w, 0, w' w) in (e1, e2, e3) at phi = 0,
         which has |N|^2 = det G, are b11 = <p_tt, N>, b22 = <p_phiphi, N> and
-        b12 = 0, so K = b11 b22 / det G^2, in the operation order of the jet;
-        K is intrinsic (the Gauss equation), so it serves every codimension.
+        b12 = 0, so K = b11 b22 / det G^2, in the operation order of the 2-D
+        jet that the tests keep as the reference; K is intrinsic (the Gauss
+        equation), so it serves every codimension.
         A, B and C come from the phi = 0 point a + u, with a = origin + z e3
         and u = w e1, and its phi-derivatives v = w e2 and -u, one row per
         coordinate; the rows are summed in order, as onto a start of 0 (0.0 -
@@ -134,35 +161,110 @@ class Revolution(NamedTuple):
                                0.0 + 2.0 * middle * (w * e2)], axis=1)
         return det, degenerate, curvature, terms
 
+    def ball_pieces(self, radii, center: np.ndarray, t_range) -> List[list]:
+        """Per radius the spans of t in ``t_range`` whose profile circle meets
+        the ball about ``center``, split where the circle enters it wholly."""
+        lo, hi = t_range
+        rel = center - self.origin
+        along = self.frame @ rel
+        s, h = math.hypot(along[0], along[1]), float(along[2])
+        n2 = float(np.sum((rel - along @ self.frame) ** 2))
+        qs = [radius * radius - n2 for radius in radii]
+        live = [q for q in qs if q > 0.0]
+        # the circle at t meets the ball where min(|w - s|, |w + s|) is small
+        # enough, and lies inside it wholly where max(...) is
+        near = self.disc(s, h, live, lo, hi)
+        found = iter(zip(near, near if s == 0.0 else self.disc(-s, h, live, lo, hi)))
+        pieces = []
+        for q in qs:
+            near, far = next(found) if q > 0.0 else ([], [])
+            cuts = [end for piece in _intersection(near, far) for end in piece]
+            pieces.append(_split(_union(near, far), cuts))
+        return pieces
+
+
+def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The polynomials of the rows of ``coeffs`` (lowest degree first) at each
+    t, as (B, rows)."""
+    out = np.zeros((t.shape[0], coeffs.shape[0]))
+    for j in range(coeffs.shape[0]):
+        out[:, j] = np.polynomial.polynomial.polyval(t, coeffs[j])
+    return out
+
+
+class PolyCurve(NamedTuple):
+    """t -> p(t), whose coordinates are the polynomials of the rows of
+    ``coefficients`` (n, deg + 1), lowest degree first, on the whole line."""
+    coefficients: np.ndarray
+
+    dim = 1
+    phi_axis = None
+    natural = (-math.inf, math.inf)
+    periodic = False
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.coefficients.shape[0]
+
+    def points(self, u: np.ndarray) -> np.ndarray:
+        """The points (B, n) at the parameter points u (B, 1)."""
+        return _horner(self.coefficients, u[:, 0])
+
+    def node_scalars(self, t: np.ndarray, center: np.ndarray, gauss: bool):
+        """det G = |p'|^2 at each node of t and whether some node's velocity
+        vanishes (``gram_degenerate``); a curve has no Gauss curvature, and
+        no ball terms, since its nodes all lie inside the ball."""
+        coeffs = self.coefficients
+        velocity = _horner(coeffs[:, 1:] * np.arange(1, coeffs.shape[1]), t)
+        det = np.einsum("bi,bi->b", velocity, velocity)
+        return det, gram_degenerate(det, det), None, None
+
+    def ball_pieces(self, radii, center: np.ndarray, t_range) -> List[list]:
+        """Per radius the spans of t in ``t_range`` where the curve lies in the
+        ball about ``center``: the sublevel set of |p(t) - c|^2 - R^2."""
+        lo, hi = t_range
+        offset = self.coefficients.copy()
+        offset[:, 0] -= center
+        # |p(t) - c|^2 - R^2, highest degree first, one row per radius
+        square = sum(np.convolve(row, row) for row in offset)[::-1]
+        gaps = np.tile(square, (len(radii), 1))
+        gaps[:, -1] -= np.square(radii)
+        sizes = np.array(radii)
+
+        def gap(t, i):
+            return np.sum((_horner(offset, t) / sizes[i, None]) ** 2, axis=1) - 1.0
+
+        pieces = _sublevel(gaps, gap, lo, hi)
+        for radius, spans in zip(radii, pieces):
+            if spans and max(abs(spans[0][0]), abs(spans[-1][1])) > _CURVE_REACH:
+                raise SetValidationError(
+                    "charts.params.coefficients",
+                    f"the curve is still inside the radius-{radius:g} ball at "
+                    f"|t| = {_CURVE_REACH:g}")
+        return pieces
+
 
 @dataclass(eq=False)
 class Chart:
-    label: str
-    dim: int
-    ambient_dim: int
-    # U (B, dim) -> points (B, n), Jacobians (B, n, dim), second derivatives (B, n, dim, dim)
-    jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    label: str  # the map's name
+    shape: Union[Revolution, PolyCurve]
     # a set file's (dim, 2) parameter box, which bounds the set, or None for the
     # map's natural domain
-    base_domain: Optional[np.ndarray]
-    # (radii, center, (lo, hi) of t) -> per radius the pieces of t that reach
-    # the ball; see ``ball_intervals``
-    interval_fn: Callable
+    domain: Optional[np.ndarray] = None
     params: dict = field(default_factory=dict)
-    # whether the range of t grows with the ball radius; cubature then panels
-    # it dyadically toward the chart's unit-scale feature region
-    paneled: bool = False
-    # a surface of revolution's profile, frame, origin and index of phi: its
-    # det G and densities depend on t alone, and cubature reads them off it
-    revolution: Optional[Revolution] = None
-    # the map's own range of t, where no set file gives one
-    natural_t_range: Tuple[float, float] = (-math.inf, math.inf)
-    velocity: Optional[Callable] = None  # a curve's p'(t), (B,) -> (B, n), whence det G
+
+    @property
+    def dim(self) -> int:
+        return self.shape.dim
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.shape.ambient_dim
 
     @property
     def rotation_axis(self) -> Optional[int]:
         """The index of phi on a surface of revolution, else None."""
-        return None if self.revolution is None else self.revolution.phi_axis
+        return self.shape.phi_axis
 
     @property
     def profile_axis(self) -> int:
@@ -170,18 +272,25 @@ class Chart:
         return 0 if self.rotation_axis is None else 1 - self.rotation_axis
 
     @property
+    def paneled(self) -> bool:
+        """Whether the range of t can grow with the ball radius, where the
+        map's own range of t is unbounded: cubature then panels it
+        dyadically toward the chart's unit-scale feature region."""
+        return not all(map(math.isfinite, self.shape.natural))
+
+    @property
     def t_range(self) -> Tuple[float, float]:
         """The range of t: the set file's, or else the map's own."""
-        if self.base_domain is None:
-            return self.natural_t_range
-        lo, hi = self.base_domain[self.profile_axis]
+        if self.domain is None:
+            return self.shape.natural
+        lo, hi = self.domain[self.profile_axis]
         return float(lo), float(hi)
 
     def phi_range(self) -> Optional[Tuple[float, float]]:
         """The set file's range of phi, or None for the whole circle."""
-        if self.rotation_axis is None or self.base_domain is None:
+        if self.rotation_axis is None or self.domain is None:
             return None
-        lo, hi = self.base_domain[self.rotation_axis]
+        lo, hi = self.domain[self.rotation_axis]
         return float(lo), float(hi)
 
     def ball_intervals(self, radii, center) -> List[np.ndarray]:
@@ -200,35 +309,12 @@ class Chart:
                 # the gap polynomials hold R^2, which would be inf
                 raise ValueError(f"radius {radius:g} is too large: R^2 is not finite")
         pieces = []
-        for radius, spans in zip(radii, self.interval_fn(radii, center, self.t_range)):
+        for radius, spans in zip(radii, self.shape.ball_pieces(radii, center, self.t_range)):
             if not all(map(math.isfinite, np.ravel(spans).tolist())):
                 raise ValueError(
                     f"radius {radius:g}: chart {self.label!r} has no finite parameter interval")
             pieces.append(np.array(spans, dtype=float).reshape(-1, 2))
         return pieces
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise inner products of two (B, n) stacks."""
-    return np.einsum("bi,bi->b", a, b)
-
-
-def tangent_gram(jac: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """det G, G = J^T J, of a curve or surface chart at each node of a
-    (B, n, d) stack of Jacobians, and whether some node's frame is degenerate.
-
-    On a curve det G = g11, and only a zero velocity is degenerate.
-    """
-    j1 = jac[:, :, 0]
-    g11 = _dot(j1, j1)
-    if jac.shape[2] == 1:
-        det = hadamard = g11
-    else:
-        j2 = jac[:, :, 1]
-        g12 = _dot(j1, j2)
-        hadamard = g11 * _dot(j2, j2)
-        det = hadamard - g12 * g12
-    return det, gram_degenerate(det, hadamard)
 
 
 def gram_degenerate(det: np.ndarray, hadamard: np.ndarray) -> bool:
@@ -329,8 +415,6 @@ def gauss_legendre_nodes(pieces, count: int, paneled: bool = False, panels=None)
 # ---------------------------------------------------------------- ball geometry
 #
 # A list of spans is a sorted list of disjoint (lo, hi) pairs of floats.
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _clip(spans, lo: float, hi: float):
@@ -495,9 +579,9 @@ def _meridian_gap(profile, s: float, h: float, qs):
 # ------------------------------------------------------------------- factories
 #
 # Every builder takes the map's parameters as keywords with their defaults
-# (those keywords are the parameters a set file may give) and returns a Chart;
-# ``build_chart`` sets a given domain box.  The maps are vectorized over a
-# batch axis: U has shape (B, dim).
+# (those keywords are the parameters a set file may give) and returns the
+# chart's shape; ``build_chart`` names it and sets a given domain box.  The
+# maps are vectorized over a batch axis.
 
 
 def _scalar(value, key: str) -> float:
@@ -512,61 +596,6 @@ def _vector(value, key: str, n: int) -> np.ndarray:
     if value.shape != (n,):
         raise SetValidationError(f"charts.params.{key}", f"has shape {value.shape}, needs ({n},)")
     return value
-
-
-def _revolution_chart(label, profile, phi_axis, disc, natural, paneled=False,
-                      frame=np.eye(3), origin=np.zeros(3)) -> Chart:
-    """Chart of (t, phi) -> origin + w(t) (cos phi e1 + sin phi e2) + z(t) e3.
-
-    ``profile(t)`` returns (w, w', w'', z, z', z''), the rows of ``frame`` are
-    e1, e2 and e3 (orthonormal, or e3 = 0 for a plane), and ``phi_axis`` is
-    the parameter index of phi.  ``disc(s, h, qs, lo, hi)`` returns, for each
-    q > 0 of the list ``qs``, the spans of t in [lo, hi] whose profile point
-    lies in the disc of squared radius q about (s, h), and ``natural`` is the
-    map's own range of t.
-    """
-    t_axis = 1 - phi_axis
-
-    def span(a, b, c):  # a e1 + b e2 + c e3 at each node
-        local = np.empty((len(a), 3))
-        local[:, 0], local[:, 1], local[:, 2] = a, b, c
-        return local @ frame
-
-    def jet(U):
-        w, dw, ddw, z, dz, ddz = profile(U[:, t_axis])
-        ph = U[:, phi_axis]
-        c, s = np.cos(ph), np.sin(ph)
-        jac = np.empty((U.shape[0], frame.shape[1], 2))
-        jac[:, :, t_axis] = span(dw * c, dw * s, dz)
-        jac[:, :, phi_axis] = span(-w * s, w * c, 0.0)
-        hess = np.empty((U.shape[0], frame.shape[1], 2, 2))
-        hess[:, :, t_axis, t_axis] = span(ddw * c, ddw * s, ddz)
-        hess[:, :, t_axis, phi_axis] = hess[:, :, phi_axis, t_axis] = span(-dw * s, dw * c, 0.0)
-        hess[:, :, phi_axis, phi_axis] = span(-w * c, -w * s, 0.0)
-        return origin + span(w * c, w * s, z), jac, hess
-
-    def intervals(radii, center, t_range):
-        lo, hi = t_range
-        rel = center - origin
-        along = frame @ rel
-        s, h = math.hypot(along[0], along[1]), float(along[2])
-        n2 = float(np.sum((rel - along @ frame) ** 2))
-        qs = [radius * radius - n2 for radius in radii]
-        live = [q for q in qs if q > 0.0]
-        # the circle at t meets the ball where min(|w - s|, |w + s|) is small
-        # enough, and lies inside it wholly where max(...) is
-        near = disc(s, h, live, lo, hi)
-        found = iter(zip(near, near if s == 0.0 else disc(-s, h, live, lo, hi)))
-        pieces = []
-        for q in qs:
-            near, far = next(found) if q > 0.0 else ([], [])
-            cuts = [end for piece in _intersection(near, far) for end in piece]
-            pieces.append(_split(_union(near, far), cuts))
-        return pieces
-
-    return Chart(label, 2, frame.shape[1], jet, None, intervals, paneled=paneled,
-                 revolution=Revolution(profile, frame, origin, phi_axis),
-                 natural_t_range=natural)
 
 
 def _orthonormal_rows(frame: np.ndarray) -> bool:
@@ -598,8 +627,7 @@ def _build_plane(frame=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), origin=None):
     def disc(s, h, qs, lo, hi):  # h = 0: e3 is 0
         return [_clip([(s - half, s + half)], lo, hi) for half in map(math.sqrt, qs)]
 
-    return _revolution_chart("plane", profile, 1, disc, (0.0, math.inf), True,
-                             np.vstack([frame, np.zeros(n)]), origin)
+    return Revolution(profile, 1, disc, (0.0, math.inf), np.vstack([frame, np.zeros(n)]), origin)
 
 
 def _build_sphere(radius=1.0, center=(0.0, 0.0, 0.0)):
@@ -616,7 +644,7 @@ def _build_sphere(radius=1.0, center=(0.0, 0.0, 0.0)):
         return [_arc_spans(-2.0 * r0 * h, -2.0 * r0 * s, q - r0 * r0 - s * s - h * h, lo, hi)
                 for q in qs]
 
-    return _revolution_chart("sphere", profile, 1, disc, (0.0, math.pi), origin=c0)
+    return Revolution(profile, 1, disc, (0.0, math.pi), origin=c0)
 
 
 def _build_cylinder(radius=1.0):
@@ -630,7 +658,7 @@ def _build_cylinder(radius=1.0):
         halves = [math.sqrt(max(q - (r0 - s) ** 2, 0.0)) for q in qs]
         return [_clip([(h - half, h + half)], lo, hi) if half > 0.0 else [] for half in halves]
 
-    return _revolution_chart("cylinder", profile, 0, disc, (-math.inf, math.inf), True)
+    return Revolution(profile, 0, disc, (-math.inf, math.inf))
 
 
 def _build_paraboloid(coefficient=1.0):
@@ -645,7 +673,7 @@ def _build_paraboloid(coefficient=1.0):
         quartics = [[a * a, 0.0, 1.0 - 2.0 * a * h, -2.0 * s, s * s + h * h - q] for q in qs]
         return _sublevel(quartics, _meridian_gap(profile, s, h, qs), lo, hi)
 
-    return _revolution_chart("paraboloid", profile, 1, disc, (0.0, math.inf), True)
+    return Revolution(profile, 1, disc, (0.0, math.inf))
 
 
 def _build_hyperboloid():
@@ -673,8 +701,7 @@ def _build_hyperboloid():
             scales.append(scale)
         return _sublevel(polynomials, _meridian_gap(profile, s, h, qs), lo, hi, scales)
 
-    return _revolution_chart("hyperboloid_one_sheet", profile, 0, disc,
-                             (-math.inf, math.inf), True)
+    return Revolution(profile, 0, disc, (-math.inf, math.inf))
 
 
 def _build_torus(major_radius=2.0, minor_radius=0.5):
@@ -691,7 +718,7 @@ def _build_torus(major_radius=2.0, minor_radius=0.5):
         return [_arc_spans(2.0 * r0 * (R0 - s), -2.0 * r0 * h,
                            q - (R0 - s) ** 2 - r0 * r0 - h * h, lo, hi) for q in qs]
 
-    return _revolution_chart("torus", profile, 0, disc, (0.0, _TWO_PI))
+    return Revolution(profile, 0, disc, (0.0, _TWO_PI), periodic=True)
 
 
 def _build_poly_curve(coefficients=()):
@@ -699,51 +726,13 @@ def _build_poly_curve(coefficients=()):
     coeffs = np.asarray(coefficients, dtype=float)  # (n, deg+1)
     if coeffs.ndim != 2 or coeffs.size == 0:
         raise SetValidationError(where, "needs one row of coefficients per coordinate")
-    ambient = coeffs.shape[0]
-    if ambient < 2:
+    if coeffs.shape[0] < 2:
         # its rows fix the curve's space: one row would make it a 1-fold in R^1
-        raise SetValidationError(where, f"a curve needs two or more coordinate rows, got {ambient}")
-    dcoeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
-    if not np.any(dcoeffs):
+        raise SetValidationError(where, "a curve needs two or more coordinate rows, "
+                                 f"got {coeffs.shape[0]}")
+    if not np.any(coeffs[:, 1:]):
         raise SetValidationError(where, "every coordinate is constant, so the map is a point")
-    d2coeffs = dcoeffs[:, 1:] * np.arange(1, dcoeffs.shape[1])
-    if d2coeffs.shape[1] == 0:
-        d2coeffs = np.zeros((ambient, 1))
-
-    def _horner(c, t):
-        out = np.zeros((t.shape[0], ambient))
-        for j in range(ambient):
-            out[:, j] = np.polynomial.polynomial.polyval(t, c[j])
-        return out
-
-    def jet(U):
-        t = U[:, 0]
-        return (_horner(coeffs, t), _horner(dcoeffs, t)[:, :, None],
-                _horner(d2coeffs, t)[:, :, None, None])
-
-    def intervals(radii, center, t_range):
-        lo, hi = t_range
-        offset = coeffs.copy()
-        offset[:, 0] -= center
-        # |p(t) - c|^2 - R^2, highest degree first, one row per radius
-        square = sum(np.convolve(row, row) for row in offset)[::-1]
-        gaps = np.tile(square, (len(radii), 1))
-        gaps[:, -1] -= np.square(radii)
-        sizes = np.array(radii)
-
-        def gap(t, i):
-            return np.sum((_horner(offset, t) / sizes[i, None]) ** 2, axis=1) - 1.0
-
-        pieces = _sublevel(gaps, gap, lo, hi)
-        for radius, spans in zip(radii, pieces):
-            if spans and max(abs(spans[0][0]), abs(spans[-1][1])) > _CURVE_REACH:
-                raise SetValidationError(
-                    where, f"the curve is still inside the radius-{radius:g} ball at "
-                           f"|t| = {_CURVE_REACH:g}")
-        return pieces
-
-    return Chart("poly_curve", 1, ambient, jet, None, intervals, paneled=True,
-                 velocity=lambda t: _horner(dcoeffs, t))
+    return PolyCurve(coeffs)
 
 
 CHART_BUILDERS: Dict[str, Callable] = {
@@ -755,6 +744,31 @@ CHART_BUILDERS: Dict[str, Callable] = {
     "torus": _build_torus,
     "poly_curve": _build_poly_curve,
 }
+
+
+def _domain_box(chart: Chart, domain) -> np.ndarray:
+    """A set file's parameter box for the chart.  Each row is [lo, hi] with
+    lo < hi; the box may not cover the set more than once, so phi spans at
+    most one turn, and t at most one turn where it is an angle and the map's
+    own range of t elsewhere."""
+    box = np.asarray(domain, dtype=float)
+    if box.shape != (chart.dim, 2) or np.any(box[:, 0] >= box[:, 1]):
+        raise SetValidationError("charts.domain", f"needs {chart.dim} rows [lo, hi] with lo < hi")
+    if chart.label == "plane" and not _orthonormal_rows(np.asarray(
+            chart.params.get("frame", np.eye(2, 3)), dtype=float)):
+        raise SetValidationError("charts.domain", "a polar domain on a frame whose rows are "
+                                 "not orthonormal would be a sector of an ellipse")
+    (lo, hi), (start, end) = box[chart.profile_axis], chart.shape.natural
+    if chart.rotation_axis is not None and np.ptp(box[chart.rotation_axis]) > _TWO_PI:
+        raise SetValidationError("charts.domain", "the range of phi is longer than 2 pi, so "
+                                 "the chart covers the surface more than once")
+    if chart.shape.periodic and hi - lo > end - start:
+        raise SetValidationError("charts.domain", f"the range of t is longer than its period "
+                                 f"{end - start:g}, so the chart covers the surface more than once")
+    if not chart.shape.periodic and (lo < start or hi > end):
+        raise SetValidationError("charts.domain", f"the range [{lo:g}, {hi:g}] of t leaves "
+                                 f"the map's own range [{start:g}, {end:g}]")
+    return box
 
 
 def build_chart(name: str, domain=None, params=None) -> Chart:
@@ -778,15 +792,7 @@ def build_chart(name: str, domain=None, params=None) -> Chart:
             raise SetValidationError(where, "not a number or an array of numbers") from exc
         if not finite:
             raise SetValidationError(where, "non-finite number")
-    chart = builder(**params)
-    chart.params = dict(params)
+    chart = Chart(name, builder(**params), params=dict(params))
     if domain is not None:
-        box = np.asarray(domain, dtype=float)
-        if box.shape != (chart.dim, 2) or np.any(box[:, 0] >= box[:, 1]):
-            raise SetValidationError("charts.domain", f"needs {chart.dim} rows [lo, hi] with lo < hi")
-        if name == "plane" and not _orthonormal_rows(np.asarray(
-                params.get("frame", np.eye(2, 3)), dtype=float)):
-            raise SetValidationError("charts.domain", "a polar domain on a frame whose rows are "
-                                     "not orthonormal would be a sector of an ellipse")
-        chart.base_domain = box
+        chart.domain = _domain_box(chart, domain)
     return chart

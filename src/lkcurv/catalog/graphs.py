@@ -132,7 +132,7 @@ def _arcs_meet(a, b, c, d) -> bool:
     dependent (x_j^2 is proportional to their Gram determinant).  Where no
     three are, the four span a plane: the arcs lie on one great circle and
     are compared as angle intervals.  Rows are dependent by the rule of
-    ``charts.tangent_gram``, whose Hadamard bound is 1 on unit vectors.
+    ``charts.gram_degenerate``, whose Hadamard bound is 1 on unit vectors.
     """
     rows = np.stack([a, b, -c, -d])
     gram = rows @ rows.T

@@ -11,7 +11,10 @@ Each descriptor derives its ambient dimension, dimension and compactness
 from its data when it is built; a smooth set is compact exactly when its
 chart's range of t is bounded.  Set-definition files use a small JSON schema
 mirroring these variants (``load_set_file``), whose ``ambient_dim``, ``dim``
-and ``compact`` are only compared with the derived values.
+and ``compact`` are only compared with the derived values.  Validation
+spot-checks a smooth set's chart at fixed points of its trace: the tangent
+frames by the cubature's own ``node_scalars``, and an implicit form on the
+chart's ``points``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import SetValidationError
-from .charts import Chart, build_chart, tangent_gram
+from .charts import Chart, build_chart
 from .graphs import _BUILTIN_GRAPHS, SphericalGraph, validate_graph
 from .polynomial import Poly
 
@@ -164,6 +167,22 @@ def _trace_box(chart: Chart, radius: float, center: np.ndarray) -> Optional[np.n
     return box
 
 
+def _spot_check_points(x: SmoothSet) -> Optional[np.ndarray]:
+    """The parameter points (B, dim) at which set validation checks a chart:
+    uniform in its trace box for the ball of 8 times the set's coefficient
+    scale about the origin, from a fixed stream; None where the trace misses
+    that ball."""
+    try:
+        box = _trace_box(x.chart, 8.0 * coefficient_scale(x), np.zeros(x.ambient_dim))
+    except ValueError as exc:
+        raise SetValidationError(
+            "charts.params", f"chart is too large to spot-check: {exc}") from exc
+    if box is None:
+        return None
+    rng = np.random.Generator(np.random.Philox(key=np.array([17, 23], dtype=np.uint64)))
+    return rng.uniform(box[:, 0], box[:, 1], size=(_SPOT_CHECK_POINTS, x.dim))
+
+
 def _validate_smooth(x: SmoothSet) -> None:
     if not 1 <= x.dim <= x.ambient_dim - 1:
         raise SetValidationError("dim", f"need 1 <= d <= n-1, got d={x.dim}, n={x.ambient_dim}")
@@ -176,19 +195,14 @@ def _validate_smooth(x: SmoothSet) -> None:
         raise SetValidationError("polynomial", "non-finite coefficient")
     if x.implicit is not None and x.dim != x.ambient_dim - 1:
         raise SetValidationError("polynomial", "implicit form requires codimension one")
-    try:
-        box = _trace_box(chart, 8.0 * coefficient_scale(x), np.zeros(x.ambient_dim))
-    except ValueError as exc:
-        raise SetValidationError(
-            "charts.params", f"chart is too large to spot-check: {exc}") from exc
-    if box is None:
+    u = _spot_check_points(x)
+    if u is None:
         return
-    rng = np.random.Generator(np.random.Philox(key=np.array([17, 23], dtype=np.uint64)))
-    u = rng.uniform(box[:, 0], box[:, 1], size=(_SPOT_CHECK_POINTS, chart.dim))
-    pts, jac, _ = chart.jet(u)
-    if tangent_gram(jac)[1]:
+    # the cubature's own det G, at the points' t
+    if chart.shape.node_scalars(u[:, chart.profile_axis], np.zeros(x.ambient_dim), False)[1]:
         raise SetValidationError("charts.map", "chart tangent frame degenerates")
     if x.implicit is not None:
+        pts = chart.shape.points(u)
         # the size of the form at p is sum |c_a| |p^a|, and of its gradient that
         # sum's gradient at |p|: no floor is absolute, so dilating a set changes no verdict
         size = Poly(x.ambient_dim, {e: abs(c) for e, c in x.implicit.terms.items()})
@@ -406,7 +420,7 @@ def set_to_dict(name: str, x: SetDescriptor) -> Dict:
         doc["dim"] = x.dim
         chart = x.chart
         doc["charts"] = [{
-            "domain": None if chart.base_domain is None else np.asarray(chart.base_domain).tolist(),
+            "domain": None if chart.domain is None else chart.domain.tolist(),
             "map": chart.label,
             "params": _jsonable_params(chart.params),
         }]

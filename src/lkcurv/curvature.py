@@ -22,11 +22,9 @@ panel of the radii's pieces once (equal dyadic panels give equal nodes), and
 
 * a curve's nodes all lie inside the ball, so the rule needs no mask, and a
   curve that leaves the ball and comes back is integrated on every piece.
-  Its velocities alone (``Chart.velocity``) give det G = |p'|^2, judged by
-  ``catalog.charts.tangent_gram``, the frame rule that set validation shares;
-* a surface of revolution (``Chart.revolution``; every builtin surface) is
-  read off its profile (w, z), one profile call per sweep
-  (``Revolution.node_scalars``, which owns the parametrization): det G =
+  Its velocities alone give det G = |p'|^2 (``PolyCurve.node_scalars``);
+* a surface of revolution (every builtin surface) is read off its profile
+  (w, z), one profile call per sweep (``Revolution.node_scalars``): det G =
   (w'^2 + z'^2) w^2, the Gauss curvature K, which gives the order-2 density
   in every codimension, and the terms A, B, C of |p - c|^2 = A + B cos phi +
   C sin phi on the round circle at t.  The part of the circle inside the
@@ -38,9 +36,7 @@ panel of the radii's pieces once (equal dyadic panels give equal nodes), and
   arithmetic of the 2-D jet at phi = 0, bit for bit; the tests hold the
   route against that jet (``tests/qr_frames.py``).
 
-Any other chart, a surface with no rotation axis or a chart of dimension 3
-or more, is refused on entry to ``measure_sweep`` and
-``limits.estimate_limits``, before any grid is built.
+Set validation judges the tangent frames by the same ``node_scalars``.
 
 One ``arc_share`` call covers every radius and rule.  Each (rule, radius)
 slot then sums its own slice of nodes with ``np.add.reduce``, in its own
@@ -61,9 +57,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .catalog.charts import GRAM_DET_TOL, dyadic_panels, gauss_legendre_nodes, tangent_gram
+from .catalog.charts import GRAM_DET_TOL, dyadic_panels, gauss_legendre_nodes
 from .catalog.sets import SmoothSet
-from .errors import DegenerateChartError, UnsupportedSection
+from .errors import DegenerateChartError
 from .geomconst import sphere_volume
 
 
@@ -120,12 +116,7 @@ def _node_scalars(x: SmoothSet, t: np.ndarray, ks, center: np.ndarray):
     + C sin phi (None on a curve) and the densities (orders, nodes) of the
     orders ks, none of which vanishes identically, at every node of t."""
     chart, n = x.chart, x.ambient_dim
-    gauss = terms = None
-    if chart.revolution is None:  # a curve: det G = |p'|^2
-        det, degenerate = tangent_gram(chart.velocity(t)[:, :, None])
-    else:
-        det, degenerate, gauss, terms = chart.revolution.node_scalars(
-            t, center, any(k < 2 for k in ks))
+    det, degenerate, gauss, terms = chart.shape.node_scalars(t, center, any(k < 2 for k in ks))
     if degenerate:
         raise DegenerateChartError(f"chart {chart.label!r}: tangent Gram determinant at "
                                    f"most {GRAM_DET_TOL} g11 g22")
@@ -175,19 +166,6 @@ def _slot_sums(x: SmoothSet, ks, radii: List[float], pieces: List[np.ndarray],
     return sums
 
 
-def require_cubature_chart(x) -> None:
-    """Refuse a smooth set whose chart is neither a curve nor a surface of
-    revolution, before any grid is built: the cubature integrates on the
-    curve or profile parameter t alone."""
-    chart = x.chart if isinstance(x, SmoothSet) else None
-    if chart is not None and chart.dim != (1 if chart.rotation_axis is None else 2):
-        raise UnsupportedSection(
-            f"chart {chart.label!r} of dimension {chart.dim} is neither a curve nor a "
-            "surface of revolution; curvature is computed on curves and surfaces of "
-            "revolution only"
-        )
-
-
 def measure_sweep(
     x: SmoothSet,
     ks,
@@ -201,7 +179,6 @@ def measure_sweep(
     bits of a sweep of that radius and order alone."""
     if not isinstance(x, SmoothSet):
         raise TypeError("measure_sweep expects a smooth set")
-    require_cubature_chart(x)
     n, d = x.ambient_dim, x.dim
     ks = list(ks)
     if not all(0 <= k <= n for k in ks):

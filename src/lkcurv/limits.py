@@ -12,8 +12,8 @@ and ``curvature_measures`` is a sweep of one radius.
 a geometric radius schedule with an a + c/R model fitted to the last three
 radii, every order in one multi-column least-squares fit per window
 (``fit_limit_sequence`` is its one-column call).  On a smooth set one
-cubature sweep serves every radius and order: the chart evaluates its jet
-once for the whole schedule and both rules, and each (radius, order) gets
+cubature sweep serves every radius and order: the chart evaluates its node
+scalars once for the whole schedule and both rules, and each (radius, order) gets
 the bits of a cubature of that radius alone.  Order 0
 (smooth sets only) is the total order-0 curvature.  Exact bypasses: flats
 give [k == dim], cones are radius-independent by homogeneity, and a compact
@@ -40,9 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .catalog.sets import ConicGraph, LinearSubspace, SetDescriptor, SmoothSet
-from .curvature import (
-    CubatureSpec, measure_sweep, require_cubature_chart, vanishes_identically,
-)
+from .curvature import CubatureSpec, measure_sweep, vanishes_identically
 from .geomconst import ball_volume
 from .spherical import conic_lk_measure_detailed
 
@@ -213,8 +211,6 @@ def schedule_limits(x: SetDescriptor, ks, radii: Sequence[float],
                     center=None) -> List[LimitEstimate]:
     """``estimate_limits`` on radii that ``validate_radii`` has already
     passed, so that a run validates its schedule once."""
-    # refused before the exact bypasses, whichever orders they would answer
-    require_cubature_chart(x)
     ks = list(ks)
     for k in ks:
         _check_order(x, k)

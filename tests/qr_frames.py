@@ -1,8 +1,11 @@
 """Reference routes for the cubature's node scalars.
 
 The library reads sqrt det G, the curvature densities and the ball terms of
-a surface of revolution off its profile.  This module keeps two routes from
-the whole chart jet for the tests to hold it against:
+a surface of revolution off its profile, and a curve's det G off its
+velocities.  This module keeps the whole chart jet (``chart_jet``: the
+points, Jacobians and second derivatives by the chain rule) and the generic
+tangent-frame rule on a Jacobian (``tangent_gram``), and two routes from the
+jet for the tests to hold the library against:
 
 * the coordinate route the profile route replaced (``chart_frames``,
   ``lambda_batch``, ``ball_terms``): the metric G = J^T J, sigma_2 from the
@@ -20,13 +23,97 @@ the whole chart jet for the tests to hold it against:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
 from lkcurv import DegenerateChartError, UnsupportedSection
-from lkcurv.catalog.charts import GRAM_DET_TOL, _dot, tangent_gram
+from lkcurv.catalog.charts import GRAM_DET_TOL, PolyCurve, _horner, gram_degenerate
 from lkcurv.curvature import _node_scalars, vanishes_identically
 from lkcurv.geomconst import sphere_volume
+
+
+# ------------------------------------------------------------------- the jet
+
+
+@dataclass(eq=False)
+class JetChart:
+    """A chart known by its jet alone, U (B, dim) -> points (B, n), Jacobians
+    (B, n, dim) and second derivatives (B, n, dim, dim), on a parameter box:
+    the tests' surfaces that are not of revolution."""
+    label: str
+    dim: int
+    ambient_dim: int
+    jet: Callable
+    domain: np.ndarray
+    paneled = False
+
+
+def revolution_jet(shape, U):
+    """The 2-D jet of a ``Revolution`` by the chain rule."""
+    profile, frame, origin, phi_axis = shape.profile, shape.frame, shape.origin, shape.phi_axis
+    t_axis = 1 - phi_axis
+
+    def span(a, b, c):  # a e1 + b e2 + c e3 at each node
+        local = np.empty((len(a), 3))
+        local[:, 0], local[:, 1], local[:, 2] = a, b, c
+        return local @ frame
+
+    w, dw, ddw, z, dz, ddz = profile(U[:, t_axis])
+    ph = U[:, phi_axis]
+    c, s = np.cos(ph), np.sin(ph)
+    jac = np.empty((U.shape[0], frame.shape[1], 2))
+    jac[:, :, t_axis] = span(dw * c, dw * s, dz)
+    jac[:, :, phi_axis] = span(-w * s, w * c, 0.0)
+    hess = np.empty((U.shape[0], frame.shape[1], 2, 2))
+    hess[:, :, t_axis, t_axis] = span(ddw * c, ddw * s, ddz)
+    hess[:, :, t_axis, phi_axis] = hess[:, :, phi_axis, t_axis] = span(-dw * s, dw * c, 0.0)
+    hess[:, :, phi_axis, phi_axis] = span(-w * c, -w * s, 0.0)
+    return origin + span(w * c, w * s, z), jac, hess
+
+
+def curve_jet(shape, U):
+    """The jet of a ``PolyCurve`` from its differentiated coefficients."""
+    coeffs = shape.coefficients
+    dcoeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    d2coeffs = dcoeffs[:, 1:] * np.arange(1, dcoeffs.shape[1])
+    if d2coeffs.shape[1] == 0:
+        d2coeffs = np.zeros((coeffs.shape[0], 1))
+    t = U[:, 0]
+    return (_horner(coeffs, t), _horner(dcoeffs, t)[:, :, None],
+            _horner(d2coeffs, t)[:, :, None, None])
+
+
+def chart_jet(chart, U) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points, Jacobians and second derivatives of a chart at U (B, dim)."""
+    if isinstance(chart, JetChart):
+        return chart.jet(U)
+    if isinstance(chart.shape, PolyCurve):
+        return curve_jet(chart.shape, U)
+    return revolution_jet(chart.shape, U)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products of two (B, n) stacks."""
+    return np.einsum("bi,bi->b", a, b)
+
+
+def tangent_gram(jac: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """det G, G = J^T J, of a curve or surface chart at each node of a
+    (B, n, d) stack of Jacobians, and whether some node's frame is degenerate.
+
+    On a curve det G = g11, and only a zero velocity is degenerate.
+    """
+    j1 = jac[:, :, 0]
+    g11 = _dot(j1, j1)
+    if jac.shape[2] == 1:
+        det = hadamard = g11
+    else:
+        j2 = jac[:, :, 1]
+        g12 = _dot(j1, j2)
+        hadamard = g11 * _dot(j2, j2)
+        det = hadamard - g12 * g12
+    return det, gram_degenerate(det, hadamard)
 
 
 # ------------------------------------------------------------ coordinate route
@@ -43,7 +130,7 @@ class FrameData:
 
 def chart_frames(chart, u) -> FrameData:
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    positions, jac, hess = chart.jet(u)
+    positions, jac, hess = chart_jet(chart, u)
     det_gram, degenerate = tangent_gram(jac)
     if degenerate:
         raise DegenerateChartError(
@@ -127,7 +214,7 @@ class QRFrames:
 
 def qr_frames(chart, u) -> QRFrames:
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    positions, jac, hess = chart.jet(u)
+    positions, jac, hess = chart_jet(chart, u)
     d = chart.dim
     q, r = np.linalg.qr(jac, mode="complete")
     sqrt_gram = np.prod(np.abs(np.einsum("bii->bi", r[:, :d, :d])), axis=1)

@@ -30,11 +30,14 @@ from lkcurv.catalog.links import (
     generic_link_chi,
     link_infinity_chi,
 )
-from lkcurv.catalog.sets import _trace_box, describe, set_from_dict, set_to_dict, validate_set
+from lkcurv.catalog.sets import (
+    _spot_check_points, _trace_box, describe, set_from_dict, set_to_dict, validate_set,
+)
 from lkcurv.grassmann import (
     STREAM_GRASSMANN, haar_sample, hyperplane_frames, slot_frames, substream,
 )
 from per_plane_links import normal_basis
+from qr_frames import chart_jet, tangent_gram
 
 SETS = Path(__file__).resolve().parent / "sets"
 
@@ -726,7 +729,7 @@ def test_curve_full_space_link_off_center(sets):
     # that runs past both ends of the curve's part inside the ball
     cubic = sets["twisted_cubic_r3"]
     ts = np.linspace(-20.0, 20.0, 200001)[:, None]
-    pts = cubic.chart.jet(ts)[0]
+    pts = cubic.chart.shape.points(ts)
     for center in CURVE_CENTERS:
         vals = np.sum((pts - center) ** 2, axis=1) - 1.0e3**2
         expected = int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
@@ -747,7 +750,7 @@ def test_curve_on_bounded_domain_has_empty_link(tmp_path, sets):
     _, arc = lk.resolve_set(str(path))
     assert arc.compact and full_space_link(arc) == 0
     # the arc lies inside every large sphere, about any center
-    pts = arc.chart.jet(np.linspace(-2.0, 2.0, 2001)[:, None])[0]
+    pts = arc.chart.shape.points(np.linspace(-2.0, 2.0, 2001)[:, None])
     for center in CURVE_CENTERS:
         assert np.max(np.linalg.norm(pts - center, axis=1)) < 1.0e3
 
@@ -844,12 +847,12 @@ def test_chart_derivatives_match_finite_differences(sets, rng):
         lo = box[:, 0] + 0.1 * span
         hi = box[:, 1] - 0.1 * span
         u = rng.uniform(lo, hi, size=(100, chart.dim))
-        _, jac, hess = chart.jet(u)
+        _, jac, hess = chart_jet(chart, u)
         for a in range(chart.dim):
             step = np.zeros(chart.dim)
             step[a] = h
-            ahead, jac_ahead, _ = chart.jet(u + step)
-            behind, jac_behind, _ = chart.jet(u - step)
+            ahead, jac_ahead, _ = chart_jet(chart, u + step)
+            behind, jac_behind, _ = chart_jet(chart, u - step)
             fd_jac = (ahead - behind) / (2 * h)
             scale = np.maximum(np.abs(jac[:, :, a]), 1.0)
             assert np.max(np.abs(fd_jac - jac[:, :, a]) / scale) < 1e-5, name
@@ -885,14 +888,14 @@ def scan_distances(chart, center, t):
     with A, B and C of |p - c|^2 = A + B cos phi + C sin phi read off the
     points at phi = 0, pi / 2 and pi."""
     if chart.rotation_axis is None:
-        dist = np.linalg.norm(chart.jet(t[:, None])[0] - center, axis=1)
+        dist = np.linalg.norm(chart.shape.points(t[:, None]) - center, axis=1)
         return dist, dist
     u = np.zeros((len(t), 2))
     u[:, chart.profile_axis] = t
 
     def dist2(phi):
         u[:, chart.rotation_axis] = phi
-        return np.sum((chart.jet(u)[0] - center) ** 2, axis=1)
+        return np.sum((chart.shape.points(u) - center) ** 2, axis=1)
 
     at0, at_quarter, at_half = dist2(0.0), dist2(0.5 * np.pi), dist2(np.pi)
     middle = 0.5 * (at0 + at_half)
@@ -1149,10 +1152,44 @@ def test_plane_frames_that_are_not_orthonormal_measure_the_plane(tmp_path, frame
 def test_plane_frame_keeps_orthonormal_rows_and_refuses_parallel_ones():
     frame = [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5]]
     u = np.array([[2.0, 0.0], [2.0, 0.5 * np.pi]])
-    points = build_chart("plane", params={"frame": frame}).jet(u)[0]
+    points = build_chart("plane", params={"frame": frame}).shape.points(u)
     np.testing.assert_allclose(points, 2.0 * np.array(frame), rtol=0, atol=1e-15)
     with pytest.raises(SetValidationError, match="charts.params.frame"):
         build_chart("plane", params={"frame": [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]})
+
+
+TWISTED_CUBIC = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+
+def test_validation_verdicts_match_the_jet_reference():
+    # set validation judges a chart's tangent frames by the cubature's own
+    # det G; the reference judges them by tangent_gram on the chart's jet at
+    # the same spot-check points, whose positions validation reads bit for
+    # bit from the shape's points.  Every map, a torus and a cylinder that
+    # degenerate, and a sphere and a curve scaled by 1e-7 (radii below about
+    # 1e-77 underflow g11 g22 on both routes, a known defect left out here)
+    charts = {name: build_chart(name, params={"coefficients": TWISTED_CUBIC}
+                                if name == "poly_curve" else None) for name in CHART_BUILDERS}
+    charts.update({
+        "flat torus": build_chart("torus", params={"minor_radius": 0.0}),
+        "point cylinder": build_chart("cylinder", params={"radius": 0.0}),
+        "small sphere": build_chart("sphere", params={"radius": 1e-7}),
+        "small cubic": build_chart("poly_curve", params={"coefficients": 1e-7 * TWISTED_CUBIC}),
+    })
+    degenerate = set()
+    for name, chart in charts.items():
+        x = SmoothSet(chart)
+        u = _spot_check_points(x)
+        positions, jac, _ = chart_jet(chart, u)
+        assert np.array_equal(chart.shape.points(u), positions), name
+        want = tangent_gram(jac)[1]
+        try:
+            validate_set(x)
+        except SetValidationError as exc:
+            assert exc.field == "charts.map" and "tangent frame" in str(exc), name
+            degenerate.add(name)
+        assert (name in degenerate) == want, name
+    assert degenerate == {"flat torus", "point cylinder"}
 
 
 def test_chart_points_satisfy_implicit_form(sets, rng):
@@ -1161,7 +1198,7 @@ def test_chart_points_satisfy_implicit_form(sets, rng):
         chart = x.chart
         box = _trace_box(chart, 16.0, np.zeros(3))
         u = rng.uniform(box[:, 0], box[:, 1], size=(400, chart.dim))
-        pts = chart.jet(u)[0]
+        pts = chart.shape.points(u)
         deg = x.implicit.degree()
         vals = np.abs(x.implicit.eval(pts))
         bound = 1e-8 * (1.0 + np.linalg.norm(pts, axis=1) ** deg)

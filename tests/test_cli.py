@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lkcurv import GenericityError, builtin_sets, cli
-from lkcurv.catalog.sets import set_to_dict
+from lkcurv.catalog.sets import set_from_dict, set_to_dict
 from lkcurv.grassmann import STREAM_GRASSMANN, haar_sample, substream
 from lkcurv.report import report_from_dict
 
@@ -625,6 +625,43 @@ def test_set_refusals_name_their_field(tmp_path, capsys, field, doc):
                        "--samples", "100"])
     assert code == 64
     assert f"malformed at {field}:" in capsys.readouterr().err
+
+
+def smooth_doc(name, domain, chi):
+    return {"name": name, "ambient_dim": 3, "kind": "smooth", "declared_chi": chi,
+            "charts": [{"map": name, "domain": domain}]}
+
+
+@pytest.mark.parametrize("doc", [
+    # a sphere whose phi runs over two turns integrates to 4, which a
+    # declared chi of 4 would match; theta over a whole turn, psi over two
+    # turns of the tube, and r < 0, which covers the disc |r| < 1 twice
+    smooth_doc("sphere", [[0.0, math.pi], [0.0, 4.0 * math.pi]], 4),
+    smooth_doc("sphere", [[0.0, 2.0 * math.pi], [0.0, 2.0 * math.pi]], 4),
+    smooth_doc("torus", [[0.0, 2.0 * math.pi], [0.0, 4.0 * math.pi]], 0),
+    smooth_doc("cylinder", [[0.0, 7.0], [-1.0, 1.0]], 0),
+    smooth_doc("plane", [[-1.0, 2.0], [0.0, 1.0]], 1),
+    smooth_doc("paraboloid", [[-1.0, 2.0], [0.0, 1.0]], 1),
+])
+def test_a_domain_that_covers_the_set_twice_is_refused(tmp_path, capsys, doc):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    for theorem in ("thm3.9", "thm4.3"):
+        capsys.readouterr()
+        code, text = run_cli(["verify", "--set", str(path), "--theorem", theorem])
+        assert code == 64 and text == "", theorem
+        assert "malformed at charts.domain:" in capsys.readouterr().err, theorem
+
+
+def test_a_domain_of_one_cover_loads():
+    # one whole turn of phi and of the torus's psi, which is periodic and so
+    # may start anywhere, the sphere's whole theta, and r from 0
+    for doc in (smooth_doc("sphere", [[0.0, math.pi], [0.0, 2.0 * math.pi]], 2),
+                smooth_doc("torus", [[-math.pi, math.pi], [-1.0, 2.0]], 0),
+                smooth_doc("torus", [[0.4, 5.5], [-1.0, -1.0 + 2.0 * math.pi]], 0),
+                smooth_doc("plane", [[0.0, 2.0], [0.0, 1.0]], 1),
+                smooth_doc("hyperboloid_one_sheet", [[0.0, 1.0], [-50.0, 50.0]], 1)):
+        assert set_from_dict(doc).compact, doc
 
 
 def test_a_hyperboloid_declared_compact_is_refused(tmp_path, capsys):

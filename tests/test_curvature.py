@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 import lkcurv as lk
-from lkcurv import DegenerateChartError, UnsupportedSection
+from lkcurv import DegenerateChartError
 from lkcurv.catalog import SmoothSet
 from lkcurv import curvature
-from lkcurv.catalog.charts import (
-    Chart, _arc_spans, _revolution_chart, build_chart, gauss_legendre_nodes, tangent_gram,
-)
+from lkcurv.catalog.charts import Chart, PolyCurve, Revolution, build_chart, gauss_legendre_nodes
 from lkcurv.catalog.sets import _trace_box
 from lkcurv.curvature import (
     CubatureSpec,
@@ -25,8 +23,10 @@ from lkcurv.curvature import (
 from lkcurv.geomconst import sphere_volume
 from axis_rule import axis_rule
 from qr_frames import (
+    JetChart,
     ball_terms,
     chart_frames,
+    chart_jet,
     elementary_symmetric,
     form_at,
     lambda_batch,
@@ -34,6 +34,7 @@ from qr_frames import (
     point_density,
     qr_density,
     qr_frames,
+    tangent_gram,
 )
 
 PLANE_R2_IN_R4 = Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json"
@@ -42,12 +43,6 @@ PLANE_R2_IN_R4 = Path(__file__).resolve().parent / "sets" / "plane_r2_in_r4.json
 def jet_of(map_fn, jac_fn, hess_fn):
     """A chart jet from a hand-written map and its two derivatives."""
     return lambda u: (map_fn(u), jac_fn(u), hess_fn(u))
-
-
-def no_intervals(radii, center, t_range):
-    """The ball intervals of a chart that is neither a curve nor a surface of
-    revolution: the cubature refuses it before it asks for them."""
-    raise AssertionError("ball intervals asked of a chart the cubature refuses")
 
 
 def box_nodes(chart, box, count):
@@ -187,15 +182,11 @@ def test_odd_orders_vanish_exactly(sets, rng):
 
 def sphere_r4():
     """The unit 2-sphere in the first three coordinates of R^4, as a surface
-    of revolution whose frame has four columns."""
-    base = build_chart("sphere", params={"radius": 1.0})
-
-    def disc(s, h, qs, lo, hi):  # the unit sphere's, as its builder solves it
-        return [_arc_spans(-2.0 * h, -2.0 * s, q - 1.0 - s * s - h * h, lo, hi) for q in qs]
-
-    chart = _revolution_chart("sphere_r4", base.revolution.profile, 1, disc, (0.0, math.pi),
-                              frame=np.eye(3, 4), origin=np.zeros(4))
-    return SmoothSet(chart, declared_chi=2)
+    of revolution whose frame has four columns: the ball's center enters the
+    unit sphere's disc solver through the frame."""
+    base = build_chart("sphere", params={"radius": 1.0}).shape
+    return SmoothSet(Chart("sphere_r4", base._replace(frame=np.eye(3, 4), origin=np.zeros(4))),
+                     declared_chi=2)
 
 
 def test_codimension_two_density_is_exact():
@@ -232,9 +223,8 @@ def square_graph_r4():
         hess[:, 3, 0, 1] = hess[:, 3, 1, 0] = 2.0
         return hess
 
-    chart = Chart("square_graph", 2, 4, jet_of(map_fn, jac_fn, hess_fn),
-                  np.array([[-3.0, 3.0], [-3.0, 3.0]]), no_intervals)
-    return SmoothSet(chart, declared_chi=1)
+    return JetChart("square_graph", 2, 4, jet_of(map_fn, jac_fn, hess_fn),
+                    np.array([[-3.0, 3.0], [-3.0, 3.0]]))
 
 
 def test_codimension_two_density_matches_normal_circle_quadrature(rng):
@@ -242,62 +232,20 @@ def test_codimension_two_density_matches_normal_circle_quadrature(rng):
     # revolution; oracle: sigma_2 of the form is a degree-2 trigonometric
     # polynomial in the normal angle, so the 64-point trapezoid rule on the
     # circle is exact
-    x = square_graph_r4()
+    chart = square_graph_r4()
     angles = 2.0 * math.pi * np.arange(64) / 64
     for u in rng.uniform(-2.0, 2.0, size=(20, 2)):
-        jac = x.chart.jet(u[None, :])[1][0]
+        jac = chart.jet(u[None, :])[1][0]
         normals = np.linalg.svd(jac)[0][:, 2:]
         circle = 0.0
         for theta in angles:
             v = math.cos(theta) * normals[:, 0] + math.sin(theta) * normals[:, 1]
-            form = form_at(x.chart, u, v)
+            form = form_at(chart, u, v)
             circle += np.linalg.det(form)  # sigma_2 of a 2x2 form
         circle *= 2.0 * math.pi / 64
         assert abs(circle) > 1e-3
-        value = lambda_batch(x, chart_frames(x.chart, u), 0)[0] * sphere_volume(3)
+        value = lambda_batch(chart, chart_frames(chart, u), 0)[0] * sphere_volume(3)
         assert value == pytest.approx(circle, rel=1e-12, abs=1e-12)
-
-
-def test_three_dimensional_chart_is_unsupported(monkeypatch):
-    # a flat 3-cube in R^4 and a surface with no rotation axis: the cubature
-    # takes curves and surfaces of revolution only, and the refusal comes
-    # before any grid is built, whichever orders are live
-    def map_fn(u):
-        return np.concatenate([u, np.zeros((u.shape[0], 1))], axis=1)
-
-    def jac_fn(u):
-        return np.broadcast_to(np.eye(4, 3), (u.shape[0], 4, 3)).copy()
-
-    def hess_fn(u):
-        return np.zeros((u.shape[0], 4, 3, 3))
-
-    def no_grid(*args, **kwargs):
-        raise AssertionError("a grid was built for a chart the cubature refuses")
-
-    monkeypatch.setattr(curvature, "gauss_legendre_nodes", no_grid)
-    chart = Chart("flat3", 3, 4, jet_of(map_fn, jac_fn, hess_fn), np.array([[-1.0, 1.0]] * 3),
-                  no_intervals)
-    flat3 = SmoothSet(chart, declared_chi=1)
-    for x in (flat3, square_graph_r4()):
-        label = x.chart.label
-        with pytest.raises(UnsupportedSection, match="curves and surfaces"):
-            lk.curvature_measures(x, (1, 3), 2.0)
-        with pytest.raises(UnsupportedSection):
-            lk.curvature_measures(x, (0,), 2.0)  # no live order on the 3-cube
-        # both boxed charts are compact, so their orders k >= 1 are answered
-        # exactly and their odd orders vanish, and no cubature would run: the
-        # refusal must not depend on that
-        assert x.compact, label
-        for theorem in ("thm3.9", "thm4.3", "du_lambda0"):
-            report = lk.run_theorem(theorem, x, n_samples=100, seed=42)
-            assert [row.skipped for row in report.rows] == [True], (label, theorem)
-            assert "curves and surfaces" in report.rows[0].reason, (label, theorem)
-        # the growth identities skip every order at the left side's refusal
-        for theorem in ("thm3.7", "cor3.8", "thm4.1", "thm4.2"):
-            report = lk.run_theorem(theorem, x, n_samples=100, seed=42)
-            assert report.status == "incomplete" and report.rows, (label, theorem)
-            for row in report.rows:
-                assert row.skipped and "curves and surfaces" in row.reason, (label, theorem, row.k)
 
 
 # ------------------------------------------- coordinate form against QR frames
@@ -321,9 +269,8 @@ def quadric_graph(dim, ambient, seed):
         hess[:, dim:] = shapes
         return hess
 
-    chart = Chart(f"quadric{dim}", dim, ambient, jet_of(map_fn, jac_fn, hess_fn),
-                  np.array([[-1.0, 1.0]] * dim), no_intervals)
-    return SmoothSet(chart, declared_chi=1)
+    return JetChart(f"quadric{dim}", dim, ambient, jet_of(map_fn, jac_fn, hess_fn),
+                    np.array([[-1.0, 1.0]] * dim))
 
 
 # a plane set file whose frame rows are neither unit nor orthogonal, off the origin
@@ -384,7 +331,7 @@ def test_profile_route_matches_the_jet_reference(sets, tmp_path):
     off_origin = SmoothSet(build_chart("sphere", params={"center": [0.3, -0.2, 0.5]}),
                            declared_chi=2)
     cases = [(x, True) for x in sets.values()
-             if isinstance(x, SmoothSet) and x.chart.revolution is not None]
+             if isinstance(x, SmoothSet) and x.chart.rotation_axis is not None]
     assert len(cases) == 6
     cases += [(off_origin, False), (set_file(tmp_path, SKEWED_PLANE), False),
               (sphere_r4(), False)]
@@ -434,10 +381,9 @@ def test_coordinate_density_matches_qr_oracle(sets):
     # every node of the R = 64 box's tensor rule of each chart, every order;
     # the graph of z -> z^2 has no ball intervals and takes its own box
     graph = square_graph_r4()
-    cases = [(x, _trace_box(x.chart, 64.0, np.zeros(x.ambient_dim)))
+    cases = [(x, x.chart, _trace_box(x.chart, 64.0, np.zeros(x.ambient_dim)))
              for x in oracle_cases(sets).values()]
-    for x, box in cases + [(graph, graph.chart.base_domain)]:
-        chart = x.chart
+    for x, chart, box in cases + [(graph, graph, graph.domain)]:
         nodes = box_nodes(chart, box, CubatureSpec().count(chart.dim))
         frames = chart_frames(chart, nodes)
         oracle = qr_frames(chart, nodes)
@@ -452,8 +398,8 @@ def test_quadric_graphs_match_qr_oracle(rng):
     for dim, ambient in ((2, 3), (2, 4)):
         x = quadric_graph(dim, ambient, seed=dim)
         u = rng.uniform(-1.0, 1.0, size=(64, dim))
-        frames = chart_frames(x.chart, u)
-        oracle = qr_frames(x.chart, u)
+        frames = chart_frames(x, u)
+        oracle = qr_frames(x, u)
         assert_matches_oracle(frames.sqrt_gram, oracle.sqrt_gram)
         for k in range(dim + 1):
             assert_matches_oracle(lambda_batch(x, frames, k), qr_density(x, oracle, k))
@@ -478,23 +424,25 @@ def test_measures_of_several_orders_match_single_orders_bitwise(sets):
             assert both == single, name
 
 
-def test_each_chart_box_is_fitted_once_per_radius(sets):
+def test_each_chart_box_is_fitted_once_per_radius(sets, monkeypatch):
     # a sweep solves its radii's intervals in one call, shared by both rules
-    for name in ("hyperboloid_r3", "torus_r3", "twisted_cubic_r3"):
-        x = sets[name]
-        calls = []
-
-        def fit(radii, center, t_range, interval_fn=x.chart.interval_fn):
+    names = ("hyperboloid_r3", "torus_r3", "twisted_cubic_r3")
+    want = {name: [lk.curvature_sweep(sets[name], (0, 1, 2), (radius,)) for radius in (8.0, 16.0)]
+            for name in names}
+    calls = []
+    for shape in (Revolution, PolyCurve):
+        def fit(self, radii, center, t_range, solve=shape.ball_pieces):
             calls.append(tuple(radii))
-            return interval_fn(radii, center, t_range)
+            return solve(self, radii, center, t_range)
 
-        counting = dataclasses.replace(
-            x, chart=dataclasses.replace(x.chart, interval_fn=fit))
-        for radius in (8.0, 16.0):
-            assert (lk.curvature_sweep(counting, (0, 1, 2), (radius,))
-                    == lk.curvature_sweep(x, (0, 1, 2), (radius,))), name
+        monkeypatch.setattr(shape, "ball_pieces", fit)
+    for name in names:
+        x = sets[name]
+        calls.clear()
+        assert [lk.curvature_sweep(x, (0, 1, 2), (radius,)) for radius in (8.0, 16.0)] \
+            == want[name], name
         assert calls == [(8.0,), (16.0,)], name
-        lk.curvature_sweep(counting, (0, 1, 2), (8.0, 16.0))
+        lk.curvature_sweep(x, (0, 1, 2), (8.0, 16.0))
         assert calls == [(8.0,), (16.0,), (8.0, 16.0)], name
 
 
@@ -575,9 +523,9 @@ def reference_bits(x):
     and in codimension 1 on a frame of coordinate axes, as on every builtin
     surface.  Elsewhere the reference's normal parts (codimension 2) or its
     rotated frame round otherwise, within 1e-12."""
-    revolution = x.chart.revolution
-    return revolution is None or (x.ambient_dim == 3 and np.all(np.isin(revolution.frame,
-                                                                        (0.0, 1.0))))
+    shape = x.chart.shape
+    return isinstance(shape, PolyCurve) or (x.ambient_dim == 3 and np.all(np.isin(shape.frame,
+                                                                                 (0.0, 1.0))))
 
 
 def assert_sweep_is_bitwise(x, radii, center, name):
@@ -659,7 +607,7 @@ def point_terms(chart, u, center):
     def dist2(phi):
         turned = u.copy()
         turned[:, chart.rotation_axis] = phi
-        return np.sum((chart.jet(turned)[0] - center) ** 2, axis=1)
+        return np.sum((chart.shape.points(turned) - center) ** 2, axis=1)
 
     at0, at_quarter, at_half = dist2(0.0), dist2(0.5 * np.pi), dist2(np.pi)
     middle = 0.5 * (at0 + at_half)
@@ -671,7 +619,7 @@ def on_axis(chart, center):
     profile circle keeps one distance from it."""
     u = np.full((3, 2), 0.7)
     u[:, chart.rotation_axis] = (0.5, 1.5, 2.5)
-    dist2 = np.sum((chart.jet(u)[0] - center) ** 2, axis=1)
+    dist2 = np.sum((chart.shape.points(u) - center) ** 2, axis=1)
     return np.ptp(dist2) <= 1e-12 * np.max(dist2)
 
 
@@ -766,7 +714,7 @@ def test_arc_share_of_chart_circles_matches_sampled_points(sets, tmp_path):
             phi = lo + (hi - lo) * (np.arange(2000) + 0.5) / 2000
             grid = np.repeat(u, len(phi), axis=0)
             grid[:, axis] = np.tile(phi, len(t))
-            dist2 = np.sum((chart.jet(grid)[0] - center) ** 2, axis=1).reshape(len(t), -1)
+            dist2 = np.sum((chart.shape.points(grid) - center) ** 2, axis=1).reshape(len(t), -1)
             want = (hi - lo) * np.mean(dist2 <= radius * radius, axis=1)
             np.testing.assert_allclose(got, want, rtol=0, atol=4.0 * (hi - lo) / 2000,
                                        err_msg=f"{chart.label} R = {radius}")
@@ -847,23 +795,18 @@ def test_torus_total_curvature_vanishes(sets):
 
 
 def test_orientation_flip_leaves_measures_unchanged(sets):
-    # reversing a chart parameter flips the normal frame orientation
+    # reversing the profile parameter, t -> -t, flips the normal frame's
+    # orientation; the centered balls' pieces of z are symmetric, so the
+    # hyperboloid's own disc solver still gives them
     hyp = sets["hyperboloid_r3"]
-    chart = hyp.chart
-    flipped = build_chart("hyperboloid_one_sheet")
+    profile = hyp.chart.shape.profile
 
-    def flipped_jet(u):
-        v = np.array(u, dtype=float)
-        v[:, 0] = -v[:, 0]
-        pts, jac, hess = (np.array(out) for out in chart.jet(v))
-        jac[:, :, 0] = -jac[:, :, 0]  # first derivative in phi changes sign
-        # mixed second derivatives flip once, phi-phi twice
-        hess[:, :, 0, 1] = -hess[:, :, 0, 1]
-        hess[:, :, 1, 0] = -hess[:, :, 1, 0]
-        return pts, jac, hess
+    def reversed_profile(t):
+        w, dw, ddw, z, dz, ddz = profile(-t)
+        return w, -dw, ddw, z, -dz, ddz
 
-    flipped.jet = flipped_jet
-    mirrored = SmoothSet(flipped, declared_chi=0)
+    mirrored = SmoothSet(dataclasses.replace(hyp.chart, shape=hyp.chart.shape._replace(
+        profile=reversed_profile)), declared_chi=0)
     for k in (0, 2):
         a = lk_measure_detailed(hyp, k, 8.0)[0]
         b = lk_measure_detailed(mirrored, k, 8.0)[0]

@@ -304,21 +304,22 @@ def test_sweep_builds_frames_once_for_both_rules(sets, monkeypatch, name, theore
         rules.clear()
         return scalars_fn(x, t, ks, center)
 
-    revolution = x.chart.revolution
-    if revolution is not None:
+    shape = x.chart.shape
+    surface = x.chart.rotation_axis is not None
+    if surface:
         def counted_profile(t):
             profiles.append(len(t))
-            return revolution.profile(t)
+            return shape.profile(t)
 
         x = dataclasses.replace(x, chart=dataclasses.replace(
-            x.chart, revolution=revolution._replace(profile=counted_profile)))
+            x.chart, shape=shape._replace(profile=counted_profile)))
     monkeypatch.setattr(curvature, "gauss_legendre_nodes", counted_nodes)
     monkeypatch.setattr(curvature, "_node_scalars", counted_scalars)
     report = run_theorem(theorem, x, n_samples=500, seed=42, base_point=base_point)
     assert report.overall_pass
     # one sweep per assembly: base_point runs the shifted one and the origin one
     assert len(sweeps) == (1 if base_point is None else 2) and not rules
-    assert profiles == ([] if revolution is None else sweeps)
+    assert profiles == (sweeps if surface else [])
 
 
 def test_a_growth_identity_derives_each_quantity_once(monkeypatch):
